@@ -13,11 +13,14 @@
 # CI can archive the perf trajectory from every run; `make bench-gate`
 # compares that report against the committed BENCH_baseline.json and
 # fails on regressions past the tolerance; `make bench-baseline`
-# refreshes the baseline after an intentional perf change; `make lint`
+# refreshes the baseline after an intentional perf change (bench-json also
+# runs the flight-recorder JSONL codec benchmarks in internal/trace, and
+# bench-gate caps the recorder's overhead as a ratio); `make lint`
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, and trace-replay fuzzers a short budget each; `make reliability`
+# spec, trace-replay, and recording-reader fuzzers a short budget each;
+# `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
 # workload; `make replay` is the record→replay golden gate — it records
@@ -42,6 +45,16 @@ TOLERANCE ?= 1.5
 # narrower runner cannot exhibit parallel speedup, so it prints a skip
 # note instead of a false verdict.
 MIN_SPEEDUP ?= BenchmarkFleetScaleDecoupledParallel=3
+
+# The flight recorder's cost ceiling: a full-level traced run may take at
+# most this multiple of the identical untraced run. Both benchmarks run on
+# the same machine in the same report, so the ratio is portable. Measured
+# at 2.8-3.3x (2 CPUs, -benchtime 1x); the ceiling leaves 1.5x headroom.
+MAX_RATIO ?= BenchmarkFleetTrace/BenchmarkFleetTraceOff=5
+
+# The benchmarks bench-json records: the fleet set at the module root and
+# the recorder's JSONL codec in internal/trace.
+BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL
 
 .PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants replay replay-golden replay-run
 
@@ -74,14 +87,15 @@ test: vet
 	$(GO) test -race ./...
 
 # A short-budget fuzz pass over every strict-decode surface — the
-# scenario JSON loader, the workload-spec loader, and the request-trace
-# parser/replayer: enough to catch a fresh panic in parsing, validation,
-# or a bounded run without holding up CI. (The go tool takes one -fuzz
-# target per invocation, hence three.)
+# scenario JSON loader, the workload-spec loader, the request-trace
+# parser/replayer, and the flight-recorder JSONL reader: enough to catch
+# a fresh panic in parsing, validation, or a bounded run without holding
+# up CI. (The go tool takes one -fuzz target per invocation, hence four.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -90,14 +104,14 @@ benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ .
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants' \
-		-benchmem -benchtime=1x -timeout 10m . > BENCH_fleet.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_SET)' \
+		-benchmem -benchtime=1x -timeout 10m . ./internal/trace > BENCH_fleet.txt
 	cat BENCH_fleet.txt
 	$(GO) run ./cmd/benchjson < BENCH_fleet.txt > BENCH_fleet.json
 
 bench-gate: bench-json
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_fleet.json \
-		-tolerance $(TOLERANCE) -min-speedup $(MIN_SPEEDUP)
+		-tolerance $(TOLERANCE) -min-speedup $(MIN_SPEEDUP) -max-ratio $(MAX_RATIO)
 
 bench-baseline: bench-json
 	cp BENCH_fleet.json BENCH_baseline.json

@@ -33,6 +33,16 @@
 // enforced when the parallel result ran at GOMAXPROCS ≥ 4 (the -N name
 // suffix); on smaller runners parallel speedup is unmeasurable, so the
 // check prints a skip note instead of a false verdict.
+//
+// A ceiling on the cost of one benchmark relative to another in the new
+// report can be gated the same way:
+//
+//	benchjson -compare old.json new.json \
+//	    -max-ratio BenchmarkFleetTrace/BenchmarkFleetTraceOff=5
+//
+// fails when BenchmarkFleetTrace's ns/op exceeds 5× BenchmarkFleetTraceOff's
+// (the flight recorder's overhead), or when either is absent. Both run on
+// the same machine in the same report, so the ratio holds on any runner.
 package main
 
 import (
@@ -71,8 +81,10 @@ type Report struct {
 // benchLine matches e.g.
 //
 //	BenchmarkFleetScale-8   1  2860000000 ns/op  123456 B/op  450 allocs/op
+//
+// skipping the MB/s column a benchmark that calls b.SetBytes reports.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func parse(r io.Reader) (Report, error) {
 	var rep Report
@@ -198,6 +210,53 @@ func (m minSpeedupFlag) Set(s string) error {
 	return nil
 }
 
+// maxRatioFlag collects repeated -max-ratio name/base=ratio ceilings.
+type maxRatioFlag struct{ minSpeedupFlag }
+
+func (m maxRatioFlag) Set(s string) error {
+	if pair, _, _ := strings.Cut(s, "="); !strings.Contains(pair, "/") {
+		return fmt.Errorf("want name/base=ratio, got %q", s)
+	}
+	return m.minSpeedupFlag.Set(s)
+}
+
+// gateRatios enforces every -max-ratio ceiling on the report: the named
+// benchmark's ns/op over its base's must not exceed the ceiling. It writes
+// one line per ceiling, in sorted order, and returns the number of
+// failures; a pair absent from the report fails, so a renamed benchmark
+// cannot silently disarm its gate.
+func gateRatios(rep Report, max maxRatioFlag, out io.Writer) int {
+	byName := map[string]Result{}
+	for _, r := range rep.Results {
+		byName[r.Name] = r
+	}
+	pairs := make([]string, 0, len(max.minSpeedupFlag))
+	for pair := range max.minSpeedupFlag {
+		pairs = append(pairs, pair)
+	}
+	sort.Strings(pairs)
+	failures := 0
+	for _, pair := range pairs {
+		want := max.minSpeedupFlag[pair]
+		name, base, _ := strings.Cut(pair, "/")
+		n, okN := byName[name]
+		b, okB := byName[base]
+		if !okN || !okB {
+			fmt.Fprintf(out, "MISSING  %-40s -max-ratio pair absent from the report\n", pair)
+			failures++
+			continue
+		}
+		ratio := n.NsPerOp / b.NsPerOp
+		if ratio > want {
+			fmt.Fprintf(out, "COSTLY   %-40s %.2fx of %s, over the %.2fx ceiling\n", name, ratio, base, want)
+			failures++
+			continue
+		}
+		fmt.Fprintf(out, "ratio    %-40s %.2fx of %s (ceiling %.2fx)\n", name, ratio, base, want)
+	}
+	return failures
+}
+
 // reportSpeedups writes one line per <base>Parallel/<base> benchmark
 // pair in the report with the parallel speedup ratio, enforces any
 // -min-speedup requirements, and returns the number of failures. A
@@ -259,7 +318,8 @@ func splitArgs(args []string) (flags, pos []string) {
 		a := args[i]
 		switch {
 		case a == "-tolerance" || a == "--tolerance",
-			a == "-min-speedup" || a == "--min-speedup":
+			a == "-min-speedup" || a == "--min-speedup",
+			a == "-max-ratio" || a == "--max-ratio":
 			flags = append(flags, a)
 			if i+1 < len(args) {
 				i++
@@ -281,6 +341,8 @@ func run(args []string, in io.Reader, out, errw io.Writer) int {
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op growth before -compare fails (0.25 = 25%)")
 	minSpeedup := minSpeedupFlag{}
 	fs.Var(minSpeedup, "min-speedup", "with -compare: require name=ratio parallel speedup for a <base>Parallel/<base> pair (repeatable; enforced only at GOMAXPROCS >= 4)")
+	maxRatio := maxRatioFlag{minSpeedupFlag{}}
+	fs.Var(maxRatio, "max-ratio", "with -compare: cap name/base=ratio, the named benchmark's ns/op over its base's in the new report (repeatable)")
 	flagArgs, pos := splitArgs(args)
 	if err := fs.Parse(flagArgs); err != nil {
 		return 2
@@ -310,6 +372,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) int {
 		}
 		failures := compare(old, newRep, *tolerance, out)
 		slow := reportSpeedups(newRep, minSpeedup, out)
+		costly := gateRatios(newRep, maxRatio, out)
 		if failures > 0 {
 			fmt.Fprintf(errw, "benchjson: %d benchmark(s) regressed past %.0f%% — refresh BENCH_baseline.json only for intentional changes\n",
 				failures, *tolerance*100)
@@ -317,13 +380,16 @@ func run(args []string, in io.Reader, out, errw io.Writer) int {
 		if slow > 0 {
 			fmt.Fprintf(errw, "benchjson: %d parallel speedup requirement(s) unmet\n", slow)
 		}
-		if failures+slow > 0 {
+		if costly > 0 {
+			fmt.Fprintf(errw, "benchjson: %d -max-ratio ceiling(s) exceeded\n", costly)
+		}
+		if failures+slow+costly > 0 {
 			return 1
 		}
 		return 0
 	}
-	if len(minSpeedup) > 0 {
-		fmt.Fprintln(errw, "benchjson: -min-speedup requires -compare")
+	if len(minSpeedup) > 0 || len(maxRatio.minSpeedupFlag) > 0 {
+		fmt.Fprintln(errw, "benchjson: -min-speedup and -max-ratio require -compare")
 		return 2
 	}
 	if len(pos) != 0 {

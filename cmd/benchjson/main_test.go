@@ -16,6 +16,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFleetScale-8   	       1	2860000000 ns/op	45678912 B/op	  123456 allocs/op
 BenchmarkFleetSweep 	       2	 139437430 ns/op	20596784 B/op	  181027 allocs/op
 BenchmarkThermalStep-8  	 1000000	      1042 ns/op
+BenchmarkTraceReadJSONL-2    	      10	 110930696 ns/op	  76.75 MB/s	11528720 B/op	     126 allocs/op
 PASS
 ok  	sprinting	4.2s
 `
@@ -32,8 +33,8 @@ func TestParseBenchOutput(t *testing.T) {
 	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "sprinting" {
 		t.Errorf("header fields wrong: %+v", rep)
 	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("parsed %d results, want 3", len(rep.Results))
+	if len(rep.Results) != 4 {
+		t.Fatalf("parsed %d results, want 4", len(rep.Results))
 	}
 	scale := rep.Results[0]
 	if scale.Name != "BenchmarkFleetScale" || scale.Procs != 8 || scale.Iterations != 1 {
@@ -50,6 +51,11 @@ func TestParseBenchOutput(t *testing.T) {
 	// No -benchmem columns → fields omitted.
 	if rep.Results[2].BytesPerOp != nil || rep.Results[2].AllocsOp != nil {
 		t.Errorf("missing benchmem columns should be omitted: %+v", rep.Results[2])
+	}
+	// A b.SetBytes throughput column does not hide the benchmem columns.
+	if r := rep.Results[3]; r.NsPerOp != 110930696 || r.BytesPerOp == nil || *r.BytesPerOp != 11528720 ||
+		r.AllocsOp == nil || *r.AllocsOp != 126 {
+		t.Errorf("MB/s result wrong: %+v", r)
 	}
 	if !strings.Contains(out.String(), `"allocs_per_op": 123456`) {
 		t.Errorf("JSON missing allocs_per_op:\n%s", out.String())
@@ -298,6 +304,59 @@ func TestCompareUsageErrors(t *testing.T) {
 	}
 	if _, _, code := runCompare(t, "-min-speedup", "B=3"); code != 2 {
 		t.Errorf("-min-speedup without -compare should exit 2, got %d", code)
+	}
+	if _, _, code := runCompare(t, "-compare", good, good, "-max-ratio", "B=3"); code != 2 {
+		t.Errorf("-max-ratio without a name/base pair should exit 2, got %d", code)
+	}
+	if _, _, code := runCompare(t, "-compare", good, good, "-max-ratio", "A/B=0"); code != 2 {
+		t.Errorf("non-positive -max-ratio should exit 2, got %d", code)
+	}
+	if _, _, code := runCompare(t, "-max-ratio", "A/B=3"); code != 2 {
+		t.Errorf("-max-ratio without -compare should exit 2, got %d", code)
+	}
+}
+
+// TestCompareMaxRatioGate: a benchmark costing more than its ceiling
+// times its base in the new report fails the gate, at any GOMAXPROCS; at
+// or under the ceiling it passes, and the line names the ratio either way.
+func TestCompareMaxRatioGate(t *testing.T) {
+	rep := func(traced float64) string {
+		return writeReport(t, Report{Results: []Result{
+			procResult("BenchmarkFleetTrace", traced, 2),
+			procResult("BenchmarkFleetTraceOff", 1e8, 2),
+		}})
+	}
+	old := rep(2.3e9)
+	out, errs, code := runCompare(t, "-compare", old, rep(1e9),
+		"-max-ratio", "BenchmarkFleetTrace/BenchmarkFleetTraceOff=5")
+	if code != 1 {
+		t.Fatalf("10x under a 5x ceiling should exit 1, got %d\n%s%s", code, out, errs)
+	}
+	if !strings.Contains(out, "COSTLY   BenchmarkFleetTrace") || !strings.Contains(out, "10.00x of BenchmarkFleetTraceOff") {
+		t.Errorf("verdict should name the pair and its ratio:\n%s", out)
+	}
+	for _, traced := range []float64{3e8, 5e8} {
+		out, errs, code = runCompare(t, "-compare", old, rep(traced),
+			"-max-ratio", "BenchmarkFleetTrace/BenchmarkFleetTraceOff=5")
+		if code != 0 {
+			t.Fatalf("%gx under a 5x ceiling should exit 0, got %d\n%s%s", traced/1e8, code, out, errs)
+		}
+		if !strings.Contains(out, "ratio    BenchmarkFleetTrace") {
+			t.Errorf("passing pair should still report its ratio:\n%s", out)
+		}
+	}
+}
+
+// TestCompareMaxRatioMissingPair: a ceiling naming a benchmark absent
+// from the new report fails loudly, like an absent -min-speedup target.
+func TestCompareMaxRatioMissingPair(t *testing.T) {
+	r := writeReport(t, Report{Results: []Result{result("BenchmarkFleetTraceOff", 1e8)}})
+	out, _, code := runCompare(t, "-compare", r, r, "-max-ratio", "BenchmarkFleetTrace/BenchmarkFleetTraceOff=5")
+	if code != 1 {
+		t.Fatalf("absent -max-ratio pair should exit 1, got %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "MISSING  BenchmarkFleetTrace/BenchmarkFleetTraceOff") {
+		t.Errorf("verdict should name the absent pair:\n%s", out)
 	}
 }
 

@@ -227,21 +227,57 @@ func (s *sim) segArgmin(rot int) int {
 	if mFull {
 		return -1
 	}
+	return s.segFirstLE(rot, mD)
+}
+
+// segFirstLE returns the present node with key ≤ thresh that comes first
+// in rotation order from rot across every segment, or -1: the containing
+// segment's suffix, every other segment in order, then its prefix.
+func (s *sim) segFirstLE(rot int, thresh float64) int {
 	k := int(s.segIdx[rot])
 	sg := &s.segs[k]
-	if id := sg.idx.firstLERange(1, 0, sg.idx.size, rot-sg.lo, sg.idx.n, mD); id >= 0 {
+	if id := sg.idx.firstLERange(1, 0, sg.idx.size, rot-sg.lo, sg.idx.n, thresh); id >= 0 {
 		return sg.lo + id
 	}
 	for j := 1; j < len(s.segs); j++ {
 		t := &s.segs[(k+j)%len(s.segs)]
-		if id := t.idx.firstLERange(1, 0, t.idx.size, 0, t.idx.n, mD); id >= 0 {
+		if id := t.idx.firstLERange(1, 0, t.idx.size, 0, t.idx.n, thresh); id >= 0 {
 			return t.lo + id
 		}
 	}
-	if id := sg.idx.firstLERange(1, 0, sg.idx.size, 0, rot-sg.lo, mD); id >= 0 {
+	if id := sg.idx.firstLERange(1, 0, sg.idx.size, 0, rot-sg.lo, thresh); id >= 0 {
 		return sg.lo + id
 	}
 	return -1
+}
+
+// altArgmin is the recorder's alternatives query: the present node first
+// under the candidate order (recorded key, rotation distance from rot)
+// that collectAlts' scan reproduces, or -1 when no node is present.
+// Sprint-aware records the selector's own score, so its argmin is the
+// selector's. Least-loaded records an idle node's −Inf drain key as now,
+// so the minimum's tie set is every node keyed at or before now: the idle
+// nodes plus any busy node whose backlog drains exactly now (a completion
+// due at the arrival's instant, which fires after it). No busy node keys
+// earlier — its completion would already have fired — so resolving the
+// rotation among keys ≤ now reproduces the scan exactly.
+func (s *sim) altArgmin(rot int, workS float64) int {
+	if s.cfg.Policy == SprintAware {
+		if n := s.sprintAwareMin(rot, workS); n != nil {
+			return n.id
+		}
+		return -1
+	}
+	present, m := false, math.Inf(1)
+	for si := range s.segs {
+		if t := s.segs[si].idx; !t.full[1] && t.d[1] <= m {
+			present, m = true, t.d[1]
+		}
+	}
+	if !present {
+		return -1
+	}
+	return s.segFirstLE(rot, math.Max(m, s.nowS))
 }
 
 // start runs the engine the configuration selected: the serialized

@@ -6,7 +6,7 @@
 // counterfactual probes against each alternative's realized future and
 // emits per-decision regret.
 //
-// Three invariants shape the implementation:
+// Four invariants shape the implementation:
 //
 //   - Zero cost when off. The recorder is a nil pointer on the sim;
 //     every hook is a nil check on the hot path and the recording entry
@@ -22,12 +22,19 @@
 //     value (TestTraceShardedMatchesSequential).
 //
 //   - Observation only. Every hook reads simulation state and writes
-//     recorder state, never the reverse: the alternatives scan is a
-//     read-only O(N) pass that does not advance the rotation counter,
-//     probes watch departures without touching queues, and timeline
-//     samples project rack buffers to the window boundary without
-//     accruing them — so a traced run's Metrics equal the untraced
-//     run's exactly (TestTracedMetricsUnchanged).
+//     recorder state, never the reverse: the alternatives come from the
+//     dispatch index by repeated argmin over temporarily disabled
+//     leaves, every one restored to its exact key before the decision
+//     returns, and the rotation counter is never advanced; probes watch
+//     departures without touching queues, and timeline samples project
+//     rack buffers to the window boundary without accruing them — so a
+//     traced run's Metrics equal the untraced run's exactly
+//     (TestTracedMetricsUnchanged).
+//
+//   - O(k log N) per decision. The top-k alternatives are the selector's
+//     own next-best nodes under its (key, rotation) order, taken from
+//     the index rather than by scoring the whole fleet; the O(N) scan
+//     survives as the refAlts oracle (TestIndexedAltsMatchScan).
 //
 // The counterfactual model: for each recorded alternative the probe
 // counts the copies outstanding on that node at decision time. Service
@@ -121,14 +128,35 @@ type recorder struct {
 	sprints   []sprintPhase
 
 	altScratch []altCand
+	hidden     []hiddenLeaf
+
+	// Record payloads come from slabs: one allocation per chunk of
+	// decisions, events or alternatives rather than one per record.
+	decs   trace.Slab[trace.Decision]
+	events trace.Slab[trace.Event]
+	alts   trace.Slab[trace.Alt]
 }
 
-// altCand is one candidate in the alternatives scan.
+// altCand is one recorded alternative; rot is its rotation distance from
+// the selection's start, which only the scan needs.
 type altCand struct {
 	node int32
 	key  float64
 	rot  int32
 }
+
+// hiddenLeaf is a dispatch-tree leaf indexAlts disabled, with the key it
+// restores.
+type hiddenLeaf struct {
+	t   *dispatchIndex
+	lid int32
+	d   float64
+}
+
+// refAlts, when set, routes the recorder's alternatives through the O(N)
+// scan instead of the dispatch index, as refDispatch does for selection;
+// TestIndexedAltsMatchScan proves both record identical traces.
+var refAlts bool
 
 // newRecorder builds the recorder from the Config's trace knobs. The
 // fleet-shaped state waits for begin — scenario mode finalizes the node
@@ -170,7 +198,14 @@ func (rec *recorder) emit(atS float64, r trace.Record) int {
 
 // event appends a lifecycle event at the current instant.
 func (rec *recorder) event(s *sim, ev trace.Event) {
-	rec.emit(s.nowS, trace.Record{T: "event", Event: &ev})
+	rec.emitEvent(s.nowS, ev)
+}
+
+// emitEvent appends a lifecycle event at the given instant.
+func (rec *recorder) emitEvent(atS float64, ev trace.Event) {
+	e := rec.events.New()
+	*e = ev
+	rec.emit(atS, trace.Record{T: "event", Event: e})
 }
 
 // keyKind names the routing key family the policy scores with.
@@ -208,7 +243,8 @@ func (rec *recorder) score(s *sim, n *node, workS float64) float64 {
 // original node).
 func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start, exclude int, enqueued bool) {
 	r := &s.reqs[ri]
-	d := &trace.Decision{
+	d := rec.decs.New()
+	*d = trace.Decision{
 		Kind:    kind,
 		Req:     int(ri),
 		Phase:   int(r.phase),
@@ -241,13 +277,92 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 	}
 }
 
-// collectAlts scans the fleet read-only for the top-k rejected
-// alternatives under the candidate order (key, rotation distance from
-// start) — the same total order the selector minimizes — and plants a
-// counterfactual probe on each: pending counts the copies outstanding on
-// the alternative at decision time, exactly the departures that FIFO
-// service retires before a hypothetical copy would have started.
+// collectAlts records the top-k rejected alternatives under the candidate
+// order (key, rotation distance from start) — the same total order the
+// selector minimizes — and plants a counterfactual probe on each: pending
+// counts the copies outstanding on the alternative at decision time,
+// exactly the departures that FIFO service retires before a hypothetical
+// copy would have started.
 func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float64, chosen, exclude, start int) {
+	var cands []altCand
+	if s.segs == nil || refAlts {
+		cands = rec.scanAlts(s, workS, chosen, exclude, start)
+	} else {
+		cands = rec.indexAlts(s, workS, chosen, exclude, start)
+	}
+	k := len(cands)
+	if k == 0 {
+		return // Alts stays nil, as a recording reads back
+	}
+	d.Alts = rec.alts.Take(k)
+	for ai := 0; ai < k; ai++ {
+		c := cands[ai]
+		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
+		n := &s.nodes[c.node]
+		pending := n.outstanding()
+		if pending == 0 {
+			// The alternative is idle: the hypothetical copy would have
+			// started service at the decision instant.
+			d.Alts[ai].HypoDoneS = s.estFinishAt(n, workS)
+			continue
+		}
+		rec.probes = append(rec.probes, cfProbe{
+			rec: int32(idx), alt: int32(ai), node: c.node,
+			pending: int32(pending), workS: workS,
+		})
+		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
+	}
+}
+
+// indexAlts takes the top-k alternatives from the dispatch index in
+// O(k log N), the way hedging excludes the original node: the chosen (and
+// excluded) node is disabled, then each round takes the argmin under the
+// recorder's order (altArgmin) and disables it too. Every disabled leaf
+// is restored to its exact key afterwards, so the index the next
+// selection reads is unchanged.
+func (rec *recorder) indexAlts(s *sim, workS float64, chosen, exclude, start int) []altCand {
+	rot := start % len(s.nodes)
+	rec.hidden = rec.hidden[:0]
+	rec.hide(s, chosen)
+	if exclude >= 0 {
+		rec.hide(s, exclude)
+	}
+	cands := rec.altScratch[:0]
+	for len(cands) < rec.cfg.TopK {
+		id := s.altArgmin(rot, workS)
+		if id < 0 {
+			break
+		}
+		cands = append(cands, altCand{node: int32(id), key: rec.score(s, &s.nodes[id], workS)})
+		rec.hide(s, id)
+	}
+	for _, h := range rec.hidden {
+		h.t.update(int(h.lid), false, h.d)
+	}
+	rec.altScratch = cands
+	return cands
+}
+
+// hide disables node id's leaf in the dispatch trees of its segment,
+// remembering the key it held. A full leaf — absent, at queue capacity,
+// or dead — is never selected, so it is left alone; that also makes
+// hiding a leaf twice a no-op.
+func (rec *recorder) hide(s *sim, id int) {
+	sg := &s.segs[s.segIdx[id]]
+	lid := id - sg.lo
+	for _, t := range [...]*dispatchIndex{sg.idx, sg.busyIdx, sg.idleIdx} {
+		if t != nil && !t.full[t.size+lid] {
+			_, d := t.disable(lid)
+			rec.hidden = append(rec.hidden, hiddenLeaf{t: t, lid: int32(lid), d: d})
+		}
+	}
+}
+
+// scanAlts is the O(N) reference for indexAlts: a read-only pass over the
+// whole fleet keeping the k best candidates. It backs the recorder when
+// the dispatch index is off (refDispatch) or refAlts is set, and the
+// cross-implementation test proves the two record identical traces.
+func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, start int) []altCand {
 	nn := len(s.nodes)
 	rot := start % nn
 	// Top-k selection by insertion rather than a full sort: the scan is
@@ -288,25 +403,7 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 		cands[pos] = c
 	}
 	rec.altScratch = cands
-	k := len(cands)
-	d.Alts = make([]trace.Alt, k)
-	for ai := 0; ai < k; ai++ {
-		c := cands[ai]
-		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
-		n := &s.nodes[c.node]
-		pending := n.outstanding()
-		if pending == 0 {
-			// The alternative is idle: the hypothetical copy would have
-			// started service at the decision instant.
-			d.Alts[ai].HypoDoneS = s.estFinishAt(n, workS)
-			continue
-		}
-		rec.probes = append(rec.probes, cfProbe{
-			rec: int32(idx), alt: int32(ai), node: c.node,
-			pending: int32(pending), workS: workS,
-		})
-		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
-	}
+	return cands
 }
 
 // departed notes one copy leaving the node (service completion or lazy
@@ -397,7 +494,7 @@ func (rec *recorder) popSprintsThrough(atS float64) {
 		}
 		rec.sprints = h
 		ev := trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1}
-		rec.emit(ph.endS, trace.Record{T: "event", Event: &ev})
+		rec.emitEvent(ph.endS, ev)
 	}
 }
 

@@ -421,6 +421,40 @@ func TestTraceJSONLWellFormed(t *testing.T) {
 	}
 }
 
+// TestTraceJSONLRoundTrip reads real full-level recordings back through
+// the JSONL codec — every policy × coordination over a flash crowd with
+// failure churn, rack power buffers and named phases — and requires the
+// records to come back identical and re-encode to the same bytes.
+func TestTraceJSONLRoundTrip(t *testing.T) {
+	for _, p := range Policies() {
+		for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
+			cfg, sc := flashCrowdChurn()
+			cfg.Policy = p
+			cfg.Coordination = c
+			if c != NoCoordination {
+				cfg.RackSize = 4
+			}
+			cfg.Trace = TraceConfig{Level: trace.LevelFull, WindowS: 4}
+			_, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := traceBytes(t, tr)
+			got, err := trace.ReadJSONL(bytes.NewReader(b))
+			if err != nil {
+				t.Fatalf("%s/%s: ReadJSONL: %v", p, c, err)
+			}
+			if !reflect.DeepEqual(got, tr) {
+				t.Errorf("%s/%s: recording did not round-trip: %s", p, c, firstTraceDiff(got, tr))
+				continue
+			}
+			if !bytes.Equal(traceBytes(t, got), b) {
+				t.Errorf("%s/%s: re-encoding changed the bytes", p, c)
+			}
+		}
+	}
+}
+
 // TestTraceCounterfactualIdleExact pins the probe semantics on the
 // cleanest case there is: two idle nodes, one request. The rejected
 // alternative is idle, so its counterfactual resolves immediately — and

@@ -2,8 +2,8 @@
 // schema of the records internal/fleet's recorder emits (dispatch
 // decisions with their rejected alternatives, lifecycle events, rolling
 // timeline samples), the in-memory Trace container that holds one run's
-// recording, and the JSONL writer plus the summary helpers the CLI's
-// -trace-summary table is built from.
+// recording, its JSONL codec (jsonl.go), and the summary helpers the
+// CLI's -trace-summary table is built from.
 //
 // The package is deliberately passive — it never touches simulation
 // state. The fleet recorder appends records in the exact global event
@@ -13,11 +13,7 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -166,70 +162,6 @@ type Record struct {
 type Trace struct {
 	Meta    Meta
 	Records []Record
-}
-
-// metaLine is the JSONL header line wrapper.
-type metaLine struct {
-	T    string `json:"t"`
-	Meta Meta   `json:"meta"`
-}
-
-// WriteJSONL serializes the trace as JSON Lines: a meta header line
-// followed by one line per record, in record order. The bytes are a
-// deterministic function of the Trace.
-func (tr *Trace) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(metaLine{T: "meta", Meta: tr.Meta}); err != nil {
-		return err
-	}
-	for i := range tr.Records {
-		if err := enc.Encode(&tr.Records[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a recording serialized by WriteJSONL: the meta header
-// line followed by one record per line. Decoding is strict — unknown
-// fields are rejected, the first non-blank line must be the meta header —
-// so a recording round-trips exactly: ReadJSONL(WriteJSONL(tr)) == tr.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	tr := &Trace{}
-	sawMeta := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if !sawMeta {
-			var ml metaLine
-			if err := dec.Decode(&ml); err != nil || ml.T != "meta" {
-				return nil, fmt.Errorf("trace: line %d: first line must be the meta header {\"t\":\"meta\",...}", lineNo)
-			}
-			tr.Meta = ml.Meta
-			sawMeta = true
-			continue
-		}
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		tr.Records = append(tr.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if !sawMeta {
-		return nil, fmt.Errorf("trace: empty recording (no meta header)")
-	}
-	return tr, nil
 }
 
 // DecisionAt pairs a decision record with its timestamp; the Decision
