@@ -176,29 +176,6 @@ func BenchmarkFleetScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetScaleParallel is BenchmarkFleetScale with the event loop
-// sharded eight ways. Sprint-aware dispatch couples the shards (every
-// arrival takes a fleet-wide argmin), so this runs the serialized-merge
-// engine — per-shard heaps and index segments replayed in exact global
-// order on one goroutine — and measures the sharding machinery's
-// overhead against the single-loop baseline, not a speedup. The
-// concurrent engine's speedup is BenchmarkFleetScaleDecoupledParallel.
-func BenchmarkFleetScaleParallel(b *testing.B) {
-	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
-	cfg.Nodes = 10000
-	cfg.Requests = 1_000_000
-	cfg.Coordination = sprinting.RackTokenPermit
-	cfg.RackSize = 16
-	cfg.Workers = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleet(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFleetScaleDecoupled is the sequential baseline for the
 // concurrent engine: round-robin dispatch (static assignment, so shards
 // share no state) over the same 10k-node × 1M-request token-permit
@@ -243,7 +220,7 @@ func BenchmarkFleetScaleDecoupledParallel(b *testing.B) {
 // BenchmarkFleetTrace measures the flight recorder's on-path cost: a
 // sprint-aware token-permit fleet with full-level tracing, top-3
 // counterfactual probes, and 5 s timeline windows. Tracing forces the
-// serialized engine and buffers the whole recording in memory, so this
+// single loop and buffers the whole recording in memory, so this
 // is the price of observability — compare against BenchmarkFleetTraceOff
 // to isolate it.
 func BenchmarkFleetTrace(b *testing.B) {

@@ -10,11 +10,12 @@
 // Multi-policy sweeps run concurrently on the engine worker pool; every
 // simulation is deterministic, so -workers=1 produces byte-identical
 // output. Independently, -shard-workers W shards each simulation's own
-// event loop across W per-worker loops with racks as the shard boundary;
-// the output is byte-identical at every W (decoupled configurations run
-// the shards on real goroutines, coupled ones replay the exact global
-// event order through a deterministic K-way merge). Ctrl-C cancels a
-// long sweep cleanly.
+// event loop across W per-worker loops on real goroutines, with racks as
+// the shard boundary. It parallelizes only plain round-robin runs
+// (without probabilistic admission, a scenario, tracing, reliability, or
+// a workload); for every other run it is a no-op, since their dispatch
+// and global state couple the shards. The output is byte-identical at
+// every W. Ctrl-C cancels a long sweep cleanly.
 //
 // Usage:
 //
@@ -26,7 +27,8 @@
 //	fleetsim -coordination uncoordinated -rack-budget-w 31 -rate 9.6
 //	fleetsim -nodes 10000 -requests 1000000 -policy sprint-aware \
 //	    -coordination token-permit -rack-size 16 # warehouse scale, seconds
-//	fleetsim -nodes 10000 -requests 1000000 -shard-workers 8 # sharded loop
+//	fleetsim -nodes 10000 -requests 1000000 -policy round-robin \
+//	    -shard-workers 8                        # sharded loop
 //	fleetsim -nodes 10000 -requests 1000000 -cpuprofile fleet.pprof
 //	fleetsim -policy sprint-aware -trace out.jsonl -trace-summary
 //	fleetsim -gray-frac 0.15 -gray-slowdown 8 -timeout-s 6 \
@@ -375,7 +377,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		hedgeS   = fs.Float64("hedge-s", 1, "hedged policy: duplicate a request unfinished after this many seconds (0 selects the default 1)")
 		workers  = fs.Int("workers", 0, "engine pool size (0 = GOMAXPROCS, 1 = serial)")
 
-		shardWorkers = fs.Int("shard-workers", 0, "shard each simulation's event loop across this many per-worker loops with racks as the shard boundary; results are byte-identical at any count (0 or 1 = classic single loop)")
+		shardWorkers = fs.Int("shard-workers", 0, "shard each simulation's event loop across this many concurrent per-worker loops with racks as the shard boundary; parallelizes only plain round-robin runs (no probabilistic admission, scenario, trace, reliability, or workload) and is otherwise a no-op; results are byte-identical at any count (0 or 1 = classic single loop)")
 
 		exactQ     = fs.Bool("exact-quantiles", false, "buffer and sort every latency for exact quantiles at any scale (default: exact up to 131072 requests, streaming histogram above)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")

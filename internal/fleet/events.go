@@ -161,26 +161,10 @@ func (q *eventQueue) pop() event {
 }
 
 // push schedules an event, stamping the deterministic tie-break sequence.
-// Under the serialized-merge sharded engine (see shard.go) shard-owned
-// events — those addressed to one node or one rack — land on the owning
-// shard's heap while fleet-global events (hedge checks, phase starts,
-// churn failures) stay on the driver heap; the sequence counter is global
-// either way, so the K-way merge pops events in exactly the order the
-// single heap would have.
 //
 //sprint:hotpath
 func (s *sim) push(ev event) {
 	ev.seq = s.seq
 	s.seq++
-	if s.shards != nil {
-		switch ev.kind {
-		case evComplete, evSprintEnd, evNodeRecover:
-			s.shards[s.shardIdx[ev.node]].events.push(ev)
-			return
-		case evBreakerTrip, evBreakerReset:
-			s.shards[s.rackShard[ev.rack]].events.push(ev)
-			return
-		}
-	}
 	s.events.push(ev)
 }

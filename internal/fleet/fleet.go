@@ -112,15 +112,14 @@ type Config struct {
 	// whose mean/max remain exact (Metrics.ApproxQuantiles reports which
 	// mode ran).
 	ExactQuantiles bool
-	// Workers shards the event loop across this many per-worker loops,
-	// each owning a contiguous rack range with its own event heap and
-	// dispatch-index segments (see shard.go). 0 or 1 runs the classic
-	// single loop; any value is clamped to the number of rack groups.
-	// Results are byte-identical at every worker count: fully decoupled
-	// configurations (round-robin dispatch without Probabilistic rack
-	// admission, outside scenario mode) run their shards on parallel
-	// goroutines, while coupled policies replay the exact global event
-	// order through a serialized merge of the per-shard loops.
+	// Workers shards the event loop across this many per-worker loops on
+	// parallel goroutines, each owning a contiguous rack range with its
+	// own event heap (see shard.go); any value is clamped to the number of
+	// rack groups. Only fully decoupled configurations shard: plain
+	// round-robin dispatch without Probabilistic rack admission, outside
+	// scenario mode, untraced, with no reliability layer or workload.
+	// Every other run — and Workers 0 or 1 — takes the classic single
+	// loop, so results are byte-identical at every worker count.
 	Workers int
 
 	// Trace configures the flight recorder (see TraceConfig in trace.go).
@@ -693,23 +692,13 @@ type sim struct {
 	lastDoneS float64
 
 	// segs are the dispatch-index segments: one tournament tree group per
-	// (shard range × class block) intersection, merged at query time so
-	// any segmentation reproduces the single-tree selection exactly — see
-	// shard.go. segIdx maps a node to its segment. Both are nil under
-	// RoundRobin, which never reads node state, and in refDispatch mode.
+	// node-class block, merged at query time so the segmentation
+	// reproduces the single-tree selection exactly — see shard.go. segIdx
+	// maps a node to its segment. Both are nil under RoundRobin, which
+	// never reads node state, and in refDispatch mode.
 	segs   []dspSeg
 	segIdx []int32
 	useRef bool
-
-	// cuts are the shard boundaries over node indexes ([0 c1 … N],
-	// rack-aligned); nil when the run is sequential. The coupled engine
-	// adds per-shard event heaps (shards, with shardIdx/rackShard routing
-	// pushes); the decoupled engine instead builds per-worker sims over
-	// the cut ranges (see shard.go).
-	cuts      []int
-	shards    []shardLoop
-	shardIdx  []int32
-	rackShard []int32
 
 	// latencies buffers completions for exact quantiles; hist streams
 	// them instead above exactQuantileCutoff (see finish).
@@ -720,21 +709,21 @@ type sim struct {
 	// rec is the flight recorder, nil unless this run came through a
 	// traced entry point; every hook in the engine is a nil check on it
 	// and the recorder only ever reads simulation state (see trace.go).
-	// A non-nil recorder forces the serialized engines (parallelOK), so
-	// the record stream replays the exact global event order.
+	// A non-nil recorder forces the single loop (parallelOK), so the
+	// record stream is the exact global event order.
 	rec *recorder
 
 	// rel is the reliability layer's live state (see reliability.go), nil
 	// unless Config.Reliability arms a trigger — the same zero-cost-when-
 	// off contract as rec: every hook is a nil check, and a non-nil rel
-	// forces the serialized engines so its seeded draws replay in the
-	// exact global event order at any worker count.
+	// forces the single loop so its seeded draws replay in the exact
+	// global event order at any worker count.
 	rel *relState
 
 	// wl is the multi-tenant workload state (see workload.go), nil unless
 	// a workload or labeled replay armed it — the same zero-cost-when-off
 	// contract as rec and rel: every hook is a nil check, and a non-nil wl
-	// forces the serialized engines because admission buckets and dequeue
+	// forces the single loop because admission buckets and dequeue
 	// disciplines are fleet-global state consumed in event order.
 	wl *workloadRun
 }
@@ -771,8 +760,7 @@ func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 // cfg.Requests must be the final trace length (quantile-mode selection
 // reads it). A non-nil scen supplies the classes and per-node assignment;
 // a non-nil rec attaches the flight recorder; a non-nil wl attaches the
-// multi-tenant workload state (both must be set before initShards runs,
-// which reads them through parallelOK).
+// multi-tenant workload state.
 func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim {
 	s := &sim{
 		cfg:        cfg,
@@ -800,10 +788,6 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		s.nodes[i] = node{id: i, class: c, gov: s.classes[c].proto, alive: true}
 	}
 	if cfg.Reliability.enabled() {
-		// Must exist before initShards: parallelOK reads it, because the
-		// reliability layer's seeded draws (fault injection, backoff
-		// jitter) only replay identically when every engine applies events
-		// in the exact global order.
 		s.rel = newRelState(cfg, len(s.nodes))
 		for i := range s.nodes {
 			if s.rel.slowX != nil && s.rel.slowX[i] > 1 {
@@ -838,18 +822,17 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 			r.nominalLiveW += s.cl(&s.nodes[i]).nominalW
 		}
 		// A dedicated stream keeps Probabilistic admission independent of
-		// the arrival trace; every engine applies events in the exact
-		// global order, so draws replay identically at any worker count.
+		// the arrival trace; a Probabilistic run always takes the single
+		// loop, so draws replay identically at any worker count.
 		s.rackRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
 	}
-	// Shard layout and dispatch-index segments (see shard.go): the shard
-	// cuts partition the fleet rack-aligned, segments intersect them with
-	// the class blocks (sprint-aware idle keys are only comparable within
-	// one class, so a heterogeneous fleet gets one tree group per class
-	// and keeps O(log N) — the old whole-fleet reference fallback is
-	// gone). A sequential homogeneous run builds exactly one segment,
-	// today's single tree.
-	s.initShards()
+	// Dispatch-index segments (see shard.go): one per class block, since
+	// sprint-aware idle keys are only comparable within one class — a
+	// heterogeneous fleet keeps O(log N) dispatch, and a homogeneous one
+	// builds exactly one segment, the single tree.
+	if !s.useRef && cfg.Policy != RoundRobin {
+		s.buildSegs()
+	}
 	if rec != nil {
 		rec.begin(s)
 		if s.rel != nil && s.rel.slowX != nil {
@@ -899,8 +882,9 @@ func simulate(ctx context.Context, cfg Config, rec *recorder) (Metrics, error) {
 }
 
 // run drives the merged arrival-cursor / event-heap loop to completion
-// and assembles the metrics — the classic sequential engine (Workers 0
-// or 1); start() picks it or one of the sharded engines in shard.go.
+// and assembles the metrics — the classic sequential engine, which
+// start() picks for Workers 0 or 1 and for every coupled configuration
+// (see shard.go).
 func (s *sim) run(ctx context.Context) (Metrics, error) {
 	arrival := 0
 	for steps := 0; ; steps++ {
@@ -933,9 +917,9 @@ func (s *sim) run(ctx context.Context) (Metrics, error) {
 }
 
 // handle applies one scheduled event; the caller has already set nowS to
-// the event's firing time. It is shared by every engine — sequential,
-// serialized-merge, and the per-worker parallel loops — so the handlers
-// themselves cannot tell which one is driving.
+// the event's firing time. It is shared by both engines — the classic
+// loop and the per-worker parallel loops — so the handlers themselves
+// cannot tell which one is driving.
 //
 //sprint:hotpath
 func (s *sim) handle(ev event) {

@@ -58,6 +58,20 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 			t.Errorf("%s: Trace-off run costs %.0f allocations vs %.0f untraced; the off path is not free",
 				p, traceOff, large)
 		}
+		// Coupled policies take the single loop at any worker count, so
+		// Workers 8 must allocate what the Workers 0 run does: no
+		// per-shard heaps, routing tables, or extra index segments.
+		sharded := testing.AllocsPerRun(3, func() {
+			cfg := cfgFor(p, 10000)
+			cfg.Workers = 8
+			if _, err := Simulate(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if sharded-large > 8 {
+			t.Errorf("%s: Workers 8 run costs %.0f allocations vs %.0f at Workers 0; a coupled run is building shard state",
+				p, sharded, large)
+		}
 	}
 }
 

@@ -4,10 +4,9 @@
 //
 // The layer follows the flight recorder's integration pattern exactly:
 // sim.rel is nil unless Config.Reliability arms a trigger, every hook on
-// the hot path is a nil check, and a non-nil rel forces the serialized
-// engines (parallelOK) so the layer's seeded draws — fault injection and
-// backoff jitter — replay in the exact global event order at any worker
-// count.
+// the hot path is a nil check, and a non-nil rel forces the single loop
+// (parallelOK) so the layer's seeded draws — fault injection and backoff
+// jitter — replay in the exact global event order at any worker count.
 //
 // Client model: each dispatched attempt carries the request's attempt
 // counter; evTimeout expires it TimeoutS after enqueue unless the

@@ -4,49 +4,36 @@
 // Metrics are byte-identical at every worker count, and Workers ≤ 1
 // reproduces the classic single-loop engine exactly.
 //
-// Two engines implement the contract, chosen by how much the
-// configuration couples the shards:
+// Only a decoupled configuration shards (runParallel): plain round-robin
+// dispatch is a static assignment — arrival i goes to node i mod N,
+// because the rotation counter advances exactly once per arrival and
+// never reads node state — so with rack admission also shard-local
+// (anything but the Probabilistic policy's global random stream) the
+// shards share no state at all. Each worker runs the ordinary merged
+// arrival-cursor/event-heap loop over its node range on its own
+// goroutine, with a strided cursor selecting the arrivals it owns, and
+// the parent merges the results: integer counters add, SimS is the max
+// completion instant, latencies reduce through series.Histogram.Merge
+// (or buffer concatenation — finish sorts), and every remaining float is
+// already reduced in canonical arena/node/rack order by finish(). This
+// is the engine the ≥3× speedup gate measures; it is real parallelism.
 //
-//   - Decoupled (runParallel): plain round-robin dispatch is a static
-//     assignment — arrival i goes to node i mod N, because the rotation
-//     counter advances exactly once per arrival and never reads node
-//     state — so with rack admission also shard-local (anything but the
-//     Probabilistic policy's global random stream) the shards share no
-//     state at all. Each worker runs the ordinary merged
-//     arrival-cursor/event-heap loop over its node range on its own
-//     goroutine, with a strided cursor selecting the arrivals it owns,
-//     and the parent merges the results: integer counters add, SimS is
-//     the max completion instant, latencies reduce through
-//     series.Histogram.Merge (or buffer concatenation — finish sorts),
-//     and every remaining float is already reduced in canonical arena/
-//     node/rack order by finish(). This is the engine the ≥3× speedup
-//     gate measures; it is real parallelism.
+// Everything else is coupled: least-loaded, sprint-aware, and hedged
+// dispatch take a fleet-wide argmin on every arrival, and scenario churn,
+// Probabilistic admission, tracing, reliability, and workloads consume
+// fleet-global state in event order — the outcome at time t depends on
+// every node's state at time t, so the dependency chain between
+// consecutive events is the simulation's critical path and shards could
+// only replay the single loop's order, more slowly. A coupled run
+// therefore takes the classic single loop whatever Workers says, which
+// is byte-identical by construction.
 //
-//   - Coupled (runSharded): least-loaded, sprint-aware, and hedged
-//     dispatch take a fleet-wide argmin on every arrival, and scenario
-//     churn and Probabilistic admission consume global seeded streams —
-//     the outcome at time t depends on every shard's state at time t,
-//     so concurrent shard execution cannot preserve byte-identity (the
-//     dependency chain between consecutive dispatches is the
-//     simulation's critical path). Instead the shard structure is kept
-//     — per-shard event heaps fed by ownership-routed pushes (see
-//     push in events.go), per-shard dispatch-index segments merged at
-//     query time — and a driver replays the exact global order: each
-//     step pops the earliest of the shard heap tops, the fleet-global
-//     heap, and the arrival cursor, using the still-global sequence
-//     counter as the tie-break. The merge is a K-way heap-top
-//     comparison, so it is order-independent by construction: the
-//     minimum of per-shard minima is the global minimum, whatever the
-//     shard count. Epochs degenerate to single events; determinism is
-//     the point, not speedup.
-//
-// The dispatch index is likewise segmented (dspSeg): one tournament
-// tree group per contiguous (shard range × class block) intersection,
-// with queries merged under the total candidate order the linear scan
-// defines. The same mechanism restores O(log N) sprint-aware dispatch
-// to heterogeneous NodeClasses fleets (previously a whole-fleet linear
-// rescan per arrival): class blocks are contiguous by construction, so
-// a per-class segment is just a shard of width one class.
+// The dispatch index is segmented (dspSeg): one tournament tree group
+// per contiguous node-class block, with queries merged under the total
+// candidate order the linear scan defines. That keeps sprint-aware
+// dispatch O(log N) on heterogeneous NodeClasses fleets (sprint-aware
+// idle keys are only comparable within one class); a homogeneous fleet
+// gets exactly one segment, the classic single tree.
 package fleet
 
 import (
@@ -69,12 +56,6 @@ type dspSeg struct {
 	idx     *dispatchIndex
 	busyIdx *dispatchIndex
 	idleIdx *dispatchIndex
-}
-
-// shardLoop is one shard's state under the serialized-merge engine:
-// its event heap. The driver owns time and the global sequence counter.
-type shardLoop struct {
-	events eventQueue
 }
 
 // arenaPool recycles request arenas across runs and sweep points: the
@@ -101,92 +82,30 @@ func putArena(reqs []request) {
 	arenaPool.Put(&reqs)
 }
 
-// initShards computes the shard layout and builds the dispatch-index
-// segments; newSim calls it once the nodes, classes, and racks exist.
-//
-// Shards are contiguous rack-aligned node ranges (rack size 1 when
-// power domains are off), distributed as evenly as whole racks allow;
-// Workers is clamped to the rack-group count so no shard is empty.
-// The coupled engine additionally gets its per-shard heaps and the
-// node/rack → shard routing tables; the decoupled engine builds its
-// per-worker loops at run time from the same cuts.
-func (s *sim) initShards() {
-	cfg := s.cfg
-	rackSz := 1
-	if cfg.Coordination != NoCoordination {
-		rackSz = cfg.RackSize
-	}
-	nRacks := (cfg.Nodes + rackSz - 1) / rackSz
-	w := cfg.Workers
-	if w > nRacks {
-		w = nRacks
-	}
-	if w > 1 {
-		s.cuts = make([]int, w+1)
-		for k := 0; k <= w; k++ {
-			n := (k * nRacks / w) * rackSz
-			if n > cfg.Nodes {
-				n = cfg.Nodes
-			}
-			s.cuts[k] = n
-		}
-	}
-	if !s.useRef && cfg.Policy != RoundRobin {
-		s.buildSegs()
-	}
-	if w > 1 && !s.parallelOK() {
-		s.shards = make([]shardLoop, w)
-		s.shardIdx = make([]int32, cfg.Nodes)
-		for k := 0; k < w; k++ {
-			for i := s.cuts[k]; i < s.cuts[k+1]; i++ {
-				s.shardIdx[i] = int32(k)
-			}
-		}
-		if len(s.racks) > 0 {
-			s.rackShard = make([]int32, len(s.racks))
-			for r := range s.racks {
-				s.rackShard[r] = s.shardIdx[r*cfg.RackSize]
-			}
-		}
-	}
-}
-
 // parallelOK reports whether the shards are fully decoupled, making the
 // concurrent engine exact: a plain (non-scenario) run under state-blind
 // round-robin dispatch, without the Probabilistic admission policy's
-// fleet-global random stream. Everything else routes through the
-// serialized-merge engine — including any traced run, because the flight
-// recorder appends one global record stream in event order and must
-// produce identical bytes at every worker count, and any run with the
-// reliability layer armed, whose retry budget and seeded fault/jitter
-// draws are likewise fleet-global state consumed in event order, and any
-// workload run, whose per-class admission buckets and dequeue
-// disciplines are fleet-global too.
+// fleet-global random stream. Everything else runs the classic single
+// loop at any worker count — including any traced run, because the
+// flight recorder appends one global record stream in event order, any
+// run with the reliability layer armed, whose retry budget and seeded
+// fault/jitter draws are likewise fleet-global state consumed in event
+// order, and any workload run, whose per-class admission buckets and
+// dequeue disciplines are fleet-global too.
 func (s *sim) parallelOK() bool {
 	return s.scen == nil && s.cfg.Policy == RoundRobin && s.cfg.Coordination != Probabilistic && s.rec == nil && s.rel == nil && s.wl == nil
 }
 
-// buildSegs lowers the shard cuts × class blocks into dispatch-index
-// segments. Both cut families are contiguous index ranges, so segments
-// are simply the intervals between the union of their boundaries. A
-// sequential homogeneous run yields one segment — the classic single
-// tree, traversed identically.
+// buildSegs lowers the node-class blocks into dispatch-index segments:
+// classes are assigned in contiguous blocks, so each segment is one
+// maximal run of a single class. A homogeneous fleet yields one segment —
+// the classic single tree, traversed identically.
 func (s *sim) buildSegs() {
 	nn := len(s.nodes)
-	bound := make([]bool, nn+1)
-	bound[0], bound[nn] = true, true
-	for i := 1; i < nn; i++ {
-		if s.nodes[i].class != s.nodes[i-1].class {
-			bound[i] = true
-		}
-	}
-	for _, c := range s.cuts {
-		bound[c] = true
-	}
 	s.segIdx = make([]int32, nn)
 	lo := 0
 	for hi := 1; hi <= nn; hi++ {
-		if !bound[hi] {
+		if hi < nn && s.nodes[hi].class == s.nodes[lo].class {
 			continue
 		}
 		sg := dspSeg{lo: lo, hi: hi, class: s.nodes[lo].class}
@@ -280,79 +199,39 @@ func (s *sim) altArgmin(rot int, workS float64) int {
 	return s.segFirstLE(rot, math.Max(m, s.nowS))
 }
 
-// start runs the engine the configuration selected: the serialized
-// merge when coupled shards exist, the concurrent per-worker loops when
-// the shards are decoupled, and the classic loop otherwise.
+// start runs the engine the configuration selected: the concurrent
+// per-worker loops when Workers > 1 and the shards are decoupled, and
+// the classic loop otherwise.
 func (s *sim) start(ctx context.Context) (Metrics, error) {
-	switch {
-	case s.shards != nil:
-		return s.runSharded(ctx)
-	case s.cuts != nil:
+	if s.cfg.Workers > 1 && s.parallelOK() {
 		return s.runParallel(ctx)
-	default:
-		return s.run(ctx)
 	}
-}
-
-// runSharded is the coupled engine's driver: per-shard event heaps,
-// merged one event at a time. Each step compares the arrival cursor,
-// the fleet-global heap, and every shard heap's top and fires the
-// earliest by (time, global sequence) — the same total order the single
-// heap pops, so handlers, random draws, and accounting replay in the
-// exact sequential order at any worker count.
-func (s *sim) runSharded(ctx context.Context) (Metrics, error) {
-	arrival := 0
-	for steps := 0; ; steps++ {
-		if steps&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
-				return Metrics{}, err
-			}
-		}
-		src := -2 // -2 none, -1 global heap, k ≥ 0 shard k
-		var top event
-		if s.events.len() > 0 {
-			src, top = -1, s.events.top()
-		}
-		for k := range s.shards {
-			if q := &s.shards[k].events; q.len() > 0 {
-				if src == -2 || eventBefore(q.top(), top) {
-					src, top = k, q.top()
-				}
-			}
-		}
-		if arrival < len(s.reqs) && (src == -2 || s.reqs[arrival].arrivalS <= top.atS) {
-			s.nowS = s.reqs[arrival].arrivalS
-			if s.rec != nil {
-				s.rec.tick(s)
-			}
-			s.dispatch(int32(arrival))
-			arrival++
-			continue
-		}
-		if src == -2 {
-			break
-		}
-		var ev event
-		if src == -1 {
-			ev = s.events.pop()
-		} else {
-			ev = s.shards[src].events.pop()
-		}
-		s.nowS = ev.atS
-		if s.rec != nil {
-			s.rec.tick(s)
-		}
-		s.handle(ev)
-	}
-	return s.finish(), nil
+	return s.run(ctx)
 }
 
 // runParallel is the decoupled engine: one goroutine per shard, each a
 // self-contained sim sharing the parent's node, rack, class, and
 // request arrays (all index-disjoint across shards), merged when every
 // worker drains.
+//
+// Shards are contiguous rack-aligned node ranges (rack size 1 when
+// power domains are off), distributed as evenly as whole racks allow;
+// Workers is clamped to the rack-group count so no shard is empty, and a
+// clamp to one group runs the classic loop.
 func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
-	w := len(s.cuts) - 1
+	rackSz := 1
+	if s.cfg.Coordination != NoCoordination {
+		rackSz = s.cfg.RackSize
+	}
+	nRacks := (s.cfg.Nodes + rackSz - 1) / rackSz
+	w := min(s.cfg.Workers, nRacks)
+	if w <= 1 {
+		return s.run(ctx)
+	}
+	cuts := make([]int, w+1)
+	for k := range cuts {
+		cuts[k] = min((k*nRacks/w)*rackSz, s.cfg.Nodes)
+	}
 	subs := make([]sim, w)
 	errs := make([]error, w)
 	var wg sync.WaitGroup
@@ -366,7 +245,7 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		sub.racks = s.racks
 		sub.reqs = s.reqs
 		sub.m.Policy = s.cfg.Policy
-		nlo, nhi := s.cuts[k], s.cuts[k+1]
+		nlo, nhi := cuts[k], cuts[k+1]
 		if s.hist != nil {
 			sub.hist = series.NewHistogram()
 		} else {

@@ -11,16 +11,17 @@ import (
 
 // workerCounts exercises the interesting shard layouts: 1 (classic
 // loop), an even split, a rack-count divisor mismatch, and a prime that
-// forces ragged rack groups.
+// forces ragged rack groups. Only decoupled configurations shard; for
+// every other one these counts pin the fallback to the classic loop.
 var workerCounts = []int{1, 2, 4, 7}
 
 // TestShardedMatchesSequential is the sharding contract test: every
 // policy × rack coordination × worker count × seed, at a healthy and an
 // overloaded shape, must produce Metrics byte-identical to the
 // sequential (Workers 0) run — reflect.DeepEqual over the full struct,
-// floats included. This subsumes both engines: coupled configurations
-// exercise the serialized K-way merge, and round-robin without the
-// probabilistic draw exercises the concurrent decoupled workers.
+// floats included. Round-robin without the probabilistic draw exercises
+// the concurrent decoupled workers; every coupled configuration pins
+// that Workers > 1 falls back to the classic loop.
 func TestShardedMatchesSequential(t *testing.T) {
 	shapes := []struct {
 		name     string
@@ -60,9 +61,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 }
 
 // TestShardedScenarioMatchesSequential extends the contract to the
-// dynamic engine: flash-crowd phases with failure churn (global event
-// streams that must interleave with shard-owned completions in exact
-// sequential order), across every policy and a coordinated variant.
+// dynamic engine: flash-crowd phases with failure churn consume global
+// event streams, so every scenario run, whatever its policy or worker
+// count, must take the classic loop and match the sequential run.
 func TestShardedScenarioMatchesSequential(t *testing.T) {
 	for _, p := range Policies() {
 		for _, c := range []Coordination{NoCoordination, TokenPermit} {
@@ -84,20 +85,16 @@ func TestShardedScenarioMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedHeterogeneousMatchesReference pins the restored O(log N)
-// heterogeneous path: sprint-aware dispatch over mixed NodeClasses now
-// runs on per-class index segments instead of falling back to the
-// linear rescan, so it must match the retained reference scan exactly —
-// segmented, at every worker count.
+// TestShardedHeterogeneousMatchesReference pins the O(log N)
+// heterogeneous path: dispatch over mixed NodeClasses runs on per-class
+// index segments instead of falling back to the linear rescan, so every
+// policy must match the retained reference scan exactly, at every worker
+// count. Three classes make three segments, so the cyclic segment walk
+// (segArgmin/segFirstLE) crosses more than one foreign segment in order.
 func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 	if refDispatch {
 		t.Fatal("refDispatch already set")
 	}
-	cfg := DefaultConfig(SprintAware)
-	cfg.Nodes = 16
-	cfg.Seed = 3
-	cfg.Coordination = TokenPermit
-	cfg.RackSize = 4
 	sc := Scenario{
 		BaseRatePerS: 3,
 		Phases: []Phase{
@@ -106,19 +103,27 @@ func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 		},
 		Classes: []NodeClass{
 			{Name: "big", Count: 4, SprintWidth: 32, BudgetScale: 2, DrainScale: 2},
-			{Name: "small", Count: 12, NominalPowerW: 0.5},
+			{Name: "small", Count: 8, NominalPowerW: 0.5},
+			{Name: "mid", Count: 4, SprintWidth: 8, DrainScale: 1.5},
 		},
 		Churn: Churn{MTBFS: 40, MeanDowntimeS: 5},
 	}
-	refDispatch = true
-	ref := mustScenario(t, cfg, sc)
-	refDispatch = false
-	for _, w := range workerCounts {
-		cfg.Workers = w
-		got := mustScenario(t, cfg, sc)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d heterogeneous run diverged from reference scan:\nsegmented: %+v\nreference: %+v",
-				w, got, ref)
+	for _, p := range Policies() {
+		cfg := DefaultConfig(p)
+		cfg.Nodes = 16
+		cfg.Seed = 3
+		cfg.Coordination = TokenPermit
+		cfg.RackSize = 4
+		refDispatch = true
+		ref := mustScenario(t, cfg, sc)
+		refDispatch = false
+		for _, w := range workerCounts {
+			cfg.Workers = w
+			got := mustScenario(t, cfg, sc)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s workers=%d heterogeneous run diverged from reference scan:\nsegmented: %+v\nreference: %+v",
+					p, w, got, ref)
+			}
 		}
 	}
 }
@@ -149,7 +154,8 @@ func TestShardedApproxQuantileMatches(t *testing.T) {
 // TestShardedRackConservation is a rapid-style property test: for
 // random configurations, the sharded run's per-rack accounting must sum
 // to the sequential run's fleet totals — per-shard energy and trips are
-// conserved under the merge, whatever the shard layout. (DeepEqual over
+// conserved under the decoupled merge, whatever the shard layout, and a
+// coupled configuration's fallback run conserves them too. (DeepEqual over
 // the full Metrics would subsume it, and is asserted too; the explicit
 // sums localize a conservation bug to the rack ledger when one appears.)
 func TestShardedRackConservation(t *testing.T) {

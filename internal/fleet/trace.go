@@ -14,12 +14,12 @@
 //     or branches further for it (TestSimulateSteadyStateAllocations
 //     pins this).
 //
-//   - Byte-identical at any worker count. A recorder forces the
-//     serialized-merge engine (parallelOK returns false), which replays
-//     the exact global (time, seq) event order whatever the shard
-//     count; the recorder appends in handler order, so the resulting
-//     Trace — and its JSONL bytes — are identical at every Workers
-//     value (TestTraceShardedMatchesSequential).
+//   - Byte-identical at any worker count. A recorder forces the single
+//     loop (parallelOK returns false), which fires events in the exact
+//     global (time, seq) order whatever Workers says; the recorder
+//     appends in handler order, so the resulting Trace — and its JSONL
+//     bytes — are identical at every Workers value
+//     (TestTraceShardedMatchesSequential).
 //
 //   - Observation only. Every hook reads simulation state and writes
 //     recorder state, never the reverse: the alternatives come from the

@@ -33,9 +33,9 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 // flight recorder: the serialized JSONL trace — every decision, event,
 // and timeline sample, in order — must be byte-identical at every worker
 // count, across the same policy × coordination × shape matrix the
-// Metrics contract test runs. A recorder forces the serialized engines,
-// so this is the proof that the record stream replays the exact global
-// event order whatever the shard layout.
+// Metrics contract test runs. A recorder forces the single loop, so
+// this pins that a traced run ignores Workers and records the exact
+// global event order.
 func TestTraceShardedMatchesSequential(t *testing.T) {
 	shapes := []struct {
 		name     string

@@ -30,7 +30,7 @@
 // completions. The integration contract matches the recorder and
 // reliability layers exactly: sim.wl is nil unless a workload is armed,
 // every hot-path hook is a nil check, and a non-nil wl forces the
-// serialized engines (parallelOK) because admission buckets and dequeue
+// single loop (parallelOK) because admission buckets and dequeue
 // disciplines are fleet-global state consumed in event order — so runs
 // stay byte-identical at any Workers count. Per-class floats follow the
 // canonical-order contract: latency means reduce over the request arena
@@ -894,7 +894,7 @@ type TenantMetrics struct {
 // assemble fills the workload outcome into the metrics; finish calls it
 // while the arena is live. Every count and float derives from an arena
 // walk in arena order (plus the two incremental counters admission and
-// retries), so the serialized engines reproduce it bit-identically.
+// retries), so it is bit-identical at any worker count.
 func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	m.Classes = make([]ClassMetrics, len(w.classes))
 	m.Tenants = make([]TenantMetrics, len(w.tenants))

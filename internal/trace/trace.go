@@ -7,9 +7,10 @@
 //
 // The package is deliberately passive — it never touches simulation
 // state. The fleet recorder appends records in the exact global event
-// order its serialized engines replay, so a Trace (and therefore its
-// JSONL serialization) is byte-identical at any worker count; everything
-// here is plain data and pure functions over it.
+// order of the simulator's single loop, which every traced run takes, so
+// a Trace (and therefore its JSONL serialization) is byte-identical at
+// any worker count; everything here is plain data and pure functions
+// over it.
 package trace
 
 import (

@@ -370,12 +370,12 @@ func DefaultRackBudgetW(rackSize int, node GovernorConfig) float64 {
 // ExactQuantiles to opt back into exact buffering at any scale.
 // FleetMetrics.ApproxQuantiles reports which mode ran.
 //
-// Workers shards the simulation's event loop across per-worker loops
-// with racks as the shard boundary. The result is byte-identical at
-// every worker count: decoupled configurations (round-robin dispatch
-// without the probabilistic admission draw, outside scenario mode) run
-// the shards concurrently on real goroutines, and coupled ones replay
-// the exact global event order through a deterministic K-way merge.
+// Workers shards the simulation's event loop across per-worker loops on
+// real goroutines, with racks as the shard boundary. Only decoupled
+// configurations shard — plain round-robin dispatch without the
+// probabilistic admission draw, outside scenario mode, untraced, with no
+// reliability layer or workload; every other run takes the single loop
+// at any worker count. The result is byte-identical either way.
 type FleetConfig = fleet.Config
 
 // FleetMetrics is the outcome of a fleet simulation: throughput, latency
@@ -400,8 +400,9 @@ func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(
 // class, so heterogeneous fleets keep the bound), the event loop does
 // not allocate per request, and a 10,000-node fleet serves a million
 // requests in single-digit seconds (see BenchmarkFleetScale). Setting
-// FleetConfig.Workers shards the loop itself — byte-identically at any
-// worker count (see BenchmarkFleetScaleDecoupledParallel).
+// FleetConfig.Workers shards a decoupled (plain round-robin) run's loop
+// itself across goroutines — byte-identically at any worker count (see
+// BenchmarkFleetScaleDecoupledParallel); coupled runs ignore it.
 func SimulateFleet(cfg FleetConfig) (FleetMetrics, error) {
 	return SimulateFleetContext(context.Background(), cfg)
 }
