@@ -14,12 +14,14 @@
 # compares that report against the committed BENCH_baseline.json and
 # fails on regressions past the tolerance; `make bench-baseline`
 # refreshes the baseline after an intentional perf change (bench-json also
-# runs the flight-recorder JSONL codec benchmarks in internal/trace, and
-# bench-gate caps the recorder's overhead as a ratio); `make lint`
+# runs the flight-recorder JSONL codec benchmarks in internal/trace and the
+# dispatch-index benchmark in internal/fleet, and bench-gate caps the
+# recorder's overhead as a ratio); `make lint`
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, trace-replay, and recording-reader fuzzers a short budget each;
+# spec, trace-replay, recording-reader, and dispatch-index fuzzers a short
+# budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
@@ -52,9 +54,10 @@ MIN_SPEEDUP ?= BenchmarkFleetScaleDecoupledParallel=3
 # at 2.8-3.3x (2 CPUs, -benchtime 1x); the ceiling leaves 1.5x headroom.
 MAX_RATIO ?= BenchmarkFleetTrace/BenchmarkFleetTraceOff=5
 
-# The benchmarks bench-json records: the fleet set at the module root and
-# the recorder's JSONL codec in internal/trace.
-BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL
+# The benchmarks bench-json records: the fleet set at the module root, the
+# recorder's JSONL codec in internal/trace, and the dispatch index's
+# per-layer benchmark in internal/fleet.
+BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL|BenchmarkDispatchIndex
 
 .PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants replay replay-golden replay-run
 
@@ -88,14 +91,17 @@ test: vet
 
 # A short-budget fuzz pass over every strict-decode surface — the
 # scenario JSON loader, the workload-spec loader, the request-trace
-# parser/replayer, and the flight-recorder JSONL reader: enough to catch
-# a fresh panic in parsing, validation, or a bounded run without holding
-# up CI. (The go tool takes one -fuzz target per invocation, hence four.)
+# parser/replayer, and the flight-recorder JSONL reader — plus the
+# dispatch index against a brute-force scan: enough to catch a fresh
+# panic in parsing, validation, or a bounded run, or an index query that
+# diverges from the scan, without holding up CI. (The go tool takes one
+# -fuzz target per invocation, hence five.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDispatchIndex -fuzztime 10s ./internal/fleet
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -105,7 +111,7 @@ benchsmoke:
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SET)' \
-		-benchmem -benchtime=1x -timeout 10m . ./internal/trace > BENCH_fleet.txt
+		-benchmem -benchtime=1x -timeout 10m . ./internal/trace ./internal/fleet > BENCH_fleet.txt
 	cat BENCH_fleet.txt
 	$(GO) run ./cmd/benchjson < BENCH_fleet.txt > BENCH_fleet.json
 

@@ -301,7 +301,25 @@ func (c Config) EffectiveRatePerS() float64 {
 }
 
 // Validate reports configuration errors (after defaults are applied).
+// Every float field must be finite: the dispatch index reserves +Inf
+// for absent nodes, and a NaN would poison every comparison.
 func (c Config) Validate() error {
+	rl := c.Reliability
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"arrival rate", c.ArrivalRatePerS}, {"mean work", c.MeanWorkS}, {"hedge delay", c.HedgeDelayS},
+		{"rack power budget", c.RackPowerBudgetW}, {"rack buffer energy", c.RackBufferJ},
+		{"breaker recovery window", c.BreakerRecoveryS}, {"trace window", c.Trace.WindowS},
+		{"request timeout", rl.TimeoutS}, {"retry backoff", rl.RetryBackoffS}, {"retry budget", rl.RetryBudgetPerS},
+		{"retry burst", rl.RetryBurst}, {"gray fraction", rl.GrayFrac}, {"gray slowdown", rl.GraySlowdownX},
+		{"fault probability", rl.FaultProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fleet: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("fleet: need at least one node")
@@ -347,25 +365,24 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fleet: breaker recovery window must be positive")
 		}
 	}
-	rl := c.Reliability
 	switch {
-	case rl.TimeoutS < 0 || math.IsInf(rl.TimeoutS, 0) || math.IsNaN(rl.TimeoutS):
-		return fmt.Errorf("fleet: request timeout must be finite and non-negative")
+	case rl.TimeoutS < 0:
+		return fmt.Errorf("fleet: request timeout must be non-negative")
 	case rl.MaxRetries < 0 || rl.MaxRetries > 100:
 		// request.attempt is a uint8 arena field; 100 is far past any
 		// sane retry policy anyway.
 		return fmt.Errorf("fleet: max retries must be in [0, 100]")
 	case rl.RetryBackoffS < 0:
 		return fmt.Errorf("fleet: retry backoff must be non-negative")
-	case rl.RetryBudgetPerS < 0 || math.IsInf(rl.RetryBudgetPerS, 0) || math.IsNaN(rl.RetryBudgetPerS):
-		return fmt.Errorf("fleet: retry budget must be finite and non-negative")
+	case rl.RetryBudgetPerS < 0:
+		return fmt.Errorf("fleet: retry budget must be non-negative")
 	case rl.RetryBurst < 0:
 		return fmt.Errorf("fleet: retry burst must be non-negative")
-	case rl.GrayFrac < 0 || rl.GrayFrac > 1 || math.IsNaN(rl.GrayFrac):
+	case rl.GrayFrac < 0 || rl.GrayFrac > 1:
 		return fmt.Errorf("fleet: gray fraction must be in [0, 1]")
 	case rl.GrayFrac > 0 && rl.GraySlowdownX < 1:
 		return fmt.Errorf("fleet: gray slowdown must be at least 1")
-	case rl.FaultProb < 0 || rl.FaultProb >= 1 || math.IsNaN(rl.FaultProb):
+	case rl.FaultProb < 0 || rl.FaultProb >= 1:
 		return fmt.Errorf("fleet: fault probability must be in [0, 1)")
 	}
 	return c.Node.Validate()
@@ -1113,8 +1130,9 @@ func (s *sim) enqueue(n *node, c reqCopy) {
 // so every idle node shares one exact key and the rotating tie-break
 // spreads arrivals across them just as the linear scan did. Sprint-aware
 // keeps busy nodes under the same drain key and idle nodes under the
-// governor budget instant tKey; a node at queue capacity leaves the
-// trees entirely (it is only ever the drop-attribution fallback).
+// governor budget instant tKey. A dead node or one at queue capacity
+// is absent (+Inf) from every tree: it is only ever the drop-attribution
+// fallback.
 //
 //sprint:hotpath
 func (s *sim) touch(n *node) {
@@ -1123,21 +1141,20 @@ func (s *sim) touch(n *node) {
 	}
 	sg := &s.segs[s.segIdx[n.id]]
 	lid := n.id - sg.lo
-	if sg.idx != nil {
-		sg.idx.update(lid, !n.alive || n.outstanding() >= s.cl(n).queueCap, n.drainKey())
-		return
-	}
+	drain, idle := math.Inf(1), math.Inf(1) // +Inf: absent from the tree
 	switch {
 	case !n.alive || n.outstanding() >= s.cl(n).queueCap:
-		sg.busyIdx.update(lid, true, math.Inf(1))
-		sg.idleIdx.update(lid, true, math.Inf(1))
-	case n.busy:
-		sg.busyIdx.update(lid, false, n.busyUntilS+n.queuedNaiveS)
-		sg.idleIdx.update(lid, true, math.Inf(1))
+	case sg.idx != nil || n.busy:
+		drain = n.drainKey()
 	default:
-		sg.busyIdx.update(lid, true, math.Inf(1))
-		sg.idleIdx.update(lid, false, s.tKey(n))
+		idle = s.tKey(n)
 	}
+	if sg.idx != nil {
+		sg.idx.update(lid, drain)
+		return
+	}
+	sg.busyIdx.update(lid, drain)
+	sg.idleIdx.update(lid, idle)
 }
 
 // tKey is an idle node's routing key: the instant the governor's refill
@@ -1479,18 +1496,17 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 	if s.cfg.Policy == SprintAware {
 		best = s.sprintAwareMin(rot, workS)
 	} else {
-		var exFull bool
+		var ex *dspSeg
 		var exD float64
-		var exSeg *dispatchIndex
 		if exclude >= 0 {
-			exSeg = s.segs[s.segIdx[exclude]].idx
-			exFull, exD = exSeg.disable(exclude - s.segs[s.segIdx[exclude]].lo)
+			ex = &s.segs[s.segIdx[exclude]]
+			exD = ex.idx.disable(exclude - ex.lo)
 		}
-		if id := s.segArgmin(rot); id >= 0 {
+		if id := s.segFirstLE(rot, s.segMin()); id >= 0 {
 			best = &s.nodes[id]
 		}
-		if exclude >= 0 {
-			exSeg.update(exclude-s.segs[s.segIdx[exclude]].lo, exFull, exD)
+		if ex != nil {
+			ex.idx.update(exclude-ex.lo, exD)
 		}
 	}
 	if best == nil {
@@ -1601,7 +1617,7 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 				continue
 			}
 			for c := 2 * e.idx; c <= 2*e.idx+1; c++ {
-				if !t.full[c] {
+				if t.d[c] < math.Inf(1) {
 					t.fpush(idxEnt{d: t.d[c], idx: c})
 				}
 			}

@@ -209,6 +209,48 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite pins that every float knob rejects NaN
+// and ±Inf. Before this check, MeanWorkS = +Inf simulated to a nil error
+// with an infinite p99, and NaN fields were accepted silently; the
+// dispatch index also reserves +Inf for absent nodes, so a non-finite
+// drain key would read as "absent".
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"ArrivalRatePerS", func(c *Config, v float64) { c.ArrivalRatePerS = v }},
+		{"MeanWorkS", func(c *Config, v float64) { c.MeanWorkS = v }},
+		{"HedgeDelayS", func(c *Config, v float64) { c.HedgeDelayS = v }},
+		{"RackPowerBudgetW", func(c *Config, v float64) { c.RackPowerBudgetW = v }},
+		{"RackBufferJ", func(c *Config, v float64) { c.RackBufferJ = v }},
+		{"BreakerRecoveryS", func(c *Config, v float64) { c.BreakerRecoveryS = v }},
+		{"Trace.WindowS", func(c *Config, v float64) { c.Trace.WindowS = v }},
+		{"Reliability.TimeoutS", func(c *Config, v float64) { c.Reliability.TimeoutS = v }},
+		{"Reliability.RetryBackoffS", func(c *Config, v float64) { c.Reliability.RetryBackoffS = v }},
+		{"Reliability.RetryBudgetPerS", func(c *Config, v float64) { c.Reliability.RetryBudgetPerS = v }},
+		{"Reliability.RetryBurst", func(c *Config, v float64) { c.Reliability.RetryBurst = v }},
+		{"Reliability.GrayFrac", func(c *Config, v float64) { c.Reliability.GrayFrac = v }},
+		{"Reliability.GraySlowdownX", func(c *Config, v float64) { c.Reliability.GraySlowdownX = v }},
+		{"Reliability.FaultProb", func(c *Config, v float64) { c.Reliability.FaultProb = v }},
+	}
+	base := DefaultConfig(Hedged)
+	base.ArrivalRatePerS = 10
+	base.Coordination = TokenPermit
+	if err := base.withDefaults().Validate(); err != nil {
+		t.Fatalf("base config invalid: %v", err)
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := base
+			f.set(&cfg, v)
+			if _, err := Simulate(context.Background(), cfg); err == nil {
+				t.Errorf("%s = %g: Simulate returned a nil error", f.name, v)
+			}
+		}
+	}
+}
+
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

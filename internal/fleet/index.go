@@ -3,24 +3,30 @@
 // pre-index implementation with O(log N) queries, while reproducing the
 // linear scan's selection — including its rotating tie-break — exactly.
 //
+// Every key is a single float64. A present node's key is finite or −Inf;
+// +Inf means absent — tree padding, a node at queue capacity, a dead
+// node, or one disabled for a query — so an absent leaf loses to every
+// present one (the linear scan's best/bestFull split) and an interior
+// slot is a plain float minimum of its children. Config.Validate rejects
+// non-finite inputs, which keeps every present key below +Inf.
+//
 // Least-loaded (and hedged) dispatch uses one tree whose leaf key is
-// (full, drainAtS):
+// drainAtS, the absolute instant the node's present backlog drains at
+// full sprint width: busyUntilS + queuedNaiveS for a busy node, −Inf for
+// an idle one. Ordering by the absolute instant is ordering by
+// outstanding work (every candidate shares the same now), but the key
+// only changes when the node's state changes — enqueue, service start,
+// completion — never merely because time passed. Idle nodes share the
+// single key −Inf, so they tie exactly and the rotating tie-break
+// spreads consecutive arrivals across them just as the scan did.
 //
-//   - full marks a node whose queue is at capacity; any non-full node
-//     beats any full node (the linear scan's best/bestFull split);
-//   - drainAtS is the absolute instant the node's present backlog drains
-//     at full sprint width: busyUntilS + queuedNaiveS for a busy node,
-//     −Inf for an idle one. Ordering by the absolute instant is ordering
-//     by outstanding work (every candidate shares the same now), but the
-//     key only changes when the node's state changes — enqueue, service
-//     start, completion — never merely because time passed. Idle nodes
-//     share the single key −Inf, so they tie exactly and the rotating
-//     tie-break spreads consecutive arrivals across them just as the
-//     scan did.
-//
-// The argmin query is two O(log N) descents: the root aggregate names
-// the minimum key, then firstEq finds the first leaf holding exactly
-// that key in rotation order from the policy's rotating start.
+// An update stops at the first ancestor whose minimum did not change —
+// at once when the leaf's key is unchanged. argmin reads the minimum off
+// the root; firstLE finds the first leaf at or below a threshold in
+// rotation order by two iterative firstFrom passes, the suffix from the
+// start and then the wrap-around from leaf 0, each climbing to the first
+// qualifying right sibling and descending to its leftmost qualifying
+// leaf.
 //
 // Sprint-aware dispatch scores a node as its backlog-drain instant plus
 // a governor-projected service time, which depends on the request's
@@ -34,16 +40,16 @@
 //     tKey alone — so ascending tKey orders idle nodes by projected
 //     finish for every request size, and nodes whose projection has
 //     saturated at full capacity tie exactly (identical keys are
-//     identical projections). One firstLE descent finds the first node
+//     identical projections). One firstLE query finds the first node
 //     in rotation order whose budget covers the request at full width
 //     (the scan's tie set, rotation-resolved); if none qualifies, the
 //     argmin holds the most-recovered budget and is the unique best.
-//   - busy nodes are keyed by (full, drainAtS) and enumerated best-first
-//     with the admissible bound drainAtS + work/width (a node cannot
-//     finish before its backlog drains plus a full-width service; the
-//     bound is exact when the projected budget covers the request), so
-//     with healthy thermal budgets the enumeration inspects only nodes
-//     that could still beat the idle champion — usually none — and with
+//   - busy nodes are keyed by drainAtS and enumerated best-first with
+//     the admissible bound drainAtS + work/width (a node cannot finish
+//     before its backlog drains plus a full-width service; the bound is
+//     exact when the projected budget covers the request), so with
+//     healthy thermal budgets the enumeration inspects only nodes that
+//     could still beat the idle champion — usually none — and with
 //     every budget depleted it degrades gracefully toward the full scan
 //     it replaces.
 package fleet
@@ -51,14 +57,13 @@ package fleet
 import "math"
 
 // dispatchIndex is a 1-based implicit binary tournament tree over fleet
-// routing keys. Leaf i of the fleet lives at tree slot size+i; absent
-// members (padding, removed, or disabled nodes) hold (full=true, +Inf)
-// so they lose to every present node and match no equality descent.
+// routing keys. Leaf i of the fleet lives at tree slot size+i, every
+// interior slot holds the minimum of its two children, and absent
+// leaves hold +Inf.
 type dispatchIndex struct {
 	n    int // real leaves (fleet size)
 	size int // power-of-two leaf span
 	d    []float64
-	full []bool
 	// scratch is the reusable best-first frontier for sprint-aware
 	// queries; it grows to its steady-state size once and never again.
 	scratch []idxEnt
@@ -78,10 +83,9 @@ func newDispatchIndex(n int) *dispatchIndex {
 	for size < n {
 		size <<= 1
 	}
-	t := &dispatchIndex{n: n, size: size, d: make([]float64, 2*size), full: make([]bool, 2*size)}
+	t := &dispatchIndex{n: n, size: size, d: make([]float64, 2*size)}
 	for i := range t.d {
 		t.d[i] = math.Inf(1)
-		t.full[i] = true
 	}
 	return t
 }
@@ -91,44 +95,30 @@ func newDispatchIndex(n int) *dispatchIndex {
 func (t *dispatchIndex) reset(d float64) {
 	for i := 0; i < t.n; i++ {
 		t.d[t.size+i] = d
-		t.full[t.size+i] = false
 	}
 	for i := t.size - 1; i >= 1; i-- {
-		t.pull(i)
+		t.d[i] = min(t.d[2*i], t.d[2*i+1])
 	}
 }
 
-// keyLess orders keys lexicographically: present before absent/full,
-// then by key value.
+// update replaces node id's key and refreshes the path to the root. An
+// interior slot is a pure function of its children, so the walk stops at
+// the first ancestor whose aggregate does not change — at once when the
+// leaf's own key is unchanged.
 //
 //sprint:hotpath
-func keyLess(f1 bool, d1 float64, f2 bool, d2 float64) bool {
-	if f1 != f2 {
-		return !f1
-	}
-	return d1 < d2
-}
-
-// pull recomputes an interior slot from its children.
-//
-//sprint:hotpath
-func (t *dispatchIndex) pull(i int) {
-	l, r := 2*i, 2*i+1
-	if keyLess(t.full[r], t.d[r], t.full[l], t.d[l]) {
-		t.full[i], t.d[i] = t.full[r], t.d[r]
-	} else {
-		t.full[i], t.d[i] = t.full[l], t.d[l]
-	}
-}
-
-// update replaces node id's key and refreshes the path to the root.
-//
-//sprint:hotpath
-func (t *dispatchIndex) update(id int, full bool, d float64) {
+func (t *dispatchIndex) update(id int, d float64) {
 	i := t.size + id
-	t.full[i], t.d[i] = full, d
+	if t.d[i] == d {
+		return
+	}
+	t.d[i] = d
 	for i >>= 1; i >= 1; i >>= 1 {
-		t.pull(i)
+		m := min(t.d[2*i], t.d[2*i+1])
+		if t.d[i] == m {
+			return
+		}
+		t.d[i] = m
 	}
 }
 
@@ -137,11 +127,10 @@ func (t *dispatchIndex) update(id int, full bool, d float64) {
 // returned key with update afterwards.
 //
 //sprint:hotpath
-func (t *dispatchIndex) disable(id int) (full bool, d float64) {
-	i := t.size + id
-	full, d = t.full[i], t.d[i]
-	t.update(id, true, math.Inf(1))
-	return full, d
+func (t *dispatchIndex) disable(id int) float64 {
+	d := t.d[t.size+id]
+	t.update(id, math.Inf(1))
+	return d
 }
 
 // argmin returns the present node holding the minimum key that comes
@@ -149,49 +138,58 @@ func (t *dispatchIndex) disable(id int) (full bool, d float64) {
 // reproduces the linear scan exactly: the scan's strict less-than keeps
 // the first minimum it meets walking (start+i) mod n. Since the root
 // aggregate is the global minimum, "key equal to it" and "key at most
-// it" coincide, so the descent is firstLE at that threshold.
+// it" coincide, so the descent is firstLE at that threshold (+Inf on an
+// all-absent tree, which matches no leaf).
 //
 //sprint:hotpath
 func (t *dispatchIndex) argmin(start int) int {
-	if t.full[1] {
-		return -1
-	}
 	return t.firstLE(start, t.d[1])
 }
 
 // firstLE returns the present node with key ≤ thresh that comes first in
 // rotation order from start, or -1. Sprint-aware dispatch uses it to
 // resolve the rotating tie among every idle node whose projected budget
-// covers the request at full width; argmin uses it with the root's own
-// minimum as the threshold.
+// covers the request at full width (at +Inf, the first present node);
+// argmin uses it with the root's own minimum as the threshold.
 //
 //sprint:hotpath
 func (t *dispatchIndex) firstLE(start int, thresh float64) int {
-	if t.full[1] || t.d[1] > thresh {
-		return -1
-	}
-	if i := t.firstLERange(1, 0, t.size, start, t.n, thresh); i >= 0 {
+	if i := t.firstFrom(start, thresh); i >= 0 {
 		return i
 	}
-	return t.firstLERange(1, 0, t.size, 0, start, thresh)
+	return t.firstFrom(0, thresh) // the suffix failed: any hit lies before start
 }
 
-// firstLERange is firstEq's ≤-threshold analogue: a subtree whose
-// minimum present key exceeds thresh contains no qualifying leaf.
+// firstFrom returns the first present leaf at or after lo whose key is
+// ≤ thresh, or -1. It climbs from leaf lo to the first right sibling
+// whose subtree qualifies, then descends to that subtree's leftmost
+// qualifying leaf. The threshold is clamped to the largest finite key,
+// so no absent leaf qualifies and a +Inf threshold means "any present
+// leaf".
 //
 //sprint:hotpath
-func (t *dispatchIndex) firstLERange(node, nlo, nhi, lo, hi int, thresh float64) int {
-	if nhi <= lo || hi <= nlo || t.full[node] || t.d[node] > thresh {
+func (t *dispatchIndex) firstFrom(lo int, thresh float64) int {
+	thresh = min(thresh, math.MaxFloat64)
+	if t.d[1] > thresh {
 		return -1
 	}
-	if nhi-nlo == 1 {
-		return nlo
+	i := t.size + lo
+	for t.d[i] > thresh {
+		for i&1 == 1 { // a right child ends its parent's span too: climb
+			i >>= 1
+		}
+		if i == 0 { // climbed out past the root
+			return -1
+		}
+		i++
 	}
-	mid := (nlo + nhi) / 2
-	if i := t.firstLERange(2*node, nlo, mid, lo, hi, thresh); i >= 0 {
-		return i
+	for i < t.size {
+		i <<= 1
+		if t.d[i] > thresh {
+			i++
+		}
 	}
-	return t.firstLERange(2*node+1, mid, nhi, lo, hi, thresh)
+	return i - t.size
 }
 
 // frontier heap helpers: order by (d, idx) so the best-first enumeration
@@ -249,7 +247,7 @@ func (t *dispatchIndex) fpop() idxEnt {
 // heap-allocate its closure on every arrival.
 func (t *dispatchIndex) resetFrontier() {
 	t.scratch = t.scratch[:0]
-	if !t.full[1] {
+	if t.d[1] < math.Inf(1) {
 		t.fpush(idxEnt{d: t.d[1], idx: 1})
 	}
 }

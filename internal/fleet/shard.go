@@ -126,45 +126,41 @@ func (s *sim) buildSegs() {
 	}
 }
 
-// segArgmin returns the node holding the fleet-wide minimum (full, key)
-// pair that comes first in rotation order from rot, or -1 when every
-// node is absent — the single-tree argmin generalized across segments.
-// The fleet minimum is the minimum of the segment roots (order-
-// independent), and the first-in-rotation holder is found by walking
-// the segments in cyclic node order from the one containing rot: the
-// containing segment's suffix, every other segment in order, then the
-// containing segment's prefix — exactly the index order the one-tree
-// firstLE descent visits.
-func (s *sim) segArgmin(rot int) int {
-	mFull, mD := true, math.Inf(1)
+// segMin is the fleet-wide minimum least-loaded key, the minimum of the
+// segment roots: +Inf when every node is absent.
+//
+//sprint:hotpath
+func (s *sim) segMin() float64 {
+	m := math.Inf(1)
 	for si := range s.segs {
-		t := s.segs[si].idx
-		if keyLess(t.full[1], t.d[1], mFull, mD) {
-			mFull, mD = t.full[1], t.d[1]
-		}
+		m = min(m, s.segs[si].idx.d[1])
 	}
-	if mFull {
-		return -1
-	}
-	return s.segFirstLE(rot, mD)
+	return m
 }
 
 // segFirstLE returns the present node with key ≤ thresh that comes first
-// in rotation order from rot across every segment, or -1: the containing
-// segment's suffix, every other segment in order, then its prefix.
+// in rotation order from rot across every segment, or -1 — the one-tree
+// firstLE generalized across segments, so segFirstLE(rot, segMin()) is
+// the fleet argmin. It walks the segments in cyclic node order from the
+// one containing rot: the containing segment's suffix, every other
+// segment in order, then the containing segment's prefix. The prefix
+// pass may start at leaf 0 because the suffix pass already failed, so
+// any hit lies before rot.
+//
+//sprint:hotpath
 func (s *sim) segFirstLE(rot int, thresh float64) int {
 	k := int(s.segIdx[rot])
 	sg := &s.segs[k]
-	if id := sg.idx.firstLERange(1, 0, sg.idx.size, rot-sg.lo, sg.idx.n, thresh); id >= 0 {
+	if id := sg.idx.firstFrom(rot-sg.lo, thresh); id >= 0 {
 		return sg.lo + id
 	}
 	for j := 1; j < len(s.segs); j++ {
 		t := &s.segs[(k+j)%len(s.segs)]
-		if id := t.idx.firstLERange(1, 0, t.idx.size, 0, t.idx.n, thresh); id >= 0 {
+		if id := t.idx.firstFrom(0, thresh); id >= 0 {
 			return t.lo + id
 		}
 	}
-	if id := sg.idx.firstLERange(1, 0, sg.idx.size, 0, rot-sg.lo, thresh); id >= 0 {
+	if id := sg.idx.firstFrom(0, thresh); id >= 0 {
 		return sg.lo + id
 	}
 	return -1
@@ -187,16 +183,7 @@ func (s *sim) altArgmin(rot int, workS float64) int {
 		}
 		return -1
 	}
-	present, m := false, math.Inf(1)
-	for si := range s.segs {
-		if t := s.segs[si].idx; !t.full[1] && t.d[1] <= m {
-			present, m = true, t.d[1]
-		}
-	}
-	if !present {
-		return -1
-	}
-	return s.segFirstLE(rot, math.Max(m, s.nowS))
+	return s.segFirstLE(rot, math.Max(s.segMin(), s.nowS))
 }
 
 // start runs the engine the configuration selected: the concurrent

@@ -90,7 +90,7 @@ func TestShardedScenarioMatchesSequential(t *testing.T) {
 // index segments instead of falling back to the linear rescan, so every
 // policy must match the retained reference scan exactly, at every worker
 // count. Three classes make three segments, so the cyclic segment walk
-// (segArgmin/segFirstLE) crosses more than one foreign segment in order.
+// (segMin/segFirstLE) crosses more than one foreign segment in order.
 func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 	if refDispatch {
 		t.Fatal("refDispatch already set")

@@ -337,23 +337,22 @@ func (rec *recorder) indexAlts(s *sim, workS float64, chosen, exclude, start int
 		rec.hide(s, id)
 	}
 	for _, h := range rec.hidden {
-		h.t.update(int(h.lid), false, h.d)
+		h.t.update(int(h.lid), h.d)
 	}
 	rec.altScratch = cands
 	return cands
 }
 
 // hide disables node id's leaf in the dispatch trees of its segment,
-// remembering the key it held. A full leaf — absent, at queue capacity,
-// or dead — is never selected, so it is left alone; that also makes
-// hiding a leaf twice a no-op.
+// remembering the key it held. An absent leaf — at queue capacity, dead,
+// or already hidden — is never selected, so it is left alone; that also
+// makes hiding a leaf twice a no-op.
 func (rec *recorder) hide(s *sim, id int) {
 	sg := &s.segs[s.segIdx[id]]
 	lid := id - sg.lo
 	for _, t := range [...]*dispatchIndex{sg.idx, sg.busyIdx, sg.idleIdx} {
-		if t != nil && !t.full[t.size+lid] {
-			_, d := t.disable(lid)
-			rec.hidden = append(rec.hidden, hiddenLeaf{t: t, lid: int32(lid), d: d})
+		if t != nil && t.d[t.size+lid] < math.Inf(1) {
+			rec.hidden = append(rec.hidden, hiddenLeaf{t: t, lid: int32(lid), d: t.disable(lid)})
 		}
 	}
 }
