@@ -10,9 +10,13 @@ const (
 	// evComplete finishes a node's in-service copy and starts the next
 	// queued one.
 	evComplete
-	// evSprintEnd retires a service's sprint phase from its rack's power
-	// draw, releasing any TokenPermit grant (rack coordination only).
+	// evSprintEnd retires a partial sprint phase (the budget ran out
+	// mid-service, or a gray node stretched the service) from its rack's
+	// power draw, releasing any TokenPermit grant (rack coordination only).
 	evSprintEnd
+	// evSprintComplete fuses evSprintEnd and evComplete for a sprint phase
+	// that ends at its service's completion instant (see rackSprintStart).
+	evSprintComplete
 	// evBreakerTrip fires when a rack's energy buffer is projected to run
 	// out under sustained overdraw; a stale generation (the draw balance
 	// changed since scheduling) is ignored.
@@ -68,10 +72,10 @@ type event struct {
 	// deterministic function of the configuration alone.
 	seq uint64
 	// gen must match the rack's current trip generation for evBreakerTrip
-	// to fire, or the node's incarnation for evComplete/evSprintEnd (a
-	// mismatch marks an event scheduled against a node that has since
-	// failed); evTimeout/evRetry reuse it for the request's attempt
-	// counter, staled the same way by client-side retries.
+	// to fire, or the node's incarnation for evComplete, evSprintEnd and
+	// evSprintComplete (a mismatch marks an event scheduled against a node
+	// that has since failed); evTimeout/evRetry reuse it for the request's
+	// attempt counter, staled the same way by client-side retries.
 	gen uint64
 	// req indexes sim.reqs (evHedge) or carries the phase index
 	// (evPhase); node and rack index their arrays.

@@ -943,6 +943,9 @@ func (s *sim) handle(ev event) {
 	switch ev.kind {
 	case evHedge:
 		s.hedge(ev.req)
+	case evSprintComplete:
+		s.sprintEnd(ev)
+		fallthrough
 	case evComplete:
 		// A gen mismatch marks a completion scheduled against an
 		// incarnation that has since failed; the copy was already
@@ -1225,8 +1228,9 @@ func (s *sim) startService(n *node, c reqCopy) {
 			n.gov.Idle(extraS)
 		}
 	}
+	fused := false
 	if sprintS > 0 {
-		s.rackSprintStart(n, sprintS)
+		fused = s.rackSprintStart(n, sprintS, serviceS)
 	}
 	if s.rec != nil {
 		if sprintS > 0 {
@@ -1251,7 +1255,9 @@ func (s *sim) startService(n *node, c reqCopy) {
 	}
 	n.stats.EnergyJ += energyJ
 	n.stats.BusyS += serviceS
-	s.push(event{atS: n.busyUntilS, kind: evComplete, node: int32(n.id), gen: n.gen})
+	if !fused {
+		s.push(event{atS: n.busyUntilS, kind: evComplete, node: int32(n.id), gen: n.gen})
+	}
 }
 
 // serve runs the governed service discipline (the session evaluator's

@@ -233,6 +233,13 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"Reliability.GrayFrac", func(c *Config, v float64) { c.Reliability.GrayFrac = v }},
 		{"Reliability.GraySlowdownX", func(c *Config, v float64) { c.Reliability.GraySlowdownX = v }},
 		{"Reliability.FaultProb", func(c *Config, v float64) { c.Reliability.FaultProb = v }},
+		// The node's governor config: a NaN safety fraction or ambient
+		// once reached the rack, which granted a permit that serve never
+		// used, and finish() panicked on the leaked permit.
+		{"Node.SprintPowerW", func(c *Config, v float64) { c.Node.SprintPowerW = v }},
+		{"Node.SafetyFrac", func(c *Config, v float64) { c.Node.SafetyFrac = v }},
+		{"Node.Design.AmbientC", func(c *Config, v float64) { c.Node.Design.AmbientC = v }},
+		{"Node.Design.PCMMassG", func(c *Config, v float64) { c.Node.Design.PCMMassG = v }},
 	}
 	base := DefaultConfig(Hedged)
 	base.ArrivalRatePerS = 10

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"sprinting/internal/session"
 )
 
 // TestSimulateSteadyStateAllocations is the allocation-budget guard for
@@ -72,6 +74,45 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 			t.Errorf("%s: Workers 8 run costs %.0f allocations vs %.0f at Workers 0; a coupled run is building shard state",
 				p, sharded, large)
 		}
+	}
+}
+
+// TestOneEventPerSprintingService is an exact work counter for the event
+// heap: on a sprint-aware token-permit fleet every admitted sprint phase
+// covers its whole service, so each service's rack sprint-end rides its
+// completion event and the run pushes exactly one event per service
+// (token permits never overdraw the rack, so no breaker trip is ever
+// scheduled). A separate sprint-end event per phase would read 36,602
+// pushes here.
+func TestOneEventPerSprintingService(t *testing.T) {
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 64
+	cfg.Requests = 20000
+	cfg.Coordination = TokenPermit
+	cfg.RackSize = 16
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(cfg, nil, nil, nil)
+	bursts := session.GenerateBursts(cfg.Requests, 1/s.rate, cfg.MeanWorkS, cfg.Seed)
+	s.reqs = make([]request, len(bursts))
+	for i, b := range bursts {
+		s.reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
+	}
+	m, err := s.start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, ns := range m.Nodes {
+		served += ns.Served
+	}
+	if served != cfg.Requests {
+		t.Fatalf("served %d of %d requests; the stream should fit the fleet", served, cfg.Requests)
+	}
+	if s.seq != uint64(served) {
+		t.Errorf("%d heap pushes for %d services; a full-width sprint must retire its rack phase in its completion event", s.seq, served)
 	}
 }
 

@@ -233,7 +233,7 @@ func (s *sim) scheduleTrip(r *rack) {
 // The bypass predicate mirrors serve()'s sprint decision exactly — the
 // first slice sprints iff the budget covers the whole request or exceeds
 // the 1e-9 slice floor — so an admission (and any TokenPermit grant)
-// pairs with exactly one sprint phase and its evSprintEnd.
+// pairs with exactly one sprint phase and its evSprintEnd/evSprintComplete.
 func (s *sim) sprintAdmitted(n *node, workS float64) bool {
 	if s.racks == nil {
 		return true
@@ -284,20 +284,30 @@ func (s *sim) sprintAdmitted(n *node, workS float64) bool {
 
 // rackSprintStart charges an admitted sprint phase against the rack: the
 // draw rises for sprintS seconds (the governed service's full-width
-// prefix), after which evSprintEnd restores it and releases any permit.
-// The event carries the node's incarnation so a failure in between
-// (which retires the phase immediately) stales it.
-func (s *sim) rackSprintStart(n *node, sprintS float64) {
+// prefix), after which the phase's end event restores it and releases any
+// permit; the event carries the node's incarnation so a failure in between
+// (which retires the phase immediately) stales it. A phase that ends at its
+// service's completion instant pushes evSprintComplete and reports fused,
+// so startService skips its evComplete. Ordering rule: the fused event is
+// pushed before scheduleTrip, in the sprint-end's seq, so a trip due at that
+// instant is staled by the sprint-end's own scheduleTrip exactly as with
+// split events; pushed after it, the trip would fire first.
+func (s *sim) rackSprintStart(n *node, sprintS, serviceS float64) (fused bool) {
 	if s.racks == nil {
-		return
+		return false
 	}
 	r := &s.racks[n.rackID]
 	r.accrue(s.nowS)
 	r.sprinting++
 	n.sprintXW = s.cl(n).extraW
 	r.sprintExtraW += n.sprintXW
-	s.push(event{atS: s.nowS + sprintS, kind: evSprintEnd, rack: int32(r.id), node: int32(n.id), gen: n.gen})
+	kind, endS := evSprintEnd, s.nowS+sprintS
+	if fused = endS == s.nowS+serviceS; fused {
+		kind = evSprintComplete
+	}
+	s.push(event{atS: endS, kind: kind, rack: int32(r.id), node: int32(n.id), gen: n.gen})
 	s.scheduleTrip(r)
+	return fused
 }
 
 // sprintEnd retires one member's sprint phase from the rack draw. A gen

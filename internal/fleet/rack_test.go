@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -82,6 +83,34 @@ func TestProbabilisticSitsBetween(t *testing.T) {
 	if prob.P99S >= un.P99S {
 		t.Errorf("probabilistic p99 %.3f s should beat the tripped uncoordinated rack's %.3f s",
 			prob.P99S, un.P99S)
+	}
+}
+
+// TestSprintEndTripTieAtCompletion pins the one ordering rule of the
+// fused sprint-end/completion event. A lone uncoordinated node's 16 W
+// sprint overdraws an 8 W rack budget by 8 W, so its 8 J buffer is
+// projected to run out 1 s later: exactly at the service's completion,
+// which is also the sprint phase's end. The phase's end re-projects the
+// trip (no deficit remains), staling it, so the breaker never trips. A
+// fused event pushed after the trip instead of in the sprint-end's place
+// would let the trip fire first, at both requests.
+func TestSprintEndTripTieAtCompletion(t *testing.T) {
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 1
+	cfg.Coordination = Uncoordinated
+	cfg.RackSize = 1
+	cfg.RackPowerBudgetW = 8
+	cfg.RackBufferJ = 8
+	rows := []TraceRequest{{ArrivalS: 10, WorkS: 16}, {ArrivalS: 100, WorkS: 16}}
+	m, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != len(rows) {
+		t.Fatalf("completed %d of %d requests", m.Completed, len(rows))
+	}
+	if m.BreakerTrips != 0 {
+		t.Errorf("breaker tripped %d times; a trip due at the sprint phase's end must be staled by it", m.BreakerTrips)
 	}
 }
 

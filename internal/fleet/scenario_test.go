@@ -307,6 +307,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Phases: []Phase{{DurationS: 1, Shape: "spiral"}}},
 		{Phases: []Phase{{DurationS: 1, StartFactor: -2}}},
 		{Phases: []Phase{{DurationS: 1, AmbientDeltaC: 80}}},                // ambient above PCM melt
+		{Phases: []Phase{{DurationS: 1, AmbientDeltaC: -1e308}}},            // ambient below absolute zero
 		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 3}}}, // counts != nodes and invalid
 		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 16, NominalPowerW: 20}}},
 		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 16, BudgetScale: -1}}},

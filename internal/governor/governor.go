@@ -44,8 +44,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN passes every range check below and would leave the
+// budget arithmetic poisoned.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"sprint power", c.SprintPowerW}, {"nominal power", c.NominalPowerW}, {"safety fraction", c.SafetyFrac},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("governor: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.SprintPowerW <= 0:
 		return fmt.Errorf("governor: sprint power must be positive")

@@ -144,6 +144,29 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a NaN passes every range check, so each
+// float field is checked for finiteness on its own.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"SprintPowerW", func(c *Config, v float64) { c.SprintPowerW = v }},
+		{"NominalPowerW", func(c *Config, v float64) { c.NominalPowerW = v }},
+		{"SafetyFrac", func(c *Config, v float64) { c.SafetyFrac = v }},
+		{"Design.AmbientC", func(c *Config, v float64) { c.Design.AmbientC = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if cfg.Validate() == nil {
+				t.Errorf("%s = %g: expected validation error", f.name, v)
+			}
+		}
+	}
+}
+
 // Property: the budget is conserved under any interleaving of sprints and
 // idles — RemainingJ stays within [0, capacity].
 func TestBudgetBoundsProperty(t *testing.T) {

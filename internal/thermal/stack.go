@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"sprinting/internal/materials"
 )
@@ -101,9 +102,32 @@ func (c StackConfig) TimeScaled(s float64) StackConfig {
 	return c
 }
 
-// Validate reports configuration errors.
+// absoluteZeroC bounds every temperature from below.
+const absoluteZeroC = -273.15
+
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN passes every ordering check below, and an infinite PCM
+// mass would grant an infinite sprint budget.
 func (c StackConfig) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ambient temperature", c.AmbientC}, {"TJmax", c.TJMaxC}, {"PCM mass", c.PCMMassG},
+		{"PCM melting point", c.PCM.MeltingPointC}, {"PCM latent heat", c.PCM.LatentHeatJPerG},
+		{"PCM density", c.PCM.DensityGPerCm3}, {"PCM specific heat", c.PCM.SpecificHeatJPerGK},
+		{"PCM conductivity", c.PCM.ConductivityWPerMK},
+		{"junction-PCM resistance", c.RJunctionPCM}, {"PCM-case resistance", c.RPCMCase},
+		{"case-ambient resistance", c.RCaseAmbient}, {"board-path resistance", c.RBoardPath},
+		{"junction capacitance", c.CJunction}, {"case capacitance", c.CCase},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("thermal: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
+	case c.AmbientC < absoluteZeroC:
+		return fmt.Errorf("thermal: ambient %g °C is below absolute zero", c.AmbientC)
 	case c.PCMMassG <= 0:
 		return fmt.Errorf("thermal: PCM mass must be positive, got %g", c.PCMMassG)
 	case c.TJMaxC <= c.PCM.MeltingPointC:

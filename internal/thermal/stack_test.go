@@ -121,6 +121,45 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a NaN passes every ordering check and an
+// infinite PCM mass grants an infinite budget, so each float field is
+// checked for finiteness on its own.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*StackConfig, float64)
+	}{
+		{"AmbientC", func(c *StackConfig, v float64) { c.AmbientC = v }},
+		{"TJMaxC", func(c *StackConfig, v float64) { c.TJMaxC = v }},
+		{"PCMMassG", func(c *StackConfig, v float64) { c.PCMMassG = v }},
+		{"PCM.MeltingPointC", func(c *StackConfig, v float64) { c.PCM.MeltingPointC = v }},
+		{"PCM.LatentHeatJPerG", func(c *StackConfig, v float64) { c.PCM.LatentHeatJPerG = v }},
+		{"PCM.DensityGPerCm3", func(c *StackConfig, v float64) { c.PCM.DensityGPerCm3 = v }},
+		{"PCM.SpecificHeatJPerGK", func(c *StackConfig, v float64) { c.PCM.SpecificHeatJPerGK = v }},
+		{"PCM.ConductivityWPerMK", func(c *StackConfig, v float64) { c.PCM.ConductivityWPerMK = v }},
+		{"RJunctionPCM", func(c *StackConfig, v float64) { c.RJunctionPCM = v }},
+		{"RPCMCase", func(c *StackConfig, v float64) { c.RPCMCase = v }},
+		{"RCaseAmbient", func(c *StackConfig, v float64) { c.RCaseAmbient = v }},
+		{"RBoardPath", func(c *StackConfig, v float64) { c.RBoardPath = v }},
+		{"CJunction", func(c *StackConfig, v float64) { c.CJunction = v }},
+		{"CCase", func(c *StackConfig, v float64) { c.CCase = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultStackConfig()
+			f.set(&cfg, v)
+			if cfg.Validate() == nil {
+				t.Errorf("%s = %g: expected validation error", f.name, v)
+			}
+		}
+	}
+	cold := DefaultStackConfig()
+	cold.AmbientC = -273.16
+	if cold.Validate() == nil {
+		t.Error("an ambient below absolute zero should fail validation")
+	}
+}
+
 func TestSolidSinkStoresLessThanPCM(t *testing.T) {
 	// §4.1/§4.2: gram for gram, the PCM's latent heat stores far more than
 	// copper's sensible heat over the available headroom, so the PCM sprint
