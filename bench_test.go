@@ -135,16 +135,16 @@ func BenchmarkEngineFigArchSweep(b *testing.B) {
 // scale: every dispatch policy over a 100-node fleet serving a 20k-request
 // open-loop trace, evaluated as one engine sweep (one worker per policy).
 func BenchmarkFleetSweep(b *testing.B) {
-	var cfgs []sprinting.FleetConfig
+	var specs []sprinting.FleetSpec
 	for _, p := range sprinting.FleetPolicies() {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 100
 		cfg.Requests = 20000
-		cfgs = append(cfgs, cfg)
+		specs = append(specs, sprinting.FleetSpec{Config: cfg})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleetSweep(cfgs, 0); err != nil {
+		if _, err := sprinting.RunFleetSweep(context.Background(), specs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkFleetScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleet(cfg); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkFleetScaleDecoupled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleet(cfg); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkFleetScaleDecoupledParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleet(cfg); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,15 +233,15 @@ func BenchmarkFleetTrace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sprinting.SimulateFleetTraced(cfg); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFleetTraceOff is the paired control: the identical config
-// through the plain entry point, which ignores FleetConfig.Trace
-// entirely — the recorder hooks compile to nil checks. The delta to
+// with the recorder's level at TraceOff, so no recorder exists and its
+// hooks reduce to nil checks. The delta to
 // BenchmarkFleetTrace is the recorder's cost; the delta to a
 // pre-recorder baseline of this benchmark is the zero-cost-when-off
 // contract (the allocation half of which TestSimulateSteadyStateAllocations
@@ -252,11 +252,11 @@ func BenchmarkFleetTraceOff(b *testing.B) {
 	cfg.Requests = 100_000
 	cfg.Coordination = sprinting.RackTokenPermit
 	cfg.RackSize = 16
-	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceFull, TopK: 3, WindowS: 5}
+	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceOff, TopK: 3, WindowS: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleet(cfg); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func BenchmarkFleetTenants(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateWorkload(cfg, w); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg, Workload: &w}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkFleetTenants(b *testing.B) {
 // racks of 16 (each rack provisioned for one concurrent sprinter) serving
 // a 20k-request overloaded trace, evaluated as one engine sweep.
 func BenchmarkRackSweep(b *testing.B) {
-	var cfgs []sprinting.FleetConfig
+	var specs []sprinting.FleetSpec
 	for _, c := range sprinting.RackCoordinations() {
 		cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 		cfg.Nodes = 96
@@ -325,11 +325,11 @@ func BenchmarkRackSweep(b *testing.B) {
 		cfg.Coordination = c
 		cfg.RackSize = 16
 		cfg.RackPowerBudgetW = sprinting.RackBudgetW(16, 1, cfg.Node)
-		cfgs = append(cfgs, cfg)
+		specs = append(specs, sprinting.FleetSpec{Config: cfg})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateFleetSweep(cfgs, 0); err != nil {
+		if _, err := sprinting.RunFleetSweep(context.Background(), specs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkFleetScenario(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateScenario(sprinting.ScenarioConfig{Fleet: cfg, Scenario: sc}); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg, Scenario: &sc}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,7 +389,7 @@ func BenchmarkFleetScenarioHetero(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateScenario(sprinting.ScenarioConfig{Fleet: cfg, Scenario: sc}); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg, Scenario: &sc}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func BenchmarkFleetReliability(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.SimulateScenario(sprinting.ScenarioConfig{Fleet: cfg, Scenario: sc}); err != nil {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg, Scenario: &sc}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,22 +129,10 @@ import (
 	"sprinting"
 )
 
-// runScenario drives the dynamic-scenario mode: every policy ×
-// coordination combination plays the same scenario, and the report breaks
-// each run down per phase (counts attributed to the phase a request
-// arrived in) before the overall line.
-func runScenario(ctx context.Context, path string, scen sprinting.FleetScenario, scs []sprinting.ScenarioConfig, workers int, stdout, stderr io.Writer) int {
-	metrics, err := sprinting.SimulateScenarioSweepContext(ctx, scs, workers)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
-		return 1
-	}
-	printScenarioReport(path, scen, metrics, stdout)
-	return 0
-}
-
-// printScenarioReport renders the per-phase breakdown for each run; the
-// traced path shares it with the sweep.
+// printScenarioReport renders the dynamic-scenario report: every policy ×
+// coordination combination plays the same scenario, and each run breaks
+// down per phase (counts attributed to the phase a request arrived in)
+// before the overall line.
 func printScenarioReport(path string, scen sprinting.FleetScenario, metrics []sprinting.FleetMetrics, stdout io.Writer) {
 	totalS := 0.0
 	for _, p := range scen.Phases {
@@ -260,6 +248,23 @@ func printWorkloadReport(stdout io.Writer, m sprinting.FleetMetrics) {
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(stdout, "%d tenants, Jain fairness %.3f\n", len(m.Tenants), m.JainFairness)
 	}
+}
+
+// readJSON strictly decodes the JSON file at path into v (unknown fields
+// are errors), reporting failures on stderr as exit 1.
+func readJSON(path string, v any, stderr io.Writer) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
+		return 1
+	}
+	return 0
 }
 
 // convertRecording reads a flight-recorder JSONL recording and writes
@@ -544,106 +549,36 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	rackMode := len(coords) > 1 || coords[0] != sprinting.RackNoCoordination
 
-	// mkCfg builds one run's config from the shared flags for the modes
-	// that own their load profile (replay and workload), so Requests and
-	// ArrivalRatePerS stay out of it.
-	mkCfg := func(p sprinting.FleetPolicy, c sprinting.RackCoordination) sprinting.FleetConfig {
-		cfg := sprinting.DefaultFleetConfig(p)
-		cfg.Nodes = *nodes
-		cfg.MeanWorkS = *work
-		cfg.Seed = *seed
-		cfg.QueueCap = *queue
-		cfg.HedgeDelayS = *hedgeS
-		cfg.ExactQuantiles = *exactQ
-		cfg.Coordination = c
-		cfg.RackSize = *rackSize
-		cfg.RackPowerBudgetW = *rackBudgetW
-		cfg.RackBufferJ = *rackBufferJ
-		cfg.SprintPermits = *permits
-		cfg.BreakerRecoveryS = *recoveryS
-		cfg.Reliability = sprinting.FleetReliability{
-			TimeoutS: *timeoutS, MaxRetries: *maxRetries, RetryBackoffS: *retryBackoffS,
-			RetryBudgetPerS: *retryBudget, RetryBurst: *retryBurst,
-			GrayFrac: *grayFrac, GraySlowdownX: *graySlowdown, FaultProb: *faultProb,
-		}
-		cfg.Workers = *shardWorkers
-		return cfg
-	}
-
+	// The mode's input files own the load: a replay trace, a workload
+	// spec, a scenario. Every run then shares one config built from the
+	// flags; -requests and -rate keep their defaults whenever a file owns
+	// the load, and the file supersedes them.
+	var (
+		rows  []sprinting.TraceRequest
+		wspec *sprinting.FleetWorkload
+		scen  *sprinting.FleetScenario
+	)
 	if *replayPath != "" {
 		data, err := os.ReadFile(*replayPath)
 		if err != nil {
 			fmt.Fprintln(stderr, "fleetsim:", err)
 			return 1
 		}
-		rows, err := sprinting.ParseRequestTrace(bytes.NewReader(data))
-		if err != nil {
+		if rows, err = sprinting.ParseRequestTrace(bytes.NewReader(data)); err != nil {
 			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *replayPath, err)
 			return 1
 		}
-		m, err := sprinting.SimulateReplayContext(ctx, mkCfg(policies[0], coords[0]), rows, nil)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
-			*replayPath, len(rows), *nodes, *seed)
-		if m.ApproxQuantiles {
-			fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
-		}
-		printRunTable(stdout, rackMode, []sprinting.FleetMetrics{m})
-		return 0
 	}
-
-	var wspec *sprinting.FleetWorkload
 	if *workloadPath != "" {
-		data, err := os.ReadFile(*workloadPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
+		wspec = new(sprinting.FleetWorkload)
+		if code := readJSON(*workloadPath, wspec, stderr); code != 0 {
+			return code
 		}
-		var w sprinting.FleetWorkload
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&w); err != nil {
-			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *workloadPath, err)
-			return 1
-		}
-		wspec = &w
 	}
-	if wspec != nil && *scenarioPath == "" {
-		fmt.Fprintf(stdout, "workload %s: %d classes, %d tenants, %d nodes (seed %d)\n\n",
-			*workloadPath, len(wspec.Classes), len(wspec.Tenants), *nodes, *seed)
-		var metrics []sprinting.FleetMetrics
-		for _, p := range policies {
-			for _, c := range coords {
-				m, err := sprinting.SimulateWorkloadContext(ctx, mkCfg(p, c), *wspec)
-				if err != nil {
-					fmt.Fprintln(stderr, "fleetsim:", err)
-					return 1
-				}
-				metrics = append(metrics, m)
-			}
-		}
-		if len(metrics) > 0 && metrics[0].ApproxQuantiles {
-			fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
-		}
-		printRunTable(stdout, rackMode, metrics)
-		return 0
-	}
-
 	if *scenarioPath != "" {
-		data, err := os.ReadFile(*scenarioPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		var scen sprinting.FleetScenario
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&scen); err != nil {
-			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *scenarioPath, err)
-			return 1
+		scen = new(sprinting.FleetScenario)
+		if code := readJSON(*scenarioPath, scen, stderr); code != 0 {
+			return code
 		}
 		// Class declarations size the fleet; an explicit -nodes that
 		// disagrees is rejected like the other scenario conflicts rather
@@ -653,64 +588,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				*nodes, classNodes)
 			return 2
 		}
-		var scs []sprinting.ScenarioConfig
-		for _, p := range policies {
-			for _, c := range coords {
-				cfg := sprinting.DefaultFleetConfig(p)
-				cfg.Nodes = *nodes
-				cfg.MeanWorkS = *work
-				cfg.Seed = *seed
-				cfg.QueueCap = *queue
-				cfg.HedgeDelayS = *hedgeS
-				cfg.ExactQuantiles = *exactQ
-				cfg.Coordination = c
-				cfg.RackSize = *rackSize
-				cfg.RackPowerBudgetW = *rackBudgetW
-				cfg.RackBufferJ = *rackBufferJ
-				cfg.SprintPermits = *permits
-				cfg.BreakerRecoveryS = *recoveryS
-				cfg.Reliability = sprinting.FleetReliability{
-					TimeoutS: *timeoutS, MaxRetries: *maxRetries, RetryBackoffS: *retryBackoffS,
-					RetryBudgetPerS: *retryBudget, RetryBurst: *retryBurst,
-					GrayFrac: *grayFrac, GraySlowdownX: *graySlowdown, FaultProb: *faultProb,
-				}
-				cfg.Workers = *shardWorkers
-				cfg.Trace = traceCfg
-				scs = append(scs, sprinting.ScenarioConfig{Fleet: cfg, Scenario: scen})
-			}
-		}
-		if wspec != nil {
-			var metrics []sprinting.FleetMetrics
-			for _, sc := range scs {
-				m, err := sprinting.SimulateScenarioWorkloadContext(ctx, sc, *wspec)
-				if err != nil {
-					fmt.Fprintln(stderr, "fleetsim:", err)
-					return 1
-				}
-				metrics = append(metrics, m)
-			}
-			printScenarioReport(*scenarioPath, scen, metrics, stdout)
-			return 0
-		}
-		if *tracePath != "" {
-			m, tr, err := sprinting.SimulateScenarioTracedContext(ctx, scs[0])
-			if err != nil {
-				fmt.Fprintln(stderr, "fleetsim:", err)
-				return 1
-			}
-			if code := writeTrace(*tracePath, tr, stderr); code != 0 {
-				return code
-			}
-			printScenarioReport(*scenarioPath, scen, []sprinting.FleetMetrics{m}, stdout)
-			if *traceSummary {
-				printTraceSummary(stdout, *tracePath, tr)
-			}
-			return 0
-		}
-		return runScenario(ctx, *scenarioPath, scen, scs, *workers, stdout, stderr)
 	}
-
-	var cfgs []sprinting.FleetConfig
+	var specs []sprinting.FleetSpec
 	for _, p := range policies {
 		for _, c := range coords {
 			cfg := sprinting.DefaultFleetConfig(p)
@@ -735,7 +614,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			cfg.Workers = *shardWorkers
 			cfg.Trace = traceCfg
-			cfgs = append(cfgs, cfg)
+			specs = append(specs, sprinting.FleetSpec{Config: cfg, Scenario: scen, Workload: wspec, Replay: rows})
 		}
 	}
 
@@ -753,28 +632,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	fmt.Fprintf(stdout, "fleet: %d nodes, %d requests at %.2f req/s (mean work %.1f s, seed %d)\n\n",
-		*nodes, *requests, cfgs[0].EffectiveRatePerS(), *work, *seed)
+	switch {
+	case scen != nil || rows != nil:
+		// These reports print after the run.
+	case wspec != nil:
+		fmt.Fprintf(stdout, "workload %s: %d classes, %d tenants, %d nodes (seed %d)\n\n",
+			*workloadPath, len(wspec.Classes), len(wspec.Tenants), *nodes, *seed)
+	default:
+		fmt.Fprintf(stdout, "fleet: %d nodes, %d requests at %.2f req/s (mean work %.1f s, seed %d)\n\n",
+			*nodes, *requests, specs[0].Config.EffectiveRatePerS(), *work, *seed)
+	}
+	// A trace or a replay records or replays one run; everything else is a
+	// sweep over the policy × coordination grid.
 	var (
 		metrics []sprinting.FleetMetrics
 		tr      *sprinting.FleetTrace
+		err     error
 	)
-	if *tracePath != "" {
-		m, rec, err := sprinting.SimulateFleetTracedContext(ctx, cfgs[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		if code := writeTrace(*tracePath, rec, stderr); code != 0 {
-			return code
-		}
-		metrics, tr = []sprinting.FleetMetrics{m}, rec
+	if *tracePath != "" || rows != nil {
+		var m sprinting.FleetMetrics
+		m, tr, err = sprinting.RunFleet(ctx, specs[0])
+		metrics = []sprinting.FleetMetrics{m}
 	} else {
-		var err error
-		metrics, err = sprinting.SimulateFleetSweepContext(ctx, cfgs, *workers)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
+		metrics, err = sprinting.RunFleetSweep(ctx, specs, *workers)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
+	}
+	if tr != nil {
+		if code := writeTrace(*tracePath, tr, stderr); code != 0 {
+			return code
 		}
 	}
 	if *memProfile != "" {
@@ -790,11 +678,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	if scen != nil {
+		printScenarioReport(*scenarioPath, *scen, metrics, stdout)
+		if tr != nil && *traceSummary {
+			printTraceSummary(stdout, *tracePath, tr)
+		}
+		return 0
+	}
+	if rows != nil {
+		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
+			*replayPath, len(rows), *nodes, *seed)
+	}
 	if len(metrics) > 0 && metrics[0].ApproxQuantiles {
 		fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
 	}
 
 	printRunTable(stdout, rackMode, metrics)
+	if rows != nil || wspec != nil {
+		return 0
+	}
 	if rackMode {
 		fmt.Fprintln(stdout, "\nuncoordinated sprints can trip the rack breaker; token permits make trips impossible by construction")
 	} else {

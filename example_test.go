@@ -1,6 +1,7 @@
 package sprinting_test
 
 import (
+	"context"
 	"fmt"
 
 	"sprinting"
@@ -109,10 +110,10 @@ func ExampleSimulateSprintThermals() {
 	// sprint a little over a second: true
 }
 
-// ExampleSimulateFleet runs the datacenter fleet simulation: dispatch
+// ExampleRunFleet runs the datacenter fleet simulation: dispatch
 // policies over governor-managed sprint-capable nodes near saturation,
 // where routing on thermal headroom holds the latency tail down.
-func ExampleSimulateFleet() {
+func ExampleRunFleet() {
 	load := func(p sprinting.FleetPolicy) sprinting.FleetConfig {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 8
@@ -121,11 +122,12 @@ func ExampleSimulateFleet() {
 		cfg.ArrivalRatePerS = 0.95 * float64(cfg.Nodes) / cfg.MeanWorkS
 		return cfg
 	}
-	rr, err := sprinting.SimulateFleet(load(sprinting.FleetRoundRobin))
+	ctx := context.Background()
+	rr, _, err := sprinting.RunFleet(ctx, sprinting.FleetSpec{Config: load(sprinting.FleetRoundRobin)})
 	if err != nil {
 		panic(err)
 	}
-	sa, err := sprinting.SimulateFleet(load(sprinting.FleetSprintAware))
+	sa, _, err := sprinting.RunFleet(ctx, sprinting.FleetSpec{Config: load(sprinting.FleetSprintAware)})
 	if err != nil {
 		panic(err)
 	}
@@ -138,19 +140,19 @@ func ExampleSimulateFleet() {
 	// thermal-headroom routing denies no sprints: true
 }
 
-// ExampleSimulateScenario_trace attaches the flight recorder to a flash
+// ExampleRunFleet_trace attaches the flight recorder to a flash
 // crowd: the trace carries every dispatch decision with its winning key
 // and rejected alternatives, phase-annotated timeline samples, and —
 // because each alternative is probed against the node's actual future —
 // the counterfactual regret of every completed decision.
-func ExampleSimulateScenario_trace() {
+func ExampleRunFleet_trace() {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 8
 	cfg.Seed = 1
 	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceDecisions, TopK: 3, WindowS: 10}
-	sc := sprinting.ScenarioConfig{
-		Fleet: cfg,
-		Scenario: sprinting.FleetScenario{
+	spec := sprinting.FleetSpec{
+		Config: cfg,
+		Scenario: &sprinting.FleetScenario{
 			BaseRatePerS: 0.9 * float64(cfg.Nodes) / cfg.MeanWorkS,
 			Phases: []sprinting.ScenarioPhase{
 				{Name: "baseline", DurationS: 40, StartFactor: 0.7},
@@ -158,11 +160,13 @@ func ExampleSimulateScenario_trace() {
 			},
 		},
 	}
-	m, tr, err := sprinting.SimulateScenarioTraced(sc)
+	ctx := context.Background()
+	m, tr, err := sprinting.RunFleet(ctx, spec)
 	if err != nil {
 		panic(err)
 	}
-	plain, err := sprinting.SimulateScenario(sc)
+	spec.Config.Trace.Level = sprinting.TraceOff
+	plain, _, err := sprinting.RunFleet(ctx, spec)
 	if err != nil {
 		panic(err)
 	}

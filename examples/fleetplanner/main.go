@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		rateRPS   = 6.0  // offered fleet-wide load
 		meanWorkS = 2.0  // mean single-core seconds per request
@@ -43,16 +45,16 @@ func main() {
 
 	smallest := map[sprinting.FleetPolicy]int{}
 	for _, nodes := range fleetSizes {
-		var cfgs []sprinting.FleetConfig
+		var specs []sprinting.FleetSpec
 		for _, p := range policies {
 			cfg := sprinting.DefaultFleetConfig(p)
 			cfg.Nodes = nodes
 			cfg.Requests = 4000
 			cfg.ArrivalRatePerS = rateRPS
 			cfg.MeanWorkS = meanWorkS
-			cfgs = append(cfgs, cfg)
+			specs = append(specs, sprinting.FleetSpec{Config: cfg})
 		}
-		metrics, err := sprinting.SimulateFleetSweep(cfgs, 0)
+		metrics, err := sprinting.RunFleetSweep(ctx, specs, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func main() {
 	const rackNodes = 16
 	fmt.Printf("\nrack check: %d nodes on one circuit, overloaded 20%% past sustained capacity\n\n", rackNodes)
 	fmt.Printf("%-14s %9s %7s %13s %12s\n", "coordination", "p99 (s)", "trips", "throttled (s)", "denied %")
-	var rackCfgs []sprinting.FleetConfig
+	var rackSpecs []sprinting.FleetSpec
 	for _, c := range sprinting.RackCoordinations() {
 		cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 		cfg.Nodes = rackNodes
@@ -95,9 +97,9 @@ func main() {
 		cfg.Coordination = c
 		cfg.RackSize = rackNodes
 		cfg.RackPowerBudgetW = sprinting.RackBudgetW(rackNodes, 1, cfg.Node)
-		rackCfgs = append(rackCfgs, cfg)
+		rackSpecs = append(rackSpecs, sprinting.FleetSpec{Config: cfg})
 	}
-	rackMetrics, err := sprinting.SimulateFleetSweep(rackCfgs, 0)
+	rackMetrics, err := sprinting.RunFleetSweep(ctx, rackSpecs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +125,14 @@ func main() {
 	}
 	fmt.Printf("\nflash-crowd check: %d nodes, %.1f→%.1f req/s surge with node churn\n\n", 16, 0.8*rateRPS, 1.5*rateRPS)
 	fmt.Printf("%-14s %11s %11s %13s %9s %8s\n", "policy", "steady p99", "surge p99", "recovery p99", "failures", "redisp")
-	var scs []sprinting.ScenarioConfig
+	var scs []sprinting.FleetSpec
 	for _, p := range policies {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 16
 		cfg.MeanWorkS = meanWorkS
-		scs = append(scs, sprinting.ScenarioConfig{Fleet: cfg, Scenario: scenario})
+		scs = append(scs, sprinting.FleetSpec{Config: cfg, Scenario: &scenario})
 	}
-	scenMetrics, err := sprinting.SimulateScenarioSweep(scs, 0)
+	scenMetrics, err := sprinting.RunFleetSweep(ctx, scs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // The tracehook analyzer. The flight recorder's zero-cost-when-off
 // contract (internal/fleet/trace.go) hangs on one convention: the
-// recorder is a nil pointer on the sim unless the run came through a
-// traced entry point, and every hook call from simulator code is
+// recorder is a nil pointer on the sim unless the run's trace level is
+// on, and every hook call from simulator code is
 // guarded by a nil check on that pointer. An unguarded call is a panic
 // on every untraced run — the overwhelmingly common case — and the
 // runtime tests only catch it on the paths they happen to execute.

@@ -46,7 +46,7 @@ func FleetPolicy(ctx context.Context, opt Options) ([]*table.Table, error) {
 	}
 	metrics, err := engine.Map(ctx, cells,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
-			return fleet.Simulate(ctx, cfg)
+			return runFleet(ctx, fleet.Spec{Config: cfg})
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err
@@ -75,4 +75,10 @@ func FleetPolicy(ctx context.Context, opt Options) ([]*table.Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// runFleet is fleet.Run for a sweep point; sweep points never trace.
+func runFleet(ctx context.Context, spec fleet.Spec) (fleet.Metrics, error) {
+	m, _, err := fleet.Run(ctx, spec)
+	return m, err
 }

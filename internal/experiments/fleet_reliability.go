@@ -84,7 +84,7 @@ func FleetReliability(ctx context.Context, opt Options) ([]*table.Table, error) 
 	}
 	metrics, err := engine.Map(ctx, cfgs,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
-			return fleet.SimulateScenario(ctx, cfg, sc)
+			return runFleet(ctx, fleet.Spec{Config: cfg, Scenario: &sc})
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

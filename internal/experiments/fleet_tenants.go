@@ -58,7 +58,8 @@ func FleetTenants(ctx context.Context, opt Options) ([]*table.Table, error) {
 	}
 	metrics, err := engine.Map(ctx, disciplines,
 		func(ctx context.Context, disc string) (fleet.Metrics, error) {
-			return fleet.SimulateWorkload(ctx, base(), tenantMix(opt.Scale, disc))
+			w := tenantMix(opt.Scale, disc)
+			return runFleet(ctx, fleet.Spec{Config: base(), Workload: &w})
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

@@ -56,7 +56,7 @@ func RackCoordination(ctx context.Context, opt Options) ([]*table.Table, error) 
 	}
 	metrics, err := engine.Map(ctx, cells,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
-			return fleet.Simulate(ctx, cfg)
+			return runFleet(ctx, fleet.Spec{Config: cfg})
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

@@ -78,6 +78,18 @@ import (
 // unchanged.
 const exactQuantileCutoff = 1 << 17
 
+// Size caps: a bad size fails validation instead of panicking in make,
+// dying out of memory in the arrival generator, or emitting timeline
+// samples without end. requestCap bounds every load source (Config.Requests,
+// Scenario.MaxRequests, WorkloadSpec.MaxRequests, replay rows), maxNodes
+// the fleet (the largest in-repo fleet is 10,000 nodes), and
+// minTraceWindowS a non-default recorder window.
+const (
+	requestCap      = 16 << 20
+	maxNodes        = 1 << 20
+	minTraceWindowS = 1e-3
+)
+
 // Config parameterizes one fleet simulation; zero fields take the
 // DefaultConfig values.
 type Config struct {
@@ -123,9 +135,9 @@ type Config struct {
 	Workers int
 
 	// Trace configures the flight recorder (see TraceConfig in trace.go).
-	// Simulate and SimulateScenario ignore it entirely — recording
-	// requires the SimulateTraced / SimulateScenarioTraced entry points,
-	// so the plain hot path pays nothing for the field's existence.
+	// Run attaches a recorder iff Trace.Level is not LevelOff; at the zero
+	// value no recorder exists, so the untraced hot path pays nothing for
+	// the field's existence.
 	Trace TraceConfig
 
 	// Coordination selects the rack sprint-arbitration policy; the zero
@@ -323,8 +335,12 @@ func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("fleet: need at least one node")
+	case c.Nodes > maxNodes:
+		return fmt.Errorf("fleet: %d nodes exceeds the %d-node cap", c.Nodes, maxNodes)
 	case c.Requests <= 0:
 		return fmt.Errorf("fleet: need at least one request")
+	case c.Requests > requestCap:
+		return fmt.Errorf("fleet: %d requests exceeds the %d-request cap", c.Requests, requestCap)
 	case c.MeanWorkS <= 0:
 		return fmt.Errorf("fleet: mean work must be positive")
 	case c.QueueCap <= 0:
@@ -349,6 +365,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: trace top-k must be non-negative")
 	case c.Trace.WindowS < 0:
 		return fmt.Errorf("fleet: trace window must be non-negative")
+	case c.Trace.WindowS > 0 && c.Trace.WindowS < minTraceWindowS:
+		return fmt.Errorf("fleet: trace window must be 0 (the default) or at least %g s", minTraceWindowS)
 	}
 	if c.Coordination != NoCoordination {
 		switch {
@@ -528,7 +546,7 @@ type Metrics struct {
 	// Racks is the per-rack breakdown.
 	Racks []RackStats
 
-	// Scenario outcome (SimulateScenario only; otherwise zero/nil).
+	// Scenario outcome (scenario runs only; otherwise zero/nil).
 	// NodeFailures and NodeRecoveries count churn events; Redispatches
 	// counts request copies failed over from a dead node to a live one
 	// (an orphaned copy that finds no queue space anywhere is a Dropped).
@@ -723,8 +741,8 @@ type sim struct {
 	hist      *series.Histogram
 	m         Metrics
 
-	// rec is the flight recorder, nil unless this run came through a
-	// traced entry point; every hook in the engine is a nil check on it
+	// rec is the flight recorder, nil unless Config.Trace.Level is on;
+	// every hook in the engine is a nil check on it
 	// and the recorder only ever reads simulation state (see trace.go).
 	// A non-nil recorder forces the single loop (parallelOK), so the
 	// record stream is the exact global event order.
@@ -772,8 +790,8 @@ func baseClass(cfg Config) nodeClass {
 // cl returns the node's class constants.
 func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 
-// newSim assembles the simulation state shared by Simulate and
-// SimulateScenario; cfg must already be defaulted and validated, and
+// newSim assembles the simulation state for Run; cfg must already be
+// defaulted and validated, and
 // cfg.Requests must be the final trace length (quantile-mode selection
 // reads it). A non-nil scen supplies the classes and per-node assignment;
 // a non-nil rec attaches the flight recorder; a non-nil wl attaches the
@@ -865,37 +883,235 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 	return s
 }
 
-// Simulate runs the fleet under the configuration and returns its metrics.
-// The simulation is deterministic: the same Config always yields the same
-// Metrics. The context is checked periodically so very large traces can be
-// cancelled.
-func Simulate(ctx context.Context, cfg Config) (Metrics, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	return simulate(ctx, cfg, nil)
+// Spec is one fleet run: the configuration and the load source it serves.
+// With no source set, the run draws the synthetic open-loop stream Config
+// describes. Scenario plays its phases, ambient shifts, node classes and
+// churn. Workload draws its tenant populations, riding Scenario's timeline
+// when one is set and a flat timeline of Workload.DurationS otherwise.
+// A non-nil Replay drives the run from recorded rows; Workload then only
+// declares the classes the rows' labels resolve against.
+type Spec struct {
+	Config   Config
+	Scenario *Scenario
+	Workload *WorkloadSpec
+	Replay   []TraceRequest
 }
 
-// simulate is the body shared by Simulate and SimulateTraced; cfg is
-// already defaulted and validated.
-func simulate(ctx context.Context, cfg Config, rec *recorder) (Metrics, error) {
-	s := newSim(cfg, nil, rec, nil)
+// Run simulates one fleet run and returns its metrics. The flight recorder
+// attaches iff Config.Trace.Level is not LevelOff; the trace is nil
+// otherwise, and a traced run's metrics equal the untraced run's. Every
+// load source lowers to the same request arena and event loop, so the
+// result is a pure function of the spec, byte-identical at any
+// Config.Workers count. The context is checked periodically so very large
+// runs can be cancelled.
+func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
+	cfg, sc, w, rows := spec.Config, spec.Scenario, spec.Workload, spec.Replay
+	switch {
+	case rows != nil && sc != nil:
+		return Metrics{}, nil, fmt.Errorf("fleet: a replay takes its arrivals from the trace; it cannot ride a scenario")
+	case cfg.Trace.Level != trace.LevelOff && (w != nil || rows != nil):
+		return Metrics{}, nil, fmt.Errorf("fleet: the flight recorder covers synthetic and scenario runs only; turn the trace off for workload and replay runs")
+	}
+	// Resolve every source's defaults (sc and w point at private copies
+	// from here on) and validate the sources, then the config, before
+	// generating anything. A scenario or replay supersedes
+	// Config.Requests: the config is checked at the most requests the
+	// source can produce, so one cap bounds every source.
+	if w != nil {
+		if rows == nil && sc == nil {
+			// Without a scenario, the tenants ride a flat timeline.
+			if !(w.DurationS > 0) {
+				return Metrics{}, nil, fmt.Errorf("fleet: workload needs a positive duration")
+			}
+			sc = &Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
+		}
+		ws := w.withDefaults()
+		if err := ws.Validate(); err != nil {
+			return Metrics{}, nil, err
+		}
+		w = &ws
+	}
+	if sc != nil {
+		scen := sc.withDefaults()
+		sc = &scen
+		if n := sc.Nodes(); n > 0 {
+			cfg.Nodes = n
+		}
+	}
+	cfg = cfg.withDefaults()
+	switch {
+	case rows != nil:
+		if err := ValidateRequestTrace(rows); err != nil {
+			return Metrics{}, nil, err
+		}
+		if w != nil && len(w.Tenants) > 0 {
+			return Metrics{}, nil, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
+		}
+		cfg.Requests = len(rows)
+	case sc != nil:
+		if err := sc.Validate(cfg); err != nil {
+			return Metrics{}, nil, err
+		}
+		cfg.Requests = sc.MaxRequests
+		if w != nil {
+			if len(w.Tenants) == 0 {
+				return Metrics{}, nil, fmt.Errorf("fleet: workload needs at least one tenant")
+			}
+			if w.MaxRequests > 0 {
+				cfg.Requests = w.MaxRequests
+			}
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return Metrics{}, nil, err
+	}
 
-	// Open-loop arrival trace: the session burst generator at the fleet's
-	// aggregate rate (mean gap = 1/rate). The trace is time-sorted with
-	// strictly increasing arrivals, so it is consumed through a cursor
-	// rather than heaped; on an exact tie with a scheduled event the
-	// arrival fires first, matching the historical seq ordering in which
-	// every arrival was pushed before any dynamic event.
-	bursts := session.GenerateBursts(cfg.Requests, 1/s.rate, cfg.MeanWorkS, cfg.Seed)
-	s.reqs = getArena(len(bursts))
-	for i, b := range bursts {
-		s.reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
+	var (
+		reqs    []request
+		offered []int
+		wl      *workloadRun
+		err     error
+	)
+	switch {
+	case rows != nil:
+		// A fully unlabeled trace replays with no workload state at all, so
+		// replaying a recording of a plain run reproduces its Metrics.
+		labeled := w != nil
+		for i := 0; i < len(rows) && !labeled; i++ {
+			labeled = rows[i].Tenant != "" || rows[i].Class != "" || rows[i].Width > 0
+		}
+		var slos, tenants []int16
+		if labeled {
+			if wl, slos, tenants, err = buildReplayRun(rows, w); err != nil {
+				return Metrics{}, nil, err
+			}
+		}
+		reqs = getArena(len(rows))
+		for i := range rows {
+			row := &rows[i]
+			reqs[i] = request{arrivalS: row.ArrivalS, workS: row.WorkS, doneS: -1, firstNode: -1}
+			if wl != nil {
+				reqs[i].slo, reqs[i].tenant, reqs[i].width = slos[i], tenants[i], uint16(row.Width)
+			}
+		}
+	case w != nil:
+		var truncated bool
+		reqs, offered, truncated = w.generate(cfg, *sc, cfg.Requests)
+		switch {
+		case truncated:
+			err = fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", cfg.Requests)
+		case len(reqs) == 0:
+			err = fmt.Errorf("fleet: workload generated no arrivals (tenant rates too low for the timeline)")
+		}
+		wl = newWorkloadRun(*w)
+	case sc != nil:
+		baseRate := sc.BaseRatePerS
+		if baseRate <= 0 {
+			baseRate = cfg.EffectiveRatePerS()
+		}
+		var truncated bool
+		reqs, offered, truncated = sc.generate(cfg, baseRate)
+		switch {
+		case truncated:
+			err = fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
+		case len(reqs) == 0:
+			err = fmt.Errorf("fleet: scenario generated no arrivals (rate %.3g req/s too low for its duration)", baseRate)
+		}
+	default:
+		// The session burst generator at the fleet's aggregate rate (mean
+		// gap = 1/rate). The stream is time-sorted with strictly increasing
+		// arrivals, so it is consumed through a cursor rather than heaped;
+		// on an exact tie with a scheduled event the arrival fires first,
+		// matching the historical seq ordering in which every arrival was
+		// pushed before any dynamic event.
+		bursts := session.GenerateBursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed)
+		reqs = getArena(len(bursts))
+		for i, b := range bursts {
+			reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
+		}
+	}
+	if err != nil {
+		putArena(reqs)
+		return Metrics{}, nil, err
+	}
+	cfg.Requests = len(reqs)
+	streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
+	if wl != nil && streaming {
+		for i := range wl.acc {
+			wl.acc[i].hist = series.NewHistogram()
+		}
+	}
+	var run *scenarioRun
+	if sc != nil {
+		run = newScenarioRun(cfg, *sc, offered, streaming)
+	}
+	var rec *recorder
+	if cfg.Trace.Level != trace.LevelOff {
+		rec = newRecorder(cfg)
+	}
+	s := newSim(cfg, run, rec, wl)
+	s.reqs = reqs
+	if run != nil {
+		s.scheduleScenario()
 	}
 	m, err := s.start(ctx)
 	putArena(s.reqs)
-	return m, err
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	if rec != nil {
+		return m, rec.tr, nil
+	}
+	return m, nil, nil
+}
+
+// The five wrappers below exist only because the benchmark's per-layer
+// harness (bench/traced, a separate module that times these exact calls)
+// still links against them. Each is one call to Run; they go when that
+// harness moves to Run. Simulate, SimulateScenario,
+// SimulateScenarioWorkload and SimulateReplay never attached the
+// recorder, so they turn Config.Trace off; SimulateScenarioTraced always
+// did, recording at LevelDecisions when the level is off.
+
+// Simulate is Run on the synthetic stream, untraced.
+func Simulate(ctx context.Context, cfg Config) (Metrics, error) {
+	return metricsOnly(Run(ctx, Spec{Config: untraced(cfg)}))
+}
+
+// SimulateScenario is Run on a scenario, untraced.
+func SimulateScenario(ctx context.Context, cfg Config, sc Scenario) (Metrics, error) {
+	return metricsOnly(Run(ctx, Spec{Config: untraced(cfg), Scenario: &sc}))
+}
+
+// SimulateScenarioWorkload is Run with a workload riding a scenario,
+// untraced.
+func SimulateScenarioWorkload(ctx context.Context, cfg Config, sc Scenario, w WorkloadSpec) (Metrics, error) {
+	return metricsOnly(Run(ctx, Spec{Config: untraced(cfg), Scenario: &sc, Workload: &w}))
+}
+
+// SimulateScenarioTraced is Run on a scenario with the recorder attached.
+func SimulateScenarioTraced(ctx context.Context, cfg Config, sc Scenario) (Metrics, *trace.Trace, error) {
+	return Run(ctx, Spec{Config: traced(cfg), Scenario: &sc})
+}
+
+// SimulateReplay is Run on a request trace, untraced; spec declares the
+// classes the rows' labels resolve against.
+func SimulateReplay(ctx context.Context, cfg Config, rows []TraceRequest, spec *WorkloadSpec) (Metrics, error) {
+	return metricsOnly(Run(ctx, Spec{Config: untraced(cfg), Replay: rows, Workload: spec}))
+}
+
+func metricsOnly(m Metrics, _ *trace.Trace, err error) (Metrics, error) { return m, err }
+
+func untraced(cfg Config) Config {
+	cfg.Trace.Level = trace.LevelOff
+	return cfg
+}
+
+func traced(cfg Config) Config {
+	if cfg.Trace.Level == trace.LevelOff {
+		cfg.Trace.Level = trace.LevelDecisions
+	}
+	return cfg
 }
 
 // run drives the merged arrival-cursor / event-heap loop to completion

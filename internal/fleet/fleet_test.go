@@ -22,7 +22,7 @@ func highLoad(p Policy) Config {
 
 func mustSimulate(t *testing.T, cfg Config) Metrics {
 	t.Helper()
-	m, err := Simulate(context.Background(), cfg)
+	m, _, err := Run(context.Background(), Spec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(RoundRobin); c.Node.SprintPowerW = -5; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := Simulate(context.Background(), cfg.withDefaults()); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: cfg.withDefaults()}); err == nil {
 			t.Errorf("config %d should fail validation", i)
 		}
 	}
@@ -251,7 +251,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			cfg := base
 			f.set(&cfg, v)
-			if _, err := Simulate(context.Background(), cfg); err == nil {
+			if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
 				t.Errorf("%s = %g: Simulate returned a nil error", f.name, v)
 			}
 		}
@@ -263,7 +263,7 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	cfg := DefaultConfig(RoundRobin)
 	cfg.Requests = 20000
-	if _, err := Simulate(ctx, cfg); err == nil {
+	if _, _, err := Run(ctx, Spec{Config: cfg}); err == nil {
 		t.Error("cancelled context should abort a large simulation")
 	}
 }

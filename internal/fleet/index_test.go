@@ -282,7 +282,7 @@ func TestIndexedDispatchAtScaleSmoke(t *testing.T) {
 		cfg := DefaultConfig(p)
 		cfg.Nodes = 500
 		cfg.Requests = 5000
-		m, err := Simulate(context.Background(), cfg)
+		m, _, err := Run(context.Background(), Spec{Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

@@ -29,12 +29,12 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range []Policy{LeastLoaded, SprintAware, Hedged} {
 		small := testing.AllocsPerRun(3, func() {
-			if _, err := Simulate(ctx, cfgFor(p, 2000)); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfgFor(p, 2000)}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		large := testing.AllocsPerRun(3, func() {
-			if _, err := Simulate(ctx, cfgFor(p, 10000)); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfgFor(p, 10000)}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -43,13 +43,13 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 				p, delta, small, large)
 		}
 		// The flight recorder's zero-cost-when-off contract: tracing is
-		// keyed on the entry point, so a Config with Trace set but run
-		// through plain Simulate must allocate exactly what the untraced
-		// run does — the recorder hooks are nil checks, nothing more.
+		// keyed on the level, so a Config with trace knobs set but the
+		// level off must allocate exactly what the untraced run does —
+		// the recorder hooks are nil checks, nothing more.
 		traceOff := testing.AllocsPerRun(3, func() {
 			cfg := cfgFor(p, 10000)
 			cfg.Trace = TraceConfig{TopK: 5, WindowS: 1}
-			if _, err := Simulate(ctx, cfg); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfg}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -66,7 +66,7 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 		sharded := testing.AllocsPerRun(3, func() {
 			cfg := cfgFor(p, 10000)
 			cfg.Workers = 8
-			if _, err := Simulate(ctx, cfg); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfg}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -102,7 +102,7 @@ func TestSprintEndTripTieAtCompletion(t *testing.T) {
 	cfg.RackPowerBudgetW = 8
 	cfg.RackBufferJ = 8
 	rows := []TraceRequest{{ArrivalS: 10, WorkS: 16}, {ArrivalS: 100, WorkS: 16}}
-	m, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)
 	}

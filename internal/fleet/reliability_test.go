@@ -287,7 +287,7 @@ func TestRackChurnCorrelatedFailures(t *testing.T) {
 	cfg, sc := relChurnScenario()
 	cfg.Reliability = Reliability{} // isolate rack churn
 	cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
-	m, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	m, tr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,13 +322,13 @@ func TestRackChurnCorrelatedFailures(t *testing.T) {
 func TestRackChurnNeedsCoordination(t *testing.T) {
 	cfg, sc := flashCrowdChurn()
 	sc.Churn.RackMTBFS = 30
-	if _, err := SimulateScenario(context.Background(), cfg, sc); err == nil ||
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil ||
 		!strings.Contains(err.Error(), "rack power domains") {
 		t.Errorf("rack churn without coordination should fail validation, got %v", err)
 	}
 	sc.Churn.RackMTBFS = -1
 	cfg.Coordination = TokenPermit
-	if _, err := SimulateScenario(context.Background(), cfg, sc); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil {
 		t.Error("negative rack MTBF accepted")
 	}
 }
@@ -353,7 +353,7 @@ func TestReliabilityValidate(t *testing.T) {
 		cfg := DefaultConfig(RoundRobin)
 		cfg.Requests = 10
 		cfg.Reliability = rl
-		if _, err := Simulate(context.Background(), cfg); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
 			t.Errorf("Reliability %+v accepted", rl)
 		}
 	}
@@ -371,7 +371,7 @@ func TestScenarioDowntimeClampRegression(t *testing.T) {
 	cfg.RackSize = 4
 	sc.Churn = Churn{MTBFS: 5, MeanDowntimeS: 1e-12, RackMTBFS: 40, RackMeanDowntimeS: 1e-12}
 	cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
-	m, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	m, tr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}

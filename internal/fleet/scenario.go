@@ -25,7 +25,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -105,8 +104,8 @@ type NodeClass struct {
 	// Name labels the class.
 	Name string `json:"name"`
 	// Count is the number of nodes of this class; the class counts must
-	// sum to the fleet size (SimulateScenario derives Config.Nodes from
-	// them when classes are declared).
+	// sum to the fleet size (Run derives Config.Nodes from them when
+	// classes are declared).
 	Count int `json:"count"`
 	// SprintPowerW / NominalPowerW override the per-node powers
 	// (0 = the base Config.Node values).
@@ -259,8 +258,8 @@ func (sc Scenario) Validate(cfg Config) error {
 	if sc.BaseRatePerS < 0 || math.IsInf(sc.BaseRatePerS, 0) || math.IsNaN(sc.BaseRatePerS) {
 		return fmt.Errorf("fleet: scenario base rate must be finite and non-negative")
 	}
-	if sc.MaxRequests <= 0 {
-		return fmt.Errorf("fleet: scenario request cap must be positive")
+	if sc.MaxRequests <= 0 || sc.MaxRequests > requestCap {
+		return fmt.Errorf("fleet: scenario request cap must be in [1, %d]", requestCap)
 	}
 	for i, p := range sc.Phases {
 		switch {
@@ -291,8 +290,8 @@ func (sc Scenario) Validate(cfg Config) error {
 		}
 		for _, c := range sc.Classes {
 			switch {
-			case c.Count <= 0:
-				return fmt.Errorf("fleet: class %q: count must be positive", c.Name)
+			case c.Count <= 0 || c.Count > maxNodes:
+				return fmt.Errorf("fleet: class %q: count must be in [1, %d]", c.Name, maxNodes)
 			case c.SprintWidth < 0:
 				return fmt.Errorf("fleet: class %q: sprint width must be non-negative", c.Name)
 			case c.QueueCap < 0:
@@ -386,7 +385,7 @@ func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
 }
 
 // phaseAcc accumulates one phase's outcome; latencies stream into a
-// histogram exactly when the whole run does (see SimulateScenario).
+// histogram exactly when the whole run does (see Run).
 type phaseAcc struct {
 	offered, completed, dropped     int
 	served, denials                 int
@@ -574,84 +573,13 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offer
 	}
 }
 
-// SimulateScenario runs the fleet through the scenario and returns its
-// metrics, including the per-phase breakdown in Metrics.Phases. The base
-// Config supplies the fleet (Config.Requests and ArrivalRatePerS are
-// superseded by the scenario's phases; Config.Nodes is derived from the
-// class counts when classes are declared). Like Simulate, the result is a
-// pure function of (cfg, sc) — byte-identical at any worker count.
-func SimulateScenario(ctx context.Context, cfg Config, sc Scenario) (Metrics, error) {
-	return simulateScenario(ctx, cfg, sc, nil, nil)
-}
-
-// simulateScenario is the body shared by SimulateScenario,
-// SimulateScenarioTraced, and the workload entry points; a non-nil rec
-// attaches the flight recorder, a non-nil wspec replaces the synthesized
-// single-population arrivals with the workload's merged tenant streams
-// (each still modulated by the scenario's phase factors).
-func simulateScenario(ctx context.Context, cfg Config, sc Scenario, rec *recorder, wspec *WorkloadSpec) (Metrics, error) {
-	sc = sc.withDefaults()
-	if n := sc.Nodes(); n > 0 {
-		cfg.Nodes = n
-	}
-	cfg = cfg.withDefaults()
-	if err := sc.Validate(cfg); err != nil {
-		return Metrics{}, err
-	}
-	var w WorkloadSpec
-	if wspec != nil {
-		w = wspec.withDefaults()
-		if err := w.Validate(); err != nil {
-			return Metrics{}, err
-		}
-		if len(w.Tenants) == 0 {
-			return Metrics{}, fmt.Errorf("fleet: workload needs at least one tenant")
-		}
-	}
-	var (
-		reqs      []request
-		offered   []int
-		truncated bool
-	)
-	baseRate := sc.BaseRatePerS
-	if wspec != nil {
-		maxReqs := sc.MaxRequests
-		if w.MaxRequests > 0 {
-			maxReqs = w.MaxRequests
-		}
-		reqs, offered, truncated = w.generate(cfg, sc, maxReqs)
-		if truncated {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", maxReqs)
-		}
-		if len(reqs) == 0 {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: workload generated no arrivals (tenant rates too low for the timeline)")
-		}
-	} else {
-		if baseRate <= 0 {
-			baseRate = cfg.EffectiveRatePerS()
-		}
-		reqs, offered, truncated = sc.generate(cfg, baseRate)
-		if truncated {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
-		}
-		if len(reqs) == 0 {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: scenario generated no arrivals (rate %.3g req/s too low for its duration)", baseRate)
-		}
-	}
-	cfg.Requests = len(reqs)
-	if err := cfg.Validate(); err != nil {
-		putArena(reqs)
-		return Metrics{}, err
-	}
-
+// newScenarioRun builds the live scenario state for a defaulted,
+// validated scenario whose arrivals are generated: offered holds the
+// per-phase arrival counts and streaming the run-wide quantile mode.
+func newScenarioRun(cfg Config, sc Scenario, offered []int, streaming bool) *scenarioRun {
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc)
 	run.acc = make([]phaseAcc, len(sc.Phases))
-	streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
 	for i := range run.acc {
 		run.acc[i].offered = offered[i]
 		if streaming {
@@ -661,35 +589,31 @@ func simulateScenario(ctx context.Context, cfg Config, sc Scenario, rec *recorde
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
 	}
-	var wl *workloadRun
-	if wspec != nil {
-		wl = newWorkloadRun(w, streaming)
-	}
-	s := newSim(cfg, run, rec, wl)
-	s.reqs = reqs
+	return run
+}
 
-	// Phase boundaries are scheduled up front; churn chains one failure
-	// event at a time from its dedicated stream.
+// scheduleScenario pushes the scenario's phase boundaries up front and
+// the first failure of each churn chain; churn then chains one failure
+// event at a time from its dedicated stream.
+func (s *sim) scheduleScenario() {
+	run, sc := s.scen, &s.scen.spec
 	start := 0.0
 	for i := 0; i < len(sc.Phases)-1; i++ {
 		start += sc.Phases[i].DurationS
 		s.push(event{atS: start, kind: evPhase, req: int32(i + 1)})
 	}
 	if sc.Churn.MTBFS > 0 {
-		run.churnRng = rand.New(rand.NewSource(cfg.Seed ^ churnSeed))
+		run.churnRng = rand.New(rand.NewSource(s.cfg.Seed ^ churnSeed))
 		if at := run.churnRng.ExpFloat64() * sc.Churn.MTBFS; at <= run.endS {
 			s.push(event{atS: at, kind: evNodeFail})
 		}
 	}
 	if sc.Churn.RackMTBFS > 0 {
-		run.rackChurnRng = rand.New(rand.NewSource(cfg.Seed ^ rackChurnSeed))
+		run.rackChurnRng = rand.New(rand.NewSource(s.cfg.Seed ^ rackChurnSeed))
 		if at := run.rackChurnRng.ExpFloat64() * sc.Churn.RackMTBFS; at <= run.endS {
 			s.push(event{atS: at, kind: evRackFail})
 		}
 	}
-	m, err := s.start(ctx)
-	putArena(s.reqs)
-	return m, err
 }
 
 // phaseStart enters phase i: the accounting cursor advances and, when the

@@ -67,7 +67,7 @@ func FuzzScenarioJSON(f *testing.F) {
 			if n := sc.Nodes(); n > 0 {
 				cfg.Nodes = n
 			}
-			_, _ = SimulateScenario(context.Background(), cfg, sc) // errors fine; panics are findings
+			_, _, _ = Run(context.Background(), Spec{Config: cfg, Scenario: &sc}) // errors fine; panics are findings
 		}
 	})
 }

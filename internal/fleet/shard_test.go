@@ -212,7 +212,7 @@ func closeRel(a, b, tol float64) bool {
 func TestWorkersValidate(t *testing.T) {
 	cfg := DefaultConfig(RoundRobin)
 	cfg.Workers = -1
-	if _, err := Simulate(context.Background(), cfg); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
 		t.Error("negative Workers accepted")
 	}
 	cfg = DefaultConfig(SprintAware)

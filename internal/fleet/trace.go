@@ -1,18 +1,16 @@
-// The flight recorder: when a simulation runs through SimulateTraced or
-// SimulateScenarioTraced with Config.Trace enabled, a recorder hangs off
-// the sim and captures every dispatch decision (chosen node, the key
-// that won, the top-k rejected alternatives), the lifecycle events
-// around it, and a rolling timeline of fleet state — then resolves
-// counterfactual probes against each alternative's realized future and
-// emits per-decision regret.
+// The flight recorder: when Run is given a Config.Trace level other than
+// LevelOff, a recorder hangs off the sim and captures every dispatch
+// decision (chosen node, the key that won, the top-k rejected
+// alternatives), the lifecycle events around it, and a rolling timeline
+// of fleet state — then resolves counterfactual probes against each
+// alternative's realized future and emits per-decision regret.
 //
 // Four invariants shape the implementation:
 //
-//   - Zero cost when off. The recorder is a nil pointer on the sim;
-//     every hook is a nil check on the hot path and the recording entry
-//     points are separate functions, so plain Simulate never allocates
-//     or branches further for it (TestSimulateSteadyStateAllocations
-//     pins this).
+//   - Zero cost when off. The recorder is a nil pointer on the sim
+//     unless the trace level is on, and every hook is a nil check on the
+//     hot path, so an untraced run never allocates or branches further
+//     for it (TestSimulateSteadyStateAllocations pins this).
 //
 //   - Byte-identical at any worker count. A recorder forces the single
 //     loop (parallelOK returns false), which fires events in the exact
@@ -50,7 +48,6 @@
 package fleet
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -59,8 +56,7 @@ import (
 )
 
 // TraceConfig configures the flight recorder. The zero value (LevelOff)
-// disables it; SimulateTraced treats LevelOff as LevelDecisions, since
-// calling the traced entry point is already the opt-in.
+// disables it.
 type TraceConfig struct {
 	// Level selects the capture depth: off, decisions, or full (see
 	// trace.Level).
@@ -75,9 +71,6 @@ type TraceConfig struct {
 
 // withDefaults resolves the recorder knobs.
 func (tc TraceConfig) withDefaults() TraceConfig {
-	if tc.Level == trace.LevelOff {
-		tc.Level = trace.LevelDecisions
-	}
 	if tc.TopK == 0 {
 		tc.TopK = 3
 	}
@@ -595,35 +588,4 @@ func rackOf(s *sim, n *node) int {
 		return -1
 	}
 	return n.rackID
-}
-
-// SimulateTraced runs the fleet exactly like Simulate with the flight
-// recorder attached, returning the metrics together with the recording.
-// Config.Trace selects the capture depth; its zero value records at
-// LevelDecisions (calling the traced entry point is the opt-in). The
-// metrics are identical to the untraced run's, and the trace — like the
-// metrics — is byte-identical at any Config.Workers value.
-func SimulateTraced(ctx context.Context, cfg Config) (Metrics, *trace.Trace, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, nil, err
-	}
-	rec := newRecorder(cfg)
-	m, err := simulate(ctx, cfg, rec)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	return m, rec.tr, nil
-}
-
-// SimulateScenarioTraced runs the scenario exactly like SimulateScenario
-// with the flight recorder attached; phase boundaries annotate the
-// timeline and churn events join the record stream. See SimulateTraced.
-func SimulateScenarioTraced(ctx context.Context, cfg Config, sc Scenario) (Metrics, *trace.Trace, error) {
-	rec := newRecorder(cfg)
-	m, err := simulateScenario(ctx, cfg, sc, rec, nil)
-	if err != nil {
-		return Metrics{}, nil, err
-	}
-	return m, rec.tr, nil
 }

@@ -132,9 +132,9 @@ func mustTraceShape(t *testing.T, cfg Config, sc *Scenario) *trace.Trace {
 	var tr *trace.Trace
 	var err error
 	if sc == nil {
-		_, tr, err = SimulateTraced(context.Background(), cfg)
+		_, tr, err = Run(context.Background(), Spec{Config: cfg})
 	} else {
-		_, tr, err = SimulateScenarioTraced(context.Background(), cfg, *sc)
+		_, tr, err = Run(context.Background(), Spec{Config: cfg, Scenario: sc})
 	}
 	if err != nil {
 		t.Fatal(err)

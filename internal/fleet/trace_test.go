@@ -11,9 +11,11 @@ import (
 	"sprinting/internal/trace"
 )
 
+// mustTraced runs cfg with the recorder attached, at LevelDecisions when
+// cfg leaves the level off.
 func mustTraced(t *testing.T, cfg Config) (Metrics, *trace.Trace) {
 	t.Helper()
-	m, tr, err := SimulateTraced(context.Background(), cfg)
+	m, tr, err := Run(context.Background(), Spec{Config: traced(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +92,14 @@ func TestTraceScenarioShardedMatchesSequential(t *testing.T) {
 			cfg.RackSize = 5
 		}
 		cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
-		seqM, seqTr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+		seqM, seqTr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqB := traceBytes(t, seqTr)
 		for _, w := range workerCounts {
 			cfg.Workers = w
-			gotM, gotTr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+			gotM, gotTr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +116,7 @@ func TestTraceScenarioShardedMatchesSequential(t *testing.T) {
 // TestTracedMetricsUnchanged is the observation-only contract: attaching
 // the recorder must not perturb the simulation — the traced run's
 // Metrics equal the untraced run's exactly, for every policy and
-// coordination, plain and scenario mode.
+// coordination, plain and scenario mode, whatever the trace knobs say.
 func TestTracedMetricsUnchanged(t *testing.T) {
 	for _, p := range Policies() {
 		for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
@@ -136,25 +138,22 @@ func TestTracedMetricsUnchanged(t *testing.T) {
 	}
 	cfg, sc := flashCrowdChurn()
 	plain := mustScenario(t, cfg, sc)
-	traced, _, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
+	traced, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, traced) {
 		t.Error("scenario: traced Metrics differ from untraced")
 	}
-}
-
-// TestTraceIgnoredWithoutTracedEntry pins the API contract the zero-cost
-// guarantee rests on: Config.Trace is inert through the plain entry
-// points — Simulate never builds a recorder, whatever the field says.
-func TestTraceIgnoredWithoutTracedEntry(t *testing.T) {
-	cfg := DefaultConfig(LeastLoaded)
+	// A config that only differs in its trace knobs: the recorder at the
+	// full level and a 1 s window still leaves Metrics untouched.
+	cfg = DefaultConfig(LeastLoaded)
 	cfg.Requests = 400
 	base := mustSimulate(t, cfg)
 	cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: 8, WindowS: 1}
-	if got := mustSimulate(t, cfg); !reflect.DeepEqual(got, base) {
-		t.Error("Config.Trace changed Simulate's result")
+	if got, _ := mustTraced(t, cfg); !reflect.DeepEqual(got, base) {
+		t.Error("full-level recorder changed the run's Metrics")
 	}
 }
 
@@ -303,8 +302,8 @@ func TestTraceLevels(t *testing.T) {
 // timeline samples attributed to the phase active at their boundary.
 func TestTraceScenarioAnnotations(t *testing.T) {
 	cfg, sc := flashCrowdChurn()
-	cfg.Trace = TraceConfig{WindowS: 10}
-	m, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	cfg.Trace = TraceConfig{Level: trace.LevelDecisions, WindowS: 10}
+	m, tr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +357,8 @@ func TestTraceValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(RoundRobin); c.Trace.WindowS = -2; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, _, err := SimulateTraced(context.Background(), cfg); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
 			t.Errorf("bad trace config %d accepted", i)
-		}
-		if _, err := Simulate(context.Background(), cfg); err == nil {
-			t.Errorf("bad trace config %d accepted by plain Simulate", i)
 		}
 	}
 }
@@ -435,7 +431,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 				cfg.RackSize = 4
 			}
 			cfg.Trace = TraceConfig{Level: trace.LevelFull, WindowS: 4}
-			_, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+			_, tr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 			if err != nil {
 				t.Fatal(err)
 			}

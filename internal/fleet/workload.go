@@ -1,23 +1,23 @@
 // Multi-tenant workloads: trace replay and declarative client
 // populations over the fleet simulator.
 //
-// Two new front ends feed the event loop's request arena in place of the
-// single-population synthesized cursor:
+// Two load sources feed the event loop's request arena in place of the
+// single-population synthesized cursor; Run lowers both (see Spec):
 //
-//   - Trace replay (SimulateReplay): a strict-decode JSON-lines or CSV
+//   - Trace replay (Spec.Replay): a strict-decode JSON-lines or CSV
 //     trace of (arrival_s, work_s, width, tenant, class) rows drives the
 //     run verbatim — deterministic what-if replays of recorded demand.
 //     ReplayFromRecording converts a flight-recorder Trace (PR 7) back
 //     into a replayable trace, closing the record→replay loop: replaying
 //     a recording of a plain run reproduces that run's arrivals exactly.
 //
-//   - Workload specs (SimulateWorkload / SimulateScenarioWorkload): N
+//   - Workload specs (Spec.Workload, alone or riding Spec.Scenario): N
 //     declared tenant populations, each with its own seeded arrival
 //     process (Poisson/Gamma/Weibull), work distribution (exp, fixed,
 //     lognormal, pareto), request-width distribution, and SLO class.
 //     Tenant streams are independently seeded, merged under a total
-//     (time, tenant) order, and — under SimulateScenarioWorkload —
-//     modulated by the scenario's phase factors.
+//     (time, tenant) order, and — under a scenario — modulated by its
+//     phase factors.
 //
 // The SLO classes bring per-class admission control (a token bucket per
 // class, reusing the reliability layer's bucket), per-class hedge-delay
@@ -39,7 +39,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -65,9 +64,6 @@ const (
 	maxSLOClasses = 128
 	maxTenants    = 4096
 	maxReqWidth   = 1 << 14
-	// traceRowCap bounds a parsed replay trace, the same safety rail as
-	// Scenario.MaxRequests: a runaway file fails loudly, never OOMs.
-	traceRowCap = 16 << 20
 )
 
 // TraceRequest is one row of a replayable request trace. ArrivalS and
@@ -123,8 +119,8 @@ func parseTraceJSONL(data []byte) ([]TraceRequest, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("fleet: trace row %d: %w", len(rows)+1, err)
 		}
-		if len(rows) >= traceRowCap {
-			return nil, fmt.Errorf("fleet: request trace exceeds the %d-row cap", traceRowCap)
+		if len(rows) >= requestCap {
+			return nil, fmt.Errorf("fleet: request trace exceeds the %d-row cap", requestCap)
 		}
 		rows = append(rows, tr)
 	}
@@ -161,7 +157,9 @@ func parseTraceCSV(data []byte) ([]TraceRequest, error) {
 	if col[0] < 0 || col[1] < 0 {
 		return nil, fmt.Errorf("fleet: trace header must name arrival_s and work_s (got %v)", header)
 	}
-	var rows []TraceRequest
+	// Non-nil even for a header-only file: a non-nil Spec.Replay selects
+	// replay, which then rejects the empty trace.
+	rows := []TraceRequest{}
 	for {
 		rec, err := rd.Read()
 		if err == io.EOF {
@@ -170,8 +168,8 @@ func parseTraceCSV(data []byte) ([]TraceRequest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trace row %d: %w", len(rows)+1, err)
 		}
-		if len(rows) >= traceRowCap {
-			return nil, fmt.Errorf("fleet: request trace exceeds the %d-row cap", traceRowCap)
+		if len(rows) >= requestCap {
+			return nil, fmt.Errorf("fleet: request trace exceeds the %d-row cap", requestCap)
 		}
 		var tr TraceRequest
 		if tr.ArrivalS, err = strconv.ParseFloat(rec[col[0]], 64); err != nil {
@@ -236,8 +234,8 @@ func ValidateRequestTrace(rows []TraceRequest) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("fleet: request trace has no rows")
 	}
-	if len(rows) > traceRowCap {
-		return fmt.Errorf("fleet: request trace exceeds the %d-row cap", traceRowCap)
+	if len(rows) > requestCap {
+		return fmt.Errorf("fleet: request trace exceeds the %d-row cap", requestCap)
 	}
 	prev := 0.0
 	for i := range rows {
@@ -370,16 +368,16 @@ type TenantSpec struct {
 type WorkloadSpec struct {
 	// Classes declares the SLO classes (1 to 128, required).
 	Classes []SLOClass `json:"classes"`
-	// Tenants declares the client populations (required for the workload
-	// entry points; must be empty for SimulateReplay, where the trace
-	// supplies the population).
+	// Tenants declares the client populations (required unless the spec
+	// rides a replay, where the trace supplies the population and this
+	// must be empty).
 	Tenants []TenantSpec `json:"tenants,omitempty"`
 	// Discipline selects the dequeue order at a node: fifo (default),
 	// priority (lowest class Priority first), or sjf (shortest work
 	// first). Ties keep FIFO order.
 	Discipline string `json:"discipline,omitempty"`
-	// DurationS is the run length for SimulateWorkload (ignored under
-	// SimulateScenarioWorkload, where the scenario timeline governs).
+	// DurationS is the run length when no scenario is set (ignored under
+	// a scenario, whose timeline governs).
 	DurationS float64 `json:"duration_s,omitempty"`
 	// MaxRequests caps the generated trace, overriding the scenario's cap
 	// when positive (0 inherits it).
@@ -527,8 +525,8 @@ func (w WorkloadSpec) Validate() error {
 		return fmt.Errorf("fleet: unknown dequeue discipline %q (want fifo|priority|sjf)", w.Discipline)
 	case w.DurationS < 0 || w.DurationS > 1e7 || math.IsNaN(w.DurationS):
 		return fmt.Errorf("fleet: workload duration must be in [0, 1e7] seconds")
-	case w.MaxRequests < 0 || w.MaxRequests > traceRowCap:
-		return fmt.Errorf("fleet: workload request cap must be in [0, %d]", traceRowCap)
+	case w.MaxRequests < 0 || w.MaxRequests > requestCap:
+		return fmt.Errorf("fleet: workload request cap must be in [0, %d]", requestCap)
 	}
 	return nil
 }
@@ -753,10 +751,10 @@ type workloadRun struct {
 	acc     []wlAcc
 }
 
-// newWorkloadRun lowers a defaulted, validated spec; streaming mirrors
-// the run-wide quantile mode so per-class quantiles carry the same
-// exact-vs-one-bin contract.
-func newWorkloadRun(w WorkloadSpec, streaming bool) *workloadRun {
+// newWorkloadRun lowers a defaulted, validated spec. Run gives each class
+// a streaming histogram when the run streams its quantiles, so per-class
+// quantiles carry the same exact-vs-one-bin contract.
+func newWorkloadRun(w WorkloadSpec) *workloadRun {
 	wl := &workloadRun{disc: w.discipline()}
 	classIdx := map[string]int16{}
 	for i, c := range w.Classes {
@@ -770,11 +768,6 @@ func newWorkloadRun(w WorkloadSpec, streaming bool) *workloadRun {
 		wl.tenants = append(wl.tenants, wlTenant{name: t.Name, class: classIdx[t.Class]})
 	}
 	wl.acc = make([]wlAcc, len(wl.classes))
-	if streaming {
-		for i := range wl.acc {
-			wl.acc[i].hist = series.NewHistogram()
-		}
-	}
 	return wl
 }
 
@@ -985,154 +978,41 @@ func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	}
 }
 
-// SimulateWorkload runs the declared multi-tenant workload over a flat
-// timeline of w.DurationS seconds. Like every entry point, the result is
-// a pure function of (cfg, w) — byte-identical at any Workers count.
-func SimulateWorkload(ctx context.Context, cfg Config, w WorkloadSpec) (Metrics, error) {
-	if !(w.DurationS > 0) {
-		return Metrics{}, fmt.Errorf("fleet: workload needs a positive duration")
-	}
-	sc := Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
-	return simulateScenario(ctx, cfg, sc, nil, &w)
-}
-
-// SimulateScenarioWorkload runs the workload's tenant populations
-// through the scenario's timeline: phase factors modulate every tenant's
-// arrival rate, and phases, ambient shifts, churn, and heterogeneous
-// classes all apply as in SimulateScenario.
-func SimulateScenarioWorkload(ctx context.Context, cfg Config, sc Scenario, w WorkloadSpec) (Metrics, error) {
-	return simulateScenario(ctx, cfg, sc, nil, &w)
-}
-
-// SimulateReplay replays a recorded request trace through the fleet: the
-// rows drive the arrival arena verbatim (ValidateRequestTrace order). A
-// non-nil spec declares the SLO classes trace labels resolve against —
-// admission, priorities, and disciplines then apply to the replay — and
-// must declare no tenants (the trace supplies the population). Without a
-// spec, labeled traces get implicit accounting-only classes and tenants
-// from their labels; a fully unlabeled trace replays through the plain
-// engine with no workload state at all, so replaying a recording of a
-// plain run reproduces that run's Metrics exactly.
-func SimulateReplay(ctx context.Context, cfg Config, rows []TraceRequest, spec *WorkloadSpec) (Metrics, error) {
-	cfg = cfg.withDefaults()
-	if err := ValidateRequestTrace(rows); err != nil {
-		return Metrics{}, err
-	}
-	var w WorkloadSpec
-	if spec != nil {
-		w = spec.withDefaults()
-		if err := w.Validate(); err != nil {
-			return Metrics{}, err
-		}
-		if len(w.Tenants) > 0 {
-			return Metrics{}, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
-		}
-	}
-	labeled := spec != nil
-	for i := range rows {
-		if rows[i].Tenant != "" || rows[i].Class != "" || rows[i].Width > 0 {
-			labeled = true
-			break
-		}
-	}
-	var (
-		wl      *workloadRun
-		slos    []int16
-		tenants []int16
-	)
-	if labeled {
-		var err error
-		if wl, slos, tenants, err = buildReplayRun(rows, spec, &w); err != nil {
-			return Metrics{}, err
-		}
-	}
-	cfg.Requests = len(rows)
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if wl != nil {
-		streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
-		if streaming {
-			for i := range wl.acc {
-				wl.acc[i].hist = series.NewHistogram()
-			}
-		}
-	}
-	reqs := getArena(len(rows))
-	for i := range rows {
-		row := &rows[i]
-		req := request{arrivalS: row.ArrivalS, workS: row.WorkS, doneS: -1, firstNode: -1}
-		if wl != nil {
-			req.slo = slos[i]
-			req.tenant = tenants[i]
-			req.width = uint16(row.Width)
-		}
-		reqs[i] = req
-	}
-	s := newSim(cfg, nil, nil, wl)
-	s.reqs = reqs
-	m, err := s.start(ctx)
-	putArena(reqs)
-	return m, err
-}
-
 // buildReplayRun resolves the trace's class/tenant labels into a
-// workloadRun plus per-row class and tenant indexes. With a spec the
-// classes are its declarations and unknown labels are errors; without
-// one, implicit classes and tenants are minted from the sorted unique
-// labels ("" reads as "default"), carrying accounting but no admission
-// or priorities.
-func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec, w *WorkloadSpec) (*workloadRun, []int16, []int16, error) {
-	classIdx := map[string]int16{}
-	wl := &workloadRun{disc: wlFIFO}
+// workloadRun plus per-row class and tenant indexes. With a spec (defaulted
+// and validated, no tenants) the classes are its declarations and unknown
+// labels are errors; without one, implicit classes and tenants are minted
+// from the sorted unique labels ("" reads as "default"), carrying
+// accounting but no admission or priorities.
+func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec) (*workloadRun, []int16, []int16, error) {
+	var wl *workloadRun
 	if spec != nil {
-		wl.disc = w.discipline()
-		for i, c := range w.Classes {
-			wl.classes = append(wl.classes, wlClass{
-				name: c.Name, priority: c.Priority, targetP99S: c.TargetP99S, hedgeS: c.HedgeDelayS,
-				bucket: tokenBucket{ratePerS: c.AdmitRatePerS, burst: c.AdmitBurst, tokens: c.AdmitBurst},
-			})
-			classIdx[c.Name] = int16(i)
-		}
+		wl = newWorkloadRun(*spec)
 	} else {
-		names := map[string]bool{}
-		for i := range rows {
-			names[replayLabel(rows[i].Class)] = true
+		names := sortedLabels(rows, func(r *TraceRequest) string { return r.Class })
+		if len(names) > maxSLOClasses {
+			return nil, nil, nil, fmt.Errorf("fleet: trace names %d classes (max %d)", len(names), maxSLOClasses)
 		}
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name) // key extraction only; sorted below
-		}
-		sort.Strings(sorted)
-		if len(sorted) > maxSLOClasses {
-			return nil, nil, nil, fmt.Errorf("fleet: trace names %d classes (max %d)", len(sorted), maxSLOClasses)
-		}
-		for i, name := range sorted {
+		wl = &workloadRun{disc: wlFIFO, acc: make([]wlAcc, len(names))}
+		for _, name := range names {
 			wl.classes = append(wl.classes, wlClass{name: name})
-			classIdx[name] = int16(i)
 		}
+	}
+	classIdx := map[string]int16{}
+	for i := range wl.classes {
+		classIdx[wl.classes[i].name] = int16(i)
+	}
+	tenantNames := sortedLabels(rows, func(r *TraceRequest) string { return r.Tenant })
+	if len(tenantNames) > maxTenants {
+		return nil, nil, nil, fmt.Errorf("fleet: trace names %d tenants (max %d)", len(tenantNames), maxTenants)
 	}
 	tenantIdx := map[string]int16{}
-	{
-		names := map[string]bool{}
-		for i := range rows {
-			names[replayLabel(rows[i].Tenant)] = true
-		}
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name) // key extraction only; sorted below
-		}
-		sort.Strings(sorted)
-		if len(sorted) > maxTenants {
-			return nil, nil, nil, fmt.Errorf("fleet: trace names %d tenants (max %d)", len(sorted), maxTenants)
-		}
-		for i, name := range sorted {
-			tenantIdx[name] = int16(i)
-		}
+	for i, name := range tenantNames {
+		tenantIdx[name] = int16(i)
 	}
 	slos := make([]int16, len(rows))
 	tenants := make([]int16, len(rows))
-	tenantClass := make([]int16, len(tenantIdx))
+	tenantClass := make([]int16, len(tenantNames))
 	for i := range rows {
 		row := &rows[i]
 		si := int16(0)
@@ -1150,12 +1030,26 @@ func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec, w *WorkloadSpec) (*
 		tenants[i] = tenantIdx[replayLabel(row.Tenant)]
 		tenantClass[tenants[i]] = si
 	}
-	wl.tenants = make([]wlTenant, len(tenantIdx))
-	for name, i := range tenantIdx {
-		wl.tenants[i] = wlTenant{name: name, class: tenantClass[i]} // indexed writes, one per key: order-independent
+	wl.tenants = make([]wlTenant, len(tenantNames))
+	for i, name := range tenantNames {
+		wl.tenants[i] = wlTenant{name: name, class: tenantClass[i]}
 	}
-	wl.acc = make([]wlAcc, len(wl.classes))
 	return wl, slos, tenants, nil
+}
+
+// sortedLabels returns the distinct labels the rows carry, sorted, with
+// "" read as "default".
+func sortedLabels(rows []TraceRequest, label func(*TraceRequest) string) []string {
+	names := map[string]bool{}
+	for i := range rows {
+		names[replayLabel(label(&rows[i]))] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for name := range names {
+		sorted = append(sorted, name) // key extraction only; sorted below
+	}
+	sort.Strings(sorted)
+	return sorted
 }
 
 // replayLabel reads an empty trace label as the implicit population.

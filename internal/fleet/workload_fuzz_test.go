@@ -60,7 +60,7 @@ func FuzzWorkloadSpecJSON(f *testing.F) {
 			cfg.Nodes = 8
 			cfg.Coordination = TokenPermit
 			cfg.Workers = workers
-			_, _ = SimulateWorkload(context.Background(), cfg, w) // errors fine; panics are findings
+			_, _, _ = Run(context.Background(), Spec{Config: cfg, Workload: &w}) // errors fine; panics are findings
 		}
 	})
 }
@@ -139,7 +139,7 @@ func FuzzTraceReplay(f *testing.F) {
 			cfg := DefaultConfig(SprintAware)
 			cfg.Nodes = 8
 			cfg.Workers = workers
-			_, _ = SimulateReplay(context.Background(), cfg, rows, nil) // errors fine; panics are findings
+			_, _, _ = Run(context.Background(), Spec{Config: cfg, Replay: rows}) // errors fine; panics are findings
 		}
 	})
 }

@@ -41,7 +41,7 @@ func tenantWorkload() (Config, WorkloadSpec) {
 
 func mustWorkload(t *testing.T, cfg Config, w WorkloadSpec) Metrics {
 	t.Helper()
-	m, err := SimulateWorkload(context.Background(), cfg, w)
+	m, _, err := Run(context.Background(), Spec{Config: cfg, Workload: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReplayReproducesRecordedRun(t *testing.T) {
 	if want.Dropped == 0 {
 		t.Fatal("contrast config produced no drops; the test needs some to regenerate")
 	}
-	_, tr, err := SimulateTraced(context.Background(), cfg)
+	_, tr, err := Run(context.Background(), Spec{Config: traced(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReplayReproducesRecordedRun(t *testing.T) {
 	if len(rows) != cfg.Requests {
 		t.Fatalf("recording yielded %d replay rows, want %d", len(rows), cfg.Requests)
 	}
-	got, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	got, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestReplayShardWorkers(t *testing.T) {
 	cfg := DefaultConfig(SprintAware)
 	cfg.Nodes = 8
 	cfg.Seed = 5
-	base, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	base, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReplayShardWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
 		cfg.Workers = workers
-		m, err := SimulateReplay(context.Background(), cfg, rows, nil)
+		m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestClassSumsMatchFleetTotals(t *testing.T) {
 				RetryBudgetPerS: 2, RetryBurst: 4,
 				GrayFrac: 0.2, GraySlowdownX: 6, FaultProb: 0.02,
 			}
-			m, err := SimulateScenarioWorkload(context.Background(), cfg, sc, w)
+			m, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc, Workload: &w})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p, coord, err)
 			}
@@ -360,14 +360,14 @@ func TestRequestWidthStretchesService(t *testing.T) {
 	cfg := DefaultConfig(SprintAware)
 	cfg.Nodes = 8
 	cfg.Seed = 4
-	wide, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	wide, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rows {
 		rows[i].Width = 1
 	}
-	narrow, err := SimulateReplay(context.Background(), cfg, rows, nil)
+	narrow, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestReplayWithSpecClasses(t *testing.T) {
 		{Name: "gold", Priority: 0, TargetP99S: 1},
 		{Name: "bronze", Priority: 2},
 	}}
-	m, err := SimulateReplay(context.Background(), cfg, rows, spec)
+	m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows, Workload: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestReplayWithSpecClasses(t *testing.T) {
 	}
 
 	rows[1].Class = "platinum"
-	if _, err := SimulateReplay(context.Background(), cfg, rows, spec); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows, Workload: spec}); err == nil {
 		t.Error("row naming an undeclared class was accepted")
 	}
 
@@ -410,7 +410,7 @@ func TestReplayWithSpecClasses(t *testing.T) {
 		Tenants: []TenantSpec{{Arrival: ArrivalSpec{RatePerS: 1}, Work: WorkSpec{MeanS: 1}}},
 	}
 	rows[1].Class = "gold"
-	if _, err := SimulateReplay(context.Background(), cfg, rows, withTenants); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows, Workload: withTenants}); err == nil {
 		t.Error("replay spec with tenants was accepted")
 	}
 }
@@ -418,7 +418,7 @@ func TestReplayWithSpecClasses(t *testing.T) {
 // TestWorkloadValidate pins the spec's loud-rejection surface.
 func TestWorkloadValidate(t *testing.T) {
 	valid, validW := tenantWorkload()
-	if _, err := SimulateWorkload(context.Background(), valid, validW); err != nil {
+	if _, _, err := Run(context.Background(), Spec{Config: valid, Workload: &validW}); err != nil {
 		t.Fatalf("contrast workload rejected: %v", err)
 	}
 	mut := func(f func(*WorkloadSpec)) WorkloadSpec {
@@ -444,7 +444,7 @@ func TestWorkloadValidate(t *testing.T) {
 		"negative width min":  mut(func(w *WorkloadSpec) { w.Tenants[1].Width = &WidthSpec{Dist: "uniform", Min: -1, Max: 2} }),
 	}
 	for name, w := range bad {
-		if _, err := SimulateWorkload(context.Background(), valid, w); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: valid, Workload: &w}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"sprinting/internal/materials"
-	"sprinting/internal/units"
 )
 
 // singleRC builds ambient —R— node with capacity C.
@@ -30,12 +29,6 @@ func TestSingleRCStepResponse(t *testing.T) {
 	inject := make([]float64, n.NumNodes())
 	inject[id] = p
 	dt := 1e-3
-	for _, checkT := range []float64{0.5, 1.75, 3.5, 10.5} {
-		// advance to checkT
-		for units.ApproxEqual(0, 0, 0, 0) && false {
-		}
-		_ = checkT
-	}
 	tcur := 0.0
 	checkpoints := []float64{0.5, 1.75, 3.5, 10.5}
 	ci := 0

@@ -17,10 +17,10 @@
 // so regeneration is parallel by default. Point evaluations are
 // deterministic, so any worker count — including 1, which is exactly
 // serial — produces identical tables; see RunOptions.Workers and RunGrid
-// for batch simulation from client code. Batch APIs also come in
-// ...Context variants that honor caller cancellation.
+// for batch simulation from client code. Batch APIs take a caller context
+// or come in ...Context variants, and honor its cancellation.
 //
-// Beyond the paper's single-chip evaluation, SimulateFleet scales the
+// Beyond the paper's single-chip evaluation, RunFleet scales the
 // ingredients to a datacenter: a deterministic discrete-event simulation
 // of N sprint-capable nodes — each owning a governor-managed thermal
 // budget and a bounded queue — serving open-loop traffic under
@@ -30,12 +30,14 @@
 // uncoordinated, token-permit, or probabilistic sprint coordination; see
 // cmd/fleetsim and the fleet_policy and rack_coordination experiments.
 //
-// SimulateScenario makes the fleet dynamic — the regime where sprinting
-// actually earns its keep: declarative load phases (flash-crowd steps,
-// diurnal sines, decaying ramps), ambient-temperature swings that
+// A FleetSpec's Scenario makes the fleet dynamic — the regime where
+// sprinting actually earns its keep: declarative load phases (flash-crowd
+// steps, diurnal sines, decaying ramps), ambient-temperature swings that
 // retarget every governor, heterogeneous node classes, and seeded node
 // failure/recovery churn, reported per phase. See FleetScenario and the
-// fleet_scenarios experiment.
+// fleet_scenarios experiment. The same spec carries multi-tenant
+// workloads and trace replays, and RunFleetSweep fans specs out on the
+// worker pool.
 package sprinting
 
 import (
@@ -390,10 +392,26 @@ type FleetMetrics = fleet.Metrics
 // capacity.
 func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(p) }
 
-// SimulateFleet runs the discrete-event fleet simulation: N sprint-capable
-// nodes — each owning a governor-managed thermal budget and a bounded FIFO
-// queue — serve an open-loop request stream under the configured dispatch
-// policy. The result is a pure function of the configuration.
+// FleetSpec is one fleet run: a FleetConfig plus the load source it
+// serves. With no source set, the run draws the synthetic open-loop
+// stream the config describes. Scenario plays a FleetScenario's phases,
+// ambient swings, node classes and churn. Workload draws a FleetWorkload's
+// tenant populations, over Scenario's timeline or a flat one of
+// FleetWorkload.DurationS. A non-nil Replay drives the run from recorded
+// rows; Workload then only declares the classes their labels resolve
+// against. A replay cannot ride a scenario, and the flight recorder
+// (FleetConfig.Trace) covers synthetic and scenario runs only.
+type FleetSpec = fleet.Spec
+
+// RunFleet runs one discrete-event fleet simulation: N sprint-capable
+// nodes — each owning a governor-managed thermal budget and a bounded
+// FIFO queue — serve the spec's load under the configured dispatch
+// policy. With FleetConfig.Trace at a level other than TraceOff the
+// flight recorder rides along and the recording is returned; its metrics
+// equal the untraced run's, since the recorder observes and never steers.
+// The trace is nil for an untraced run. The result is a pure function of
+// the spec, and the context is checked periodically so very large runs
+// can be cancelled.
 //
 // The simulator is built for warehouse scale: dispatch is O(log N) per
 // arrival over an incrementally maintained index (segmented per node
@@ -403,29 +421,25 @@ func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(
 // FleetConfig.Workers shards a decoupled (plain round-robin) run's loop
 // itself across goroutines — byte-identically at any worker count (see
 // BenchmarkFleetScaleDecoupledParallel); coupled runs ignore it.
-func SimulateFleet(cfg FleetConfig) (FleetMetrics, error) {
-	return SimulateFleetContext(context.Background(), cfg)
+func RunFleet(ctx context.Context, spec FleetSpec) (FleetMetrics, *FleetTrace, error) {
+	return fleet.Run(ctx, spec)
 }
 
-// SimulateFleetContext is SimulateFleet under a caller context; very large
-// traces can be cancelled mid-simulation.
-func SimulateFleetContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
-	return fleet.Simulate(ctx, cfg)
-}
-
-// SimulateFleetSweep evaluates every fleet configuration concurrently on a
-// bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 is exactly
-// serial), returning metrics in configuration order. Simulations are
-// deterministic, so every worker count produces identical metrics.
-func SimulateFleetSweep(cfgs []FleetConfig, workers int) ([]FleetMetrics, error) {
-	return SimulateFleetSweepContext(context.Background(), cfgs, workers)
-}
-
-// SimulateFleetSweepContext is SimulateFleetSweep under a caller context.
-func SimulateFleetSweepContext(ctx context.Context, cfgs []FleetConfig, workers int) ([]FleetMetrics, error) {
-	return engine.Map(ctx, cfgs,
-		func(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
-			return fleet.Simulate(ctx, cfg)
+// RunFleetSweep runs every spec concurrently on a bounded worker pool
+// (workers <= 0 selects GOMAXPROCS, 1 is exactly serial), returning
+// metrics in spec order. Simulations are deterministic, so every worker
+// count produces identical metrics. A sweep records no traces: a spec
+// with tracing on is an error, and recordings come from RunFleet.
+func RunFleetSweep(ctx context.Context, specs []FleetSpec, workers int) ([]FleetMetrics, error) {
+	for i := range specs {
+		if specs[i].Config.Trace.Level != TraceOff {
+			return nil, fmt.Errorf("sprinting: fleet spec %d has tracing on; record traces one run at a time with RunFleet", i)
+		}
+	}
+	return engine.Map(ctx, specs,
+		func(ctx context.Context, spec FleetSpec) (FleetMetrics, error) {
+			m, _, err := fleet.Run(ctx, spec)
+			return m, err
 		}, engine.Options{Workers: workers})
 }
 
@@ -477,52 +491,12 @@ const (
 // activity, attributed to the phase each request arrived in.
 type PhaseMetrics = fleet.PhaseMetrics
 
-// ScenarioConfig pairs a base fleet configuration with the scenario
-// dynamics played over it. The base Config supplies the hardware and
-// dispatch/coordination policies; the scenario supersedes Requests and
-// ArrivalRatePerS (and Nodes, when classes are declared).
-type ScenarioConfig struct {
-	Fleet    FleetConfig
-	Scenario FleetScenario
-}
-
-// SimulateScenario runs the dynamic fleet simulation: the scenario's
-// phases shape the arrival rate and thermal environment over time while
-// churn fails and revives nodes, and the result adds a per-phase
-// breakdown (FleetMetrics.Phases) to the usual fleet metrics. Like
-// SimulateFleet, the outcome is a pure function of the configuration.
-func SimulateScenario(sc ScenarioConfig) (FleetMetrics, error) {
-	return SimulateScenarioContext(context.Background(), sc)
-}
-
-// SimulateScenarioContext is SimulateScenario under a caller context.
-func SimulateScenarioContext(ctx context.Context, sc ScenarioConfig) (FleetMetrics, error) {
-	return fleet.SimulateScenario(ctx, sc.Fleet, sc.Scenario)
-}
-
-// SimulateScenarioSweep evaluates every scenario concurrently on a
-// bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 is exactly
-// serial), returning metrics in configuration order; every worker count
-// produces identical metrics.
-func SimulateScenarioSweep(scs []ScenarioConfig, workers int) ([]FleetMetrics, error) {
-	return SimulateScenarioSweepContext(context.Background(), scs, workers)
-}
-
-// SimulateScenarioSweepContext is SimulateScenarioSweep under a caller
-// context.
-func SimulateScenarioSweepContext(ctx context.Context, scs []ScenarioConfig, workers int) ([]FleetMetrics, error) {
-	return engine.Map(ctx, scs,
-		func(ctx context.Context, sc ScenarioConfig) (FleetMetrics, error) {
-			return fleet.SimulateScenario(ctx, sc.Fleet, sc.Scenario)
-		}, engine.Options{Workers: workers})
-}
-
 // TraceConfig configures the fleet flight recorder: the capture level,
 // the number of rejected alternatives each dispatch decision records
 // (and counterfactually probes), and the timeline sample window. Set it
-// on FleetConfig.Trace and run through SimulateFleetTraced or
-// SimulateScenarioTraced — the plain entry points ignore it, so the
-// untraced hot path stays allocation-free.
+// on FleetConfig.Trace and run through RunFleet; at TraceOff (the zero
+// value) no recorder exists, so the untraced hot path stays
+// allocation-free.
 type TraceConfig = fleet.TraceConfig
 
 // TraceLevel selects how much the flight recorder captures.
@@ -530,9 +504,7 @@ type TraceLevel = trace.Level
 
 // Trace capture levels.
 const (
-	// TraceOff disables the recorder (the zero value); the traced entry
-	// points promote it to TraceDecisions, since calling them is the
-	// opt-in.
+	// TraceOff disables the recorder (the zero value).
 	TraceOff = trace.LevelOff
 	// TraceDecisions records every dispatch decision with its winning
 	// routing key and top-k rejected alternatives (each counterfactually
@@ -553,33 +525,6 @@ func ParseTraceLevel(s string) (TraceLevel, error) { return trace.ParseLevel(s) 
 // WriteJSONL to serialize it, and Decisions / Samples / Events /
 // TopRegret to mine it in process.
 type FleetTrace = trace.Trace
-
-// SimulateFleetTraced runs SimulateFleet with the flight recorder
-// attached, returning the metrics together with the recording. The
-// metrics are identical to the untraced run's — the recorder observes,
-// never steers.
-func SimulateFleetTraced(cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
-	return SimulateFleetTracedContext(context.Background(), cfg)
-}
-
-// SimulateFleetTracedContext is SimulateFleetTraced under a caller
-// context.
-func SimulateFleetTracedContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
-	return fleet.SimulateTraced(ctx, cfg)
-}
-
-// SimulateScenarioTraced runs SimulateScenario with the flight recorder
-// attached: phase boundaries annotate the timeline and churn joins the
-// event stream alongside the dispatch decisions.
-func SimulateScenarioTraced(sc ScenarioConfig) (FleetMetrics, *FleetTrace, error) {
-	return SimulateScenarioTracedContext(context.Background(), sc)
-}
-
-// SimulateScenarioTracedContext is SimulateScenarioTraced under a caller
-// context.
-func SimulateScenarioTracedContext(ctx context.Context, sc ScenarioConfig) (FleetMetrics, *FleetTrace, error) {
-	return fleet.SimulateScenarioTraced(ctx, sc.Fleet, sc.Scenario)
-}
 
 // FleetWorkload declares a multi-tenant workload over the fleet: SLO
 // classes (priority, latency target, token-bucket admission budget,
@@ -620,46 +565,6 @@ type TenantMetrics = fleet.TenantMetrics
 // TraceRequest is one row of a replayable request trace: arrival
 // instant, single-core work, and optional width/tenant/class labels.
 type TraceRequest = fleet.TraceRequest
-
-// SimulateWorkload runs the declared multi-tenant workload over a flat
-// timeline of FleetWorkload.DurationS seconds; like every fleet entry
-// point the result is byte-identical at any worker count.
-func SimulateWorkload(cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
-	return SimulateWorkloadContext(context.Background(), cfg, w)
-}
-
-// SimulateWorkloadContext is SimulateWorkload under a caller context.
-func SimulateWorkloadContext(ctx context.Context, cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateWorkload(ctx, cfg, w)
-}
-
-// SimulateScenarioWorkload runs the workload's tenant populations
-// through a scenario's timeline: phase factors modulate every tenant's
-// arrival rate, while ambient shifts, churn, and heterogeneous classes
-// apply as in SimulateScenario.
-func SimulateScenarioWorkload(sc ScenarioConfig, w FleetWorkload) (FleetMetrics, error) {
-	return SimulateScenarioWorkloadContext(context.Background(), sc, w)
-}
-
-// SimulateScenarioWorkloadContext is SimulateScenarioWorkload under a
-// caller context.
-func SimulateScenarioWorkloadContext(ctx context.Context, sc ScenarioConfig, w FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateScenarioWorkload(ctx, sc.Fleet, sc.Scenario, w)
-}
-
-// SimulateReplay replays a recorded request trace through the fleet. A
-// non-nil spec declares the SLO classes trace labels resolve against
-// (admission and disciplines then apply); without one, labeled traces
-// get implicit accounting-only classes and a fully unlabeled trace
-// reproduces the plain engine's Metrics exactly.
-func SimulateReplay(cfg FleetConfig, rows []TraceRequest, spec *FleetWorkload) (FleetMetrics, error) {
-	return SimulateReplayContext(context.Background(), cfg, rows, spec)
-}
-
-// SimulateReplayContext is SimulateReplay under a caller context.
-func SimulateReplayContext(ctx context.Context, cfg FleetConfig, rows []TraceRequest, spec *FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateReplay(ctx, cfg, rows, spec)
-}
 
 // ParseRequestTrace reads a request trace in either supported encoding
 // (JSON lines or CSV, sniffed from the first byte; strict decode in

@@ -2,6 +2,7 @@ package sprinting_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestPublicFleet(t *testing.T) {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 4
 	cfg.Requests = 300
-	m, err := sprinting.SimulateFleet(cfg)
+	m, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,27 +133,47 @@ func TestPublicFleet(t *testing.T) {
 }
 
 func TestPublicFleetSweepDeterministic(t *testing.T) {
-	var cfgs []sprinting.FleetConfig
+	var specs []sprinting.FleetSpec
 	for _, p := range sprinting.FleetPolicies() {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 8
 		cfg.Requests = 800
-		cfgs = append(cfgs, cfg)
+		specs = append(specs, sprinting.FleetSpec{Config: cfg})
 	}
-	serial, err := sprinting.SimulateFleetSweep(cfgs, 1)
+	serial, err := sprinting.RunFleetSweep(context.Background(), specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := sprinting.SimulateFleetSweep(cfgs, 4)
+	wide, err := sprinting.RunFleetSweep(context.Background(), specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
 		if serial[i].P99S != wide[i].P99S || serial[i].TotalEnergyJ != wide[i].TotalEnergyJ {
-			t.Errorf("policy %s: workers=1 and workers=4 metrics differ", cfgs[i].Policy)
+			t.Errorf("policy %s: workers=1 and workers=4 metrics differ", specs[i].Config.Policy)
 		}
 	}
 	if _, err := sprinting.ParseFleetPolicy("sprint-aware"); err != nil {
 		t.Errorf("ParseFleetPolicy: %v", err)
+	}
+}
+
+// TestRunFleetSweepRejectsTrace: a sweep returns no traces, so a spec
+// with the recorder on is refused before anything runs; the same spec
+// records through RunFleet.
+func TestRunFleetSweepRejectsTrace(t *testing.T) {
+	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
+	cfg.Nodes = 4
+	cfg.Requests = 200
+	traced := cfg
+	traced.Trace = sprinting.TraceConfig{Level: sprinting.TraceDecisions}
+	specs := []sprinting.FleetSpec{{Config: cfg}, {Config: traced}}
+	if _, err := sprinting.RunFleetSweep(context.Background(), specs, 1); err == nil ||
+		!strings.Contains(err.Error(), "RunFleet") {
+		t.Fatalf("traced sweep spec: got %v, want an error pointing at RunFleet", err)
+	}
+	m, tr, err := sprinting.RunFleet(context.Background(), specs[1])
+	if err != nil || tr == nil || len(tr.Decisions()) != m.Requests {
+		t.Fatalf("RunFleet on the traced spec: err %v, trace %v", err, tr != nil)
 	}
 }
