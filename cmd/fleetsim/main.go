@@ -62,6 +62,17 @@
 //
 // A minimal scenario file:
 //
+//	{
+//	  "base_rate_per_s": 7.2,
+//	  "phases": [
+//	    {"name": "baseline", "duration_s": 60, "start_factor": 0.7},
+//	    {"name": "surge", "duration_s": 40, "start_factor": 2.0},
+//	    {"name": "recovery", "duration_s": 60, "shape": "decay",
+//	     "start_factor": 2.0, "end_factor": 0.5}
+//	  ],
+//	  "churn": {"mtbf_s": 20, "mean_downtime_s": 5}
+//	}
+//
 // With -trace file.jsonl the run attaches the flight recorder and writes
 // the recording as JSONL: a meta header, then every dispatch decision
 // (winning key, top-k rejected alternatives with counterfactual finish
@@ -98,17 +109,6 @@
 //	    fleetsim -policy sprint-aware -replay trace.csv
 //	fleetsim -workload tenants.json -policy sprint-aware
 //	fleetsim -workload tenants.json -scenario flashcrowd.json
-//
-//	{
-//	  "base_rate_per_s": 7.2,
-//	  "phases": [
-//	    {"name": "baseline", "duration_s": 60, "start_factor": 0.7},
-//	    {"name": "surge", "duration_s": 40, "start_factor": 2.0},
-//	    {"name": "recovery", "duration_s": 60, "shape": "decay",
-//	     "start_factor": 2.0, "end_factor": 0.5}
-//	  ],
-//	  "churn": {"mtbf_s": 20, "mean_downtime_s": 5}
-//	}
 package main
 
 import (

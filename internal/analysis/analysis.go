@@ -199,18 +199,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// pkgFunc reports whether fn is the package-level function path.name
-// (methods never match).
-func pkgFunc(fn *types.Func, path, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == path && fn.Name() == name
-}
-
 // isBuiltin reports whether the call invokes the named builtin.
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

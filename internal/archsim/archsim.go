@@ -84,12 +84,6 @@ type Controller interface {
 	OnSample(m *Machine, s Sample) Command
 }
 
-// ControllerFunc adapts a function to Controller.
-type ControllerFunc func(m *Machine, s Sample) Command
-
-// OnSample implements Controller.
-func (f ControllerFunc) OnSample(m *Machine, s Sample) Command { return f(m, s) }
-
 // Config parameterizes the machine.
 type Config struct {
 	// Cores is the number of cores (≤64).
@@ -234,14 +228,8 @@ func New(cfg Config, src WorkSource) (*Machine, error) {
 	return m, nil
 }
 
-// Cores returns the core count.
-func (m *Machine) Cores() int { return len(m.cores) }
-
 // Core exposes a core for controllers and tests.
 func (m *Machine) Core(i int) *cpu.Core { return m.cores[i] }
-
-// Hierarchy exposes the memory system for inspection.
-func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
 
 // SetAllFrequency applies frequency/voltage multipliers to every non-done
 // core (used by policies to start a DVFS sprint before Run).
@@ -252,16 +240,6 @@ func (m *Machine) SetAllFrequency(freq, voltage float64) {
 		}
 		c.SetFrequencyMult(freq)
 		c.SetVoltageMult(voltage)
-	}
-}
-
-// PowerGateAllExcept gates every core but keep (used to model nominal
-// single-core operation on a many-core chip).
-func (m *Machine) PowerGateAllExcept(keep int) {
-	for _, c := range m.cores {
-		if c.ID != keep {
-			c.PowerGate()
-		}
 	}
 }
 

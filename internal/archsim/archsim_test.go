@@ -8,6 +8,12 @@ import (
 	"sprinting/internal/isa"
 )
 
+// ControllerFunc adapts a function to Controller.
+type ControllerFunc func(m *Machine, s Sample) Command
+
+// OnSample implements Controller.
+func (f ControllerFunc) OnSample(m *Machine, s Sample) Command { return f(m, s) }
+
 // fixedSource hands each core its own slice stream.
 type fixedSource struct {
 	streams []*isa.SliceStream

@@ -12,7 +12,6 @@ package circuit
 
 import (
 	"fmt"
-	"math"
 
 	"sprinting/internal/linalg"
 )
@@ -81,15 +80,6 @@ func New() *Circuit {
 func (c *Circuit) Node(name string) Node {
 	c.names = append(c.names, name)
 	return Node(len(c.names) - 1)
-}
-
-// NumNodes returns the number of nodes including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
-// NodeName returns the name of a node.
-func (c *Circuit) NodeName(n Node) string {
-	c.check(n)
-	return c.names[n]
 }
 
 func (c *Circuit) check(n Node) {
@@ -346,15 +336,6 @@ func (s *Sim) V(n Node) float64 {
 	return s.x[s.vi(n)]
 }
 
-// SourceCurrent returns the branch current through the i-th voltage source
-// (positive flowing pos→neg through the external circuit).
-func (s *Sim) SourceCurrent(i int) float64 {
-	if i < 0 || i >= s.m {
-		panic(fmt.Sprintf("circuit: invalid voltage source index %d", i))
-	}
-	return -s.x[s.n-1+i]
-}
-
 // Step advances the simulation by one timestep and returns the new time.
 func (s *Sim) Step() float64 {
 	tNext := s.t + s.dt
@@ -451,54 +432,4 @@ func PulseRamp(t0, rise, amplitude float64) Waveform {
 			return amplitude * (t - t0) / rise
 		}
 	}
-}
-
-// StaggeredRamps sums n PulseRamp waveforms whose start times are spread
-// uniformly across rampTotal — the paper's "gradual uniform linear
-// activation schedule" for n cores (§5.3). Each unit turns on with the
-// given per-unit rise time and amplitude.
-func StaggeredRamps(n int, t0, rampTotal, unitRise, amplitude float64) Waveform {
-	if n <= 0 {
-		return DC(0)
-	}
-	starts := make([]float64, n)
-	for i := range starts {
-		if n == 1 || rampTotal <= 0 {
-			starts[i] = t0
-		} else {
-			starts[i] = t0 + rampTotal*float64(i)/float64(n)
-		}
-	}
-	return func(t float64) float64 {
-		total := 0.0
-		for _, st := range starts {
-			switch {
-			case t < st:
-			case unitRise <= 0 || t >= st+unitRise:
-				total += amplitude
-			default:
-				total += amplitude * (t - st) / unitRise
-			}
-		}
-		return total
-	}
-}
-
-// EnergyCheck is a diagnostic: the instantaneous power mismatch of the last
-// solution (sum of nodal current residuals × voltages). It should be ~0 for
-// a consistent solve and is used by property tests.
-func (s *Sim) EnergyCheck() float64 {
-	// The MNA solution satisfies KCL by construction up to solver residual;
-	// recompute ‖A·x − rhs‖∞ via element sums would require keeping A.
-	// Instead validate that no solution entry is non-finite.
-	worst := 0.0
-	for _, v := range s.x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return math.Inf(1)
-		}
-		if a := math.Abs(v); a > worst {
-			worst = a
-		}
-	}
-	return 0
 }

@@ -189,21 +189,6 @@ func TestPulseRamp(t *testing.T) {
 	}
 }
 
-func TestStaggeredRamps(t *testing.T) {
-	w := StaggeredRamps(4, 0, 4.0, 0, 1) // starts at 0,1,2,3
-	cases := []struct{ t, want float64 }{
-		{-0.1, 0}, {0, 1}, {1.5, 2}, {3.0, 4}, {100, 4},
-	}
-	for _, tc := range cases {
-		if got := w(tc.t); got != tc.want {
-			t.Errorf("w(%v) = %v, want %v", tc.t, got, tc.want)
-		}
-	}
-	if StaggeredRamps(0, 0, 1, 0, 1)(5) != 0 {
-		t.Error("zero units should be identically zero")
-	}
-}
-
 func TestInvalidElements(t *testing.T) {
 	c := New()
 	n := c.Node("n")

@@ -193,14 +193,14 @@ func TestRecordTrace(t *testing.T) {
 	cfg := DefaultConfig(ParallelSprint)
 	cfg.RecordTrace = true
 	res := run(t, buildKernel(t, "sobel", 0.3), cfg)
-	if res.JunctionTrace == nil || res.JunctionTrace.Len() == 0 {
+	if res.JunctionTrace == nil || len(res.JunctionTrace.Points()) == 0 {
 		t.Fatal("trace not recorded")
 	}
 	_, maxT := res.JunctionTrace.Max()
 	if maxT <= cfg.Thermal.AmbientC {
 		t.Error("junction trace never rose above ambient")
 	}
-	if res.PowerTrace.Len() != res.JunctionTrace.Len() {
+	if len(res.PowerTrace.Points()) != len(res.JunctionTrace.Points()) {
 		t.Error("power and junction traces misaligned")
 	}
 }

@@ -101,10 +101,10 @@ func TestTraceSampledAtThousandCycles(t *testing.T) {
 	cfg := DefaultConfig(ParallelSprint)
 	cfg.RecordTrace = true
 	res := run2(t, "sobel", 0.3, cfg)
-	if res.PowerTrace.Len() < 2 {
+	if len(res.PowerTrace.Points()) < 2 {
 		t.Fatal("trace too short")
 	}
-	dt := res.PowerTrace.At(1).T - res.PowerTrace.At(0).T
+	dt := res.PowerTrace.Points()[1].T - res.PowerTrace.Points()[0].T
 	if math.Abs(dt-1e-6) > 1e-9 {
 		t.Errorf("sample interval = %v s, want 1 µs (1000 cycles)", dt)
 	}

@@ -80,9 +80,3 @@ func (m Model) StallJ(cycles float64) float64 {
 func (m Model) SleepJ(cycles float64) float64 {
 	return cycles * (m.BaseJPerCycle + m.ALUJ) * m.SleepFrac
 }
-
-// ActivePowerW returns the nominal busy-core power at the given clock
-// frequency (Hz) for a pure-compute stream — the calibration anchor.
-func (m Model) ActivePowerW(freqHz float64) float64 {
-	return (m.BaseJPerCycle + m.ALUJ) * freqHz
-}

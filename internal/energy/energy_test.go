@@ -15,7 +15,7 @@ func TestCalibrationOneWattCore(t *testing.T) {
 	// The §8.1 design point: a busy 1-IPC in-order core at 1 GHz and 22 nm
 	// LOP dissipates ≈1 W.
 	m := McPAT22nmLOP()
-	p := m.ActivePowerW(1e9)
+	p := (m.BaseJPerCycle + m.ALUJ) * 1e9 // busy-core power at 1 GHz, pure compute
 	if p < 0.8 || p > 1.1 {
 		t.Errorf("busy-core power = %.3f W, want ≈1 W", p)
 	}

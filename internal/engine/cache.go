@@ -63,13 +63,6 @@ func (c *Cache) Clear() {
 	})
 }
 
-// Len counts the currently cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	c.m.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
 // Key renders the parts into a deterministic cache key. It uses the full
 // %#v rendering rather than a digest, so distinct configurations can never
 // collide.

@@ -48,22 +48,3 @@ func Fig6(ctx context.Context, opt Options) ([]*table.Table, error) {
 		"1.28 µs still fails; 128 µs stays within tolerance settling ≈10 mV low"
 	return []*table.Table{t}, nil
 }
-
-// GridTraces exposes the Figure 6 voltage series for CSV export by gridsim.
-func GridTraces() (map[string]*powergrid.Result, error) {
-	keys := []string{"abrupt", "ramp1p28", "ramp128"}
-	schedules := []powergrid.Schedule{
-		powergrid.Abrupt(2e-6),
-		powergrid.LinearRamp(2e-6, 1.28e-6),
-		powergrid.LinearRamp(2e-6, 128e-6),
-	}
-	results, err := simulateSchedules(context.Background(), Options{}, schedules)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]*powergrid.Result{}
-	for i, key := range keys {
-		out[key] = results[i]
-	}
-	return out, nil
-}

@@ -154,13 +154,5 @@ func Fig4b(context.Context, Options) ([]*table.Table, error) {
 	return []*table.Table{t}, nil
 }
 
-// SprintTraces exposes the Figure 4 time series for CSV export by the
-// thermalsim command.
-func SprintTraces() (sprint thermal.SprintTransient, cooldown thermal.CooldownTransient) {
-	cfg := thermal.DefaultStackConfig()
-	return thermal.SimulateSprint(cfg, 16, 1e-4, 5),
-		thermal.SimulateCooldown(cfg, 16, 0, 1e-3, 5, 120, 3)
-}
-
 // fmtMilli formats seconds as milliseconds.
 func fmtMilli(s float64) string { return fmt.Sprintf("%.2f ms", s*1e3) }

@@ -726,11 +726,13 @@ type sim struct {
 	// (and deflate throughput) under the Hedged policy.
 	lastDoneS float64
 
-	// segs are the dispatch-index segments: one tournament tree group per
-	// node-class block, merged at query time so the segmentation
-	// reproduces the single-tree selection exactly — see shard.go. segIdx
-	// maps a node to its segment. Both are nil under RoundRobin, which
-	// never reads node state, and in refDispatch mode.
+	// idx is the least-loaded/hedged dispatch index, one fleet-wide tree
+	// of drain keys. segs are sprint-aware's dispatch-index segments: one
+	// busy/idle tree pair per node-class block, merged at query time so
+	// the segmentation reproduces the single-tree selection exactly — see
+	// shard.go. segIdx maps a node to its segment. All are nil under
+	// RoundRobin, which never reads node state, and in refDispatch mode.
+	idx    *dispatchIndex
 	segs   []dspSeg
 	segIdx []int32
 	useRef bool
@@ -861,12 +863,12 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		// loop, so draws replay identically at any worker count.
 		s.rackRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
 	}
-	// Dispatch-index segments (see shard.go): one per class block, since
-	// sprint-aware idle keys are only comparable within one class — a
-	// heterogeneous fleet keeps O(log N) dispatch, and a homogeneous one
-	// builds exactly one segment, the single tree.
+	// The dispatch index (see shard.go): one tree for least-loaded and
+	// hedged, one segment per class block for sprint-aware, since its idle
+	// keys are only comparable within one class — a heterogeneous fleet
+	// keeps O(log N) dispatch.
 	if !s.useRef && cfg.Policy != RoundRobin {
-		s.buildSegs()
+		s.buildIndex()
 	}
 	if rec != nil {
 		rec.begin(s)
@@ -1355,23 +1357,23 @@ func (s *sim) enqueue(n *node, c reqCopy) {
 //
 //sprint:hotpath
 func (s *sim) touch(n *node) {
-	if s.segs == nil {
+	if s.idx == nil && s.segs == nil {
 		return
 	}
-	sg := &s.segs[s.segIdx[n.id]]
-	lid := n.id - sg.lo
 	drain, idle := math.Inf(1), math.Inf(1) // +Inf: absent from the tree
 	switch {
 	case !n.alive || n.outstanding() >= s.cl(n).queueCap:
-	case sg.idx != nil || n.busy:
+	case s.idx != nil || n.busy:
 		drain = n.drainKey()
 	default:
 		idle = s.tKey(n)
 	}
-	if sg.idx != nil {
-		sg.idx.update(lid, drain)
+	if s.idx != nil {
+		s.idx.update(n.id, drain)
 		return
 	}
+	sg := &s.segs[s.segIdx[n.id]]
+	lid := n.id - sg.lo
 	sg.busyIdx.update(lid, drain)
 	sg.idleIdx.update(lid, idle)
 }
@@ -1718,17 +1720,15 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 	if s.cfg.Policy == SprintAware {
 		best = s.sprintAwareMin(rot, workS)
 	} else {
-		var ex *dspSeg
 		var exD float64
 		if exclude >= 0 {
-			ex = &s.segs[s.segIdx[exclude]]
-			exD = ex.idx.disable(exclude - ex.lo)
+			exD = s.idx.disable(exclude)
 		}
-		if id := s.segFirstLE(rot, s.segMin()); id >= 0 {
+		if id := s.idx.argmin(rot); id >= 0 {
 			best = &s.nodes[id]
 		}
-		if ex != nil {
-			ex.idx.update(exclude-ex.lo, exD)
+		if exclude >= 0 {
+			s.idx.update(exclude, exD)
 		}
 	}
 	if best == nil {

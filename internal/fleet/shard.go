@@ -28,12 +28,14 @@
 // therefore takes the classic single loop whatever Workers says, which
 // is byte-identical by construction.
 //
-// The dispatch index is segmented (dspSeg): one tournament tree group
-// per contiguous node-class block, with queries merged under the total
-// candidate order the linear scan defines. That keeps sprint-aware
-// dispatch O(log N) on heterogeneous NodeClasses fleets (sprint-aware
-// idle keys are only comparable within one class); a homogeneous fleet
-// gets exactly one segment, the classic single tree.
+// Sprint-aware's dispatch index is segmented (dspSeg): one tournament
+// tree pair per contiguous node-class block, with queries merged under
+// the total candidate order the linear scan defines. That keeps
+// sprint-aware dispatch O(log N) on heterogeneous NodeClasses fleets
+// (sprint-aware idle keys are only comparable within one class); a
+// homogeneous fleet gets exactly one segment. Least-loaded and hedged
+// dispatch key on an absolute drain instant, comparable across classes,
+// so they use one fleet-wide tree.
 package fleet
 
 import (
@@ -44,16 +46,13 @@ import (
 	"sprinting/internal/series"
 )
 
-// dspSeg is one dispatch-index segment: the tournament trees over the
-// contiguous node range [lo, hi), which spans exactly one node class.
-// Least-loaded/hedged selection uses idx (drain keys); sprint-aware
-// selection uses the busyIdx/idleIdx pair. Tree leaves are local ids
-// (node id − lo).
+// dspSeg is one sprint-aware dispatch-index segment: the busy and idle
+// tournament trees over the contiguous node range [lo, hi), which spans
+// exactly one node class. Tree leaves are local ids (node id − lo).
 type dspSeg struct {
 	lo, hi int
 	class  int32
 
-	idx     *dispatchIndex
 	busyIdx *dispatchIndex
 	idleIdx *dispatchIndex
 }
@@ -96,12 +95,18 @@ func (s *sim) parallelOK() bool {
 	return s.scen == nil && s.cfg.Policy == RoundRobin && s.cfg.Coordination != Probabilistic && s.rec == nil && s.rel == nil && s.wl == nil
 }
 
-// buildSegs lowers the node-class blocks into dispatch-index segments:
-// classes are assigned in contiguous blocks, so each segment is one
-// maximal run of a single class. A homogeneous fleet yields one segment —
-// the classic single tree, traversed identically.
-func (s *sim) buildSegs() {
+// buildIndex builds the dispatch index the policy reads. Least-loaded
+// and hedged get one fleet-wide drain-key tree. Sprint-aware gets one
+// segment per node-class block: classes are assigned in contiguous
+// blocks, so each segment is one maximal run of a single class, and a
+// homogeneous fleet yields one segment.
+func (s *sim) buildIndex() {
 	nn := len(s.nodes)
+	if s.cfg.Policy != SprintAware {
+		s.idx = newDispatchIndex(nn)
+		s.idx.reset(math.Inf(-1)) // every node idle
+		return
+	}
 	s.segIdx = make([]int32, nn)
 	lo := 0
 	for hi := 1; hi <= nn; hi++ {
@@ -109,61 +114,15 @@ func (s *sim) buildSegs() {
 			continue
 		}
 		sg := dspSeg{lo: lo, hi: hi, class: s.nodes[lo].class}
-		switch s.cfg.Policy {
-		case SprintAware:
-			sg.busyIdx = newDispatchIndex(hi - lo) // empty: no node busy
-			sg.idleIdx = newDispatchIndex(hi - lo)
-			sg.idleIdx.reset(s.tKey(&s.nodes[lo])) // full budgets: one shared key per class
-		default: // LeastLoaded, Hedged
-			sg.idx = newDispatchIndex(hi - lo)
-			sg.idx.reset(math.Inf(-1)) // every node idle
-		}
+		sg.busyIdx = newDispatchIndex(hi - lo) // empty: no node busy
+		sg.idleIdx = newDispatchIndex(hi - lo)
+		sg.idleIdx.reset(s.tKey(&s.nodes[lo])) // full budgets: one shared key per class
 		for i := lo; i < hi; i++ {
 			s.segIdx[i] = int32(len(s.segs))
 		}
 		s.segs = append(s.segs, sg)
 		lo = hi
 	}
-}
-
-// segMin is the fleet-wide minimum least-loaded key, the minimum of the
-// segment roots: +Inf when every node is absent.
-//
-//sprint:hotpath
-func (s *sim) segMin() float64 {
-	m := math.Inf(1)
-	for si := range s.segs {
-		m = min(m, s.segs[si].idx.d[1])
-	}
-	return m
-}
-
-// segFirstLE returns the present node with key ≤ thresh that comes first
-// in rotation order from rot across every segment, or -1 — the one-tree
-// firstLE generalized across segments, so segFirstLE(rot, segMin()) is
-// the fleet argmin. It walks the segments in cyclic node order from the
-// one containing rot: the containing segment's suffix, every other
-// segment in order, then the containing segment's prefix. The prefix
-// pass may start at leaf 0 because the suffix pass already failed, so
-// any hit lies before rot.
-//
-//sprint:hotpath
-func (s *sim) segFirstLE(rot int, thresh float64) int {
-	k := int(s.segIdx[rot])
-	sg := &s.segs[k]
-	if id := sg.idx.firstFrom(rot-sg.lo, thresh); id >= 0 {
-		return sg.lo + id
-	}
-	for j := 1; j < len(s.segs); j++ {
-		t := &s.segs[(k+j)%len(s.segs)]
-		if id := t.idx.firstFrom(0, thresh); id >= 0 {
-			return t.lo + id
-		}
-	}
-	if id := sg.idx.firstFrom(0, thresh); id >= 0 {
-		return sg.lo + id
-	}
-	return -1
 }
 
 // altArgmin is the recorder's alternatives query: the present node first
@@ -183,7 +142,7 @@ func (s *sim) altArgmin(rot int, workS float64) int {
 		}
 		return -1
 	}
-	return s.segFirstLE(rot, math.Max(s.segMin(), s.nowS))
+	return s.idx.firstLE(rot, math.Max(s.idx.d[1], s.nowS))
 }
 
 // start runs the engine the configuration selected: the concurrent

@@ -89,8 +89,10 @@ func TestShardedScenarioMatchesSequential(t *testing.T) {
 // heterogeneous path: dispatch over mixed NodeClasses runs on per-class
 // index segments instead of falling back to the linear rescan, so every
 // policy must match the retained reference scan exactly, at every worker
-// count. Three classes make three segments, so the cyclic segment walk
-// (segMin/segFirstLE) crosses more than one foreign segment in order.
+// count. Three classes make three sprint-aware segments, so its merged
+// per-segment queries cross more than one foreign segment, while
+// least-loaded and hedged compare drain keys across all three classes in
+// one fleet-wide tree.
 func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 	if refDispatch {
 		t.Fatal("refDispatch already set")

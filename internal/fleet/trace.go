@@ -278,7 +278,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 // copy would have started.
 func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float64, chosen, exclude, start int) {
 	var cands []altCand
-	if s.segs == nil || refAlts {
+	if (s.idx == nil && s.segs == nil) || refAlts {
 		cands = rec.scanAlts(s, workS, chosen, exclude, start)
 	} else {
 		cands = rec.indexAlts(s, workS, chosen, exclude, start)
@@ -336,14 +336,18 @@ func (rec *recorder) indexAlts(s *sim, workS float64, chosen, exclude, start int
 	return cands
 }
 
-// hide disables node id's leaf in the dispatch trees of its segment,
-// remembering the key it held. An absent leaf — at queue capacity, dead,
-// or already hidden — is never selected, so it is left alone; that also
-// makes hiding a leaf twice a no-op.
+// hide disables node id's leaf in the dispatch trees that hold it — the
+// fleet-wide tree, or its sprint-aware segment's pair — remembering the
+// key it held. An absent leaf — at queue capacity, dead, or already
+// hidden — is never selected, so it is left alone; that also makes
+// hiding a leaf twice a no-op.
 func (rec *recorder) hide(s *sim, id int) {
-	sg := &s.segs[s.segIdx[id]]
-	lid := id - sg.lo
-	for _, t := range [...]*dispatchIndex{sg.idx, sg.busyIdx, sg.idleIdx} {
+	trees, lid := [...]*dispatchIndex{s.idx, nil}, id
+	if s.idx == nil {
+		sg := &s.segs[s.segIdx[id]]
+		trees, lid = [...]*dispatchIndex{sg.busyIdx, sg.idleIdx}, id-sg.lo
+	}
+	for _, t := range trees {
 		if t != nil && t.d[t.size+lid] < math.Inf(1) {
 			rec.hidden = append(rec.hidden, hiddenLeaf{t: t, lid: int32(lid), d: t.disable(lid)})
 		}

@@ -102,9 +102,6 @@ func New(cfg Config) *Governor {
 // CapacityJ returns the usable sprint budget in joules.
 func (g *Governor) CapacityJ() float64 { return g.capacityJ }
 
-// DrainW returns the rate heat leaves the package while not sprinting.
-func (g *Governor) DrainW() float64 { return g.drainW }
-
 // Retarget moves the governor to a new operating environment — a changed
 // budget capacity and drain rate — while preserving the heat currently
 // stored in the package. The fleet scenario engine uses it for ambient

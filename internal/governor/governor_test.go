@@ -275,7 +275,7 @@ func TestSubDrainSprintRefills(t *testing.T) {
 func TestRetarget(t *testing.T) {
 	cfg := DefaultConfig()
 	g := New(cfg)
-	cap0, drain0 := g.CapacityJ(), g.DrainW()
+	cap0, drain0 := g.CapacityJ(), g.drainW
 	if drain0 != cfg.Design.SustainedPowerBudgetW() {
 		t.Fatalf("DrainW = %.3f, want the sustained budget %.3f", drain0, cfg.Design.SustainedPowerBudgetW())
 	}
@@ -284,8 +284,8 @@ func TestRetarget(t *testing.T) {
 
 	// A milder environment: more capacity, faster drain; stored heat keeps.
 	g.Retarget(cap0*1.5, drain0*2)
-	if g.CapacityJ() != cap0*1.5 || g.DrainW() != drain0*2 {
-		t.Fatalf("retarget did not take: cap %.3f drain %.3f", g.CapacityJ(), g.DrainW())
+	if g.CapacityJ() != cap0*1.5 || g.drainW != drain0*2 {
+		t.Fatalf("retarget did not take: cap %.3f drain %.3f", g.CapacityJ(), g.drainW)
 	}
 	if got := g.CapacityJ() - g.RemainingJ(); math.Abs(got-stored) > 1e-9 {
 		t.Errorf("stored heat changed across retarget: %.3f J -> %.3f J", stored, got)

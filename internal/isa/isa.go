@@ -64,48 +64,8 @@ type Stream interface {
 	Next(buf []Instr) int
 }
 
-// Count summarizes a stream's instruction mix (consuming it).
-type Count struct {
-	ComputeOps uint64 // total ALU ops (expanded run lengths)
-	Loads      uint64
-	Stores     uint64
-	Pauses     uint64
-	ChunkCalls uint64
-}
-
-// Instructions returns the total dynamic instruction count.
-func (c Count) Instructions() uint64 {
-	return c.ComputeOps + c.Loads + c.Stores + c.Pauses
-}
-
-// Drain consumes a stream and tallies its mix (for tests and workload
-// characterization).
-func Drain(s Stream) Count {
-	var c Count
-	buf := make([]Instr, 256)
-	for {
-		n := s.Next(buf)
-		if n == 0 {
-			return c
-		}
-		c.ChunkCalls++
-		for _, in := range buf[:n] {
-			switch in.Kind {
-			case Compute:
-				c.ComputeOps += uint64(in.N)
-			case Load:
-				c.Loads++
-			case Store:
-				c.Stores++
-			case Pause:
-				c.Pauses++
-			}
-		}
-	}
-}
-
-// SliceStream replays a fixed instruction slice; used in tests and for
-// small fixed preambles.
+// SliceStream replays a fixed instruction slice, for tests that drive a
+// scheduler or machine with a known instruction mix.
 type SliceStream struct {
 	Instrs []Instr
 	pos    int
@@ -118,26 +78,6 @@ func (s *SliceStream) Next(buf []Instr) int {
 	return n
 }
 
-// Reset rewinds the stream for reuse.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Concat chains streams back to back.
-type Concat struct {
-	Streams []Stream
-	idx     int
-}
-
-// Next implements Stream.
-func (c *Concat) Next(buf []Instr) int {
-	for c.idx < len(c.Streams) {
-		if n := c.Streams[c.idx].Next(buf); n > 0 {
-			return n
-		}
-		c.idx++
-	}
-	return 0
-}
-
 // Emitter is a convenience for kernel state machines: it wraps the caller's
 // buffer and exposes typed append operations, coalescing adjacent Compute
 // runs automatically.
@@ -148,9 +88,6 @@ type Emitter struct {
 
 // NewEmitter wraps buf for filling.
 func NewEmitter(buf []Instr) *Emitter { return &Emitter{buf: buf} }
-
-// Full reports whether the buffer cannot take another instruction.
-func (e *Emitter) Full() bool { return e.n >= len(e.buf) }
 
 // Len returns the number of instructions emitted so far.
 func (e *Emitter) Len() int { return e.n }
@@ -180,12 +117,6 @@ func (e *Emitter) Store(addr uint64) {
 	e.n++
 }
 
-// Pause appends a PAUSE.
-func (e *Emitter) Pause() {
-	e.buf[e.n] = Instr{Kind: Pause, N: 1}
-	e.n++
-}
-
 // AddressSpace is a bump allocator for the simulated flat physical address
 // space. Regions are cache-line aligned so distinct buffers never share
 // lines.
@@ -212,6 +143,3 @@ func (a *AddressSpace) Alloc(n uint64) uint64 {
 	a.next += (n + a.line - 1) / a.line * a.line
 	return base
 }
-
-// Brk returns the current top of the allocated space.
-func (a *AddressSpace) Brk() uint64 { return a.next }

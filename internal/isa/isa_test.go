@@ -50,16 +50,6 @@ func TestDrainCounts(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := &SliceStream{Instrs: []Instr{{Kind: Compute, N: 1}}}
-	b := &SliceStream{Instrs: []Instr{{Kind: Load, Addr: 4}}}
-	c := &Concat{Streams: []Stream{a, &SliceStream{}, b}}
-	got := Drain(c)
-	if got.ComputeOps != 1 || got.Loads != 1 {
-		t.Errorf("Concat drain = %+v", got)
-	}
-}
-
 func TestEmitterCoalescesCompute(t *testing.T) {
 	buf := make([]Instr, 8)
 	e := NewEmitter(buf)

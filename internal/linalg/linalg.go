@@ -31,35 +31,9 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n, Data: make([]float64, n*n)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.N+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
-
 // Add accumulates v into element (i, j); this is the "stamping" operation
 // used when assembling MNA matrices.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.N+j] += v }
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.N)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes y = M·x. The destination may not alias x.
-func (m *Matrix) MulVec(x, y []float64) {
-	n := m.N
-	for i := 0; i < n; i++ {
-		row := m.Data[i*n : (i+1)*n]
-		s := 0.0
-		for j, r := range row {
-			s += r * x[j]
-		}
-		y[i] = s
-	}
-}
 
 // LU is an LU factorization with partial pivoting: P·A = L·U, with L unit
 // lower triangular and U upper triangular, stored compactly.
@@ -147,24 +121,4 @@ func (f *LU) Solve(b, x []float64) {
 		y[i] = s / row[i]
 	}
 	copy(x, y)
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveDense is a convenience that factors a and solves a single system.
-func SolveDense(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, a.N)
-	f.Solve(b, x)
-	return x, nil
 }

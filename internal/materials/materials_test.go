@@ -87,13 +87,3 @@ func TestMassLatentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestByName(t *testing.T) {
-	m, err := ByName("copper")
-	if err != nil || m.Name != "copper" {
-		t.Fatalf("ByName(copper) = %v, %v", m, err)
-	}
-	if _, err := ByName("unobtainium"); err == nil {
-		t.Fatal("expected error for unknown material")
-	}
-}

@@ -91,15 +91,6 @@ func (u Ultracapacitor) LeakageEnergyJPerDay() float64 {
 	return u.LeakageA * u.RatedV * 86400
 }
 
-// RechargeTimeS estimates the time to replenish energyJ through the battery
-// at the given charge power.
-func (u Ultracapacitor) RechargeTimeS(energyJ, chargePowerW float64) float64 {
-	if chargePowerW <= 0 {
-		return math.Inf(1)
-	}
-	return energyJ / chargePowerW
-}
-
 // Canonical parts from §6.
 var (
 	// PhoneLiIon is a representative phone battery: bursts of 10 W

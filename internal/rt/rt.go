@@ -40,15 +40,6 @@ type Program struct {
 	Phases []Phase
 }
 
-// NumTasks returns the total task count.
-func (p Program) NumTasks() int {
-	n := 0
-	for _, ph := range p.Phases {
-		n += len(ph.Tasks)
-	}
-	return n
-}
-
 // Validate reports structural errors.
 func (p Program) Validate() error {
 	if len(p.Phases) == 0 {
@@ -229,25 +220,6 @@ func (s *Scheduler) MigrateAll(target int) {
 		s.running[c] = nil
 	}
 }
-
-// Done reports whether the whole program has completed.
-func (s *Scheduler) Done() bool {
-	return s.phase >= len(s.prog.Phases) ||
-		(s.phase == len(s.prog.Phases)-1 && s.phaseComplete() && allNil(s.running))
-}
-
-func allNil(ts []*Task) bool {
-	for _, t := range ts {
-		if t != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// CurrentPhase returns the index of the phase being executed (== NumPhases
-// when finished).
-func (s *Scheduler) CurrentPhase() int { return s.phase }
 
 // ShardStreams splits a half-open range [0, total) into at most shards
 // contiguous sub-ranges and invokes mk for each, collecting tasks. Kernels

@@ -30,11 +30,16 @@ func mkProgram(phases ...[]Task) Program {
 	return p
 }
 
+// mix is one core's dynamic instruction mix.
+type mix struct {
+	ComputeOps, Loads, Stores, Pauses uint64
+}
+
 // drainAll pulls from the scheduler like a machine would, round-robin, and
 // returns per-core instruction counts.
-func drainAll(t *testing.T, s *Scheduler, cores int) []isa.Count {
+func drainAll(t *testing.T, s *Scheduler, cores int) []mix {
 	t.Helper()
-	counts := make([]isa.Count, cores)
+	counts := make([]mix, cores)
 	done := make([]bool, cores)
 	buf := make([]isa.Instr, 64)
 	for iter := 0; iter < 1_000_000; iter++ {
@@ -250,8 +255,13 @@ func TestShardStreams(t *testing.T) {
 		t.Fatalf("got %d shards, want 4", len(tasks))
 	}
 	var total uint64
+	buf := make([]isa.Instr, 8)
 	for _, tk := range tasks {
-		total += isa.Drain(tk.Stream).ComputeOps
+		for n := tk.Stream.Next(buf); n > 0; n = tk.Stream.Next(buf) {
+			for _, in := range buf[:n] {
+				total += uint64(in.N)
+			}
+		}
 	}
 	if total != 100 {
 		t.Errorf("sharded total = %d, want 100", total)

@@ -132,17 +132,6 @@ func (s Scenario) DarkSiliconPct() []float64 {
 	return out
 }
 
-// ActivePctAtNode returns the powered-on percentage at the given node (nm),
-// for claims like "by 2019 only 9% of the transistors can be active".
-func (s Scenario) ActivePctAtNode(nodeNm int) (float64, error) {
-	for i, n := range Nodes {
-		if n == nodeNm {
-			return 100 - s.DarkSiliconPct()[i], nil
-		}
-	}
-	return 0, fmt.Errorf("scaling: node %d nm not in the Figure 1 sequence", nodeNm)
-}
-
 // MobileChip captures the §2 die-area/TDP comparison points.
 type MobileChip struct {
 	Name    string

@@ -112,23 +112,12 @@ func (h *Histogram) Merge(other *Histogram) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int { return int(h.n) }
 
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the exact arithmetic mean; NaN when empty.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
 		return math.NaN()
 	}
 	return h.sum / float64(h.n)
-}
-
-// Min returns the exact minimum observation; NaN when empty.
-func (h *Histogram) Min() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.min
 }
 
 // Max returns the exact maximum observation; NaN when empty.

@@ -40,31 +40,11 @@ func (s *Series) Append(t, v float64) {
 	s.points = append(s.points, Point{T: t, V: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.points) }
-
-// At returns the i-th sample.
-func (s *Series) At(i int) Point { return s.points[i] }
-
 // Points returns the underlying samples (shared, not copied).
 func (s *Series) Points() []Point { return s.points }
 
-// First and Last return the boundary samples; they panic on empty series.
-func (s *Series) First() Point { return s.points[0] }
-
 // Last returns the final sample; it panics on an empty series.
 func (s *Series) Last() Point { return s.points[len(s.points)-1] }
-
-// Min returns the minimum value and its time.
-func (s *Series) Min() (t, v float64) {
-	v = math.Inf(1)
-	for _, p := range s.points {
-		if p.V < v {
-			t, v = p.T, p.V
-		}
-	}
-	return t, v
-}
 
 // Max returns the maximum value and its time.
 func (s *Series) Max() (t, v float64) {
@@ -99,35 +79,6 @@ func (s *Series) ValueAt(t float64) float64 {
 	return a.V + (b.V-a.V)*frac
 }
 
-// FirstCrossing returns the earliest time at which the signal reaches or
-// exceeds threshold (rising=true) or reaches or falls below it
-// (rising=false), with linear interpolation between samples. The boolean
-// reports whether a crossing exists.
-func (s *Series) FirstCrossing(threshold float64, rising bool) (float64, bool) {
-	for i, p := range s.points {
-		hit := p.V >= threshold
-		if !rising {
-			hit = p.V <= threshold
-		}
-		if !hit {
-			continue
-		}
-		if i == 0 {
-			return p.T, true
-		}
-		prev := s.points[i-1]
-		if prev.V == p.V {
-			return p.T, true
-		}
-		frac := (threshold - prev.V) / (p.V - prev.V)
-		if frac < 0 || frac > 1 || math.IsNaN(frac) {
-			return p.T, true
-		}
-		return prev.T + frac*(p.T-prev.T), true
-	}
-	return 0, false
-}
-
 // SettleTime returns the earliest time after which the signal stays within
 // ±band of the final sampled value until the end of the series. This is the
 // metric used for the §5 supply-voltage settling measurements.
@@ -150,35 +101,6 @@ func (s *Series) SettleTime(band float64) (float64, bool) {
 	return s.points[settleIdx].T, true
 }
 
-// PlateauWithin returns the total time the signal spends within ±band of
-// level. The paper's Fig 4(a) melt plateau duration is measured this way.
-func (s *Series) PlateauWithin(level, band float64) float64 {
-	total := 0.0
-	for i := 1; i < len(s.points); i++ {
-		a, b := s.points[i-1], s.points[i]
-		inA := math.Abs(a.V-level) <= band
-		inB := math.Abs(b.V-level) <= band
-		if inA && inB {
-			total += b.T - a.T
-		}
-	}
-	return total
-}
-
-// Resample returns a new series sampled at uniform interval dt over the
-// original time span using linear interpolation.
-func (s *Series) Resample(dt float64) *Series {
-	out := New(s.Name, s.Unit)
-	if len(s.points) == 0 || dt <= 0 {
-		return out
-	}
-	t0, t1 := s.points[0].T, s.points[len(s.points)-1].T
-	for t := t0; t <= t1+dt/2; t += dt {
-		out.Append(t, s.ValueAt(t))
-	}
-	return out
-}
-
 // CSV renders the series as two-column CSV with a header row.
 func (s *Series) CSV() string {
 	var b strings.Builder
@@ -197,22 +119,6 @@ func sanitize(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// Geomean returns the geometric mean of strictly positive values; it
-// returns NaN if any value is non-positive or the slice is empty.
-func Geomean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
 }
 
 // Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1) of an

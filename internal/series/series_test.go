@@ -53,28 +53,6 @@ func TestValueAtInterpolates(t *testing.T) {
 	}
 }
 
-func TestFirstCrossingRising(t *testing.T) {
-	s := ramp() // v = 2t
-	tc, ok := s.FirstCrossing(7, true)
-	if !ok || math.Abs(tc-3.5) > 1e-12 {
-		t.Errorf("rising crossing = (%v,%v), want 3.5", tc, ok)
-	}
-	if _, ok := s.FirstCrossing(1000, true); ok {
-		t.Error("should not find crossing above max")
-	}
-}
-
-func TestFirstCrossingFalling(t *testing.T) {
-	s := New("fall", "V")
-	s.Append(0, 10)
-	s.Append(1, 6)
-	s.Append(2, 2)
-	tc, ok := s.FirstCrossing(4, false)
-	if !ok || math.Abs(tc-1.5) > 1e-12 {
-		t.Errorf("falling crossing = (%v,%v), want 1.5", tc, ok)
-	}
-}
-
 func TestSettleTime(t *testing.T) {
 	s := New("v", "V")
 	s.Append(0, 1.0)
@@ -98,29 +76,6 @@ func TestSettleTimeImmediate(t *testing.T) {
 	}
 }
 
-func TestPlateauWithin(t *testing.T) {
-	s := New("temp", "C")
-	s.Append(0.0, 25)
-	s.Append(0.1, 60)
-	s.Append(1.0, 60) // 0.9 s plateau at 60
-	s.Append(1.2, 70)
-	got := s.PlateauWithin(60, 1.0)
-	if math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("plateau duration = %v, want 0.9", got)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := ramp()
-	r := s.Resample(0.5)
-	if r.Len() != 21 {
-		t.Fatalf("resampled len = %d, want 21", r.Len())
-	}
-	if got := r.At(1).V; got != 1 {
-		t.Errorf("resampled value at t=0.5 = %v, want 1", got)
-	}
-}
-
 func TestCSV(t *testing.T) {
 	s := New("volts,raw", "V")
 	s.Append(0, 1.5)
@@ -130,18 +85,6 @@ func TestCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "0,1.5") {
 		t.Errorf("CSV body missing sample: %q", out)
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if got := Geomean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Geomean = %v, want 4", got)
-	}
-	if !math.IsNaN(Geomean(nil)) {
-		t.Error("Geomean(nil) should be NaN")
-	}
-	if !math.IsNaN(Geomean([]float64{1, -1})) {
-		t.Error("Geomean with negative should be NaN")
 	}
 }
 
@@ -169,14 +112,14 @@ func TestValueAtProperty(t *testing.T) {
 			tcur += 0.5
 			s.Append(tcur, v)
 		}
-		for i := 0; i < s.Len(); i++ {
-			p := s.At(i)
+		for i := 0; i < len(s.Points()); i++ {
+			p := s.Points()[i]
 			if s.ValueAt(p.T) != p.V {
 				return false
 			}
 		}
-		for i := 1; i < s.Len(); i++ {
-			a, b := s.At(i-1), s.At(i)
+		for i := 1; i < len(s.Points()); i++ {
+			a, b := s.Points()[i-1], s.Points()[i]
 			mid := s.ValueAt((a.T + b.T) / 2)
 			lo, hi := math.Min(a.V, b.V), math.Max(a.V, b.V)
 			if mid < lo-1e-9 || mid > hi+1e-9 {

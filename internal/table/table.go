@@ -50,9 +50,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(row...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.Rows) }
-
 // Render writes the table to w in fixed-width ASCII form.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Header))

@@ -34,7 +34,6 @@ const (
 )
 
 type node struct {
-	name string
 	kind nodeKind
 
 	// capacitive / PCM sensible parameters
@@ -73,12 +72,9 @@ type Network struct {
 // given temperature.
 func NewNetwork(ambientC float64) *Network {
 	return &Network{
-		nodes: []node{{name: "ambient", kind: kindBoundary, tempC: ambientC}},
+		nodes: []node{{kind: kindBoundary, tempC: ambientC}},
 	}
 }
-
-// AmbientC returns the boundary temperature.
-func (n *Network) AmbientC() float64 { return n.nodes[AmbientNode].tempC }
 
 // AddNode adds a capacitive node with heat capacity capJPerK initialized to
 // initC degrees Celsius and returns its id.
@@ -87,7 +83,6 @@ func (n *Network) AddNode(name string, capJPerK, initC float64) NodeID {
 		panic(fmt.Sprintf("thermal: node %q requires positive heat capacity, got %g", name, capJPerK))
 	}
 	n.nodes = append(n.nodes, node{
-		name:     name,
 		kind:     kindCapacitive,
 		capJPerK: capJPerK,
 		tempC:    initC,
@@ -107,7 +102,6 @@ func (n *Network) AddPCMNode(name string, massG float64, pcm materials.PCM, init
 		panic(fmt.Sprintf("thermal: PCM node %q must start solid (init %g ≥ melt %g)", name, initC, pcm.MeltingPointC))
 	}
 	n.nodes = append(n.nodes, node{
-		name:     name,
 		kind:     kindPCM,
 		capJPerK: massG * pcm.SpecificHeatJPerGK,
 		meltC:    pcm.MeltingPointC,
@@ -157,34 +151,8 @@ func (n *Network) MeltFraction(id NodeID) float64 {
 	return math.Max(0, math.Min(1, frac))
 }
 
-// StoredEnergyJ returns the total enthalpy stored in all nodes relative to
-// their initial temperatures.
-func (n *Network) StoredEnergyJ() float64 {
-	total := 0.0
-	for i := range n.nodes {
-		if n.nodes[i].kind != kindBoundary {
-			total += n.nodes[i].enthalpyJ
-		}
-	}
-	return total
-}
-
-// InjectedEnergyJ and AmbientEnergyJ expose the running energy balance used
-// for conservation checks: injected = stored + ambient (within integration
-// tolerance).
-func (n *Network) InjectedEnergyJ() float64 { return n.injectedJ }
-
-// AmbientEnergyJ returns the total heat delivered to the ambient boundary.
-func (n *Network) AmbientEnergyJ() float64 { return n.ambientOutJ }
-
 // NumNodes returns the node count including the ambient boundary.
 func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// NodeName returns the human-readable node name.
-func (n *Network) NodeName(id NodeID) string {
-	n.checkID(id)
-	return n.nodes[id].name
-}
 
 // StableStep returns a timestep (s) at which explicit integration of this
 // network is stable with margin: a fraction of the smallest node time
@@ -280,52 +248,4 @@ func (nd *node) temperatureOfEnthalpy() float64 {
 	default:
 		return nd.tempC
 	}
-}
-
-// SteadyStateTempC computes the steady-state temperature of every node for
-// constant injection, by iterating the network to convergence. It is used
-// for TDP budgeting (what power keeps the junction below the PCM melting
-// point). PCM latent state is ignored: the steady state of a melting node is
-// pinned at the plateau only transiently, so callers should interpret a
-// result above the melting point as "would fully melt".
-func (n *Network) SteadyStateTempC(injectW []float64) []float64 {
-	// Solve the linear conduction system G·T = P with the boundary held
-	// fixed, via Gauss-Seidel (diagonally dominant by construction).
-	nn := len(n.nodes)
-	temps := make([]float64, nn)
-	for i := range temps {
-		temps[i] = n.nodes[i].tempC
-	}
-	for iter := 0; iter < 200000; iter++ {
-		maxDelta := 0.0
-		for i := 1; i < nn; i++ {
-			gSum, flow := 0.0, 0.0
-			for _, e := range n.edges {
-				switch NodeID(i) {
-				case e.a:
-					gSum += e.g
-					flow += e.g * temps[e.b]
-				case e.b:
-					gSum += e.g
-					flow += e.g * temps[e.a]
-				}
-			}
-			if gSum == 0 {
-				continue
-			}
-			p := 0.0
-			if i < len(injectW) {
-				p = injectW[i]
-			}
-			next := (flow + p) / gSum
-			if d := math.Abs(next - temps[i]); d > maxDelta {
-				maxDelta = d
-			}
-			temps[i] = next
-		}
-		if maxDelta < 1e-10 {
-			break
-		}
-	}
-	return temps
 }

@@ -213,9 +213,6 @@ func (s *Stack) JunctionC() float64 { return s.Net.TempC(s.Junction) }
 // PCMTempC returns the PCM block temperature in °C.
 func (s *Stack) PCMTempC() float64 { return s.Net.TempC(s.PCMNode) }
 
-// CaseC returns the case temperature in °C.
-func (s *Stack) CaseC() float64 { return s.Net.TempC(s.Case) }
-
 // MeltFraction returns the melted PCM fraction in [0,1].
 func (s *Stack) MeltFraction() float64 { return s.Net.MeltFraction(s.PCMNode) }
 

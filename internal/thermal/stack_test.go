@@ -59,7 +59,7 @@ func TestStackStepHeats(t *testing.T) {
 	if st.JunctionC() <= start {
 		t.Error("junction did not heat under 16 W")
 	}
-	if st.CaseC() < st.Config.AmbientC-1e-9 {
+	if st.Net.TempC(st.Case) < st.Config.AmbientC-1e-9 {
 		t.Error("case below ambient while heating")
 	}
 }

@@ -168,13 +168,3 @@ func SprintEnergyBudgetJ(cfg StackConfig, sprintPowerW float64) float64 {
 	durationS := stored / (sprintPowerW - leakW)
 	return stored + leakW*durationS
 }
-
-// MaxSprintDurationS estimates how long a sprint at sprintPowerW can run
-// before thermal exhaustion, from the energy budget.
-func MaxSprintDurationS(cfg StackConfig, sprintPowerW float64) float64 {
-	budget := SprintEnergyBudgetJ(cfg, sprintPowerW)
-	if math.IsInf(budget, 1) {
-		return math.Inf(1)
-	}
-	return budget / sprintPowerW
-}

@@ -64,8 +64,8 @@ func TestFig4bCooldown(t *testing.T) {
 	}
 	// Monotonic-ish: junction must never exceed its cooldown starting value.
 	_, maxV := res.Junction.Max()
-	if maxV > res.Junction.First().V+0.5 {
-		t.Errorf("junction rose during cooldown: start %.2f, max %.2f", res.Junction.First().V, maxV)
+	if maxV > res.Junction.Points()[0].V+0.5 {
+		t.Errorf("junction rose during cooldown: start %.2f, max %.2f", res.Junction.Points()[0].V, maxV)
 	}
 }
 

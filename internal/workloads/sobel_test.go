@@ -106,7 +106,7 @@ func TestSobelOutputBounded(t *testing.T) {
 func TestSobelAddressesWithinImages(t *testing.T) {
 	p := Params{Size: SizeA, Scale: 0.02, Shards: 2, Seed: 3}
 	inst := BuildSobel(p)
-	limit := inst.Space.Brk()
+	limit := inst.Space.Alloc(1) // the base of a fresh allocation is the top of every earlier one
 	s := inst.Program.Phases[0].Tasks[0].Stream
 	buf := make([]isa.Instr, 64)
 	for {

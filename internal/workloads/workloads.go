@@ -145,15 +145,6 @@ func ByName(name string) (Kernel, error) {
 	return Kernel{}, fmt.Errorf("workloads: unknown kernel %q (have %v)", name, names)
 }
 
-// Names returns all kernel names in registry order.
-func Names() []string {
-	out := make([]string, 0, 6)
-	for _, k := range All() {
-		out = append(out, k.Name)
-	}
-	return out
-}
-
 // megapixelsFor maps a size class to input megapixels, scaled down from
 // the paper's camera resolutions so single-core simulations complete in
 // tens of simulated milliseconds (see DESIGN.md §4 item 6 on scaling).
