@@ -15,13 +15,13 @@
 # fails on regressions past the tolerance; `make bench-baseline`
 # refreshes the baseline after an intentional perf change (bench-json also
 # runs the flight-recorder JSONL codec benchmarks in internal/trace and the
-# dispatch-index benchmark in internal/fleet, and bench-gate caps the
-# recorder's overhead as a ratio); `make lint`
+# dispatch-index and event-queue benchmarks in internal/fleet, and
+# bench-gate caps the recorder's overhead as a ratio); `make lint`
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, trace-replay, recording-reader, and dispatch-index fuzzers a short
-# budget each;
+# spec, trace-replay, recording-reader, dispatch-index, and event-queue
+# fuzzers a short budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
@@ -48,16 +48,17 @@ TOLERANCE ?= 1.5
 # note instead of a false verdict.
 MIN_SPEEDUP ?= BenchmarkFleetScaleDecoupledParallel=3
 
-# The flight recorder's cost ceiling: a full-level traced run may take at
-# most this multiple of the identical untraced run. Both benchmarks run on
-# the same machine in the same report, so the ratio is portable. Measured
-# at 2.8-3.3x (2 CPUs, -benchtime 1x); the ceiling leaves 1.5x headroom.
-MAX_RATIO ?= BenchmarkFleetTrace/BenchmarkFleetTraceOff=5
+# The flight recorder's cost ceilings, one name/base=ratio per word: a
+# traced run may take at most this multiple of the identical untraced run.
+# Both benchmarks run on the same machine in the same report, so the ratio
+# is portable. Measured at 3.4-4.0x for the full level and 2.9-3.3x for
+# the decisions level (2 CPUs); each ceiling leaves headroom.
+MAX_RATIO ?= BenchmarkFleetTrace/BenchmarkFleetTraceOff=5 BenchmarkFleetTraceDecisions/BenchmarkFleetTraceOff=5
 
 # The benchmarks bench-json records: the fleet set at the module root, the
-# recorder's JSONL codec in internal/trace, and the dispatch index's
-# per-layer benchmark in internal/fleet.
-BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL|BenchmarkDispatchIndex
+# recorder's JSONL codec in internal/trace, and the dispatch index's and
+# event queue's per-layer benchmarks in internal/fleet.
+BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetTraceDecisions|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL|BenchmarkDispatchIndex|BenchmarkEventQueue
 
 .PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants replay replay-golden replay-run
 
@@ -92,16 +93,18 @@ test: vet
 # A short-budget fuzz pass over every strict-decode surface — the
 # scenario JSON loader, the workload-spec loader, the request-trace
 # parser/replayer, and the flight-recorder JSONL reader — plus the
-# dispatch index against a brute-force scan: enough to catch a fresh
-# panic in parsing, validation, or a bounded run, or an index query that
-# diverges from the scan, without holding up CI. (The go tool takes one
-# -fuzz target per invocation, hence five.)
+# dispatch index against a brute-force scan and the event queue against a
+# sorted reference: enough to catch a fresh panic in parsing, validation,
+# or a bounded run, or an index query or event order that diverges from
+# its reference, without holding up CI. (The go tool takes one -fuzz
+# target per invocation, hence six.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDispatchIndex -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/fleet
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -117,7 +120,7 @@ bench-json:
 
 bench-gate: bench-json
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_fleet.json \
-		-tolerance $(TOLERANCE) -min-speedup $(MIN_SPEEDUP) -max-ratio $(MAX_RATIO)
+		-tolerance $(TOLERANCE) -min-speedup $(MIN_SPEEDUP) $(addprefix -max-ratio=,$(MAX_RATIO))
 
 bench-baseline: bench-json
 	cp BENCH_fleet.json BENCH_baseline.json

@@ -239,6 +239,27 @@ func BenchmarkFleetTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetTraceDecisions is BenchmarkFleetTrace at the decisions
+// level: every dispatch decision with its top-3 alternatives, the
+// lifecycle events and the timeline windows, but no per-request service
+// start or completion events. Its ratio to BenchmarkFleetTraceOff is the
+// recorder's base cost.
+func BenchmarkFleetTraceDecisions(b *testing.B) {
+	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
+	cfg.Nodes = 1000
+	cfg.Requests = 100_000
+	cfg.Coordination = sprinting.RackTokenPermit
+	cfg.RackSize = 16
+	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceDecisions, TopK: 3, WindowS: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetTraceOff is the paired control: the identical config
 // with the recorder's level at TraceOff, so no recorder exists and its
 // hooks reduce to nil checks. The delta to

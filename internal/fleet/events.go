@@ -1,5 +1,11 @@
 package fleet
 
+import (
+	"errors"
+	"math"
+	"math/bits"
+)
+
 // eventKind distinguishes the event types of the simulation.
 type eventKind uint8
 
@@ -53,11 +59,11 @@ const (
 	evRetry
 )
 
-// event is one entry of the simulation's future-event list. It is a plain
-// value — the future-event list is a value-based heap, so scheduling an
-// event never allocates — and it refers to its request by arena index
-// rather than pointer, keeping the hot structures free of GC-scanned
-// references.
+// event is one entry of the simulation's future-event list: the 24-byte
+// payload the queue keeps beside its heap of sort keys, which carry the
+// firing time. It refers to its request by arena index rather than
+// pointer, keeping the hot structures free of GC-scanned references, and
+// scheduling one never allocates.
 //
 // Arrivals are not events: the open-loop trace is generated time-sorted,
 // so the main loop merges a simple arrival cursor with this heap. On an
@@ -65,12 +71,6 @@ const (
 // historical ordering in which every arrival carried a smaller tie-break
 // sequence than any dynamically scheduled event.
 type event struct {
-	// atS is the simulated firing time.
-	atS float64
-	// seq is the push order, the total tie-break: two events at the same
-	// instant fire in the order they were scheduled, so the event loop is a
-	// deterministic function of the configuration alone.
-	seq uint64
 	// gen must match the rack's current trip generation for evBreakerTrip
 	// to fire, or the node's incarnation for evComplete, evSprintEnd and
 	// evSprintComplete (a mismatch marks an event scheduled against a node
@@ -85,90 +85,205 @@ type event struct {
 	kind eventKind
 }
 
-// eventBefore orders events by (atS, seq).
-//
-//sprint:hotpath
-func eventBefore(a, b event) bool {
-	if a.atS != b.atS {
-		return a.atS < b.atS
-	}
-	return a.seq < b.seq
+// qkey is an event's 16-byte heap key. t is timeKey of the firing time;
+// ord is seq<<slotBits | slot, where seq is the push order — the total
+// tie-break, so two events at the same instant fire in the order they
+// were scheduled and the event loop is a deterministic function of the
+// configuration alone — and slot locates the payload. Every seq is
+// unique, so comparing (t, ord) as two uint64s orders events exactly by
+// (time, seq).
+type qkey struct {
+	t, ord uint64
 }
 
-// eventQueue is a value-based 4-ary min-heap ordered by (atS, seq). A
-// 4-ary layout halves the tree depth of a binary heap, trading a few more
-// comparisons per level for fewer cache-missing hops — the right trade for
-// the sift-downs that dominate a discrete-event loop. No interface boxing,
-// no per-event allocation: push and pop move 40-byte values inside one
-// backing array that is reused for the whole run.
+// The bit split of qkey.ord. A slot is live only while its event is
+// pending, and the heap holds a few events per request (a hedge check, a
+// timeout, a retry) and per node or rack (a completion, a sprint end, a
+// breaker trip or reset, a recovery): 8 per request and per node covers
+// requestCap requests on maxNodes nodes in 2^28 slots (the compile-time
+// check below), and 2^28 pending events would take 10 GiB. seq keeps the
+// other 36 bits, 2^36 ≈ 6.9e10 pushes: 4096 per request at requestCap,
+// where a run schedules a handful. Only a pathological churn storm —
+// failures far faster than services finish, piling up stale events — can
+// exceed either field; push then refuses the event and flags the queue,
+// and the run fails with errQueueOverflow instead of misordering events.
+const (
+	slotBits = 28
+	maxSlots = 1 << slotBits
+	slotMask = maxSlots - 1
+	seqLimit = 1 << (64 - slotBits)
+)
+
+// A negative constant does not convert to uint64: this fails to compile
+// if the slot field cannot address 8 pending events per request and node.
+const _ = uint64(maxSlots - 8*requestCap - 8*maxNodes)
+
+var errQueueOverflow = errors.New("fleet: event queue overflow: more than 2^36 scheduled or 2^28 pending events")
+
+// timeKey maps a finite float64 to a uint64 of the same order. Adding +0
+// first folds −0 into +0, which it ties as a float; then a negative has
+// every bit flipped (a larger magnitude gives a smaller key) and a
+// non-negative has its sign bit set (above every negative). It holds for
+// every finite time, so nothing depends on the sign of event times.
+//
+//sprint:hotpath
+func timeKey(atS float64) uint64 {
+	b := math.Float64bits(atS + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// keyTime inverts timeKey; an event scheduled at −0 fires at +0, its
+// equal.
+//
+//sprint:hotpath
+func keyTime(t uint64) float64 {
+	return math.Float64frombits(t ^ (uint64(int64(^t)>>63) | 1<<63))
+}
+
+//sprint:hotpath
+func (a qkey) less(b qkey) bool { return a.lessBit(b) != 0 }
+
+// lessBit is 1 if a sorts before b and 0 otherwise: a branch-free
+// 128-bit compare of (t, ord).
+//
+//sprint:hotpath
+func (a qkey) lessBit(b qkey) int {
+	_, borrow := bits.Sub64(a.ord, b.ord, 0)
+	_, borrow = bits.Sub64(a.t, b.t, borrow)
+	return int(borrow)
+}
+
+// eventQueue is a 4-ary min-heap of 16-byte keys ordered by (time, seq),
+// with the event payloads in a side array whose freed slots a free list,
+// threaded through the freed payloads themselves, hands back out. A 4-ary
+// layout halves the tree depth of a binary heap, trading a few more
+// comparisons per level for fewer cache-missing hops — the right trade
+// for the sift-downs that dominate a discrete-event loop — and sifting
+// only keys moves 16 bytes per level instead of a whole event. A pending
+// event costs 40 bytes, key and payload. No interface boxing, no
+// per-event allocation: both arrays are reused for the whole run.
 type eventQueue struct {
-	a []event
+	k []qkey
+	p []event
+	// free is 1 + the most recently freed payload slot, 0 when none; a
+	// freed payload's req links to the next free slot the same way.
+	free int32
+	// overflow is set once push refused an event (see slotBits).
+	overflow bool
 }
 
-//sprint:hotpath
-func (q *eventQueue) len() int { return len(q.a) }
+// reserve sizes keys and payloads, which hold the free list, together for
+// n pending events, so neither grows while the heap stays within n.
+func (q *eventQueue) reserve(n int) {
+	q.k = make([]qkey, 0, n)
+	q.p = make([]event, 0, n)
+}
 
-// top returns the earliest event without removing it; the caller must
-// ensure the queue is non-empty.
+// queueReserve is the pending-event capacity an event loop over n nodes
+// reserves: its steady state (a completion per busy node, a sprint end
+// where a phase stops short of it, trip bookkeeping per rack) with room
+// to spare, so the loop never reallocates its queue.
+func queueReserve(n int) int { return 2*n + 64 }
+
+//sprint:hotpath
+func (q *eventQueue) len() int { return len(q.k) }
+
+// topAt returns the earliest event's firing time; the caller must ensure
+// the queue is non-empty.
 //
 //sprint:hotpath
-func (q *eventQueue) top() event { return q.a[0] }
+func (q *eventQueue) topAt() float64 { return keyTime(q.k[0].t) }
 
-// push schedules an event, sifting it up from the tail.
+// push schedules ev at atS as the seq-th push, sifting its key up from
+// the tail through a hole: parents move down one level until the key
+// fits, and it is stored once.
 //
 //sprint:hotpath
-func (q *eventQueue) push(ev event) {
-	q.a = append(q.a, ev)
-	i := len(q.a) - 1
+func (q *eventQueue) push(atS float64, ev event, seq uint64) {
+	if seq >= seqLimit || q.free == 0 && len(q.p) == maxSlots {
+		q.overflow = true
+		return
+	}
+	var slot uint32
+	if q.free != 0 {
+		slot = uint32(q.free - 1)
+		q.free = q.p[slot].req
+		q.p[slot] = ev
+	} else {
+		slot = uint32(len(q.p))
+		q.p = append(q.p, ev)
+	}
+	key := qkey{timeKey(atS), seq<<slotBits | uint64(slot)}
+	q.k = append(q.k, key)
+	k := q.k
+	i := len(k) - 1
 	for i > 0 {
-		p := (i - 1) / 4
-		if !eventBefore(q.a[i], q.a[p]) {
+		p := (i - 1) >> 2
+		if !key.less(k[p]) {
 			break
 		}
-		q.a[i], q.a[p] = q.a[p], q.a[i]
+		k[i] = k[p]
 		i = p
 	}
+	k[i] = key
 }
 
-// pop removes and returns the earliest event.
+// pop removes the earliest event and returns its firing time and
+// payload, freeing its slot. The last key sifts down from the root
+// through a hole: each level promotes the smallest of up to four
+// children until the key fits.
 //
 //sprint:hotpath
-func (q *eventQueue) pop() event {
-	ev := q.a[0]
-	n := len(q.a) - 1
-	q.a[0] = q.a[n]
-	q.a = q.a[:n]
-	// Sift down: promote the smallest of up to four children each level.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if eventBefore(q.a[j], q.a[best]) {
-				best = j
+func (q *eventQueue) pop() (float64, event) {
+	k := q.k
+	top := k[0]
+	slot := uint32(top.ord & slotMask)
+	ev := q.p[slot]
+	q.p[slot].req = q.free
+	q.free = int32(slot) + 1
+	n := len(k) - 1
+	last := k[n]
+	k = k[:n]
+	q.k = k
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
 			}
+			best := c
+			if c+3 < n {
+				// A full group: a two-round tournament whose winner is
+				// index arithmetic, not a branch, so the coin-flip
+				// comparisons of a sift cost no mispredictions.
+				g := k[c : c+4 : c+4]
+				x := g[1].lessBit(g[0])
+				y := 2 + g[3].lessBit(g[2])
+				best = c + x + (y-x)*g[y].lessBit(g[x])
+			} else {
+				for j := c + 1; j < n; j++ {
+					if k[j].less(k[best]) {
+						best = j
+					}
+				}
+			}
+			if !k[best].less(last) {
+				break
+			}
+			k[i] = k[best]
+			i = best
 		}
-		if !eventBefore(q.a[best], q.a[i]) {
-			break
-		}
-		q.a[i], q.a[best] = q.a[best], q.a[i]
-		i = best
+		k[i] = last
 	}
-	return ev
+	return keyTime(top.t), ev
 }
 
-// push schedules an event, stamping the deterministic tie-break sequence.
+// push schedules an event at atS, stamping the deterministic tie-break
+// sequence.
 //
 //sprint:hotpath
-func (s *sim) push(ev event) {
-	ev.seq = s.seq
+func (s *sim) push(atS float64, ev event) {
+	s.events.push(atS, ev, s.seq)
 	s.seq++
-	s.events.push(ev)
 }

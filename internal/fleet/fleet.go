@@ -23,9 +23,10 @@
 //     every node per arrival, reproducing the scan's rotating tie-break
 //     exactly (the linear scan survives as the refDispatch reference used
 //     by the cross-implementation determinism suite);
-//   - the future-event list is a value-based 4-ary heap merged with a
-//     time-sorted arrival cursor (see events.go), so scheduling an event
-//     moves a 40-byte value instead of boxing a fresh heap allocation;
+//   - the future-event list is a 4-ary heap of 16-byte keys, with the
+//     event payloads in a reused side array, merged with a time-sorted
+//     arrival cursor (see events.go), so scheduling an event stores a key
+//     and a payload instead of boxing a fresh heap allocation;
 //   - requests live in one per-run arena indexed by int32, and queued
 //     copies are 8-byte values, keeping the hot structures free of
 //     GC-scanned pointers;
@@ -817,6 +818,7 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		s.classes = []nodeClass{baseClass(cfg)}
 	}
 	s.nodes = make([]node, cfg.Nodes)
+	s.events.reserve(queueReserve(cfg.Nodes))
 	for i := range s.nodes {
 		c := int32(0)
 		if scen != nil {
@@ -1124,12 +1126,12 @@ func (s *sim) run(ctx context.Context) (Metrics, error) {
 	arrival := 0
 	for steps := 0; ; steps++ {
 		if steps&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
+			if err := s.loopErr(ctx); err != nil {
 				return Metrics{}, err
 			}
 		}
 		if arrival < len(s.reqs) &&
-			(s.events.len() == 0 || s.reqs[arrival].arrivalS <= s.events.top().atS) {
+			(s.events.len() == 0 || s.reqs[arrival].arrivalS <= s.events.topAt()) {
 			s.nowS = s.reqs[arrival].arrivalS
 			if s.rec != nil {
 				s.rec.tick(s)
@@ -1141,14 +1143,26 @@ func (s *sim) run(ctx context.Context) (Metrics, error) {
 		if s.events.len() == 0 {
 			break
 		}
-		ev := s.events.pop()
-		s.nowS = ev.atS
+		at, ev := s.events.pop()
+		s.nowS = at
 		if s.rec != nil {
 			s.rec.tick(s)
 		}
 		s.handle(ev)
 	}
+	if s.events.overflow {
+		return Metrics{}, errQueueOverflow
+	}
 	return s.finish(), nil
+}
+
+// loopErr is the event loops' periodic check: cancellation, or an event
+// the queue refused (see slotBits).
+func (s *sim) loopErr(ctx context.Context) error {
+	if s.events.overflow {
+		return errQueueOverflow
+	}
+	return ctx.Err()
 }
 
 // handle applies one scheduled event; the caller has already set nowS to
@@ -1259,10 +1273,10 @@ func (s *sim) dispatch(ri int32) {
 				d = h // per-SLO-class hedge override
 			}
 		}
-		s.push(event{atS: s.nowS + d, kind: evHedge, req: ri})
+		s.push(s.nowS+d, event{kind: evHedge, req: ri})
 	}
 	if s.rel != nil && s.rel.timeoutS > 0 {
-		s.push(event{atS: s.nowS + s.rel.timeoutS, kind: evTimeout, req: ri, gen: uint64(r.attempt)})
+		s.push(s.nowS+s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
 	}
 }
 
@@ -1474,7 +1488,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 	n.stats.EnergyJ += energyJ
 	n.stats.BusyS += serviceS
 	if !fused {
-		s.push(event{atS: n.busyUntilS, kind: evComplete, node: int32(n.id), gen: n.gen})
+		s.push(n.busyUntilS, event{kind: evComplete, node: int32(n.id), gen: n.gen})
 	}
 }
 

@@ -222,7 +222,7 @@ func (s *sim) scheduleTrip(r *rack) {
 	if deficitW <= 0 {
 		return
 	}
-	s.push(event{atS: s.nowS + r.bufferJ/deficitW, kind: evBreakerTrip, rack: int32(r.id), gen: r.tripGen})
+	s.push(s.nowS+r.bufferJ/deficitW, event{kind: evBreakerTrip, rack: int32(r.id), gen: r.tripGen})
 }
 
 // sprintAdmitted asks the node's rack whether the service about to start
@@ -305,7 +305,7 @@ func (s *sim) rackSprintStart(n *node, sprintS, serviceS float64) (fused bool) {
 	if fused = endS == s.nowS+serviceS; fused {
 		kind = evSprintComplete
 	}
-	s.push(event{atS: endS, kind: kind, rack: int32(r.id), node: int32(n.id), gen: n.gen})
+	s.push(endS, event{kind: kind, rack: int32(r.id), node: int32(n.id), gen: n.gen})
 	s.scheduleTrip(r)
 	return fused
 }
@@ -356,7 +356,7 @@ func (s *sim) breakerTrip(ev event) {
 	if s.scen != nil {
 		s.scen.acc[s.scen.cur].trips++
 	}
-	s.push(event{atS: s.nowS + s.cfg.BreakerRecoveryS, kind: evBreakerReset, rack: int32(r.id)})
+	s.push(s.nowS+s.cfg.BreakerRecoveryS, event{kind: evBreakerReset, rack: int32(r.id)})
 }
 
 // breakerReset closes the breaker after the recovery window: the rack
@@ -386,7 +386,7 @@ func (s *sim) rackFail() {
 	sc := s.scen
 	victim := sc.rackChurnRng.Intn(len(s.racks))
 	if next := s.nowS + sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMTBFS; next <= sc.endS {
-		s.push(event{atS: next, kind: evRackFail})
+		s.push(next, event{kind: evRackFail})
 	}
 	downS := math.Max(1e-3, sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMeanDowntimeS)
 	if s.rec != nil {

@@ -193,7 +193,7 @@ func (s *sim) clientRetry(ri int32) {
 		k = 20
 	}
 	backoff := s.rel.backoffS * float64(int64(1)<<(k-1)) * (0.5 + s.rel.rng.Float64())
-	s.push(event{atS: s.nowS + backoff, kind: evRetry, req: ri, gen: uint64(r.attempt)})
+	s.push(s.nowS+backoff, event{kind: evRetry, req: ri, gen: uint64(r.attempt)})
 }
 
 // retry is the evRetry handler: dispatch the request's next attempt. The
@@ -241,6 +241,6 @@ func (s *sim) retryDispatch(ri int32) {
 	r.firstNode = int32(n.id)
 	s.enqueue(n, reqCopy{req: ri, attempt: r.attempt})
 	if s.rel.timeoutS > 0 {
-		s.push(event{atS: s.nowS + s.rel.timeoutS, kind: evTimeout, req: ri, gen: uint64(r.attempt)})
+		s.push(s.nowS+s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
 	}
 }

@@ -600,18 +600,18 @@ func (s *sim) scheduleScenario() {
 	start := 0.0
 	for i := 0; i < len(sc.Phases)-1; i++ {
 		start += sc.Phases[i].DurationS
-		s.push(event{atS: start, kind: evPhase, req: int32(i + 1)})
+		s.push(start, event{kind: evPhase, req: int32(i + 1)})
 	}
 	if sc.Churn.MTBFS > 0 {
 		run.churnRng = rand.New(rand.NewSource(s.cfg.Seed ^ churnSeed))
 		if at := run.churnRng.ExpFloat64() * sc.Churn.MTBFS; at <= run.endS {
-			s.push(event{atS: at, kind: evNodeFail})
+			s.push(at, event{kind: evNodeFail})
 		}
 	}
 	if sc.Churn.RackMTBFS > 0 {
 		run.rackChurnRng = rand.New(rand.NewSource(s.cfg.Seed ^ rackChurnSeed))
 		if at := run.rackChurnRng.ExpFloat64() * sc.Churn.RackMTBFS; at <= run.endS {
-			s.push(event{atS: at, kind: evRackFail})
+			s.push(at, event{kind: evRackFail})
 		}
 	}
 }
@@ -655,7 +655,7 @@ func (s *sim) nodeFail() {
 	sc := s.scen
 	victim := sc.churnRng.Intn(len(s.nodes))
 	if next := s.nowS + sc.churnRng.ExpFloat64()*sc.spec.Churn.MTBFS; next <= sc.endS {
-		s.push(event{atS: next, kind: evNodeFail})
+		s.push(next, event{kind: evNodeFail})
 	}
 	n := &s.nodes[victim]
 	if !n.alive {
@@ -682,7 +682,7 @@ func (s *sim) failNode(n *node, downS float64) {
 		// watching its departures can never resolve.
 		s.rec.nodeDown(n)
 	}
-	s.push(event{atS: s.nowS + downS, kind: evNodeRecover, node: int32(n.id)})
+	s.push(s.nowS+downS, event{kind: evNodeRecover, node: int32(n.id)})
 
 	n.alive = false
 	n.gen++

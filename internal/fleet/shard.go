@@ -197,10 +197,7 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		} else {
 			sub.latencies = make([]float64, 0, len(s.reqs)/w+64)
 		}
-		// Pre-size the heap for its steady state (a completion and sprint
-		// end per busy node, trip bookkeeping per rack) so the worker loop
-		// never reallocates it.
-		sub.events.a = make([]event, 0, 2*(nhi-nlo)+64)
+		sub.events.reserve(queueReserve(nhi - nlo))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -248,11 +245,11 @@ func (w *sim) runStride(ctx context.Context, nlo, nhi int) error {
 	ai := nlo
 	for steps := 0; ; steps++ {
 		if steps&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
+			if err := w.loopErr(ctx); err != nil {
 				return err
 			}
 		}
-		if ai < len(w.reqs) && (w.events.len() == 0 || w.reqs[ai].arrivalS <= w.events.top().atS) {
+		if ai < len(w.reqs) && (w.events.len() == 0 || w.reqs[ai].arrivalS <= w.events.topAt()) {
 			w.nowS = w.reqs[ai].arrivalS
 			w.dispatchTo(int32(ai), &w.nodes[j])
 			j++
@@ -266,9 +263,12 @@ func (w *sim) runStride(ctx context.Context, nlo, nhi int) error {
 		if w.events.len() == 0 {
 			break
 		}
-		ev := w.events.pop()
-		w.nowS = ev.atS
+		at, ev := w.events.pop()
+		w.nowS = at
 		w.handle(ev)
+	}
+	if w.events.overflow {
+		return errQueueOverflow
 	}
 	return nil
 }

@@ -104,6 +104,10 @@ type recorder struct {
 	cfg TraceConfig
 	tr  *trace.Trace
 	seq uint64
+	// chunks holds the records in emit order, recChunk to a chunk, so a
+	// long recording never regrows one huge slice; finalize assembles
+	// tr.Records once, at its exact length (seq records).
+	chunks [][]trace.Record
 
 	// Counterfactual probes: probes is the arena, watch[node] the indices
 	// of probes waiting on that node's departures.
@@ -180,13 +184,26 @@ func (rec *recorder) begin(s *sim) {
 	}
 }
 
-// emit appends one record, stamping time and sequence.
+// recChunk is the record count of one recorder chunk.
+const recChunk = 1 << 12
+
+// emit appends one record, stamping time and sequence, and returns its
+// index.
 func (rec *recorder) emit(atS float64, r trace.Record) int {
+	if rec.seq%recChunk == 0 {
+		rec.chunks = append(rec.chunks, make([]trace.Record, 0, recChunk))
+	}
 	r.AtS = atS
 	r.Seq = rec.seq
 	rec.seq++
-	rec.tr.Records = append(rec.tr.Records, r)
-	return len(rec.tr.Records) - 1
+	c := &rec.chunks[len(rec.chunks)-1]
+	*c = append(*c, r)
+	return int(r.Seq)
+}
+
+// record returns the i-th emitted record.
+func (rec *recorder) record(i int) *trace.Record {
+	return &rec.chunks[i/recChunk][i%recChunk]
 }
 
 // event appends a lifecycle event at the current instant.
@@ -421,7 +438,7 @@ func (rec *recorder) departed(s *sim, n *node) {
 			kept = append(kept, pi)
 			continue
 		}
-		rec.tr.Records[p.rec].Decision.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
+		rec.record(int(p.rec)).Decision.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
 	}
 	rec.watch[n.id] = kept
 }
@@ -561,6 +578,11 @@ func (rec *recorder) finalize(s *sim) {
 	if rec.winDone > 0 || rec.inflight > 0 || len(rec.winLat) > 0 {
 		rec.sample(s, rec.nextS)
 	}
+	rec.tr.Records = make([]trace.Record, 0, rec.seq)
+	for _, c := range rec.chunks {
+		rec.tr.Records = append(rec.tr.Records, c...)
+	}
+	rec.chunks = nil
 	for i := range rec.tr.Records {
 		d := rec.tr.Records[i].Decision
 		if d == nil {
