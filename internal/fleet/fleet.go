@@ -30,10 +30,12 @@
 //   - requests live in one per-run arena indexed by int32, and queued
 //     copies are 8-byte values, keeping the hot structures free of
 //     GC-scanned pointers;
-//   - latencies stream into a fixed-bin log-scale histogram above
-//     exactQuantileCutoff requests (exact below it, or always with
-//     Config.ExactQuantiles), so finish() never sorts a million-entry
-//     buffer. See the "Performance model" section of docs/ARCHITECTURE.md.
+//   - the loop observes no latency: finish() reads every request's
+//     outcome off the arena once, streaming latencies into a fixed-bin
+//     log-scale histogram above exactQuantileCutoff requests (exact below
+//     it, or always with Config.ExactQuantiles), so it never sorts a
+//     million-entry buffer. See the "Performance model" section of
+//     docs/ARCHITECTURE.md.
 //
 // Each node serves like the session evaluator's governed policy: a request
 // runs at full sprint width while the node's thermal budget lasts, then
@@ -70,14 +72,65 @@ import (
 	"sprinting/internal/trace"
 )
 
-// exactQuantileCutoff is the trace length up to which finish() buffers
-// and sorts every latency for exact nearest-rank quantiles. Above it the
-// simulator streams latencies into a log-scale histogram (quantiles then
-// carry a ≤ 1.81% one-bin tolerance; mean and max stay exact) unless
+// exactQuantileCutoff is the trace length up to which every latency
+// distribution buffers and sorts for exact nearest-rank quantiles. Above
+// it latencies stream into a log-scale histogram (quantiles then carry a
+// ≤ 1.81% one-bin tolerance; mean and max stay exact) unless
 // Config.ExactQuantiles forces buffering. Every historical configuration
 // in this repository sits below the cutoff, so pinned percentiles are
 // unchanged.
 const exactQuantileCutoff = 1 << 17
+
+// latDist is one latency distribution — the run's, a scenario phase's or
+// an SLO class's — in the run's quantile mode: an exact buffer or the
+// streaming histogram. newLatDist is the one place that mode is decided,
+// so the run, its phases and its classes always agree.
+type latDist struct {
+	buf  []float64
+	hist *series.Histogram
+}
+
+// newLatDist returns an empty distribution in cfg's quantile mode;
+// cfg.Requests must be the final trace length, and capHint sizes the
+// exact buffer.
+func newLatDist(cfg Config, capHint int) latDist {
+	if cfg.ExactQuantiles || cfg.Requests <= exactQuantileCutoff {
+		return latDist{buf: make([]float64, 0, capHint)}
+	}
+	return latDist{hist: series.NewHistogram()}
+}
+
+func (d *latDist) observe(v float64) {
+	if d.hist != nil {
+		d.hist.Observe(v)
+	} else {
+		d.buf = append(d.buf, v)
+	}
+}
+
+// summary reports the mean, the nearest-rank p50/p95/p99/p999 and the
+// max, all zero when empty. The mean sums in observation order (the
+// histogram's running sum is that same sum), so distributions fed from
+// one arena walk report bit-identical means in either mode.
+func (d *latDist) summary() (mean, p50, p95, p99, p999, maxS float64) {
+	if h := d.hist; h != nil {
+		if h.Count() == 0 {
+			return
+		}
+		return h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Quantile(0.999), h.Max()
+	}
+	b := d.buf
+	if len(b) == 0 {
+		return
+	}
+	sum := 0.0
+	for _, v := range b {
+		sum += v
+	}
+	sort.Float64s(b)
+	return sum / float64(len(b)), series.Quantile(b, 0.50), series.Quantile(b, 0.95),
+		series.Quantile(b, 0.99), series.Quantile(b, 0.999), b[len(b)-1]
+}
 
 // Size caps: a bad size fails validation instead of panicking in make,
 // dying out of memory in the arrival generator, or emitting timeline
@@ -100,9 +153,10 @@ type Config struct {
 	Policy Policy
 	// Requests is the open-loop trace length.
 	Requests int
-	// ArrivalRatePerS is the fleet-wide request arrival rate; <= 0 selects
+	// ArrivalRatePerS is the fleet-wide request arrival rate; 0 selects
 	// ≈85% of the fleet's sustained service capacity (Nodes / MeanWorkS),
-	// the high-load regime where dispatch policy matters.
+	// the high-load regime where dispatch policy matters. A negative rate
+	// fails validation.
 	ArrivalRatePerS float64
 	// MeanWorkS is the mean single-core work per request in seconds.
 	MeanWorkS float64
@@ -131,8 +185,8 @@ type Config struct {
 	// rack groups. Only fully decoupled configurations shard: plain
 	// round-robin dispatch without Probabilistic rack admission, outside
 	// scenario mode, untraced, with no reliability layer or workload.
-	// Every other run — and Workers 0 or 1 — takes the classic single
-	// loop, so results are byte-identical at every worker count.
+	// Every other run — and Workers 0 or 1 — runs the same loop over the
+	// whole fleet, so results are byte-identical at every worker count.
 	Workers int
 
 	// Trace configures the flight recorder (see TraceConfig in trace.go).
@@ -348,6 +402,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: queue capacity must be positive")
 	case c.SprintWidth <= 0:
 		return fmt.Errorf("fleet: sprint width must be positive")
+	case c.ArrivalRatePerS < 0:
+		return fmt.Errorf("fleet: arrival rate must be non-negative (0 selects the default)")
 	case !(c.EffectiveRatePerS() > 0) || math.IsInf(c.EffectiveRatePerS(), 0):
 		return fmt.Errorf("fleet: arrival rate must be positive and finite")
 	case c.Policy == Hedged && c.HedgeDelayS <= 0:
@@ -738,11 +794,7 @@ type sim struct {
 	segIdx []int32
 	useRef bool
 
-	// latencies buffers completions for exact quantiles; hist streams
-	// them instead above exactQuantileCutoff (see finish).
-	latencies []float64
-	hist      *series.Histogram
-	m         Metrics
+	m Metrics
 
 	// rec is the flight recorder, nil unless Config.Trace.Level is on;
 	// every hook in the engine is a nil check on it
@@ -794,11 +846,11 @@ func baseClass(cfg Config) nodeClass {
 func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 
 // newSim assembles the simulation state for Run; cfg must already be
-// defaulted and validated, and
-// cfg.Requests must be the final trace length (quantile-mode selection
-// reads it). A non-nil scen supplies the classes and per-node assignment;
-// a non-nil rec attaches the flight recorder; a non-nil wl attaches the
-// multi-tenant workload state.
+// defaulted and validated, and cfg.Requests must be the final trace
+// length (finish's quantile-mode selection reads it). A non-nil scen
+// supplies the classes and per-node assignment; a non-nil rec attaches
+// the flight recorder; a non-nil wl attaches the multi-tenant workload
+// state.
 func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim {
 	s := &sim{
 		cfg:        cfg,
@@ -834,11 +886,6 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 				s.m.GrayNodes++
 			}
 		}
-	}
-	if cfg.ExactQuantiles || cfg.Requests <= exactQuantileCutoff {
-		s.latencies = make([]float64, 0, cfg.Requests)
-	} else {
-		s.hist = series.NewHistogram()
 	}
 	if cfg.Coordination != NoCoordination {
 		nRacks := (cfg.Nodes + cfg.RackSize - 1) / cfg.RackSize
@@ -971,10 +1018,9 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 	}
 
 	var (
-		reqs    []request
-		offered []int
-		wl      *workloadRun
-		err     error
+		reqs []request
+		wl   *workloadRun
+		err  error
 	)
 	switch {
 	case rows != nil:
@@ -1000,7 +1046,7 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 		}
 	case w != nil:
 		var truncated bool
-		reqs, offered, truncated = w.generate(cfg, *sc, cfg.Requests)
+		reqs, truncated = w.generate(cfg, *sc, cfg.Requests)
 		switch {
 		case truncated:
 			err = fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", cfg.Requests)
@@ -1014,7 +1060,7 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 			baseRate = cfg.EffectiveRatePerS()
 		}
 		var truncated bool
-		reqs, offered, truncated = sc.generate(cfg, baseRate)
+		reqs, truncated = sc.generate(cfg, baseRate)
 		switch {
 		case truncated:
 			err = fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
@@ -1039,15 +1085,9 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 		return Metrics{}, nil, err
 	}
 	cfg.Requests = len(reqs)
-	streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
-	if wl != nil && streaming {
-		for i := range wl.acc {
-			wl.acc[i].hist = series.NewHistogram()
-		}
-	}
 	var run *scenarioRun
 	if sc != nil {
-		run = newScenarioRun(cfg, *sc, offered, streaming)
+		run = newScenarioRun(cfg, *sc)
 	}
 	var rec *recorder
 	if cfg.Trace.Level != trace.LevelOff {
@@ -1118,26 +1158,41 @@ func traced(cfg Config) Config {
 	return cfg
 }
 
-// run drives the merged arrival-cursor / event-heap loop to completion
-// and assembles the metrics — the classic sequential engine, which
-// start() picks for Workers 0 or 1 and for every coupled configuration
-// (see shard.go).
-func (s *sim) run(ctx context.Context) (Metrics, error) {
-	arrival := 0
+// loop drives the merged arrival-cursor / event-heap loop over the node
+// range [nlo, nhi) until both drain. The cursor strides over the arrivals
+// whose round-robin target i mod N falls in the range — base+j for j in
+// [nlo, nhi) — in ascending index, which is ascending time, so the merge
+// rule (an arrival fires first on a time tie) is the same in every loop.
+// Over the whole fleet the cursor is the plain arrival index and dispatch
+// routes each arrival under the policy; a shard (see start) routes each
+// to its precomputed round-robin target through dispatchTo.
+func (s *sim) loop(ctx context.Context, nlo, nhi int) error {
+	nn := len(s.nodes)
+	whole := nlo == 0 && nhi == nn
+	base, j := 0, nlo
+	ai := nlo
 	for steps := 0; ; steps++ {
 		if steps&1023 == 1023 {
 			if err := s.loopErr(ctx); err != nil {
-				return Metrics{}, err
+				return err
 			}
 		}
-		if arrival < len(s.reqs) &&
-			(s.events.len() == 0 || s.reqs[arrival].arrivalS <= s.events.topAt()) {
-			s.nowS = s.reqs[arrival].arrivalS
+		if ai < len(s.reqs) && (s.events.len() == 0 || s.reqs[ai].arrivalS <= s.events.topAt()) {
+			s.nowS = s.reqs[ai].arrivalS
 			if s.rec != nil {
 				s.rec.tick(s)
 			}
-			s.dispatch(int32(arrival))
-			arrival++
+			if whole {
+				s.dispatch(int32(ai))
+			} else {
+				s.dispatchTo(int32(ai), &s.nodes[j])
+			}
+			j++
+			if j == nhi {
+				j = nlo
+				base += nn
+			}
+			ai = base + j
 			continue
 		}
 		if s.events.len() == 0 {
@@ -1151,9 +1206,9 @@ func (s *sim) run(ctx context.Context) (Metrics, error) {
 		s.handle(ev)
 	}
 	if s.events.overflow {
-		return Metrics{}, errQueueOverflow
+		return errQueueOverflow
 	}
-	return s.finish(), nil
+	return nil
 }
 
 // loopErr is the event loops' periodic check: cancellation, or an event
@@ -1166,9 +1221,9 @@ func (s *sim) loopErr(ctx context.Context) error {
 }
 
 // handle applies one scheduled event; the caller has already set nowS to
-// the event's firing time. It is shared by both engines — the classic
-// loop and the per-worker parallel loops — so the handlers themselves
-// cannot tell which one is driving.
+// the event's firing time. Every loop — over the whole fleet or over one
+// shard — applies events through it, so the handlers themselves cannot
+// tell which one is driving.
 //
 //sprint:hotpath
 func (s *sim) handle(ev event) {
@@ -1227,9 +1282,6 @@ func (s *sim) drop(ri int32, n *node) {
 	if n != nil {
 		n.stats.Dropped++
 	}
-	if s.scen != nil {
-		s.scen.acc[r.phase].dropped++
-	}
 }
 
 // dispatch routes a fresh arrival to the policy-chosen node.
@@ -1245,9 +1297,6 @@ func (s *sim) dispatch(ri int32) {
 		s.m.Shed++
 		s.m.AdmissionShed++
 		s.wl.acc[r.slo].admShed++
-		if s.scen != nil {
-			s.scen.acc[r.phase].shed++
-		}
 		return
 	}
 	rr0 := s.rr
@@ -1582,23 +1631,12 @@ func (s *sim) complete(n *node) {
 	if win {
 		r := &s.reqs[c.req]
 		r.doneS = s.nowS
-		lat := s.nowS - r.arrivalS
-		if s.hist != nil {
-			s.hist.Observe(lat)
-		} else {
-			s.latencies = append(s.latencies, lat)
-		}
 		s.m.Completed++
-		if s.scen != nil {
-			s.scen.acc[r.phase].observe(lat)
-		}
-		if s.wl != nil {
-			s.wl.observe(r.slo, lat)
-		}
 		if c.hedge {
 			s.m.HedgeWins++
 		}
 		if s.rec != nil {
+			lat := s.nowS - r.arrivalS
 			s.rec.reqDone(lat)
 			if c.hedge {
 				s.rec.event(s, trace.Event{Kind: "hedge-win", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase), DurS: lat})
@@ -1900,9 +1938,9 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 }
 
 // finish assembles the metrics. Every float it reports is reduced in a
-// canonical order — latency mean over the request arena in arena order,
+// canonical order — latencies over the request arena in arena order,
 // energy and throttled time in node/rack order — never in event-
-// completion order, so the sequential and sharded engines produce
+// completion order, so the whole-fleet and sharded loops produce
 // bit-identical sums even where float addition does not commute.
 func (s *sim) finish() Metrics {
 	if s.rec != nil {
@@ -1912,39 +1950,18 @@ func (s *sim) finish() Metrics {
 	}
 	m := s.m
 	m.SimS = s.lastDoneS
-	// The latency mean is summed over the arena rather than the
-	// histogram/buffer: completion order differs across engines (and the
-	// exact path historically summed after sorting), while arena order is
-	// the arrival trace — a pure function of the configuration.
-	sum, cnt := 0.0, 0
+	// Latencies are read off the arena, not gathered as requests
+	// complete: completion order differs between the whole-fleet and
+	// sharded loops, while arena order is the arrival trace — a pure
+	// function of the configuration.
+	lat := newLatDist(s.cfg, m.Completed)
 	for i := range s.reqs {
 		if r := &s.reqs[i]; r.doneS >= 0 {
-			sum += r.doneS - r.arrivalS
-			cnt++
+			lat.observe(r.doneS - r.arrivalS)
 		}
 	}
-	if cnt > 0 {
-		m.MeanS = sum / float64(cnt)
-	}
-	if s.hist != nil {
-		m.ApproxQuantiles = true
-		if s.hist.Count() > 0 {
-			m.P50S = s.hist.Quantile(0.50)
-			m.P95S = s.hist.Quantile(0.95)
-			m.P99S = s.hist.Quantile(0.99)
-			m.P999S = s.hist.Quantile(0.999)
-			m.MaxS = s.hist.Max()
-		}
-	} else {
-		sort.Float64s(s.latencies)
-		if n := len(s.latencies); n > 0 {
-			m.P50S = series.Quantile(s.latencies, 0.50)
-			m.P95S = series.Quantile(s.latencies, 0.95)
-			m.P99S = series.Quantile(s.latencies, 0.99)
-			m.P999S = series.Quantile(s.latencies, 0.999)
-			m.MaxS = s.latencies[n-1]
-		}
-	}
+	m.MeanS, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS = lat.summary()
+	m.ApproxQuantiles = lat.hist != nil
 	if m.SimS > 0 {
 		// Throughput counts every service that delivered a response,
 		// useful or not; goodput only the client-useful ones. With the
@@ -2006,7 +2023,7 @@ func (s *sim) finish() Metrics {
 		m.EnergyPerRequestJ = m.TotalEnergyJ / float64(m.Completed)
 	}
 	if s.scen != nil {
-		m.Phases = s.scen.phaseMetrics()
+		m.Phases = s.scen.phaseMetrics(s.cfg, s.reqs)
 	}
 	if s.wl != nil {
 		// The arena is still live here; assemble derives every per-class

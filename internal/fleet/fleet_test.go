@@ -196,6 +196,8 @@ func TestValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(RoundRobin); c.QueueCap = -1; return c }(),
 		func() Config { c := DefaultConfig(RoundRobin); c.Policy = Policy(99); return c }(),
 		func() Config { c := DefaultConfig(RoundRobin); c.Node.SprintPowerW = -5; return c }(),
+		// A negative rate once fell through to the ≈85% default silently.
+		func() Config { c := DefaultConfig(RoundRobin); c.ArrivalRatePerS = -5; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, _, err := Run(context.Background(), Spec{Config: cfg.withDefaults()}); err == nil {

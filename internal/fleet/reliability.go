@@ -164,9 +164,6 @@ func (s *sim) clientRetry(ri int32) {
 			// to the fleet total.
 			s.nodes[r.firstNode].stats.TimedOut++
 		}
-		if s.scen != nil {
-			s.scen.acc[r.phase].timedOut++
-		}
 		if s.rec != nil {
 			s.rec.reqAbandoned()
 			s.rec.event(s, trace.Event{Kind: "timed-out", Node: int(r.firstNode), Rack: -1, Req: int(ri), Phase: int(r.phase)})
@@ -176,9 +173,6 @@ func (s *sim) clientRetry(ri int32) {
 	if !s.rel.takeToken(s.nowS) {
 		r.shed = true
 		s.m.Shed++
-		if s.scen != nil {
-			s.scen.acc[r.phase].shed++
-		}
 		if s.rec != nil {
 			s.rec.reqAbandoned()
 			s.rec.event(s, trace.Event{Kind: "shed", Node: -1, Rack: -1, Req: int(ri), Phase: int(r.phase)})

@@ -28,10 +28,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"sprinting/internal/governor"
-	"sprinting/internal/series"
 	"sprinting/internal/trace"
 )
 
@@ -384,24 +382,13 @@ func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
 	return classes, idx
 }
 
-// phaseAcc accumulates one phase's outcome; latencies stream into a
-// histogram exactly when the whole run does (see Run).
+// phaseAcc counts one phase's events as they happen. A request's fate
+// and latency are not counted here: phaseMetrics reads them off the
+// arena after the run.
 type phaseAcc struct {
-	offered, completed, dropped     int
-	served, denials                 int
-	redispatches, failures, trips   int
-	timedOut, shed, retries, faults int
-	lat                             []float64
-	hist                            *series.Histogram
-}
-
-func (a *phaseAcc) observe(lat float64) {
-	a.completed++
-	if a.hist != nil {
-		a.hist.Observe(lat)
-	} else {
-		a.lat = append(a.lat, lat)
-	}
+	served, denials               int
+	redispatches, failures, trips int
+	retries, faults               int
 }
 
 // PhaseMetrics is one scenario phase's slice of the outcome. Counts are
@@ -468,58 +455,45 @@ type scenarioRun struct {
 	orphans      []reqCopy // reusable failure-handling scratch
 }
 
-// phaseMetrics assembles the per-phase breakdown after the run drains.
-func (sc *scenarioRun) phaseMetrics() []PhaseMetrics {
+// phaseMetrics assembles the per-phase breakdown after the run drains:
+// one arena walk charges every request's fate and latency to the phase
+// it arrived in, and the accumulators supply the event counts.
+func (sc *scenarioRun) phaseMetrics(cfg Config, reqs []request) []PhaseMetrics {
 	out := make([]PhaseMetrics, len(sc.spec.Phases))
+	lat := make([]latDist, len(out))
+	for i := range lat {
+		lat[i] = newLatDist(cfg, 0)
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		pm := &out[r.phase]
+		pm.Offered++
+		switch {
+		case r.doneS >= 0:
+			pm.Completed++
+			lat[r.phase].observe(r.doneS - r.arrivalS)
+		case r.dropped:
+			pm.Dropped++
+		case r.timedOut:
+			pm.TimedOut++
+		case r.shed:
+			pm.Shed++
+		}
+	}
 	start := 0.0
 	for i := range out {
-		p := sc.spec.Phases[i]
-		a := &sc.acc[i]
-		pm := PhaseMetrics{
-			Name:         p.Name,
-			StartS:       start,
-			EndS:         start + p.DurationS,
-			Offered:      a.offered,
-			Completed:    a.completed,
-			Dropped:      a.dropped,
-			Redispatches: a.redispatches,
-			NodeFailures: a.failures,
-			BreakerTrips: a.trips,
-
-			TimedOut:        a.timedOut,
-			Shed:            a.shed,
-			Retries:         a.retries,
-			TransientFaults: a.faults,
+		p, a, pm := sc.spec.Phases[i], &sc.acc[i], &out[i]
+		pm.Name, pm.StartS, pm.EndS = p.Name, start, start+p.DurationS
+		pm.Redispatches, pm.NodeFailures, pm.BreakerTrips = a.redispatches, a.failures, a.trips
+		pm.Retries, pm.TransientFaults = a.retries, a.faults
+		if pm.Offered > 0 {
+			pm.ShedRate = float64(pm.Shed) / float64(pm.Offered)
 		}
-		if a.offered > 0 {
-			pm.ShedRate = float64(a.shed) / float64(a.offered)
-		}
-		pm.ThroughputRPS = float64(a.completed) / p.DurationS
-		switch {
-		case a.hist != nil && a.hist.Count() > 0:
-			pm.MeanS = a.hist.Mean()
-			pm.P50S = a.hist.Quantile(0.50)
-			pm.P95S = a.hist.Quantile(0.95)
-			pm.P99S = a.hist.Quantile(0.99)
-			pm.P999S = a.hist.Quantile(0.999)
-			pm.MaxS = a.hist.Max()
-		case len(a.lat) > 0:
-			sort.Float64s(a.lat)
-			sum := 0.0
-			for _, l := range a.lat {
-				sum += l
-			}
-			pm.MeanS = sum / float64(len(a.lat))
-			pm.P50S = series.Quantile(a.lat, 0.50)
-			pm.P95S = series.Quantile(a.lat, 0.95)
-			pm.P99S = series.Quantile(a.lat, 0.99)
-			pm.P999S = series.Quantile(a.lat, 0.999)
-			pm.MaxS = a.lat[len(a.lat)-1]
-		}
+		pm.ThroughputRPS = float64(pm.Completed) / p.DurationS
+		pm.MeanS, pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = lat[i].summary()
 		if a.served > 0 {
 			pm.SprintDenialRate = float64(a.denials) / float64(a.served)
 		}
-		out[i] = pm
 		start = pm.EndS
 	}
 	return out
@@ -542,21 +516,20 @@ func clampF(v, lo, hi float64) float64 {
 // generator's clamping conventions, from a dedicated seeded stream. The
 // trace is built in a pooled arena (the caller returns it after the
 // run), so sweep drivers reuse one allocation across sweep points.
-func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offered []int, truncated bool) {
+func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, truncated bool) {
 	reqs = getArena(0)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ scenarioSeed))
 	totalS := 0.0
 	for _, p := range sc.Phases {
 		totalS += p.DurationS
 	}
-	offered = make([]int, len(sc.Phases))
 	t, pi, pStart := 0.0, 0, 0.0
 	for {
 		if len(reqs) >= sc.MaxRequests {
 			// Out of budget before the timeline ended: the caller turns
 			// this into a loud error rather than reporting trailing
 			// phases as mysteriously idle.
-			return reqs, offered, true
+			return reqs, true
 		}
 		mean := 1 / (baseRate * sc.Phases[pi].factor(t-pStart))
 		t += clampF(rng.ExpFloat64()*mean, math.Min(0.1, mean/8), mean*8)
@@ -565,27 +538,19 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offer
 			pi++
 		}
 		if t >= totalS {
-			return reqs, offered, false
+			return reqs, false
 		}
 		w := clampF(rng.ExpFloat64()*cfg.MeanWorkS, cfg.MeanWorkS/8, cfg.MeanWorkS*6)
 		reqs = append(reqs, request{arrivalS: t, workS: w, doneS: -1, firstNode: -1, phase: int16(pi)})
-		offered[pi]++
 	}
 }
 
 // newScenarioRun builds the live scenario state for a defaulted,
-// validated scenario whose arrivals are generated: offered holds the
-// per-phase arrival counts and streaming the run-wide quantile mode.
-func newScenarioRun(cfg Config, sc Scenario, offered []int, streaming bool) *scenarioRun {
+// validated scenario.
+func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc)
 	run.acc = make([]phaseAcc, len(sc.Phases))
-	for i := range run.acc {
-		run.acc[i].offered = offered[i]
-		if streaming {
-			run.acc[i].hist = series.NewHistogram()
-		}
-	}
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
 	}

@@ -340,53 +340,153 @@ func TestScenarioBaseRateDefault(t *testing.T) {
 	}
 }
 
-// TestScenarioQuantileModeSwitch: above the exact-quantile cutoff the
-// per-phase accumulators stream into histograms exactly when the overall
-// run does, and flipping ExactQuantiles switches both back to buffered —
-// with every per-phase percentile agreeing within the histogram's
-// one-bin contract and the simulation itself unchanged.
-func TestScenarioQuantileModeSwitch(t *testing.T) {
+// pastCutoff is a 64-node least-loaded fleet at 90% of sustained
+// capacity over a 480 s timeline: ~138k arrivals, just past
+// exactQuantileCutoff, so its latencies stream unless ExactQuantiles is
+// set. oneClass is a single-tenant, single-class workload offering the
+// same rate and work.
+func pastCutoff() (Config, WorkloadSpec) {
 	cfg := DefaultConfig(LeastLoaded)
 	cfg.Nodes = 64
 	cfg.MeanWorkS = 0.2
 	cfg.Seed = 3
+	w := WorkloadSpec{
+		Classes: []SLOClass{{Name: "all"}},
+		Tenants: []TenantSpec{{Name: "clients", Arrival: ArrivalSpec{RatePerS: 0.9 * 64 / 0.2}, Work: WorkSpec{MeanS: 0.2}}},
+	}
+	return cfg, w
+}
+
+func mustRun(t *testing.T, spec Spec) Metrics {
+	t.Helper()
+	m, _, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// latBlock is one latency block — a phase's or a class's — as the
+// quantile-mode comparison reads it.
+type latBlock struct {
+	name                 string
+	offered, completed   int
+	p50, p99, p999, maxS float64
+}
+
+func latBlocks(m Metrics) []latBlock {
+	var out []latBlock
+	for _, p := range m.Phases {
+		out = append(out, latBlock{"phase " + p.Name, p.Offered, p.Completed, p.P50S, p.P99S, p.P999S, p.MaxS})
+	}
+	for _, c := range m.Classes {
+		out = append(out, latBlock{"class " + c.Name, c.Offered, c.Completed, c.P50S, c.P99S, c.P999S, c.MaxS})
+	}
+	return out
+}
+
+// TestScenarioQuantileModeSwitch: above the exact-quantile cutoff the
+// per-phase and per-class latencies stream into histograms exactly when
+// the overall run does, and flipping ExactQuantiles switches them all
+// back to buffered — with every percentile agreeing within the
+// histogram's one-bin contract and the simulation itself unchanged. It
+// runs the timeline as a plain scenario and as a one-class workload.
+func TestScenarioQuantileModeSwitch(t *testing.T) {
+	cfg, w := pastCutoff()
 	sc := Scenario{
-		BaseRatePerS: 0.9 * 64 / 0.2,
+		BaseRatePerS: w.Tenants[0].Arrival.RatePerS,
 		Phases: []Phase{
 			{Name: "steady", DurationS: 340},
 			{Name: "surge", DurationS: 140, StartFactor: 1.3},
 		},
 	}
-	approx := mustScenario(t, cfg, sc)
-	if approx.Requests <= exactQuantileCutoff {
-		t.Fatalf("scenario too small to cross the cutoff: %d requests", approx.Requests)
-	}
-	if !approx.ApproxQuantiles {
-		t.Fatal("a past-cutoff scenario should stream quantiles")
-	}
-	cfg.ExactQuantiles = true
-	exact := mustScenario(t, cfg, sc)
-	if exact.ApproxQuantiles {
-		t.Fatal("ExactQuantiles must force buffering in scenario mode too")
-	}
-	if approx.Completed != exact.Completed || approx.TotalEnergyJ != exact.TotalEnergyJ {
-		t.Error("quantile mode must not change the simulation itself")
-	}
 	binFactor := math.Pow(10, 1.0/128)
-	for i := range exact.Phases {
-		a, e := approx.Phases[i], exact.Phases[i]
-		if a.Offered != e.Offered || a.Completed != e.Completed {
-			t.Fatalf("phase %s: counts differ across quantile modes", e.Name)
+	for _, in := range []struct {
+		name string
+		wl   *WorkloadSpec
+	}{{"scenario", nil}, {"workload", &w}} {
+		cfg := cfg
+		approx := mustRun(t, Spec{Config: cfg, Scenario: &sc, Workload: in.wl})
+		if approx.Requests <= exactQuantileCutoff {
+			t.Fatalf("%s: too small to cross the cutoff: %d requests", in.name, approx.Requests)
 		}
-		if a.MaxS != e.MaxS {
-			t.Errorf("phase %s: max must stay exact in both modes: %g vs %g", e.Name, a.MaxS, e.MaxS)
+		if !approx.ApproxQuantiles {
+			t.Fatalf("%s: a past-cutoff run should stream quantiles", in.name)
 		}
-		for _, q := range []struct {
-			name   string
-			av, ev float64
-		}{{"p50", a.P50S, e.P50S}, {"p99", a.P99S, e.P99S}, {"p999", a.P999S, e.P999S}} {
-			if q.av < q.ev/binFactor || q.av > q.ev*binFactor {
-				t.Errorf("phase %s %s: histogram %.6g vs exact %.6g exceeds one bin", e.Name, q.name, q.av, q.ev)
+		cfg.ExactQuantiles = true
+		exact := mustRun(t, Spec{Config: cfg, Scenario: &sc, Workload: in.wl})
+		if exact.ApproxQuantiles {
+			t.Fatalf("%s: ExactQuantiles must force buffering", in.name)
+		}
+		if approx.Completed != exact.Completed || approx.TotalEnergyJ != exact.TotalEnergyJ {
+			t.Errorf("%s: quantile mode must not change the simulation itself", in.name)
+		}
+		ab, eb := latBlocks(approx), latBlocks(exact)
+		want := len(sc.Phases)
+		if in.wl != nil {
+			want++ // one class
+		}
+		if len(ab) != want || len(eb) != want {
+			t.Fatalf("%s: got %d/%d latency blocks, want %d", in.name, len(ab), len(eb), want)
+		}
+		for i := range eb {
+			a, e := ab[i], eb[i]
+			if a.offered != e.offered || a.completed != e.completed {
+				t.Fatalf("%s %s: counts differ across quantile modes", in.name, e.name)
+			}
+			if a.maxS != e.maxS {
+				t.Errorf("%s %s: max must stay exact in both modes: %g vs %g", in.name, e.name, a.maxS, e.maxS)
+			}
+			if a.p50 == e.p50 && a.p99 == e.p99 && a.p999 == e.p999 {
+				t.Errorf("%s %s: percentiles identical across modes; the block did not stream", in.name, e.name)
+			}
+			for _, q := range []struct {
+				name   string
+				av, ev float64
+			}{{"p50", a.p50, e.p50}, {"p99", a.p99, e.p99}, {"p999", a.p999, e.p999}} {
+				if q.av < q.ev/binFactor || q.av > q.ev*binFactor {
+					t.Errorf("%s %s %s: histogram %.6g vs exact %.6g exceeds one bin", in.name, e.name, q.name, q.av, q.ev)
+				}
+			}
+		}
+	}
+}
+
+// TestOutcomeBlocksAgree: with one phase and one class, Metrics,
+// Phases[0] and Classes[0] describe the same latency sample, so they
+// must report the same mean, percentiles and max bit for bit — exact, and
+// past the cutoff where all three stream. The means in particular must
+// all sum in arena order.
+func TestOutcomeBlocksAgree(t *testing.T) {
+	cfg, w := pastCutoff()
+	sc := Scenario{BaseRatePerS: w.Tenants[0].Arrival.RatePerS, Phases: []Phase{{Name: "steady", DurationS: 480}}}
+	w.DurationS = 480
+	for _, in := range []struct {
+		name string
+		spec Spec
+	}{{"scenario", Spec{Scenario: &sc}}, {"workload", Spec{Workload: &w}}} {
+		for _, exact := range []bool{true, false} {
+			spec := in.spec
+			spec.Config = cfg
+			spec.Config.ExactQuantiles = exact
+			m := mustRun(t, spec)
+			if m.ApproxQuantiles == exact || len(m.Phases) != 1 {
+				t.Fatalf("%s exact=%v: %d requests, approx=%v, %d phases", in.name, exact, m.Requests, m.ApproxQuantiles, len(m.Phases))
+			}
+			want := [6]float64{m.MeanS, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS}
+			ph := m.Phases[0]
+			blocks := map[string][6]float64{"phase": {ph.MeanS, ph.P50S, ph.P95S, ph.P99S, ph.P999S, ph.MaxS}}
+			if spec.Workload != nil {
+				if len(m.Classes) != 1 {
+					t.Fatalf("%s: %d classes, want 1", in.name, len(m.Classes))
+				}
+				c := m.Classes[0]
+				blocks["class"] = [6]float64{c.MeanS, c.P50S, c.P95S, c.P99S, c.P999S, c.MaxS}
+			}
+			for name, got := range blocks {
+				if got != want {
+					t.Errorf("%s exact=%v: %s mean/p50/p95/p99/p999/max %v, fleet %v", in.name, exact, name, got, want)
+				}
 			}
 		}
 	}

@@ -2,21 +2,20 @@
 // event loops, with racks as the shard boundary so every rack power
 // domain is owned by exactly one worker. The contract is absolute:
 // Metrics are byte-identical at every worker count, and Workers ≤ 1
-// reproduces the classic single-loop engine exactly.
+// runs the one loop over the whole fleet.
 //
-// Only a decoupled configuration shards (runParallel): plain round-robin
+// Only a decoupled configuration shards (see start): plain round-robin
 // dispatch is a static assignment — arrival i goes to node i mod N,
 // because the rotation counter advances exactly once per arrival and
 // never reads node state — so with rack admission also shard-local
 // (anything but the Probabilistic policy's global random stream) the
-// shards share no state at all. Each worker runs the ordinary merged
-// arrival-cursor/event-heap loop over its node range on its own
-// goroutine, with a strided cursor selecting the arrivals it owns, and
-// the parent merges the results: integer counters add, SimS is the max
-// completion instant, latencies reduce through series.Histogram.Merge
-// (or buffer concatenation — finish sorts), and every remaining float is
-// already reduced in canonical arena/node/rack order by finish(). This
-// is the engine the ≥3× speedup gate measures; it is real parallelism.
+// shards share no state at all. Each worker runs the same loop over its
+// node range on its own goroutine, its strided cursor selecting the
+// arrivals it owns, and the parent merges only integer counters and the
+// last completion instant (SimS). Shards carry no latency state: every
+// latency and every float is reduced afterwards by finish() in canonical
+// arena/node/rack order. This is the engine the ≥3× speedup gate
+// measures; it is real parallelism.
 //
 // Everything else is coupled: least-loaded, sprint-aware, and hedged
 // dispatch take a fleet-wide argmin on every arrival, and scenario churn,
@@ -25,8 +24,8 @@
 // every node's state at time t, so the dependency chain between
 // consecutive events is the simulation's critical path and shards could
 // only replay the single loop's order, more slowly. A coupled run
-// therefore takes the classic single loop whatever Workers says, which
-// is byte-identical by construction.
+// therefore runs the one loop over the whole fleet whatever Workers says,
+// which is byte-identical by construction.
 //
 // Sprint-aware's dispatch index is segmented (dspSeg): one tournament
 // tree pair per contiguous node-class block, with queries merged under
@@ -42,8 +41,6 @@ import (
 	"context"
 	"math"
 	"sync"
-
-	"sprinting/internal/series"
 )
 
 // dspSeg is one sprint-aware dispatch-index segment: the busy and idle
@@ -84,8 +81,8 @@ func putArena(reqs []request) {
 // parallelOK reports whether the shards are fully decoupled, making the
 // concurrent engine exact: a plain (non-scenario) run under state-blind
 // round-robin dispatch, without the Probabilistic admission policy's
-// fleet-global random stream. Everything else runs the classic single
-// loop at any worker count — including any traced run, because the
+// fleet-global random stream. Everything else runs the loop over the
+// whole fleet at any worker count — including any traced run, because the
 // flight recorder appends one global record stream in event order, any
 // run with the reliability layer armed, whose retry budget and seeded
 // fault/jitter draws are likewise fleet-global state consumed in event
@@ -145,34 +142,28 @@ func (s *sim) altArgmin(rot int, workS float64) int {
 	return s.idx.firstLE(rot, math.Max(s.idx.d[1], s.nowS))
 }
 
-// start runs the engine the configuration selected: the concurrent
-// per-worker loops when Workers > 1 and the shards are decoupled, and
-// the classic loop otherwise.
-func (s *sim) start(ctx context.Context) (Metrics, error) {
-	if s.cfg.Workers > 1 && s.parallelOK() {
-		return s.runParallel(ctx)
-	}
-	return s.run(ctx)
-}
-
-// runParallel is the decoupled engine: one goroutine per shard, each a
-// self-contained sim sharing the parent's node, rack, class, and
-// request arrays (all index-disjoint across shards), merged when every
-// worker drains.
+// start runs the event loop and assembles the metrics. A decoupled
+// configuration with Workers > 1 runs one goroutine per shard, each a
+// self-contained sim sharing the parent's node, rack, class, and request
+// arrays (all index-disjoint across shards), merged when every worker
+// drains; everything else runs one loop over the whole fleet.
 //
 // Shards are contiguous rack-aligned node ranges (rack size 1 when
 // power domains are off), distributed as evenly as whole racks allow;
 // Workers is clamped to the rack-group count so no shard is empty, and a
-// clamp to one group runs the classic loop.
-func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
+// clamp to one group runs the whole-fleet loop.
+func (s *sim) start(ctx context.Context) (Metrics, error) {
 	rackSz := 1
 	if s.cfg.Coordination != NoCoordination {
 		rackSz = s.cfg.RackSize
 	}
 	nRacks := (s.cfg.Nodes + rackSz - 1) / rackSz
 	w := min(s.cfg.Workers, nRacks)
-	if w <= 1 {
-		return s.run(ctx)
+	if w <= 1 || !s.parallelOK() {
+		if err := s.loop(ctx, 0, len(s.nodes)); err != nil {
+			return Metrics{}, err
+		}
+		return s.finish(), nil
 	}
 	cuts := make([]int, w+1)
 	for k := range cuts {
@@ -192,16 +183,11 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		sub.reqs = s.reqs
 		sub.m.Policy = s.cfg.Policy
 		nlo, nhi := cuts[k], cuts[k+1]
-		if s.hist != nil {
-			sub.hist = series.NewHistogram()
-		} else {
-			sub.latencies = make([]float64, 0, len(s.reqs)/w+64)
-		}
 		sub.events.reserve(queueReserve(nhi - nlo))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[k] = sub.runStride(ctx, nlo, nhi)
+			errs[k] = sub.loop(ctx, nlo, nhi)
 		}()
 	}
 	wg.Wait()
@@ -218,59 +204,9 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		s.m.BreakerTrips += sub.m.BreakerTrips
 		s.m.PermitRequests += sub.m.PermitRequests
 		s.m.PermitDenials += sub.m.PermitDenials
-		if sub.lastDoneS > s.lastDoneS {
-			s.lastDoneS = sub.lastDoneS
-		}
-		if s.hist != nil {
-			s.hist.Merge(sub.hist)
-		} else {
-			// Concatenation order is irrelevant: finish() sorts before
-			// computing quantiles, and the mean reduces over the arena.
-			s.latencies = append(s.latencies, sub.latencies...)
-		}
+		s.lastDoneS = max(s.lastDoneS, sub.lastDoneS)
 	}
 	return s.finish(), nil
-}
-
-// runStride is one decoupled worker's loop over the node range
-// [nlo, nhi): the classic merged arrival-cursor/event-heap loop, with
-// the cursor striding over exactly the arrivals whose round-robin
-// target i mod N falls in the range. Arrival order within the worker is
-// ascending index — base*N + j for j in [nlo, nhi) — which is ascending
-// time, so the merge rule (arrival fires first on a time tie) behaves
-// exactly as in the sequential loop.
-func (w *sim) runStride(ctx context.Context, nlo, nhi int) error {
-	nn := len(w.nodes)
-	base, j := 0, nlo
-	ai := nlo
-	for steps := 0; ; steps++ {
-		if steps&1023 == 1023 {
-			if err := w.loopErr(ctx); err != nil {
-				return err
-			}
-		}
-		if ai < len(w.reqs) && (w.events.len() == 0 || w.reqs[ai].arrivalS <= w.events.topAt()) {
-			w.nowS = w.reqs[ai].arrivalS
-			w.dispatchTo(int32(ai), &w.nodes[j])
-			j++
-			if j == nhi {
-				j = nlo
-				base += nn
-			}
-			ai = base + j
-			continue
-		}
-		if w.events.len() == 0 {
-			break
-		}
-		at, ev := w.events.pop()
-		w.nowS = at
-		w.handle(ev)
-	}
-	if w.events.overflow {
-		return errQueueOverflow
-	}
-	return nil
 }
 
 // dispatchTo routes an arrival to its statically assigned round-robin

@@ -48,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 
-	"sprinting/internal/series"
 	"sprinting/internal/trace"
 )
 
@@ -656,7 +655,7 @@ type wlArrival struct {
 // streams merge under the total (time, tenant) order — within one tenant
 // arrivals are strictly increasing, so the order is unambiguous and the
 // merge is byte-identical however the sort visits it.
-func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, offered []int, truncated bool) {
+func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, truncated bool) {
 	totalS := 0.0
 	for _, p := range sc.Phases {
 		totalS += p.DurationS
@@ -677,7 +676,7 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 		t, pi, pStart := 0.0, 0, 0.0
 		for {
 			if len(rows) >= maxReqs {
-				return getArena(0), nil, true
+				return getArena(0), true
 			}
 			mean := 1 / (tn.Arrival.RatePerS * sc.Phases[pi].factor(t-pStart))
 			t += clampF(drawGap(rng, tn.Arrival, mean), 1e-9, mean*64)
@@ -702,16 +701,14 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 		}
 		return rows[i].tenant < rows[j].tenant
 	})
-	offered = make([]int, len(sc.Phases))
 	reqs = getArena(len(rows))
 	for i, a := range rows {
 		reqs[i] = request{
 			arrivalS: a.atS, workS: a.workS, doneS: -1, firstNode: -1,
 			phase: a.phase, slo: a.slo, tenant: a.tenant, width: a.width,
 		}
-		offered[a.phase]++
 	}
-	return reqs, offered, false
+	return reqs, false
 }
 
 // wlClass is one SLO class's live state: the resolved declaration plus
@@ -730,15 +727,12 @@ type wlTenant struct {
 	class int16
 }
 
-// wlAcc accumulates one class's incremental counters and latency
-// distribution; everything else in ClassMetrics is derived from an
-// arena walk in assemble, so the hot path stays two counters and one
-// observe.
+// wlAcc accumulates one class's incremental counters; everything else
+// in ClassMetrics, latencies included, is derived from an arena walk in
+// assemble, so the hot path stays two counters.
 type wlAcc struct {
 	admShed int
 	retries int
-	lat     []float64
-	hist    *series.Histogram
 }
 
 // workloadRun is the live multi-tenant state hanging off a sim; nil when
@@ -751,9 +745,7 @@ type workloadRun struct {
 	acc     []wlAcc
 }
 
-// newWorkloadRun lowers a defaulted, validated spec. Run gives each class
-// a streaming histogram when the run streams its quantiles, so per-class
-// quantiles carry the same exact-vs-one-bin contract.
+// newWorkloadRun lowers a defaulted, validated spec.
 func newWorkloadRun(w WorkloadSpec) *workloadRun {
 	wl := &workloadRun{disc: w.discipline()}
 	classIdx := map[string]int16{}
@@ -777,18 +769,6 @@ func newWorkloadRun(w WorkloadSpec) *workloadRun {
 //sprint:hotpath
 func (w *workloadRun) admit(slo int16, nowS float64) bool {
 	return w.classes[slo].bucket.take(nowS)
-}
-
-// observe records one completion's latency into its class distribution.
-//
-//sprint:hotpath
-func (w *workloadRun) observe(slo int16, lat float64) {
-	a := &w.acc[slo]
-	if a.hist != nil {
-		a.hist.Observe(lat)
-	} else {
-		a.lat = append(a.lat, lat)
-	}
 }
 
 // before orders two queued requests under the non-FIFO disciplines; the
@@ -887,11 +867,12 @@ type TenantMetrics struct {
 // assemble fills the workload outcome into the metrics; finish calls it
 // while the arena is live. Every count and float derives from an arena
 // walk in arena order (plus the two incremental counters admission and
-// retries), so it is bit-identical at any worker count.
+// retries), so it is bit-identical at any worker count, and each class's
+// latencies carry the run's exact-vs-one-bin quantile contract.
 func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	m.Classes = make([]ClassMetrics, len(w.classes))
 	m.Tenants = make([]TenantMetrics, len(w.tenants))
-	sums := make([]float64, len(w.classes))
+	lat := make([]latDist, len(w.classes))
 	within := make([]int, len(w.classes))
 	for i := range w.classes {
 		cl := &w.classes[i]
@@ -899,6 +880,7 @@ func (w *workloadRun) assemble(s *sim, m *Metrics) {
 			Name: cl.name, Priority: cl.priority, TargetP99S: cl.targetP99S,
 			AdmissionShed: w.acc[i].admShed, Retries: w.acc[i].retries,
 		}
+		lat[i] = newLatDist(s.cfg, 0)
 	}
 	for i := range w.tenants {
 		t := &w.tenants[i]
@@ -917,9 +899,9 @@ func (w *workloadRun) assemble(s *sim, m *Metrics) {
 			if int(r.tenant) < len(m.Tenants) {
 				m.Tenants[r.tenant].Completed++
 			}
-			lat := r.doneS - r.arrivalS
-			sums[r.slo] += lat
-			if t := w.classes[r.slo].targetP99S; t > 0 && lat <= t {
+			l := r.doneS - r.arrivalS
+			lat[r.slo].observe(l)
+			if t := w.classes[r.slo].targetP99S; t > 0 && l <= t {
 				within[r.slo]++
 			}
 		case r.dropped:
@@ -932,31 +914,13 @@ func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	}
 	for i := range m.Classes {
 		cm := &m.Classes[i]
-		if cm.Completed > 0 {
-			cm.MeanS = sums[i] / float64(cm.Completed)
-			if cm.TargetP99S > 0 {
-				cm.SLOAttainment = float64(within[i]) / float64(cm.Completed)
-			}
+		if cm.Completed > 0 && cm.TargetP99S > 0 {
+			cm.SLOAttainment = float64(within[i]) / float64(cm.Completed)
 		}
 		if m.SimS > 0 {
 			cm.GoodputRPS = float64(cm.Completed) / m.SimS
 		}
-		a := &w.acc[i]
-		switch {
-		case a.hist != nil && a.hist.Count() > 0:
-			cm.P50S = a.hist.Quantile(0.50)
-			cm.P95S = a.hist.Quantile(0.95)
-			cm.P99S = a.hist.Quantile(0.99)
-			cm.P999S = a.hist.Quantile(0.999)
-			cm.MaxS = a.hist.Max()
-		case len(a.lat) > 0:
-			sort.Float64s(a.lat)
-			cm.P50S = series.Quantile(a.lat, 0.50)
-			cm.P95S = series.Quantile(a.lat, 0.95)
-			cm.P99S = series.Quantile(a.lat, 0.99)
-			cm.P999S = series.Quantile(a.lat, 0.999)
-			cm.MaxS = a.lat[len(a.lat)-1]
-		}
+		cm.MeanS, cm.P50S, cm.P95S, cm.P99S, cm.P999S, cm.MaxS = lat[i].summary()
 	}
 	// Jain fairness over per-tenant completions in tenant order:
 	// (Σx)² / (n·Σx²), 1.0 when every tenant completed equally, → 1/n as

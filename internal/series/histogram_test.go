@@ -184,50 +184,3 @@ func TestHistogramBinBoundaryValues(t *testing.T) {
 		t.Errorf("p50 %g outside one bin of %g", p50, lo)
 	}
 }
-
-// TestHistogramMerge: merging shards is exactly equivalent to observing
-// the union — the per-phase scenario accumulators rely on this to
-// compose into whole-run summaries.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	whole, shardA, shardB := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 0; i < 20000; i++ {
-		v := rng.ExpFloat64() * 0.5
-		whole.Observe(v)
-		if i%2 == 0 {
-			shardA.Observe(v)
-		} else {
-			shardB.Observe(v)
-		}
-	}
-	shardA.Merge(shardB)
-	if shardA.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole %d", shardA.Count(), whole.Count())
-	}
-	// The sums were accumulated in different orders, so compare to float
-	// round-off rather than bit-exactly.
-	if math.Abs(shardA.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
-		t.Fatalf("merged sum %g != whole %g", shardA.Sum(), whole.Sum())
-	}
-	if shardA.Min() != whole.Min() || shardA.Max() != whole.Max() {
-		t.Errorf("merged min/max %g/%g != whole %g/%g", shardA.Min(), shardA.Max(), whole.Min(), whole.Max())
-	}
-	for _, q := range []float64{0.01, 0.5, 0.95, 0.999} {
-		if shardA.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%g: merged %g != whole %g", q, shardA.Quantile(q), whole.Quantile(q))
-		}
-	}
-	// Merging an empty (or nil) shard is a no-op.
-	before := shardA.Quantile(0.5)
-	shardA.Merge(NewHistogram())
-	shardA.Merge(nil)
-	if shardA.Quantile(0.5) != before {
-		t.Error("merging an empty histogram changed the quantiles")
-	}
-	// Merging INTO an empty histogram adopts the other side verbatim.
-	fresh := NewHistogram()
-	fresh.Merge(whole)
-	if fresh.Quantile(0.99) != whole.Quantile(0.99) || fresh.Min() != whole.Min() {
-		t.Error("merge into an empty histogram should adopt the source")
-	}
-}

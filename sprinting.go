@@ -170,16 +170,10 @@ func SimulateActivation(rampS float64) (*ActivationResult, error) {
 	return powergrid.Simulate(cfg, sched, powergrid.DefaultSimOptions(sched))
 }
 
-// SimulateActivations runs SimulateActivation for every ramp concurrently
-// on a bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 is exactly
-// serial), returning results in ramp order.
-func SimulateActivations(rampsS []float64, workers int) ([]*ActivationResult, error) {
-	return SimulateActivationsContext(context.Background(), rampsS, workers)
-}
-
-// SimulateActivationsContext is SimulateActivations under a caller
-// context: cancellation stops new ramps from starting, and finished ramps
-// keep their results.
+// SimulateActivationsContext runs SimulateActivation for every ramp
+// concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
+// 1 is exactly serial), returning results in ramp order. Cancellation
+// stops new ramps from starting, and finished ramps keep their results.
 func SimulateActivationsContext(ctx context.Context, rampsS []float64, workers int) ([]*ActivationResult, error) {
 	return engine.Map(ctx, rampsS,
 		func(_ context.Context, rampS float64) (*ActivationResult, error) {
@@ -187,15 +181,10 @@ func SimulateActivationsContext(ctx context.Context, rampsS []float64, workers i
 		}, engine.Options{Workers: workers})
 }
 
-// SimulateSprintThermalsBatch runs SimulateSprintThermals for every sprint
-// power concurrently on a bounded worker pool, returning transients in
-// power order. The error reports any simulation panic the pool isolated.
-func SimulateSprintThermalsBatch(d ThermalDesign, powersW []float64, workers int) ([]SprintTransient, error) {
-	return SimulateSprintThermalsBatchContext(context.Background(), d, powersW, workers)
-}
-
-// SimulateSprintThermalsBatchContext is SimulateSprintThermalsBatch under
-// a caller context.
+// SimulateSprintThermalsBatchContext runs SimulateSprintThermals for
+// every sprint power concurrently on a bounded worker pool, returning
+// transients in power order. The error reports cancellation or any
+// simulation panic the pool isolated.
 func SimulateSprintThermalsBatchContext(ctx context.Context, d ThermalDesign, powersW []float64, workers int) ([]SprintTransient, error) {
 	return engine.Map(ctx, powersW,
 		func(_ context.Context, p float64) (SprintTransient, error) {
@@ -203,16 +192,10 @@ func SimulateSprintThermalsBatchContext(ctx context.Context, d ThermalDesign, po
 		}, engine.Options{Workers: workers})
 }
 
-// SimulateCooldownThermalsBatch runs SimulateCooldownThermals for every
-// sprint power concurrently on a bounded worker pool, returning transients
-// in power order. The error reports any simulation panic the pool
-// isolated.
-func SimulateCooldownThermalsBatch(d ThermalDesign, powersW []float64, workers int) ([]CooldownTransient, error) {
-	return SimulateCooldownThermalsBatchContext(context.Background(), d, powersW, workers)
-}
-
-// SimulateCooldownThermalsBatchContext is SimulateCooldownThermalsBatch
-// under a caller context.
+// SimulateCooldownThermalsBatchContext runs SimulateCooldownThermals for
+// every sprint power concurrently on a bounded worker pool, returning
+// transients in power order. The error reports cancellation or any
+// simulation panic the pool isolated.
 func SimulateCooldownThermalsBatchContext(ctx context.Context, d ThermalDesign, powersW []float64, workers int) ([]CooldownTransient, error) {
 	return engine.Map(ctx, powersW,
 		func(_ context.Context, p float64) (CooldownTransient, error) {
@@ -272,15 +255,10 @@ func EvaluateSession(bursts []Burst, policy SessionPolicy) SessionMetrics {
 	return session.Evaluate(bursts, policy, session.DefaultConfig())
 }
 
-// EvaluateSessions services the burst trace under every policy
+// EvaluateSessionsContext services the burst trace under every policy
 // concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
 // 1 is exactly serial), returning metrics in policy order. The error
-// reports any evaluation panic the pool isolated.
-func EvaluateSessions(bursts []Burst, policies []SessionPolicy, workers int) ([]SessionMetrics, error) {
-	return EvaluateSessionsContext(context.Background(), bursts, policies, workers)
-}
-
-// EvaluateSessionsContext is EvaluateSessions under a caller context.
+// reports cancellation or any evaluation panic the pool isolated.
 func EvaluateSessionsContext(ctx context.Context, bursts []Burst, policies []SessionPolicy, workers int) ([]SessionMetrics, error) {
 	return engine.Map(ctx, policies,
 		func(_ context.Context, p SessionPolicy) (SessionMetrics, error) {
@@ -363,7 +341,8 @@ func DefaultRackBudgetW(rackSize int, node GovernorConfig) float64 {
 // policy, open-loop arrival trace, per-node queue bound, the governor
 // configuration every node manages its thermal budget with, and the rack
 // power domains (RackSize nodes per provisioned circuit under a
-// RackCoordination policy).
+// RackCoordination policy). ArrivalRatePerS 0 selects ≈85% of sustained
+// capacity; a negative rate fails validation.
 //
 // Traces up to 131072 requests report exact nearest-rank latency
 // quantiles; larger traces stream latencies through a fixed-bin
