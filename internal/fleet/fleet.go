@@ -132,6 +132,48 @@ func (d *latDist) summary() (mean, p50, p95, p99, p999, maxS float64) {
 		series.Quantile(b, 0.99), series.Quantile(b, 0.999), b[len(b)-1]
 }
 
+// tally is one cohort's outcome — the run's, a scenario phase's or an SLO
+// class's — as finish's one arena walk counts it: requests per fate, the
+// completed ones' latency distribution and, for a class with a p99
+// target, how many completions met it.
+type tally struct {
+	n       [nFates]int
+	lat     latDist
+	targetS float64
+	within  int
+}
+
+// newTallies returns k empty tallies in cfg's quantile mode.
+func newTallies(cfg Config, k int) []tally {
+	ts := make([]tally, k)
+	for i := range ts {
+		ts[i].lat = newLatDist(cfg, 0)
+	}
+	return ts
+}
+
+func (t *tally) add(r *request) {
+	t.n[r.fate]++
+	if r.fate == done {
+		l := r.doneS - r.arrivalS
+		t.lat.observe(l)
+		if t.targetS > 0 && l <= t.targetS {
+			t.within++
+		}
+	}
+}
+
+// counts reports the cohort's offered, completed, dropped, timed-out and
+// shed counts as the public metrics carry them: shed includes the
+// admission sheds.
+func (t *tally) counts() (int, int, int, int, int) {
+	offered := 0
+	for _, c := range t.n {
+		offered += c
+	}
+	return offered, t.n[done], t.n[dropped], t.n[timedOut], t.n[shed] + t.n[admShed]
+}
+
 // Size caps: a bad size fails validation instead of panicking in make,
 // dying out of memory in the arrival generator, or emitting timeline
 // samples without end. requestCap bounds every load source (Config.Requests,
@@ -629,36 +671,51 @@ type Metrics struct {
 	JainFairness float64
 }
 
-// request is one open-loop arrival; doneS < 0 until its first completion.
-// Requests live in the sim's per-run arena and are referred to by index,
-// so the event loop never allocates or GC-scans them.
+// request is one open-loop arrival. Requests live in the sim's per-run
+// arena and are referred to by index, so the event loop never allocates or
+// GC-scans them. The arena is the run's one large allocation, so the
+// record is kept to 40 bytes (TestRequestArenaSize).
 type request struct {
-	arrivalS  float64
-	workS     float64
+	arrivalS float64
+	workS    float64
+	// doneS is the first completion's instant, meaningful once fate is
+	// done; it is −1 before.
 	doneS     float64
 	firstNode int32
 	// phase is the scenario phase the request arrived in (0 outside
 	// scenario mode); copies counts live dispatched copies so failure
 	// handling can tell an orphaned request (fail over) from one that
 	// still has a copy in flight elsewhere (hedging).
-	phase   int16
-	copies  int16
-	dropped bool
-	// attempt is the request's client-side attempt counter (reliability
-	// layer only): bumped on every timeout or fault, it stales the
-	// expired attempt's in-flight copies and pending timeout exactly as a
-	// node's incarnation stales its scheduled events. timedOut and shed
-	// mark the two reliability-terminal states.
-	attempt  uint8
-	timedOut bool
-	shed     bool
+	phase  int16
+	copies int16
 	// Workload labels (zero outside workload/replay runs): slo and tenant
 	// index the workloadRun's class and tenant tables, and width > 0 caps
 	// the request's service parallelism below the node's class width.
 	slo    int16
 	tenant int16
 	width  uint16
+	// attempt is the request's client-side attempt counter (reliability
+	// layer only): bumped on every timeout or fault, it stales the
+	// expired attempt's in-flight copies and pending timeout exactly as a
+	// node's incarnation stales its scheduled events.
+	attempt uint8
+	fate    fate
 }
+
+// fate is what became of a request: live until exactly one terminal site
+// decides it, and never changed after. finish counts every outcome off
+// the arena by fate.
+type fate uint8
+
+const (
+	live     fate = iota
+	done          // completed (complete)
+	dropped       // no queue space anywhere (drop)
+	timedOut      // retries exhausted (clientRetry)
+	shed          // retry budget empty (clientRetry)
+	admShed       // refused at the door by admission control (dispatch)
+	nFates
+)
 
 // reqCopy is one dispatched copy of a request (hedging can make two): an
 // 8-byte pointer-free value — req indexes sim.reqs. attempt is the
@@ -818,30 +875,6 @@ type sim struct {
 	wl *workloadRun
 }
 
-// baseClass derives the single homogeneous node class of a plain (non-
-// scenario) simulation from the configuration.
-func baseClass(cfg Config) nodeClass {
-	proto := governor.New(cfg.Node)
-	// While not sprinting the package sheds heat at the sustained
-	// budget; the sprint-aware estimator projects refill at this rate.
-	drain := cfg.Node.Design.SustainedPowerBudgetW()
-	return nodeClass{
-		name:        "default",
-		width:       float64(cfg.SprintWidth),
-		sprintW:     cfg.Node.SprintPowerW,
-		nominalW:    cfg.Node.NominalPowerW,
-		extraW:      cfg.Node.SprintPowerW - cfg.Node.NominalPowerW,
-		queueCap:    cfg.QueueCap,
-		gcfg:        cfg.Node,
-		budgetScale: 1,
-		drainScale:  1,
-		proto:       *proto,
-		capJ:        proto.CapacityJ(),
-		drainW:      drain,
-		netW:        cfg.Node.SprintPowerW - drain,
-	}
-}
-
 // cl returns the node's class constants.
 func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 
@@ -864,18 +897,17 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 	s.m.Policy = cfg.Policy
 	s.m.Requests = cfg.Requests
 	s.m.Coordination = cfg.Coordination
+	// A plain fleet is one implicit default class.
+	var classIdx []int32
 	if scen != nil {
-		s.classes = scen.classes
+		s.classes, classIdx = scen.classes, scen.classIdx
 	} else {
-		s.classes = []nodeClass{baseClass(cfg)}
+		s.classes, classIdx = buildClasses(cfg, nil, 0)
 	}
 	s.nodes = make([]node, cfg.Nodes)
 	s.events.reserve(queueReserve(cfg.Nodes))
 	for i := range s.nodes {
-		c := int32(0)
-		if scen != nil {
-			c = scen.classIdx[i]
-		}
+		c := classIdx[i]
 		s.nodes[i] = node{id: i, class: c, gov: s.classes[c].proto, alive: true}
 	}
 	if cfg.Reliability.enabled() {
@@ -1269,8 +1301,7 @@ func (s *sim) handle(ev event) {
 //sprint:hotpath
 func (s *sim) drop(ri int32, n *node) {
 	r := &s.reqs[ri]
-	r.dropped = true
-	s.m.Dropped++
+	r.fate = dropped
 	if s.rec != nil && r.firstNode >= 0 {
 		// A redispatch-drop abandons a request that was in flight; a fresh
 		// arrival bounced before its first enqueue never counted.
@@ -1293,10 +1324,7 @@ func (s *sim) dispatch(ri int32) {
 		// Admission control sheds at the door, before the policy looks at
 		// the fleet: the class's token bucket is empty. Terminal — the
 		// client gets an immediate refusal, not a retry.
-		r.shed = true
-		s.m.Shed++
-		s.m.AdmissionShed++
-		s.wl.acc[r.slo].admShed++
+		r.fate = admShed
 		return
 	}
 	rr0 := s.rr
@@ -1336,12 +1364,9 @@ func (s *sim) dispatch(ri int32) {
 //sprint:hotpath
 func (s *sim) hedge(ri int32) {
 	r := &s.reqs[ri]
-	if r.doneS >= 0 || r.dropped {
-		return
-	}
-	if s.rel != nil && (r.timedOut || r.shed || r.copies == 0) {
-		// Reliability-terminal, or between attempts (the expired copy is
-		// stale and the retry has not dispatched yet): nothing to duplicate.
+	if r.fate != live || (s.rel != nil && r.copies == 0) {
+		// Decided, or between attempts (the expired copy is stale and the
+		// retry has not dispatched yet): nothing to duplicate.
 		return
 	}
 	rr0 := s.rr
@@ -1631,7 +1656,7 @@ func (s *sim) complete(n *node) {
 	if win {
 		r := &s.reqs[c.req]
 		r.doneS = s.nowS
-		s.m.Completed++
+		r.fate = done
 		if c.hedge {
 			s.m.HedgeWins++
 		}
@@ -1734,7 +1759,8 @@ func (n *node) drainKey() float64 {
 }
 
 // selectNode picks the destination node for a request copy under the
-// configured policy. exclude (≥ 0) removes a node from consideration
+// configured policy. exclude (≥ 0) removes a node from consideration:
+// only hedge passes one, so only the Hedged policy's index implements it
 // (hedging never duplicates onto the original node). It returns nil when
 // no eligible node has queue space (round-robin instead returns its next
 // node regardless, modelling a state-blind dispatcher).
@@ -1761,10 +1787,7 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 	}
 	start := s.rr
 	s.rr++
-	if s.useRef || (s.cfg.Policy == SprintAware && exclude >= 0) {
-		// Sprint-aware exclusion never happens today (hedging scores by
-		// load), so the indexed path does not implement it; fall back to
-		// the reference scan should a future policy combination need it.
+	if s.useRef {
 		return s.refSelect(workS, exclude, start)
 	}
 	rot := start % len(s.nodes)
@@ -1937,11 +1960,13 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 	return best
 }
 
-// finish assembles the metrics. Every float it reports is reduced in a
-// canonical order — latencies over the request arena in arena order,
-// energy and throttled time in node/rack order — never in event-
-// completion order, so the whole-fleet and sharded loops produce
-// bit-identical sums even where float addition does not commute.
+// finish assembles the metrics. The loop counts no request's outcome:
+// one walk over the request arena tallies every request's fate and
+// latency into the run, its scenario phase and its SLO class, and counts
+// its tenant. Every float it reports is reduced in a canonical order —
+// latencies in arena order, energy and throttled time in node/rack order —
+// never in event-completion order, so the whole-fleet and sharded loops
+// produce bit-identical sums even where float addition does not commute.
 func (s *sim) finish() Metrics {
 	if s.rec != nil {
 		// The arena is still live here; finalize reads realized completion
@@ -1950,18 +1975,38 @@ func (s *sim) finish() Metrics {
 	}
 	m := s.m
 	m.SimS = s.lastDoneS
-	// Latencies are read off the arena, not gathered as requests
-	// complete: completion order differs between the whole-fleet and
-	// sharded loops, while arena order is the arrival trace — a pure
-	// function of the configuration.
-	lat := newLatDist(s.cfg, m.Completed)
+	run := tally{lat: newLatDist(s.cfg, len(s.reqs))}
+	var phases, classes []tally
+	if s.scen != nil {
+		phases = newTallies(s.cfg, len(s.scen.spec.Phases))
+	}
+	if s.wl != nil {
+		classes = newTallies(s.cfg, len(s.wl.classes))
+		for i := range classes {
+			classes[i].targetS = s.wl.classes[i].targetP99S
+		}
+		m.Tenants = make([]TenantMetrics, len(s.wl.tenants))
+	}
 	for i := range s.reqs {
-		if r := &s.reqs[i]; r.doneS >= 0 {
-			lat.observe(r.doneS - r.arrivalS)
+		r := &s.reqs[i]
+		run.add(r)
+		if phases != nil {
+			phases[r.phase].add(r)
+		}
+		if classes != nil {
+			classes[r.slo].add(r)
+			if t := int(r.tenant); t < len(m.Tenants) {
+				m.Tenants[t].Offered++
+				if r.fate == done {
+					m.Tenants[t].Completed++
+				}
+			}
 		}
 	}
-	m.MeanS, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS = lat.summary()
-	m.ApproxQuantiles = lat.hist != nil
+	_, m.Completed, m.Dropped, m.TimedOut, m.Shed = run.counts()
+	m.AdmissionShed = run.n[admShed]
+	m.MeanS, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS = run.lat.summary()
+	m.ApproxQuantiles = run.lat.hist != nil
 	if m.SimS > 0 {
 		// Throughput counts every service that delivered a response,
 		// useful or not; goodput only the client-useful ones. With the
@@ -2023,12 +2068,10 @@ func (s *sim) finish() Metrics {
 		m.EnergyPerRequestJ = m.TotalEnergyJ / float64(m.Completed)
 	}
 	if s.scen != nil {
-		m.Phases = s.scen.phaseMetrics(s.cfg, s.reqs)
+		m.Phases = s.scen.phaseMetrics(phases)
 	}
 	if s.wl != nil {
-		// The arena is still live here; assemble derives every per-class
-		// and per-tenant figure from it in arena order.
-		s.wl.assemble(s, &m)
+		s.wl.assemble(&m, classes)
 	}
 	return m
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"sprinting/internal/session"
 )
@@ -279,5 +280,14 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("bogus policy should not parse")
+	}
+}
+
+// TestRequestArenaSize pins the request record at 40 bytes. The request
+// arena is the run's one large allocation (1M requests on the scale
+// workloads), so every byte here is a megabyte of peak memory there.
+func TestRequestArenaSize(t *testing.T) {
+	if got := unsafe.Sizeof(request{}); got != 40 {
+		t.Errorf("request is %d bytes, want 40", got)
 	}
 }

@@ -136,7 +136,7 @@ func (rl *relState) takeToken(nowS float64) bool {
 //sprint:hotpath
 func (s *sim) timeout(ri int32, attempt uint8) {
 	r := &s.reqs[ri]
-	if r.doneS >= 0 || r.dropped || r.timedOut || r.shed || r.attempt != attempt {
+	if r.fate != live || r.attempt != attempt {
 		return
 	}
 	if s.rec != nil {
@@ -156,8 +156,7 @@ func (s *sim) clientRetry(ri int32) {
 	r := &s.reqs[ri]
 	r.attempt++
 	if int(r.attempt) > s.rel.maxRetries {
-		r.timedOut = true
-		s.m.TimedOut++
+		r.fate = timedOut
 		if r.firstNode >= 0 {
 			// Attributed to the node that held the last attempt, the same
 			// convention as drop attribution: per-node timeouts always sum
@@ -171,8 +170,7 @@ func (s *sim) clientRetry(ri int32) {
 		return
 	}
 	if !s.rel.takeToken(s.nowS) {
-		r.shed = true
-		s.m.Shed++
+		r.fate = shed
 		if s.rec != nil {
 			s.rec.reqAbandoned()
 			s.rec.event(s, trace.Event{Kind: "shed", Node: -1, Rack: -1, Req: int(ri), Phase: int(r.phase)})
@@ -198,7 +196,7 @@ func (s *sim) clientRetry(ri int32) {
 //sprint:hotpath
 func (s *sim) retry(ri int32, attempt uint8) {
 	r := &s.reqs[ri]
-	if r.doneS >= 0 || r.dropped || r.timedOut || r.shed || r.attempt != attempt {
+	if r.fate != live || r.attempt != attempt {
 		return
 	}
 	s.retryDispatch(ri)

@@ -273,7 +273,7 @@ func (sc Scenario) Validate(cfg Config) error {
 		// Every class must remain a valid thermal design at the phase's
 		// shifted ambient (e.g. ambient must stay below the PCM melting
 		// point, or the sustained budget goes non-positive).
-		for _, c := range effectiveClasses(sc) {
+		for _, c := range effectiveClasses(sc.Classes) {
 			gcfg := c.governorConfig(cfg.Node)
 			gcfg.Design.AmbientC += p.AmbientDeltaC
 			if err := gcfg.Validate(); err != nil {
@@ -315,10 +315,10 @@ func (sc Scenario) Validate(cfg Config) error {
 }
 
 // effectiveClasses returns the declared classes, or the implicit single
-// base class when none are declared.
-func effectiveClasses(sc Scenario) []NodeClass {
-	if len(sc.Classes) > 0 {
-		return sc.Classes
+// default class when none are declared.
+func effectiveClasses(declared []NodeClass) []NodeClass {
+	if len(declared) > 0 {
+		return declared
 	}
 	return []NodeClass{{Name: "default", BudgetScale: 1, DrainScale: 1}}
 }
@@ -340,11 +340,11 @@ func (cl *nodeClass) applyAmbient(deltaC float64) {
 	cl.netW = cl.sprintW - drainW
 }
 
-// buildClasses lowers the scenario's class declarations to the sim's
-// nodeClass constants (at the first phase's ambient) and the per-node
-// class assignment.
-func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
-	decls := effectiveClasses(sc)
+// buildClasses lowers the declared node classes (none: the implicit
+// default class) to the sim's nodeClass constants at the ambient shifted
+// by ambientC, and the per-node class assignment.
+func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeClass, []int32) {
+	decls := effectiveClasses(declared)
 	classes := make([]nodeClass, len(decls))
 	for i, d := range decls {
 		gcfg := d.governorConfig(cfg.Node)
@@ -367,24 +367,22 @@ func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
 			budgetScale: d.BudgetScale,
 			drainScale:  d.DrainScale,
 		}
-		classes[i].applyAmbient(sc.Phases[0].AmbientDeltaC)
+		classes[i].applyAmbient(ambientC)
 	}
 	idx := make([]int32, cfg.Nodes)
-	if len(sc.Classes) > 0 {
-		n := 0
-		for ci, d := range sc.Classes {
-			for k := 0; k < d.Count; k++ {
-				idx[n] = int32(ci)
-				n++
-			}
+	n := 0
+	for ci, d := range declared {
+		for k := 0; k < d.Count; k++ {
+			idx[n] = int32(ci)
+			n++
 		}
 	}
 	return classes, idx
 }
 
 // phaseAcc counts one phase's events as they happen. A request's fate
-// and latency are not counted here: phaseMetrics reads them off the
-// arena after the run.
+// and latency are not counted here: finish tallies them off the arena
+// after the run.
 type phaseAcc struct {
 	served, denials               int
 	redispatches, failures, trips int
@@ -456,41 +454,23 @@ type scenarioRun struct {
 }
 
 // phaseMetrics assembles the per-phase breakdown after the run drains:
-// one arena walk charges every request's fate and latency to the phase
-// it arrived in, and the accumulators supply the event counts.
-func (sc *scenarioRun) phaseMetrics(cfg Config, reqs []request) []PhaseMetrics {
-	out := make([]PhaseMetrics, len(sc.spec.Phases))
-	lat := make([]latDist, len(out))
-	for i := range lat {
-		lat[i] = newLatDist(cfg, 0)
-	}
-	for i := range reqs {
-		r := &reqs[i]
-		pm := &out[r.phase]
-		pm.Offered++
-		switch {
-		case r.doneS >= 0:
-			pm.Completed++
-			lat[r.phase].observe(r.doneS - r.arrivalS)
-		case r.dropped:
-			pm.Dropped++
-		case r.timedOut:
-			pm.TimedOut++
-		case r.shed:
-			pm.Shed++
-		}
-	}
+// the phase tallies (finish's arena walk charges each request to the
+// phase it arrived in) supply fates and latencies, the accumulators the
+// event counts.
+func (sc *scenarioRun) phaseMetrics(phases []tally) []PhaseMetrics {
+	out := make([]PhaseMetrics, len(phases))
 	start := 0.0
 	for i := range out {
 		p, a, pm := sc.spec.Phases[i], &sc.acc[i], &out[i]
 		pm.Name, pm.StartS, pm.EndS = p.Name, start, start+p.DurationS
+		pm.Offered, pm.Completed, pm.Dropped, pm.TimedOut, pm.Shed = phases[i].counts()
 		pm.Redispatches, pm.NodeFailures, pm.BreakerTrips = a.redispatches, a.failures, a.trips
 		pm.Retries, pm.TransientFaults = a.retries, a.faults
 		if pm.Offered > 0 {
 			pm.ShedRate = float64(pm.Shed) / float64(pm.Offered)
 		}
 		pm.ThroughputRPS = float64(pm.Completed) / p.DurationS
-		pm.MeanS, pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = lat[i].summary()
+		pm.MeanS, pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = phases[i].lat.summary()
 		if a.served > 0 {
 			pm.SprintDenialRate = float64(a.denials) / float64(a.served)
 		}
@@ -549,7 +529,7 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, trunc
 // validated scenario.
 func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
-	run.classes, run.classIdx = buildClasses(cfg, sc)
+	run.classes, run.classIdx = buildClasses(cfg, sc.Classes, sc.Phases[0].AmbientDeltaC)
 	run.acc = make([]phaseAcc, len(sc.Phases))
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
@@ -692,10 +672,7 @@ func (s *sim) failoverOrphans() {
 	for _, c := range s.scen.orphans {
 		r := &s.reqs[c.req]
 		r.copies--
-		if r.doneS >= 0 || r.dropped || r.copies > 0 {
-			continue
-		}
-		if s.rel != nil && (r.timedOut || r.shed || c.attempt != r.attempt) {
+		if r.fate != live || r.copies > 0 || (s.rel != nil && c.attempt != r.attempt) {
 			continue
 		}
 		s.redispatch(c.req)

@@ -11,11 +11,12 @@
 // (anything but the Probabilistic policy's global random stream) the
 // shards share no state at all. Each worker runs the same loop over its
 // node range on its own goroutine, its strided cursor selecting the
-// arrivals it owns, and the parent merges only integer counters and the
-// last completion instant (SimS). Shards carry no latency state: every
-// latency and every float is reduced afterwards by finish() in canonical
-// arena/node/rack order. This is the engine the ≥3× speedup gate
-// measures; it is real parallelism.
+// arrivals it owns, and the parent merges only event counters and the
+// last completion instant (SimS). Shards carry no latency or outcome
+// state — each request's fate sits in the shared arena — so every outcome
+// count, every latency and every float is reduced afterwards by finish()
+// in canonical arena/node/rack order. This is the engine the ≥3× speedup
+// gate measures; it is real parallelism.
 //
 // Everything else is coupled: least-loaded, sprint-aware, and hedged
 // dispatch take a fleet-wide argmin on every arrival, and scenario churn,
@@ -198,8 +199,6 @@ func (s *sim) start(ctx context.Context) (Metrics, error) {
 	}
 	for k := range subs {
 		sub := &subs[k]
-		s.m.Completed += sub.m.Completed
-		s.m.Dropped += sub.m.Dropped
 		s.m.CancelledCopies += sub.m.CancelledCopies
 		s.m.BreakerTrips += sub.m.BreakerTrips
 		s.m.PermitRequests += sub.m.PermitRequests

@@ -201,6 +201,19 @@ func TestShardedRackConservation(t *testing.T) {
 		if len(got.Racks) > 0 && !closeRel(energy, got.TotalEnergyJ, 1e-9) {
 			t.Errorf("%s: per-rack energy sum %g != fleet TotalEnergyJ %g", name, energy, got.TotalEnergyJ)
 		}
+		// Per-node drops are counted as they happen; the fleet outcome is
+		// tallied off the request arena after the run. The two must agree,
+		// and every request must end completed or dropped.
+		dropped := 0
+		for _, n := range got.Nodes {
+			dropped += n.Dropped
+		}
+		if dropped != got.Dropped {
+			t.Errorf("%s: per-node drops sum %d != fleet Dropped %d", name, dropped, got.Dropped)
+		}
+		if got.Completed+got.Dropped != got.Requests {
+			t.Errorf("%s: Completed %d + Dropped %d != Requests %d", name, got.Completed, got.Dropped, got.Requests)
+		}
 	}
 }
 

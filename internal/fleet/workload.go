@@ -728,10 +728,9 @@ type wlTenant struct {
 }
 
 // wlAcc accumulates one class's incremental counters; everything else
-// in ClassMetrics, latencies included, is derived from an arena walk in
-// assemble, so the hot path stays two counters.
+// in ClassMetrics, latencies included, comes from the class's tally of
+// finish's arena walk, so the hot path keeps one counter.
 type wlAcc struct {
-	admShed int
 	retries int
 }
 
@@ -864,81 +863,42 @@ type TenantMetrics struct {
 	GoodputRPS float64
 }
 
-// assemble fills the workload outcome into the metrics; finish calls it
-// while the arena is live. Every count and float derives from an arena
-// walk in arena order (plus the two incremental counters admission and
-// retries), so it is bit-identical at any worker count, and each class's
-// latencies carry the run's exact-vs-one-bin quantile contract.
-func (w *workloadRun) assemble(s *sim, m *Metrics) {
-	m.Classes = make([]ClassMetrics, len(w.classes))
-	m.Tenants = make([]TenantMetrics, len(w.tenants))
-	lat := make([]latDist, len(w.classes))
-	within := make([]int, len(w.classes))
-	for i := range w.classes {
-		cl := &w.classes[i]
-		m.Classes[i] = ClassMetrics{
-			Name: cl.name, Priority: cl.priority, TargetP99S: cl.targetP99S,
-			AdmissionShed: w.acc[i].admShed, Retries: w.acc[i].retries,
-		}
-		lat[i] = newLatDist(s.cfg, 0)
-	}
-	for i := range w.tenants {
-		t := &w.tenants[i]
-		m.Tenants[i] = TenantMetrics{Name: t.name, Class: w.classes[t.class].name}
-	}
-	for i := range s.reqs {
-		r := &s.reqs[i]
-		cm := &m.Classes[r.slo]
-		cm.Offered++
-		if int(r.tenant) < len(m.Tenants) {
-			m.Tenants[r.tenant].Offered++
-		}
-		switch {
-		case r.doneS >= 0:
-			cm.Completed++
-			if int(r.tenant) < len(m.Tenants) {
-				m.Tenants[r.tenant].Completed++
-			}
-			l := r.doneS - r.arrivalS
-			lat[r.slo].observe(l)
-			if t := w.classes[r.slo].targetP99S; t > 0 && l <= t {
-				within[r.slo]++
-			}
-		case r.dropped:
-			cm.Dropped++
-		case r.timedOut:
-			cm.TimedOut++
-		case r.shed:
-			cm.Shed++
-		}
-	}
-	for i := range m.Classes {
-		cm := &m.Classes[i]
+// assemble fills the workload outcome into the metrics from the class
+// tallies and per-tenant counts finish's arena walk produced (plus the
+// incremental retry counter), so every figure is bit-identical at any
+// worker count and each class's latencies carry the run's exact-vs-one-bin
+// quantile contract.
+func (w *workloadRun) assemble(m *Metrics, classes []tally) {
+	m.Classes = make([]ClassMetrics, len(classes))
+	for i := range classes {
+		cl, t, cm := &w.classes[i], &classes[i], &m.Classes[i]
+		*cm = ClassMetrics{Name: cl.name, Priority: cl.priority, TargetP99S: cl.targetP99S,
+			AdmissionShed: t.n[admShed], Retries: w.acc[i].retries}
+		cm.Offered, cm.Completed, cm.Dropped, cm.TimedOut, cm.Shed = t.counts()
 		if cm.Completed > 0 && cm.TargetP99S > 0 {
-			cm.SLOAttainment = float64(within[i]) / float64(cm.Completed)
+			cm.SLOAttainment = float64(t.within) / float64(cm.Completed)
 		}
 		if m.SimS > 0 {
 			cm.GoodputRPS = float64(cm.Completed) / m.SimS
 		}
-		cm.MeanS, cm.P50S, cm.P95S, cm.P99S, cm.P999S, cm.MaxS = lat[i].summary()
+		cm.MeanS, cm.P50S, cm.P95S, cm.P99S, cm.P999S, cm.MaxS = t.lat.summary()
 	}
 	// Jain fairness over per-tenant completions in tenant order:
 	// (Σx)² / (n·Σx²), 1.0 when every tenant completed equally, → 1/n as
 	// one tenant monopolizes; 0 when nothing completed.
-	if len(m.Tenants) > 0 {
-		sum, sumSq := 0.0, 0.0
-		for i := range m.Tenants {
-			t := &m.Tenants[i]
-			if m.SimS > 0 {
-				t.GoodputRPS = float64(t.Completed) / m.SimS
-			}
-			x := float64(t.Completed)
-			sum += x
-			sumSq += x * x
+	sum, sumSq := 0.0, 0.0
+	for i := range m.Tenants {
+		t := &m.Tenants[i]
+		t.Name, t.Class = w.tenants[i].name, w.classes[w.tenants[i].class].name
+		if m.SimS > 0 {
+			t.GoodputRPS = float64(t.Completed) / m.SimS
 		}
-		if sumSq > 0 {
-			m.JainFairness = sum * sum / (float64(len(m.Tenants)) * sumSq)
-		}
+		x := float64(t.Completed)
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq > 0 {
+		m.JainFairness = sum * sum / (float64(len(m.Tenants)) * sumSq)
 	}
 }
 

@@ -602,27 +602,10 @@ type RunOptions struct {
 	CSV bool
 }
 
-// RunExperiment regenerates one paper table/figure at the given input
-// scale (1 = calibrated defaults) and writes the tables to w, evaluating
-// the sweep on the default worker pool.
-func RunExperiment(w io.Writer, id string, scale float64) error {
-	return RunExperimentWith(w, id, RunOptions{Scale: scale})
-}
-
-// RunExperimentCSV is RunExperiment with machine-readable CSV output.
-func RunExperimentCSV(w io.Writer, id string, scale float64) error {
-	return RunExperimentWith(w, id, RunOptions{Scale: scale, CSV: true})
-}
-
-// RunExperimentWith regenerates one paper table/figure under the full set
-// of run options.
-func RunExperimentWith(w io.Writer, id string, opt RunOptions) error {
-	return RunExperimentWithContext(context.Background(), w, id, opt)
-}
-
-// RunExperimentWithContext is RunExperimentWith under a caller context:
-// cancellation stops the experiment's sweep from dispatching new points
-// and surfaces the context error.
+// RunExperimentWithContext regenerates one paper table/figure under the
+// given run options and writes the tables to w. Cancelling ctx stops the
+// experiment's sweep from dispatching new points and surfaces the context
+// error.
 func RunExperimentWithContext(ctx context.Context, w io.Writer, id string, opt RunOptions) error {
 	d, err := experiments.ByID(id)
 	if err != nil {

@@ -75,20 +75,20 @@ func TestPublicExperimentList(t *testing.T) {
 		t.Errorf("experiment registry too small: %v", ids)
 	}
 	var buf bytes.Buffer
-	if err := sprinting.RunExperiment(&buf, "table1", 1); err != nil {
+	if err := sprinting.RunExperimentWithContext(context.Background(), &buf, "table1", sprinting.RunOptions{Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "sobel") {
 		t.Error("table1 output missing kernels")
 	}
-	if err := sprinting.RunExperiment(&buf, "figX", 1); err == nil {
+	if err := sprinting.RunExperimentWithContext(context.Background(), &buf, "figX", sprinting.RunOptions{Scale: 1}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
 
 func TestPublicExperimentCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sprinting.RunExperimentCSV(&buf, "table1", 1); err != nil {
+	if err := sprinting.RunExperimentWithContext(context.Background(), &buf, "table1", sprinting.RunOptions{Scale: 1, CSV: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
