@@ -33,7 +33,7 @@ var deadExportsAllow = map[string]string{
 // scope (JSON decoding reaches them by reflection), as is the public
 // facade package at the module root.
 func TestNoDeadExports(t *testing.T) {
-	for _, d := range unallowedDead(t, []string{"../..", "../../bench"}, "sprinting/internal/", deadExportsAllow) {
+	for _, d := range unallowed(t, deadExports, []string{"../..", "../../bench"}, "sprinting/internal/", deadExportsAllow) {
 		t.Errorf("%s: %s %s has no non-test use: delete it, or move a test-only oracle into a _test.go file", d.pos, d.kind, d.key)
 	}
 }
@@ -45,7 +45,7 @@ func TestNoDeadExports(t *testing.T) {
 func TestDeadExportsFixture(t *testing.T) {
 	allow := map[string]string{"deadfix/internal/lib.Allowed": "fixture: an allowlisted export is not reported"}
 	var got []string
-	for _, d := range unallowedDead(t, []string{"testdata/deadexports/app", "testdata/deadexports/bench"}, "deadfix/internal/", allow) {
+	for _, d := range unallowed(t, deadExports, []string{"testdata/deadexports/app", "testdata/deadexports/bench"}, "deadfix/internal/", allow) {
 		got = append(got, d.key)
 	}
 	want := []string{
@@ -62,15 +62,60 @@ func TestDeadExportsFixture(t *testing.T) {
 	}
 }
 
-// unallowedDead runs the check and drops the allowlisted findings. An
-// allowlist entry that matches no finding fails the test, so the list
-// cannot outlive its reasons.
-func unallowedDead(t *testing.T, dirs []string, prefix string, allow map[string]string) []deadDecl {
-	t.Helper()
-	dead, err := deadExports(dirs, prefix)
-	if err != nil {
-		t.Fatal(err)
+// writeOnlyAllow names the internal struct fields TestNoWriteOnlyFields
+// keeps although no non-test code reads them. Every entry carries its
+// reason.
+var writeOnlyAllow = map[string]string{
+	"sprinting/internal/thermal.Network.ambientOutJ": "the energy-conservation ledger's outflow: thermal's tests read it through export_test.go to check the network conserves energy",
+	"sprinting/internal/thermal.Network.injectedJ":   "the energy-conservation ledger's inflow: thermal's tests read it through export_test.go to check the network conserves energy",
+}
+
+// TestNoWriteOnlyFields keeps write-only state deleted, the way
+// TestNoDeadExports keeps unused API deleted: over the same two modules,
+// it fails on every unexported struct field under internal/ that no
+// non-test file reads. A write is a selector on the left of an
+// assignment or an increment/decrement, or a composite-literal key; any
+// other use of the field reads it.
+func TestNoWriteOnlyFields(t *testing.T) {
+	for _, d := range unallowed(t, writeOnlyFields, []string{"../..", "../../bench"}, "sprinting/internal/", writeOnlyAllow) {
+		t.Errorf("%s: field %s is never read outside tests: delete it, or allowlist it with the reason it is kept", d.pos, d.key)
 	}
+}
+
+// TestWriteOnlyFieldsFixture runs the write-only check over the
+// dead-export fixture, whose lib package declares fields written only by
+// assignment, increment and composite-literal key, one read only by
+// lib_test.go, and one set by a composite-literal key and then read.
+func TestWriteOnlyFieldsFixture(t *testing.T) {
+	var got []string
+	for _, d := range unallowed(t, writeOnlyFields, []string{"testdata/deadexports/app", "testdata/deadexports/bench"}, "deadfix/internal/", nil) {
+		got = append(got, d.key)
+	}
+	want := []string{
+		"deadfix/internal/lib.DeadType.next",
+		"deadfix/internal/lib.Tally.hits",
+		"deadfix/internal/lib.Tally.testRead",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("write-only fields:\n got %q\nwant %q", got, want)
+	}
+}
+
+// unallowed loads the modules rooted at dirs, runs the check find over
+// them and drops the allowlisted findings. An allowlist entry that
+// matches no finding fails the test, so the list cannot outlive its
+// reasons.
+func unallowed(t *testing.T, find func([]*analysis.Package, string) []deadDecl, dirs []string, prefix string, allow map[string]string) []deadDecl {
+	t.Helper()
+	var pkgs []*analysis.Package
+	for _, dir := range dirs {
+		ps, err := analysis.Load(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, ps...)
+	}
+	dead := find(pkgs, prefix)
 	var out []deadDecl
 	matched := map[string]bool{}
 	for _, d := range dead {
@@ -82,13 +127,13 @@ func unallowedDead(t *testing.T, dirs []string, prefix string, allow map[string]
 	}
 	for k := range allow {
 		if !matched[k] {
-			t.Errorf("allowlist entry %s matches no unused declaration: remove it", k)
+			t.Errorf("allowlist entry %s matches no finding: remove it", k)
 		}
 	}
 	return out
 }
 
-// deadDecl is one reportable declaration.
+// deadDecl is one reportable declaration or struct field.
 type deadDecl struct {
 	key  string // import path, receiver type name for a method, name
 	kind string
@@ -109,22 +154,12 @@ var dynamicMethods = map[string]bool{
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 }
 
-// deadExports loads every package of the modules rooted at dirs and
-// returns, sorted by key, the declarations of packages whose import path
-// starts with prefix that no non-test file uses. A
-// method counts as used when its type's method set satisfies an
+// deadExports returns, sorted by key, the declarations of the loaded
+// packages whose import path starts with prefix that no non-test file
+// uses. A method counts as used when its type's method set satisfies an
 // interface that names it: any interface type the loaded code mentions,
 // or one of the standard library's dynamicMethods.
-func deadExports(dirs []string, prefix string) ([]deadDecl, error) {
-	var pkgs []*analysis.Package
-	for _, dir := range dirs {
-		ps, err := analysis.Load(dir, "./...")
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, ps...)
-	}
-
+func deadExports(pkgs []*analysis.Package, prefix string) []deadDecl {
 	decls := map[string]*deadDecl{}
 	var named []*types.Named
 	for _, p := range pkgs {
@@ -160,7 +195,76 @@ func deadExports(dirs []string, prefix string) ([]deadDecl, error) {
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
-	return dead, nil
+	return dead
+}
+
+// writeOnlyFields returns, sorted by key, the unexported fields of the
+// struct types declared in the loaded packages whose import path starts
+// with prefix that no non-test file reads. Only the declaring package can
+// name an unexported field, so its own files decide.
+func writeOnlyFields(pkgs []*analysis.Package, prefix string) []deadDecl {
+	var out []deadDecl
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, prefix) {
+			continue
+		}
+		fields := map[*types.Var]deadDecl{}
+		writes := map[*ast.Ident]bool{}
+		write := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				writes[sel.Sel] = true
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok {
+						break
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() || id.Name == "_" {
+								continue
+							}
+							pos := p.Fset.Position(id.Pos())
+							fields[p.Info.Defs[id].(*types.Var)] = deadDecl{
+								key:  p.Path + "." + n.Name.Name + "." + id.Name,
+								kind: "field",
+								pos:  fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line),
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						write(l)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				delete(fields, v.Origin())
+			}
+		}
+		for _, d := range fields {
+			out = append(out, d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // collectDecls records the package's reportable declarations and returns

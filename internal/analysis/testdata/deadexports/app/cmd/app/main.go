@@ -5,4 +5,5 @@ import "deadfix/internal/lib"
 
 func main() {
 	_ = lib.Used()
+	_ = lib.NewTally().Bump()
 }

@@ -1,6 +1,7 @@
-// Package lib is the dead-export check's fixture: each declaration is
-// used by the module's command, only by the stand-in bench module, only
-// by a test, through an interface, or not at all.
+// Package lib is the dead-export and write-only-field checks' fixture:
+// each declaration is used by the module's command, only by the stand-in
+// bench module, only by a test, through an interface, or not at all, and
+// each unexported field is read, only written, or read only by a test.
 package lib
 
 import "errors"
@@ -35,10 +36,29 @@ const DeadConst = 1
 var DeadVar = 2
 
 // DeadType is referenced only by its own field and its own method's
-// receiver, neither of which counts as a use.
+// receiver, neither of which counts as a use; its field is only written.
 type DeadType struct{ next *DeadType }
 
 func (d *DeadType) reset() { d.next = nil }
+
+// Tally's hits is only written, testRead is read only by lib_test.go, and
+// keyed is set by a composite-literal key and then read.
+type Tally struct {
+	hits     int
+	testRead int
+	keyed    int
+}
+
+// NewTally writes hits and keyed through composite-literal keys.
+func NewTally() *Tally { return &Tally{hits: 1, keyed: 1} }
+
+// Bump writes hits and testRead (a parenthesized selector is still a
+// write) and reads keyed.
+func (t *Tally) Bump() int {
+	t.hits++
+	(t.testRead) = t.keyed
+	return t.keyed
+}
 
 // Shape is the interface Square satisfies.
 type Shape interface{ Area() float64 }

@@ -7,3 +7,10 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+func TestTallyBump(t *testing.T) {
+	tl := NewTally()
+	if tl.Bump() != 1 || tl.testRead != 1 {
+		t.Fatal("Bump")
+	}
+}

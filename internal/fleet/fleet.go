@@ -782,7 +782,6 @@ var refDispatch bool
 // (see NodeClass), and ambient-temperature phases re-derive the
 // environment-dependent fields (capJ, drainW, netW, proto) in place.
 type nodeClass struct {
-	name     string
 	width    float64
 	sprintW  float64
 	nominalW float64
@@ -807,8 +806,7 @@ type nodeClass struct {
 
 // sim is the running simulation state.
 type sim struct {
-	cfg  Config
-	rate float64
+	cfg Config
 	// classes holds the per-class constants; class 0 is the whole fleet
 	// outside scenario mode, so the homogeneous fast paths read
 	// s.classes[0] directly.
@@ -887,7 +885,6 @@ func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim {
 	s := &sim{
 		cfg:        cfg,
-		rate:       cfg.EffectiveRatePerS(),
 		lastFailed: -1,
 		useRef:     refDispatch,
 		scen:       scen,
@@ -915,7 +912,6 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		for i := range s.nodes {
 			if s.rel.slowX != nil && s.rel.slowX[i] > 1 {
 				s.nodes[i].stats.Gray = true
-				s.m.GrayNodes++
 			}
 		}
 	}
@@ -926,17 +922,14 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 			s.racks[i] = rack{
 				id:         i,
 				budgetW:    cfg.RackPowerBudgetW,
-				extraW:     cfg.Node.SprintPowerW - cfg.Node.NominalPowerW,
-				nominalW:   cfg.Node.NominalPowerW,
 				bufferJ:    cfg.RackBufferJ,
 				bufferCapJ: cfg.RackBufferJ,
-				dynamic:    scen != nil,
 			}
 		}
 		for i := range s.nodes {
 			s.nodes[i].rackID = i / cfg.RackSize
 			r := &s.racks[s.nodes[i].rackID]
-			r.size++
+			r.stats.Nodes++
 			r.nominalLiveW += s.cl(&s.nodes[i]).nominalW
 		}
 		// A dedicated stream keeps Probabilistic admission independent of
@@ -1404,10 +1397,7 @@ func (s *sim) redispatch(ri int32) {
 	if s.rec != nil {
 		s.rec.decision(s, ri, "redispatch", n, rr0, -1, true)
 	}
-	s.m.Redispatches++
-	if s.scen != nil {
-		s.scen.acc[r.phase].redispatches++
-	}
+	s.scen.acc[r.phase].redispatches++
 	// The failover target is the request's first node now: a pending
 	// hedge check must exclude it, not the dead original. The copy keeps
 	// its attempt — the client's deadline keeps ticking across a failover.
@@ -1963,7 +1953,10 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 // finish assembles the metrics. The loop counts no request's outcome:
 // one walk over the request arena tallies every request's fate and
 // latency into the run, its scenario phase and its SLO class, and counts
-// its tenant. Every float it reports is reduced in a canonical order —
+// its tenant. Nor does the loop count a fleet total that a node, rack or
+// phase already counts: the node walk sums retries, failures and gray
+// nodes, the rack walk trips and permit traffic, and the phase blocks
+// redispatches. Every float it reports is reduced in a canonical order —
 // latencies in arena order, energy and throttled time in node/rack order —
 // never in event-completion order, so the whole-fleet and sharded loops
 // produce bit-identical sums even where float addition does not commute.
@@ -2015,9 +2008,6 @@ func (s *sim) finish() Metrics {
 		m.ThroughputRPS = float64(m.Completed+m.WastedServices+m.TransientFaults) / m.SimS
 		m.GoodputRPS = float64(m.Completed) / m.SimS
 	}
-	if m.Requests > 0 {
-		m.RetryAmplification = float64(m.Requests+m.Retries) / float64(m.Requests)
-	}
 	served, denials := 0, 0
 	m.Nodes = make([]NodeStats, len(s.nodes))
 	for i := range s.nodes {
@@ -2027,10 +2017,18 @@ func (s *sim) finish() Metrics {
 		m.Nodes[i] = n.stats
 		served += n.stats.Served
 		denials += n.stats.Denials
+		m.Retries += n.stats.Retries
+		m.NodeFailures += n.stats.Failures
+		if n.stats.Gray {
+			m.GrayNodes++
+		}
 		m.TotalEnergyJ += n.stats.EnergyJ
 		if n.stats.EnergyJ > m.MaxNodeEnergyJ {
 			m.MaxNodeEnergyJ = n.stats.EnergyJ
 		}
+	}
+	if m.Requests > 0 {
+		m.RetryAmplification = float64(m.Requests+m.Retries) / float64(m.Requests)
 	}
 	if s.racks != nil {
 		m.Racks = make([]RackStats, len(s.racks))
@@ -2045,8 +2043,10 @@ func (s *sim) finish() Metrics {
 					r.id, r.sprinting, r.permits, r.sprintExtraW))
 			}
 			r.stats.ID = r.id
-			r.stats.Nodes = r.size
 			m.Racks[i] = r.stats
+			m.BreakerTrips += r.stats.Trips
+			m.PermitRequests += r.stats.SprintRequests
+			m.PermitDenials += r.stats.PermitDenials
 			// Reduced here in rack order (not accumulated in trip order)
 			// so the sharded engines report the identical float.
 			m.RackThrottledS += r.stats.ThrottledS
@@ -2069,6 +2069,9 @@ func (s *sim) finish() Metrics {
 	}
 	if s.scen != nil {
 		m.Phases = s.scen.phaseMetrics(phases)
+		for _, p := range m.Phases {
+			m.Redispatches += p.Redispatches
+		}
 	}
 	if s.wl != nil {
 		s.wl.assemble(&m, classes)

@@ -95,7 +95,7 @@ func TestOneEventPerSprintingService(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newSim(cfg, nil, nil, nil)
-	bursts := session.GenerateBursts(cfg.Requests, 1/s.rate, cfg.MeanWorkS, cfg.Seed)
+	bursts := session.GenerateBursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed)
 	s.reqs = make([]request, len(bursts))
 	for i, b := range bursts {
 		s.reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}

@@ -147,32 +147,26 @@ type RackStats struct {
 	EnergyJ float64
 }
 
-// rack is one shared-power domain's live simulation state.
+// rack is one shared-power domain's live simulation state: one power
+// ledger for every run, whatever its node classes or churn.
 type rack struct {
-	id   int
-	size int
-	// budgetW is the provisioned branch-circuit power; extraW the power a
-	// sprinting node adds over nominal; nominalW the per-node floor draw.
-	budgetW  float64
-	extraW   float64
-	nominalW float64
+	id int
+	// budgetW is the provisioned branch-circuit power.
+	budgetW float64
 	// bufferJ is the battery/ultracap charge riding through draw above
 	// the budget (starts full at bufferCapJ).
 	bufferJ    float64
 	bufferCapJ float64
 
 	// sprinting counts members currently in the sprint phase of a
-	// service; permits is the outstanding TokenPermit grant count.
+	// service; permits is the outstanding TokenPermit grant count. Both
+	// must be zero once the run drains (finish checks them).
 	sprinting int
 	permits   int
 
-	// dynamic marks scenario-mode accounting: node classes may differ and
-	// members may fail, so the draw is tracked as explicit sums —
-	// nominalLiveW over live members and sprintExtraW over active sprint
-	// phases — instead of the homogeneous size/count formula (which is
-	// kept verbatim for plain simulations so historical runs stay
-	// bit-identical).
-	dynamic      bool
+	// The draw is kept as explicit sums: nominalLiveW over live members
+	// (dead nodes draw nothing) and sprintExtraW over active sprint
+	// phases, each phase charging its node class's sprint excess.
 	nominalLiveW float64
 	sprintExtraW float64
 
@@ -186,28 +180,29 @@ type rack struct {
 	stats RackStats
 }
 
-// drawW is the rack's instantaneous power draw: every member at nominal
-// plus the sprint excess of the members currently sprinting. Dead
-// scenario nodes draw nothing.
+// drawW is the rack's instantaneous power draw: every live member at
+// nominal plus the sprint excess of the members currently sprinting.
 func (r *rack) drawW() float64 {
-	if r.dynamic {
-		return r.nominalLiveW + r.sprintExtraW
-	}
-	return float64(r.size)*r.nominalW + float64(r.sprinting)*r.extraW
+	return r.nominalLiveW + r.sprintExtraW
 }
 
-// accrue integrates the energy buffer to nowS at the current draw
-// balance: surplus charges it (capped), deficit drains it. While tripped
-// the buffer is frozen at empty — the breaker is open. Trip events are
-// scheduled exactly at the buffer's projected zero crossing, so accrue
-// never has to split an interval.
-func (r *rack) accrue(nowS float64) {
-	dt := nowS - r.lastS
-	r.lastS = nowS
+// bufferAt projects the energy buffer to atS at the current draw balance
+// without accruing it: surplus charges it (capped), deficit drains it.
+// While tripped the buffer is frozen at empty — the breaker is open —
+// and an instant at or before lastS reads the stored charge.
+func (r *rack) bufferAt(atS float64) float64 {
+	dt := atS - r.lastS
 	if dt <= 0 || r.tripped {
-		return
+		return r.bufferJ
 	}
-	r.bufferJ = math.Min(r.bufferCapJ, math.Max(0, r.bufferJ+(r.budgetW-r.drawW())*dt))
+	return math.Min(r.bufferCapJ, math.Max(0, r.bufferJ+(r.budgetW-r.drawW())*dt))
+}
+
+// accrue integrates the energy buffer to nowS. Trip events are scheduled
+// exactly at the buffer's projected zero crossing, so accrue never has to
+// split an interval.
+func (r *rack) accrue(nowS float64) {
+	r.bufferJ, r.lastS = r.bufferAt(nowS), nowS
 }
 
 // scheduleTrip invalidates any pending trip for the rack and, if the rack
@@ -247,7 +242,6 @@ func (s *sim) sprintAdmitted(n *node, workS float64) bool {
 	r := &s.racks[n.rackID]
 	r.accrue(s.nowS)
 	r.stats.SprintRequests++
-	s.m.PermitRequests++
 	granted := false
 	switch {
 	case r.tripped:
@@ -265,16 +259,11 @@ func (s *sim) sprintAdmitted(n *node, workS float64) bool {
 		// buffer admits boldly, a draining one throttles smoothly toward
 		// the deterministic deny at zero surplus and zero charge. The
 		// requesting node's own sprint excess is the stake it gambles.
-		extraW := r.extraW
-		if r.dynamic {
-			extraW = cl.extraW
-		}
 		headroomW := r.budgetW - r.drawW() + r.bufferJ/sprintHorizonS
-		granted = s.rackRng.Float64() < math.Min(1, math.Max(0, headroomW/extraW))
+		granted = s.rackRng.Float64() < math.Min(1, math.Max(0, headroomW/cl.extraW))
 	}
 	if !granted {
 		r.stats.PermitDenials++
-		s.m.PermitDenials++
 		if s.rec != nil {
 			s.rec.event(s, trace.Event{Kind: "permit-deny", Node: n.id, Rack: r.id, Req: -1, Phase: -1})
 		}
@@ -349,7 +338,6 @@ func (s *sim) breakerTrip(ev event) {
 	r.tripped = true
 	r.bufferJ = 0
 	r.stats.Trips++
-	s.m.BreakerTrips++
 	if s.rec != nil {
 		s.rec.event(s, trace.Event{Kind: "breaker-trip", Node: -1, Rack: r.id, Req: -1, Phase: -1, DurS: s.cfg.BreakerRecoveryS})
 	}

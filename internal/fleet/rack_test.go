@@ -145,6 +145,46 @@ func TestRackAccounting(t *testing.T) {
 	}
 }
 
+// TestRackBufferAt: the buffer projection the recorder samples is the
+// value accrue stores, in every regime of the ledger, and projecting
+// leaves the rack untouched.
+func TestRackBufferAt(t *testing.T) {
+	// A rack of 8 nominal watts under a 20 W budget: 12 W of surplus, or
+	// 3 W of deficit with one 15 W sprint excess on top.
+	base := rack{budgetW: 20, bufferCapJ: 50, nominalLiveW: 8, lastS: 10}
+	cases := []struct {
+		name    string
+		bufferJ float64
+		sprintW float64
+		tripped bool
+		atS     float64
+		want    float64
+	}{
+		{"surplus charges", 10, 0, false, 12, 34},
+		{"deficit drains", 10, 15, false, 12, 4},
+		{"deficit clamps at empty", 10, 15, false, 20, 0},
+		{"surplus caps at full", 40, 0, false, 12, 50},
+		{"tripped is frozen", 0, 0, true, 12, 0},
+		{"at lastS", 10, 15, false, 10, 10},
+		{"before lastS", 10, 0, false, 9, 10},
+	}
+	for _, c := range cases {
+		r := base
+		r.bufferJ, r.sprintExtraW, r.tripped = c.bufferJ, c.sprintW, c.tripped
+		before := r
+		if got := r.bufferAt(c.atS); got != c.want {
+			t.Errorf("%s: bufferAt(%g) = %g, want %g", c.name, c.atS, got, c.want)
+		}
+		if r != before {
+			t.Errorf("%s: bufferAt changed the rack: %+v, was %+v", c.name, r, before)
+		}
+		r.accrue(c.atS)
+		if r.bufferJ != c.want || r.lastS != c.atS {
+			t.Errorf("%s: accrue(%g) stored buffer %g at %g, want %g at %g", c.name, c.atS, r.bufferJ, r.lastS, c.want, c.atS)
+		}
+	}
+}
+
 // TestNoCoordinationHasNoRackState: the zero-value Coordination keeps the
 // pre-rack behavior — no racks, no trips, no permit traffic.
 func TestNoCoordinationHasNoRackState(t *testing.T) {

@@ -222,7 +222,6 @@ func (s *sim) retryDispatch(ri int32) {
 	if s.rec != nil {
 		s.rec.decision(s, ri, "retry", n, rr0, -1, true)
 	}
-	s.m.Retries++
 	n.stats.Retries++
 	if s.scen != nil {
 		s.scen.acc[r.phase].retries++

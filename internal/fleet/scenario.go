@@ -259,7 +259,7 @@ func (sc Scenario) Validate(cfg Config) error {
 	if sc.MaxRequests <= 0 || sc.MaxRequests > requestCap {
 		return fmt.Errorf("fleet: scenario request cap must be in [1, %d]", requestCap)
 	}
-	for i, p := range sc.Phases {
+	for _, p := range sc.Phases {
 		switch {
 		case p.DurationS <= 0:
 			return fmt.Errorf("fleet: phase %q: duration must be positive", p.Name)
@@ -280,7 +280,6 @@ func (sc Scenario) Validate(cfg Config) error {
 				return fmt.Errorf("fleet: phase %q: class %q at ambient %+.1f °C: %w", p.Name, c.Name, p.AmbientDeltaC, err)
 			}
 		}
-		_ = i
 	}
 	if len(sc.Classes) > 0 {
 		if sc.Nodes() != cfg.Nodes {
@@ -357,7 +356,6 @@ func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeCla
 			qcap = d.QueueCap
 		}
 		classes[i] = nodeClass{
-			name:        d.Name,
 			width:       float64(width),
 			sprintW:     gcfg.SprintPowerW,
 			nominalW:    gcfg.NominalPowerW,
@@ -633,7 +631,6 @@ func (s *sim) failNode(n *node, downS float64) {
 	n.gen++
 	s.lastFailed = int32(n.id)
 	n.stats.Failures++
-	s.m.NodeFailures++
 	sc.acc[sc.cur].failures++
 
 	if s.racks != nil {

@@ -133,15 +133,21 @@ func TestScenarioChurnAccounting(t *testing.T) {
 		if fails != m.NodeFailures {
 			t.Errorf("%s: per-node failures %d != fleet failures %d", p, fails, m.NodeFailures)
 		}
-		offered, completed, dropped := 0, 0, 0
+		offered, completed, dropped, phaseFails := 0, 0, 0, 0
 		for _, ph := range m.Phases {
 			offered += ph.Offered
 			completed += ph.Completed
 			dropped += ph.Dropped
+			phaseFails += ph.NodeFailures
 		}
 		if offered != m.Requests || completed != m.Completed || dropped != m.Dropped {
 			t.Errorf("%s: phase sums diverge from totals: offered %d/%d completed %d/%d dropped %d/%d",
 				p, offered, m.Requests, completed, m.Completed, dropped, m.Dropped)
+		}
+		// The fleet total is summed from the nodes; the phases count each
+		// failure separately, at the event.
+		if phaseFails != m.NodeFailures {
+			t.Errorf("%s: per-phase failures %d != fleet failures %d", p, phaseFails, m.NodeFailures)
 		}
 	}
 }
@@ -295,6 +301,15 @@ func TestScenarioPermitReleaseOnFailure(t *testing.T) {
 	un := mustScenario(t, cfg, sc)
 	if un.BreakerTrips == 0 {
 		t.Error("an overloaded uncoordinated rack should still trip during the surge")
+	}
+	// The fleet total is summed from the racks; the phases count each
+	// trip separately, at the event.
+	phaseTrips := 0
+	for _, ph := range un.Phases {
+		phaseTrips += ph.BreakerTrips
+	}
+	if phaseTrips != un.BreakerTrips {
+		t.Errorf("per-phase trips %d != fleet trips %d", phaseTrips, un.BreakerTrips)
 	}
 }
 

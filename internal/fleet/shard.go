@@ -11,12 +11,14 @@
 // (anything but the Probabilistic policy's global random stream) the
 // shards share no state at all. Each worker runs the same loop over its
 // node range on its own goroutine, its strided cursor selecting the
-// arrivals it owns, and the parent merges only event counters and the
-// last completion instant (SimS). Shards carry no latency or outcome
-// state — each request's fate sits in the shared arena — so every outcome
-// count, every latency and every float is reduced afterwards by finish()
-// in canonical arena/node/rack order. This is the engine the ≥3× speedup
-// gate measures; it is real parallelism.
+// arrivals it owns, and the parent merges only CancelledCopies and the
+// last completion instant (SimS). Shards carry no latency, outcome or
+// rack totals — each request's fate sits in the shared arena, each
+// rack's and node's counts in the shared rack and node arrays — so every
+// outcome count, every rack and node total, every latency and every
+// float is reduced afterwards by finish() in canonical arena/node/rack
+// order. This is the engine the ≥3× speedup gate measures; it is real
+// parallelism.
 //
 // Everything else is coupled: least-loaded, sprint-aware, and hedged
 // dispatch take a fleet-wide argmin on every arrival, and scenario churn,
@@ -176,7 +178,6 @@ func (s *sim) start(ctx context.Context) (Metrics, error) {
 	for k := 0; k < w; k++ {
 		sub := &subs[k]
 		sub.cfg = s.cfg
-		sub.rate = s.rate
 		sub.classes = s.classes
 		sub.lastFailed = -1
 		sub.nodes = s.nodes
@@ -200,9 +201,6 @@ func (s *sim) start(ctx context.Context) (Metrics, error) {
 	for k := range subs {
 		sub := &subs[k]
 		s.m.CancelledCopies += sub.m.CancelledCopies
-		s.m.BreakerTrips += sub.m.BreakerTrips
-		s.m.PermitRequests += sub.m.PermitRequests
-		s.m.PermitDenials += sub.m.PermitDenials
 		s.lastDoneS = max(s.lastDoneS, sub.lastDoneS)
 	}
 	return s.finish(), nil

@@ -204,12 +204,22 @@ func TestShardedRackConservation(t *testing.T) {
 		// Per-node drops are counted as they happen; the fleet outcome is
 		// tallied off the request arena after the run. The two must agree,
 		// and every request must end completed or dropped.
-		dropped := 0
+		dropped, denials := 0, 0
 		for _, n := range got.Nodes {
 			dropped += n.Dropped
+			denials += n.Denials
 		}
 		if dropped != got.Dropped {
 			t.Errorf("%s: per-node drops sum %d != fleet Dropped %d", name, dropped, got.Dropped)
+		}
+		// The permit totals are summed from the racks. Every rack refusal
+		// is also a sprint denial of the serving node, which counts it on
+		// its own.
+		if got.PermitDenials > got.PermitRequests {
+			t.Errorf("%s: PermitDenials %d > PermitRequests %d", name, got.PermitDenials, got.PermitRequests)
+		}
+		if denials < got.PermitDenials {
+			t.Errorf("%s: per-node sprint denials %d < rack PermitDenials %d", name, denials, got.PermitDenials)
 		}
 		if got.Completed+got.Dropped != got.Requests {
 			t.Errorf("%s: Completed %d + Dropped %d != Requests %d", name, got.Completed, got.Dropped, got.Requests)

@@ -81,20 +81,13 @@ func (tc TraceConfig) withDefaults() TraceConfig {
 }
 
 // cfProbe is one pending counterfactual: alternative alt of the decision
-// at record index rec resolves once pending departures have left node.
+// at record index rec resolves once pending departures have left the node
+// whose watch list holds it.
 type cfProbe struct {
 	rec     int32
 	alt     int32
-	node    int32
 	pending int32
 	workS   float64
-}
-
-// sprintPhase is one active sprint phase on the recorder's concurrency
-// heap, ordered by end time.
-type sprintPhase struct {
-	endS float64
-	node int32
 }
 
 // recorder is the live flight-recorder state hanging off a sim. It is
@@ -116,13 +109,14 @@ type recorder struct {
 
 	// Timeline state: the next window boundary, completions and
 	// latencies observed since the last one, the in-flight request
-	// count, and the min-heap of active sprint phases by end time.
+	// count, and the active sprint phases keyed by end time (event.node
+	// names the sprinting node).
 	winStartS float64
 	nextS     float64
 	winDone   int
 	winLat    []float64
 	inflight  int
-	sprints   []sprintPhase
+	sprints   eventQueue
 
 	altScratch []altCand
 	hidden     []hiddenLeaf
@@ -317,7 +311,7 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 			continue
 		}
 		rec.probes = append(rec.probes, cfProbe{
-			rec: int32(idx), alt: int32(ai), node: c.node,
+			rec: int32(idx), alt: int32(ai),
 			pending: int32(pending), workS: workS,
 		})
 		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
@@ -464,50 +458,23 @@ func (rec *recorder) reqAbandoned() {
 }
 
 // sprintStart tracks an admitted sprint phase: a lifecycle event plus an
-// entry on the concurrency heap (its end is emitted when simulated time
+// entry on the sprint-phase queue (its end is emitted when simulated time
 // passes it — sprint phases end silently without rack coordination, so
-// the recorder owns the bookkeeping in every mode).
+// the recorder owns the bookkeeping in every mode). The push's tie-break
+// is the record count, which the sprint-start record just advanced, so
+// phases ending at one instant pop in start order.
 func (rec *recorder) sprintStart(s *sim, n *node, sprintS float64) {
 	rec.event(s, trace.Event{Kind: "sprint-start", Node: n.id, Rack: rackOf(s, n), Req: -1, Phase: -1, DurS: sprintS})
-	h := append(rec.sprints, sprintPhase{endS: s.nowS + sprintS, node: int32(n.id)})
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].endS <= h[i].endS {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	rec.sprints = h
+	rec.sprints.push(s.nowS+sprintS, event{node: int32(n.id)}, rec.seq)
 }
 
 // popSprintsThrough emits sprint-end records for every phase ending at
 // or before the instant, in end order. Records surface at the next loop
 // step after the phase ends; AtS carries the exact end instant.
 func (rec *recorder) popSprintsThrough(atS float64) {
-	for len(rec.sprints) > 0 && rec.sprints[0].endS <= atS {
-		ph := rec.sprints[0]
-		h := rec.sprints
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].endS < h[c].endS {
-				c++
-			}
-			if h[i].endS <= h[c].endS {
-				break
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-		rec.sprints = h
-		ev := trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1}
-		rec.emitEvent(ph.endS, ev)
+	for rec.sprints.len() > 0 && rec.sprints.topAt() <= atS {
+		endS, ph := rec.sprints.pop()
+		rec.emitEvent(endS, trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1})
 	}
 }
 
@@ -536,7 +503,7 @@ func (rec *recorder) sample(s *sim, b float64) {
 		P50S:          -1,
 		P99S:          -1,
 		InFlight:      rec.inflight,
-		Sprints:       len(rec.sprints),
+		Sprints:       rec.sprints.len(),
 	}
 	if s.scen != nil {
 		sm.Phase = s.scen.cur
@@ -552,15 +519,8 @@ func (rec *recorder) sample(s *sim, b float64) {
 		for i := range s.racks {
 			r := &s.racks[i]
 			sm.RackDrawW[i] = r.drawW()
-			// Project the buffer to the boundary without accruing it: the
-			// recorder observes, never advances, rack state.
-			buf := r.bufferJ
-			if !r.tripped {
-				if dt := b - r.lastS; dt > 0 {
-					buf = math.Min(r.bufferCapJ, math.Max(0, buf+(r.budgetW-r.drawW())*dt))
-				}
-			}
-			sm.RackBufferJ[i] = buf
+			// The recorder observes, never advances, rack state.
+			sm.RackBufferJ[i] = r.bufferAt(b)
 		}
 	}
 	rec.winDone = 0

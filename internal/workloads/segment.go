@@ -75,7 +75,6 @@ type segState struct {
 
 	remap     [segClasses]uint8
 	remapBase uint64
-	merged    bool
 }
 
 // classify is the real per-pixel nearest-centre classification.
@@ -202,7 +201,6 @@ func (s *segRelabelShard) Next(buf []isa.Instr) int {
 				}
 			}
 			gs.remap[k] = uint8(bestK)
-			gs.merged = true
 		}
 		e.Compute(uint32(6 * segClasses))
 		for k := 0; k < segClasses; k++ {

@@ -72,8 +72,7 @@ type texState struct {
 	offsets [][2]int
 	alphas  []uint32
 
-	toneSum uint64
-	toneN   int
+	toneN int
 }
 
 // blendPixel is the real composition arithmetic, shared with verification.
@@ -139,7 +138,6 @@ func (s *texToneShard) Next(buf []isa.Instr) int {
 		}
 		i := s.idx
 		s.idx += 8 // sparse: every 8th pixel
-		ts.toneSum += uint64(ts.canvas.Pix[i])
 		ts.toneN++
 		e.Load(ts.canvas.Base + uint64(i))
 		e.Compute(3)

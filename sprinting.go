@@ -331,12 +331,6 @@ func RackBudgetW(rackSize, sprinters int, node GovernorConfig) float64 {
 	return fleet.RackBudgetW(rackSize, sprinters, node)
 }
 
-// DefaultRackBudgetW provisions a rack's branch circuit: nominal draw for
-// every node plus full sprint headroom for a quarter of them.
-func DefaultRackBudgetW(rackSize int, node GovernorConfig) float64 {
-	return fleet.DefaultRackBudgetW(rackSize, node)
-}
-
 // FleetConfig parameterizes a fleet simulation: node count, dispatch
 // policy, open-loop arrival trace, per-node queue bound, the governor
 // configuration every node manages its thermal budget with, and the rack
