@@ -162,6 +162,11 @@ func (a qkey) lessBit(b qkey) int {
 // only keys moves 16 bytes per level instead of a whole event. A pending
 // event costs 40 bytes, key and payload. No interface boxing, no
 // per-event allocation: both arrays are reused for the whole run.
+//
+// It is the package's one priority queue, with three users: the event
+// loop's future-event list, the recorder's pending sprint phases, and
+// sprint-aware dispatch's best-first frontier over busy-tree slots (see
+// sprintAwareMin).
 type eventQueue struct {
 	k []qkey
 	p []event
@@ -187,6 +192,14 @@ func queueReserve(n int) int { return 2*n + 64 }
 
 //sprint:hotpath
 func (q *eventQueue) len() int { return len(q.k) }
+
+// clear empties the queue — keys, payloads and free list — keeping both
+// arrays' capacity for reuse.
+//
+//sprint:hotpath
+func (q *eventQueue) clear() {
+	q.k, q.p, q.free = q.k[:0], q.p[:0], 0
+}
 
 // topAt returns the earliest event's firing time; the caller must ensure
 // the queue is non-empty.

@@ -21,14 +21,15 @@ var queueFuzzTimes = [16]float64{
 	1e-300, -1e300, 0, math.Copysign(0, -1),
 }
 
-// FuzzEventQueue interleaves pushes and pops and checks every popped
-// event, payload included, against a reference popped by its minimum
-// (atS, seq) under float comparison. A byte below 0x80 pushes an event at
-// queueFuzzTimes[b&15]; 0x80–0xEF pops one; 0xF0–0xFF pops up to
-// (b&15)+1, so long pop runs free many slots for the pushes after them to
-// reuse. seq0 starts the push count anywhere below seqLimit, so the seq
-// field's top bits are exercised too. The seed corpus lives in
-// testdata/fuzz/FuzzEventQueue.
+// FuzzEventQueue interleaves pushes, pops and clears and checks every
+// popped event, payload included, against a reference popped by its
+// minimum (atS, seq) under float comparison. A byte below 0x80 pushes an
+// event at queueFuzzTimes[b&15]; 0x80–0xE7 pops one; 0xE8–0xEF clears the
+// queue and the reference, after which the slot accounting below demands
+// an empty free list; 0xF0–0xFF pops up to (b&15)+1, so long pop runs
+// free many slots for the pushes after them to reuse. seq0 starts the
+// push count anywhere below seqLimit, so the seq field's top bits are
+// exercised too. The seed corpus lives in testdata/fuzz/FuzzEventQueue.
 func FuzzEventQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, seq0 uint64) {
 		type refEvent struct {
@@ -76,6 +77,9 @@ func FuzzEventQueue(f *testing.F) {
 				ref = append(ref, refEvent{at, ev, seq})
 				seq++
 				high = max(high, len(ref))
+			case b >= 0xE8 && b < 0xF0:
+				q.clear()
+				ref = ref[:0]
 			default:
 				n := 1
 				if b >= 0xF0 {
@@ -90,6 +94,9 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			free := 0
 			for f := q.free; f != 0 && free <= len(q.p); f = q.p[f-1].req {
+				if int(f) > len(q.p) {
+					t.Fatalf("op %d: the free list links slot %d of %d payload slots", i, f-1, len(q.p))
+				}
 				free++
 			}
 			if len(q.p) > high || len(q.p) != q.len()+free {

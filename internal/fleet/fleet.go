@@ -133,23 +133,19 @@ func (d *latDist) summary() (mean, p50, p95, p99, p999, maxS float64) {
 }
 
 // tally is one cohort's outcome — the run's, a scenario phase's or an SLO
-// class's — as finish's one arena walk counts it: requests per fate, the
+// class's. finish's one arena walk counts requests per fate, the
 // completed ones' latency distribution and, for a class with a p99
-// target, how many completions met it.
+// target, how many completions met it. The event loop charges a phase's
+// or class's events to the same record as they happen: services and
+// sprint denials, redispatches, retries and faults by the request's
+// cohort, node failures and breaker trips by the phase they fired in.
 type tally struct {
 	n       [nFates]int
 	lat     latDist
 	targetS float64
 	within  int
-}
 
-// newTallies returns k empty tallies in cfg's quantile mode.
-func newTallies(cfg Config, k int) []tally {
-	ts := make([]tally, k)
-	for i := range ts {
-		ts[i].lat = newLatDist(cfg, 0)
-	}
-	return ts
+	served, denials, redispatches, retries, faults, failures, trips int
 }
 
 func (t *tally) add(r *request) {
@@ -848,6 +844,9 @@ type sim struct {
 	segs   []dspSeg
 	segIdx []int32
 	useRef bool
+	// frontier is sprint-aware's best-first search queue over busy-tree
+	// slots, cleared per search and reused for the whole run.
+	frontier eventQueue
 
 	m Metrics
 
@@ -1397,7 +1396,7 @@ func (s *sim) redispatch(ri int32) {
 	if s.rec != nil {
 		s.rec.decision(s, ri, "redispatch", n, rr0, -1, true)
 	}
-	s.scen.acc[r.phase].redispatches++
+	s.scen.phases[r.phase].redispatches++
 	// The failover target is the request's first node now: a pending
 	// hedge check must exclude it, not the dead original. The copy keeps
 	// its attempt — the client's deadline keeps ticking across a failover.
@@ -1502,7 +1501,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 	}
 	var serviceS, energyJ, sprintS float64
 	var full bool
-	if s.sprintAdmitted(n, workS) {
+	if s.sprintAdmitted(n, workS, width, sprintW) {
 		serviceS, energyJ, sprintS, full = s.serve(n, workS, width, sprintW)
 	} else {
 		serviceS = workS
@@ -1543,10 +1542,10 @@ func (s *sim) startService(n *node, c reqCopy) {
 		n.stats.Denials++
 	}
 	if s.scen != nil {
-		a := &s.scen.acc[s.reqs[c.req].phase]
-		a.served++
+		t := &s.scen.phases[s.reqs[c.req].phase]
+		t.served++
 		if !full {
-			a.denials++
+			t.denials++
 		}
 	}
 	n.stats.EnergyJ += energyJ
@@ -1635,7 +1634,7 @@ func (s *sim) complete(n *node) {
 			win = false
 			s.m.TransientFaults++
 			if s.scen != nil {
-				s.scen.acc[r.phase].faults++
+				s.scen.phases[r.phase].faults++
 			}
 			if s.rec != nil {
 				s.rec.event(s, trace.Event{Kind: "fault", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase)})
@@ -1684,12 +1683,7 @@ func (s *sim) dequeueFIFO(n *node) {
 		next := n.queue[n.head]
 		n.head++
 		n.queuedNaiveS -= s.reqs[next.req].workS / s.cl(n).width
-		// A copy whose request already finished elsewhere, or whose
-		// attempt the client abandoned (the attempt mismatch covers every
-		// reliability-terminal state and every retry — they all bump the
-		// counter), is skipped instead of served.
-		if s.reqs[next.req].doneS >= 0 ||
-			(s.rel != nil && next.attempt != s.reqs[next.req].attempt) {
+		if s.moot(next) { // skipped instead of served
 			s.reqs[next.req].copies--
 			s.m.CancelledCopies++
 			if s.rec != nil {
@@ -1700,6 +1694,17 @@ func (s *sim) dequeueFIFO(n *node) {
 		s.startService(n, next)
 		break
 	}
+}
+
+// moot reports whether a queued copy is useless: its request finished
+// elsewhere, or the client abandoned its attempt (the attempt mismatch
+// covers every reliability-terminal state and every retry — they all
+// bump the counter).
+//
+//sprint:hotpath
+func (s *sim) moot(c reqCopy) bool {
+	r := &s.reqs[c.req]
+	return r.doneS >= 0 || s.rel != nil && c.attempt != r.attempt
 }
 
 // estFinishAt estimates when a request of the given work would finish on
@@ -1888,24 +1893,34 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 	// Busy enumeration per segment under the shared incumbent and the
 	// segment class's admissible bound. The strict > keeps bound ties in
 	// play, so a later segment can still win an exact score tie on
-	// rotation distance — segment visit order never matters.
+	// rotation distance — segment visit order never matters. The root
+	// bounds the whole tree, so a segment with no busy node, or none that
+	// could beat the incumbent, is never seeded. The frontier pushes tree
+	// slot c at its subtree minimum with seq c: each slot is pushed at most
+	// once per search, so (time, seq) orders entries by (minimum, slot),
+	// and busy keys are finite, so the time round-trips exactly.
+	q := &s.frontier
 	for si := range s.segs {
 		sg := &s.segs[si]
 		wow := workS / s.classes[sg.class].width
 		t := sg.busyIdx
-		t.resetFrontier()
-		for len(t.scratch) > 0 {
-			e := t.fpop()
-			if best != nil && e.d+wow > bestScore {
+		if t.d[1] == math.Inf(1) || best != nil && t.d[1]+wow > bestScore {
+			continue
+		}
+		q.clear()
+		q.push(t.d[1], event{req: 1}, 1)
+		for q.len() > 0 {
+			d, e := q.pop()
+			if best != nil && d+wow > bestScore {
 				break // everything still frontiered is bounded above the winner
 			}
-			if int(e.idx) >= t.size { // leaf: evaluate the true score
-				take(sg.lo + int(e.idx) - t.size)
+			if int(e.req) >= t.size { // leaf: evaluate the true score
+				take(sg.lo + int(e.req) - t.size)
 				continue
 			}
-			for c := 2 * e.idx; c <= 2*e.idx+1; c++ {
+			for c := 2 * e.req; c <= 2*e.req+1; c++ {
 				if t.d[c] < math.Inf(1) {
-					t.fpush(idxEnt{d: t.d[c], idx: c})
+					q.push(t.d[c], event{req: c}, uint64(c))
 				}
 			}
 		}
@@ -1953,13 +1968,15 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 // finish assembles the metrics. The loop counts no request's outcome:
 // one walk over the request arena tallies every request's fate and
 // latency into the run, its scenario phase and its SLO class, and counts
-// its tenant. Nor does the loop count a fleet total that a node, rack or
-// phase already counts: the node walk sums retries, failures and gray
-// nodes, the rack walk trips and permit traffic, and the phase blocks
-// redispatches. Every float it reports is reduced in a canonical order —
-// latencies in arena order, energy and throttled time in node/rack order —
-// never in event-completion order, so the whole-fleet and sharded loops
-// produce bit-identical sums even where float addition does not commute.
+// its tenant; the phase and class tallies it fills are the ones the loop
+// charged their event counts to, so each cohort has one record. Nor does
+// the loop count a fleet total that a node, rack or phase already counts:
+// the node walk sums retries, failures and gray nodes, the rack walk
+// trips and permit traffic, and the phase tallies redispatches. Every
+// float it reports is reduced in a canonical order — latencies in arena
+// order, energy and throttled time in node/rack order — never in
+// event-completion order, so the whole-fleet and sharded loops produce
+// bit-identical sums even where float addition does not commute.
 func (s *sim) finish() Metrics {
 	if s.rec != nil {
 		// The arena is still live here; finalize reads realized completion
@@ -1971,14 +1988,16 @@ func (s *sim) finish() Metrics {
 	run := tally{lat: newLatDist(s.cfg, len(s.reqs))}
 	var phases, classes []tally
 	if s.scen != nil {
-		phases = newTallies(s.cfg, len(s.scen.spec.Phases))
+		phases = s.scen.phases
 	}
 	if s.wl != nil {
-		classes = newTallies(s.cfg, len(s.wl.classes))
-		for i := range classes {
-			classes[i].targetS = s.wl.classes[i].targetP99S
-		}
+		classes = s.wl.tallies
 		m.Tenants = make([]TenantMetrics, len(s.wl.tenants))
+	}
+	for _, ts := range [2][]tally{phases, classes} {
+		for i := range ts {
+			ts[i].lat = newLatDist(s.cfg, 0)
+		}
 	}
 	for i := range s.reqs {
 		r := &s.reqs[i]
@@ -2068,13 +2087,13 @@ func (s *sim) finish() Metrics {
 		m.EnergyPerRequestJ = m.TotalEnergyJ / float64(m.Completed)
 	}
 	if s.scen != nil {
-		m.Phases = s.scen.phaseMetrics(phases)
+		m.Phases = s.scen.phaseMetrics()
 		for _, p := range m.Phases {
 			m.Redispatches += p.Redispatches
 		}
 	}
 	if s.wl != nil {
-		s.wl.assemble(&m, classes)
+		s.wl.assemble(&m)
 	}
 	return m
 }

@@ -44,8 +44,9 @@
 //     in rotation order whose budget covers the request at full width
 //     (the scan's tie set, rotation-resolved); if none qualifies, the
 //     argmin holds the most-recovered budget and is the unique best.
-//   - busy nodes are keyed by drainAtS and enumerated best-first with
-//     the admissible bound drainAtS + work/width (a node cannot finish
+//   - busy nodes are keyed by drainAtS and enumerated best-first, tree
+//     slots popped off an eventQueue by subtree minimum, with the
+//     admissible bound drainAtS + work/width (a node cannot finish
 //     before its backlog drains plus a full-width service; the bound is
 //     exact when the projected budget covers the request), so with
 //     healthy thermal budgets the enumeration inspects only nodes that
@@ -64,16 +65,6 @@ type dispatchIndex struct {
 	n    int // real leaves (fleet size)
 	size int // power-of-two leaf span
 	d    []float64
-	// scratch is the reusable best-first frontier for sprint-aware
-	// queries; it grows to its steady-state size once and never again.
-	scratch []idxEnt
-}
-
-// idxEnt is one best-first frontier entry: a tree slot and its subtree's
-// minimum present key.
-type idxEnt struct {
-	d   float64
-	idx int32
 }
 
 // newDispatchIndex builds an empty tree (every leaf absent); reset
@@ -190,64 +181,4 @@ func (t *dispatchIndex) firstFrom(lo int, thresh float64) int {
 		}
 	}
 	return i - t.size
-}
-
-// frontier heap helpers: order by (d, idx) so the best-first enumeration
-// is deterministic.
-
-//sprint:hotpath
-func entBefore(a, b idxEnt) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.idx < b.idx
-}
-
-//sprint:hotpath
-func (t *dispatchIndex) fpush(e idxEnt) {
-	t.scratch = append(t.scratch, e)
-	i := len(t.scratch) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entBefore(t.scratch[i], t.scratch[p]) {
-			break
-		}
-		t.scratch[i], t.scratch[p] = t.scratch[p], t.scratch[i]
-		i = p
-	}
-}
-
-//sprint:hotpath
-func (t *dispatchIndex) fpop() idxEnt {
-	e := t.scratch[0]
-	n := len(t.scratch) - 1
-	t.scratch[0] = t.scratch[n]
-	t.scratch = t.scratch[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && entBefore(t.scratch[c+1], t.scratch[c]) {
-			c++
-		}
-		if !entBefore(t.scratch[c], t.scratch[i]) {
-			break
-		}
-		t.scratch[i], t.scratch[c] = t.scratch[c], t.scratch[i]
-		i = c
-	}
-	return e
-}
-
-// resetFrontier clears the best-first frontier and seeds it with the
-// root (unless no node is present). The sprint-aware selection drives
-// the enumeration inline with fpush/fpop — a callback here would
-// heap-allocate its closure on every arrival.
-func (t *dispatchIndex) resetFrontier() {
-	t.scratch = t.scratch[:0]
-	if t.d[1] < math.Inf(1) {
-		t.fpush(idxEnt{d: t.d[1], idx: 1})
-	}
 }

@@ -272,6 +272,39 @@ func BenchmarkDispatchIndex(b *testing.B) {
 	}
 }
 
+// TestSprintAwareBusyBoundTie pins the strict > of sprint-aware's busy
+// search. Node 0's backlog drains exactly now (a completion due at the
+// arrival's instant fires after it), and every node holds a full budget,
+// so node 0's estimate ties the idle nodes' to the bit and its bound
+// drain + work/width equals the idle champion's score. Node 0 comes first
+// in rotation, so it must win the tie, as the linear scan picks it; a
+// search that prunes a bound tie picks idle node 1 instead.
+func TestSprintAwareBusyBoundTie(t *testing.T) {
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 3
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(cfg, nil, nil, nil)
+	s.nowS = 5
+	n := &s.nodes[0]
+	n.busy, n.busyUntilS = true, s.nowS
+	s.touch(n)
+	const workS = 0.01
+	for _, id := range []int{0, 1} {
+		if a, b := s.estFinishAt(&s.nodes[id], workS), s.nowS+workS/s.cl(n).width; a != b {
+			t.Fatalf("node %d estimates %v, want the tied %v", id, a, b)
+		}
+	}
+	if ref := s.refSelect(workS, -1, 0); ref != n {
+		t.Fatalf("reference scan picked node %d, want 0", ref.id)
+	}
+	if got := s.selectNode(workS, -1); got != n {
+		t.Errorf("sprint-aware picked node %d, want busy node 0: a bound tie must stay in the search", got.id)
+	}
+}
+
 // TestIndexedDispatchAtScaleSmoke runs one mid-size simulation per policy
 // purely for the index's internal consistency checks (drop accounting,
 // rack invariants assert at finish); the interesting regime for the index

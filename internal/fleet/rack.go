@@ -229,12 +229,15 @@ func (s *sim) scheduleTrip(r *rack) {
 // first slice sprints iff the budget covers the whole request or exceeds
 // the 1e-9 slice floor — so an admission (and any TokenPermit grant)
 // pairs with exactly one sprint phase and its evSprintEnd/evSprintComplete.
-func (s *sim) sprintAdmitted(n *node, workS float64) bool {
+// It therefore asks at the width and sprint power serve() runs: a
+// workload's narrow request sprints at its own, lower power, which a
+// budget too small for the class power can still cover.
+func (s *sim) sprintAdmitted(n *node, workS, width, sprintW float64) bool {
 	if s.racks == nil {
 		return true
 	}
 	cl := s.cl(n)
-	if maxFullS := n.gov.MaxSprintS(cl.sprintW); maxFullS <= 1e-9 && maxFullS*cl.width < workS {
+	if maxFullS := n.gov.MaxSprintS(sprintW); maxFullS <= 1e-9 && maxFullS*width < workS {
 		// The node's own thermal budget is spent; serve() degrades to
 		// nominal on its own, so this is not a rack sprint request.
 		return true
@@ -342,7 +345,7 @@ func (s *sim) breakerTrip(ev event) {
 		s.rec.event(s, trace.Event{Kind: "breaker-trip", Node: -1, Rack: r.id, Req: -1, Phase: -1, DurS: s.cfg.BreakerRecoveryS})
 	}
 	if s.scen != nil {
-		s.scen.acc[s.scen.cur].trips++
+		s.scen.phases[s.scen.cur].trips++
 	}
 	s.push(s.nowS+s.cfg.BreakerRecoveryS, event{kind: evBreakerReset, rack: int32(r.id)})
 }

@@ -185,6 +185,46 @@ func TestRackBufferAt(t *testing.T) {
 	}
 }
 
+// TestNarrowSprintAsksRack pins rack admission to the sprint serve() will
+// actually run. A default node (16 W sprint, ≈1.07 W drain) with 7.5 nJ
+// of budget left can sprint at the class's 16 W for only ≈0.5 ns, under
+// serve()'s 1 ns slice floor, but a workload's 1-wide request sprints at
+// ≈1.94 W for ≈8.6 ns. The rack must be asked for that sprint: bypassing
+// it would let the phase's end return a token permit never granted.
+func TestNarrowSprintAsksRack(t *testing.T) {
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 1
+	cfg.Requests = 1
+	cfg.Coordination = TokenPermit
+	cfg.RackSize = 1
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(cfg, nil, nil, &workloadRun{disc: wlFIFO})
+	s.reqs = []request{{workS: 1, doneS: -1, firstNode: -1, width: 1}}
+	n := &s.nodes[0]
+	cl := s.cl(n)
+	n.gov.RecordSprint(cl.sprintW, n.gov.MaxSprintS(cl.sprintW)) // spend the whole budget
+	n.gov.Idle(7.5e-9 / cl.drainW)                               // refill 7.5 nJ
+	narrowW := cl.nominalW + cl.extraW/cl.width
+	if full, narrow := n.gov.MaxSprintS(cl.sprintW), n.gov.MaxSprintS(narrowW); full > 1e-9 || narrow <= 1e-9 {
+		t.Fatalf("sprint windows %.3g s at the class power and %.3g s at the narrow power; want them either side of 1 ns", full, narrow)
+	}
+	s.nowS = n.gov.Now()
+	s.startService(n, reqCopy{req: 0})
+	for s.events.len() > 0 {
+		var ev event
+		s.nowS, ev = s.events.pop()
+		s.handle(ev)
+	}
+	r := &s.racks[0]
+	if r.stats.SprintRequests != 1 || r.sprinting != 0 || r.permits != 0 {
+		t.Errorf("rack saw %d sprint requests and ended with %d sprinting / %d permits; want 1, 0 and 0",
+			r.stats.SprintRequests, r.sprinting, r.permits)
+	}
+}
+
 // TestNoCoordinationHasNoRackState: the zero-value Coordination keeps the
 // pre-rack behavior — no racks, no trips, no permit traffic.
 func TestNoCoordinationHasNoRackState(t *testing.T) {

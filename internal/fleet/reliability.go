@@ -224,10 +224,10 @@ func (s *sim) retryDispatch(ri int32) {
 	}
 	n.stats.Retries++
 	if s.scen != nil {
-		s.scen.acc[r.phase].retries++
+		s.scen.phases[r.phase].retries++
 	}
 	if s.wl != nil {
-		s.wl.acc[r.slo].retries++
+		s.wl.tallies[r.slo].retries++
 	}
 	r.firstNode = int32(n.id)
 	s.enqueue(n, reqCopy{req: ri, attempt: r.attempt})

@@ -378,15 +378,6 @@ func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeCla
 	return classes, idx
 }
 
-// phaseAcc counts one phase's events as they happen. A request's fate
-// and latency are not counted here: finish tallies them off the arena
-// after the run.
-type phaseAcc struct {
-	served, denials               int
-	redispatches, failures, trips int
-	retries, faults               int
-}
-
 // PhaseMetrics is one scenario phase's slice of the outcome. Counts are
 // attributed to the phase a request *arrived* in (a surge's queueing
 // damage is charged to the surge even when completions spill past its
@@ -440,8 +431,8 @@ type scenarioRun struct {
 	classes  []nodeClass
 	classIdx []int32
 
-	acc []phaseAcc
-	cur int // current phase index (trip/failure attribution)
+	phases []tally // one outcome record per phase
+	cur    int     // current phase index (trip/failure attribution)
 
 	endS     float64 // scenario end: no churn is scheduled past it
 	ambientC float64 // currently applied ambient delta
@@ -451,26 +442,26 @@ type scenarioRun struct {
 	orphans      []reqCopy // reusable failure-handling scratch
 }
 
-// phaseMetrics assembles the per-phase breakdown after the run drains:
-// the phase tallies (finish's arena walk charges each request to the
-// phase it arrived in) supply fates and latencies, the accumulators the
-// event counts.
-func (sc *scenarioRun) phaseMetrics(phases []tally) []PhaseMetrics {
-	out := make([]PhaseMetrics, len(phases))
+// phaseMetrics assembles the per-phase breakdown after the run drains
+// from the phase tallies: the loop's event counts, and the fates and
+// latencies finish's arena walk charged to the phase each request
+// arrived in.
+func (sc *scenarioRun) phaseMetrics() []PhaseMetrics {
+	out := make([]PhaseMetrics, len(sc.phases))
 	start := 0.0
 	for i := range out {
-		p, a, pm := sc.spec.Phases[i], &sc.acc[i], &out[i]
+		p, t, pm := sc.spec.Phases[i], &sc.phases[i], &out[i]
 		pm.Name, pm.StartS, pm.EndS = p.Name, start, start+p.DurationS
-		pm.Offered, pm.Completed, pm.Dropped, pm.TimedOut, pm.Shed = phases[i].counts()
-		pm.Redispatches, pm.NodeFailures, pm.BreakerTrips = a.redispatches, a.failures, a.trips
-		pm.Retries, pm.TransientFaults = a.retries, a.faults
+		pm.Offered, pm.Completed, pm.Dropped, pm.TimedOut, pm.Shed = t.counts()
+		pm.Redispatches, pm.NodeFailures, pm.BreakerTrips = t.redispatches, t.failures, t.trips
+		pm.Retries, pm.TransientFaults = t.retries, t.faults
 		if pm.Offered > 0 {
 			pm.ShedRate = float64(pm.Shed) / float64(pm.Offered)
 		}
 		pm.ThroughputRPS = float64(pm.Completed) / p.DurationS
-		pm.MeanS, pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = phases[i].lat.summary()
-		if a.served > 0 {
-			pm.SprintDenialRate = float64(a.denials) / float64(a.served)
+		pm.MeanS, pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = t.lat.summary()
+		if t.served > 0 {
+			pm.SprintDenialRate = float64(t.denials) / float64(t.served)
 		}
 		start = pm.EndS
 	}
@@ -528,7 +519,7 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, trunc
 func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc.Classes, sc.Phases[0].AmbientDeltaC)
-	run.acc = make([]phaseAcc, len(sc.Phases))
+	run.phases = make([]tally, len(sc.Phases))
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
 	}
@@ -631,7 +622,7 @@ func (s *sim) failNode(n *node, downS float64) {
 	n.gen++
 	s.lastFailed = int32(n.id)
 	n.stats.Failures++
-	sc.acc[sc.cur].failures++
+	sc.phases[sc.cur].failures++
 
 	if s.racks != nil {
 		r := &s.racks[n.rackID]

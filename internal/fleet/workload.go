@@ -714,24 +714,16 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 // wlClass is one SLO class's live state: the resolved declaration plus
 // its admission bucket.
 type wlClass struct {
-	name       string
-	priority   int
-	targetP99S float64
-	hedgeS     float64
-	bucket     tokenBucket
+	name     string
+	priority int
+	hedgeS   float64
+	bucket   tokenBucket
 }
 
 // wlTenant is one tenant's live state.
 type wlTenant struct {
 	name  string
 	class int16
-}
-
-// wlAcc accumulates one class's incremental counters; everything else
-// in ClassMetrics, latencies included, comes from the class's tally of
-// finish's arena walk, so the hot path keeps one counter.
-type wlAcc struct {
-	retries int
 }
 
 // workloadRun is the live multi-tenant state hanging off a sim; nil when
@@ -741,7 +733,9 @@ type workloadRun struct {
 	classes []wlClass
 	tenants []wlTenant
 	disc    int
-	acc     []wlAcc
+	// tallies holds one outcome record per class: the loop counts its
+	// retries, finish's arena walk everything else.
+	tallies []tally
 }
 
 // newWorkloadRun lowers a defaulted, validated spec.
@@ -750,15 +744,15 @@ func newWorkloadRun(w WorkloadSpec) *workloadRun {
 	classIdx := map[string]int16{}
 	for i, c := range w.Classes {
 		wl.classes = append(wl.classes, wlClass{
-			name: c.Name, priority: c.Priority, targetP99S: c.TargetP99S, hedgeS: c.HedgeDelayS,
+			name: c.Name, priority: c.Priority, hedgeS: c.HedgeDelayS,
 			bucket: tokenBucket{ratePerS: c.AdmitRatePerS, burst: c.AdmitBurst, tokens: c.AdmitBurst},
 		})
+		wl.tallies = append(wl.tallies, tally{targetS: c.TargetP99S})
 		classIdx[c.Name] = int16(i)
 	}
 	for _, t := range w.Tenants {
 		wl.tenants = append(wl.tenants, wlTenant{name: t.Name, class: classIdx[t.Class]})
 	}
-	wl.acc = make([]wlAcc, len(wl.classes))
 	return wl
 }
 
@@ -795,8 +789,8 @@ func (s *sim) dequeueDisciplined(n *node) {
 	w := n.head
 	for i := n.head; i < len(n.queue); i++ {
 		c := n.queue[i]
-		r := &s.reqs[c.req]
-		if r.doneS >= 0 || (s.rel != nil && c.attempt != r.attempt) {
+		if s.moot(c) {
+			r := &s.reqs[c.req]
 			r.copies--
 			s.m.CancelledCopies++
 			n.queuedNaiveS -= r.workS / s.cl(n).width
@@ -864,16 +858,15 @@ type TenantMetrics struct {
 }
 
 // assemble fills the workload outcome into the metrics from the class
-// tallies and per-tenant counts finish's arena walk produced (plus the
-// incremental retry counter), so every figure is bit-identical at any
-// worker count and each class's latencies carry the run's exact-vs-one-bin
-// quantile contract.
-func (w *workloadRun) assemble(m *Metrics, classes []tally) {
-	m.Classes = make([]ClassMetrics, len(classes))
-	for i := range classes {
-		cl, t, cm := &w.classes[i], &classes[i], &m.Classes[i]
-		*cm = ClassMetrics{Name: cl.name, Priority: cl.priority, TargetP99S: cl.targetP99S,
-			AdmissionShed: t.n[admShed], Retries: w.acc[i].retries}
+// tallies and the per-tenant counts finish's arena walk produced, so
+// every figure is bit-identical at any worker count and each class's
+// latencies carry the run's exact-vs-one-bin quantile contract.
+func (w *workloadRun) assemble(m *Metrics) {
+	m.Classes = make([]ClassMetrics, len(w.tallies))
+	for i := range w.tallies {
+		cl, t, cm := &w.classes[i], &w.tallies[i], &m.Classes[i]
+		*cm = ClassMetrics{Name: cl.name, Priority: cl.priority, TargetP99S: t.targetS,
+			AdmissionShed: t.n[admShed], Retries: t.retries}
 		cm.Offered, cm.Completed, cm.Dropped, cm.TimedOut, cm.Shed = t.counts()
 		if cm.Completed > 0 && cm.TargetP99S > 0 {
 			cm.SLOAttainment = float64(t.within) / float64(cm.Completed)
@@ -917,7 +910,7 @@ func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec) (*workloadRun, []in
 		if len(names) > maxSLOClasses {
 			return nil, nil, nil, fmt.Errorf("fleet: trace names %d classes (max %d)", len(names), maxSLOClasses)
 		}
-		wl = &workloadRun{disc: wlFIFO, acc: make([]wlAcc, len(names))}
+		wl = &workloadRun{disc: wlFIFO, tallies: make([]tally, len(names))}
 		for _, name := range names {
 			wl.classes = append(wl.classes, wlClass{name: name})
 		}
