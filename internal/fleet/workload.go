@@ -639,74 +639,104 @@ func drawWidth(rng *rand.Rand, ws *WidthSpec) uint16 {
 	}
 }
 
-// wlArrival is one generated arrival before the cross-tenant merge.
-type wlArrival struct {
-	atS, workS float64
-	width      uint16
-	tenant     int16
-	slo        int16
-	phase      int16
+// wlStream is one tenant's arrival process: a renewal process drawn
+// from the tenant's own seeded stream, its rate modulated by the
+// scenario's phase factors with the same gap-start convention as
+// Scenario.generate.
+type wlStream struct {
+	tn        *TenantSpec
+	rng       *rand.Rand
+	ti, slo   int16
+	t, pStart float64
+	pi        int
+	sc        *Scenario
+	endS      float64
+}
+
+// stream starts tenant ti's arrival process at time 0; every call with
+// the same arguments replays the same arrivals.
+func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, slo int16) wlStream {
+	// The golden-ratio multiply decorrelates tenant streams; the mix runs
+	// in uint64 (the constant overflows int64) and ti+1 keeps tenant 0 off
+	// the plain workloadSeed stream.
+	mix := int64((uint64(ti) + 1) * 0x9e3779b97f4a7c15)
+	return wlStream{tn: &w.Tenants[ti], rng: rand.New(rand.NewSource(cfg.Seed ^ workloadSeed ^ mix)),
+		ti: int16(ti), slo: slo, sc: sc, endS: endS}
+}
+
+// next draws the tenant's next arrival; ok is false once the stream has
+// passed the end of the timeline.
+func (st *wlStream) next() (r request, ok bool) {
+	tn, ph := st.tn, st.sc.Phases
+	mean := 1 / (tn.Arrival.RatePerS * ph[st.pi].factor(st.t-st.pStart))
+	st.t += clampF(drawGap(st.rng, tn.Arrival, mean), 1e-9, mean*64)
+	for st.pi < len(ph)-1 && st.t >= st.pStart+ph[st.pi].DurationS {
+		st.pStart += ph[st.pi].DurationS
+		st.pi++
+	}
+	if st.t >= st.endS {
+		return request{}, false
+	}
+	work := clampF(drawWork(st.rng, tn.Work), tn.Work.MeanS/64, tn.Work.MeanS*64)
+	return request{
+		arrivalS: st.t, workS: work, doneS: -1, firstNode: -1,
+		phase: int16(st.pi), slo: st.slo, tenant: st.ti, width: drawWidth(st.rng, tn.Width),
+	}, true
 }
 
 // generate produces the workload's merged arrival arena over the
-// scenario timeline: each tenant draws an independent renewal process
-// from its own seeded stream (rate modulated by the scenario's phase
-// factors, the same gap-start convention as Scenario.generate), and the
+// scenario timeline: each tenant's stream is independent, and the
 // streams merge under the total (time, tenant) order — within one tenant
-// arrivals are strictly increasing, so the order is unambiguous and the
-// merge is byte-identical however the sort visits it.
+// arrivals are strictly increasing, so the order is unambiguous. A first
+// pass counts the arrivals, so the arena is allocated once at its final
+// length and the second pass merges the replayed streams straight into
+// it: the run's largest allocation leaves no growth copies or staging
+// rows behind, and its peak memory does not hinge on when the collector
+// runs.
 func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, truncated bool) {
-	totalS := 0.0
+	endS := 0.0
 	for _, p := range sc.Phases {
-		totalS += p.DurationS
+		endS += p.DurationS
 	}
 	classIdx := map[string]int16{}
 	for i, c := range w.Classes {
 		classIdx[c.Name] = int16(i)
 	}
-	var rows []wlArrival
-	for ti := range w.Tenants {
-		tn := &w.Tenants[ti]
-		// The golden-ratio multiply decorrelates tenant streams; the mix
-		// runs in uint64 (the constant overflows int64) and ti+1 keeps
-		// tenant 0 off the plain workloadSeed stream.
-		mix := int64((uint64(ti) + 1) * 0x9e3779b97f4a7c15)
-		rng := rand.New(rand.NewSource(cfg.Seed ^ workloadSeed ^ mix))
-		slo := classIdx[tn.Class]
-		t, pi, pStart := 0.0, 0, 0.0
-		for {
-			if len(rows) >= maxReqs {
-				return getArena(0), true
-			}
-			mean := 1 / (tn.Arrival.RatePerS * sc.Phases[pi].factor(t-pStart))
-			t += clampF(drawGap(rng, tn.Arrival, mean), 1e-9, mean*64)
-			for pi < len(sc.Phases)-1 && t >= pStart+sc.Phases[pi].DurationS {
-				pStart += sc.Phases[pi].DurationS
-				pi++
-			}
-			if t >= totalS {
-				break
-			}
-			work := clampF(drawWork(rng, tn.Work), tn.Work.MeanS/64, tn.Work.MeanS*64)
-			rows = append(rows, wlArrival{
-				atS: t, workS: work,
-				width:  drawWidth(rng, tn.Width),
-				tenant: int16(ti), slo: slo, phase: int16(pi),
-			})
+	streams := make([]wlStream, len(w.Tenants))
+	heads := make([]request, len(w.Tenants))
+	live := make([]bool, len(w.Tenants))
+	restart := func() {
+		for ti := range streams {
+			streams[ti] = w.stream(cfg, &sc, endS, ti, classIdx[w.Tenants[ti].Class])
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].atS != rows[j].atS {
-			return rows[i].atS < rows[j].atS
+	restart()
+	n := 0
+	for ti := range streams {
+		for ; ; n++ {
+			if n >= maxReqs {
+				return getArena(0), true
+			}
+			if _, ok := streams[ti].next(); !ok {
+				break
+			}
 		}
-		return rows[i].tenant < rows[j].tenant
-	})
-	reqs = getArena(len(rows))
-	for i, a := range rows {
-		reqs[i] = request{
-			arrivalS: a.atS, workS: a.workS, doneS: -1, firstNode: -1,
-			phase: a.phase, slo: a.slo, tenant: a.tenant, width: a.width,
+	}
+	restart()
+	for ti := range streams {
+		heads[ti], live[ti] = streams[ti].next()
+	}
+	reqs = getArena(n)
+	for i := range reqs {
+		// The strict < hands a time tie to the lower tenant.
+		best := -1
+		for ti := range heads {
+			if live[ti] && (best < 0 || heads[ti].arrivalS < heads[best].arrivalS) {
+				best = ti
+			}
 		}
+		reqs[i] = heads[best]
+		heads[best], live[best] = streams[best].next()
 	}
 	return reqs, false
 }

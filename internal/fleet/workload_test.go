@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,55 @@ func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%s: workers=%d diverged from the serial run:\n%+v\n%+v", coord, workers, base, m)
 			}
 		}
+	}
+}
+
+// TestWorkloadGenerateMerge: generate counts the arrivals first and
+// merges the tenant streams straight into an arena of that length. The
+// arena must hold every tenant's whole stream, in (arrival, tenant)
+// order, and the request cap must trip exactly when the streams hold at
+// least that many arrivals.
+func TestWorkloadGenerateMerge(t *testing.T) {
+	_, sc := flashCrowdChurn()
+	sc = sc.withDefaults()
+	cfg, w := tenantWorkload()
+	w = w.withDefaults()
+	endS := 0.0
+	for _, p := range sc.Phases {
+		endS += p.DurationS
+	}
+	reqs, truncated := w.generate(cfg, sc, requestCap)
+	if truncated || len(reqs) == 0 {
+		t.Fatalf("generate: %d arrivals, truncated %v", len(reqs), truncated)
+	}
+	for i := 1; i < len(reqs); i++ {
+		a, b := &reqs[i-1], &reqs[i]
+		if a.arrivalS > b.arrivalS || (a.arrivalS == b.arrivalS && a.tenant >= b.tenant) {
+			t.Fatalf("arena %d: (%v, tenant %d) after (%v, tenant %d)", i, b.arrivalS, b.tenant, a.arrivalS, a.tenant)
+		}
+	}
+	for ti := range w.Tenants {
+		slo := slices.IndexFunc(w.Classes, func(c SLOClass) bool { return c.Name == w.Tenants[ti].Class })
+		st := w.stream(cfg, &sc, endS, ti, int16(slo))
+		var want []request
+		for r, ok := st.next(); ok; r, ok = st.next() {
+			want = append(want, r)
+		}
+		var got []request
+		for _, r := range reqs {
+			if int(r.tenant) == ti {
+				got = append(got, r)
+			}
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("tenant %d: arena holds %d of its %d arrivals or reorders them", ti, len(got), len(want))
+		}
+	}
+	if _, truncated := w.generate(cfg, sc, len(reqs)); !truncated {
+		t.Errorf("cap %d = arrival count: not truncated", len(reqs))
+	}
+	if again, truncated := w.generate(cfg, sc, len(reqs)+1); truncated || !reflect.DeepEqual(again, reqs) {
+		t.Errorf("cap %d: truncated %v, or the arena differs from the first run", len(reqs)+1, truncated)
 	}
 }
 
