@@ -60,8 +60,8 @@ const (
 )
 
 // event is one entry of the simulation's future-event list: the 24-byte
-// payload the queue keeps beside its heap of sort keys, which carry the
-// firing time. It refers to its request by arena index rather than
+// payload the queue keeps beside its sort keys, which carry the firing
+// time. It refers to its request by arena index rather than
 // pointer, keeping the hot structures free of GC-scanned references, and
 // scheduling one never allocates.
 //
@@ -96,17 +96,19 @@ type qkey struct {
 	t, ord uint64
 }
 
-// The bit split of qkey.ord. A slot is live only while its event is
-// pending, and the heap holds a few events per request (a hedge check, a
-// timeout, a retry) and per node or rack (a completion, a sprint end, a
-// breaker trip or reset, a recovery): 8 per request and per node covers
-// requestCap requests on maxNodes nodes in 2^28 slots (the compile-time
-// check below), and 2^28 pending events would take 10 GiB. seq keeps the
-// other 36 bits, 2^36 ≈ 6.9e10 pushes: 4096 per request at requestCap,
-// where a run schedules a handful. Only a pathological churn storm —
-// failures far faster than services finish, piling up stale events — can
-// exceed either field; push then refuses the event and flags the queue,
-// and the run fails with errQueueOverflow instead of misordering events.
+// The bit split of qkey.ord. A slot is live only while its heap event is
+// pending. Timers (hedge checks and timeouts) ride the lanes and hold no
+// slot, so the heap keeps at most a retry per request and a few events
+// per node or rack (a completion, a sprint end, a breaker trip or reset,
+// a recovery): 8 per request and per node still covers requestCap
+// requests on maxNodes nodes in 2^28 slots with room to spare (the
+// compile-time check below), and 2^28 pending events would take 10 GiB.
+// seq keeps the other 36 bits, 2^36 ≈ 6.9e10 pushes, lane pushes
+// included: 4096 per request at requestCap, where a run schedules a
+// handful. Only a pathological churn storm — failures far faster than
+// services finish, piling up stale events — can exceed either field; the
+// push then refuses the event and flags the queue, and the run fails with
+// errQueueOverflow instead of misordering events.
 const (
 	slotBits = 28
 	maxSlots = 1 << slotBits
@@ -163,18 +165,53 @@ func (a qkey) lessBit(b qkey) int {
 // event costs 40 bytes, key and payload. No interface boxing, no
 // per-event allocation: both arrays are reused for the whole run.
 //
+// Beside the heap sit FIFO lanes, one per distinct delay, for timers that
+// fire a fixed delay after they are scheduled (see pushLane). While the
+// clock passed to pushLane never decreases, now+d never decreases either
+// (float addition rounds monotonically) and seq only grows, so each lane
+// receives its keys in (time, seq) order and its head is its minimum.
+// Lane keys carry the global seq, so topAt and pop order a lane head
+// against the heap top by the same (t, ord) compare the heap uses, and
+// the pop sequence is exactly the one a heap holding every event gives.
+// best caches the earliest lane head, refreshed by a scan over the few
+// lanes only after a lane pop, so a queue with no timers pays one branch.
+//
 // It is the package's one priority queue, with three users: the event
 // loop's future-event list, the recorder's pending sprint phases, and
 // sprint-aware dispatch's best-first frontier over busy-tree slots (see
-// sprintAwareMin).
+// sprintAwareMin). Only the event loop's hedge checks and timeouts use
+// lanes.
 type eventQueue struct {
 	k []qkey
 	p []event
 	// free is 1 + the most recently freed payload slot, 0 when none; a
 	// freed payload's req links to the next free slot the same way.
 	free int32
-	// overflow is set once push refused an event (see slotBits).
+	// overflow is set once a push refused an event (see slotBits).
 	overflow bool
+	lanes    []lane
+	// timers counts the events pending on all lanes.
+	timers int
+	// best is 1 + the index of the lane whose head fires first, 0 when
+	// every lane is empty; headK is that head's key.
+	best  int
+	headK qkey
+}
+
+// timer is one lane entry: the event's key, whose slot bits are unused,
+// and its payload.
+type timer struct {
+	k  qkey
+	ev event
+}
+
+// lane is a FIFO ring of timers that all fire d after their push: ring
+// has a power-of-two length, and its n pending timers run from head,
+// wrapping.
+type lane struct {
+	d       uint64 // math.Float64bits of the delay
+	ring    []timer
+	head, n int
 }
 
 // reserve sizes keys and payloads, which hold the free list, together for
@@ -191,21 +228,32 @@ func (q *eventQueue) reserve(n int) {
 func queueReserve(n int) int { return 2*n + 64 }
 
 //sprint:hotpath
-func (q *eventQueue) len() int { return len(q.k) }
+func (q *eventQueue) len() int { return len(q.k) + q.timers }
 
-// clear empties the queue — keys, payloads and free list — keeping both
-// arrays' capacity for reuse.
+// clear empties the queue — keys, payloads, free list and lanes — keeping
+// every array's capacity for reuse.
 //
 //sprint:hotpath
 func (q *eventQueue) clear() {
 	q.k, q.p, q.free = q.k[:0], q.p[:0], 0
+	for i := range q.lanes {
+		q.lanes[i].head, q.lanes[i].n = 0, 0
+	}
+	q.timers, q.best = 0, 0
 }
 
 // topAt returns the earliest event's firing time; the caller must ensure
 // the queue is non-empty.
 //
 //sprint:hotpath
-func (q *eventQueue) topAt() float64 { return keyTime(q.k[0].t) }
+func (q *eventQueue) topAt() float64 {
+	// lessBit rather than less keeps topAt within the inlining budget.
+	k := q.headK
+	if q.best == 0 || len(q.k) != 0 && q.k[0].lessBit(k) != 0 {
+		k = q.k[0]
+	}
+	return keyTime(k.t)
+}
 
 // push schedules ev at atS as the seq-th push, sifting its key up from
 // the tail through a hole: parents move down one level until the key
@@ -248,6 +296,15 @@ func (q *eventQueue) push(atS float64, ev event, seq uint64) {
 //
 //sprint:hotpath
 func (q *eventQueue) pop() (float64, event) {
+	if q.best != 0 && (len(q.k) == 0 || q.headK.less(q.k[0])) {
+		l := &q.lanes[q.best-1]
+		h := l.ring[l.head]
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		q.timers--
+		q.relane()
+		return keyTime(h.k.t), h.ev
+	}
 	k := q.k
 	top := k[0]
 	slot := uint32(top.ord & slotMask)
@@ -292,11 +349,78 @@ func (q *eventQueue) pop() (float64, event) {
 	return keyTime(top.t), ev
 }
 
+// pushLane schedules ev at nowS+d as the seq-th push, on the lane for
+// delay d, which it creates on first use. The caller must never pass a
+// nowS below an earlier push's: that is what keeps every lane in
+// (time, seq) order.
+//
+//sprint:hotpath
+func (q *eventQueue) pushLane(nowS, d float64, ev event, seq uint64) {
+	if seq >= seqLimit {
+		q.overflow = true
+		return
+	}
+	db := math.Float64bits(d)
+	i := 0
+	for i < len(q.lanes) && q.lanes[i].d != db {
+		i++
+	}
+	if i == len(q.lanes) {
+		q.lanes = append(q.lanes, lane{d: db})
+	}
+	l := &q.lanes[i]
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	key := qkey{timeKey(nowS + d), seq << slotBits}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = timer{key, ev}
+	l.n++
+	q.timers++
+	if l.n == 1 && (q.best == 0 || key.less(q.headK)) {
+		q.best, q.headK = i+1, key
+	}
+}
+
+// grow doubles a full lane's ring, 16 entries at first, unwrapping its
+// timers to start at 0.
+func (l *lane) grow() {
+	ring := make([]timer, max(2*len(l.ring), 16))
+	m := copy(ring, l.ring[l.head:])
+	copy(ring[m:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
+// relane points best at the lane whose head fires first, after a lane
+// pop moved one head.
+//
+//sprint:hotpath
+func (q *eventQueue) relane() {
+	q.best = 0
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if h := l.ring[l.head].k; q.best == 0 || h.less(q.headK) {
+			q.best, q.headK = i+1, h
+		}
+	}
+}
+
 // push schedules an event at atS, stamping the deterministic tie-break
 // sequence.
 //
 //sprint:hotpath
 func (s *sim) push(atS float64, ev event) {
 	s.events.push(atS, ev, s.seq)
+	s.seq++
+}
+
+// pushAfter schedules a timer d after now on the event queue's lane for
+// d, stamping the tie-break sequence as push does.
+//
+//sprint:hotpath
+func (s *sim) pushAfter(d float64, ev event) {
+	s.events.pushLane(s.nowS, d, ev, s.seq)
 	s.seq++
 }

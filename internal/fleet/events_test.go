@@ -21,26 +21,42 @@ var queueFuzzTimes = [16]float64{
 	1e-300, -1e300, 0, math.Copysign(0, -1),
 }
 
-// FuzzEventQueue interleaves pushes, pops and clears and checks every
-// popped event, payload included, against a reference popped by its
-// minimum (atS, seq) under float comparison. A byte below 0x80 pushes an
-// event at queueFuzzTimes[b&15]; 0x80–0xE7 pops one; 0xE8–0xEF clears the
-// queue and the reference, after which the slot accounting below demands
-// an empty free list; 0xF0–0xFF pops up to (b&15)+1, so long pop runs
-// free many slots for the pushes after them to reuse. seq0 starts the
-// push count anywhere below seqLimit, so the seq field's top bits are
-// exercised too. The seed corpus lives in testdata/fuzz/FuzzEventQueue.
+// queueFuzzDelays and queueFuzzSteps are FuzzEventQueue's lane palettes:
+// the timer delays, with 0 and repeats so several ops share a lane, and
+// the steps its clock advances by, with 0 so lane pushes tie each other
+// and land on the heap palette's instants.
+var (
+	queueFuzzDelays = [8]float64{0, 0.5, 1, 0.5, 2.5, 1e-300, 0, 1.5}
+	queueFuzzSteps  = [4]float64{0, 0.5, 1, 1e-300}
+)
+
+// FuzzEventQueue interleaves heap pushes, lane pushes, pops and clears
+// and checks every popped event, payload included, against a reference
+// popped by its minimum (atS, seq) under float comparison. A byte below
+// 0x80 pushes an event on the heap at queueFuzzTimes[b&15]; 0xC0–0xDF
+// advances a clock, which starts at 0 and never goes back, by
+// queueFuzzSteps[b>>3&3] and pushes a timer on the lane for delay
+// queueFuzzDelays[b&7]; 0x80–0xBF and 0xE0–0xE7 pop one; 0xE8–0xEF clears
+// the queue and the reference, after which the slot accounting below
+// demands an empty free list and empty lanes; 0xF0–0xFF pops up to
+// (b&15)+1, so long pop runs free many slots for the pushes after them to
+// reuse and drain lanes. seq0 starts the push count anywhere below
+// seqLimit, so the seq field's top bits are exercised too. After every op
+// the cached earliest lane head must be the true one. The seed corpus
+// lives in testdata/fuzz/FuzzEventQueue.
 func FuzzEventQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, seq0 uint64) {
 		type refEvent struct {
-			at  float64
-			ev  event
-			seq uint64
+			at   float64
+			ev   event
+			seq  uint64
+			lane bool
 		}
 		seq := seq0 % (seqLimit - uint64(len(ops)))
 		var q eventQueue
 		var ref []refEvent
-		high := 0
+		nowS := 0.0
+		high, heaped := 0, 0
 		popOne := func() {
 			best := 0
 			for j, r := range ref {
@@ -51,6 +67,9 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			want := ref[best]
 			ref = append(ref[:best], ref[best+1:]...)
+			if !want.lane {
+				heaped--
+			}
 			// A −0 time fires as +0, its equal; every other time keeps
 			// its exact bits.
 			wantBits := math.Float64bits(want.at + 0)
@@ -63,23 +82,30 @@ func FuzzEventQueue(f *testing.F) {
 			}
 		}
 		for i, b := range ops {
+			ev := event{
+				gen:  seq,
+				req:  int32(i),
+				node: int32(b),
+				rack: int32(len(ref)),
+				kind: eventKind(b >> 4),
+			}
 			switch {
 			case b < 0x80:
 				at := queueFuzzTimes[b&15]
-				ev := event{
-					gen:  seq,
-					req:  int32(i),
-					node: int32(b),
-					rack: int32(len(ref)),
-					kind: eventKind(b >> 4),
-				}
 				q.push(at, ev, seq)
-				ref = append(ref, refEvent{at, ev, seq})
+				ref = append(ref, refEvent{at, ev, seq, false})
 				seq++
-				high = max(high, len(ref))
+				heaped++
+				high = max(high, heaped)
+			case b >= 0xC0 && b < 0xE0:
+				nowS += queueFuzzSteps[b>>3&3]
+				d := queueFuzzDelays[b&7]
+				q.pushLane(nowS, d, ev, seq)
+				ref = append(ref, refEvent{nowS + d, ev, seq, true})
+				seq++
 			case b >= 0xE8 && b < 0xF0:
 				q.clear()
-				ref = ref[:0]
+				ref, heaped = ref[:0], 0
 			default:
 				n := 1
 				if b >= 0xF0 {
@@ -99,9 +125,26 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				free++
 			}
-			if len(q.p) > high || len(q.p) != q.len()+free {
-				t.Fatalf("op %d: %d payload slots (%d free) for %d pending, high-water %d; freed slots are not reused",
-					i, len(q.p), free, q.len(), high)
+			if len(q.p) > high || len(q.k) != heaped || len(q.p) != heaped+free {
+				t.Fatalf("op %d: %d payload slots (%d free) for %d pending on the heap, high-water %d; freed slots are not reused",
+					i, len(q.p), free, heaped, high)
+			}
+			timers, best := 0, 0
+			var head qkey
+			for j, l := range q.lanes {
+				timers += l.n
+				if l.n == 0 {
+					continue
+				}
+				if h := l.ring[l.head].k; best == 0 || h.less(head) {
+					best, head = j+1, h
+				}
+			}
+			if timers != len(ref)-heaped || q.timers != timers {
+				t.Fatalf("op %d: lanes hold %d timers and count %d, reference %d", i, timers, q.timers, len(ref)-heaped)
+			}
+			if q.best != best || best != 0 && q.headK != head {
+				t.Fatalf("op %d: cached lane head %d %+v, earliest %d %+v", i, q.best, q.headK, best, head)
 			}
 		}
 		for len(ref) > 0 {
@@ -154,6 +197,52 @@ func TestEventQueueSeqLimit(t *testing.T) {
 	}
 }
 
+// TestTimersRideLanes is an exact work count for the heap: a hedged fleet
+// with client timeouts and a class hedge override schedules every hedge
+// check and timeout on a lane, one lane per distinct delay, so after each
+// dispatch the heap holds only the completions.
+func TestTimersRideLanes(t *testing.T) {
+	cfg := DefaultConfig(Hedged)
+	cfg.Nodes = 2
+	cfg.Requests = 2
+	cfg.Reliability.TimeoutS = 5
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wl := &workloadRun{disc: wlFIFO, classes: []wlClass{{hedgeS: 0.25}, {}}}
+	s := newSim(cfg, nil, nil, wl)
+	s.reqs = []request{
+		{workS: 1, doneS: -1, firstNode: -1, slo: 0},
+		{workS: 1, doneS: -1, firstNode: -1, slo: 1},
+	}
+	// The lanes in creation order, each as its delay and pending timers:
+	// the override class's hedge check and timeout, then the default
+	// class's hedge check beside a second timeout.
+	for ri, want := range [][][2]float64{
+		{{0.25, 1}, {5, 1}},
+		{{0.25, 1}, {5, 2}, {cfg.HedgeDelayS, 1}},
+	} {
+		s.dispatch(int32(ri))
+		q := &s.events
+		if len(q.k) != ri+1 {
+			t.Fatalf("after dispatch %d the heap holds %d events, want %d completions", ri, len(q.k), ri+1)
+		}
+		for _, k := range q.k {
+			if kind := q.p[k.ord&slotMask].kind; kind != evComplete {
+				t.Errorf("after dispatch %d the heap holds an event of kind %d, want only completions", ri, kind)
+			}
+		}
+		var got [][2]float64
+		for _, l := range q.lanes {
+			got = append(got, [2]float64{math.Float64frombits(l.d), float64(l.n)})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("after dispatch %d the lanes (delay, timers) are %v, want %v", ri, got, want)
+		}
+	}
+}
+
 // TestTimeKeyOrder checks the key's float map on neighbours that break a
 // naive bit compare — −0 ties +0, and negatives sort below positives in
 // magnitude-reversed order — and that keyTime inverts it.
@@ -201,6 +290,48 @@ func BenchmarkEventQueue(b *testing.B) {
 			at, ev := q.pop()
 			q.push(at+svc[k], ev, seq)
 			seq++
+		}
+	}
+}
+
+// BenchmarkEventQueueTimers is the event queue's per-layer benchmark for
+// timers, shaped like flash_tenants' queue: a steady 2,000 completions on
+// the heap, and each completion popped schedules its replacement one
+// exponential service time later plus a 5 s timeout and a 0.5 s hedge
+// check on their lanes, which fire stale as most of that run's timers
+// do. Each op runs 1<<16 pops.
+func BenchmarkEventQueueTimers(b *testing.B) {
+	const pending, steps = 2000, 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	svc := make([]float64, steps)
+	for i := range svc {
+		svc[i] = 1.5 * rng.ExpFloat64()
+	}
+	var q eventQueue
+	q.reserve(pending)
+	var seq uint64
+	for i := 0; i < pending; i++ {
+		q.push(1.5*rng.ExpFloat64(), event{kind: evComplete, node: int32(i)}, seq)
+		seq++
+	}
+	step := func(k int) {
+		at, ev := q.pop()
+		if ev.kind != evComplete {
+			return
+		}
+		q.push(at+svc[k], ev, seq)
+		q.pushLane(at, 5, event{kind: evTimeout, req: ev.node}, seq+1)
+		q.pushLane(at, 0.5, event{kind: evHedge, req: ev.node}, seq+2)
+		seq += 3
+	}
+	for k := 0; k < steps; k++ {
+		step(k) // grow the lanes to their steady size
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		for k := 0; k < steps; k++ {
+			step(k)
 		}
 	}
 }

@@ -24,7 +24,8 @@
 //     exactly (the linear scan survives as the refDispatch reference used
 //     by the cross-implementation determinism suite);
 //   - the future-event list is a 4-ary heap of 16-byte keys, with the
-//     event payloads in a reused side array, merged with a time-sorted
+//     event payloads in a reused side array, plus a FIFO lane per fixed
+//     delay for hedge checks and timeouts, merged with a time-sorted
 //     arrival cursor (see events.go), so scheduling an event stores a key
 //     and a payload instead of boxing a fresh heap allocation;
 //   - requests live in one per-run arena indexed by int32, and queued
@@ -1342,10 +1343,10 @@ func (s *sim) dispatch(ri int32) {
 				d = h // per-SLO-class hedge override
 			}
 		}
-		s.push(s.nowS+d, event{kind: evHedge, req: ri})
+		s.pushAfter(d, event{kind: evHedge, req: ri})
 	}
 	if s.rel != nil && s.rel.timeoutS > 0 {
-		s.push(s.nowS+s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
+		s.pushAfter(s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
 	}
 }
 

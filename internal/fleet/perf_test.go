@@ -14,40 +14,50 @@ import (
 // allocates per query — so growing the trace must not grow the
 // allocation count beyond slack for amortized container growth. A
 // per-request allocation anywhere in the event loop would add thousands
-// of allocations to the delta and fail loudly.
+// of allocations to the delta and fail loudly. The hedged run with client
+// timeouts puts both timer kinds on the event queue's lanes, whose rings
+// must grow amortized too.
 func TestSimulateSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
-	cfgFor := func(p Policy, requests int) Config {
-		cfg := DefaultConfig(p)
-		cfg.Nodes = 16
-		cfg.Requests = requests
-		cfg.Seed = 3
-		return cfg
-	}
 	ctx := context.Background()
-	for _, p := range []Policy{LeastLoaded, SprintAware, Hedged} {
+	for _, c := range []struct {
+		p        Policy
+		timeoutS float64
+	}{{LeastLoaded, 0}, {SprintAware, 0}, {Hedged, 0}, {Hedged, 5}} {
+		name := c.p.String()
+		if c.timeoutS > 0 {
+			name += " with timeouts"
+		}
+		cfgFor := func(requests int) Config {
+			cfg := DefaultConfig(c.p)
+			cfg.Nodes = 16
+			cfg.Requests = requests
+			cfg.Seed = 3
+			cfg.Reliability.TimeoutS = c.timeoutS
+			return cfg
+		}
 		small := testing.AllocsPerRun(3, func() {
-			if _, _, err := Run(ctx, Spec{Config: cfgFor(p, 2000)}); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfgFor(2000)}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		large := testing.AllocsPerRun(3, func() {
-			if _, _, err := Run(ctx, Spec{Config: cfgFor(p, 10000)}); err != nil {
+			if _, _, err := Run(ctx, Spec{Config: cfgFor(10000)}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if delta := large - small; delta > 32 {
 			t.Errorf("%s: 5× the trace cost %.0f extra allocations (%.0f → %.0f); the event loop is allocating per request",
-				p, delta, small, large)
+				name, delta, small, large)
 		}
 		// The flight recorder's zero-cost-when-off contract: tracing is
 		// keyed on the level, so a Config with trace knobs set but the
 		// level off must allocate exactly what the untraced run does —
 		// the recorder hooks are nil checks, nothing more.
 		traceOff := testing.AllocsPerRun(3, func() {
-			cfg := cfgFor(p, 10000)
+			cfg := cfgFor(10000)
 			cfg.Trace = TraceConfig{TopK: 5, WindowS: 1}
 			if _, _, err := Run(ctx, Spec{Config: cfg}); err != nil {
 				t.Fatal(err)
@@ -58,13 +68,13 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 		// show up as thousands.
 		if traceOff-large > 8 {
 			t.Errorf("%s: Trace-off run costs %.0f allocations vs %.0f untraced; the off path is not free",
-				p, traceOff, large)
+				name, traceOff, large)
 		}
 		// Coupled policies take the single loop at any worker count, so
 		// Workers 8 must allocate what the Workers 0 run does: no
 		// per-shard heaps, routing tables, or extra index segments.
 		sharded := testing.AllocsPerRun(3, func() {
-			cfg := cfgFor(p, 10000)
+			cfg := cfgFor(10000)
 			cfg.Workers = 8
 			if _, _, err := Run(ctx, Spec{Config: cfg}); err != nil {
 				t.Fatal(err)
@@ -72,7 +82,7 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 		})
 		if sharded-large > 8 {
 			t.Errorf("%s: Workers 8 run costs %.0f allocations vs %.0f at Workers 0; a coupled run is building shard state",
-				p, sharded, large)
+				name, sharded, large)
 		}
 	}
 }

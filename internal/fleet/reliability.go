@@ -232,6 +232,6 @@ func (s *sim) retryDispatch(ri int32) {
 	r.firstNode = int32(n.id)
 	s.enqueue(n, reqCopy{req: ri, attempt: r.attempt})
 	if s.rel.timeoutS > 0 {
-		s.push(s.nowS+s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
+		s.pushAfter(s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
 	}
 }
