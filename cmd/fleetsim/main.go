@@ -276,17 +276,12 @@ func convertRecording(in, out string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
 	}
-	tr, err := sprinting.ReadFleetTrace(bufio.NewReader(f))
+	rows, err := sprinting.ReplayFromJSONL(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", in, err)
-		return 1
-	}
-	rows, err := sprinting.ReplayFromRecording(tr)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
 	}
 	of, err := os.Create(out)

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sprinting"
 )
 
 // runOut drives the command and returns (stdout, exit code).
@@ -531,6 +534,62 @@ func TestConvertReplayRoundTrip(t *testing.T) {
 	for _, want := range []string{"replay " + trace, "400 recorded arrivals", "sprint-aware"} {
 		if !strings.Contains(reports[0], want) {
 			t.Errorf("replay report missing %q:\n%s", want, reports[0])
+		}
+	}
+}
+
+// TestConvertCutRecordingFails: a recording cut mid-line fails the
+// conversion with the reader's own "trace: line N:" error for the cut
+// line, exit 1, and leaves no -replay-out file behind; so does a
+// recording with a header and no dispatch decisions.
+func TestConvertCutRecordingFails(t *testing.T) {
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "rec.jsonl")
+	if _, code := runOut(t, "-nodes", "4", "-requests", "200", "-policy", "sprint-aware",
+		"-trace", rec); code != 0 {
+		t.Fatalf("record exit %d", code)
+	}
+	data, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutAt := len(data) / 2
+	for data[cutAt-1] == '\n' {
+		cutAt++ // land inside a line, not on a boundary
+	}
+	cut := data[:cutAt]
+	_, wantErr := sprinting.ReadFleetTrace(bytes.NewReader(cut))
+	wantLine := fmt.Sprintf("trace: line %d: ", bytes.Count(cut, []byte("\n"))+1)
+	if wantErr == nil || !strings.HasPrefix(wantErr.Error(), wantLine) {
+		t.Fatalf("reading the cut recording gave %v, want an error starting %q", wantErr, wantLine)
+	}
+	meta, _, _ := bytes.Cut(data, []byte("\n"))
+	for _, c := range []struct {
+		name    string
+		in      []byte
+		wantErr string
+	}{
+		{"cut", cut, wantErr.Error()},
+		{"header only", append(meta, '\n'), "fleet: recording holds no dispatch decisions (was it recorded at level off?)"},
+	} {
+		in := filepath.Join(dir, c.name+".jsonl")
+		if err := os.WriteFile(in, c.in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, c.name+".csv")
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), []string{"-convert-trace", in, "-replay-out", out}, &stdout, &stderr)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1", c.name, code)
+		}
+		if want := "fleetsim: " + in + ": " + c.wantErr + "\n"; stderr.String() != want {
+			t.Errorf("%s: stderr %q, want %q", c.name, stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: stdout %q, want nothing", c.name, stdout.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: -replay-out file exists after a failed conversion (stat: %v)", c.name, err)
 		}
 	}
 }

@@ -1098,11 +1098,13 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 		// arrivals, so it is consumed through a cursor rather than heaped;
 		// on an exact tie with a scheduled event the arrival fires first,
 		// matching the historical seq ordering in which every arrival was
-		// pushed before any dynamic event.
-		bursts := session.GenerateBursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed)
-		reqs = getArena(len(bursts))
-		for i, b := range bursts {
+		// pushed before any dynamic event. Each burst is written straight
+		// into the arena; the stream is never held as a slice of its own.
+		reqs = getArena(cfg.Requests)
+		i := 0
+		for b := range session.Bursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed) {
 			reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
+			i++
 		}
 	}
 	if err != nil {

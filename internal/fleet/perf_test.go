@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sprinting/internal/session"
 )
@@ -84,6 +86,51 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 			t.Errorf("%s: Workers 8 run costs %.0f allocations vs %.0f at Workers 0; a coupled run is building shard state",
 				name, sharded, large)
 		}
+	}
+}
+
+// TestSyntheticSourceBytesPerRequest pins the synthetic source's memory:
+// Run writes each generated burst straight into the request arena, so
+// the bytes a run allocates grow by one request slot per extra request
+// and by nothing else. Staging the bursts in a slice beside the arena
+// costs 16 B more per request and fails the bound. The arena pool is
+// drained before every run, so each run allocates and counts its arena
+// afresh; both sizes sit above the exact-quantile cutoff, so latencies
+// stream through the fixed-size histogram rather than a per-request
+// buffer.
+func TestSyntheticSourceBytesPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	ctx := context.Background()
+	bytesFor := func(requests int) uint64 {
+		cfg := DefaultConfig(LeastLoaded)
+		cfg.Nodes = 16
+		cfg.Requests = requests
+		cfg.Seed = 3
+		cfg.Workers = 1
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			for arenaPool.Get() != nil {
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, _, err := Run(ctx, Spec{Config: cfg}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const small, extra = exactQuantileCutoff + 1000, 100000
+	perReq := uint64(unsafe.Sizeof(request{}))
+	lo, hi := bytesFor(small), bytesFor(small+extra)
+	grow, limit := int64(hi)-int64(lo), int64(perReq*extra)+64<<10
+	t.Logf("%d more requests: %d more bytes (%.1f B each)", extra, grow, float64(grow)/extra)
+	if grow > limit {
+		t.Errorf("%d more requests allocated %d more bytes (%.1f B each), want at most %d B each plus 64 KiB; the synthetic source holds a second copy of its stream",
+			extra, grow, float64(grow)/extra, perReq)
 	}
 }
 

@@ -7,9 +7,11 @@
 //   - Trace replay (Spec.Replay): a strict-decode JSON-lines or CSV
 //     trace of (arrival_s, work_s, width, tenant, class) rows drives the
 //     run verbatim — deterministic what-if replays of recorded demand.
-//     ReplayFromRecording converts a flight-recorder Trace (PR 7) back
-//     into a replayable trace, closing the record→replay loop: replaying
-//     a recording of a plain run reproduces that run's arrivals exactly.
+//     ReplayFromRecording converts a flight-recorder Trace back into a
+//     replayable trace, and ReplayFromJSONL does the same line by line
+//     from its serialized recording, closing the record→replay loop:
+//     replaying a recording of a plain run reproduces that run's
+//     arrivals exactly.
 //
 //   - Workload specs (Spec.Workload, alone or riding Spec.Scenario): N
 //     declared tenant populations, each with its own seeded arrival
@@ -264,12 +266,37 @@ func ValidateRequestTrace(rows []TraceRequest) error {
 func ReplayFromRecording(tr *trace.Trace) ([]TraceRequest, error) {
 	var rows []TraceRequest
 	for i := range tr.Records {
-		rec := &tr.Records[i]
-		if rec.Decision == nil || rec.Decision.Kind != "dispatch" {
-			continue
-		}
-		rows = append(rows, TraceRequest{ArrivalS: rec.AtS, WorkS: rec.Decision.WorkS})
+		rows = appendReplayRow(rows, &tr.Records[i])
 	}
+	return replayRows(rows)
+}
+
+// ReplayFromJSONL is ReplayFromRecording on a recording serialized by
+// Trace.WriteJSONL, read line by line: it keeps only the rows, never the
+// recording, so a conversion's memory is its output's. Decoding and its
+// errors are trace.ReadJSONL's.
+func ReplayFromJSONL(r io.Reader) ([]TraceRequest, error) {
+	var rows []TraceRequest
+	if _, err := trace.ScanJSONL(r, func(rec *trace.Record) error {
+		rows = appendReplayRow(rows, rec)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return replayRows(rows)
+}
+
+// appendReplayRow is the one per-record rule of both converters: a
+// fresh-arrival dispatch decision appends its row, anything else nothing.
+func appendReplayRow(rows []TraceRequest, rec *trace.Record) []TraceRequest {
+	if rec.Decision == nil || rec.Decision.Kind != "dispatch" {
+		return rows
+	}
+	return append(rows, TraceRequest{ArrivalS: rec.AtS, WorkS: rec.Decision.WorkS})
+}
+
+// replayRows rejects a conversion that found no arrivals.
+func replayRows(rows []TraceRequest) ([]TraceRequest, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("fleet: recording holds no dispatch decisions (was it recorded at level off?)")
 	}
@@ -592,35 +619,35 @@ func gammaDraw(rng *rand.Rand, shape float64) float64 {
 	}
 }
 
-// drawGap samples one interarrival gap with the given mean. Every
-// process is mean-matched: gamma uses scale mean/shape, weibull the
-// scale mean/Γ(1+1/shape).
-func drawGap(rng *rand.Rand, a ArrivalSpec, mean float64) float64 {
+// gap samples one interarrival gap with the given mean. Every process
+// is mean-matched: gamma uses scale mean/shape, weibull the scale
+// mean/Γ(1+1/shape).
+func (st *wlStream) gap(mean float64) float64 {
+	a := &st.tn.Arrival
 	switch a.Process {
 	case "gamma":
-		return gammaDraw(rng, a.Shape) * mean / a.Shape
+		return gammaDraw(st.rng, a.Shape) * mean / a.Shape
 	case "weibull":
-		lam := mean / math.Gamma(1+1/a.Shape)
-		return lam * math.Pow(rng.ExpFloat64(), 1/a.Shape)
+		lam := mean / st.weibullG
+		return lam * math.Pow(st.rng.ExpFloat64(), st.weibullK)
 	default: // poisson
-		return rng.ExpFloat64() * mean
+		return st.rng.ExpFloat64() * mean
 	}
 }
 
-// drawWork samples one request's work; the caller clamps.
-func drawWork(rng *rand.Rand, wk WorkSpec) float64 {
+// work samples one request's work; the caller clamps.
+func (st *wlStream) work() float64 {
+	wk := &st.tn.Work
 	switch wk.Dist {
 	case "fixed":
 		return wk.MeanS
 	case "lognormal":
-		mu := math.Log(wk.MeanS) - wk.Sigma*wk.Sigma/2 // mean-matched: E = exp(mu + sigma^2/2)
-		return math.Exp(mu + wk.Sigma*rng.NormFloat64())
+		return math.Exp(st.logMu + wk.Sigma*st.rng.NormFloat64())
 	case "pareto":
-		xm := wk.MeanS * (wk.Alpha - 1) / wk.Alpha // mean-matched: E = alpha*xm/(alpha-1)
-		u := 1 - rng.Float64()
-		return xm * math.Pow(u, -1/wk.Alpha)
+		u := 1 - st.rng.Float64()
+		return st.paretoXm * math.Pow(u, st.paretoK)
 	default: // exp
-		return rng.ExpFloat64() * wk.MeanS
+		return st.rng.ExpFloat64() * wk.MeanS
 	}
 }
 
@@ -651,6 +678,12 @@ type wlStream struct {
 	pi        int
 	sc        *Scenario
 	endS      float64
+	// The draws' per-tenant constants, computed once in stream: the
+	// Weibull divisor Γ(1+1/shape) and exponent 1/shape, the lognormal
+	// μ, and the Pareto scale x_m and exponent −1/α.
+	weibullG, weibullK float64
+	logMu              float64
+	paretoXm, paretoK  float64
 }
 
 // stream starts tenant ti's arrival process at time 0; every call with
@@ -660,8 +693,14 @@ func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, sl
 	// in uint64 (the constant overflows int64) and ti+1 keeps tenant 0 off
 	// the plain workloadSeed stream.
 	mix := int64((uint64(ti) + 1) * 0x9e3779b97f4a7c15)
-	return wlStream{tn: &w.Tenants[ti], rng: rand.New(rand.NewSource(cfg.Seed ^ workloadSeed ^ mix)),
-		ti: int16(ti), slo: slo, sc: sc, endS: endS}
+	tn := &w.Tenants[ti]
+	a, wk := &tn.Arrival, &tn.Work
+	return wlStream{tn: tn, rng: rand.New(rand.NewSource(cfg.Seed ^ workloadSeed ^ mix)),
+		ti: int16(ti), slo: slo, sc: sc, endS: endS,
+		weibullG: math.Gamma(1 + 1/a.Shape), weibullK: 1 / a.Shape,
+		// Both mean-matched: E = exp(μ + σ²/2) and E = α·x_m/(α−1).
+		logMu:    math.Log(wk.MeanS) - wk.Sigma*wk.Sigma/2,
+		paretoXm: wk.MeanS * (wk.Alpha - 1) / wk.Alpha, paretoK: -1 / wk.Alpha}
 }
 
 // next draws the tenant's next arrival; ok is false once the stream has
@@ -669,7 +708,7 @@ func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, sl
 func (st *wlStream) next() (r request, ok bool) {
 	tn, ph := st.tn, st.sc.Phases
 	mean := 1 / (tn.Arrival.RatePerS * ph[st.pi].factor(st.t-st.pStart))
-	st.t += clampF(drawGap(st.rng, tn.Arrival, mean), 1e-9, mean*64)
+	st.t += clampF(st.gap(mean), 1e-9, mean*64)
 	for st.pi < len(ph)-1 && st.t >= st.pStart+ph[st.pi].DurationS {
 		st.pStart += ph[st.pi].DurationS
 		st.pi++
@@ -677,7 +716,7 @@ func (st *wlStream) next() (r request, ok bool) {
 	if st.t >= st.endS {
 		return request{}, false
 	}
-	work := clampF(drawWork(st.rng, tn.Work), tn.Work.MeanS/64, tn.Work.MeanS*64)
+	work := clampF(st.work(), tn.Work.MeanS/64, tn.Work.MeanS*64)
 	return request{
 		arrivalS: st.t, workS: work, doneS: -1, firstNode: -1,
 		phase: int16(st.pi), slo: st.slo, tenant: st.ti, width: drawWidth(st.rng, tn.Width),

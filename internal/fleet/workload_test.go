@@ -145,6 +145,19 @@ func TestReplayReproducesRecordedRun(t *testing.T) {
 	if len(rows) != cfg.Requests {
 		t.Fatalf("recording yielded %d replay rows, want %d", len(rows), cfg.Requests)
 	}
+	// The streaming converter reads the serialized recording to the same
+	// rows.
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := ReplayFromJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, rows) {
+		t.Fatal("ReplayFromJSONL and ReplayFromRecording disagree on the same recording")
+	}
 	got, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
 	if err != nil {
 		t.Fatal(err)

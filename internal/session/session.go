@@ -16,6 +16,7 @@ package session
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -32,33 +33,49 @@ type Burst struct {
 	WorkS float64
 }
 
-// GenerateBursts produces a deterministic session trace: n bursts with
-// exponential inter-arrival gaps (mean meanGapS) and exponential work
-// (mean meanWorkS), clamped to a sensible range. The gap clamp scales with
-// the mean (meanGapS/8, capped at the interactive 0.1 s floor) so
-// fleet-scale arrival rates well beyond 10 bursts/s stay expressible while
-// interactive traces keep their historical floor.
+// GenerateBursts produces a deterministic session trace: the n bursts
+// Bursts draws, collected into a slice. Callers that only pass the
+// stream through — the fleet simulator copies it into its request arena
+// — range over Bursts instead and never hold the slice.
 func GenerateBursts(n int, meanGapS, meanWorkS float64, seed int64) []Burst {
 	if n <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(seed))
 	bursts := make([]Burst, 0, n)
-	t := 0.0
-	minGapS := math.Min(0.1, meanGapS/8)
-	if minGapS <= 0 {
-		// Degenerate mean: keep the historical 0.1 s-spaced trace rather
-		// than collapsing every burst onto t = 0.
-		minGapS = 0.1
-	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			t += clamp(rng.ExpFloat64()*meanGapS, minGapS, meanGapS*8)
-		}
-		w := clamp(rng.ExpFloat64()*meanWorkS, meanWorkS/8, meanWorkS*6)
-		bursts = append(bursts, Burst{ArrivalS: t, WorkS: w})
+	for b := range Bursts(n, meanGapS, meanWorkS, seed) {
+		bursts = append(bursts, b)
 	}
 	return bursts
+}
+
+// Bursts streams a deterministic session trace: n bursts with
+// exponential inter-arrival gaps (mean meanGapS) and exponential work
+// (mean meanWorkS), clamped to a sensible range. The gap clamp scales with
+// the mean (meanGapS/8, capped at the interactive 0.1 s floor) so
+// fleet-scale arrival rates well beyond 10 bursts/s stay expressible while
+// interactive traces keep their historical floor. Each range over the
+// sequence reseeds its own generator, so every pass yields the same
+// bursts.
+func Bursts(n int, meanGapS, meanWorkS float64, seed int64) iter.Seq[Burst] {
+	return func(yield func(Burst) bool) {
+		rng := rand.New(rand.NewSource(seed))
+		t := 0.0
+		minGapS := math.Min(0.1, meanGapS/8)
+		if minGapS <= 0 {
+			// Degenerate mean: keep the historical 0.1 s-spaced trace rather
+			// than collapsing every burst onto t = 0.
+			minGapS = 0.1
+		}
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				t += clamp(rng.ExpFloat64()*meanGapS, minGapS, meanGapS*8)
+			}
+			w := clamp(rng.ExpFloat64()*meanWorkS, meanWorkS/8, meanWorkS*6)
+			if !yield(Burst{ArrivalS: t, WorkS: w}) {
+				return
+			}
+		}
+	}
 }
 
 func clamp(v, lo, hi float64) float64 {

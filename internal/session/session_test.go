@@ -2,6 +2,7 @@ package session
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,31 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds should differ")
+	}
+}
+
+// TestBurstsStream: GenerateBursts is Bursts collected, a range may stop
+// early on a prefix of it, and every range starts the stream afresh.
+func TestBurstsStream(t *testing.T) {
+	want := GenerateBursts(40, 3, 1, 11)
+	for pass := 0; pass < 2; pass++ {
+		var got []Burst
+		for b := range Bursts(40, 3, 1, 11) {
+			got = append(got, b)
+			if pass == 0 && len(got) == 15 {
+				break
+			}
+		}
+		n := len(want)
+		if pass == 0 {
+			n = 15
+		}
+		if !slices.Equal(got, want[:n]) {
+			t.Fatalf("pass %d: ranging over Bursts gave %d bursts differing from GenerateBursts' first %d", pass, len(got), n)
+		}
+	}
+	for range Bursts(0, 3, 1, 11) {
+		t.Fatal("Bursts(0, ...) yielded a burst")
 	}
 }
 

@@ -346,11 +346,38 @@ func (e *encoder) str(s string) {
 // ReadJSONL(WriteJSONL(tr)) == tr. Decoding is strict (see the codec
 // notes above); the first error names its line as "trace: line N: …".
 func ReadJSONL(r io.Reader) (*Trace, error) {
+	tr := &Trace{}
+	p := parser{intern: map[string]string{}}
+	meta, err := p.scan(r, func(rec *Record) error {
+		tr.Records = append(tr.Records, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.Meta = meta
+	return tr, nil
+}
+
+// ScanJSONL parses a recording as ReadJSONL does, with the same
+// strictness and the same errors, but hands each record to visit as its
+// line is decoded instead of collecting the trace, and returns the meta
+// header. The record and its payloads are reused for the next line, so
+// visit must copy whatever it keeps; a recording of any length scans in
+// a bounded amount of memory. An error from visit stops the scan and is
+// returned as it is.
+func ScanJSONL(r io.Reader, visit func(*Record) error) (Meta, error) {
+	p := parser{intern: map[string]string{}, reuse: true}
+	return p.scan(r, visit)
+}
+
+// scan is the one line loop behind ReadJSONL and ScanJSONL: it decodes
+// the meta header, then each record line into p.rec, and calls visit.
+func (p *parser) scan(r io.Reader, visit func(*Record) error) (Meta, error) {
 	// A 64 KiB buffer of its own: wrapping a smaller bufio.Reader makes
 	// that one pass its reads straight through at this size.
 	br := bufio.NewReaderSize(r, 64<<10)
-	p := parser{intern: map[string]string{}}
-	tr := &Trace{}
+	var meta Meta
 	sawMeta := false
 	var long []byte
 	for lineNo := 1; ; lineNo++ {
@@ -363,28 +390,33 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 				long = append(long, line...)
 			}
 			if len(long) > maxLineBytes {
-				return nil, fmt.Errorf("trace: line %d: longer than %d bytes", lineNo, maxLineBytes)
+				return Meta{}, fmt.Errorf("trace: line %d: longer than %d bytes", lineNo, maxLineBytes)
 			}
 			line = long
 		}
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("trace: %w", err)
+			return Meta{}, fmt.Errorf("trace: %w", err)
 		}
 		p.b, p.i = line, 0
 		p.ws()
 		if p.i < len(p.b) {
 			var perr error
 			if !sawMeta {
-				perr = p.metaLine(&tr.Meta)
+				perr = p.metaLine(&meta)
 				sawMeta = perr == nil
 			} else {
-				var rec Record
-				if perr = p.recordLine(&rec); perr == nil {
-					tr.Records = append(tr.Records, rec)
+				if p.reuse {
+					p.recycle()
+				}
+				p.rec = Record{}
+				if perr = p.recordLine(&p.rec); perr == nil {
+					if verr := visit(&p.rec); verr != nil {
+						return Meta{}, verr
+					}
 				}
 			}
 			if perr != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, perr)
+				return Meta{}, fmt.Errorf("trace: line %d: %w", lineNo, perr)
 			}
 		}
 		if err == io.EOF {
@@ -392,14 +424,16 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		}
 	}
 	if !sawMeta {
-		return nil, errors.New("trace: empty recording (no meta header)")
+		return Meta{}, errors.New("trace: empty recording (no meta header)")
 	}
-	return tr, nil
+	return meta, nil
 }
 
 // Slab hands out payloads from chunked backing arrays, so whoever builds
 // a recording — the fleet recorder, ReadJSONL — allocates once per 1024
-// payloads instead of once per record. The zero value is ready to use.
+// payloads instead of once per record; ScanJSONL resets its slabs on
+// every line and allocates none once they are warm. The zero value is
+// ready to use.
 type Slab[T any] struct{ buf []T }
 
 // Take returns k zeroed elements. Their capacity is capped at k, so an
@@ -417,12 +451,23 @@ func (sl *Slab[T]) Take(k int) []T {
 // New returns one zeroed element.
 func (sl *Slab[T]) New() *T { return &sl.Take(1)[0] }
 
-// parser decodes one line at a time from b, starting at i. The slabs back
-// the records' payloads and slices; intern shares one copy of each of the
-// handful of distinct strings a recording repeats on every line.
+// reset zeroes every element handed out so far and hands the same
+// backing array out again.
+func (sl *Slab[T]) reset() {
+	clear(sl.buf)
+	sl.buf = sl.buf[:0]
+}
+
+// parser decodes one line at a time from b, starting at i, into rec. The
+// slabs back the records' payloads and slices; with reuse set, each line
+// recycles them, so only the current record's payloads are live. intern
+// shares one copy of each of the handful of distinct strings a recording
+// repeats on every line.
 type parser struct {
 	b      []byte
 	i      int
+	rec    Record
+	reuse  bool
 	intern map[string]string
 	str    []byte
 
@@ -433,6 +478,15 @@ type parser struct {
 	floats  Slab[float64]
 	altTmp  []Alt
 	fltTmp  []float64
+}
+
+// recycle hands the payload slabs out again from their start.
+func (p *parser) recycle() {
+	p.decs.reset()
+	p.evs.reset()
+	p.samples.reset()
+	p.alts.reset()
+	p.floats.reset()
 }
 
 // ws skips JSON whitespace.

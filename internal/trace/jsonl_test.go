@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -296,6 +300,9 @@ func TestReadJSONLRejects(t *testing.T) {
 		if !strings.HasPrefix(err.Error(), "trace: ") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q, want it to contain %q", c.name, err, c.want)
 		}
+		if _, serr := scanAll(strings.NewReader(c.in)); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: ScanJSONL error %v, ReadJSONL's %q", c.name, serr, err)
+		}
 	}
 }
 
@@ -318,14 +325,127 @@ func TestReadJSONLReadError(t *testing.T) {
 	}
 }
 
+// cloneRecord deep-copies a record ScanJSONL handed out; the scanner
+// reuses the record and its payloads on its next line.
+func cloneRecord(r *Record) Record {
+	c := *r
+	if r.Decision != nil {
+		d := *r.Decision
+		d.Alts = slices.Clone(d.Alts)
+		c.Decision = &d
+	}
+	if r.Event != nil {
+		ev := *r.Event
+		c.Event = &ev
+	}
+	if r.Sample != nil {
+		sm := *r.Sample
+		sm.RackDrawW, sm.RackBufferJ = slices.Clone(sm.RackDrawW), slices.Clone(sm.RackBufferJ)
+		c.Sample = &sm
+	}
+	return c
+}
+
+// scanAll collects a recording through ScanJSONL, deep-copying each
+// record as it is visited.
+func scanAll(r io.Reader) (*Trace, error) {
+	tr := &Trace{}
+	meta, err := ScanJSONL(r, func(rec *Record) error {
+		tr.Records = append(tr.Records, cloneRecord(rec))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.Meta = meta
+	return tr, nil
+}
+
+// traceDiff names the first difference between two traces, payloads
+// spelled out.
+func traceDiff(got, want *Trace) string {
+	switch {
+	case got.Meta != want.Meta:
+		return fmt.Sprintf("meta %+v, want %+v", got.Meta, want.Meta)
+	case len(got.Records) != len(want.Records):
+		return fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records))
+	}
+	for i := range got.Records {
+		if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
+			g, _ := json.Marshal(got.Records[i])
+			w, _ := json.Marshal(want.Records[i])
+			return fmt.Sprintf("record %d:\n got %s\nwant %s", i, g, w)
+		}
+	}
+	return "no difference"
+}
+
+// TestScanJSONLStopsOnVisitError: an error from visit ends the scan at
+// that record and comes back unwrapped.
+func TestScanJSONLStopsOnVisitError(t *testing.T) {
+	stop := errors.New("enough")
+	visits := 0
+	_, err := ScanJSONL(bytes.NewReader(writeJSONL(t, genTrace(50, 3))), func(*Record) error {
+		if visits++; visits == 7 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || visits != 7 {
+		t.Fatalf("scan returned %v after %d visits, want the visit's own error after 7", err, visits)
+	}
+}
+
+// TestScanJSONLAllocationsBounded pins the scanner's memory: with its
+// payloads recycled on every line, scanning a recording allocates a
+// fixed amount — the read buffer, the parser and one chunk per payload
+// slab — however many records it holds. A scanner that kept its records
+// would allocate tens of bytes per record more.
+func TestScanJSONLAllocationsBounded(t *testing.T) {
+	bytesFor := func(records int) uint64 {
+		data := writeJSONL(t, genTrace(records, 1))
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := ScanJSONL(bytes.NewReader(data), func(*Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := bytesFor(2000), bytesFor(20000)
+	t.Logf("scan allocations: %d B for 2000 records, %d B for 20000", small, large)
+	if large > small+16<<10 {
+		t.Errorf("scanning 10× the records allocated %d B vs %d B; the scanner is holding records", large, small)
+	}
+	if large > 1<<20 {
+		t.Errorf("scanning allocated %d B, want at most 1 MiB", large)
+	}
+}
+
 // FuzzReadJSONL holds the reader to two oracles. Whatever it accepts,
 // encoding/json (with DisallowUnknownFields) must decode to the same
 // records; and it must round-trip — ReadJSONL(WriteJSONL(tr)) equals tr,
-// and re-encodes to the same bytes.
+// and re-encodes to the same bytes. ScanJSONL must agree with it on
+// every input: the same records, each copied as it is visited, or the
+// same error text.
 func FuzzReadJSONL(f *testing.F) {
 	f.Add(writeJSONL(f, genTrace(6, 4)))
+	f.Add(writeJSONL(f, genTrace(120, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadJSONL(bytes.NewReader(data))
+		scanned, serr := scanAll(bytes.NewReader(data))
+		switch {
+		case (err == nil) != (serr == nil):
+			t.Fatalf("ReadJSONL error %v, ScanJSONL error %v", err, serr)
+		case err != nil && err.Error() != serr.Error():
+			t.Fatalf("ReadJSONL error %q, ScanJSONL error %q", err, serr)
+		case err == nil && !reflect.DeepEqual(scanned, tr):
+			t.Fatalf("ScanJSONL and ReadJSONL disagree: %s", traceDiff(scanned, tr))
+		}
 		if err != nil {
 			return
 		}

@@ -542,8 +542,8 @@ type TraceRequest = fleet.TraceRequest
 // ParseRequestTrace reads a request trace in either supported encoding
 // (JSON lines or CSV, sniffed from the first byte; strict decode in
 // both). WriteRequestTraceCSV serializes rows so they parse back
-// bit-identically, and ReplayFromRecording converts a flight-recorder
-// FleetTrace into a replayable trace — replaying a recording of a plain
+// bit-identically, and ReplayFromJSONL converts a flight-recorder
+// recording into a replayable trace — replaying a recording of a plain
 // run reproduces that run's arrivals exactly.
 func ParseRequestTrace(r io.Reader) ([]TraceRequest, error) { return fleet.ParseRequestTrace(r) }
 
@@ -552,11 +552,13 @@ func WriteRequestTraceCSV(w io.Writer, rows []TraceRequest) error {
 	return fleet.WriteRequestTraceCSV(w, rows)
 }
 
-// ReplayFromRecording converts a flight-recorder trace back into a
-// replayable request trace (one row per recorded fresh-arrival dispatch
-// decision, drops included).
-func ReplayFromRecording(tr *FleetTrace) ([]TraceRequest, error) {
-	return fleet.ReplayFromRecording(tr)
+// ReplayFromJSONL converts a flight-recorder recording serialized by
+// FleetTrace.WriteJSONL back into a replayable request trace (one row per
+// recorded fresh-arrival dispatch decision, drops included). It reads
+// the recording line by line and keeps only the rows; decoding is as
+// strict as ReadFleetTrace's, with the same errors.
+func ReplayFromJSONL(r io.Reader) ([]TraceRequest, error) {
+	return fleet.ReplayFromJSONL(r)
 }
 
 // ReadFleetTrace parses a flight-recorder recording serialized by
