@@ -21,8 +21,8 @@
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, trace-replay, recording-reader, dispatch-index, and event-queue
-# fuzzers a short budget each;
+# spec, trace-replay, recording-reader, whole-spec, dispatch-index, and
+# event-queue fuzzers a short budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
@@ -95,16 +95,18 @@ test: vet
 
 # A short-budget fuzz pass over every strict-decode surface — the
 # scenario JSON loader, the workload-spec loader, the request-trace
-# parser/replayer, and the flight-recorder JSONL reader — plus the
-# dispatch index against a brute-force scan and the event queue against a
-# sorted reference: enough to catch a fresh panic in parsing, validation,
-# or a bounded run, or an index query or event order that diverges from
-# its reference, without holding up CI. (The go tool takes one -fuzz
-# target per invocation, hence six.)
+# parser/replayer, and the flight-recorder JSONL reader — plus whole
+# fleet specs against Spec.Validate, the dispatch index against a
+# brute-force scan and the event queue against a sorted reference:
+# enough to catch a fresh panic in parsing, validation, or a bounded
+# run, a run that Validate and Run judge differently, or an index query
+# or event order that diverges from its reference, without holding up
+# CI. (The go tool takes one -fuzz target per invocation, hence seven.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDispatchIndex -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/fleet

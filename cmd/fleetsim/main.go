@@ -612,6 +612,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			specs = append(specs, sprinting.FleetSpec{Config: cfg, Scenario: scen, Workload: wspec, Replay: rows})
 		}
 	}
+	// Every spec is legal before anything is announced, profiled or run.
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintln(stderr, "fleetsim:", err)
+			return 1
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -78,6 +78,23 @@ func TestBadFlagsFail(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecAnnouncesNothing: an invalid config fails before the
+// header is printed, and a sweep of four policies reports the error once,
+// not once per sweep point.
+func TestInvalidSpecAnnouncesNothing(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-nodes", "-3", "-policy", "all"}, &out, &errb)
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout %q, want nothing", out.String())
+	}
+	if want := "fleetsim: fleet: need at least one node\n"; errb.String() != want {
+		t.Errorf("stderr %q, want %q", errb.String(), want)
+	}
+}
+
 func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

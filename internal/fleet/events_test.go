@@ -167,7 +167,7 @@ func TestEventQueueSeqLimit(t *testing.T) {
 	cfg.Coordination = TokenPermit
 	cfg.RackSize = 4
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bursts := session.GenerateBursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed)
@@ -207,7 +207,7 @@ func TestTimersRideLanes(t *testing.T) {
 	cfg.Requests = 2
 	cfg.Reliability.TimeoutS = 5
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	wl := &workloadRun{disc: wlFIFO, classes: []wlClass{{hedgeS: 0.25}, {}}}

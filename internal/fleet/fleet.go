@@ -406,10 +406,10 @@ func (c Config) EffectiveRatePerS() float64 {
 	return 0.85 * float64(c.Nodes) / c.MeanWorkS
 }
 
-// Validate reports configuration errors (after defaults are applied).
+// validate reports configuration errors (after defaults are applied).
 // Every float field must be finite: the dispatch index reserves +Inf
 // for absent nodes, and a NaN would poison every comparison.
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	rl := c.Reliability
 	for _, f := range [...]struct {
 		name string
@@ -973,6 +973,112 @@ type Spec struct {
 	Replay   []TraceRequest
 }
 
+// Validate reports the first rule the spec breaks, or nil when Run will
+// accept it. It applies the defaults Run applies and checks every rule Run
+// checks, so a refused spec gets the same error from both, and it
+// generates no arrivals. Run can still fail on a valid spec, but only when
+// generating its load overruns the request cap or yields no arrivals, or
+// when the run is cancelled or a queue overflows.
+func (s Spec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// resolvedSpec is a spec with every default applied and every rule
+// checked: what Run lowers to the request arena. sc and w point at private
+// defaulted copies; a workload without a scenario rides sc's flat
+// timeline. wl is the live workload state of a workload run or a labeled
+// replay, whose per-row class and tenant indexes slos and tenants hold.
+type resolvedSpec struct {
+	cfg           Config
+	sc            *Scenario
+	w             *WorkloadSpec
+	rows          []TraceRequest
+	wl            *workloadRun
+	slos, tenants []int16
+}
+
+// resolve is Validate's one pass: the source combinations, the workload,
+// the replay rows or the scenario, the config and last the replay's
+// labels, in that order. A scenario or replay supersedes Config.Requests:
+// the config is checked at the most requests the source can produce, so
+// one cap bounds every source.
+func (s Spec) resolve() (resolvedSpec, error) {
+	r := resolvedSpec{cfg: s.Config, sc: s.Scenario, rows: s.Replay}
+	switch {
+	case r.rows != nil && r.sc != nil:
+		return resolvedSpec{}, fmt.Errorf("fleet: a replay takes its arrivals from the trace; it cannot ride a scenario")
+	case r.cfg.Trace.Level != trace.LevelOff && (s.Workload != nil || r.rows != nil):
+		return resolvedSpec{}, fmt.Errorf("fleet: the flight recorder covers synthetic and scenario runs only; turn the trace off for workload and replay runs")
+	}
+	if w := s.Workload; w != nil {
+		if r.rows == nil && r.sc == nil {
+			// Without a scenario, the tenants ride a flat timeline.
+			if !(w.DurationS > 0) {
+				return resolvedSpec{}, fmt.Errorf("fleet: workload needs a positive duration")
+			}
+			r.sc = &Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
+		}
+		ws := w.withDefaults()
+		if err := ws.validate(); err != nil {
+			return resolvedSpec{}, err
+		}
+		r.w = &ws
+	}
+	if r.sc != nil {
+		scen := r.sc.withDefaults()
+		r.sc = &scen
+		if n := scen.Nodes(); n > 0 {
+			r.cfg.Nodes = n
+		}
+	}
+	r.cfg = r.cfg.withDefaults()
+	switch {
+	case r.rows != nil:
+		if err := validateRequestTrace(r.rows); err != nil {
+			return resolvedSpec{}, err
+		}
+		if r.w != nil && len(r.w.Tenants) > 0 {
+			return resolvedSpec{}, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
+		}
+		r.cfg.Requests = len(r.rows)
+	case r.sc != nil:
+		if err := r.sc.validate(r.cfg); err != nil {
+			return resolvedSpec{}, err
+		}
+		r.cfg.Requests = r.sc.MaxRequests
+		if r.w != nil {
+			if len(r.w.Tenants) == 0 {
+				return resolvedSpec{}, fmt.Errorf("fleet: workload needs at least one tenant")
+			}
+			if r.w.MaxRequests > 0 {
+				r.cfg.Requests = r.w.MaxRequests
+			}
+		}
+	}
+	if err := r.cfg.validate(); err != nil {
+		return resolvedSpec{}, err
+	}
+	switch {
+	case r.rows != nil:
+		// A fully unlabeled trace replays with no workload state at all, so
+		// replaying a recording of a plain run reproduces its Metrics.
+		labeled := r.w != nil
+		for i := 0; i < len(r.rows) && !labeled; i++ {
+			labeled = r.rows[i].Tenant != "" || r.rows[i].Class != "" || r.rows[i].Width > 0
+		}
+		if labeled {
+			var err error
+			if r.wl, r.slos, r.tenants, err = buildReplayRun(r.rows, r.w); err != nil {
+				return resolvedSpec{}, err
+			}
+		}
+	case r.w != nil:
+		r.wl = newWorkloadRun(*r.w)
+	}
+	return r, nil
+}
+
 // Run simulates one fleet run and returns its metrics. The flight recorder
 // attaches iff Config.Trace.Level is not LevelOff; the trace is nil
 // otherwise, and a traced run's metrics equal the untraced run's. Every
@@ -981,104 +1087,31 @@ type Spec struct {
 // Config.Workers count. The context is checked periodically so very large
 // runs can be cancelled.
 func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
-	cfg, sc, w, rows := spec.Config, spec.Scenario, spec.Workload, spec.Replay
-	switch {
-	case rows != nil && sc != nil:
-		return Metrics{}, nil, fmt.Errorf("fleet: a replay takes its arrivals from the trace; it cannot ride a scenario")
-	case cfg.Trace.Level != trace.LevelOff && (w != nil || rows != nil):
-		return Metrics{}, nil, fmt.Errorf("fleet: the flight recorder covers synthetic and scenario runs only; turn the trace off for workload and replay runs")
-	}
-	// Resolve every source's defaults (sc and w point at private copies
-	// from here on) and validate the sources, then the config, before
-	// generating anything. A scenario or replay supersedes
-	// Config.Requests: the config is checked at the most requests the
-	// source can produce, so one cap bounds every source.
-	if w != nil {
-		if rows == nil && sc == nil {
-			// Without a scenario, the tenants ride a flat timeline.
-			if !(w.DurationS > 0) {
-				return Metrics{}, nil, fmt.Errorf("fleet: workload needs a positive duration")
-			}
-			sc = &Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
-		}
-		ws := w.withDefaults()
-		if err := ws.Validate(); err != nil {
-			return Metrics{}, nil, err
-		}
-		w = &ws
-	}
-	if sc != nil {
-		scen := sc.withDefaults()
-		sc = &scen
-		if n := sc.Nodes(); n > 0 {
-			cfg.Nodes = n
-		}
-	}
-	cfg = cfg.withDefaults()
-	switch {
-	case rows != nil:
-		if err := ValidateRequestTrace(rows); err != nil {
-			return Metrics{}, nil, err
-		}
-		if w != nil && len(w.Tenants) > 0 {
-			return Metrics{}, nil, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
-		}
-		cfg.Requests = len(rows)
-	case sc != nil:
-		if err := sc.Validate(cfg); err != nil {
-			return Metrics{}, nil, err
-		}
-		cfg.Requests = sc.MaxRequests
-		if w != nil {
-			if len(w.Tenants) == 0 {
-				return Metrics{}, nil, fmt.Errorf("fleet: workload needs at least one tenant")
-			}
-			if w.MaxRequests > 0 {
-				cfg.Requests = w.MaxRequests
-			}
-		}
-	}
-	if err := cfg.Validate(); err != nil {
+	r, err := spec.resolve()
+	if err != nil {
 		return Metrics{}, nil, err
 	}
-
-	var (
-		reqs []request
-		wl   *workloadRun
-		err  error
-	)
+	cfg, sc := r.cfg, r.sc
+	var reqs []request
 	switch {
-	case rows != nil:
-		// A fully unlabeled trace replays with no workload state at all, so
-		// replaying a recording of a plain run reproduces its Metrics.
-		labeled := w != nil
-		for i := 0; i < len(rows) && !labeled; i++ {
-			labeled = rows[i].Tenant != "" || rows[i].Class != "" || rows[i].Width > 0
-		}
-		var slos, tenants []int16
-		if labeled {
-			if wl, slos, tenants, err = buildReplayRun(rows, w); err != nil {
-				return Metrics{}, nil, err
-			}
-		}
-		reqs = getArena(len(rows))
-		for i := range rows {
-			row := &rows[i]
+	case r.rows != nil:
+		reqs = getArena(len(r.rows))
+		for i := range r.rows {
+			row := &r.rows[i]
 			reqs[i] = request{arrivalS: row.ArrivalS, workS: row.WorkS, doneS: -1, firstNode: -1}
-			if wl != nil {
-				reqs[i].slo, reqs[i].tenant, reqs[i].width = slos[i], tenants[i], uint16(row.Width)
+			if r.wl != nil {
+				reqs[i].slo, reqs[i].tenant, reqs[i].width = r.slos[i], r.tenants[i], uint16(row.Width)
 			}
 		}
-	case w != nil:
+	case r.w != nil:
 		var truncated bool
-		reqs, truncated = w.generate(cfg, *sc, cfg.Requests)
+		reqs, truncated = r.w.generate(cfg, *sc, cfg.Requests)
 		switch {
 		case truncated:
 			err = fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", cfg.Requests)
 		case len(reqs) == 0:
 			err = fmt.Errorf("fleet: workload generated no arrivals (tenant rates too low for the timeline)")
 		}
-		wl = newWorkloadRun(*w)
 	case sc != nil:
 		baseRate := sc.BaseRatePerS
 		if baseRate <= 0 {
@@ -1120,7 +1153,7 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 	if cfg.Trace.Level != trace.LevelOff {
 		rec = newRecorder(cfg)
 	}
-	s := newSim(cfg, run, rec, wl)
+	s := newSim(cfg, run, rec, r.wl)
 	s.reqs = reqs
 	if run != nil {
 		s.scheduleScenario()

@@ -206,7 +206,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	for _, p := range Policies() {
-		if err := DefaultConfig(p).Validate(); err != nil {
+		if err := (Spec{Config: DefaultConfig(p)}).Validate(); err != nil {
 			t.Errorf("default %s config invalid: %v", p, err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	base := DefaultConfig(Hedged)
 	base.ArrivalRatePerS = 10
 	base.Coordination = TokenPermit
-	if err := base.withDefaults().Validate(); err != nil {
+	if err := (Spec{Config: base}).Validate(); err != nil {
 		t.Fatalf("base config invalid: %v", err)
 	}
 	for _, f := range fields {

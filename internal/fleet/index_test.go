@@ -283,7 +283,7 @@ func TestSprintAwareBusyBoundTie(t *testing.T) {
 	cfg := DefaultConfig(SprintAware)
 	cfg.Nodes = 3
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	s := newSim(cfg, nil, nil, nil)

@@ -148,7 +148,7 @@ func TestOneEventPerSprintingService(t *testing.T) {
 	cfg.Coordination = TokenPermit
 	cfg.RackSize = 16
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	s := newSim(cfg, nil, nil, nil)

@@ -198,7 +198,7 @@ func TestNarrowSprintAsksRack(t *testing.T) {
 	cfg.Coordination = TokenPermit
 	cfg.RackSize = 1
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	s := newSim(cfg, nil, nil, &workloadRun{disc: wlFIFO})
@@ -284,12 +284,12 @@ func TestRackValidate(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := rackContrast(TokenPermit).withDefaults()
 		mutate(&cfg)
-		if cfg.Validate() == nil {
+		if (Spec{Config: cfg}).Validate() == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 	for _, c := range Coordinations() {
-		if err := rackContrast(c).withDefaults().Validate(); err != nil {
+		if err := (Spec{Config: rackContrast(c)}).Validate(); err != nil {
 			t.Errorf("contrast %s config invalid: %v", c, err)
 		}
 	}

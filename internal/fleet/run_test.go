@@ -10,7 +10,8 @@ import (
 
 // TestRunSizeCaps pins the size caps: each bad size is a validation
 // error from Run, never a makeslice panic, an out-of-memory death in an
-// arrival generator, or a recorder emitting samples without end.
+// arrival generator, or a recorder emitting samples without end, and
+// Spec.Validate reports the same error without running.
 func TestRunSizeCaps(t *testing.T) {
 	small := func() Config {
 		cfg := DefaultConfig(SprintAware)
@@ -56,18 +57,34 @@ func TestRunSizeCaps(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want an error mentioning %q", err, tc.want)
 			}
+			sameError(t, tc.spec().Validate(), err)
 		})
 	}
 	// The smallest window the cap admits still runs.
 	cfg := small()
 	cfg.Trace = TraceConfig{Level: trace.LevelDecisions, WindowS: minTraceWindowS}
-	if _, _, err := Run(context.Background(), Spec{Config: cfg}); err != nil {
+	spec := Spec{Config: cfg}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate rejected a %g s window: %v", minTraceWindowS, err)
+	}
+	if _, _, err := Run(context.Background(), spec); err != nil {
 		t.Fatalf("a %g s window was rejected: %v", minTraceWindowS, err)
 	}
 }
 
+// sameError fails unless Validate refused the spec with exactly the error
+// text Run returned.
+func sameError(t *testing.T, validateErr, runErr error) {
+	t.Helper()
+	if validateErr == nil || validateErr.Error() != runErr.Error() {
+		t.Errorf("Validate returned %v, Run %q", validateErr, runErr)
+	}
+}
+
 // TestRunSourceRules pins the source combinations Run refuses, each of
-// which no entry point could express before there was one.
+// which no entry point could express before there was one, and that
+// Spec.Validate draws the same line: it refuses each with Run's error
+// and accepts each legal spec.
 func TestRunSourceRules(t *testing.T) {
 	cfg := DefaultConfig(SprintAware)
 	cfg.Nodes = 4
@@ -84,6 +101,8 @@ func TestRunSourceRules(t *testing.T) {
 	noDuration.DurationS = 0
 	negDuration := *w
 	negDuration.DurationS = -1
+	classesOnly := &WorkloadSpec{Classes: w.Classes}
+	unknownClass := []TraceRequest{{ArrivalS: 0, WorkS: 1, Class: "gold"}, {ArrivalS: 1, WorkS: 2, Class: "tin"}}
 	cases := []struct {
 		name string
 		spec Spec
@@ -96,6 +115,8 @@ func TestRunSourceRules(t *testing.T) {
 		{"empty replay", Spec{Config: cfg, Replay: []TraceRequest{}}, "no rows"},
 		{"workload without duration", Spec{Config: cfg, Workload: &noDuration}, "positive duration"},
 		{"workload with negative duration", Spec{Config: cfg, Workload: &negDuration}, "positive duration"},
+		{"replay with tenants", Spec{Config: cfg, Replay: rows, Workload: w}, "declare classes only"},
+		{"replay with an undeclared class", Spec{Config: cfg, Replay: unknownClass, Workload: classesOnly}, `unknown class "tin"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,16 +127,24 @@ func TestRunSourceRules(t *testing.T) {
 			if tr != nil {
 				t.Error("a refused run returned a trace")
 			}
+			sameError(t, tc.spec.Validate(), err)
 		})
 	}
 	// The same sources run when combined legally; a workload's duration
-	// is irrelevant once a scenario supplies the timeline.
+	// is irrelevant once a scenario supplies the timeline. Validate
+	// applies Run's defaults, so a config that leaves Requests and the
+	// rest at zero is legal too.
 	for name, spec := range map[string]Spec{
 		"replay":            {Config: cfg, Replay: rows},
 		"workload":          {Config: cfg, Workload: w},
 		"scenario workload": {Config: cfg, Scenario: sc, Workload: &noDuration},
 		"traced scenario":   {Config: tracedCfg, Scenario: sc},
+		"zero fields":       {Config: Config{Nodes: 4, Policy: SprintAware}},
+		"labeled replay":    {Config: cfg, Replay: unknownClass[:1], Workload: classesOnly},
 	} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", name, err)
+		}
 		if _, _, err := Run(context.Background(), spec); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

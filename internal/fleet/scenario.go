@@ -101,9 +101,8 @@ func (p Phase) factor(t float64) float64 {
 type NodeClass struct {
 	// Name labels the class.
 	Name string `json:"name"`
-	// Count is the number of nodes of this class; the class counts must
-	// sum to the fleet size (Run derives Config.Nodes from them when
-	// classes are declared).
+	// Count is the number of nodes of this class, at least one; declared
+	// classes size the fleet, since Config.Nodes becomes their sum.
 	Count int `json:"count"`
 	// SprintPowerW / NominalPowerW override the per-node powers
 	// (0 = the base Config.Node values).
@@ -243,9 +242,10 @@ func (sc Scenario) Nodes() int {
 	return n
 }
 
-// Validate reports scenario errors against the (already defaulted) base
-// configuration; call on a defaulted scenario.
-func (sc Scenario) Validate(cfg Config) error {
+// validate reports scenario errors against the (already defaulted) base
+// configuration; call on a defaulted scenario. The class counts need no
+// check against cfg.Nodes: Spec.resolve derives the fleet size from them.
+func (sc Scenario) validate(cfg Config) error {
 	if len(sc.Phases) == 0 {
 		return fmt.Errorf("fleet: scenario needs at least one phase")
 	}
@@ -281,24 +281,19 @@ func (sc Scenario) Validate(cfg Config) error {
 			}
 		}
 	}
-	if len(sc.Classes) > 0 {
-		if sc.Nodes() != cfg.Nodes {
-			return fmt.Errorf("fleet: class counts sum to %d nodes but the fleet has %d", sc.Nodes(), cfg.Nodes)
+	for _, c := range sc.Classes {
+		switch {
+		case c.Count <= 0 || c.Count > maxNodes:
+			return fmt.Errorf("fleet: class %q: count must be in [1, %d]", c.Name, maxNodes)
+		case c.SprintWidth < 0:
+			return fmt.Errorf("fleet: class %q: sprint width must be non-negative", c.Name)
+		case c.QueueCap < 0:
+			return fmt.Errorf("fleet: class %q: queue capacity must be non-negative", c.Name)
+		case c.BudgetScale <= 0 || c.DrainScale <= 0:
+			return fmt.Errorf("fleet: class %q: budget/drain scales must be positive", c.Name)
 		}
-		for _, c := range sc.Classes {
-			switch {
-			case c.Count <= 0 || c.Count > maxNodes:
-				return fmt.Errorf("fleet: class %q: count must be in [1, %d]", c.Name, maxNodes)
-			case c.SprintWidth < 0:
-				return fmt.Errorf("fleet: class %q: sprint width must be non-negative", c.Name)
-			case c.QueueCap < 0:
-				return fmt.Errorf("fleet: class %q: queue capacity must be non-negative", c.Name)
-			case c.BudgetScale <= 0 || c.DrainScale <= 0:
-				return fmt.Errorf("fleet: class %q: budget/drain scales must be positive", c.Name)
-			}
-			if err := c.governorConfig(cfg.Node).Validate(); err != nil {
-				return fmt.Errorf("fleet: class %q: %w", c.Name, err)
-			}
+		if err := c.governorConfig(cfg.Node).Validate(); err != nil {
+			return fmt.Errorf("fleet: class %q: %w", c.Name, err)
 		}
 	}
 	if sc.Churn.MTBFS < 0 || (sc.Churn.MTBFS > 0 && sc.Churn.MeanDowntimeS <= 0) {
@@ -324,7 +319,7 @@ func effectiveClasses(declared []NodeClass) []NodeClass {
 
 // applyAmbient re-derives the class's environment-dependent constants —
 // governor prototype, budget capacity, drain rate, net sprint draw — at
-// the design ambient shifted by deltaC. Scenario.Validate has already
+// the design ambient shifted by deltaC. Scenario.validate has already
 // proven every (class, delta) combination constructs a valid governor.
 func (cl *nodeClass) applyAmbient(deltaC float64) {
 	gcfg := cl.gcfg

@@ -75,9 +75,10 @@ func FuzzScenarioJSON(f *testing.F) {
 // runnableUnderFuzz bounds the execution half of the fuzz target to
 // scenarios whose event counts are finite and small. Validate rejects
 // most hostile inputs loudly, but two demands scale with otherwise-valid
-// field values rather than failing validation: churn schedules one
-// failure event per MTBF over the whole timeline, and class counts size
-// the fleet. The decode round-trip above still covers every input.
+// field values rather than failing validation: node and rack churn each
+// schedule one failure event per MTBF over the whole timeline, and class
+// counts size the fleet. The decode round-trip above still covers every
+// input.
 func runnableUnderFuzz(sc Scenario) bool {
 	totalS := 0.0
 	for _, p := range sc.Phases {
@@ -93,6 +94,9 @@ func runnableUnderFuzz(sc Scenario) bool {
 		return false
 	}
 	if sc.Churn.MTBFS > 0 && totalS/sc.Churn.MTBFS > 1e4 {
+		return false
+	}
+	if sc.Churn.RackMTBFS > 0 && totalS/sc.Churn.RackMTBFS > 1e4 {
 		return false
 	}
 	nodes := 0

@@ -323,19 +323,22 @@ func TestScenarioValidate(t *testing.T) {
 		{Phases: []Phase{{DurationS: 1, StartFactor: -2}}},
 		{Phases: []Phase{{DurationS: 1, AmbientDeltaC: 80}}},                // ambient above PCM melt
 		{Phases: []Phase{{DurationS: 1, AmbientDeltaC: -1e308}}},            // ambient below absolute zero
-		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 3}}}, // counts != nodes and invalid
+		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 0}}}, // a class with no nodes
 		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 16, NominalPowerW: 20}}},
 		{Phases: []Phase{{DurationS: 1}}, Classes: []NodeClass{{Count: 16, BudgetScale: -1}}},
 		{Phases: []Phase{{DurationS: 1}}, Churn: Churn{MTBFS: -1}},
 		{Phases: []Phase{{DurationS: 1}}, MaxRequests: -5},
 	}
 	for i, sc := range bad {
-		if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil {
+		spec := Spec{Config: cfg, Scenario: &sc}
+		if _, _, err := Run(context.Background(), spec); err == nil {
 			t.Errorf("scenario %d should fail validation", i)
+		} else {
+			sameError(t, spec.Validate(), err)
 		}
 	}
 	_, good := flashCrowdChurn()
-	if err := good.withDefaults().Validate(cfg.withDefaults()); err != nil {
+	if err := (Spec{Config: cfg, Scenario: &good}).Validate(); err != nil {
 		t.Errorf("canonical scenario invalid: %v", err)
 	}
 }

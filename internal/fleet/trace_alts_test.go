@@ -148,7 +148,7 @@ func traceArrivals(t *testing.T, cfg Config, arr []request) *trace.Trace {
 	t.Helper()
 	cfg.Requests = len(arr)
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := (Spec{Config: cfg}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	rec := newRecorder(cfg)

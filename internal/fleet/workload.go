@@ -90,7 +90,7 @@ var traceColumns = []string{"arrival_s", "work_s", "width", "tenant", "class"}
 // TraceRequest object per line, unknown fields rejected), anything else
 // CSV with a strict header (required arrival_s and work_s; optional
 // width, tenant, class; unknown or duplicate columns are errors). Rows
-// are returned in file order; use ValidateRequestTrace before replaying.
+// are returned in file order; Spec.Validate checks them for replay.
 func ParseRequestTrace(r io.Reader) ([]TraceRequest, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -227,11 +227,11 @@ func WriteRequestTraceCSV(w io.Writer, rows []TraceRequest) error {
 	return cw.Error()
 }
 
-// ValidateRequestTrace reports the first defect that would make the rows
+// validateRequestTrace reports the first defect that would make the rows
 // unreplayable: arrivals must be finite, non-negative, and
 // non-decreasing; work positive and finite; width within the arena
 // field's range.
-func ValidateRequestTrace(rows []TraceRequest) error {
+func validateRequestTrace(rows []TraceRequest) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("fleet: request trace has no rows")
 	}
@@ -484,8 +484,8 @@ func (w WorkloadSpec) discipline() int {
 	}
 }
 
-// Validate reports spec errors; call on a defaulted spec.
-func (w WorkloadSpec) Validate() error {
+// validate reports spec errors; call on a defaulted spec.
+func (w WorkloadSpec) validate() error {
 	if len(w.Classes) == 0 {
 		return fmt.Errorf("fleet: workload needs at least one SLO class")
 	}

@@ -124,7 +124,7 @@ func FuzzTraceReplay(f *testing.F) {
 			}
 		}
 
-		if ValidateRequestTrace(rows) != nil || len(rows) > 2000 {
+		if validateRequestTrace(rows) != nil || len(rows) > 2000 {
 			return
 		}
 		if last := rows[len(rows)-1].ArrivalS; last > 1e4 {

@@ -264,7 +264,7 @@ func TestTraceParseRejects(t *testing.T) {
 		{{ArrivalS: 0, WorkS: 1, Width: 1<<14 + 1}},          // width out of range
 	}
 	for i, rows := range bad {
-		if err := ValidateRequestTrace(rows); err == nil {
+		if err := (Spec{Replay: rows}).Validate(); err == nil {
 			t.Errorf("case %d: validate accepted %+v", i, rows)
 		}
 	}

@@ -374,6 +374,9 @@ func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(
 // rows; Workload then only declares the classes their labels resolve
 // against. A replay cannot ride a scenario, and the flight recorder
 // (FleetConfig.Trace) covers synthetic and scenario runs only.
+//
+// Validate reports the first rule a spec breaks, with the error RunFleet
+// would return, and nil for a spec RunFleet accepts; it runs nothing.
 type FleetSpec = fleet.Spec
 
 // RunFleet runs one discrete-event fleet simulation: N sprint-capable
@@ -402,11 +405,16 @@ func RunFleet(ctx context.Context, spec FleetSpec) (FleetMetrics, *FleetTrace, e
 // (workers <= 0 selects GOMAXPROCS, 1 is exactly serial), returning
 // metrics in spec order. Simulations are deterministic, so every worker
 // count produces identical metrics. A sweep records no traces: a spec
-// with tracing on is an error, and recordings come from RunFleet.
+// with tracing on is an error, and recordings come from RunFleet. Every
+// spec is checked before any runs, and the first that fails its
+// FleetSpec.Validate fails the sweep.
 func RunFleetSweep(ctx context.Context, specs []FleetSpec, workers int) ([]FleetMetrics, error) {
 	for i := range specs {
 		if specs[i].Config.Trace.Level != TraceOff {
 			return nil, fmt.Errorf("sprinting: fleet spec %d has tracing on; record traces one run at a time with RunFleet", i)
+		}
+		if err := specs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sprinting: fleet spec %d: %w", i, err)
 		}
 	}
 	return engine.Map(ctx, specs,

@@ -160,7 +160,8 @@ func TestPublicFleetSweepDeterministic(t *testing.T) {
 
 // TestRunFleetSweepRejectsTrace: a sweep returns no traces, so a spec
 // with the recorder on is refused before anything runs; the same spec
-// records through RunFleet.
+// records through RunFleet. A spec that fails Validate is refused the
+// same way, wherever it sits in the sweep.
 func TestRunFleetSweepRejectsTrace(t *testing.T) {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 4
@@ -171,6 +172,19 @@ func TestRunFleetSweepRejectsTrace(t *testing.T) {
 	if _, err := sprinting.RunFleetSweep(context.Background(), specs, 1); err == nil ||
 		!strings.Contains(err.Error(), "RunFleet") {
 		t.Fatalf("traced sweep spec: got %v, want an error pointing at RunFleet", err)
+	}
+	// An invalid spec after valid ones fails the sweep up front with its
+	// index and exactly its Validate error.
+	bad := cfg
+	bad.QueueCap = -1
+	invalid := []sprinting.FleetSpec{{Config: cfg}, {Config: cfg}, {Config: bad}}
+	verr := invalid[2].Validate()
+	if verr == nil {
+		t.Fatal("a negative queue capacity validated")
+	}
+	if _, err := sprinting.RunFleetSweep(context.Background(), invalid, 2); err == nil ||
+		err.Error() != "sprinting: fleet spec 2: "+verr.Error() {
+		t.Fatalf("invalid sweep spec: got %v, want the spec-2 error %q", err, verr)
 	}
 	m, tr, err := sprinting.RunFleet(context.Background(), specs[1])
 	if err != nil || tr == nil || len(tr.Decisions()) != m.Requests {
