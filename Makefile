@@ -27,11 +27,12 @@
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
 # workload; `make replay` is the record→replay golden gate — it records
-# the flash-crowd scenario with the flight recorder, converts the
-# recording to a replayable trace, replays it at two shard-worker
-# counts, and diffs the byte-identical report against the committed
-# testdata/GOLDEN_replay.txt (refresh with `make replay-golden` after an
-# intentional engine change).
+# the flash-crowd scenario with the flight recorder, checks the
+# recording against testdata/GOLDEN_replay_recording.sha256, converts it
+# to a replayable trace, replays it at two shard-worker counts, and
+# diffs the byte-identical report against the committed
+# testdata/GOLDEN_replay.txt (refresh both with `make replay-golden`
+# after an intentional engine change).
 
 GO ?= go
 
@@ -155,21 +156,23 @@ tenants:
 		-policy sprint-aware
 
 # The record→replay golden gate. One traced flash-crowd run produces the
-# recording; -convert-trace turns its dispatch decisions into a
-# replayable CSV; the replay report must be byte-identical at different
-# -shard-workers counts AND match the committed golden — any drift in
-# the recorder, the converter, the trace codec, or the replay engine
-# fails the diff loudly.
+# recording, whose sha256 must match the committed one; -convert-trace
+# turns its dispatch decisions into a replayable CSV; the replay report
+# must be byte-identical at different -shard-workers counts AND match
+# the committed golden — any drift in the recorder, the converter, the
+# trace codec, or the replay engine fails loudly.
 replay: replay-run
+	sha256sum -c testdata/GOLDEN_replay_recording.sha256
 	bin/fleetsim -policy sprint-aware -coordination token-permit \
 		-replay REPLAY_trace.csv -shard-workers 7 > REPLAY_report.shard7.txt
 	cmp REPLAY_report.txt REPLAY_report.shard7.txt
 	diff -u testdata/GOLDEN_replay.txt REPLAY_report.txt
-	@echo "replay gate: report matches the golden, byte-identical across shard counts"
+	@echo "replay gate: recording and report match their goldens, byte-identical across shard counts"
 
-# replay-golden refreshes the committed golden after an intentional
-# engine or report change.
+# replay-golden refreshes the committed goldens after an intentional
+# recorder, engine or report change.
 replay-golden: replay-run
+	sha256sum REPLAY_recording.jsonl > testdata/GOLDEN_replay_recording.sha256
 	cp REPLAY_report.txt testdata/GOLDEN_replay.txt
 
 # replay-run regenerates the replay report: record, convert, replay.

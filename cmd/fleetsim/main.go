@@ -82,7 +82,21 @@
 // requires one concrete -policy and -coordination; -trace-level picks
 // decisions (default) or full, -counterfactual-k and -timeline-window-s
 // tune the recorder, and -trace-summary prints the top regret decisions
-// and a per-window p99 sparkline after the report:
+// and a per-window p99 sparkline after the report, read back from the
+// file in one pass. The recording streams to its file while the run
+// proceeds, each record as soon as it is final, so the recorder never
+// holds the whole recording. A regular file is written in place: an
+// existing file is overwritten without first being truncated, then cut
+// to the new length. A run that fails or is cancelled after the file is
+// opened exits 1 and removes it (a symlink's target is emptied), so an
+// older recording at that path is gone too; a run killed outright
+// (SIGKILL, out of memory) gets no such cleanup and leaves its partial
+// recording over the older file's tail.
+// Any other destination (/dev/null, a FIFO, /dev/stdout) is written as a
+// stream, never truncated or removed; -trace-summary then reads a copy
+// kept in memory, the one case that holds the whole recording.
+// -replay-out is written the same way. A traced load spread over more
+// than 2^20 timeline windows is refused:
 //
 //	fleetsim -policy sprint-aware -trace out.jsonl -counterfactual-k 5
 //	fleetsim -scenario flashcrowd.json -coordination token-permit \
@@ -284,7 +298,7 @@ func convertRecording(in, out string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", in, err)
 		return 1
 	}
-	of, err := os.Create(out)
+	of, err := createInPlace(out)
 	if err != nil {
 		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
@@ -298,6 +312,7 @@ func convertRecording(in, out string, stdout, stderr io.Writer) int {
 		err = cerr
 	}
 	if err != nil {
+		of.remove()
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", out, err)
 		return 1
 	}
@@ -305,54 +320,111 @@ func convertRecording(in, out string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeTrace serializes the recording as JSONL; the file is the durable
-// artifact, so every error on the way to disk is fatal to the run.
-func writeTrace(path string, tr *sprinting.FleetTrace, stderr io.Writer) int {
-	f, err := os.Create(path)
+// outFile writes a file in place: it opens the path without truncating
+// it and counts the bytes written. Rewriting an existing file this way
+// spares the forced writeback some filesystems (ext4's auto_da_alloc)
+// start when a truncated file is closed. A regular file is cut to the
+// bytes written on Close, so a shorter output still leaves exactly its
+// own bytes, and remove drops it after a failed run. Any other file
+// (/dev/null, a FIFO, a terminal) is written as a stream and never
+// truncated or removed. A symlinked path is written through, as with
+// os.Create.
+//
+// The price: the old bytes stay in place until Close cuts them, so a run
+// killed outright (SIGKILL, out of memory) leaves its new prefix over the
+// older file's tail rather than only a prefix.
+type outFile struct {
+	f       *os.File
+	path    string
+	n       int64
+	regular bool // f is a regular file
+	linked  bool // path reaches f through a symlink
+}
+
+func createInPlace(path string) (*outFile, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o666)
 	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
-		return 1
+		return nil, err
 	}
-	bw := bufio.NewWriter(f)
-	err = tr.WriteJSONL(bw)
-	if err == nil {
-		err = bw.Flush()
+	o := &outFile{f: f, path: path}
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		o.regular = true
+		li, err := os.Lstat(path)
+		o.linked = err != nil || !os.SameFile(fi, li)
 	}
-	if cerr := f.Close(); err == nil {
+	return o, nil
+}
+
+func (o *outFile) Write(p []byte) (int, error) {
+	n, err := o.f.Write(p)
+	o.n += int64(n)
+	return n, err
+}
+
+// Close cuts a regular file to the bytes written and closes it, on every
+// path, so no stale tail of an older file survives.
+func (o *outFile) Close() error {
+	var err error
+	if o.regular {
+		err = o.f.Truncate(o.n)
+	}
+	if cerr := o.f.Close(); err == nil {
 		err = cerr
 	}
+	return err
+}
+
+// remove drops a closed output after a failed run: a regular file is
+// removed, or emptied when the path is a symlink to it; any other file
+// is left alone.
+func (o *outFile) remove() {
+	switch {
+	case !o.regular:
+	case o.linked:
+		os.Truncate(o.path, 0)
+	default:
+		os.Remove(o.path)
+	}
+}
+
+// printTraceSummary condenses the recording for a human, in one pass
+// over its bytes: where the dispatcher left the most latency on the table
+// (regret against the counterfactual best rejected alternative), and how
+// the p99 tail moved window by window. It reads the recording back from
+// path, or from kept, the copy a run streaming to a file it cannot read
+// back (/dev/null, a FIFO) held. A recording that cannot be read fails
+// the run with exit 1.
+func printTraceSummary(stdout, stderr io.Writer, path string, kept *bytes.Buffer) int {
+	var r io.Reader = kept
+	if kept == nil {
+		f, err := os.Open(path)
+		if err != nil {
+			fmt.Fprintln(stderr, "fleetsim:", err)
+			return 1
+		}
+		defer f.Close()
+		r = f
+	}
+	sum, err := sprinting.SummarizeFleetTrace(r, 5)
 	if err != nil {
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
 		return 1
 	}
-	return 0
-}
-
-// printTraceSummary condenses the recording for a human: where the
-// dispatcher left the most latency on the table (regret against the
-// counterfactual best rejected alternative), and how the p99 tail moved
-// window by window.
-func printTraceSummary(stdout io.Writer, path string, tr *sprinting.FleetTrace) {
 	fmt.Fprintf(stdout, "\ntrace %s: %d records (%d decisions, %d samples, level %s)\n",
-		path, len(tr.Records), len(tr.Decisions()), len(tr.Samples()), tr.Meta.Level)
-	samples := tr.Samples()
-	p99 := make([]float64, len(samples))
-	for i, s := range samples {
-		p99[i] = s.P99S
-	}
-	fmt.Fprintf(stdout, "p99 per %.0fs window: %s\n", tr.Meta.WindowS, sprinting.TraceSparkline(p99))
-	top := tr.TopRegret(5)
-	if len(top) == 0 {
+		path, sum.Records, sum.Decisions, len(sum.P99S), sum.Meta.Level)
+	fmt.Fprintf(stdout, "p99 per %.0fs window: %s\n", sum.Meta.WindowS, sprinting.TraceSparkline(sum.P99S))
+	if len(sum.TopRegret) == 0 {
 		fmt.Fprintln(stdout, "no regret resolved: every counterfactual alternative was still pending at the end of the trace")
-		return
+		return 0
 	}
 	fmt.Fprintln(stdout, "top regret decisions (realized completion vs best rejected alternative):")
 	fmt.Fprintf(stdout, "%10s %-10s %8s %6s %10s %12s %10s\n",
 		"at (s)", "kind", "req", "node", "best alt", "done (s)", "regret (s)")
-	for _, r := range top {
+	for _, r := range sum.TopRegret {
 		fmt.Fprintf(stdout, "%10.3f %-10s %8d %6d %10d %12.3f %10.3f\n",
 			r.AtS, r.Kind, r.Req, r.Node, r.BestAlt, r.DoneS, r.RegretS)
 	}
+	return 0
 }
 
 func main() {
@@ -406,7 +478,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		graySlowdown  = fs.Float64("gray-slowdown", 0, "service-time multiplier on gray nodes (needs -gray-frac; 0 = default 4)")
 		faultProb     = fs.Float64("fault-prob", 0, "probability a completed service faults and the client must retry (0 disables transient faults)")
 
-		tracePath       = fs.String("trace", "", "attach the flight recorder and write the recording as JSONL to this file (records one run: pick a single -policy and -coordination)")
+		tracePath       = fs.String("trace", "", "attach the flight recorder and stream the recording as JSONL to this file, overwritten in place; a failed run removes it, a killed one leaves it part new, part old (records one run: pick a single -policy and -coordination)")
 		traceLevel      = fs.String("trace-level", "decisions", "flight-recorder capture level: decisions|full (needs -trace)")
 		counterfactualK = fs.Int("counterfactual-k", 0, "record this many rejected alternatives per decision and probe their counterfactual finish times (0 = default 3; needs -trace)")
 		timelineWindowS = fs.Float64("timeline-window-s", 0, "timeline sample window in seconds (0 = default 5; needs -trace)")
@@ -619,6 +691,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	// The recording streams to its file while the run proceeds. Until it
+	// is complete and closed, recFile stays set, and any exit removes the
+	// partial file. -trace-summary reads a regular file back after the
+	// run; for any other destination the run keeps a copy to read.
+	var (
+		recFile *outFile
+		kept    *bytes.Buffer
+	)
+	if *tracePath != "" {
+		f, err := createInPlace(*tracePath)
+		if err != nil {
+			fmt.Fprintln(stderr, "fleetsim:", err)
+			return 1
+		}
+		recFile = f
+		defer func() {
+			if recFile != nil {
+				recFile.Close()
+				recFile.remove()
+			}
+		}()
+		specs[0].Config.Trace.Writer = f
+		if *traceSummary && !f.regular {
+			kept = new(bytes.Buffer)
+			specs[0].Config.Trace.Writer = io.MultiWriter(f, kept)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -648,12 +747,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// sweep over the policy × coordination grid.
 	var (
 		metrics []sprinting.FleetMetrics
-		tr      *sprinting.FleetTrace
 		err     error
 	)
 	if *tracePath != "" || rows != nil {
 		var m sprinting.FleetMetrics
-		m, tr, err = sprinting.RunFleet(ctx, specs[0])
+		m, _, err = sprinting.RunFleet(ctx, specs[0])
 		metrics = []sprinting.FleetMetrics{m}
 	} else {
 		metrics, err = sprinting.RunFleetSweep(ctx, specs, *workers)
@@ -662,9 +760,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
 	}
-	if tr != nil {
-		if code := writeTrace(*tracePath, tr, stderr); code != 0 {
-			return code
+	if f := recFile; f != nil {
+		recFile = nil
+		if err := f.Close(); err != nil {
+			f.remove()
+			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *tracePath, err)
+			return 1
 		}
 	}
 	if *memProfile != "" {
@@ -682,8 +783,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if scen != nil {
 		printScenarioReport(*scenarioPath, *scen, metrics, stdout)
-		if tr != nil && *traceSummary {
-			printTraceSummary(stdout, *tracePath, tr)
+		if *traceSummary {
+			return printTraceSummary(stdout, stderr, *tracePath, kept)
 		}
 		return 0
 	}
@@ -704,8 +805,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintln(stdout, "\nsprint-aware dispatch routes on thermal headroom; hedging trades duplicated energy for tail latency")
 	}
-	if tr != nil && *traceSummary {
-		printTraceSummary(stdout, *tracePath, tr)
+	if *traceSummary {
+		return printTraceSummary(stdout, stderr, *tracePath, kept)
 	}
 	return 0
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"sprinting"
@@ -472,7 +474,7 @@ func TestReliabilityReported(t *testing.T) {
 }
 
 // TestTraceUnwritablePathFails: a trace destination that cannot be
-// created fails the run after simulation with exit 1.
+// created fails the run before it starts, with exit 1.
 func TestTraceUnwritablePathFails(t *testing.T) {
 	if _, code := runOut(t, "-nodes", "4", "-requests", "100", "-policy", "sprint-aware",
 		"-trace", filepath.Join(t.TempDir(), "no", "such", "dir", "out.jsonl")); code != 1 {
@@ -675,5 +677,219 @@ func TestWorkloadScenarioMode(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTraceFileMatchesRunFleet: the recording -trace streams to its file
+// is byte for byte what RunFleet collects for the same spec and
+// WriteJSONL serializes, on a churn scenario at the full level.
+func TestTraceFileMatchesRunFleet(t *testing.T) {
+	sp := writeScenario(t, flashScenario)
+	p := filepath.Join(t.TempDir(), "rec.jsonl")
+	if out, code := runOut(t, "-scenario", sp, "-policy", "hedged", "-coordination", "token-permit",
+		"-trace", p, "-trace-level", "full"); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scen sprinting.FleetScenario
+	if code := readJSON(sp, &scen, io.Discard); code != 0 {
+		t.Fatal("scenario unreadable")
+	}
+	// The config fleetsim builds from its flag defaults.
+	cfg := sprinting.DefaultFleetConfig(sprinting.FleetHedged)
+	cfg.Nodes, cfg.Requests, cfg.MeanWorkS, cfg.Seed = 16, 100000, 2, 12345
+	cfg.ArrivalRatePerS, cfg.QueueCap, cfg.HedgeDelayS = 0, 256, 1
+	cfg.Coordination = sprinting.RackTokenPermit
+	cfg.RackSize, cfg.RackPowerBudgetW, cfg.RackBufferJ, cfg.SprintPermits, cfg.BreakerRecoveryS = 0, 0, 0, 0, 0
+	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceFull}
+	_, tr, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg, Scenario: &scen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tr.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-trace wrote %d bytes; RunFleet + WriteJSONL make %d, and they differ", len(got), want.Len())
+	}
+}
+
+// TestCancelledTraceLeavesNoFile: a traced run that is cancelled exits 1
+// and removes its partial recording, also when an older recording held
+// the path.
+func TestCancelledTraceLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, old := range []bool{false, true} {
+		p := filepath.Join(dir, fmt.Sprintf("rec-%v.jsonl", old))
+		if old {
+			if err := os.WriteFile(p, []byte("an older recording\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out, errb bytes.Buffer
+		code := run(ctx, []string{"-nodes", "16", "-requests", "50000", "-policy", "sprint-aware", "-trace", p}, &out, &errb)
+		if code != 1 || errb.String() != "fleetsim: context canceled\n" {
+			t.Errorf("older file %v: exit %d, stderr %q; want 1 and the cancellation", old, code, errb.String())
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("older file %v: the recording survived a cancelled run (stat: %v)", old, err)
+		}
+	}
+}
+
+// TestTraceWindowCapRefused: a traced load spread over more timeline
+// windows than the recorder may sample is refused by validation, before
+// any output or file.
+func TestTraceWindowCapRefused(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "x.jsonl")
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-nodes", "4", "-requests", "10", "-rate", "1e-300",
+		"-policy", "sprint-aware", "-trace", p}, &out, &errb)
+	want := "fleetsim: fleet: a traced load spanning 1e+301 s covers more than 1048576 timeline windows of 5 s; widen the trace window or shorten the load\n"
+	if code != 1 || errb.String() != want || out.Len() != 0 {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 1, nothing, %q", code, out.String(), errb.String(), want)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Errorf("a refused run created its recording (stat: %v)", err)
+	}
+}
+
+// TestCreateInPlace: an output written over a longer existing file leaves
+// exactly the new bytes, and a symlinked path is written through to its
+// target, as os.Create does.
+func TestCreateInPlace(t *testing.T) {
+	dir := t.TempDir()
+	write := func(path, body string) {
+		t.Helper()
+		o, err := createInPlace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(o, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	p := filepath.Join(dir, "out")
+	write(p, "a longer first output\n")
+	write(p, "short\n")
+	if got := read(p); got != "short\n" {
+		t.Errorf("rewrite left %q, want %q", got, "short\n")
+	}
+	target, link := filepath.Join(dir, "target"), filepath.Join(dir, "link")
+	write(target, "the target's old, longer contents\n")
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	write(link, "through the link\n")
+	if got := read(target); got != "through the link\n" {
+		t.Errorf("target holds %q after a write through its link", got)
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Errorf("the link is no longer a symlink (lstat %v, %v)", fi, err)
+	}
+}
+
+// TestTraceToNonRegularFile: -trace and -replay-out stream to a file that
+// is not a regular file (/dev/null, a FIFO) without truncating or
+// removing it; the run exits 0, -trace-summary still prints, and a FIFO's
+// reader gets exactly the bytes a regular file would hold.
+func TestTraceToNonRegularFile(t *testing.T) {
+	args := []string{"-nodes", "4", "-requests", "400", "-policy", "sprint-aware", "-trace-summary", "-trace"}
+	dir := t.TempDir()
+	reg := filepath.Join(dir, "rec.jsonl")
+	regOut, code := runOut(t, append(args, reg)...)
+	if code != 0 {
+		t.Fatalf("regular file: exit %d", code)
+	}
+	want, err := os.ReadFile(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nullOut, code := runOut(t, append(args, os.DevNull)...)
+	if code != 0 {
+		t.Fatalf("-trace %s: exit %d", os.DevNull, code)
+	}
+	if strings.ReplaceAll(nullOut, os.DevNull, reg) != regOut {
+		t.Errorf("-trace %s printed\n%s\nwant the regular file's report\n%s", os.DevNull, nullOut, regOut)
+	}
+	if _, code := runOut(t, "-convert-trace", reg, "-replay-out", os.DevNull); code != 0 {
+		t.Errorf("-replay-out %s: exit %d", os.DevNull, code)
+	}
+	if fi, err := os.Stat(os.DevNull); err != nil || fi.Mode()&os.ModeDevice == 0 {
+		t.Fatalf("%s is no longer a device (stat %v, %v)", os.DevNull, fi, err)
+	}
+
+	fifo := filepath.Join(dir, "fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skip("no FIFOs here:", err)
+	}
+	got := make(chan []byte)
+	go func() {
+		var b []byte
+		if r, err := os.Open(fifo); err == nil {
+			b, _ = io.ReadAll(r)
+			r.Close()
+		}
+		got <- b
+	}()
+	_, code = runOut(t, append(args, fifo)...)
+	// Release the reader should the run have exited without opening the
+	// FIFO.
+	if w, err := os.OpenFile(fifo, os.O_WRONLY|syscall.O_NONBLOCK, 0); err == nil {
+		w.Close()
+	}
+	if b := <-got; code != 0 || !bytes.Equal(b, want) {
+		t.Errorf("-trace FIFO: exit %d, reader got %d bytes; want 0 and the regular file's %d", code, len(b), len(want))
+	}
+	if fi, err := os.Lstat(fifo); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+		t.Errorf("the FIFO is gone after the run (lstat %v, %v)", fi, err)
+	}
+}
+
+// TestCancelledTraceThroughSymlink: a cancelled run whose -trace path is
+// a symlink empties the link's target, leaving no partial recording, and
+// keeps the link; a cancelled run to /dev/null leaves the device alone.
+func TestCancelledTraceThroughSymlink(t *testing.T) {
+	dir := t.TempDir()
+	target, link := filepath.Join(dir, "target.jsonl"), filepath.Join(dir, "link.jsonl")
+	if err := os.WriteFile(target, []byte("an older recording\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []string{link, os.DevNull} {
+		var out, errb bytes.Buffer
+		if code := run(ctx, []string{"-nodes", "16", "-requests", "50000", "-policy", "sprint-aware", "-trace", p}, &out, &errb); code != 1 {
+			t.Errorf("-trace %s: exit %d, stderr %q; want 1", p, code, errb.String())
+		}
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Errorf("the link is gone after a cancelled run (lstat %v, %v)", fi, err)
+	}
+	if b, err := os.ReadFile(target); err != nil || len(b) != 0 {
+		t.Errorf("the link's target holds %q (err %v) after a cancelled run; want it empty", b, err)
+	}
+	if fi, err := os.Stat(os.DevNull); err != nil || fi.Mode()&os.ModeDevice == 0 {
+		t.Errorf("%s is no longer a device (stat %v, %v)", os.DevNull, fi, err)
 	}
 }

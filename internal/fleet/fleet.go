@@ -176,11 +176,15 @@ func (t *tally) counts() (int, int, int, int, int) {
 // samples without end. requestCap bounds every load source (Config.Requests,
 // Scenario.MaxRequests, WorkloadSpec.MaxRequests, replay rows), maxNodes
 // the fleet (the largest in-repo fleet is 10,000 nodes), and
-// minTraceWindowS a non-default recorder window.
+// minTraceWindowS a non-default recorder window. maxTraceWindows bounds
+// how many timeline windows a traced load may span — the recorder samples
+// every window up to the last event — and still admits sparse runs such
+// as 10 requests at 1e-5 req/s (200,000 windows of 5 s).
 const (
 	requestCap      = 16 << 20
 	maxNodes        = 1 << 20
 	minTraceWindowS = 1e-3
+	maxTraceWindows = 1 << 20
 )
 
 // Config parameterizes one fleet simulation; zero fields take the
@@ -463,6 +467,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: trace window must be non-negative")
 	case c.Trace.WindowS > 0 && c.Trace.WindowS < minTraceWindowS:
 		return fmt.Errorf("fleet: trace window must be 0 (the default) or at least %g s", minTraceWindowS)
+	case c.Trace.Writer != nil && c.Trace.Level == trace.LevelOff:
+		return fmt.Errorf("fleet: a trace writer needs a trace level other than off")
 	}
 	if c.Coordination != NoCoordination {
 		switch {
@@ -1059,6 +1065,22 @@ func (s Spec) resolve() (resolvedSpec, error) {
 	if err := r.cfg.validate(); err != nil {
 		return resolvedSpec{}, err
 	}
+	if r.cfg.Trace.Level != trace.LevelOff {
+		// A scenario's load spans its timeline, a synthetic one its
+		// expected arrival span.
+		spanS := float64(r.cfg.Requests) / r.cfg.EffectiveRatePerS()
+		if r.sc != nil {
+			spanS = 0
+			for _, p := range r.sc.Phases {
+				spanS += p.DurationS
+			}
+		}
+		windowS := r.cfg.Trace.withDefaults().WindowS
+		if !(spanS/windowS <= maxTraceWindows) {
+			return resolvedSpec{}, fmt.Errorf("fleet: a traced load spanning %.3g s covers more than %d timeline windows of %g s; widen the trace window or shorten the load",
+				spanS, maxTraceWindows, windowS)
+		}
+	}
 	switch {
 	case r.rows != nil:
 		// A fully unlabeled trace replays with no workload state at all, so
@@ -1081,12 +1103,24 @@ func (s Spec) resolve() (resolvedSpec, error) {
 
 // Run simulates one fleet run and returns its metrics. The flight recorder
 // attaches iff Config.Trace.Level is not LevelOff; the trace is nil
-// otherwise, and a traced run's metrics equal the untraced run's. Every
+// otherwise, and a traced run's metrics equal the untraced run's. With
+// Config.Trace.Writer set the recording streams there as JSONL and the
+// trace is nil too; a write error fails the run. Every
 // load source lowers to the same request arena and event loop, so the
 // result is a pure function of the spec, byte-identical at any
 // Config.Workers count. The context is checked periodically so very large
 // runs can be cancelled.
 func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
+	m, rec, err := runSpec(ctx, spec)
+	if err != nil || rec == nil {
+		return m, nil, err
+	}
+	return m, rec.tr, nil
+}
+
+// runSpec is Run, returning the recorder that rode along (nil for an
+// untraced run) in place of its trace.
+func runSpec(ctx context.Context, spec Spec) (Metrics, *recorder, error) {
 	r, err := spec.resolve()
 	if err != nil {
 		return Metrics{}, nil, err
@@ -1160,13 +1194,13 @@ func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
 	}
 	m, err := s.start(ctx)
 	putArena(s.reqs)
+	if err == nil && rec != nil {
+		err = rec.err
+	}
 	if err != nil {
 		return Metrics{}, nil, err
 	}
-	if rec != nil {
-		return m, rec.tr, nil
-	}
-	return m, nil, nil
+	return m, rec, nil
 }
 
 // The five wrappers below exist only because the benchmark's per-layer
@@ -1271,11 +1305,14 @@ func (s *sim) loop(ctx context.Context, nlo, nhi int) error {
 	return nil
 }
 
-// loopErr is the event loops' periodic check: cancellation, or an event
-// the queue refused (see slotBits).
+// loopErr is the event loops' periodic check: cancellation, an event
+// the queue refused (see slotBits), or a recording the sink refused.
 func (s *sim) loopErr(ctx context.Context) error {
 	if s.events.overflow {
 		return errQueueOverflow
+	}
+	if s.rec != nil && s.rec.err != nil {
+		return s.rec.err
 	}
 	return ctx.Err()
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -118,6 +119,33 @@ func TestRunSourceRules(t *testing.T) {
 		{"replay with tenants", Spec{Config: cfg, Replay: rows, Workload: w}, "declare classes only"},
 		{"replay with an undeclared class", Spec{Config: cfg, Replay: unknownClass, Workload: classesOnly}, `unknown class "tin"`},
 	}
+	// Replay rows whose completion would overflow, and a traced load
+	// spread over more timeline windows than the recorder may sample,
+	// are refused with exactly these errors.
+	sparse := tracedCfg
+	sparse.Requests = 10
+	sparse.ArrivalRatePerS = 1e-300
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"replay near the float limit", Spec{Config: cfg, Replay: []TraceRequest{{ArrivalS: 1e300, WorkS: 1e300}, {ArrivalS: 1.7e308, WorkS: 1.7e308}}},
+			"fleet: trace row 1: arrival_s and work_s must be at most 1e+09 s (got 1e+300 and 1e+300)"},
+		{"replay work near the float limit", Spec{Config: cfg, Replay: []TraceRequest{{ArrivalS: 0, WorkS: 1}, {ArrivalS: 1.7e308, WorkS: 1.7e308}}},
+			"fleet: trace row 2: arrival_s and work_s must be at most 1e+09 s (got 1.7e+308 and 1.7e+308)"},
+		{"trace writer without a level", Spec{Config: Config{Nodes: 4, Trace: TraceConfig{Writer: io.Discard}}},
+			"fleet: a trace writer needs a trace level other than off"},
+		{"trace over too many windows", Spec{Config: sparse},
+			"fleet: a traced load spanning 1e+301 s covers more than 1048576 timeline windows of 5 s; widen the trace window or shorten the load"},
+	} {
+		if err := tc.spec.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, _, err := Run(context.Background(), tc.spec); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Run = %v, want %q", tc.name, err, tc.want)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, tr, err := Run(context.Background(), tc.spec)
@@ -130,6 +158,10 @@ func TestRunSourceRules(t *testing.T) {
 			sameError(t, tc.spec.Validate(), err)
 		})
 	}
+	// A sparse traced load within the window cap runs: 10 requests at
+	// 1e-5 req/s span 200,000 windows.
+	sparseOK := sparse
+	sparseOK.ArrivalRatePerS = 1e-5
 	// The same sources run when combined legally; a workload's duration
 	// is irrelevant once a scenario supplies the timeline. Validate
 	// applies Run's defaults, so a config that leaves Requests and the
@@ -139,6 +171,7 @@ func TestRunSourceRules(t *testing.T) {
 		"workload":          {Config: cfg, Workload: w},
 		"scenario workload": {Config: cfg, Scenario: sc, Workload: &noDuration},
 		"traced scenario":   {Config: tracedCfg, Scenario: sc},
+		"sparse trace":      {Config: sparseOK},
 		"zero fields":       {Config: Config{Nodes: 4, Policy: SprintAware}},
 		"labeled replay":    {Config: cfg, Replay: unknownClass[:1], Workload: classesOnly},
 	} {

@@ -5,7 +5,7 @@
 // of fleet state — then resolves counterfactual probes against each
 // alternative's realized future and emits per-decision regret.
 //
-// Four invariants shape the implementation:
+// Five invariants shape the implementation:
 //
 //   - Zero cost when off. The recorder is a nil pointer on the sim
 //     unless the trace level is on, and every hook is a nil check on the
@@ -34,6 +34,19 @@
 //     the index rather than by scoring the whole fleet; the O(N) scan
 //     survives as the refAlts oracle (TestIndexedAltsMatchScan).
 //
+//   - Streamed in seq order, holding only unsettled records. Every record
+//     waits in a ring until it and every record before it are final, then
+//     goes to the one sink — the JSONL Encoder on TraceConfig.Writer, or
+//     the in-memory Trace — so both sinks see the same records in the
+//     same order (TestTraceStreamMatchesCollected). An event or a sample
+//     is final when emitted; a decision once its request's fate is no
+//     longer live (so its completion is known) and every probe it planted
+//     has resolved or been aborted. The ring's length is the span from
+//     the oldest unsettled decision to the newest record, and resolved
+//     probe slots are reused, so the recorder's memory follows in-flight
+//     state, not run length (TestTraceHoldBounded). The head advances
+//     lazily from tick and finalize; the fate sites carry no hook.
+//
 // The counterfactual model: for each recorded alternative the probe
 // counts the copies outstanding on that node at decision time. Service
 // is FIFO and non-preemptive, so exactly those copies depart (complete
@@ -48,6 +61,7 @@
 package fleet
 
 import (
+	"io"
 	"math"
 	"sort"
 
@@ -67,6 +81,12 @@ type TraceConfig struct {
 	// WindowS is the timeline sample window in simulated seconds
 	// (0 selects 5).
 	WindowS float64
+	// Writer, when set, receives the recording as JSONL while the run
+	// proceeds, each record as soon as it and every earlier record are
+	// final, and Run returns a nil trace; it needs a Level other than
+	// LevelOff. Run writes no partial line but may leave a cancelled or
+	// failed run's prefix behind.
+	Writer io.Writer
 }
 
 // withDefaults resolves the recorder knobs.
@@ -81,13 +101,50 @@ func (tc TraceConfig) withDefaults() TraceConfig {
 }
 
 // cfProbe is one pending counterfactual: alternative alt of the decision
-// at record index rec resolves once pending departures have left the node
-// whose watch list holds it.
+// with sequence number seq resolves once pending departures have left
+// the node whose watch list holds it.
 type cfProbe struct {
-	rec     int32
+	seq     uint64
 	alt     int32
 	pending int32
 	workS   float64
+}
+
+// pendingRec is one ring slot: a record not yet handed to the sink — its
+// instant and its one payload — and, for a decision, how many of its
+// probes are still pending. The slot's position is the record's seq.
+type pendingRec struct {
+	atS    float64
+	dec    *trace.Decision
+	ev     *trace.Event
+	sample *trace.Sample
+	probes int32
+}
+
+// pool hands out payloads of one type: recycled ones first, then fresh
+// ones from a slab. A streamed recording recycles each payload once the
+// encoder has written it, so the payloads alive are the ring's; an
+// in-memory recording keeps every payload it hands out.
+type pool[T any] struct {
+	slab trace.Slab[T]
+	free []*T
+}
+
+// get returns a payload, a recycled one with its old contents.
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
+	}
+	return p.slab.New()
+}
+
+// put recycles a payload the sink has written; nil is ignored.
+func (p *pool[T]) put(x *T) {
+	if x != nil {
+		p.free = append(p.free, x)
+	}
 }
 
 // recorder is the live flight-recorder state hanging off a sim. It is
@@ -95,16 +152,28 @@ type cfProbe struct {
 // that nil check and nothing else.
 type recorder struct {
 	cfg TraceConfig
-	tr  *trace.Trace
-	seq uint64
-	// chunks holds the records in emit order, recChunk to a chunk, so a
-	// long recording never regrows one huge slice; finalize assembles
-	// tr.Records once, at its exact length (seq records).
-	chunks [][]trace.Record
+	// The sink: enc streams to cfg.Writer; without one, tr collects the
+	// recording, gathering it in recChunk-record chunks that finalize
+	// assembles into tr.Records once, at its exact length, so a long
+	// recording never regrows one huge slice. err is the first error the
+	// sink returned.
+	enc       *trace.Encoder
+	tr        *trace.Trace
+	collected [][]trace.Record
+	err       error
 
-	// Counterfactual probes: probes is the arena, watch[node] the indices
-	// of probes waiting on that node's departures.
+	// The ring holds records base..seq-1 in chunks of ringChunk slots,
+	// record q at chunks[q/ringChunk-base/ringChunk][q%ringChunk]; a chunk
+	// the head leaves goes to spare for the tail to reuse, so chunks and
+	// spare together count the most chunks the ring ever spanned.
+	seq, base uint64
+	chunks    []*[ringChunk]pendingRec
+	spare     []*[ringChunk]pendingRec
+
+	// Counterfactual probes: probes is the arena, free its reusable slots,
+	// watch[node] the indices of probes waiting on that node's departures.
 	probes []cfProbe
+	free   []int32
 	watch  [][]int32
 
 	// Timeline state: the next window boundary, completions and
@@ -121,11 +190,13 @@ type recorder struct {
 	altScratch []altCand
 	hidden     []hiddenLeaf
 
-	// Record payloads come from slabs: one allocation per chunk of
-	// decisions, events or alternatives rather than one per record.
-	decs   trace.Slab[trace.Decision]
-	events trace.Slab[trace.Event]
-	alts   trace.Slab[trace.Alt]
+	// Record payloads come from pools over slabs: one allocation per
+	// chunk of decisions, events, samples or alternatives rather than one
+	// per record, and none once a streamed recording's pools are warm.
+	decs    pool[trace.Decision]
+	events  pool[trace.Event]
+	samples pool[trace.Sample]
+	alts    trace.Slab[trace.Alt]
 }
 
 // altCand is one recorded alternative; rot is its rotation distance from
@@ -156,16 +227,15 @@ func newRecorder(cfg Config) *recorder {
 	tc := cfg.Trace.withDefaults()
 	return &recorder{
 		cfg:   tc,
-		tr:    &trace.Trace{},
 		nextS: tc.WindowS,
 	}
 }
 
-// begin stamps the trace header and sizes the per-node probe watch
-// lists; newSim calls it once the fleet exists.
+// begin stamps the recording's header on its sink and sizes the per-node
+// probe watch lists; newSim calls it once the fleet exists.
 func (rec *recorder) begin(s *sim) {
 	rec.watch = make([][]int32, len(s.nodes))
-	rec.tr.Meta = trace.Meta{
+	meta := trace.Meta{
 		Policy:       s.cfg.Policy.String(),
 		Coordination: s.cfg.Coordination.String(),
 		Nodes:        len(s.nodes),
@@ -176,28 +246,104 @@ func (rec *recorder) begin(s *sim) {
 		WindowS:      rec.cfg.WindowS,
 		TopK:         rec.cfg.TopK,
 	}
-}
-
-// recChunk is the record count of one recorder chunk.
-const recChunk = 1 << 12
-
-// emit appends one record, stamping time and sequence, and returns its
-// index.
-func (rec *recorder) emit(atS float64, r trace.Record) int {
-	if rec.seq%recChunk == 0 {
-		rec.chunks = append(rec.chunks, make([]trace.Record, 0, recChunk))
+	if rec.cfg.Writer != nil {
+		rec.enc = trace.NewEncoder(rec.cfg.Writer, &meta)
+	} else {
+		rec.tr = &trace.Trace{Meta: meta}
 	}
-	r.AtS = atS
-	r.Seq = rec.seq
-	rec.seq++
-	c := &rec.chunks[len(rec.chunks)-1]
-	*c = append(*c, r)
-	return int(r.Seq)
 }
 
-// record returns the i-th emitted record.
-func (rec *recorder) record(i int) *trace.Record {
-	return &rec.chunks[i/recChunk][i%recChunk]
+// ringChunk is the slot count of one ring chunk, recChunk the record
+// count of one chunk the in-memory sink collects.
+const (
+	ringChunk = 1 << 10
+	recChunk  = 1 << 12
+)
+
+// emit appends one record, p's payload at instant atS, to the ring and
+// returns its sequence number.
+func (rec *recorder) emit(atS float64, p pendingRec) uint64 {
+	if rec.seq%ringChunk == 0 {
+		if n := len(rec.spare); n > 0 {
+			rec.chunks = append(rec.chunks, rec.spare[n-1])
+			rec.spare = rec.spare[:n-1]
+		} else {
+			rec.chunks = append(rec.chunks, new([ringChunk]pendingRec))
+		}
+	}
+	p.atS = atS
+	*rec.slot(rec.seq) = p
+	rec.seq++
+	return rec.seq - 1
+}
+
+// slot returns the ring slot of record q, which must be in the ring.
+func (rec *recorder) slot(q uint64) *pendingRec {
+	return &rec.chunks[q/ringChunk-rec.base/ringChunk][q%ringChunk]
+}
+
+// flush hands the ring's settled prefix to the sink in seq order. A
+// decision settles once its request's fate is no longer live and none of
+// its probes is pending; its counterfactual columns are filled then (see
+// settle). With all set, finalize drains the ring whatever remains
+// pending.
+func (rec *recorder) flush(s *sim, all bool) {
+	for ; rec.base < rec.seq; rec.base++ {
+		p := rec.slot(rec.base)
+		r := trace.Record{T: "sample", AtS: p.atS, Seq: rec.base, Decision: p.dec, Event: p.ev, Sample: p.sample}
+		switch {
+		case p.dec != nil:
+			if !all && (p.probes > 0 || s.reqs[p.dec.Req].fate == live) {
+				return
+			}
+			settle(p.dec, &s.reqs[p.dec.Req])
+			r.T = "decision"
+		case p.ev != nil:
+			r.T = "event"
+		}
+		if rec.enc == nil {
+			if rec.base%recChunk == 0 {
+				rec.collected = append(rec.collected, make([]trace.Record, 0, recChunk))
+			}
+			c := &rec.collected[len(rec.collected)-1]
+			*c = append(*c, r)
+		} else {
+			if err := rec.enc.Encode(&r); err != nil && rec.err == nil {
+				rec.err = err
+			}
+			rec.decs.put(p.dec)
+			rec.events.put(p.ev)
+			rec.samples.put(p.sample)
+		}
+		*p = pendingRec{}
+		if (rec.base+1)%ringChunk == 0 {
+			// The head leaves its chunk.
+			rec.spare = append(rec.spare, rec.chunks[0])
+			rec.chunks = rec.chunks[1:]
+		}
+	}
+}
+
+// settle fills a decision's counterfactual columns: DoneS is the
+// request's realized completion, BestAlt the resolved alternative with
+// the earliest hypothetical completion, and RegretS their difference.
+func settle(d *trace.Decision, r *request) {
+	if r.doneS >= 0 {
+		d.DoneS = r.doneS
+	}
+	for ai := range d.Alts {
+		a := &d.Alts[ai]
+		if a.HypoDoneS < 0 {
+			continue
+		}
+		if d.BestAlt < 0 || a.HypoDoneS < d.BestAltDoneS {
+			d.BestAlt = a.Node
+			d.BestAltDoneS = a.HypoDoneS
+		}
+	}
+	if d.BestAlt >= 0 && d.DoneS >= 0 {
+		d.RegretS = d.DoneS - d.BestAltDoneS
+	}
 }
 
 // event appends a lifecycle event at the current instant.
@@ -207,9 +353,9 @@ func (rec *recorder) event(s *sim, ev trace.Event) {
 
 // emitEvent appends a lifecycle event at the given instant.
 func (rec *recorder) emitEvent(atS float64, ev trace.Event) {
-	e := rec.events.New()
+	e := rec.events.get()
 	*e = ev
-	rec.emit(atS, trace.Record{T: "event", Event: e})
+	rec.emit(atS, pendingRec{ev: e})
 }
 
 // keyKind names the routing key family the policy scores with.
@@ -247,7 +393,9 @@ func (rec *recorder) score(s *sim, n *node, workS float64) float64 {
 // original node).
 func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start, exclude int, enqueued bool) {
 	r := &s.reqs[ri]
-	d := rec.decs.New()
+	d := rec.decs.get()
+	// A recycled decision keeps its alternatives' backing array.
+	alts := d.Alts[:0]
 	*d = trace.Decision{
 		Kind:    kind,
 		Req:     int(ri),
@@ -258,6 +406,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 		WorkS:   r.workS,
 		DoneS:   -1,
 		BestAlt: -1,
+		Alts:    alts,
 	}
 	if chosen != nil {
 		d.Node = chosen.id
@@ -275,9 +424,9 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 			rec.inflight++
 		}
 	}
-	idx := rec.emit(s.nowS, trace.Record{T: "decision", Decision: d})
+	q := rec.emit(s.nowS, pendingRec{dec: d})
 	if s.cfg.Policy != RoundRobin && chosen != nil {
-		rec.collectAlts(s, d, idx, r.workS, chosen.id, exclude, start)
+		rec.collectAlts(s, d, q, r.workS, chosen.id, exclude, start)
 	}
 }
 
@@ -287,7 +436,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 // counts the copies outstanding on the alternative at decision time,
 // exactly the departures that FIFO service retires before a hypothetical
 // copy would have started.
-func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float64, chosen, exclude, start int) {
+func (rec *recorder) collectAlts(s *sim, d *trace.Decision, q uint64, workS float64, chosen, exclude, start int) {
 	var cands []altCand
 	if (s.idx == nil && s.segs == nil) || refAlts {
 		cands = rec.scanAlts(s, workS, chosen, exclude, start)
@@ -298,7 +447,11 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 	if k == 0 {
 		return // Alts stays nil, as a recording reads back
 	}
-	d.Alts = rec.alts.Take(k)
+	if cap(d.Alts) >= k {
+		d.Alts = d.Alts[:k]
+	} else {
+		d.Alts = rec.alts.Take(k)
+	}
 	for ai := 0; ai < k; ai++ {
 		c := cands[ai]
 		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
@@ -310,11 +463,17 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 			d.Alts[ai].HypoDoneS = s.estFinishAt(n, workS)
 			continue
 		}
-		rec.probes = append(rec.probes, cfProbe{
-			rec: int32(idx), alt: int32(ai),
-			pending: int32(pending), workS: workS,
-		})
-		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
+		p := cfProbe{seq: q, alt: int32(ai), pending: int32(pending), workS: workS}
+		var pi int32
+		if nf := len(rec.free); nf > 0 {
+			pi, rec.free = rec.free[nf-1], rec.free[:nf-1]
+			rec.probes[pi] = p
+		} else {
+			pi = int32(len(rec.probes))
+			rec.probes = append(rec.probes, p)
+		}
+		rec.slot(q).probes++
+		rec.watch[c.node] = append(rec.watch[c.node], pi)
 	}
 }
 
@@ -432,7 +591,11 @@ func (rec *recorder) departed(s *sim, n *node) {
 			kept = append(kept, pi)
 			continue
 		}
-		rec.record(int(p.rec)).Decision.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
+		// The decision is still in the ring: its pending probe holds it.
+		d := rec.slot(p.seq)
+		d.dec.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
+		d.probes--
+		rec.free = append(rec.free, pi)
 	}
 	rec.watch[n.id] = kept
 }
@@ -440,6 +603,10 @@ func (rec *recorder) departed(s *sim, n *node) {
 // nodeDown aborts every probe watching a failed node: its realized
 // future ends here, so their alternatives stay unresolved.
 func (rec *recorder) nodeDown(n *node) {
+	for _, pi := range rec.watch[n.id] {
+		rec.slot(rec.probes[pi].seq).probes--
+		rec.free = append(rec.free, pi)
+	}
 	rec.watch[n.id] = rec.watch[n.id][:0]
 }
 
@@ -490,11 +657,15 @@ func (rec *recorder) tick(s *sim) {
 		rec.nextS += rec.cfg.WindowS
 	}
 	rec.popSprintsThrough(s.nowS)
+	rec.flush(s, false)
 }
 
 // sample emits the window ending at boundary b.
 func (rec *recorder) sample(s *sim, b float64) {
-	sm := &trace.Sample{
+	sm := rec.samples.get()
+	// A recycled sample keeps its rack arrays: the rack count is fixed.
+	draw, buf := sm.RackDrawW, sm.RackBufferJ
+	*sm = trace.Sample{
 		StartS:        rec.winStartS,
 		EndS:          b,
 		Phase:         -1,
@@ -514,8 +685,10 @@ func (rec *recorder) sample(s *sim, b float64) {
 		sm.P99S = series.Quantile(rec.winLat, 0.99)
 	}
 	if len(s.racks) > 0 {
-		sm.RackDrawW = make([]float64, len(s.racks))
-		sm.RackBufferJ = make([]float64, len(s.racks))
+		if draw == nil {
+			draw, buf = make([]float64, len(s.racks)), make([]float64, len(s.racks))
+		}
+		sm.RackDrawW, sm.RackBufferJ = draw, buf
 		for i := range s.racks {
 			r := &s.racks[i]
 			sm.RackDrawW[i] = r.drawW()
@@ -525,46 +698,30 @@ func (rec *recorder) sample(s *sim, b float64) {
 	}
 	rec.winDone = 0
 	rec.winLat = rec.winLat[:0]
-	rec.emit(b, trace.Record{T: "sample", Sample: sm})
+	rec.emit(b, pendingRec{sample: sm})
 }
 
 // finalize flushes the last partial window, retires the remaining sprint
-// phases, and fills every decision's counterfactual columns from the
-// drained arena: DoneS is the request's realized completion, BestAlt the
-// resolved alternative with the earliest hypothetical completion, and
-// RegretS their difference. finish() calls it while the arena is live.
+// phases, drains the ring to the sink, and flushes the encoder or
+// assembles the collected trace. finish() calls it while the arena is
+// live: settling a decision reads its request's realized completion.
 func (rec *recorder) finalize(s *sim) {
 	rec.popSprintsThrough(math.Inf(1))
 	if rec.winDone > 0 || rec.inflight > 0 || len(rec.winLat) > 0 {
 		rec.sample(s, rec.nextS)
 	}
+	rec.flush(s, true)
+	if rec.enc != nil {
+		if err := rec.enc.Flush(); err != nil && rec.err == nil {
+			rec.err = err
+		}
+		return
+	}
 	rec.tr.Records = make([]trace.Record, 0, rec.seq)
-	for _, c := range rec.chunks {
+	for _, c := range rec.collected {
 		rec.tr.Records = append(rec.tr.Records, c...)
 	}
-	rec.chunks = nil
-	for i := range rec.tr.Records {
-		d := rec.tr.Records[i].Decision
-		if d == nil {
-			continue
-		}
-		if r := &s.reqs[d.Req]; r.doneS >= 0 {
-			d.DoneS = r.doneS
-		}
-		for ai := range d.Alts {
-			a := &d.Alts[ai]
-			if a.HypoDoneS < 0 {
-				continue
-			}
-			if d.BestAlt < 0 || a.HypoDoneS < d.BestAltDoneS {
-				d.BestAlt = a.Node
-				d.BestAltDoneS = a.HypoDoneS
-			}
-		}
-		if d.BestAlt >= 0 && d.DoneS >= 0 {
-			d.RegretS = d.DoneS - d.BestAltDoneS
-		}
-	}
+	rec.collected = nil
 }
 
 // rackOf is the node's rack index for event records, -1 when rack power

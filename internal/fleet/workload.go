@@ -227,10 +227,16 @@ func WriteRequestTraceCSV(w io.Writer, rows []TraceRequest) error {
 	return cw.Error()
 }
 
+// maxReplayS bounds a replay row's arrival_s and work_s, about 32 years
+// of simulated time: far past any recorded demand, and far enough below
+// the float64 limit that no completion time, summed over every row the
+// request cap admits, can overflow.
+const maxReplayS = 1e9
+
 // validateRequestTrace reports the first defect that would make the rows
 // unreplayable: arrivals must be finite, non-negative, and
-// non-decreasing; work positive and finite; width within the arena
-// field's range.
+// non-decreasing; work positive and finite; both at most maxReplayS;
+// width within the arena field's range.
 func validateRequestTrace(rows []TraceRequest) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("fleet: request trace has no rows")
@@ -248,6 +254,8 @@ func validateRequestTrace(rows []TraceRequest) error {
 			return fmt.Errorf("fleet: trace row %d: arrivals must be non-decreasing (%.9g after %.9g)", i+1, r.ArrivalS, prev)
 		case !(r.WorkS > 0) || math.IsInf(r.WorkS, 0):
 			return fmt.Errorf("fleet: trace row %d: work_s must be positive and finite", i+1)
+		case r.ArrivalS > maxReplayS || r.WorkS > maxReplayS:
+			return fmt.Errorf("fleet: trace row %d: arrival_s and work_s must be at most %g s (got %g and %g)", i+1, float64(maxReplayS), r.ArrivalS, r.WorkS)
 		case r.Width < 0 || r.Width > maxReqWidth:
 			return fmt.Errorf("fleet: trace row %d: width must be in [0, %d]", i+1, maxReqWidth)
 		}

@@ -33,44 +33,72 @@ import (
 const maxLineBytes = 16 << 20
 
 // WriteJSONL serializes the trace as JSON Lines: a meta header line
-// followed by one line per record, in record order. The bytes are a
-// deterministic function of the Trace and identical to what encoding/json
-// would encode for the same values. Lines are built in one reused buffer
-// and handed to w in chunks of about 64 KiB, large enough that a
-// bufio.Writer passes them straight through. A non-finite float fails
-// the write at its line, after every earlier line is written, as
+// followed by one line per record, in record order, through one Encoder.
+// The bytes are a deterministic function of the Trace and identical to
+// what encoding/json would encode for the same values. A non-finite float
+// fails the write at its line, after every earlier line is written, as
 // encoding/json does.
 func (tr *Trace) WriteJSONL(w io.Writer) error {
-	e := &encoder{b: make([]byte, 0, writeChunk+4096)}
-	e.meta(&tr.Meta)
-	if err := e.endLine(w); err != nil {
-		return err
-	}
+	e := NewEncoder(w, &tr.Meta)
 	for i := range tr.Records {
-		e.record(&tr.Records[i])
-		if err := e.endLine(w); err != nil {
+		if err := e.Encode(&tr.Records[i]); err != nil {
 			return err
 		}
 	}
-	_, err := w.Write(e.b)
-	return err
+	return e.Flush()
 }
 
 // writeChunk is how many bytes of finished lines the writer gathers
 // before handing them to the io.Writer.
 const writeChunk = 64 << 10
 
-// encoder appends JSONL lines to b; line is where the line being built
-// starts, and err holds a non-finite float met while building it.
-type encoder struct {
+// Encoder streams a recording as JSON Lines: the meta header once, then
+// one line per Encode call. Lines are built in one reused buffer and
+// handed to w in chunks of about 64 KiB, large enough that a bufio.Writer
+// passes them straight through; Flush writes the rest. The first error —
+// a failed write, or a non-finite float, which fails its line after every
+// earlier line is written — sticks: every later call returns it and
+// writes nothing.
+type Encoder struct {
+	w    io.Writer
 	b    []byte
 	line int
-	err  error
+	// lineErr holds a non-finite float met while building the current
+	// line; err is the error the stream stopped on.
+	lineErr error
+	err     error
 	// cache holds recently formatted floats. A recording repeats the
 	// same instants many times over — a decision's time, its idle
 	// alternatives' keys, the service and sprint events it triggers — and
 	// shortest-form float formatting is most of the writer's work.
 	cache [1024]fmtFloat
+}
+
+// NewEncoder starts a recording on w with its meta header line.
+func NewEncoder(w io.Writer, m *Meta) *Encoder {
+	e := &Encoder{w: w, b: make([]byte, 0, writeChunk+4096)}
+	e.meta(m)
+	e.endLine()
+	return e
+}
+
+// Encode appends one record's line.
+func (e *Encoder) Encode(r *Record) error {
+	if e.err != nil {
+		return e.err
+	}
+	e.record(r)
+	return e.endLine()
+}
+
+// Flush writes every buffered line to w.
+func (e *Encoder) Flush() error {
+	if e.err != nil {
+		return e.err
+	}
+	_, e.err = e.w.Write(e.b)
+	e.b, e.line = e.b[:0], 0
+	return e.err
 }
 
 // fmtFloat is one float cache slot: the value's bits and its encoding.
@@ -82,11 +110,12 @@ type fmtFloat struct {
 
 // endLine finishes the line just built: it writes out the finished lines
 // once a chunk has gathered, or, if the line hit a non-finite float,
-// drops it, writes the lines before it, and returns the error.
-func (e *encoder) endLine(w io.Writer) error {
-	if e.err != nil {
-		if _, err := w.Write(e.b[:e.line]); err != nil {
-			return err
+// drops it, writes the lines before it, and stops the stream on the
+// float's error.
+func (e *Encoder) endLine() error {
+	if e.lineErr != nil {
+		if _, e.err = e.w.Write(e.b[:e.line]); e.err == nil {
+			e.err = e.lineErr
 		}
 		return e.err
 	}
@@ -94,16 +123,16 @@ func (e *encoder) endLine(w io.Writer) error {
 	if e.line < writeChunk {
 		return nil
 	}
-	_, err := w.Write(e.b)
+	_, e.err = e.w.Write(e.b)
 	e.b, e.line = e.b[:0], 0
-	return err
+	return e.err
 }
 
-func (e *encoder) int(v int) {
+func (e *Encoder) int(v int) {
 	e.b = strconv.AppendInt(e.b, int64(v), 10)
 }
 
-func (e *encoder) meta(m *Meta) {
+func (e *Encoder) meta(m *Meta) {
 	e.b = append(e.b, `{"t":"meta","meta":{"policy":`...)
 	e.str(m.Policy)
 	e.b = append(e.b, `,"coordination":`...)
@@ -125,7 +154,7 @@ func (e *encoder) meta(m *Meta) {
 	e.b = append(e.b, "}}\n"...)
 }
 
-func (e *encoder) record(r *Record) {
+func (e *Encoder) record(r *Record) {
 	e.b = append(e.b, `{"t":`...)
 	e.str(r.T)
 	e.b = append(e.b, `,"at_s":`...)
@@ -227,7 +256,7 @@ func (e *encoder) record(r *Record) {
 	e.b = append(e.b, "}\n"...)
 }
 
-func (e *encoder) floats(fs []float64) {
+func (e *Encoder) floats(fs []float64) {
 	e.b = append(e.b, '[')
 	for i, f := range fs {
 		if i > 0 {
@@ -242,10 +271,10 @@ func (e *encoder) floats(fs []float64) {
 // representation that round-trips, in %f form except below 1e-6 or at or
 // above 1e21 in magnitude, where it switches to an exponent with the
 // exponent's leading zero dropped (e-07 becomes e-7).
-func (e *encoder) float(f float64) {
+func (e *Encoder) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if e.err == nil {
-			e.err = fmt.Errorf("trace: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		if e.lineErr == nil {
+			e.lineErr = fmt.Errorf("trace: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 		}
 		return
 	}
@@ -288,7 +317,7 @@ var htmlSafe = func() (t [utf8.RuneSelf]bool) {
 // quote and backslash, the short escapes for \b \f \n \r \t, \u00XX for
 // the other control bytes and for < > &, \ufffd for each invalid UTF-8
 // byte, and \u2028 and \u2029 for the line and paragraph separators.
-func (e *encoder) str(s string) {
+func (e *Encoder) str(s string) {
 	b := append(e.b, '"')
 	start := 0
 	for i := 0; i < len(s); {

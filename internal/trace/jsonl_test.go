@@ -164,6 +164,47 @@ func TestWriteJSONLNonFinite(t *testing.T) {
 	}
 }
 
+// TestEncoderStopsOnFirstError: the first error ends the stream — every
+// later Encode and Flush returns it and writes nothing more — whether a
+// write failed or a line held a non-finite float.
+func TestEncoderStopsOnFirstError(t *testing.T) {
+	ok := &Record{T: "event", Event: &Event{Kind: "ok"}}
+	bad := &Record{T: "sample", Sample: &Sample{P99S: math.NaN()}}
+	var b bytes.Buffer
+	e := NewEncoder(&b, &Meta{Level: "full"})
+	if err := e.Encode(ok); err != nil {
+		t.Fatal(err)
+	}
+	first := e.Encode(bad)
+	if first == nil {
+		t.Fatal("Encode accepted a non-finite float")
+	}
+	if e.Encode(ok) != first || e.Flush() != first {
+		t.Fatal("the encoder went on after its first error")
+	}
+	if n := bytes.Count(b.Bytes(), []byte("\n")); n != 2 {
+		t.Fatalf("%d lines written, want the meta line and the one before the failure", n)
+	}
+	w := &failWriter{}
+	e = NewEncoder(w, &Meta{Level: "full"})
+	if err := e.Flush(); err != errWrite {
+		t.Fatalf("Flush = %v, want the write error", err)
+	}
+	if e.Encode(ok) != errWrite || w.calls != 1 {
+		t.Fatalf("the encoder wrote %d times after a failed write", w.calls-1)
+	}
+}
+
+var errWrite = errors.New("disk full")
+
+// failWriter fails every write.
+type failWriter struct{ calls int }
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, errWrite
+}
+
 // TestReadJSONLRoundTrip reads back what the writer wrote, and what
 // encoding/json reads of the same bytes.
 func TestReadJSONLRoundTrip(t *testing.T) {

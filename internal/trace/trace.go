@@ -15,6 +15,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -248,25 +249,68 @@ type Regret struct {
 // best rejected alternative would have finished soonest relative to the
 // realized completion — sorted by descending regret (ties by record
 // order). Decisions that never completed or resolved no alternative are
-// excluded.
+// excluded; n ≤ 0 keeps them all.
 func (tr *Trace) TopRegret(n int) []Regret {
 	var all []Regret
 	for i := range tr.Records {
-		r := &tr.Records[i]
-		d := r.Decision
-		if d == nil || d.BestAlt < 0 || d.DoneS < 0 {
-			continue
-		}
-		all = append(all, Regret{
-			AtS: r.AtS, Kind: d.Kind, Req: d.Req, Node: d.Node,
-			BestAlt: d.BestAlt, DoneS: d.DoneS, RegretS: d.RegretS,
-		})
+		all = appendRegret(all, &tr.Records[i])
 	}
+	return rankRegret(all, n)
+}
+
+// appendRegret appends r's regret row if r is a completed decision with a
+// resolved alternative.
+func appendRegret(all []Regret, r *Record) []Regret {
+	d := r.Decision
+	if d == nil || d.BestAlt < 0 || d.DoneS < 0 {
+		return all
+	}
+	return append(all, Regret{
+		AtS: r.AtS, Kind: d.Kind, Req: d.Req, Node: d.Node,
+		BestAlt: d.BestAlt, DoneS: d.DoneS, RegretS: d.RegretS,
+	})
+}
+
+// rankRegret sorts regret rows gathered in record order by descending
+// regret, ties in record order, and keeps the first n (all when n ≤ 0).
+func rankRegret(all []Regret, n int) []Regret {
 	sort.SliceStable(all, func(i, j int) bool { return all[i].RegretS > all[j].RegretS })
 	if n > 0 && len(all) > n {
 		all = all[:n]
 	}
 	return all
+}
+
+// Summary condenses a recording: its header, how many records and
+// decisions it holds, each timeline sample's p99 in order, and the
+// highest-regret decisions in TopRegret's order.
+type Summary struct {
+	Meta      Meta
+	Records   int
+	Decisions int
+	P99S      []float64
+	TopRegret []Regret
+}
+
+// Summarize condenses a JSONL recording in one ScanJSONL pass, keeping
+// the n highest-regret decisions (all when n ≤ 0) as TopRegret ranks
+// them; it holds one regret row per completed decision, never the
+// recording. Decoding and its errors are ReadJSONL's.
+func Summarize(r io.Reader, n int) (Summary, error) {
+	var sum Summary
+	meta, err := ScanJSONL(r, func(rec *Record) error {
+		sum.Records++
+		if rec.Decision != nil {
+			sum.Decisions++
+		}
+		if rec.Sample != nil {
+			sum.P99S = append(sum.P99S, rec.Sample.P99S)
+		}
+		sum.TopRegret = appendRegret(sum.TopRegret, rec)
+		return nil
+	})
+	sum.Meta, sum.TopRegret = meta, rankRegret(sum.TopRegret, n)
+	return sum, err
 }
 
 // sparkBlocks are the eight block glyphs Sparkline scales values onto.

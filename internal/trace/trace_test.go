@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,6 +111,46 @@ func TestAccessorsAndTopRegret(t *testing.T) {
 	}
 	if got := tr.TopRegret(1); len(got) != 1 || got[0].Req != 2 {
 		t.Fatalf("TopRegret(1) = %+v", got)
+	}
+}
+
+// TestSummarizeMatchesAccessors: one streaming pass over a written
+// recording yields the counts, the p99 series and the regret leaderboard
+// the in-memory accessors give, ties ranked in record order, at every
+// leaderboard size.
+func TestSummarizeMatchesAccessors(t *testing.T) {
+	tr := genTrace(3000, 4)
+	// Equal regrets on both sides of the cut: the leaderboard keeps the
+	// earlier records first.
+	for i, n := 0, 0; i < len(tr.Records) && n < 6; i++ {
+		if d := tr.Records[i].Decision; d != nil {
+			d.DoneS, d.RegretS = d.BestAltDoneS+50, 50
+			n++
+		}
+	}
+	var b bytes.Buffer
+	if err := tr.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	var p99 []float64
+	for _, sm := range tr.Samples() {
+		p99 = append(p99, sm.P99S)
+	}
+	for _, n := range []int{1, 5, 0} {
+		sum, err := Summarize(bytes.NewReader(b.Bytes()), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Summary{Meta: tr.Meta, Records: len(tr.Records), Decisions: len(tr.Decisions()), P99S: p99, TopRegret: tr.TopRegret(n)}
+		if !reflect.DeepEqual(sum, want) {
+			t.Fatalf("n=%d: Summarize differs from the accessors:\n got %+v\nwant %+v", n, sum.TopRegret, want.TopRegret)
+		}
+		if n == 5 && (sum.TopRegret[0].Req >= sum.TopRegret[4].Req || sum.TopRegret[4].RegretS != 50) {
+			t.Fatalf("ties out of record order: %+v", sum.TopRegret)
+		}
+	}
+	if _, err := Summarize(strings.NewReader(""), 5); err == nil {
+		t.Fatal("Summarize accepted an empty recording")
 	}
 }
 

@@ -383,9 +383,11 @@ type FleetSpec = fleet.Spec
 // nodes — each owning a governor-managed thermal budget and a bounded
 // FIFO queue — serve the spec's load under the configured dispatch
 // policy. With FleetConfig.Trace at a level other than TraceOff the
-// flight recorder rides along and the recording is returned; its metrics
-// equal the untraced run's, since the recorder observes and never steers.
-// The trace is nil for an untraced run. The result is a pure function of
+// flight recorder rides along and the recording is returned, or, with
+// FleetConfig.Trace.Writer set, streamed there as JSONL while the run
+// proceeds; its metrics equal the untraced run's, since the recorder
+// observes and never steers. The trace is nil for an untraced or a
+// streamed run. The result is a pure function of
 // the spec, and the context is checked periodically so very large runs
 // can be cancelled.
 //
@@ -573,6 +575,18 @@ func ReplayFromJSONL(r io.Reader) ([]TraceRequest, error) {
 // FleetTrace.WriteJSONL; decoding is strict, so a recording round-trips
 // exactly.
 func ReadFleetTrace(r io.Reader) (*FleetTrace, error) { return trace.ReadJSONL(r) }
+
+// FleetTraceSummary condenses a recording: its header, record and
+// decision counts, each timeline sample's p99, and the highest-regret
+// decisions in TopRegret's order.
+type FleetTraceSummary = trace.Summary
+
+// SummarizeFleetTrace condenses a recording serialized as JSONL in one
+// streaming pass, keeping the topN highest-regret decisions; it never
+// holds the recording. fleetsim's -trace-summary prints it.
+func SummarizeFleetTrace(r io.Reader, topN int) (FleetTraceSummary, error) {
+	return trace.Summarize(r, topN)
+}
 
 // TraceSparkline renders a series as a one-line unicode sparkline,
 // min–max scaled; negative values (the trace's no-data sentinel, e.g. a
