@@ -113,7 +113,7 @@ func benchEngineFigArchSweep(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.RunGrid(points, workers); err != nil {
+		if _, err := sprinting.RunGrid(context.Background(), points, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,6 +280,33 @@ func BenchmarkFleetTraceOff(b *testing.B) {
 		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetTraceStream is BenchmarkFleetTrace on the path every
+// fleetsim -trace run takes: the recorder streams each settled record as
+// JSONL through TraceConfig.Writer (io.Discard here, so no disk time
+// counts) instead of gathering the recording in memory. The full and
+// decisions sub-benchmarks mirror BenchmarkFleetTrace and
+// BenchmarkFleetTraceDecisions; their ratio to BenchmarkFleetTraceOff is
+// the streamed recorder's cost, encoding included.
+func BenchmarkFleetTraceStream(b *testing.B) {
+	for _, level := range []sprinting.TraceLevel{sprinting.TraceFull, sprinting.TraceDecisions} {
+		b.Run(level.String(), func(b *testing.B) {
+			cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
+			cfg.Nodes = 1000
+			cfg.Requests = 100_000
+			cfg.Coordination = sprinting.RackTokenPermit
+			cfg.RackSize = 16
+			cfg.Trace = sprinting.TraceConfig{Level: level, TopK: 3, WindowS: 5, Writer: io.Discard}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -626,12 +626,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		scen  *sprinting.FleetScenario
 	)
 	if *replayPath != "" {
-		data, err := os.ReadFile(*replayPath)
+		f, err := os.Open(*replayPath)
 		if err != nil {
 			fmt.Fprintln(stderr, "fleetsim:", err)
 			return 1
 		}
-		if rows, err = sprinting.ParseRequestTrace(bytes.NewReader(data)); err != nil {
+		rows, err = sprinting.ParseRequestTrace(f)
+		f.Close()
+		if err != nil {
 			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *replayPath, err)
 			return 1
 		}

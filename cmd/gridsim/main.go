@@ -1,7 +1,9 @@
 // Command gridsim runs standalone Figure 6 power-delivery transients:
 // supply-voltage integrity for a configurable core-activation ramp on the
-// Figure 5 RLC network. Multi-schedule sweeps run concurrently on the
-// engine worker pool; output order is always schedule order.
+// Figure 5 RLC network. Schedules run concurrently on the engine worker
+// pool; output order is always schedule order. A ramp that is not finite,
+// or long enough to need more than a million timesteps, is an error
+// (exit 1).
 //
 // Usage:
 //
@@ -47,27 +49,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *rampUs < 0 {
-		ramps := []float64{0, 1.28e-6, 128e-6}
-		results, err := sprinting.SimulateActivationsContext(ctx, ramps, *workers)
-		if err != nil {
-			fmt.Fprintf(stderr, "gridsim: %v\n", err)
-			return 1
-		}
-		for i, ramp := range ramps {
-			if code := report(stdout, stderr, ramp, results[i], ""); code != 0 {
-				return code
-			}
-		}
-		return 0
+	// The paper's three schedules, or one custom ramp (NaN included:
+	// SimulateActivation rejects it) — one batch either way.
+	ramps, csvPath := []float64{0, 1.28e-6, 128e-6}, ""
+	if !(*rampUs < 0) {
+		ramps, csvPath = []float64{*rampUs * 1e-6}, *csvOut
 	}
-	rampS := *rampUs * 1e-6
-	res, err := sprinting.SimulateActivation(rampS)
+	results, err := sprinting.Map(ctx, ramps,
+		func(_ context.Context, rampS float64) (*sprinting.ActivationResult, error) {
+			return sprinting.SimulateActivation(rampS)
+		}, *workers)
 	if err != nil {
 		fmt.Fprintf(stderr, "gridsim: %v\n", err)
 		return 1
 	}
-	return report(stdout, stderr, rampS, res, *csvOut)
+	for i, ramp := range ramps {
+		if code := report(stdout, stderr, ramp, results[i], csvPath); code != 0 {
+			return code
+		}
+	}
+	return 0
 }
 
 func report(stdout, stderr io.Writer, rampS float64, res *sprinting.ActivationResult, csvOut string) int {

@@ -56,3 +56,20 @@ func TestBadFlagFails(t *testing.T) {
 		t.Errorf("bad flag should exit 2, got %d", code)
 	}
 }
+
+// TestBadRampFails: a NaN ramp used to panic in the transient's empty
+// trace, and an infinite or huge one ran without end; each is now an
+// error (exit 1) before any timestep runs, with nothing on stdout.
+func TestBadRampFails(t *testing.T) {
+	for _, ramp := range []string{"NaN", "Inf", "1e12"} {
+		t.Run(ramp, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), []string{"-ramp-us", ramp}, &out, &errb); code != 1 {
+				t.Errorf("exit %d, want 1", code)
+			}
+			if out.Len() != 0 || !strings.Contains(errb.String(), "gridsim: point 0: powergrid: ") {
+				t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
+			}
+		})
+	}
+}

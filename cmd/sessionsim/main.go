@@ -4,7 +4,8 @@
 // sustained, governed-sprint, and unmanaged-sprint service.
 //
 // The three policies are evaluated concurrently on the engine worker pool;
-// output order is always policy order.
+// output order is always policy order. -bursts must lie in [1, 1000000],
+// and -gap and -work must be positive and finite; anything else exits 2.
 //
 // Usage:
 //
@@ -19,12 +20,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"sprinting"
 )
+
+// maxBursts bounds -bursts: a million-burst session evaluates in a
+// fraction of a second, and the bound stops a mistyped count from
+// allocating without end.
+const maxBursts = 1_000_000
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -50,6 +57,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	switch {
+	case *n < 1 || *n > maxBursts:
+		fmt.Fprintf(stderr, "sessionsim: -bursts %d outside [1, %d]\n", *n, maxBursts)
+		return 2
+	case !(*gap > 0) || math.IsInf(*gap, 1):
+		fmt.Fprintf(stderr, "sessionsim: -gap %g s must be positive and finite\n", *gap)
+		return 2
+	case !(*work > 0) || math.IsInf(*work, 1):
+		fmt.Fprintf(stderr, "sessionsim: -work %g s must be positive and finite\n", *work)
+		return 2
+	}
 
 	bursts := sprinting.GenerateSession(*n, *gap, *work, *seed)
 	fmt.Fprintf(stdout, "session: %d bursts, mean gap %.1f s, mean work %.1f s (seed %d)\n\n",
@@ -59,7 +77,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	policies := []sprinting.SessionPolicy{
 		sprinting.SessionSustained, sprinting.SessionGoverned, sprinting.SessionUnmanaged,
 	}
-	metrics, err := sprinting.EvaluateSessionsContext(ctx, bursts, policies, *workers)
+	metrics, err := sprinting.Map(ctx, policies,
+		func(_ context.Context, p sprinting.SessionPolicy) (sprinting.SessionMetrics, error) {
+			return sprinting.EvaluateSession(bursts, p), nil
+		}, *workers)
 	if err != nil {
 		fmt.Fprintln(stderr, "sessionsim:", err)
 		return 1

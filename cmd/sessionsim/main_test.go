@@ -49,3 +49,31 @@ func TestBadFlagFails(t *testing.T) {
 		t.Errorf("bad flag should exit 2, got %d", code)
 	}
 }
+
+// TestBadSessionFlagsFail: a burst count outside [1, maxBursts] or a gap
+// or work mean that is not positive and finite used to print a table (all
+// zeros, NaN, a negative response time, or a silent 0.1 s spacing) or,
+// for a huge count, allocate without end; each is now a flag error
+// (exit 2) with nothing on stdout.
+func TestBadSessionFlagsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bursts", "0"},
+		{"-bursts", "-3"},
+		{"-bursts", "100000000"},
+		{"-work", "-1"},
+		{"-work", "Inf"},
+		{"-gap", "NaN"},
+		{"-gap", "0"},
+		{"-gap", "-5"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), args, &out, &errb); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if out.Len() != 0 || !strings.HasPrefix(errb.String(), "sessionsim: "+args[0]+" ") {
+				t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
+			}
+		})
+	}
+}

@@ -2,7 +2,7 @@
 // mobile stack: sprint initiation and post-sprint cooldown, with optional
 // CSV traces and a configurable design point. A comma-separated power list
 // sweeps the design point concurrently on the engine worker pool; output
-// order is always list order.
+// order is always list order. Every power must be positive and finite.
 //
 // Usage:
 //
@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -73,7 +74,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	switch *mode {
 	case "sprint":
-		results, err := sprinting.SimulateSprintThermalsBatchContext(ctx, design, powers, *workers)
+		results, err := sprinting.Map(ctx, powers,
+			func(_ context.Context, p float64) (sprinting.SprintTransient, error) {
+				return sprinting.SimulateSprintThermals(design, p), nil
+			}, *workers)
 		if err != nil {
 			fmt.Fprintf(stderr, "thermalsim: %v\n", err)
 			return 1
@@ -95,7 +99,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	case "cooldown":
-		results, err := sprinting.SimulateCooldownThermalsBatchContext(ctx, design, powers, *workers)
+		results, err := sprinting.Map(ctx, powers,
+			func(_ context.Context, p float64) (sprinting.CooldownTransient, error) {
+				return sprinting.SimulateCooldownThermals(design, p), nil
+			}, *workers)
 		if err != nil {
 			fmt.Fprintf(stderr, "thermalsim: %v\n", err)
 			return 1
@@ -131,6 +138,9 @@ func parsePowers(list string) ([]float64, error) {
 		p, err := strconv.ParseFloat(part, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -power value %q: %v", part, err)
+		}
+		if !(p > 0) || math.IsInf(p, 1) {
+			return nil, fmt.Errorf("bad -power value %q: want a positive, finite wattage", part)
 		}
 		powers = append(powers, p)
 	}

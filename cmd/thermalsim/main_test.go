@@ -63,3 +63,27 @@ func TestFlagErrors(t *testing.T) {
 		t.Errorf("-csv with a sweep should exit 2, got %d", code)
 	}
 }
+
+// TestBadPowerFails: a power that is not positive and finite used to
+// print a confident transient (a 25 °C peak, a +Inf °C peak, or zeros)
+// and exit 0; it is now a flag error (exit 2) with nothing on stdout.
+func TestBadPowerFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-power", "NaN"},
+		{"-power", "-4"},
+		{"-power", "Inf"},
+		{"-power", "0"},
+		{"-power", "8,-4"},
+		{"-mode", "cooldown", "-power", "-2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), args, &out, &errb); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if out.Len() != 0 || !strings.Contains(errb.String(), "positive, finite wattage") {
+				t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
+			}
+		})
+	}
+}

@@ -43,11 +43,12 @@ func ExampleRunGrid() {
 		{Kernel: "sobel", Size: sprinting.SizeA, Shards: 64,
 			Config: sprinting.DefaultConfig(sprinting.DVFSSprint)},
 	}
-	parallel, err := sprinting.RunGrid(points, 0) // 0 = GOMAXPROCS workers
+	ctx := context.Background()
+	parallel, err := sprinting.RunGrid(ctx, points, 0) // 0 = GOMAXPROCS workers
 	if err != nil {
 		panic(err)
 	}
-	serial, err := sprinting.RunGrid(points, 1)
+	serial, err := sprinting.RunGrid(ctx, points, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -65,6 +66,27 @@ func ExampleRunGrid() {
 	// parallel sprint an order of magnitude faster: true
 	// dvfs sprint caps near cube-root boost: true
 	// serial run identical: true
+}
+
+// ExampleMap sweeps a single-point operation with the facade's one batch
+// call: the §5 activation transient over Figure 6's three schedules.
+// Outputs come back in ramp order whatever the pool width.
+func ExampleMap() {
+	ramps := []float64{0, 1.28e-6, 128e-6}
+	results, err := sprinting.Map(context.Background(), ramps,
+		func(_ context.Context, rampS float64) (*sprinting.ActivationResult, error) {
+			return sprinting.SimulateActivation(rampS)
+		}, 0) // 0 = GOMAXPROCS workers
+	if err != nil {
+		panic(err)
+	}
+	for i, res := range results {
+		fmt.Printf("%.3g µs ramp within tolerance: %v\n", ramps[i]*1e6, res.WithinTolerance)
+	}
+	// Output:
+	// 0 µs ramp within tolerance: false
+	// 1.28 µs ramp within tolerance: false
+	// 128 µs ramp within tolerance: true
 }
 
 // ExampleSimulateActivation reproduces the §5 conclusion: abrupt activation

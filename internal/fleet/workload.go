@@ -40,6 +40,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
@@ -92,25 +93,31 @@ var traceColumns = []string{"arrival_s", "work_s", "width", "tenant", "class"}
 // width, tenant, class; unknown or duplicate columns are errors). Rows
 // are returned in file order; Spec.Validate checks them for replay.
 func ParseRequestTrace(r io.Reader) ([]TraceRequest, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: reading trace: %w", err)
+	br := bufio.NewReader(r)
+	// The skipped whitespace goes back in front of a CSV body, so csv's
+	// line numbers and blank-line rules see the file as written.
+	var lead []byte
+	for {
+		c, err := br.ReadByte()
+		if err == io.EOF {
+			return nil, fmt.Errorf("fleet: empty request trace")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fleet: reading trace: %w", err)
+		}
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			_ = br.UnreadByte() // cannot fail straight after ReadByte
+			if c == '{' {
+				return parseTraceJSONL(br)
+			}
+			return parseTraceCSV(io.MultiReader(bytes.NewReader(lead), br))
+		}
+		lead = append(lead, c)
 	}
-	i := 0
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-		i++
-	}
-	if i == len(data) {
-		return nil, fmt.Errorf("fleet: empty request trace")
-	}
-	if data[i] == '{' {
-		return parseTraceJSONL(data[i:])
-	}
-	return parseTraceCSV(data)
 }
 
-func parseTraceJSONL(data []byte) ([]TraceRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
+func parseTraceJSONL(r io.Reader) ([]TraceRequest, error) {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var rows []TraceRequest
 	for {
@@ -128,8 +135,8 @@ func parseTraceJSONL(data []byte) ([]TraceRequest, error) {
 	return rows, nil
 }
 
-func parseTraceCSV(data []byte) ([]TraceRequest, error) {
-	rd := csv.NewReader(bytes.NewReader(data))
+func parseTraceCSV(r io.Reader) ([]TraceRequest, error) {
+	rd := csv.NewReader(r)
 	rd.TrimLeadingSpace = true
 	header, err := rd.Read()
 	if err != nil {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -266,6 +268,56 @@ func TestTraceParseRejects(t *testing.T) {
 	for i, rows := range bad {
 		if err := (Spec{Replay: rows}).Validate(); err == nil {
 			t.Errorf("case %d: validate accepted %+v", i, rows)
+		}
+	}
+}
+
+// TestTraceParseErrorTexts pins ParseRequestTrace's error texts, leading
+// whitespace included: csv still counts the blank lines it skips, and a
+// whitespace-only first line is still a header with one empty column.
+func TestTraceParseErrorTexts(t *testing.T) {
+	cases := map[string]string{
+		"":                                    "fleet: empty request trace",
+		" \n\t\r\n":                           "fleet: empty request trace",
+		"arrival_s,work_s\n0,1\nzero,1\n":     `fleet: trace row 2: arrival_s: strconv.ParseFloat: parsing "zero": invalid syntax`,
+		"\n\narrival_s,work_s\n0,1\n0,x\"y\n": `fleet: trace row 2: parse error on line 5, column 4: bare " in non-quoted-field`,
+		"  \narrival_s,work_s\n0,1\n":         `fleet: trace header has unknown column "" (want a subset of [arrival_s work_s width tenant class])`,
+		"\n{\"arrival_s\":0,\"work_s\":1}\n{\"arrival_s\":0,\"work_s\":1,\"color\":1}\n": `fleet: trace row 2: json: unknown field "color"`,
+	}
+	for in, want := range cases {
+		if _, err := ParseRequestTrace(strings.NewReader(in)); err == nil || err.Error() != want {
+			t.Errorf("%q: got %v, want %s", in, err, want)
+		}
+	}
+}
+
+// endlessRows is a CSV body that never ends: one valid row after another.
+// A parser that reads its whole input before parsing trips its limit.
+type endlessRows struct{ left int }
+
+func (e *endlessRows) Read(p []byte) (int, error) {
+	if e.left <= 0 {
+		return 0, errors.New("read past the bad row")
+	}
+	n := 0
+	for n+4 <= len(p) && e.left > 0 {
+		n += copy(p[n:], "1,1\n")
+		e.left -= 4
+	}
+	return n, nil
+}
+
+// TestTraceParseStreams: ParseRequestTrace parses as it reads, so a bad
+// row early in a long input fails at that row without reading the rest.
+func TestTraceParseStreams(t *testing.T) {
+	for name, head := range map[string]string{
+		"csv":   "arrival_s,work_s\n0,1\nzero,1\n",
+		"jsonl": "{\"arrival_s\":0,\"work_s\":1}\n{\"arrival_s\":\"zero\"}\n",
+	} {
+		r := io.MultiReader(strings.NewReader(head), &endlessRows{left: 1 << 20})
+		_, err := ParseRequestTrace(r)
+		if err == nil || !strings.HasPrefix(err.Error(), "fleet: trace row 2: ") {
+			t.Errorf("%s: got %v, want the row 2 error", name, err)
 		}
 	}
 }

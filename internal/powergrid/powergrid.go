@@ -296,9 +296,21 @@ func DefaultSimOptions(sched Schedule) SimOptions {
 	}
 }
 
+// maxSteps caps the timesteps one Simulate call takes, fine and coarse
+// together. Figure 6's slowest schedule, the 128 µs ramp, takes about
+// 10⁴, so the cap leaves a hundredfold margin, while a huge activation
+// window fails at once instead of running for hours on an ever-growing
+// trace.
+const maxSteps = 1_000_000
+
 // Simulate runs the supply-integrity transient for a schedule and returns
-// the Figure 6 style result.
+// the Figure 6 style result. A schedule whose start or ramp is negative or
+// not finite, a timestep that is not positive and finite, and a run of
+// more than maxSteps (10⁶) timesteps are errors.
 func Simulate(cfg Config, sched Schedule, opt SimOptions) (*Result, error) {
+	if err := checkRun(sched, opt); err != nil {
+		return nil, err
+	}
 	grid, err := Build(cfg, sched)
 	if err != nil {
 		return nil, err
@@ -340,6 +352,9 @@ func Simulate(cfg Config, sched Schedule, opt SimOptions) (*Result, error) {
 		return nil, err
 	}
 	sim.RunUntil(opt.Horizon, observe)
+	if len(res.Supply.Points()) == 0 {
+		return nil, fmt.Errorf("powergrid: a %g s horizon ends before the first timestep", opt.Horizon)
+	}
 
 	res.FinalV = res.Supply.Last().V
 	nominal := cfg.SupplyV
@@ -362,6 +377,24 @@ func Simulate(cfg Config, sched Schedule, opt SimOptions) (*Result, error) {
 		res.SettleS = math.Max(0, st-sched.StartS)
 	}
 	return res, nil
+}
+
+// checkRun reports the first reason Simulate refuses a schedule and its
+// options.
+func checkRun(sched Schedule, opt SimOptions) error {
+	switch {
+	case !(sched.StartS >= 0) || math.IsInf(sched.StartS, 1):
+		return fmt.Errorf("powergrid: activation start %g s must be finite and non-negative", sched.StartS)
+	case !(sched.RampS >= 0) || math.IsInf(sched.RampS, 1):
+		return fmt.Errorf("powergrid: activation ramp %g s must be finite and non-negative", sched.RampS)
+	case !(opt.FineDt > 0) || math.IsInf(opt.FineDt, 1) || !(opt.CoarseDt > 0) || math.IsInf(opt.CoarseDt, 1):
+		return fmt.Errorf("powergrid: timesteps must be positive and finite (fine %g s, coarse %g s)", opt.FineDt, opt.CoarseDt)
+	}
+	steps := math.Max(0, opt.FineUntil)/opt.FineDt + math.Max(0, opt.Horizon-opt.FineUntil)/opt.CoarseDt
+	if !(steps <= maxSteps) {
+		return fmt.Errorf("powergrid: a %g s horizon takes %.3g timesteps, over the %d-step cap", opt.Horizon, steps, maxSteps)
+	}
+	return nil
 }
 
 // NetlistSummary renders the Figure 5 model as human-readable rows

@@ -178,6 +178,45 @@ func TestSingleCoreGrid(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsBadRuns: a NaN, infinite, negative or huge ramp, a
+// bad start and a non-positive timestep fail before any timestep runs,
+// while Figure 6's three schedules at their default options stay under
+// the step cap.
+func TestSimulateRejectsBadRuns(t *testing.T) {
+	cfg := DefaultConfig()
+	ramp := LinearRamp(2e-6, 1.28e-6)
+	with := func(edit func(*SimOptions)) SimOptions {
+		opt := DefaultSimOptions(ramp)
+		edit(&opt)
+		return opt
+	}
+	cases := []struct {
+		name  string
+		sched Schedule
+		opt   SimOptions
+	}{
+		{"NaN ramp", LinearRamp(2e-6, math.NaN()), DefaultSimOptions(LinearRamp(2e-6, math.NaN()))},
+		{"infinite ramp", LinearRamp(2e-6, math.Inf(1)), DefaultSimOptions(LinearRamp(2e-6, math.Inf(1)))},
+		{"negative ramp", LinearRamp(2e-6, -1e-6), DefaultSimOptions(LinearRamp(2e-6, -1e-6))},
+		{"huge ramp", LinearRamp(2e-6, 1e6), DefaultSimOptions(LinearRamp(2e-6, 1e6))},
+		{"NaN start", Abrupt(math.NaN()), fastOptions(Abrupt(2e-6))},
+		{"negative start", Abrupt(-1e-6), fastOptions(Abrupt(2e-6))},
+		{"zero fine step", ramp, with(func(o *SimOptions) { o.FineDt = 0 })},
+		{"NaN coarse step", ramp, with(func(o *SimOptions) { o.CoarseDt = math.NaN() })},
+		{"empty horizon", ramp, with(func(o *SimOptions) { o.FineUntil, o.Horizon = 0, 0 })},
+	}
+	for _, c := range cases {
+		if res, err := Simulate(cfg, c.sched, c.opt); err == nil {
+			t.Errorf("%s: want an error, got %+v", c.name, res)
+		}
+	}
+	for _, sched := range []Schedule{Abrupt(2e-6), ramp, LinearRamp(2e-6, 128e-6)} {
+		if err := checkRun(sched, DefaultSimOptions(sched)); err != nil {
+			t.Errorf("%s: %v", sched.Name, err)
+		}
+	}
+}
+
 func TestNetlistSummaryComplete(t *testing.T) {
 	rows := DefaultConfig().NetlistSummary()
 	if len(rows) < 10 {

@@ -17,8 +17,8 @@
 // so regeneration is parallel by default. Point evaluations are
 // deterministic, so any worker count — including 1, which is exactly
 // serial — produces identical tables; see RunOptions.Workers and RunGrid
-// for batch simulation from client code. Batch APIs take a caller context
-// or come in ...Context variants, and honor its cancellation.
+// for batch simulation from client code, and Map to sweep any single-point
+// operation. Batch APIs take a caller context and honor its cancellation.
 //
 // Beyond the paper's single-chip evaluation, RunFleet scales the
 // ingredients to a datacenter: a deterministic discrete-event simulation
@@ -158,7 +158,8 @@ type ActivationResult = powergrid.Result
 
 // SimulateActivation runs the §5 power-distribution transient for a linear
 // core-activation ramp of the given duration (0 = abrupt) and reports
-// supply integrity against the 2% tolerance.
+// supply integrity against the 2% tolerance. A NaN or infinite ramp, or
+// one longer than about 20 ms (a million timesteps), is an error.
 func SimulateActivation(rampS float64) (*ActivationResult, error) {
 	cfg := powergrid.DefaultConfig()
 	var sched powergrid.Schedule
@@ -168,39 +169,6 @@ func SimulateActivation(rampS float64) (*ActivationResult, error) {
 		sched = powergrid.LinearRamp(2e-6, rampS)
 	}
 	return powergrid.Simulate(cfg, sched, powergrid.DefaultSimOptions(sched))
-}
-
-// SimulateActivationsContext runs SimulateActivation for every ramp
-// concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
-// 1 is exactly serial), returning results in ramp order. Cancellation
-// stops new ramps from starting, and finished ramps keep their results.
-func SimulateActivationsContext(ctx context.Context, rampsS []float64, workers int) ([]*ActivationResult, error) {
-	return engine.Map(ctx, rampsS,
-		func(_ context.Context, rampS float64) (*ActivationResult, error) {
-			return SimulateActivation(rampS)
-		}, engine.Options{Workers: workers})
-}
-
-// SimulateSprintThermalsBatchContext runs SimulateSprintThermals for
-// every sprint power concurrently on a bounded worker pool, returning
-// transients in power order. The error reports cancellation or any
-// simulation panic the pool isolated.
-func SimulateSprintThermalsBatchContext(ctx context.Context, d ThermalDesign, powersW []float64, workers int) ([]SprintTransient, error) {
-	return engine.Map(ctx, powersW,
-		func(_ context.Context, p float64) (SprintTransient, error) {
-			return SimulateSprintThermals(d, p), nil
-		}, engine.Options{Workers: workers})
-}
-
-// SimulateCooldownThermalsBatchContext runs SimulateCooldownThermals for
-// every sprint power concurrently on a bounded worker pool, returning
-// transients in power order. The error reports cancellation or any
-// simulation panic the pool isolated.
-func SimulateCooldownThermalsBatchContext(ctx context.Context, d ThermalDesign, powersW []float64, workers int) ([]CooldownTransient, error) {
-	return engine.Map(ctx, powersW,
-		func(_ context.Context, p float64) (CooldownTransient, error) {
-			return SimulateCooldownThermals(d, p), nil
-		}, engine.Options{Workers: workers})
 }
 
 // PowerSupply is the §6 hybrid battery + ultracapacitor model.
@@ -253,17 +221,6 @@ func GenerateSession(n int, meanGapS, meanWorkS float64, seed int64) []Burst {
 // 16-core platform and returns the response-time metrics.
 func EvaluateSession(bursts []Burst, policy SessionPolicy) SessionMetrics {
 	return session.Evaluate(bursts, policy, session.DefaultConfig())
-}
-
-// EvaluateSessionsContext services the burst trace under every policy
-// concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
-// 1 is exactly serial), returning metrics in policy order. The error
-// reports cancellation or any evaluation panic the pool isolated.
-func EvaluateSessionsContext(ctx context.Context, bursts []Burst, policies []SessionPolicy, workers int) ([]SessionMetrics, error) {
-	return engine.Map(ctx, policies,
-		func(_ context.Context, p SessionPolicy) (SessionMetrics, error) {
-			return EvaluateSession(bursts, p), nil
-		}, engine.Options{Workers: workers})
 }
 
 // FleetPolicy selects how a simulated datacenter fleet dispatches
@@ -654,13 +611,21 @@ type GridPoint = engine.Point
 // returns the results in point order regardless of completion order.
 // Evaluations are deterministic, so every worker count produces identical
 // results; a panicking or failing point is isolated and reported in the
-// joined error while the remaining points still complete.
-func RunGrid(points []GridPoint, workers int) ([]Result, error) {
-	return RunGridContext(context.Background(), points, workers)
+// joined error while the remaining points still complete. Cancelling ctx
+// stops new points from starting while finished points keep their results.
+func RunGrid(ctx context.Context, points []GridPoint, workers int) ([]Result, error) {
+	return engine.RunGrid(ctx, points, engine.Options{Workers: workers})
 }
 
-// RunGridContext is RunGrid under a caller context: cancellation stops new
-// points from starting while finished points keep their results.
-func RunGridContext(ctx context.Context, points []GridPoint, workers int) ([]Result, error) {
-	return engine.RunGrid(ctx, points, engine.Options{Workers: workers})
+// Map is the facade's one generic batch call: it applies fn to every item
+// concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
+// 1 is exactly serial) and returns the outputs in item order whatever the
+// completion order. Pair it with any single-point operation —
+// SimulateActivation, SimulateSprintThermals, SimulateCooldownThermals,
+// EvaluateSession — to sweep it. A failing or panicking item is isolated
+// and reported, with its index, in the joined error while the others
+// still complete. Cancelling ctx stops new items from starting while
+// finished items keep their results.
+func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error), workers int) ([]O, error) {
+	return engine.Map(ctx, items, fn, engine.Options{Workers: workers})
 }
