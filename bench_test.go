@@ -144,7 +144,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.RunFleetSweep(context.Background(), specs, 0); err != nil {
+		if _, err := sprinting.Map(context.Background(), specs, fleetMetrics, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func BenchmarkRackSweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sprinting.RunFleetSweep(context.Background(), specs, 0); err != nil {
+		if _, err := sprinting.Map(context.Background(), specs, fleetMetrics, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,8 @@
 // ultracap buffer, and the report adds breaker trips, throttled seconds,
 // and the permit-denial rate.
 //
-// Multi-policy sweeps run concurrently on the engine worker pool; every
+// Every mode (synthetic, scenario, workload, replay, trace) runs its
+// policy × coordination grid as one sweep on the engine worker pool; every
 // simulation is deterministic, so -workers=1 produces byte-identical
 // output. Independently, -shard-workers W shards each simulation's own
 // event loop across W per-worker loops on real goroutines, with racks as
@@ -105,7 +106,8 @@
 // With -replay file the run replays a recorded request trace (JSON lines
 // or CSV of arrival_s, work_s and optional width/tenant/class labels)
 // instead of synthesizing arrivals — deterministic what-if replays of
-// recorded demand, byte-identical at any -shard-workers count.
+// recorded demand, byte-identical at any -shard-workers count; -policy all
+// and -coordination all sweep the same rows.
 // -convert-trace recording.jsonl -replay-out trace.csv converts a flight
 // recording into such a trace, closing the record→replay loop (replaying
 // a recording of a plain run reproduces that run's metrics exactly).
@@ -464,7 +466,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		scenarioPath = fs.String("scenario", "", "JSON scenario file: load phases/ramps, ambient swings, node classes, churn (supersedes -requests and -rate)")
 
-		replayPath   = fs.String("replay", "", "replay a recorded request trace (JSONL or CSV of arrival_s, work_s, optional width/tenant/class) instead of synthesizing arrivals; needs one concrete -policy and -coordination")
+		replayPath   = fs.String("replay", "", "replay a recorded request trace (JSONL or CSV of arrival_s, work_s, optional width/tenant/class) instead of synthesizing arrivals; -policy all and -coordination all sweep the same rows")
 		workloadPath = fs.String("workload", "", "JSON multi-tenant workload spec: SLO classes, tenant populations, admission control, dequeue discipline (combine with -scenario to ride its phases)")
 		convertTrace = fs.String("convert-trace", "", "read a flight-recorder JSONL recording and write its arrivals as a replayable CSV trace to -replay-out, then exit")
 		replayOut    = fs.String("replay-out", "", "destination file for -convert-trace")
@@ -551,11 +553,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -replay (the trace owns the load profile)\n", f)
 				return 2
 			}
-		}
-		if *policy == "all" || *coordination == "all" {
-			fmt.Fprintf(stderr, "fleetsim: -replay replays a single run; pick one -policy and one -coordination (got -policy %s, -coordination %s)\n",
-				*policy, *coordination)
-			return 2
 		}
 	}
 	if *workloadPath != "" {
@@ -736,8 +733,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case scen != nil || rows != nil:
-		// These reports print after the run.
+	case scen != nil:
+		// The scenario report prints after the run: its header names the
+		// node count the run resolved.
+	case rows != nil:
+		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
+			*replayPath, len(rows), *nodes, *seed)
 	case wspec != nil:
 		fmt.Fprintf(stdout, "workload %s: %d classes, %d tenants, %d nodes (seed %d)\n\n",
 			*workloadPath, len(wspec.Classes), len(wspec.Tenants), *nodes, *seed)
@@ -745,19 +746,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "fleet: %d nodes, %d requests at %.2f req/s (mean work %.1f s, seed %d)\n\n",
 			*nodes, *requests, specs[0].Config.EffectiveRatePerS(), *work, *seed)
 	}
-	// A trace or a replay records or replays one run; everything else is a
-	// sweep over the policy × coordination grid.
-	var (
-		metrics []sprinting.FleetMetrics
-		err     error
-	)
-	if *tracePath != "" || rows != nil {
-		var m sprinting.FleetMetrics
-		m, _, err = sprinting.RunFleet(ctx, specs[0])
-		metrics = []sprinting.FleetMetrics{m}
-	} else {
-		metrics, err = sprinting.RunFleetSweep(ctx, specs, *workers)
-	}
+	// Every mode is a sweep over the policy × coordination grid; a traced
+	// run is a grid of one, which Map runs on this goroutine.
+	metrics, err := sprinting.Map(ctx, specs,
+		func(ctx context.Context, spec sprinting.FleetSpec) (sprinting.FleetMetrics, error) {
+			m, _, err := sprinting.RunFleet(ctx, spec)
+			return m, err
+		}, *workers)
 	if err != nil {
 		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
@@ -785,27 +780,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if scen != nil {
 		printScenarioReport(*scenarioPath, *scen, metrics, stdout)
-		if *traceSummary {
-			return printTraceSummary(stdout, stderr, *tracePath, kept)
-		}
-		return 0
-	}
-	if rows != nil {
-		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
-			*replayPath, len(rows), *nodes, *seed)
-	}
-	if len(metrics) > 0 && metrics[0].ApproxQuantiles {
-		fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
-	}
-
-	printRunTable(stdout, rackMode, metrics)
-	if rows != nil || wspec != nil {
-		return 0
-	}
-	if rackMode {
-		fmt.Fprintln(stdout, "\nuncoordinated sprints can trip the rack breaker; token permits make trips impossible by construction")
 	} else {
-		fmt.Fprintln(stdout, "\nsprint-aware dispatch routes on thermal headroom; hedging trades duplicated energy for tail latency")
+		if metrics[0].ApproxQuantiles {
+			fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
+		}
+		printRunTable(stdout, rackMode, metrics)
+		switch {
+		case rows != nil || wspec != nil:
+			// Replay and workload reports end at their tables.
+		case rackMode:
+			fmt.Fprintln(stdout, "\nuncoordinated sprints can trip the rack breaker; token permits make trips impossible by construction")
+		default:
+			fmt.Fprintln(stdout, "\nsprint-aware dispatch routes on thermal headroom; hedging trades duplicated energy for tail latency")
+		}
 	}
 	if *traceSummary {
 		return printTraceSummary(stdout, stderr, *tracePath, kept)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -483,13 +484,10 @@ func TestTraceUnwritablePathFails(t *testing.T) {
 }
 
 // TestReplayWorkloadFlagCoherence: replay and workload runs own their
-// load profile, so load-shaping flags, multi-run sweeps, and each other
-// are rejected up front with exit 2; -convert-trace and -replay-out are
-// a pair.
+// load profile, so load-shaping flags and each other are rejected up
+// front with exit 2; -convert-trace and -replay-out are a pair.
 func TestReplayWorkloadFlagCoherence(t *testing.T) {
 	cases := [][]string{
-		{"-replay", "t.csv"}, // default -policy all: replay wants one run
-		{"-replay", "t.csv", "-policy", "sprint-aware", "-coordination", "all"},
 		{"-replay", "t.csv", "-policy", "sprint-aware", "-requests", "100"},
 		{"-replay", "t.csv", "-policy", "sprint-aware", "-rate", "2"},
 		{"-replay", "t.csv", "-policy", "sprint-aware", "-workload", "w.json"},
@@ -553,6 +551,80 @@ func TestConvertReplayRoundTrip(t *testing.T) {
 	for _, want := range []string{"replay " + trace, "400 recorded arrivals", "sprint-aware"} {
 		if !strings.Contains(reports[0], want) {
 			t.Errorf("replay report missing %q:\n%s", want, reports[0])
+		}
+	}
+}
+
+// TestReplaySweep: a replay is an ordinary load source, so -policy all
+// and -coordination all replay the same rows at every point of the grid.
+// The sweep's report is the single-point replays' report rows, each
+// unchanged, in the sweep's order under one header.
+func TestReplaySweep(t *testing.T) {
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "rec.jsonl")
+	if _, code := runOut(t, "-nodes", "4", "-requests", "600", "-rate", "2.6", "-policy", "sprint-aware",
+		"-trace", rec); code != 0 {
+		t.Fatalf("record exit %d", code)
+	}
+	trace := filepath.Join(dir, "trace.csv")
+	if out, code := runOut(t, "-convert-trace", rec, "-replay-out", trace); code != 0 {
+		t.Fatalf("convert exit %d:\n%s", code, out)
+	}
+	// split cuts a report after its column-header line into the header
+	// block and the rows below it.
+	split := func(out string) (head, rows string) {
+		i := strings.Index(out, "\npolicy ")
+		if i < 0 {
+			t.Fatalf("no column header in:\n%s", out)
+		}
+		j := strings.IndexByte(out[i+1:], '\n')
+		return out[:i+1+j+1], out[i+1+j+1:]
+	}
+	for _, c := range []struct {
+		common []string // flags every run of the case shares
+		sweep  []string
+		points [][]string
+	}{
+		{nil, []string{"-policy", "all"}, [][]string{
+			{"-policy", "round-robin"}, {"-policy", "least-loaded"},
+			{"-policy", "sprint-aware"}, {"-policy", "hedged"},
+		}},
+		{[]string{"-policy", "sprint-aware", "-rack-size", "2"}, []string{"-coordination", "all"}, [][]string{
+			{"-coordination", "uncoordinated"}, {"-coordination", "token-permit"}, {"-coordination", "probabilistic"},
+		}},
+	} {
+		common := append([]string{"-replay", trace, "-nodes", "4"}, c.common...)
+		out, code := runOut(t, slices.Concat(common, c.sweep)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d", c.sweep, code)
+		}
+		head, rows := split(out)
+		var want []string
+		for _, p := range c.points {
+			pout, code := runOut(t, slices.Concat(common, p)...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d", p, code)
+			}
+			phead, prows := split(pout)
+			if phead != head {
+				t.Errorf("%v: header %q, sweep header %q", p, phead, head)
+			}
+			want = append(want, prows)
+		}
+		if got := strings.Join(want, ""); rows != got {
+			t.Errorf("%v sweep rows differ from the single-point replays in order:\n--- sweep ---\n%s--- points ---\n%s",
+				c.sweep, rows, got)
+		}
+		n := 0
+		for _, line := range strings.Split(rows, "\n") {
+			if name, _, _ := strings.Cut(line, " "); name != "" {
+				if _, err := sprinting.ParseFleetPolicy(name); err == nil {
+					n++
+				}
+			}
+		}
+		if n != len(c.points) {
+			t.Errorf("%v: %d report rows, want one per point (%d):\n%s", c.sweep, n, len(c.points), rows)
 		}
 	}
 }

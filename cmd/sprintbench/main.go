@@ -9,6 +9,10 @@
 //	sprintbench -list
 //	sprintbench -exp all
 //	sprintbench -exp fig7,fig10 -scale 0.5 -workers 8
+//
+// A -scale that is not positive and finite, a -format other than table
+// or csv, and an unknown or empty experiment id are flag errors (exit 2),
+// reported before any experiment runs.
 package main
 
 import (
@@ -17,8 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -59,15 +65,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// Every flag is checked before the first experiment runs, so a bad one
+	// never follows a partial regeneration.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(stderr, "sprintbench: bad -scale %v: want a positive, finite multiplier\n", *scale)
+		return 2
+	}
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(stderr, "sprintbench: unknown -format %q (want table|csv)\n", *format)
+		return 2
+	}
 	selected := ids
 	if *exp != "all" {
 		selected = strings.Split(*exp, ",")
+		for i, id := range selected {
+			selected[i] = strings.TrimSpace(id)
+			if !slices.Contains(ids, selected[i]) {
+				fmt.Fprintf(stderr, "sprintbench: unknown experiment id %q in -exp (have %s)\n", selected[i], strings.Join(ids, ", "))
+				return 2
+			}
+		}
 	}
 	for _, id := range selected {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
 		//sprintvet:ignore nondeterminism wall-clock timing of the regeneration is the reported product, not sim state
 		start := time.Now()
 		opt := sprinting.RunOptions{Scale: *scale, Workers: *workers, CSV: *format == "csv"}

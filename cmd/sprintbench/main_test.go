@@ -50,8 +50,38 @@ func TestCSVFormat(t *testing.T) {
 }
 
 func TestUnknownExperimentFails(t *testing.T) {
-	if _, code := runOut(t, "-exp", "fig99"); code != 1 {
-		t.Errorf("unknown experiment should exit 1, got %d", code)
+	if _, code := runOut(t, "-exp", "fig99"); code != 2 {
+		t.Errorf("unknown experiment should exit 2, got %d", code)
+	}
+}
+
+// TestBadFlagsFailBeforeRunning: a bad -scale, -format or experiment id
+// used to print full tables (a NaN or infinite scale gave one constant
+// speedup per kernel; 0 and -1 silently ran scale 1; xml printed tables)
+// or a partial regeneration before failing; it now exits 2 with nothing
+// on stdout, before the first experiment runs.
+func TestBadFlagsFailBeforeRunning(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-exp", "fig1", "-scale", "NaN", "-format", "csv"}, "bad -scale NaN"},
+		{[]string{"-exp", "fig1", "-scale", "Inf"}, "bad -scale +Inf"},
+		{[]string{"-exp", "fig1", "-scale", "-1"}, "bad -scale -1"},
+		{[]string{"-exp", "fig1", "-scale", "0"}, "bad -scale 0"},
+		{[]string{"-exp", "fig1", "-format", "xml"}, `unknown -format "xml"`},
+		{[]string{"-exp", "fig1,nosuch"}, `unknown experiment id "nosuch"`},
+		{[]string{"-exp", ""}, `unknown experiment id ""`},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), c.args, &out, &errb); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if out.Len() != 0 || !strings.Contains(errb.String(), c.wantErr) {
+				t.Errorf("stdout %q, stderr %q, want no stdout and an error naming %q", out.String(), errb.String(), c.wantErr)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,10 @@
 // mobile stack: sprint initiation and post-sprint cooldown, with optional
 // CSV traces and a configurable design point. A comma-separated power list
 // sweeps the design point concurrently on the engine worker pool; output
-// order is always list order. Every power must be positive and finite.
+// order is always list order. Every power must be positive and at most
+// 1 kW (62.5× the paper's 16 W sprint): the sprint transient is sampled
+// every 0.1 ms, and from a few kilowatts up a sprint ends within one
+// sample, so the printed durations and peaks would mean nothing.
 //
 // Usage:
 //
@@ -128,6 +131,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// maxPowerW is the highest sprint power thermalsim accepts; see the
+// package doc.
+const maxPowerW = 1000
+
 func parsePowers(list string) ([]float64, error) {
 	var powers []float64
 	for _, part := range strings.Split(list, ",") {
@@ -141,6 +148,9 @@ func parsePowers(list string) ([]float64, error) {
 		}
 		if !(p > 0) || math.IsInf(p, 1) {
 			return nil, fmt.Errorf("bad -power value %q: want a positive, finite wattage", part)
+		}
+		if p > maxPowerW {
+			return nil, fmt.Errorf("bad -power value %q: above the %d W ceiling", part, maxPowerW)
 		}
 		powers = append(powers, p)
 	}

@@ -87,3 +87,27 @@ func TestBadPowerFails(t *testing.T) {
 		})
 	}
 }
+
+// TestPowerAboveCeilingFails: a power past the 1 kW ceiling used to print
+// a sprint that ended within one sample (a 0.000 s sprint with a 5025 °C
+// or 300-digit peak, or a refreeze that completed before it started) and
+// exit 0; it is now a flag error (exit 2) with nothing on stdout.
+func TestPowerAboveCeilingFails(t *testing.T) {
+	for _, mode := range []string{"sprint", "cooldown"} {
+		for _, power := range []string{"1e300", "1e6"} {
+			args := []string{"-mode", mode, "-power", power}
+			t.Run(strings.Join(args, " "), func(t *testing.T) {
+				var out, errb bytes.Buffer
+				if code := run(context.Background(), args, &out, &errb); code != 2 {
+					t.Errorf("exit %d, want 2", code)
+				}
+				if out.Len() != 0 || !strings.Contains(errb.String(), "above the 1000 W ceiling") {
+					t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
+				}
+			})
+		}
+	}
+	if _, code := runOut(t, "-power", "1000"); code != 0 {
+		t.Errorf("-power 1000 (the ceiling itself): exit %d, want 0", code)
+	}
+}

@@ -26,6 +26,13 @@ import (
 	"sprinting"
 )
 
+// fleetMetrics runs one spec for a sweep; the planner reads metrics
+// only, so the (untraced) run's nil recording is dropped.
+func fleetMetrics(ctx context.Context, spec sprinting.FleetSpec) (sprinting.FleetMetrics, error) {
+	m, _, err := sprinting.RunFleet(ctx, spec)
+	return m, err
+}
+
 func main() {
 	ctx := context.Background()
 	const (
@@ -54,7 +61,7 @@ func main() {
 			cfg.MeanWorkS = meanWorkS
 			specs = append(specs, sprinting.FleetSpec{Config: cfg})
 		}
-		metrics, err := sprinting.RunFleetSweep(ctx, specs, 0)
+		metrics, err := sprinting.Map(ctx, specs, fleetMetrics, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +106,7 @@ func main() {
 		cfg.RackPowerBudgetW = sprinting.RackBudgetW(rackNodes, 1, cfg.Node)
 		rackSpecs = append(rackSpecs, sprinting.FleetSpec{Config: cfg})
 	}
-	rackMetrics, err := sprinting.RunFleetSweep(ctx, rackSpecs, 0)
+	rackMetrics, err := sprinting.Map(ctx, rackSpecs, fleetMetrics, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func main() {
 		cfg.MeanWorkS = meanWorkS
 		scs = append(scs, sprinting.FleetSpec{Config: cfg, Scenario: &scenario})
 	}
-	scenMetrics, err := sprinting.RunFleetSweep(ctx, scs, 0)
+	scenMetrics, err := sprinting.Map(ctx, scs, fleetMetrics, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,14 +36,15 @@
 // retarget every governor, heterogeneous node classes, and seeded node
 // failure/recovery churn, reported per phase. See FleetScenario and the
 // fleet_scenarios experiment. The same spec carries multi-tenant
-// workloads and trace replays, and RunFleetSweep fans specs out on the
-// worker pool.
+// workloads and trace replays, and Map over RunFleet fans specs out on
+// the worker pool.
 package sprinting
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"sprinting/internal/core"
 	"sprinting/internal/engine"
@@ -344,9 +345,8 @@ type FleetSpec = fleet.Spec
 // FleetConfig.Trace.Writer set, streamed there as JSONL while the run
 // proceeds; its metrics equal the untraced run's, since the recorder
 // observes and never steers. The trace is nil for an untraced or a
-// streamed run. The result is a pure function of
-// the spec, and the context is checked periodically so very large runs
-// can be cancelled.
+// streamed run. The result is a pure function of the spec, and the
+// context is checked periodically so very large runs can be cancelled.
 //
 // The simulator is built for warehouse scale: dispatch is O(log N) per
 // arrival over an incrementally maintained index (segmented per node
@@ -358,29 +358,6 @@ type FleetSpec = fleet.Spec
 // BenchmarkFleetScaleDecoupledParallel); coupled runs ignore it.
 func RunFleet(ctx context.Context, spec FleetSpec) (FleetMetrics, *FleetTrace, error) {
 	return fleet.Run(ctx, spec)
-}
-
-// RunFleetSweep runs every spec concurrently on a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS, 1 is exactly serial), returning
-// metrics in spec order. Simulations are deterministic, so every worker
-// count produces identical metrics. A sweep records no traces: a spec
-// with tracing on is an error, and recordings come from RunFleet. Every
-// spec is checked before any runs, and the first that fails its
-// FleetSpec.Validate fails the sweep.
-func RunFleetSweep(ctx context.Context, specs []FleetSpec, workers int) ([]FleetMetrics, error) {
-	for i := range specs {
-		if specs[i].Config.Trace.Level != TraceOff {
-			return nil, fmt.Errorf("sprinting: fleet spec %d has tracing on; record traces one run at a time with RunFleet", i)
-		}
-		if err := specs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sprinting: fleet spec %d: %w", i, err)
-		}
-	}
-	return engine.Map(ctx, specs,
-		func(ctx context.Context, spec FleetSpec) (FleetMetrics, error) {
-			m, _, err := fleet.Run(ctx, spec)
-			return m, err
-		}, engine.Options{Workers: workers})
 }
 
 // FleetScenario is a declarative dynamic-fleet description: load phases
@@ -524,9 +501,7 @@ func WriteRequestTraceCSV(w io.Writer, rows []TraceRequest) error {
 // recorded fresh-arrival dispatch decision, drops included). It reads
 // the recording line by line and keeps only the rows; decoding is as
 // strict as ReadFleetTrace's, with the same errors.
-func ReplayFromJSONL(r io.Reader) ([]TraceRequest, error) {
-	return fleet.ReplayFromJSONL(r)
-}
+func ReplayFromJSONL(r io.Reader) ([]TraceRequest, error) { return fleet.ReplayFromJSONL(r) }
 
 // ReadFleetTrace parses a flight-recorder recording serialized by
 // FleetTrace.WriteJSONL; decoding is strict, so a recording round-trips
@@ -567,6 +542,7 @@ func ExperimentIDs() []string {
 type RunOptions struct {
 	// Scale multiplies workload input sizes; <= 0 or 1 selects the
 	// calibrated defaults, smaller values give quick approximate runs.
+	// A NaN or infinite scale is an error.
 	Scale float64
 	// Workers bounds the engine pool evaluating the experiment's sweep;
 	// <= 0 selects GOMAXPROCS and 1 is exactly serial. Tables are
@@ -585,6 +561,9 @@ func RunExperimentWithContext(ctx context.Context, w io.Writer, id string, opt R
 	d, err := experiments.ByID(id)
 	if err != nil {
 		return err
+	}
+	if math.IsNaN(opt.Scale) || math.IsInf(opt.Scale, 0) {
+		return fmt.Errorf("sprinting: experiment %s: scale %v is not finite", id, opt.Scale)
 	}
 	tables, err := d.Run(ctx, experiments.Options{Scale: opt.Scale, Workers: opt.Workers})
 	if err != nil {
@@ -620,12 +599,18 @@ func RunGrid(ctx context.Context, points []GridPoint, workers int) ([]Result, er
 // Map is the facade's one generic batch call: it applies fn to every item
 // concurrently on a bounded worker pool (workers <= 0 selects GOMAXPROCS,
 // 1 is exactly serial) and returns the outputs in item order whatever the
-// completion order. Pair it with any single-point operation —
+// completion order. A failing or panicking item is isolated and reported,
+// with its index, in the joined error while the others still complete.
+// Cancelling ctx stops new items from starting while finished items keep
+// their results. Pair it with a single-point operation to sweep it —
 // SimulateActivation, SimulateSprintThermals, SimulateCooldownThermals,
-// EvaluateSession — to sweep it. A failing or panicking item is isolated
-// and reported, with its index, in the joined error while the others
-// still complete. Cancelling ctx stops new items from starting while
-// finished items keep their results.
+// EvaluateSession or RunFleet, whose runs each validate their own spec:
+//
+//	metrics, err := sprinting.Map(ctx, specs,
+//		func(ctx context.Context, s sprinting.FleetSpec) (sprinting.FleetMetrics, error) {
+//			m, _, err := sprinting.RunFleet(ctx, s)
+//			return m, err
+//		}, workers)
 func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error), workers int) ([]O, error) {
 	return engine.Map(ctx, items, fn, engine.Options{Workers: workers})
 }

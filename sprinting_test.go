@@ -3,6 +3,8 @@ package sprinting_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -86,6 +88,22 @@ func TestPublicExperimentList(t *testing.T) {
 	}
 }
 
+// TestPublicExperimentNonFiniteScale: a NaN or infinite scale is an
+// error that writes nothing; it used to print tables whose numbers were
+// meaningless. Scale 0 keeps its documented calibrated default.
+func TestPublicExperimentNonFiniteScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var buf bytes.Buffer
+		err := sprinting.RunExperimentWithContext(context.Background(), &buf, "table1", sprinting.RunOptions{Scale: scale})
+		if err == nil || !strings.Contains(err.Error(), "not finite") || buf.Len() != 0 {
+			t.Errorf("scale %v: err %v, %d bytes written; want a not-finite error and no output", scale, err, buf.Len())
+		}
+	}
+	if err := sprinting.RunExperimentWithContext(context.Background(), io.Discard, "table1", sprinting.RunOptions{}); err != nil {
+		t.Errorf("scale 0 (calibrated default): %v", err)
+	}
+}
+
 func TestPublicExperimentCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sprinting.RunExperimentWithContext(context.Background(), &buf, "table1", sprinting.RunOptions{Scale: 1, CSV: true}); err != nil {
@@ -130,6 +148,20 @@ func TestPublicFleet(t *testing.T) {
 	if m.Completed != cfg.Requests || m.P99S <= 0 || m.TotalEnergyJ <= 0 {
 		t.Errorf("degenerate fleet metrics: %+v", m)
 	}
+	// The same spec with the recorder on returns its recording, one
+	// dispatch decision per request.
+	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceDecisions}
+	m, tr, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg})
+	if err != nil || tr == nil || len(tr.Decisions()) != m.Requests {
+		t.Fatalf("RunFleet on the traced spec: err %v, trace %v", err, tr != nil)
+	}
+}
+
+// fleetMetrics is RunFleet without its trace, the function a fleet sweep
+// hands to Map.
+func fleetMetrics(ctx context.Context, spec sprinting.FleetSpec) (sprinting.FleetMetrics, error) {
+	m, _, err := sprinting.RunFleet(ctx, spec)
+	return m, err
 }
 
 func TestPublicFleetSweepDeterministic(t *testing.T) {
@@ -140,11 +172,11 @@ func TestPublicFleetSweepDeterministic(t *testing.T) {
 		cfg.Requests = 800
 		specs = append(specs, sprinting.FleetSpec{Config: cfg})
 	}
-	serial, err := sprinting.RunFleetSweep(context.Background(), specs, 1)
+	serial, err := sprinting.Map(context.Background(), specs, fleetMetrics, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := sprinting.RunFleetSweep(context.Background(), specs, 4)
+	wide, err := sprinting.Map(context.Background(), specs, fleetMetrics, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,39 +187,5 @@ func TestPublicFleetSweepDeterministic(t *testing.T) {
 	}
 	if _, err := sprinting.ParseFleetPolicy("sprint-aware"); err != nil {
 		t.Errorf("ParseFleetPolicy: %v", err)
-	}
-}
-
-// TestRunFleetSweepRejectsTrace: a sweep returns no traces, so a spec
-// with the recorder on is refused before anything runs; the same spec
-// records through RunFleet. A spec that fails Validate is refused the
-// same way, wherever it sits in the sweep.
-func TestRunFleetSweepRejectsTrace(t *testing.T) {
-	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
-	cfg.Nodes = 4
-	cfg.Requests = 200
-	traced := cfg
-	traced.Trace = sprinting.TraceConfig{Level: sprinting.TraceDecisions}
-	specs := []sprinting.FleetSpec{{Config: cfg}, {Config: traced}}
-	if _, err := sprinting.RunFleetSweep(context.Background(), specs, 1); err == nil ||
-		!strings.Contains(err.Error(), "RunFleet") {
-		t.Fatalf("traced sweep spec: got %v, want an error pointing at RunFleet", err)
-	}
-	// An invalid spec after valid ones fails the sweep up front with its
-	// index and exactly its Validate error.
-	bad := cfg
-	bad.QueueCap = -1
-	invalid := []sprinting.FleetSpec{{Config: cfg}, {Config: cfg}, {Config: bad}}
-	verr := invalid[2].Validate()
-	if verr == nil {
-		t.Fatal("a negative queue capacity validated")
-	}
-	if _, err := sprinting.RunFleetSweep(context.Background(), invalid, 2); err == nil ||
-		err.Error() != "sprinting: fleet spec 2: "+verr.Error() {
-		t.Fatalf("invalid sweep spec: got %v, want the spec-2 error %q", err, verr)
-	}
-	m, tr, err := sprinting.RunFleet(context.Background(), specs[1])
-	if err != nil || tr == nil || len(tr.Decisions()) != m.Requests {
-		t.Fatalf("RunFleet on the traced spec: err %v, trace %v", err, tr != nil)
 	}
 }
