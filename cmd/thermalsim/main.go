@@ -88,9 +88,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		for i, p := range powers {
 			res := results[i]
 			fmt.Fprintf(stdout, "sprint at %.1f W, %.0f mg PCM (melt %.1f °C):\n", p, *pcmMg, *meltC)
-			fmt.Fprintf(stdout, "  melt start      %.3f s\n", res.MeltStartS)
-			fmt.Fprintf(stdout, "  melt complete   %.3f s\n", res.MeltEndS)
-			fmt.Fprintf(stdout, "  plateau         %.3f s\n", res.PlateauS)
+			fmt.Fprintf(stdout, "  melt start      %s\n", secs(res.MeltStartS, 3))
+			fmt.Fprintf(stdout, "  melt complete   %s\n", secs(res.MeltEndS, 3))
+			if math.IsNaN(res.PlateauS) {
+				fmt.Fprintln(stdout, "  plateau         none (the PCM never fully melted)")
+			} else {
+				fmt.Fprintf(stdout, "  plateau         %.3f s\n", res.PlateauS)
+			}
 			if res.Truncated {
 				fmt.Fprintf(stdout, "  sprint duration > %.3f s (budget not exhausted in horizon)\n", res.SprintEndS)
 			} else {
@@ -113,8 +117,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		for i, p := range powers {
 			res := results[i]
 			fmt.Fprintf(stdout, "cooldown after %.1f W sprint, %.0f mg PCM:\n", p, *pcmMg)
-			fmt.Fprintf(stdout, "  refreeze start    %.2f s\n", res.FreezeStartS)
-			fmt.Fprintf(stdout, "  refreeze complete %.2f s\n", res.FreezeEndS)
+			fmt.Fprintf(stdout, "  refreeze start    %s\n", secs(res.FreezeStartS, 2))
+			fmt.Fprintf(stdout, "  refreeze complete %s\n", secs(res.FreezeEndS, 2))
 			if res.NearOK {
 				fmt.Fprintf(stdout, "  near ambient      %.2f s (within 3 °C)\n", res.NearAmbientS)
 			} else {
@@ -158,6 +162,15 @@ func parsePowers(list string) ([]float64, error) {
 		return nil, fmt.Errorf("no -power values given")
 	}
 	return powers, nil
+}
+
+// secs formats a transient's event time, or "never" for the NaN the
+// thermal model reports when the event does not happen.
+func secs(v float64, prec int) string {
+	if math.IsNaN(v) {
+		return "never"
+	}
+	return fmt.Sprintf("%.*f s", prec, v)
 }
 
 func writeCSV(stdout, stderr io.Writer, path, data string) int {

@@ -111,3 +111,46 @@ func TestPowerAboveCeilingFails(t *testing.T) {
 		t.Errorf("-power 1000 (the ceiling itself): exit %d, want 0", code)
 	}
 }
+
+// TestMeltNeverStarts: at 48 W the junction reaches TJmax before the PCM
+// starts melting. The melt times once printed as 0.000 s.
+func TestMeltNeverStarts(t *testing.T) {
+	out, code := runOut(t, "-power", "48")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	for _, want := range []string{"melt start      never\n", "melt complete   never\n", "plateau         none"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMeltNeverCompletes: at 32 W the PCM starts melting and the junction
+// reaches TJmax mid-melt.
+func TestMeltNeverCompletes(t *testing.T) {
+	out, code := runOut(t, "-power", "32")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	for _, want := range []string{"melt start      0.112 s\n", "melt complete   never\n", "plateau         none"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRefreezeNever: a 64 W sprint ends before the PCM melts, so the
+// cooldown has nothing to refreeze. Its refreeze times once printed as
+// 0.00 s.
+func TestRefreezeNever(t *testing.T) {
+	out, code := runOut(t, "-mode", "cooldown", "-power", "64")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	for _, want := range []string{"refreeze start    never\n", "refreeze complete never\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -323,3 +323,47 @@ func TestFleetScenariosSurgeContrast(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionTablePinned pins all nine cells of the session study at the
+// default seed. Governed sprinting is governor.Serve, the routine every
+// fleet node runs, so a change to it shows here first. The caption's
+// claims hold on every trace: governed beats sustained with zero
+// violations, and unmanaged is faster than governed only where it
+// violates the budget.
+func TestSessionTablePinned(t *testing.T) {
+	tables, err := Session(context.Background(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows per trace: sustained, governed sprint, unmanaged sprint; columns
+	// mean and p95 response (s), full-intensity %, violation (J).
+	want := [][][]string{
+		{{"1.95", "4.59", "0", "0"}, {"0.115", "0.287", "100", "0"}, {"0.115", "0.287", "100", "0"}},
+		{{"2.07", "4.59", "0", "0"}, {"0.116", "0.287", "100", "0"}, {"0.116", "0.287", "100", "0"}},
+		{{"26.8", "42.7", "0", "0"}, {"1.9", "6.59", "79.2", "0"}, {"0.251", "0.574", "79.2", "22.2"}},
+	}
+	if len(tables) != len(want) {
+		t.Fatalf("got %d tables, want %d", len(tables), len(want))
+	}
+	for i, tb := range tables {
+		got := make([][]string, len(tb.Rows))
+		for r, row := range tb.Rows {
+			got[r] = row[1:]
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want[i]) {
+			t.Errorf("%s:\n got %v\nwant %v", tb.Title, got, want[i])
+		}
+		cell := func(row, col int) float64 {
+			var v float64
+			fmt.Sscanf(tb.Rows[row][col], "%g", &v)
+			return v
+		}
+		const mean, viol = 1, 4
+		if cell(1, mean) >= cell(0, mean) || cell(1, viol) != 0 {
+			t.Errorf("%s: governed must beat sustained with no violation", tb.Title)
+		}
+		if cell(2, mean) < cell(1, mean) && cell(2, viol) == 0 {
+			t.Errorf("%s: unmanaged is faster than governed without violating the budget", tb.Title)
+		}
+	}
+}

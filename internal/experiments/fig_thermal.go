@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"sprinting/internal/engine"
 	"sprinting/internal/materials"
@@ -126,14 +127,16 @@ func Fig4a(context.Context, Options) ([]*table.Table, error) {
 	res := thermal.SimulateSprint(cfg, 16, 1e-4, 5)
 	t := table.New("Figure 4(a): sprint initiation (16 W on 1 W TDP, 150 mg PCM)",
 		"quantity", "measured", "paper")
-	t.AddRow("melt start t_melt (s)", table.F(res.MeltStartS, 3), "early rise then plateau")
-	t.AddRow("melt complete t_melted (s)", table.F(res.MeltEndS, 3), "-")
-	t.AddRow("plateau duration (s)", table.F(res.PlateauS, 3), "≈0.95")
+	t.AddRow("melt start t_melt (s)", orNever(res.MeltStartS), "early rise then plateau")
+	t.AddRow("melt complete t_melted (s)", orNever(res.MeltEndS), "-")
+	t.AddRow("plateau duration (s)", orNever(res.PlateauS), "≈0.95")
 	t.AddRow("sprint duration t_one (s)", table.F(res.SprintEndS, 3), "a little over 1")
 	t.AddRow("peak junction (C)", table.F(res.MaxJunctionC, 3), "70 (Tjmax)")
-	t.AddRow("plateau junction (C)",
-		table.F(res.Junction.ValueAt((res.MeltStartS+res.MeltEndS)/2), 3),
-		"Tmelt + P·R ≈ 65.6")
+	plateauC := "-" // no plateau to sample without both melt times
+	if !math.IsNaN(res.PlateauS) {
+		plateauC = table.F(res.Junction.ValueAt((res.MeltStartS+res.MeltEndS)/2), 3)
+	}
+	t.AddRow("plateau junction (C)", plateauC, "Tmelt + P·R ≈ 65.6")
 	return []*table.Table{t}, nil
 }
 
@@ -142,8 +145,8 @@ func Fig4b(context.Context, Options) ([]*table.Table, error) {
 	cfg := thermal.DefaultStackConfig()
 	res := thermal.SimulateCooldown(cfg, 16, 0, 1e-3, 5, 120, 3)
 	t := table.New("Figure 4(b): post-sprint cooldown", "quantity", "measured", "paper")
-	t.AddRow("refreeze start t_freeze (s)", table.F(res.FreezeStartS, 3), "shortly after idle")
-	t.AddRow("refreeze complete t_frozen (s)", table.F(res.FreezeEndS, 3), "≈ sprint × power ratio")
+	t.AddRow("refreeze start t_freeze (s)", orNever(res.FreezeStartS), "shortly after idle")
+	t.AddRow("refreeze complete t_frozen (s)", orNever(res.FreezeEndS), "≈ sprint × power ratio")
 	near := "-"
 	if res.NearOK {
 		near = table.F(res.NearAmbientS, 3)
@@ -152,6 +155,15 @@ func Fig4b(context.Context, Options) ([]*table.Table, error) {
 	t.AddRow("rule-of-thumb cooldown (s)",
 		table.F(thermal.ApproxCooldownS(1.2, 16, 1), 3), "sprint × P_sprint/TDP")
 	return []*table.Table{t}, nil
+}
+
+// orNever formats a transient's event time, or "never" for the NaN the
+// thermal model reports when the event does not happen.
+func orNever(s float64) string {
+	if math.IsNaN(s) {
+		return "never"
+	}
+	return table.F(s, 3)
 }
 
 // fmtMilli formats seconds as milliseconds.

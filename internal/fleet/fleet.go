@@ -1550,8 +1550,10 @@ func (s *sim) tKey(n *node) float64 {
 
 // startService begins serving a copy now: the governor idles over the gap
 // since its last activity, the node's rack (if any) rules on sprint
-// admission, then the governed slicing determines service time and energy.
-// A rack-denied service runs entirely on the sustained core.
+// admission, then Governor.Serve's governed slicing determines service
+// time and energy. A rack-denied service runs entirely on the sustained
+// core. Under a workload width cap, a narrow request serves at its own
+// width and proportionally lower sprint power.
 //
 //sprint:hotpath
 func (s *sim) startService(n *node, c reqCopy) {
@@ -1575,7 +1577,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 	var serviceS, energyJ, sprintS float64
 	var full bool
 	if s.sprintAdmitted(n, workS, width, sprintW) {
-		serviceS, energyJ, sprintS, full = s.serve(n, workS, width, sprintW)
+		serviceS, energyJ, sprintS, full = n.gov.Serve(workS, width, sprintW)
 	} else {
 		serviceS = workS
 		energyJ = s.cl(n).nominalW * serviceS
@@ -1626,51 +1628,6 @@ func (s *sim) startService(n *node, c reqCopy) {
 	if !fused {
 		s.push(n.busyUntilS, event{kind: evComplete, node: int32(n.id), gen: n.gen})
 	}
-}
-
-// serve runs the governed service discipline (the session evaluator's
-// policy at fleet scale): full sprint width while the budget lasts, then
-// the sustained rate. It reports service time, service energy, the sprint
-// phase's duration (always a contiguous prefix of the service — the
-// thermal budget only drains while serving, so once degraded a service
-// never sprints again), and whether the whole request ran at full width.
-// width and sprintW are the request's effective parallelism and sprint
-// power — the class constants except under a workload width cap, where a
-// narrow request serves at its own width and proportionally lower power.
-//
-//sprint:hotpath
-func (s *sim) serve(n *node, workS, width, sprintW float64) (serviceS, energyJ, sprintS float64, full bool) {
-	cl := s.cl(n)
-	nominalW := cl.nominalW
-	remaining := workS
-	full = true
-	for remaining > 1e-12 {
-		maxFullS := n.gov.MaxSprintS(sprintW)
-		switch {
-		case maxFullS*width >= remaining:
-			dt := remaining / width
-			n.gov.RecordSprint(sprintW, dt)
-			serviceS += dt
-			energyJ += sprintW * dt
-			sprintS += dt
-			remaining = 0
-		case maxFullS > 1e-9:
-			n.gov.RecordSprint(sprintW, maxFullS)
-			serviceS += maxFullS
-			energyJ += sprintW * maxFullS
-			sprintS += maxFullS
-			remaining -= maxFullS * width
-			full = false
-		default:
-			dt := remaining
-			n.gov.Idle(dt)
-			serviceS += dt
-			energyJ += nominalW * dt
-			remaining = 0
-			full = false
-		}
-	}
-	return serviceS, energyJ, sprintS, full
 }
 
 // complete finishes the node's in-service copy and starts the next live

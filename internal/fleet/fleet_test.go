@@ -237,7 +237,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"Reliability.GraySlowdownX", func(c *Config, v float64) { c.Reliability.GraySlowdownX = v }},
 		{"Reliability.FaultProb", func(c *Config, v float64) { c.Reliability.FaultProb = v }},
 		// The node's governor config: a NaN safety fraction or ambient
-		// once reached the rack, which granted a permit that serve never
+		// once reached the rack, which granted a permit that Serve never
 		// used, and finish() panicked on the leaked permit.
 		{"Node.SprintPowerW", func(c *Config, v float64) { c.Node.SprintPowerW = v }},
 		{"Node.SafetyFrac", func(c *Config, v float64) { c.Node.SafetyFrac = v }},

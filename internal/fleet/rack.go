@@ -221,27 +221,19 @@ func (s *sim) scheduleTrip(r *rack) {
 }
 
 // sprintAdmitted asks the node's rack whether the service about to start
-// may run at sprint width. Services that would not sprint anyway (empty
-// thermal budget) bypass the rack. A denied service runs entirely at the
+// may run at sprint width. Services that would not sprint anyway (the
+// governor's WillSprint says the node's own thermal budget is spent) bypass
+// the rack, so an admission (and any TokenPermit grant) pairs with exactly
+// one sprint phase and its evSprintEnd/evSprintComplete. It therefore asks
+// at the width and sprint power Governor.Serve runs: a workload's narrow
+// request sprints at its own, lower power, which a budget too small for
+// the class power can still cover. A denied service runs entirely at the
 // sustained rate.
-//
-// The bypass predicate mirrors serve()'s sprint decision exactly — the
-// first slice sprints iff the budget covers the whole request or exceeds
-// the 1e-9 slice floor — so an admission (and any TokenPermit grant)
-// pairs with exactly one sprint phase and its evSprintEnd/evSprintComplete.
-// It therefore asks at the width and sprint power serve() runs: a
-// workload's narrow request sprints at its own, lower power, which a
-// budget too small for the class power can still cover.
 func (s *sim) sprintAdmitted(n *node, workS, width, sprintW float64) bool {
-	if s.racks == nil {
+	if s.racks == nil || !n.gov.WillSprint(workS, width, sprintW) {
 		return true
 	}
 	cl := s.cl(n)
-	if maxFullS := n.gov.MaxSprintS(sprintW); maxFullS <= 1e-9 && maxFullS*width < workS {
-		// The node's own thermal budget is spent; serve() degrades to
-		// nominal on its own, so this is not a rack sprint request.
-		return true
-	}
 	r := &s.racks[n.rackID]
 	r.accrue(s.nowS)
 	r.stats.SprintRequests++

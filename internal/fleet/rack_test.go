@@ -185,12 +185,13 @@ func TestRackBufferAt(t *testing.T) {
 	}
 }
 
-// TestNarrowSprintAsksRack pins rack admission to the sprint serve() will
-// actually run. A default node (16 W sprint, ≈1.07 W drain) with 7.5 nJ
-// of budget left can sprint at the class's 16 W for only ≈0.5 ns, under
-// serve()'s 1 ns slice floor, but a workload's 1-wide request sprints at
-// ≈1.94 W for ≈8.6 ns. The rack must be asked for that sprint: bypassing
-// it would let the phase's end return a token permit never granted.
+// TestNarrowSprintAsksRack pins rack admission to the sprint
+// Governor.Serve will actually run. A default node (16 W sprint, ≈1.07 W
+// drain) with 7.5 nJ of budget left can sprint at the class's 16 W for
+// only ≈0.5 ns, under the governor's 1 ns slice floor, but a workload's
+// 1-wide request sprints at ≈1.94 W for ≈8.6 ns. The rack must be asked
+// for that sprint: bypassing it would let the phase's end return a token
+// permit never granted.
 func TestNarrowSprintAsksRack(t *testing.T) {
 	cfg := DefaultConfig(SprintAware)
 	cfg.Nodes = 1
@@ -222,6 +223,25 @@ func TestNarrowSprintAsksRack(t *testing.T) {
 	if r.stats.SprintRequests != 1 || r.sprinting != 0 || r.permits != 0 {
 		t.Errorf("rack saw %d sprint requests and ended with %d sprinting / %d permits; want 1, 0 and 0",
 			r.stats.SprintRequests, r.sprinting, r.permits)
+	}
+}
+
+// TestTinyWorkTakesNoPermit: a replay row whose work is under the
+// governor's 1e-12 s completion floor never sprints, so it must not ask
+// the rack. It once did: the grant was never returned, and finish()
+// panicked on the leaked token permit.
+func TestTinyWorkTakesNoPermit(t *testing.T) {
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 2
+	cfg.Coordination = TokenPermit
+	cfg.RackSize = 2
+	rows := []TraceRequest{{ArrivalS: 0, WorkS: 1e-13}, {ArrivalS: 1, WorkS: 1}}
+	m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 2 || m.PermitRequests != 1 {
+		t.Errorf("completed %d requests with %d permit requests; want 2 and 1", m.Completed, m.PermitRequests)
 	}
 }
 

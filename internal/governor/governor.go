@@ -183,6 +183,83 @@ func (g *Governor) Idle(durationS float64) {
 	g.nowS += durationS
 }
 
+// Serve runs the §7 governed service discipline on workS single-core
+// seconds of work: full sprint width while the budget lasts, then the
+// sustained core. It books the service against the budget, advances the
+// clock by the service time, and reports the service time, the energy
+// billed (sprintW while sprinting, the configured nominal power after),
+// the sprint phase's duration, and whether the whole service ran at full
+// width. The sprint phase is always a contiguous prefix of the service:
+// the budget only drains while sprinting, so once degraded a service
+// never sprints again. width and sprintW are the service's parallelism
+// and full-width power.
+//
+//sprint:hotpath
+func (g *Governor) Serve(workS, width, sprintW float64) (serviceS, energyJ, sprintS float64, full bool) {
+	remaining := workS
+	full = true
+	for remaining > workFloorS {
+		maxFullS, sprints := g.slice(remaining, width, sprintW)
+		switch {
+		case !sprints:
+			// The budget is spent: the rest runs on the sustained core.
+			g.Idle(remaining)
+			serviceS += remaining
+			energyJ += g.cfg.NominalPowerW * remaining
+			remaining = 0
+			full = false
+		case maxFullS*width >= remaining:
+			// The budget covers the rest at full width.
+			dt := remaining / width
+			g.RecordSprint(sprintW, dt)
+			serviceS += dt
+			energyJ += sprintW * dt
+			sprintS += dt
+			remaining = 0
+		default:
+			// Burn what is left of the budget at full width.
+			g.RecordSprint(sprintW, maxFullS)
+			serviceS += maxFullS
+			energyJ += sprintW * maxFullS
+			sprintS += maxFullS
+			remaining -= maxFullS * width
+			full = false
+		}
+	}
+	return serviceS, energyJ, sprintS, full
+}
+
+// WillSprint reports whether Serve(workS, width, sprintW) would start
+// with a full-width slice now, i.e. whether its sprint phase is non-empty.
+// A caller that must approve a sprint before it starts (a rack admitting
+// it onto a shared circuit) asks this first.
+//
+//sprint:hotpath
+func (g *Governor) WillSprint(workS, width, sprintW float64) bool {
+	_, sprints := g.slice(workS, width, sprintW)
+	return workS > workFloorS && sprints
+}
+
+const (
+	// workFloorS is the remaining work, in single-core seconds, at or
+	// below which a service counts as finished.
+	workFloorS = 1e-12
+	// sliceFloorS is the shortest budget-limited full-width slice: a
+	// budget that covers less than this, and not the whole remainder,
+	// counts as spent.
+	sliceFloorS = 1e-9
+)
+
+// slice reports the full-width time the budget allows now and whether
+// the next slice of a service with remaining work sprints: the budget
+// covers the remainder at full width, or it exceeds the slice floor.
+//
+//sprint:hotpath
+func (g *Governor) slice(remaining, width, sprintW float64) (maxFullS float64, sprints bool) {
+	maxFullS = g.MaxSprintS(sprintW)
+	return maxFullS, maxFullS*width >= remaining || maxFullS > sliceFloorS
+}
+
 // TimeToFullS returns how long the system must idle before the full budget
 // is available again (the user-facing "when can I sprint at full intensity
 // for the full duration" question; §4.5's cooldown).

@@ -2,6 +2,7 @@ package governor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,61 @@ func TestCanSprintConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Serve conserves work, bills energy by phase, advances the
+// clock by the service time, and WillSprint predicts its sprint phase,
+// from any stored heat, at any width in [1, 16] and any sprint power in
+// (drainW, SprintPowerW]. Each case draws its stored heat as a fraction of
+// the budget, exactly exhausted one time in four, so every branch runs:
+// a full-width service, a budget-limited sprint that degrades, and a
+// service that never sprints.
+func TestServeProperty(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	var fullN, partN, noneN int
+	for i := 0; i < 20000; i++ {
+		g := New(cfg)
+		heat := 1.0
+		if i%4 != 0 {
+			heat = rng.Float64()
+		}
+		g.RecordSprint(cfg.SprintPowerW, heat*g.MaxSprintS(cfg.SprintPowerW))
+		workS := math.Exp(rng.Float64()*12 - 6) // 2.5 ms to 400 s
+		width := 1 + 15*rng.Float64()
+		sprintW := cfg.SprintPowerW - (cfg.SprintPowerW-g.drainW)*rng.Float64()
+		if sprintW <= g.drainW {
+			continue
+		}
+		will := g.WillSprint(workS, width, sprintW)
+		before := g.Now()
+		serviceS, energyJ, sprintS, full := g.Serve(workS, width, sprintW)
+		degradedS := serviceS - sprintS
+		switch {
+		case !near(sprintS*width+degradedS, workS):
+			t.Fatalf("case %d: %.17g s at width %g plus %.17g s degraded is not the work %.17g s", i, sprintS, width, degradedS, workS)
+		case !near(energyJ, sprintW*sprintS+cfg.NominalPowerW*degradedS):
+			t.Fatalf("case %d: billed %.17g J for %g s at %g W and %g s at %g W", i, energyJ, sprintS, sprintW, degradedS, cfg.NominalPowerW)
+		case full != (serviceS == sprintS):
+			t.Fatalf("case %d: full = %v with %.17g s of %.17g s at full width", i, full, sprintS, serviceS)
+		case math.Abs(g.Now()-before-serviceS) > 1e-12*g.Now(): // the clock's own rounding
+			t.Fatalf("case %d: clock advanced %.17g s for a %.17g s service", i, g.Now()-before, serviceS)
+		case will != (sprintS > 0):
+			t.Fatalf("case %d: WillSprint = %v with a %g s sprint phase", i, will, sprintS)
+		}
+		switch {
+		case full:
+			fullN++
+		case sprintS > 0:
+			partN++
+		default:
+			noneN++
+		}
+	}
+	if fullN == 0 || partN == 0 || noneN == 0 {
+		t.Errorf("branches ran %d full / %d partial / %d unsprinted times; want all three", fullN, partN, noneN)
 	}
 }
 

@@ -7,6 +7,12 @@
 // unmanaged sprinting — and reports the response-time distribution the
 // user experiences plus any thermal-budget violations.
 //
+// Governed sprinting is governor.Serve, the same routine every fleet node
+// runs (internal/fleet), so a one-node fleet reproduces a session exactly
+// and a round-robin fleet of N nodes reproduces N sessions over every N-th
+// burst; internal/fleet's TestOneNodeMatchesSession and
+// TestRoundRobinMatchesSessions pin both.
+//
 // Service rates use the idealized linear-speedup model (one 1 W core
 // retires one unit of work per unit time; a width-w sprint retires w),
 // which the paper's Figure 7 justifies for its kernels at 16 cores; the
@@ -169,22 +175,16 @@ func Evaluate(bursts []Burst, policy Policy, cfg Config) Metrics {
 
 	responses := make([]float64, 0, len(bursts))
 	fullCount := 0
-	now := 0.0  // governor clock == wall clock
 	free := 0.0 // when the "CPU" is next free
 
 	for _, b := range bursts {
 		start := math.Max(b.ArrivalS, free)
-		// Idle the governor over any gap before service begins.
-		if start > now {
-			gov.Idle(start - now)
-			now = start
-		}
+		gov.Idle(start - gov.Now()) // the gap before service begins, if any
 		var serviceS float64
 		switch policy {
 		case SustainedPolicy:
 			serviceS = b.WorkS
 			gov.Idle(serviceS) // at or below TDP: budget refills
-			now += serviceS
 		case UnmanagedSprint:
 			serviceS = b.WorkS / width
 			// Charge the budget; anything beyond capacity is a violation.
@@ -196,40 +196,10 @@ func Evaluate(bursts []Burst, policy Policy, cfg Config) Metrics {
 			if grantedS >= serviceS {
 				fullCount++
 			}
-			now += serviceS
 		case GovernedSprint:
-			remaining := b.WorkS
-			fullThroughout := true
-			// Serve in slices: full width while the budget lasts, then at
-			// the governed maximum intensity (≥ nominal).
-			for remaining > 1e-12 {
-				maxFullS := gov.MaxSprintS(powerW)
-				switch {
-				case maxFullS*width >= remaining:
-					// Finishes at full width.
-					dt := remaining / width
-					gov.RecordSprint(powerW, dt)
-					now += dt
-					serviceS += dt
-					remaining = 0
-				case maxFullS > 1e-9:
-					// Burn the remaining full-width budget...
-					gov.RecordSprint(powerW, maxFullS)
-					now += maxFullS
-					serviceS += maxFullS
-					remaining -= maxFullS * width
-					fullThroughout = false
-				default:
-					// ...then degrade to the sustainable rate (1 core).
-					dt := remaining
-					gov.Idle(dt)
-					now += dt
-					serviceS += dt
-					remaining = 0
-					fullThroughout = false
-				}
-			}
-			if fullThroughout {
+			var full bool
+			serviceS, _, _, full = gov.Serve(b.WorkS, width, powerW)
+			if full {
 				fullCount++
 			}
 		}

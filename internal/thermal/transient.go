@@ -15,12 +15,15 @@ type SprintTransient struct {
 	PCMTemp  *series.Series
 
 	// MeltStartS is when the PCM first reaches its melting point (tmelt in
-	// Fig 4a); MeltEndS when it is fully molten (tmelted). Zero if never.
+	// Fig 4a); MeltEndS when it is fully molten (tmelted). NaN if never: a
+	// sprint intense enough reaches TJmax before the PCM starts or
+	// finishes melting.
 	MeltStartS float64
 	MeltEndS   float64
 
 	// PlateauS is the duration the junction spends in the melt plateau
-	// (the paper reports ≈0.95 s for the 150 mg design at 16 W).
+	// (the paper reports ≈0.95 s for the 150 mg design at 16 W),
+	// MeltEndS − MeltStartS: NaN unless the PCM fully melted.
 	PlateauS float64
 
 	// SprintEndS is when the junction reached TJmax (tone in Fig 4a); if the
@@ -39,8 +42,10 @@ type SprintTransient struct {
 func SimulateSprint(cfg StackConfig, sprintPowerW, sampleDt, horizonS float64) SprintTransient {
 	st := cfg.Build()
 	res := SprintTransient{
-		Junction: series.New("junction", "C"),
-		PCMTemp:  series.New("pcm", "C"),
+		Junction:   series.New("junction", "C"),
+		PCMTemp:    series.New("pcm", "C"),
+		MeltStartS: math.NaN(),
+		MeltEndS:   math.NaN(),
 	}
 	meltStarted, meltEnded := false, false
 	res.Junction.Append(0, st.JunctionC())
@@ -68,9 +73,7 @@ func SimulateSprint(cfg StackConfig, sprintPowerW, sampleDt, horizonS float64) S
 		res.SprintEndS = t
 		res.Truncated = true
 	}
-	if meltStarted && meltEnded {
-		res.PlateauS = res.MeltEndS - res.MeltStartS
-	}
+	res.PlateauS = res.MeltEndS - res.MeltStartS
 	_, res.MaxJunctionC = res.Junction.Max()
 	return res
 }
@@ -82,7 +85,9 @@ type CooldownTransient struct {
 	Junction *series.Series
 
 	// FreezeStartS is when the PCM begins refreezing (tfreeze); FreezeEndS
-	// when fully solid (tfrozen).
+	// when fully solid (tfrozen). NaN if never: a sprint that ends before
+	// the PCM melts leaves nothing to refreeze, and a short horizon can
+	// end before the PCM is solid.
 	FreezeStartS float64
 	FreezeEndS   float64
 
@@ -104,7 +109,7 @@ func SimulateCooldown(cfg StackConfig, sprintPowerW, idlePowerW, sampleDt, sprin
 		st.Step(sampleDt, sprintPowerW)
 		t += sampleDt
 	}
-	res := CooldownTransient{Junction: series.New("junction", "C")}
+	res := CooldownTransient{Junction: series.New("junction", "C"), FreezeStartS: math.NaN(), FreezeEndS: math.NaN()}
 	res.Junction.Append(0, st.JunctionC())
 	wasFreezing := false
 	frozen := st.MeltFraction() <= 0
