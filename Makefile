@@ -5,10 +5,10 @@
 # shared circuit; `make scenario` plays the flash-crowd scenario across
 # every policy; `make trace` replays it with the flight recorder
 # attached, writing TRACE_flashcrowd.jsonl and printing the regret
-# summary; `make benchsmoke` runs every benchmark at the root and in
-# internal/fleet exactly once (the CI guard that keeps the fleet and rack
-# subsystems exercised, bounded by -timeout so a hung scale bench fails
-# loudly instead of stalling the job); `make bench-json` runs the
+# summary; `make benchsmoke` runs every benchmark at the root, in
+# internal/fleet and in internal/governor exactly once (the CI guard that
+# keeps the fleet, rack and governor layers exercised, bounded by -timeout
+# so a hung scale bench fails loudly instead of stalling the job); `make bench-json` runs the
 # fleet-scale benchmarks with -benchmem and emits BENCH_fleet.json (ns/op,
 # B/op, allocs/op) so CI can archive the perf trajectory from every run;
 # `make bench-gate` compares that report against the committed
@@ -116,7 +116,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ . ./internal/fleet
+	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ . ./internal/fleet ./internal/governor
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SET)' \

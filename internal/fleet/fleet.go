@@ -783,7 +783,7 @@ var refDispatch bool
 // dispatch scoring and the service discipline read. A plain simulation has
 // exactly one class derived from Config; scenarios may declare several
 // (see NodeClass), and ambient-temperature phases re-derive the
-// environment-dependent fields (capJ, drainW, netW, proto) in place.
+// environment-dependent governor prototype in place.
 type nodeClass struct {
 	width    float64
 	sprintW  float64
@@ -793,18 +793,12 @@ type nodeClass struct {
 
 	// gcfg is the class's governor configuration at design ambient; proto
 	// is the governor prototype nodes of this class are (re)born with,
-	// after the budget/drain scale factors are applied.
+	// after the budget/drain scale factors are applied. Every live node's
+	// governor shares proto's capacity and drain rate.
 	gcfg        governor.Config
 	budgetScale float64
 	drainScale  float64
 	proto       governor.Governor
-
-	// Environment-dependent projection constants (shared by every node of
-	// the class, so sprint-aware scoring reads floats instead of
-	// re-deriving them); drainW is also the budget refill rate.
-	capJ   float64
-	drainW float64
-	netW   float64
 }
 
 // sim is the running simulation state.
@@ -1500,10 +1494,10 @@ func (s *sim) enqueue(n *node, c reqCopy) {
 // drain instant — busyUntilS + queuedNaiveS — or −Inf for an idle node,
 // so every idle node shares one exact key and the rotating tie-break
 // spreads arrivals across them just as the linear scan did. Sprint-aware
-// keeps busy nodes under the same drain key and idle nodes under the
-// governor budget instant tKey. A dead node or one at queue capacity
-// is absent (+Inf) from every tree: it is only ever the drop-attribution
-// fallback.
+// keeps busy nodes under the same drain key and idle nodes under their
+// governor's budget instant, Governor.EmptyAtS. A dead node or one at
+// queue capacity is absent (+Inf) from every tree: it is only ever the
+// drop-attribution fallback.
 //
 //sprint:hotpath
 func (s *sim) touch(n *node) {
@@ -1516,7 +1510,7 @@ func (s *sim) touch(n *node) {
 	case s.idx != nil || n.busy:
 		drain = n.drainKey()
 	default:
-		idle = s.tKey(n)
+		idle = n.gov.EmptyAtS()
 	}
 	if s.idx != nil {
 		s.idx.update(n.id, drain)
@@ -1526,26 +1520,6 @@ func (s *sim) touch(n *node) {
 	lid := n.id - sg.lo
 	sg.busyIdx.update(lid, drain)
 	sg.idleIdx.update(lid, idle)
-}
-
-// tKey is an idle node's routing key: the instant the governor's refill
-// line extrapolates back to an empty budget, so the projected budget at
-// any later query time is min(capacity, drainW·(now − tKey)) — a
-// decreasing function of the key alone. Ascending tKey therefore orders
-// idle nodes by sprint-aware score for every request size, and two nodes
-// with equal keys have bit-identical projections (the all-idle initial
-// fleet shares one key, preserving the rotating tie-break). With a
-// non-refilling platform (drainW ≤ 0) the budget is static and −remJ
-// gives the same ordering.
-//
-//sprint:hotpath
-func (s *sim) tKey(n *node) float64 {
-	cl := s.cl(n)
-	remJ := n.gov.RemainingJ()
-	if cl.drainW <= 0 {
-		return -remJ
-	}
-	return n.gov.Now() - remJ/cl.drainW
 }
 
 // startService begins serving a copy now: the governor idles over the gap
@@ -1558,9 +1532,7 @@ func (s *sim) tKey(n *node) float64 {
 //sprint:hotpath
 func (s *sim) startService(n *node, c reqCopy) {
 	workS := s.reqs[c.req].workS
-	if gap := s.nowS - n.gov.Now(); gap > 0 {
-		n.gov.Idle(gap)
-	}
+	n.gov.Idle(s.nowS - n.gov.Now())
 	cl := s.cl(n)
 	width, sprintW := cl.width, cl.sprintW
 	if s.wl != nil {
@@ -1580,8 +1552,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 		serviceS, energyJ, sprintS, full = n.gov.Serve(workS, width, sprintW)
 	} else {
 		serviceS = workS
-		energyJ = s.cl(n).nominalW * serviceS
-		n.gov.Idle(serviceS) // at nominal the thermal budget refills
+		energyJ = n.gov.Sustain(serviceS)
 	}
 	if s.rel != nil && s.rel.slowX != nil {
 		if x := s.rel.slowX[n.id]; x > 1 {
@@ -1594,8 +1565,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 			// which is exactly what makes the failure gray.
 			extraS := serviceS * (x - 1)
 			serviceS += extraS
-			energyJ += s.cl(n).nominalW * extraS
-			n.gov.Idle(extraS)
+			energyJ += n.gov.Sustain(extraS)
 		}
 	}
 	fused := false
@@ -1739,11 +1709,11 @@ func (s *sim) moot(c reqCopy) bool {
 
 // estFinishAt estimates when a request of the given work would finish on
 // the node: start at the absolute instant the node's backlog drains at
-// full width (its routing key; now for an idle node), project the thermal
-// budget's refill to that start, then apply the governed service model.
-// It is an estimator, not the simulator (queued services will also spend
-// budget), but it is exactly the "most usable thermal headroom" signal
-// sprint-aware dispatch routes on.
+// full width (its routing key; now for an idle node), then add the
+// governor's projected service time from that start
+// (Governor.ProjectS). It is an estimator, not the simulator (queued
+// services will also spend budget), but it is exactly the "most usable
+// thermal headroom" signal sprint-aware dispatch routes on.
 //
 //sprint:hotpath
 func (s *sim) estFinishAt(n *node, workS float64) float64 {
@@ -1752,22 +1722,7 @@ func (s *sim) estFinishAt(n *node, workS float64) float64 {
 	if n.busy {
 		startS = n.busyUntilS + n.queuedNaiveS
 	}
-	remJ := n.gov.RemainingJ()
-	if dt := startS - n.gov.Now(); dt > 0 {
-		remJ = math.Min(cl.capJ, remJ+cl.drainW*dt)
-	}
-	var svc float64
-	if cl.netW <= 0 {
-		svc = workS / cl.width
-	} else {
-		fullS := remJ / cl.netW
-		if workS/cl.width <= fullS {
-			svc = workS / cl.width
-		} else {
-			svc = fullS + (workS - fullS*cl.width)
-		}
-	}
-	return startS + svc
+	return startS + n.gov.ProjectS(startS, workS, cl.width, cl.sprintW)
 }
 
 // drainKey is the least-loaded routing score: the absolute instant the
@@ -1854,9 +1809,8 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 // restricted to the segment, since every such node scores
 // startS + work/width with identical floats — and when no budget
 // suffices, the argmin of the budget instant is the unique best idle
-// candidate. (A segment spans one class, so its projection constants
-// are uniform; a 1-wide class serves every request in workS regardless
-// of budget, making all its idle nodes tie like the netW ≤ 0 case.)
+// candidate. (A segment spans one class, so its prototype's
+// Governor.CoverKeyS is the threshold for all of it.)
 // Busy nodes are then enumerated best-first by backlog-drain key with
 // the admissible bound key + work/width: the enumeration stops as soon
 // as the bound exceeds the incumbent, which with healthy budgets is
@@ -1883,12 +1837,11 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 		}
 	}
 
-	// Idle champions, one per segment. The threshold asks for a projected
-	// budget of net·(work/width) joules — capped at the full budget, the
-	// most any idle node of the class can hold (beyond it every saturated
-	// node ties). lrot is the global rotation restricted to the segment:
-	// the cyclic walk from rot crosses a contiguous block either as one
-	// run (entering at lo) or as [rot, hi) then [lo, rot).
+	// Idle champions, one per segment: the first node in rotation order
+	// whose budget covers the request at full width, else the most
+	// recovered budget. lrot is the global rotation restricted to the
+	// segment: the cyclic walk from rot crosses a contiguous block either
+	// as one run (entering at lo) or as [rot, hi) then [lo, rot).
 	for si := range s.segs {
 		sg := &s.segs[si]
 		cl := &s.classes[sg.class]
@@ -1896,24 +1849,9 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 		if rot >= sg.lo && rot < sg.hi {
 			lrot = rot - sg.lo
 		}
-		idle := -1
-		if cl.netW <= 0 || cl.width <= 1 {
-			// Sprinting is sustainable (or widthless): every idle node of
-			// the class serves identically and ties exactly, so the
-			// rotation alone picks the segment's champion.
-			idle = sg.idleIdx.firstLE(lrot, math.Inf(1))
-		} else {
-			needJ := cl.netW * workS / cl.width
-			if needJ > cl.capJ {
-				needJ = cl.capJ
-			}
-			thresh := -needJ
-			if cl.drainW > 0 {
-				thresh = s.nowS - needJ/cl.drainW
-			}
-			if idle = sg.idleIdx.firstLE(lrot, thresh); idle < 0 {
-				idle = sg.idleIdx.argmin(lrot)
-			}
+		idle := sg.idleIdx.firstLE(lrot, cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW))
+		if idle < 0 {
+			idle = sg.idleIdx.argmin(lrot)
 		}
 		if idle >= 0 {
 			take(sg.lo + idle)

@@ -33,17 +33,14 @@
 // size — no single static key orders busy and idle nodes together. It
 // therefore splits the fleet across two trees:
 //
-//   - idle nodes are keyed by tKey = govNow − remainingJ/drainW, the
-//     instant the governor's refill line extrapolates back to an empty
-//     budget. The projected budget of an idle node at query time is
-//     min(capacity, drainW·(now − tKey)) — a decreasing function of
-//     tKey alone — so ascending tKey orders idle nodes by projected
-//     finish for every request size, and nodes whose projection has
-//     saturated at full capacity tie exactly (identical keys are
-//     identical projections). One firstLE query finds the first node
-//     in rotation order whose budget covers the request at full width
-//     (the scan's tie set, rotation-resolved); if none qualifies, the
-//     argmin holds the most-recovered budget and is the unique best.
+//   - idle nodes are keyed by Governor.EmptyAtS, the instant the refill
+//     line extrapolates back to an empty budget, which orders a class's
+//     idle nodes by projected finish for every request size (equal keys
+//     project identically). One firstLE query at the class's
+//     Governor.CoverKeyS finds the first node in rotation order whose
+//     budget covers the request at full width (the scan's tie set,
+//     rotation-resolved); if none qualifies, the argmin holds the
+//     most-recovered budget and is the unique best.
 //   - busy nodes are keyed by drainAtS and enumerated best-first, tree
 //     slots popped off an eventQueue by subtree minimum, with the
 //     admissible bound drainAtS + work/width (a node cannot finish

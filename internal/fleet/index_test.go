@@ -12,10 +12,11 @@ import (
 // TestIndexedDispatchMatchesReferenceScan is the cross-implementation
 // determinism suite: every policy × rack coordination × seed, at two load
 // shapes (healthy, and overloaded into tiny queues so the full-node
-// fallback, drop attribution, and hedge suppression paths all fire), must
-// produce identical Metrics from the O(log N) dispatch index and from the
-// retained O(N) linear-scan reference selector. This is the proof that
-// the index is an optimization, not a behavior change.
+// fallback, drop attribution, and hedge suppression paths all fire), each
+// also on 1-wide nodes (where every idle sprint-aware node must tie
+// exactly), must produce identical Metrics from the O(log N) dispatch
+// index and from the retained O(N) linear-scan reference selector. This
+// is the proof that the index is an optimization, not a behavior change.
 func TestIndexedDispatchMatchesReferenceScan(t *testing.T) {
 	if refDispatch {
 		t.Fatal("refDispatch already set")
@@ -24,9 +25,12 @@ func TestIndexedDispatchMatchesReferenceScan(t *testing.T) {
 		name     string
 		overload float64
 		queueCap int
+		width    int // 0: the default sprint width
 	}{
-		{"healthy", 0.9, 256},
-		{"overloaded", 1.6, 3},
+		{"healthy", 0.9, 256, 0},
+		{"overloaded", 1.6, 3, 0},
+		{"healthy-1wide", 0.9, 256, 1},
+		{"overloaded-1wide", 1.6, 3, 1},
 	}
 	for _, sh := range shapes {
 		for _, p := range Policies() {
@@ -39,6 +43,9 @@ func TestIndexedDispatchMatchesReferenceScan(t *testing.T) {
 					cfg.QueueCap = sh.queueCap
 					cfg.ArrivalRatePerS = sh.overload * float64(cfg.Nodes) / cfg.MeanWorkS
 					cfg.Coordination = c
+					if sh.width > 0 {
+						cfg.SprintWidth = sh.width
+					}
 					name := fmt.Sprintf("%s/%s/%s/seed=%d", sh.name, p, c, seed)
 
 					indexed := mustSimulate(t, cfg)

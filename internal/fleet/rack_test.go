@@ -207,7 +207,7 @@ func TestNarrowSprintAsksRack(t *testing.T) {
 	n := &s.nodes[0]
 	cl := s.cl(n)
 	n.gov.RecordSprint(cl.sprintW, n.gov.MaxSprintS(cl.sprintW)) // spend the whole budget
-	n.gov.Idle(7.5e-9 / cl.drainW)                               // refill 7.5 nJ
+	n.gov.Idle(7.5e-9 / n.gov.DrainW())                          // refill 7.5 nJ
 	narrowW := cl.nominalW + cl.extraW/cl.width
 	if full, narrow := n.gov.MaxSprintS(cl.sprintW), n.gov.MaxSprintS(narrowW); full > 1e-9 || narrow <= 1e-9 {
 		t.Fatalf("sprint windows %.3g s at the class power and %.3g s at the narrow power; want them either side of 1 ns", full, narrow)

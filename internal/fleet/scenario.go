@@ -317,21 +317,16 @@ func effectiveClasses(declared []NodeClass) []NodeClass {
 	return []NodeClass{{Name: "default", BudgetScale: 1, DrainScale: 1}}
 }
 
-// applyAmbient re-derives the class's environment-dependent constants —
-// governor prototype, budget capacity, drain rate, net sprint draw — at
-// the design ambient shifted by deltaC. Scenario.validate has already
-// proven every (class, delta) combination constructs a valid governor.
+// applyAmbient re-derives the class's governor prototype — budget
+// capacity and drain rate — at the design ambient shifted by deltaC.
+// Scenario.validate has already proven every (class, delta) combination
+// constructs a valid governor.
 func (cl *nodeClass) applyAmbient(deltaC float64) {
 	gcfg := cl.gcfg
 	gcfg.Design.AmbientC += deltaC
 	proto := governor.New(gcfg)
-	capJ := proto.CapacityJ() * cl.budgetScale
-	drainW := gcfg.Design.SustainedPowerBudgetW() * cl.drainScale
-	proto.Retarget(capJ, drainW)
+	proto.Retarget(proto.CapacityJ()*cl.budgetScale, gcfg.Design.SustainedPowerBudgetW()*cl.drainScale)
 	cl.proto = *proto
-	cl.capJ = capJ
-	cl.drainW = drainW
-	cl.netW = cl.sprintW - drainW
 }
 
 // buildClasses lowers the declared node classes (none: the implicit
@@ -569,8 +564,8 @@ func (s *sim) phaseStart(i int) {
 		if !n.alive {
 			continue // reborn from the class prototype at recovery
 		}
-		cl := s.cl(n)
-		n.gov.Retarget(cl.capJ, cl.drainW)
+		proto := &s.cl(n).proto
+		n.gov.Retarget(proto.CapacityJ(), proto.DrainW())
 		s.touch(n)
 	}
 }

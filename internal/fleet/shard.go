@@ -116,7 +116,7 @@ func (s *sim) buildIndex() {
 		sg := dspSeg{lo: lo, hi: hi, class: s.nodes[lo].class}
 		sg.busyIdx = newDispatchIndex(hi - lo) // empty: no node busy
 		sg.idleIdx = newDispatchIndex(hi - lo)
-		sg.idleIdx.reset(s.tKey(&s.nodes[lo])) // full budgets: one shared key per class
+		sg.idleIdx.reset(s.nodes[lo].gov.EmptyAtS()) // full budgets: one shared key per class
 		for i := lo; i < hi; i++ {
 			s.segIdx[i] = int32(len(s.segs))
 		}

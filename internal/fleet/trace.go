@@ -53,7 +53,8 @@
 // or cancel) before a hypothetically enqueued copy would have started;
 // when the count hits zero the probe resolves at that instant against
 // the node's realized governor state using the same governed service
-// estimate sprint-aware dispatch scores with (estFinishAt). Rack
+// estimate sprint-aware dispatch scores with (estFinishAt, whose service
+// time the node's governor projects: Governor.ProjectS). Rack
 // admission is not simulated for the hypothetical copy — like the
 // dispatch estimator, the probe answers "when would this node's thermal
 // trajectory have finished the work", given everything that actually

@@ -102,6 +102,9 @@ func New(cfg Config) *Governor {
 // CapacityJ returns the usable sprint budget in joules.
 func (g *Governor) CapacityJ() float64 { return g.capacityJ }
 
+// DrainW returns the rate, in watts, at which the budget refills.
+func (g *Governor) DrainW() float64 { return g.drainW }
+
 // Retarget moves the governor to a new operating environment — a changed
 // budget capacity and drain rate — while preserving the heat currently
 // stored in the package. The fleet scenario engine uses it for ambient
@@ -168,7 +171,7 @@ func (g *Governor) RecordSprint(powerW, durationS float64) float64 {
 	}
 	before := g.storedJ
 	net := (powerW - g.drainW) * durationS
-	g.storedJ = math.Min(g.capacityJ, math.Max(0, g.storedJ+net))
+	g.storedJ = min(g.capacityJ, max(0, g.storedJ+net))
 	g.nowS += durationS
 	return g.storedJ - before
 }
@@ -179,8 +182,18 @@ func (g *Governor) Idle(durationS float64) {
 	if durationS <= 0 {
 		return
 	}
-	g.storedJ = math.Max(0, g.storedJ-g.drainW*durationS)
+	g.storedJ = max(0, g.storedJ-g.drainW*durationS)
 	g.nowS += durationS
+}
+
+// Sustain books durationS seconds of service at the nominal power and
+// returns the energy billed: the one booking of every degraded tail,
+// rack-denied or stalled service and sustained-only session.
+//
+//sprint:hotpath
+func (g *Governor) Sustain(durationS float64) (energyJ float64) {
+	g.Idle(durationS) // at nominal the thermal budget refills
+	return g.cfg.NominalPowerW * durationS
 }
 
 // Serve runs the §7 governed service discipline on workS single-core
@@ -203,9 +216,8 @@ func (g *Governor) Serve(workS, width, sprintW float64) (serviceS, energyJ, spri
 		switch {
 		case !sprints:
 			// The budget is spent: the rest runs on the sustained core.
-			g.Idle(remaining)
 			serviceS += remaining
-			energyJ += g.cfg.NominalPowerW * remaining
+			energyJ += g.Sustain(remaining)
 			remaining = 0
 			full = false
 		case maxFullS*width >= remaining:
@@ -258,6 +270,63 @@ const (
 func (g *Governor) slice(remaining, width, sprintW float64) (maxFullS float64, sprints bool) {
 	maxFullS = g.MaxSprintS(sprintW)
 	return maxFullS, maxFullS*width >= remaining || maxFullS > sliceFloorS
+}
+
+// ProjectS is Serve's service time in closed form, without the slice
+// floor, for a service started at startS: the budget refills from the
+// clock to startS, then the work runs at full width while it lasts and on
+// the sustained core after. A 1-wide service takes workS either way. It
+// changes nothing, and stays small enough to inline into dispatch scoring.
+//
+//sprint:hotpath
+func (g *Governor) ProjectS(startS, workS, width, sprintW float64) float64 {
+	netW := sprintW - g.drainW
+	if netW <= 0 || width <= 1 {
+		return workS / width
+	}
+	remJ := g.RemainingJ()
+	if dt := startS - g.nowS; dt > 0 {
+		remJ = min(g.capacityJ, remJ+g.drainW*dt)
+	}
+	fullS := remJ / netW
+	if workS/width <= fullS {
+		return workS / width
+	}
+	return fullS + (workS - fullS*width)
+}
+
+// EmptyAtS is the instant the refill line extrapolates back to an empty
+// budget, so the budget at a later t is min(capacity, drainW·(t − EmptyAtS)).
+// Among governors sharing capacity and drain, ascending EmptyAtS orders
+// ProjectS for every request, and equal keys project identically. Without
+// refill (drainW ≤ 0) the key is −RemainingJ, which orders the same way.
+//
+//sprint:hotpath
+func (g *Governor) EmptyAtS() float64 {
+	remJ := g.RemainingJ()
+	if g.drainW <= 0 {
+		return -remJ
+	}
+	return g.nowS - remJ/g.drainW
+}
+
+// CoverKeyS is the EmptyAtS at or below which a governor with this one's
+// capacity and drain, idle since its clock, covers the service from nowS
+// at full width (asking at most the capacity, which saturated governors
+// hold alike). It is +Inf when sprinting is sustainable or the service is
+// 1-wide: ProjectS ignores the budget there, so all such governors tie.
+//
+//sprint:hotpath
+func (g *Governor) CoverKeyS(nowS, workS, width, sprintW float64) float64 {
+	netW := sprintW - g.drainW
+	if netW <= 0 || width <= 1 {
+		return math.Inf(1)
+	}
+	needJ := min(netW*workS/width, g.capacityJ)
+	if g.drainW <= 0 {
+		return -needJ
+	}
+	return nowS - needJ/g.drainW
 }
 
 // TimeToFullS returns how long the system must idle before the full budget

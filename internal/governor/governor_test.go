@@ -368,3 +368,179 @@ func TestRetarget(t *testing.T) {
 		t.Errorf("negative capacity should clamp to 0: cap %.3f rem %.3f", g.CapacityJ(), g.RemainingJ())
 	}
 }
+
+// TestProjectSMatchesServe: ProjectS is Serve's closed form. From any
+// stored heat, after any idle gap, at any width in [1, 16] and any sprint
+// power up to SprintPowerW (sustainable ones included), projecting from
+// now+dt agrees with a governor copy that idles dt and then serves, to
+// 1e-12 relative, plus the ledger's own rounding: the projection adds
+// the refill to the remaining budget while Idle subtracts it from the
+// stored heat, so the two budgets differ by a few ulps of the capacity,
+// which a nearly exhausted budget turns into width·ulp/net seconds. Where
+// the full-width window is under Serve's slice floor, Serve rounds it
+// down to no sprint and the projection keeps it: there they may differ by
+// that window's width − 1 core-seconds, under width·1e-9 s. ProjectS must
+// leave the ledger untouched.
+func TestProjectSMatchesServe(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(2))
+	var floorN, oneWideN int
+	for i := 0; i < 50000; i++ {
+		g := New(cfg)
+		heat := 1.0
+		if i%4 != 0 {
+			heat = rng.Float64()
+		}
+		g.RecordSprint(cfg.SprintPowerW, heat*g.MaxSprintS(cfg.SprintPowerW))
+		dt := 0.0
+		if i%3 != 0 {
+			dt = math.Exp(rng.Float64()*16 - 12) // 6 µs to 55 s
+		}
+		workS := math.Exp(rng.Float64()*12 - 6) // 2.5 ms to 400 s
+		width := 1 + 15*rng.Float64()
+		if i%5 == 0 {
+			width = 1
+			oneWideN++
+		}
+		sprintW := cfg.SprintPowerW * (0.05 + 0.95*rng.Float64())
+
+		before := *g
+		got := g.ProjectS(g.Now()+dt, workS, width, sprintW)
+		if *g != before {
+			t.Fatalf("case %d: ProjectS changed the ledger", i)
+		}
+		served := *g
+		served.Idle(dt)
+		windowS := served.MaxSprintS(sprintW)
+		want, _, _, _ := served.Serve(workS, width, sprintW)
+		tol := 1e-12 * want
+		if netW := sprintW - g.DrainW(); netW > 0 {
+			tol += 4 * 0x1p-52 * g.CapacityJ() / netW * width
+		}
+		if windowS <= sliceFloorS && windowS*width < workS {
+			tol += width * sliceFloorS
+			floorN++
+		}
+		if math.Abs(got-want) > tol {
+			t.Fatalf("case %d: ProjectS = %.17g s, idle %g s then Serve = %.17g s (work %g s, width %g, %g W)",
+				i, got, dt, want, workS, width, sprintW)
+		}
+	}
+	if floorN == 0 || oneWideN == 0 {
+		t.Errorf("%d cases under the slice floor and %d 1-wide; want both", floorN, oneWideN)
+	}
+}
+
+// TestCoverKeySProperty: an idle governor's EmptyAtS is at or below
+// CoverKeyS exactly when its budget, refilled to the query time, covers
+// the service at full width (capped at the capacity every saturated
+// governor holds alike) — and CoverKeyS is +Inf, every governor tying,
+// when sprinting is sustainable or the service is 1-wide.
+func TestCoverKeySProperty(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(3))
+	var covered, short int
+	for i := 0; i < 50000; i++ {
+		g := New(cfg)
+		heat := 1.0
+		if i%4 != 0 {
+			heat = rng.Float64()
+		}
+		g.RecordSprint(cfg.SprintPowerW, heat*g.MaxSprintS(cfg.SprintPowerW))
+		dt := 0.0
+		if i%3 != 0 {
+			dt = math.Exp(rng.Float64()*12 - 8) // 0.3 ms to 55 s
+		}
+		workS := math.Exp(rng.Float64()*12 - 6)
+		width := 1 + 15*rng.Float64()
+		sprintW := cfg.SprintPowerW * (0.05 + 0.95*rng.Float64())
+		nowS := g.Now() + dt
+
+		key := g.CoverKeyS(nowS, workS, width, sprintW)
+		netW := sprintW - g.DrainW()
+		if netW <= 0 {
+			if !math.IsInf(key, 1) {
+				t.Fatalf("case %d: sustainable %g W gives cover key %g, want +Inf", i, sprintW, key)
+			}
+			continue
+		}
+		refilled := *g
+		refilled.Idle(dt)
+		needJ := math.Min(g.CapacityJ(), netW*workS/width)
+		if got, want := g.EmptyAtS() <= key, refilled.RemainingJ() >= needJ; got != want {
+			t.Fatalf("case %d: EmptyAtS %.17g ≤ cover key %.17g is %v, but %.17g J refilled against %.17g J needed is %v",
+				i, g.EmptyAtS(), key, got, refilled.RemainingJ(), needJ, want)
+		} else if want {
+			covered++
+		} else {
+			short++
+		}
+		if !math.IsInf(g.CoverKeyS(nowS, workS, 1, sprintW), 1) {
+			t.Fatalf("case %d: a 1-wide service gives a finite cover key", i)
+		}
+	}
+	if covered == 0 || short == 0 {
+		t.Errorf("%d covered and %d short cases; want both", covered, short)
+	}
+}
+
+// TestSustainBooksLikeIdle: nominal-power service bills NominalPowerW per
+// second and books the budget exactly as an idle interval does.
+func TestSustainBooksLikeIdle(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 1000; i++ {
+		g := New(cfg)
+		g.RecordSprint(cfg.SprintPowerW, rng.Float64()*g.MaxSprintS(cfg.SprintPowerW))
+		d := math.Exp(rng.Float64()*12 - 6)
+		idled := *g
+		idled.Idle(d)
+		if e := g.Sustain(d); e != cfg.NominalPowerW*d {
+			t.Fatalf("case %d: Sustain(%g) billed %.17g J, want %.17g J", i, d, e, cfg.NominalPowerW*d)
+		}
+		if *g != idled {
+			t.Fatalf("case %d: Sustain(%g) left the ledger at %+v, Idle at %+v", i, d, *g, idled)
+		}
+	}
+}
+
+// benchWork is a fixed mix of request sizes around the paper's 1 s
+// design-point sprint, so the benchmarks run every Serve branch.
+func benchWork() []float64 {
+	rng := rand.New(rand.NewSource(5))
+	w := make([]float64, 1024)
+	for i := range w {
+		w[i] = rng.ExpFloat64() * 8
+	}
+	return w
+}
+
+// BenchmarkServe times one governed service after an idle gap: the
+// per-service cost a fleet node pays in startService.
+func BenchmarkServe(b *testing.B) {
+	cfg := DefaultConfig()
+	g := New(cfg)
+	work := benchWork()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Idle(1)
+		g.Serve(work[i%len(work)], 16, cfg.SprintPowerW)
+	}
+}
+
+// BenchmarkProject times one service-time projection from a later start:
+// the per-candidate cost of sprint-aware dispatch scoring.
+func BenchmarkProject(b *testing.B) {
+	cfg := DefaultConfig()
+	g := New(cfg)
+	g.RecordSprint(cfg.SprintPowerW, 0.6*g.MaxSprintS(cfg.SprintPowerW))
+	work := benchWork()
+	sum := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += g.ProjectS(g.Now()+float64(i&7), work[i%len(work)], 16, cfg.SprintPowerW)
+	}
+	if sum < 0 {
+		b.Fatal(sum)
+	}
+}

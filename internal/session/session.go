@@ -184,7 +184,7 @@ func Evaluate(bursts []Burst, policy Policy, cfg Config) Metrics {
 		switch policy {
 		case SustainedPolicy:
 			serviceS = b.WorkS
-			gov.Idle(serviceS) // at or below TDP: budget refills
+			gov.Sustain(serviceS)
 		case UnmanagedSprint:
 			serviceS = b.WorkS / width
 			// Charge the budget; anything beyond capacity is a violation.
