@@ -110,7 +110,9 @@
 // and -coordination all sweep the same rows.
 // -convert-trace recording.jsonl -replay-out trace.csv converts a flight
 // recording into such a trace, closing the record→replay loop (replaying
-// a recording of a plain run reproduces that run's metrics exactly).
+// a recording of a plain run reproduces that run's metrics exactly); it
+// takes no flag but those two and -cpuprofile/-memprofile, which profile
+// the conversion.
 // With -workload file.json the run draws from a declarative multi-tenant
 // workload: SLO classes (priority, latency target, token-bucket
 // admission, per-class hedge delay), tenant populations with their own
@@ -278,6 +280,50 @@ func readJSON(path string, v any, stderr io.Writer) int {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
+		return 1
+	}
+	return 0
+}
+
+// startCPUProfile starts a pprof CPU profile into path, unless path is
+// empty; stop ends it and closes the file. A file that cannot be created
+// or started is exit code 1.
+func startCPUProfile(path string, stderr io.Writer) (stop func(), code int) {
+	if path == "" {
+		return func() {}, 0
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		if err = pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return nil, 1
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, 0
+}
+
+// writeHeapProfile writes a pprof heap profile, after a GC, to path,
+// unless path is empty; a failure is exit code 1.
+func writeHeapProfile(path string, stderr io.Writer) int {
+	if path == "" {
+		return 0
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		runtime.GC()
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
 	}
 	return 0
@@ -454,8 +500,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		shardWorkers = fs.Int("shard-workers", 0, "shard each simulation's event loop across this many concurrent per-worker loops with racks as the shard boundary; parallelizes only plain round-robin runs (no probabilistic admission, scenario, trace, reliability, or workload) and is otherwise a no-op; results are byte-identical at any count (0 or 1 = classic single loop)")
 
 		exactQ     = fs.Bool("exact-quantiles", false, "buffer and sort every latency for exact quantiles at any scale (default: exact up to 131072 requests, streaming histogram above)")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile after the sweep to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep or the -convert-trace conversion to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile after the sweep or the -convert-trace conversion to this file")
 
 		coordination = fs.String("coordination", "none", "rack coordination: none|uncoordinated|token-permit|probabilistic|all")
 		rackSize     = fs.Int("rack-size", 0, "nodes per rack power domain (0 = default 8; needs -coordination)")
@@ -498,6 +544,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// switched off is a user error worth a loud answer.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["convert-trace"] != set["replay-out"] {
+		fmt.Fprintln(stderr, "fleetsim: -convert-trace and -replay-out go together (read a recording, write a replayable trace)")
+		return 2
+	}
+	if set["convert-trace"] {
+		// A conversion reads only its two files, and may be profiled;
+		// every other flag would be silently ignored.
+		conflict := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "convert-trace", "replay-out", "cpuprofile", "memprofile":
+			default:
+				if conflict == "" {
+					conflict = f.Name
+				}
+			}
+		})
+		if conflict != "" {
+			fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -convert-trace (conversion runs no simulation)\n", conflict)
+			return 2
+		}
+		stop, code := startCPUProfile(*cpuProfile, stderr)
+		if code != 0 {
+			return code
+		}
+		code = convertRecording(*convertTrace, *replayOut, stdout, stderr)
+		stop()
+		if code == 0 {
+			code = writeHeapProfile(*memProfile, stderr)
+		}
+		return code
+	}
 	if set["permits"] && *coordination != "token-permit" && *coordination != "all" {
 		fmt.Fprintf(stderr, "fleetsim: -permits only applies to token-permit coordination (got -coordination %s)\n", *coordination)
 		return 2
@@ -533,19 +611,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-	}
-	if set["convert-trace"] != set["replay-out"] {
-		fmt.Fprintln(stderr, "fleetsim: -convert-trace and -replay-out go together (read a recording, write a replayable trace)")
-		return 2
-	}
-	if *convertTrace != "" {
-		for _, f := range []string{"replay", "workload", "scenario", "trace"} {
-			if set[f] {
-				fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -convert-trace (conversion runs no simulation)\n", f)
-				return 2
-			}
-		}
-		return convertRecording(*convertTrace, *replayOut, stdout, stderr)
 	}
 	if *replayPath != "" {
 		for _, f := range []string{"scenario", "workload", "trace", "requests", "rate", "work"} {
@@ -718,19 +783,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stop, code := startCPUProfile(*cpuProfile, stderr)
+	if code != 0 {
+		return code
 	}
+	defer stop()
 
 	switch {
 	case scen != nil:
@@ -765,18 +822,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
+	if code := writeHeapProfile(*memProfile, stderr); code != 0 {
+		return code
 	}
 	if scen != nil {
 		printScenarioReport(*scenarioPath, *scen, metrics, stdout)

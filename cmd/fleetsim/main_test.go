@@ -166,24 +166,35 @@ func TestHedgeSuppressionReported(t *testing.T) {
 	}
 }
 
-// TestProfileFlags exercises -cpuprofile/-memprofile: both files must be
-// created non-empty and the run must still succeed.
+// TestProfileFlags exercises -cpuprofile/-memprofile on a sweep and on a
+// -convert-trace conversion: both files must be created non-empty and
+// the run must still succeed.
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	_, code := runOut(t, "-nodes", "4", "-requests", "500", "-policy", "least-loaded",
-		"-cpuprofile", cpu, "-memprofile", mem)
-	if code != 0 {
-		t.Fatalf("exit %d", code)
+	rec := filepath.Join(dir, "rec.jsonl")
+	if _, code := runOut(t, "-nodes", "4", "-requests", "200", "-policy", "sprint-aware", "-trace", rec); code != 0 {
+		t.Fatalf("record exit %d", code)
 	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile %s missing: %v", p, err)
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"sweep", []string{"-nodes", "4", "-requests", "500", "-policy", "least-loaded"}},
+		{"conversion", []string{"-convert-trace", rec, "-replay-out", filepath.Join(dir, "trace.csv")}},
+	} {
+		cpu := filepath.Join(dir, c.name+".cpu.pprof")
+		mem := filepath.Join(dir, c.name+".mem.pprof")
+		if _, code := runOut(t, append(c.args, "-cpuprofile", cpu, "-memprofile", mem)...); code != 0 {
+			t.Fatalf("%s: exit %d", c.name, code)
 		}
-		if st.Size() == 0 {
-			t.Errorf("profile %s is empty", p)
+		for _, p := range []string{cpu, mem} {
+			st, err := os.Stat(p)
+			if err != nil {
+				t.Fatalf("%s: profile %s missing: %v", c.name, p, err)
+			}
+			if st.Size() == 0 {
+				t.Errorf("%s: profile %s is empty", c.name, p)
+			}
 		}
 	}
 }
@@ -504,7 +515,28 @@ func TestReplayWorkloadFlagCoherence(t *testing.T) {
 			t.Errorf("%v: want exit 2, got %d (stderr: %s)", args, code, errb.String())
 		}
 	}
-	// Missing or malformed inputs are runtime errors (exit 1), not usage.
+	// A conversion runs no simulation: every flag but its two files and
+	// the profiles is refused by name (the first in flag-name order, here
+	// each case's first) before anything is read or written.
+	for _, extra := range [][]string{
+		{"-replay", "t.csv"}, {"-workload", "w.json"}, {"-scenario", "s.json"}, {"-trace", "x.jsonl"},
+		{"-policy", "round-robin"}, {"-seed", "9"}, {"-workers", "1"}, {"-shard-workers", "2"},
+		{"-coordination", "none"}, {"-exact-quantiles"}, {"-trace-summary"},
+		{"-nodes", "5", "-policy", "round-robin", "-trace-summary", "-seed", "9", "-cpuprofile", "p.prof"},
+	} {
+		args := append([]string{"-convert-trace", "rec.jsonl", "-replay-out", "t.csv"}, extra...)
+		var out, errb bytes.Buffer
+		code := run(context.Background(), args, &out, &errb)
+		want := fmt.Sprintf("fleetsim: %s conflicts with -convert-trace (conversion runs no simulation)\n", extra[0])
+		if code != 2 || errb.String() != want || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2 and %q", args, code, errb.String(), out.String(), want)
+		}
+	}
+	// Missing or malformed inputs are runtime errors (exit 1), not usage;
+	// an empty recording path is a conversion that fails, not a run.
+	if out, code := runOut(t, "-convert-trace", "", "-replay-out", filepath.Join(t.TempDir(), "t.csv")); code != 1 || out != "" {
+		t.Errorf("empty -convert-trace: want exit 1 and no report, got %d:\n%s", code, out)
+	}
 	if _, code := runOut(t, "-replay", filepath.Join(t.TempDir(), "absent.csv"),
 		"-policy", "sprint-aware", "-coordination", "none"); code != 1 {
 		t.Errorf("absent replay trace: want exit 1, got %d", code)

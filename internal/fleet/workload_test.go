@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"sprinting/internal/trace"
 )
 
 // tenantWorkload is the contrast workload the multi-tenant tests share:
@@ -561,6 +563,52 @@ func TestWorkloadValidate(t *testing.T) {
 	for name, w := range bad {
 		if _, _, err := Run(context.Background(), Spec{Config: valid, Workload: &w}); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// replayShapedRecording records the trace_replay benchmark workload's
+// flash crowd — sprint-aware token-permit dispatch at full trace level,
+// a baseline, surge and decaying recovery with node churn — at a quarter
+// of its fleet and arrival rate, streamed to JSONL as fleetsim -trace
+// writes it: about 9 MB holding some 8k arrivals.
+func replayShapedRecording(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 250
+	cfg.Seed = 1
+	cfg.Coordination = TokenPermit
+	sc := Scenario{
+		BaseRatePerS: 112.5,
+		Phases: []Phase{
+			{Name: "baseline", DurationS: 30, StartFactor: 0.7},
+			{Name: "surge", DurationS: 20, StartFactor: 1.4, AmbientDeltaC: 10},
+			{Name: "recovery", DurationS: 30, Shape: ShapeDecay, StartFactor: 1.4, EndFactor: 0.5},
+		},
+		Churn: Churn{MTBFS: 8, MeanDowntimeS: 5},
+	}
+	var buf bytes.Buffer
+	cfg.Trace = TraceConfig{Level: trace.LevelFull, Writer: &buf}
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReplayFromJSONL is the convert step's per-layer benchmark:
+// fleetsim -convert-trace's decoding of a recording the fleet recorder
+// wrote, whose repeated instants and fixed line layout the reader's
+// shortcuts are built for (genTrace's random floats in internal/trace's
+// BenchmarkTraceReadJSONL under-represent both); bytes/op is the
+// recording's size.
+func BenchmarkReplayFromJSONL(b *testing.B) {
+	data := replayShapedRecording(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReplayFromJSONL(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,6 +28,25 @@ import (
 // a record carries exactly the one payload its tag names, and nothing may
 // follow the object on its line. FuzzReadJSONL holds both halves to
 // encoding/json.
+//
+// Reading a recording back is the expensive half, and three shortcuts
+// keep it cheap without changing what it accepts or decodes:
+//   - A decision or event line laid out exactly as Encoder.record writes
+//     it is matched against that layout's byte literals and decoded with
+//     the same value helpers (fastLine). At the first byte that departs
+//     from the layout the line is rewound and handed to the general
+//     parser, which decodes or rejects it. The general parser is the only
+//     source of errors and the reference the tests hold the shortcut to
+//     (refParse); whitespace, reordered keys, samples and the meta header
+//     always take it.
+//   - A plain decimal whose digits fit in 53 bits, with at most 22
+//     fraction digits and no exponent, is float64(digits)/10^k: one
+//     correctly rounded division of two exact doubles, so the value
+//     strconv.ParseFloat returns (shortDecimal).
+//   - Every other float token is looked up in a direct-mapped memo of
+//     recent tokens, compared byte for byte, before strconv parses it: a
+//     recording repeats its instants many times over, as the Encoder's
+//     float cache notes.
 
 // maxLineBytes caps one recording line; a longer one is rejected rather
 // than buffered.
@@ -434,11 +454,7 @@ func (p *parser) scan(r io.Reader, visit func(*Record) error) (Meta, error) {
 				perr = p.metaLine(&meta)
 				sawMeta = perr == nil
 			} else {
-				if p.reuse {
-					p.recycle()
-				}
-				p.rec = Record{}
-				if perr = p.recordLine(&p.rec); perr == nil {
+				if perr = p.record(); perr == nil {
 					if verr := visit(&p.rec); verr != nil {
 						return Meta{}, verr
 					}
@@ -507,6 +523,161 @@ type parser struct {
 	floats  Slab[float64]
 	altTmp  []Alt
 	fltTmp  []float64
+
+	// miss marks a line fastLine has found off the Encoder's layout.
+	miss bool
+	// memo holds recently parsed float tokens that shortDecimal could not
+	// take, keyed by their bytes.
+	memo [1024]memoFloat
+}
+
+// memoFloat is one float memo slot: a token of n bytes and its value.
+type memoFloat struct {
+	f float64
+	n uint8
+	b [23]byte
+}
+
+// refParse, when set, sends every line through the general parser, as
+// if no line were in the Encoder's layout; FuzzReadJSONL proves both
+// paths decode the same records and fail with the same errors.
+var refParse bool
+
+// record decodes the record line at p.i into p.rec: through fastLine if
+// the line is in the Encoder's layout, else through the general parser.
+func (p *parser) record() error {
+	if p.reuse {
+		p.recycle()
+	}
+	p.rec = Record{}
+	if !refParse && p.fastLine(&p.rec) {
+		return nil
+	}
+	p.rec = Record{}
+	return p.recordLine(&p.rec)
+}
+
+// fastLine decodes into r a decision or event line laid out byte for
+// byte as Encoder.record writes it, and reports whether it could. It reads
+// every value with the general parser's own helpers, and attaches the
+// payload only once the whole line has matched. At the first byte off
+// the layout, or a value a helper rejects, it rewinds p.i to where it
+// started and reports false, leaving r's payloads unset and the slabs
+// untouched, so the general parser reads the line afresh.
+func (p *parser) fastLine(r *Record) bool {
+	start := p.i
+	p.miss = false
+	var (
+		d  Decision
+		ev Event
+	)
+	isDec := false
+	switch {
+	case p.opt(`{"t":"decision"`):
+		r.T, isDec = "decision", true
+	case p.opt(`{"t":"event"`):
+		r.T = "event"
+	default:
+		return false
+	}
+	r.AtS = field(p, `,"at_s":`, (*parser).float)
+	r.Seq = field(p, `,"seq":`, (*parser).uint64)
+	if isDec {
+		p.fastDecision(&d)
+	} else {
+		p.fastEvent(&ev)
+	}
+	p.want("}")
+	if rest := len(p.b) - p.i; p.miss || rest > 1 || rest == 1 && p.b[p.i] != '\n' {
+		p.i = start
+		return false
+	}
+	if isDec {
+		if len(p.altTmp) > 0 {
+			d.Alts = p.alts.Take(len(p.altTmp))
+			copy(d.Alts, p.altTmp)
+		}
+		r.Decision = p.decs.New()
+		*r.Decision = d
+	} else {
+		r.Event = p.evs.New()
+		*r.Event = ev
+	}
+	return true
+}
+
+// fastDecision reads a decision payload in Encoder.record's field order.
+func (p *parser) fastDecision(d *Decision) {
+	d.Kind = field(p, `,"decision":{"kind":`, (*parser).string)
+	d.Req = field(p, `,"req":`, (*parser).int)
+	d.Phase = field(p, `,"phase":`, (*parser).int)
+	d.Node = field(p, `,"node":`, (*parser).int)
+	d.Outcome = field(p, `,"outcome":`, (*parser).string)
+	d.Key = field(p, `,"key":`, (*parser).float)
+	d.KeyKind = field(p, `,"key_kind":`, (*parser).string)
+	d.WorkS = field(p, `,"work_s":`, (*parser).float)
+	p.altTmp = p.altTmp[:0]
+	if p.opt(`,"alts":[`) {
+		for sep := `{"node":`; ; sep = `,{"node":` {
+			a := Alt{Node: field(p, sep, (*parser).int)}
+			a.Key = field(p, `,"key":`, (*parser).float)
+			a.HypoDoneS = field(p, `,"hypo_done_s":`, (*parser).float)
+			p.want("}")
+			p.altTmp = append(p.altTmp, a)
+			if p.miss || p.opt("]") {
+				break
+			}
+		}
+	}
+	d.DoneS = field(p, `,"done_s":`, (*parser).float)
+	d.BestAlt = field(p, `,"best_alt":`, (*parser).int)
+	d.BestAltDoneS = field(p, `,"best_alt_done_s":`, (*parser).float)
+	d.RegretS = field(p, `,"regret_s":`, (*parser).float)
+	p.want("}")
+}
+
+// fastEvent reads an event payload in Encoder.record's field order.
+func (p *parser) fastEvent(ev *Event) {
+	ev.Kind = field(p, `,"event":{"kind":`, (*parser).string)
+	ev.Node = field(p, `,"node":`, (*parser).int)
+	ev.Rack = field(p, `,"rack":`, (*parser).int)
+	ev.Req = field(p, `,"req":`, (*parser).int)
+	ev.Phase = field(p, `,"phase":`, (*parser).int)
+	if p.opt(`,"name"`) {
+		ev.Name = field(p, ":", (*parser).string)
+	}
+	ev.DurS = field(p, `,"dur_s":`, (*parser).float)
+	p.want("}")
+}
+
+// opt consumes lit if the line is still on the Encoder's layout and
+// continues with exactly those bytes.
+func (p *parser) opt(lit string) bool {
+	if p.miss || len(p.b)-p.i < len(lit) || string(p.b[p.i:p.i+len(lit)]) != lit {
+		return false
+	}
+	p.i += len(lit)
+	return true
+}
+
+// want consumes lit, or marks the line off the layout.
+func (p *parser) want(lit string) {
+	if !p.opt(lit) {
+		p.miss = true
+	}
+}
+
+// field consumes lit, then reads the value after it with read; a
+// mismatch, or a value read rejects, marks the line off the layout.
+func field[T any](p *parser, lit string, read func(*parser) (T, error)) (v T) {
+	if p.opt(lit) {
+		var err error
+		if v, err = read(p); err == nil {
+			return v
+		}
+	}
+	p.miss = true
+	return v
 }
 
 // recycle hands the payload slabs out again from their start.
@@ -1041,15 +1212,93 @@ func (p *parser) number() (tok []byte, integer bool, err error) {
 }
 
 func (p *parser) float() (float64, error) {
+	if f, ok := p.shortDecimal(); ok {
+		return f, nil
+	}
 	tok, _, err := p.number()
 	if err != nil {
 		return 0, err
+	}
+	m := &p.memo[tokenSlot(tok)]
+	if int(m.n) == len(tok) && string(m.b[:m.n]) == string(tok) {
+		return m.f, nil
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, fmt.Errorf("number %s out of range", tok)
 	}
+	if len(tok) <= len(m.b) {
+		m.f, m.n = f, uint8(len(tok))
+		copy(m.b[:], tok)
+	}
 	return f, nil
+}
+
+// tokenSlot hashes a float token to its memo slot.
+func tokenSlot(tok []byte) uint64 {
+	h := uint64(len(tok))
+	for ; len(tok) >= 8; tok = tok[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(tok)) * 0x9e3779b97f4a7c15
+	}
+	for _, c := range tok {
+		h = (h ^ uint64(c)) * 0x9e3779b97f4a7c15
+	}
+	return h >> 54
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// shortDecimal reads a plain decimal — an optional minus, an integer part
+// that is 0 or starts with a nonzero digit, an optional fraction of at
+// most 22 digits, no exponent — whose digits taken together fit in 53
+// bits. Its value is
+// float64(digits)/10^k for k fraction digits: both operands are exact
+// doubles, so the one correctly rounded division yields the correctly
+// rounded value strconv.ParseFloat returns. Any other token, malformed
+// ones included, reports false with p.i unmoved.
+func (p *parser) shortDecimal() (float64, bool) {
+	b, i := p.b, p.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if m = m*10 + uint64(b[i]-'0'); m > 1<<53 {
+				return 0, false
+			}
+		}
+	default:
+		return 0, false
+	}
+	k := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		d := i
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			if m = m*10 + uint64(b[i]-'0'); m > 1<<53 {
+				return 0, false
+			}
+		}
+		if k = i - d; k == 0 || k >= len(exactPow10) {
+			return 0, false
+		}
+	}
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E' || b[i] >= '0' && b[i] <= '9') {
+		return 0, false
+	}
+	f := float64(m) / exactPow10[k]
+	if neg {
+		f = -f
+	}
+	p.i = i
+	return f, true
 }
 
 // integer parses an integer literal into its magnitude and sign; a

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -467,17 +468,40 @@ func TestScanJSONLAllocationsBounded(t *testing.T) {
 	}
 }
 
-// FuzzReadJSONL holds the reader to two oracles. Whatever it accepts,
+// readBothWays decodes data with ReadJSONL as it is and with every line
+// sent through the general parser (refParse), and fails t unless both
+// return the same records or the same error text: the line fast path
+// may neither accept a line the general parser rejects nor decode one
+// differently. It returns the first decode's result.
+func readBothWays(t *testing.T, data []byte) (*Trace, error) {
+	t.Helper()
+	tr, err := ReadJSONL(bytes.NewReader(data))
+	refParse = true
+	gen, gerr := ReadJSONL(bytes.NewReader(data))
+	refParse = false
+	switch {
+	case (err == nil) != (gerr == nil):
+		t.Fatalf("ReadJSONL error %v, general parser's %v", err, gerr)
+	case err != nil && err.Error() != gerr.Error():
+		t.Fatalf("ReadJSONL error %q, general parser's %q", err, gerr)
+	case err == nil && !reflect.DeepEqual(tr, gen):
+		t.Fatalf("ReadJSONL and the general parser disagree: %s", traceDiff(tr, gen))
+	}
+	return tr, err
+}
+
+// FuzzReadJSONL holds the reader to three oracles. Whatever it accepts,
 // encoding/json (with DisallowUnknownFields) must decode to the same
-// records; and it must round-trip — ReadJSONL(WriteJSONL(tr)) equals tr,
-// and re-encodes to the same bytes. ScanJSONL must agree with it on
-// every input: the same records, each copied as it is visited, or the
-// same error text.
+// records; it must round-trip — ReadJSONL(WriteJSONL(tr)) equals tr, and
+// re-encodes to the same bytes; and the general parser alone must decode
+// every input to the same records or fail it with the same error text.
+// ScanJSONL must agree with it on every input: the same records, each
+// copied as it is visited, or the same error text.
 func FuzzReadJSONL(f *testing.F) {
 	f.Add(writeJSONL(f, genTrace(6, 4)))
 	f.Add(writeJSONL(f, genTrace(120, 5)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadJSONL(bytes.NewReader(data))
+		tr, err := readBothWays(t, data)
 		scanned, serr := scanAll(bytes.NewReader(data))
 		switch {
 		case (err == nil) != (serr == nil):
@@ -512,6 +536,136 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatal("re-encoding changed the bytes")
 		}
 	})
+}
+
+// TestFastLineMatchesGeneral holds the line fast path to the general
+// parser on the lines nearest its layout: every decision and event line
+// the writer produces for the edge and generated traces, and, for the
+// generated lines and every eighth edge line, each with one byte
+// deleted, doubled, or replaced by a byte that matters to JSON, at every
+// position. Both must decode a line to the same record or fail it with
+// the same error text, and every unmutated line the reader accepts must
+// take the fast path.
+func TestFastLineMatchesGeneral(t *testing.T) {
+	var lines [][]byte
+	mutate := map[int]bool{}
+	for _, tr := range []*Trace{edgeTrace(), genTrace(12, 6)} {
+		edge := len(lines) == 0
+		for _, l := range bytes.Split(writeJSONL(t, tr), []byte("\n"))[1:] {
+			if bytes.HasPrefix(l, []byte(`{"t":"decision"`)) || bytes.HasPrefix(l, []byte(`{"t":"event"`)) {
+				mutate[len(lines)] = !edge || len(lines)%8 == 0
+				lines = append(lines, append(l, '\n'))
+			}
+		}
+	}
+	p := parser{intern: map[string]string{}, reuse: true}
+	decode := func(line []byte, ref bool) (Record, string) {
+		refParse = ref
+		defer func() { refParse = false }()
+		p.b, p.i = line, 0
+		p.ws()
+		if err := p.record(); err != nil {
+			return Record{}, err.Error()
+		}
+		return cloneRecord(&p.rec), ""
+	}
+	mutations := []byte{' ', '0', '-', '.', 'e', '"', '\\', ',', '}', ']', '\n', 0xff}
+	variants := 0
+	for k, line := range lines {
+		_, err := decode(line, true)
+		if p.b, p.i = line, 0; err == "" && !p.fastLine(&p.rec) {
+			t.Fatalf("a line the writer wrote and the reader accepts left the fast path:\n%s", line)
+		}
+		if !mutate[k] {
+			continue
+		}
+		for i := range line {
+			vs := [][]byte{slices.Concat(line[:i], line[i+1:]), slices.Concat(line[:i+1], line[i:])}
+			for _, c := range mutations {
+				if c != line[i] {
+					vs = append(vs, slices.Concat(line[:i], []byte{c}, line[i+1:]))
+				}
+			}
+			for _, v := range vs {
+				variants++
+				got, gerr := decode(v, false)
+				want, werr := decode(v, true)
+				if gerr != werr || !reflect.DeepEqual(got, want) {
+					g, _ := json.Marshal(got)
+					w, _ := json.Marshal(want)
+					t.Fatalf("line %q:\n fast path %s %s\n general   %s %s", v, g, gerr, w, werr)
+				}
+			}
+		}
+	}
+	t.Logf("%d lines, %d variants", len(lines), variants)
+}
+
+// TestParserFloatExact pins parser.float to strconv.ParseFloat, bit for
+// bit, on the tokens either shortcut takes and the ones next to their
+// limits: short decimals of every length, digits at and past 2^53,
+// fractions of 22 and 23 digits, signed zeros, exponents, and the
+// writer's own formatting of random and edge values. Each token is read
+// twice over more distinct tokens than the memo has slots, so memo hits,
+// misses and evictions all meet the same reference.
+func TestParserFloatExact(t *testing.T) {
+	toks := []string{"0", "-0", "0.0", "-0.0", "1", "-1", "0.5", "0.1", "0.3", "2.675", "123.456",
+		"9007199254740992", "9007199254740993", "900719925474099.3", "90071992547409.93",
+		"0.0000000000000000000001", "0.00000000000000000000001", "1.0000000000000000000001",
+		"4503599627370497.5", "1e5", "1E-7", "2.5e+3", "-0e0", "1.7976931348623157e308", "5e-324",
+		"123456789012345678901234", "0.30000000000000004"}
+	rng := rand.New(rand.NewSource(7))
+	var e Encoder
+	for range 3000 {
+		var f float64
+		switch rng.Intn(4) {
+		case 0:
+			f = float64(rng.Int63n(1e9)) / math.Pow10(rng.Intn(12))
+		case 1:
+			f = rng.ExpFloat64() * math.Pow10(rng.Intn(40)-20)
+		case 2:
+			f = math.Float64frombits(rng.Uint64())
+		default:
+			f = edgeFloats[rng.Intn(len(edgeFloats))]
+		}
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			continue
+		}
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		e.b = e.b[:0]
+		e.float(f)
+		toks = append(toks, string(e.b), strconv.FormatFloat(f, 'f', rng.Intn(25), 64))
+	}
+	p := parser{}
+	check := func(pass int, tok string) {
+		t.Helper()
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.b, p.i = []byte(tok+","), 0
+		got, err := p.float()
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) || p.i != len(tok) {
+			t.Fatalf("pass %d: float(%s) = %v (%v), stopped at %d; ParseFloat = %v", pass, tok, got, err, p.i, want)
+		}
+	}
+	for pass := range 2 {
+		for _, tok := range toks {
+			check(pass, tok)
+		}
+	}
+	// A memo slot holding another token — this one's prefix, or one of
+	// its length — never answers for it.
+	for _, tok := range []string{"0.123456789012345678", "12.345678901234567"} {
+		for _, other := range []string{tok[:len(tok)-1], tok[:len(tok)-1] + "9"} {
+			m := &p.memo[tokenSlot([]byte(tok))]
+			*m = memoFloat{f: -1, n: uint8(len(other))}
+			copy(m.b[:], other)
+			check(2, tok)
+		}
+	}
 }
 
 // genTrace synthesizes a recording shaped like a full-level flash-crowd
