@@ -211,14 +211,27 @@ func (m minSpeedupFlag) Set(s string) error {
 }
 
 // maxRatioFlag collects repeated -max-ratio name/base=ratio ceilings.
+// Either benchmark may be a sub-benchmark: the pair splits at the
+// "/Benchmark" that starts the base, so
+// BenchmarkFleetTraceStream/full/BenchmarkFleetTraceOff names
+// BenchmarkFleetTraceStream/full over BenchmarkFleetTraceOff.
 type maxRatioFlag struct{ minSpeedupFlag }
 
 func (m maxRatioFlag) Set(s string) error {
-	if pair, _, _ := strings.Cut(s, "="); !strings.Contains(pair, "/") {
+	if pair, _, _ := strings.Cut(s, "="); !validPair(pair) {
 		return fmt.Errorf("want name/base=ratio, got %q", s)
 	}
 	return m.minSpeedupFlag.Set(s)
 }
+
+// splitPair splits a -max-ratio name/base pair at its first
+// "/Benchmark"; validPair reports whether the pair has one past its start.
+func splitPair(pair string) (name, base string) {
+	name, base, _ = strings.Cut(pair, "/Benchmark")
+	return name, "Benchmark" + base
+}
+
+func validPair(pair string) bool { return strings.Index(pair, "/Benchmark") > 0 }
 
 // gateRatios enforces every -max-ratio ceiling on the report: the named
 // benchmark's ns/op over its base's must not exceed the ceiling. It writes
@@ -238,7 +251,7 @@ func gateRatios(rep Report, max maxRatioFlag, out io.Writer) int {
 	failures := 0
 	for _, pair := range pairs {
 		want := max.minSpeedupFlag[pair]
-		name, base, _ := strings.Cut(pair, "/")
+		name, base := splitPair(pair)
 		n, okN := byName[name]
 		b, okB := byName[base]
 		if !okN || !okB {

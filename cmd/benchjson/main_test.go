@@ -308,10 +308,10 @@ func TestCompareUsageErrors(t *testing.T) {
 	if _, _, code := runCompare(t, "-compare", good, good, "-max-ratio", "B=3"); code != 2 {
 		t.Errorf("-max-ratio without a name/base pair should exit 2, got %d", code)
 	}
-	if _, _, code := runCompare(t, "-compare", good, good, "-max-ratio", "A/B=0"); code != 2 {
+	if _, _, code := runCompare(t, "-compare", good, good, "-max-ratio", "BenchmarkA/BenchmarkB=0"); code != 2 {
 		t.Errorf("non-positive -max-ratio should exit 2, got %d", code)
 	}
-	if _, _, code := runCompare(t, "-max-ratio", "A/B=3"); code != 2 {
+	if _, _, code := runCompare(t, "-max-ratio", "BenchmarkA/BenchmarkB=3"); code != 2 {
 		t.Errorf("-max-ratio without -compare should exit 2, got %d", code)
 	}
 }
@@ -344,6 +344,52 @@ func TestCompareMaxRatioGate(t *testing.T) {
 		if !strings.Contains(out, "ratio    BenchmarkFleetTrace") {
 			t.Errorf("passing pair should still report its ratio:\n%s", out)
 		}
+	}
+}
+
+// TestCompareMaxRatioSubBenchmarks: a -max-ratio pair splits at the
+// "/Benchmark" that starts its base, so either side may name a
+// sub-benchmark; a pair without one is a usage error.
+func TestCompareMaxRatioSubBenchmarks(t *testing.T) {
+	for _, tc := range []struct{ pair, name, base string }{
+		{"BenchmarkFleetTrace/BenchmarkFleetTraceOff", "BenchmarkFleetTrace", "BenchmarkFleetTraceOff"},
+		{"BenchmarkFleetTraceStream/full/BenchmarkFleetTraceOff", "BenchmarkFleetTraceStream/full", "BenchmarkFleetTraceOff"},
+		{"BenchmarkA/x/BenchmarkB/y", "BenchmarkA/x", "BenchmarkB/y"},
+	} {
+		if !validPair(tc.pair) {
+			t.Errorf("%s: not a valid pair", tc.pair)
+		}
+		if name, base := splitPair(tc.pair); name != tc.name || base != tc.base {
+			t.Errorf("%s split into %q over %q, want %q over %q", tc.pair, name, base, tc.name, tc.base)
+		}
+	}
+	for _, bad := range []string{"BenchmarkA", "A/B", "/BenchmarkB", "BenchmarkA/sub"} {
+		if validPair(bad) {
+			t.Errorf("%q: accepted as a name/base pair", bad)
+		}
+	}
+	rep := func(full float64) string {
+		return writeReport(t, Report{Results: []Result{
+			procResult("BenchmarkFleetTraceStream/full", full, 2),
+			procResult("BenchmarkFleetTraceStream/decisions", 2e8, 2),
+			procResult("BenchmarkFleetTraceOff", 1e8, 2),
+		}})
+	}
+	ceilings := []string{
+		"-max-ratio", "BenchmarkFleetTraceStream/full/BenchmarkFleetTraceOff=4",
+		"-max-ratio", "BenchmarkFleetTraceStream/decisions/BenchmarkFleetTraceOff=4",
+	}
+	old := rep(3e8)
+	out, errs, code := runCompare(t, append([]string{"-compare", old, rep(3e8)}, ceilings...)...)
+	if code != 0 || strings.Contains(out, "MISSING") {
+		t.Fatalf("sub-benchmark pairs under their ceilings should pass, got %d\n%s%s", code, out, errs)
+	}
+	if !strings.Contains(out, "ratio    BenchmarkFleetTraceStream/full") || !strings.Contains(out, "3.00x of BenchmarkFleetTraceOff") {
+		t.Errorf("verdict should name the sub-benchmark and its ratio:\n%s", out)
+	}
+	out, errs, code = runCompare(t, append([]string{"-compare", old, rep(5e8)}, ceilings...)...)
+	if code != 1 || !strings.Contains(out, "COSTLY   BenchmarkFleetTraceStream/full") {
+		t.Fatalf("5x under a 4x ceiling should fail naming the sub-benchmark, got %d\n%s%s", code, out, errs)
 	}
 }
 

@@ -176,11 +176,12 @@ func (a qkey) lessBit(b qkey) int {
 // best caches the earliest lane head, refreshed by a scan over the few
 // lanes only after a lane pop, so a queue with no timers pays one branch.
 //
-// It is the package's one priority queue, with three users: the event
-// loop's future-event list, the recorder's pending sprint phases, and
+// It is the package's one priority queue, with four users: the event
+// loop's future-event list, the recorder's pending sprint phases,
 // sprint-aware dispatch's best-first frontier over busy-tree slots (see
-// sprintAwareMin). Only the event loop's hedge checks and timeouts use
-// lanes.
+// sprintAwareMin), and the recorder's alternatives walk on that same
+// frontier (see altWalk). Only the event loop's hedge checks and
+// timeouts use lanes.
 type eventQueue struct {
 	k []qkey
 	p []event

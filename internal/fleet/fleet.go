@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"sprinting/internal/governor"
 	"sprinting/internal/series"
@@ -124,13 +123,14 @@ func (d *latDist) summary() (mean, p50, p95, p99, p999, maxS float64) {
 	if len(b) == 0 {
 		return
 	}
-	sum := 0.0
+	sum, maxS := 0.0, b[0]
 	for _, v := range b {
 		sum += v
+		maxS = max(maxS, v)
 	}
-	sort.Float64s(b)
-	return sum / float64(len(b)), series.Quantile(b, 0.50), series.Quantile(b, 0.95),
-		series.Quantile(b, 0.99), series.Quantile(b, 0.999), b[len(b)-1]
+	var q [4]float64
+	series.SelectQuantiles(b, []float64{0.50, 0.95, 0.99, 0.999}, q[:])
+	return sum / float64(len(b)), q[0], q[1], q[2], q[3], maxS
 }
 
 // tally is one cohort's outcome — the run's, a scenario phase's or an SLO
@@ -845,8 +845,9 @@ type sim struct {
 	segs   []dspSeg
 	segIdx []int32
 	useRef bool
-	// frontier is sprint-aware's best-first search queue over busy-tree
-	// slots, cleared per search and reused for the whole run.
+	// frontier is the best-first search queue of sprint-aware's busy-tree
+	// search and of the recorder's alternatives walk, cleared per search
+	// and reused for the whole run.
 	frontier eventQueue
 
 	m Metrics
@@ -951,7 +952,7 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 			// stream: one event per straggler, DurS carrying the slowdown.
 			for i := range s.nodes {
 				if s.rel.slowX[i] > 1 {
-					rec.event(s, trace.Event{Kind: "gray-node", Node: i, Rack: rackOf(s, &s.nodes[i]), Req: -1, Phase: -1, DurS: s.rel.slowX[i]})
+					rec.event(s, lifecycle{kind: kindGrayNode, node: i, rack: rackOf(s, &s.nodes[i]), req: -1, phase: -1, durS: s.rel.slowX[i]})
 				}
 			}
 		}
@@ -1390,7 +1391,7 @@ func (s *sim) dispatch(ri int32) {
 	n := s.selectNode(r.workS, -1)
 	if n == nil || n.outstanding() >= s.cl(n).queueCap {
 		if s.rec != nil {
-			s.rec.decision(s, ri, "dispatch", n, rr0, -1, false)
+			s.rec.decision(s, ri, kindDispatch, n, rr0, -1, false)
 		}
 		s.drop(ri, n)
 		return
@@ -1398,7 +1399,7 @@ func (s *sim) dispatch(ri int32) {
 	if s.rec != nil {
 		// Recorded before enqueue so the winning key and the alternatives
 		// scan see the exact pre-placement state the selector scored.
-		s.rec.decision(s, ri, "dispatch", n, rr0, -1, true)
+		s.rec.decision(s, ri, kindDispatch, n, rr0, -1, true)
 	}
 	r.firstNode = int32(n.id)
 	s.enqueue(n, reqCopy{req: ri})
@@ -1432,13 +1433,13 @@ func (s *sim) hedge(ri int32) {
 	n := s.selectNode(r.workS, int(r.firstNode))
 	if n == nil || n.outstanding() >= s.cl(n).queueCap {
 		if s.rec != nil {
-			s.rec.event(s, trace.Event{Kind: "hedge-suppress", Node: -1, Rack: -1, Req: int(ri), Phase: int(r.phase)})
+			s.rec.event(s, lifecycle{kind: kindHedgeSuppress, node: -1, rack: -1, req: int(ri), phase: int(r.phase)})
 		}
 		s.m.HedgesSuppressed++
 		return
 	}
 	if s.rec != nil {
-		s.rec.decision(s, ri, "hedge", n, rr0, int(r.firstNode), true)
+		s.rec.decision(s, ri, kindHedge, n, rr0, int(r.firstNode), true)
 	}
 	s.m.HedgesIssued++
 	s.enqueue(n, reqCopy{req: ri, hedge: true, attempt: r.attempt})
@@ -1455,13 +1456,13 @@ func (s *sim) redispatch(ri int32) {
 	n := s.selectNode(r.workS, -1)
 	if n == nil || n.outstanding() >= s.cl(n).queueCap {
 		if s.rec != nil {
-			s.rec.decision(s, ri, "redispatch", n, rr0, -1, false)
+			s.rec.decision(s, ri, kindRedispatch, n, rr0, -1, false)
 		}
 		s.drop(ri, n)
 		return
 	}
 	if s.rec != nil {
-		s.rec.decision(s, ri, "redispatch", n, rr0, -1, true)
+		s.rec.decision(s, ri, kindRedispatch, n, rr0, -1, true)
 	}
 	s.scen.phases[r.phase].redispatches++
 	// The failover target is the request's first node now: a pending
@@ -1577,7 +1578,7 @@ func (s *sim) startService(n *node, c reqCopy) {
 			s.rec.sprintStart(s, n, sprintS)
 		}
 		if s.rec.cfg.Level == trace.LevelFull {
-			s.rec.event(s, trace.Event{Kind: "service-start", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(s.reqs[c.req].phase), DurS: serviceS})
+			s.rec.event(s, lifecycle{kind: kindServiceStart, node: n.id, rack: rackOf(s, n), req: int(c.req), phase: int(s.reqs[c.req].phase), durS: serviceS})
 		}
 	}
 	n.busy, n.cur = true, c
@@ -1626,7 +1627,7 @@ func (s *sim) complete(n *node) {
 			win = false
 			s.m.WastedServices++
 			if s.rec != nil && s.rec.cfg.Level == trace.LevelFull {
-				s.rec.event(s, trace.Event{Kind: "stale-complete", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase)})
+				s.rec.event(s, lifecycle{kind: kindStaleComplete, node: n.id, rack: rackOf(s, n), req: int(c.req), phase: int(r.phase)})
 			}
 		} else if s.rel.faultProb > 0 && s.rel.rng.Float64() < s.rel.faultProb {
 			// Transient fault: the response is garbage; the client retries
@@ -1637,7 +1638,7 @@ func (s *sim) complete(n *node) {
 				s.scen.phases[r.phase].faults++
 			}
 			if s.rec != nil {
-				s.rec.event(s, trace.Event{Kind: "fault", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase)})
+				s.rec.event(s, lifecycle{kind: kindFault, node: n.id, rack: rackOf(s, n), req: int(c.req), phase: int(r.phase)})
 			}
 			s.clientRetry(c.req)
 		}
@@ -1653,10 +1654,10 @@ func (s *sim) complete(n *node) {
 			lat := s.nowS - r.arrivalS
 			s.rec.reqDone(lat)
 			if c.hedge {
-				s.rec.event(s, trace.Event{Kind: "hedge-win", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase), DurS: lat})
+				s.rec.event(s, lifecycle{kind: kindHedgeWin, node: n.id, rack: rackOf(s, n), req: int(c.req), phase: int(r.phase), durS: lat})
 			}
 			if s.rec.cfg.Level == trace.LevelFull {
-				s.rec.event(s, trace.Event{Kind: "complete", Node: n.id, Rack: rackOf(s, n), Req: int(c.req), Phase: int(r.phase), DurS: lat})
+				s.rec.event(s, lifecycle{kind: kindComplete, node: n.id, rack: rackOf(s, n), req: int(c.req), phase: int(r.phase), durS: lat})
 			}
 		}
 	}

@@ -148,6 +148,45 @@ func (t *dispatchIndex) firstLE(start int, thresh float64) int {
 	return t.firstFrom(0, thresh) // the suffix failed: any hit lies before start
 }
 
+// nextLE returns the present leaf with key ≤ thresh that follows leaf
+// after in rotation order from start, the first such leaf when after is
+// -1, or -1 once the walk would come back round to start. Called with -1
+// and then with each leaf it returns, it lists firstLE's tie set in
+// rotation order, O(log N) per leaf, without writing the tree.
+//
+//sprint:hotpath
+func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
+	if after < 0 {
+		return t.firstLE(start, thresh)
+	}
+	if after >= start {
+		if after+1 < t.n {
+			if i := t.firstFrom(after+1, thresh); i >= 0 {
+				return i
+			}
+		}
+		after = -1 // the suffix from start is done: wrap to leaf 0
+	}
+	if i := t.firstFrom(after+1, thresh); i >= 0 && i < start {
+		return i
+	}
+	return -1
+}
+
+// minLeaf returns the leftmost leaf under tree slot c that holds the
+// slot's key, the subtree's minimum.
+//
+//sprint:hotpath
+func (t *dispatchIndex) minLeaf(c int) int {
+	for c < t.size {
+		c <<= 1
+		if t.d[c] != t.d[c>>1] {
+			c++
+		}
+	}
+	return c - t.size
+}
+
 // firstFrom returns the first present leaf at or after lo whose key is
 // ≤ thresh, or -1. It climbs from leaf lo to the first right sibling
 // whose subtree qualifies, then descends to that subtree's leftmost

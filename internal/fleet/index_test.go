@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -144,8 +145,8 @@ func TestIndexDisableRestore(t *testing.T) {
 
 // FuzzDispatchIndex drives a tree of 1–70 leaves through a bounded op
 // sequence — updates to finite, −Inf, or absent keys, disable/restore,
-// whole-tree resets, argmin and firstLE queries from any start — and
-// after every op checks
+// whole-tree resets, argmin, firstLE, nextLE and minLeaf queries from any
+// start — and after every op checks
 // each query against a brute-force rotation scan and every interior slot
 // against the minimum of its children. The first byte sizes the tree;
 // each op then takes up to three bytes. The seed corpus lives in
@@ -247,6 +248,43 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 	}
 	if got, w := idx.firstLE(start, thresh), firstIn(thresh); got != w {
 		t.Fatalf("firstLE(%d, %g) = %d, want %d (keys %v)", start, thresh, got, w, want)
+	}
+	// nextLE, chained from -1, lists every present leaf ≤ thresh in
+	// rotation order from start, each once.
+	var walk, scan []int
+	for j := idx.nextLE(start, -1, thresh); j >= 0; j = idx.nextLE(start, j, thresh) {
+		if len(walk) > len(want) {
+			t.Fatalf("nextLE(%d, ·, %g) does not end (keys %v)", start, thresh, want)
+		}
+		walk = append(walk, j)
+	}
+	for k := range want {
+		if j := (start + k) % len(want); want[j] < math.Inf(1) && want[j] <= thresh {
+			scan = append(scan, j)
+		}
+	}
+	if !slices.Equal(walk, scan) {
+		t.Fatalf("nextLE from %d at %g walked %v, want %v (keys %v)", start, thresh, walk, scan, want)
+	}
+	// minLeaf names the leftmost leaf holding each present slot's key.
+	for c := 1; c < 2*idx.size; c++ {
+		if idx.d[c] == math.Inf(1) {
+			continue
+		}
+		lo, hi := c, c
+		for lo < idx.size {
+			lo, hi = 2*lo, 2*hi+1
+		}
+		first := -1
+		for i := lo - idx.size; i <= hi-idx.size; i++ {
+			if idx.d[idx.size+i] == idx.d[c] {
+				first = i
+				break
+			}
+		}
+		if got := idx.minLeaf(c); got != first {
+			t.Fatalf("minLeaf(%d) = %d, want %d (keys %v)", c, got, first, want)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"sprinting/internal/governor"
 	"sprinting/internal/powersource"
-	"sprinting/internal/trace"
 )
 
 // sprintHorizonS is the paper's design sprint duration (a 16 W burst for
@@ -260,7 +259,7 @@ func (s *sim) sprintAdmitted(n *node, workS, width, sprintW float64) bool {
 	if !granted {
 		r.stats.PermitDenials++
 		if s.rec != nil {
-			s.rec.event(s, trace.Event{Kind: "permit-deny", Node: n.id, Rack: r.id, Req: -1, Phase: -1})
+			s.rec.event(s, lifecycle{kind: kindPermitDeny, node: n.id, rack: r.id, req: -1, phase: -1})
 		}
 	}
 	return granted
@@ -334,7 +333,7 @@ func (s *sim) breakerTrip(ev event) {
 	r.bufferJ = 0
 	r.stats.Trips++
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "breaker-trip", Node: -1, Rack: r.id, Req: -1, Phase: -1, DurS: s.cfg.BreakerRecoveryS})
+		s.rec.event(s, lifecycle{kind: kindBreakerTrip, node: -1, rack: r.id, req: -1, phase: -1, durS: s.cfg.BreakerRecoveryS})
 	}
 	if s.scen != nil {
 		s.scen.phases[s.scen.cur].trips++
@@ -351,7 +350,7 @@ func (s *sim) breakerReset(ev event) {
 	r.tripped = false
 	r.stats.ThrottledS += s.cfg.BreakerRecoveryS
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "breaker-reset", Node: -1, Rack: r.id, Req: -1, Phase: -1})
+		s.rec.event(s, lifecycle{kind: kindBreakerReset, node: -1, rack: r.id, req: -1, phase: -1})
 	}
 	s.scheduleTrip(r)
 }
@@ -373,7 +372,7 @@ func (s *sim) rackFail() {
 	}
 	downS := math.Max(1e-3, sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMeanDowntimeS)
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "rack-fail", Node: -1, Rack: victim, Req: -1, Phase: sc.cur, DurS: downS})
+		s.rec.event(s, lifecycle{kind: kindRackFail, node: -1, rack: victim, req: -1, phase: sc.cur, durS: downS})
 	}
 	s.m.RackFailures++
 	sc.orphans = sc.orphans[:0]

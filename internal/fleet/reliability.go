@@ -23,8 +23,6 @@ package fleet
 import (
 	"math"
 	"math/rand"
-
-	"sprinting/internal/trace"
 )
 
 // relSeed decorrelates the reliability layer's dedicated random stream
@@ -140,7 +138,7 @@ func (s *sim) timeout(ri int32, attempt uint8) {
 		return
 	}
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "req-timeout", Node: int(r.firstNode), Rack: -1, Req: int(ri), Phase: int(r.phase), DurS: s.rel.timeoutS})
+		s.rec.event(s, lifecycle{kind: kindReqTimeout, node: int(r.firstNode), rack: -1, req: int(ri), phase: int(r.phase), durS: s.rel.timeoutS})
 	}
 	s.clientRetry(ri)
 }
@@ -165,7 +163,7 @@ func (s *sim) clientRetry(ri int32) {
 		}
 		if s.rec != nil {
 			s.rec.reqAbandoned()
-			s.rec.event(s, trace.Event{Kind: "timed-out", Node: int(r.firstNode), Rack: -1, Req: int(ri), Phase: int(r.phase)})
+			s.rec.event(s, lifecycle{kind: kindTimedOut, node: int(r.firstNode), rack: -1, req: int(ri), phase: int(r.phase)})
 		}
 		return
 	}
@@ -173,7 +171,7 @@ func (s *sim) clientRetry(ri int32) {
 		r.fate = shed
 		if s.rec != nil {
 			s.rec.reqAbandoned()
-			s.rec.event(s, trace.Event{Kind: "shed", Node: -1, Rack: -1, Req: int(ri), Phase: int(r.phase)})
+			s.rec.event(s, lifecycle{kind: kindShed, node: -1, rack: -1, req: int(ri), phase: int(r.phase)})
 		}
 		return
 	}
@@ -214,13 +212,13 @@ func (s *sim) retryDispatch(ri int32) {
 	n := s.selectNode(r.workS, -1)
 	if n == nil || n.outstanding() >= s.cl(n).queueCap {
 		if s.rec != nil {
-			s.rec.decision(s, ri, "retry", n, rr0, -1, false)
+			s.rec.decision(s, ri, kindRetry, n, rr0, -1, false)
 		}
 		s.drop(ri, n)
 		return
 	}
 	if s.rec != nil {
-		s.rec.decision(s, ri, "retry", n, rr0, -1, true)
+		s.rec.decision(s, ri, kindRetry, n, rr0, -1, true)
 	}
 	n.stats.Retries++
 	if s.scen != nil {

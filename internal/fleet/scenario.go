@@ -30,7 +30,6 @@ import (
 	"math/rand"
 
 	"sprinting/internal/governor"
-	"sprinting/internal/trace"
 )
 
 // LoadShape selects how a Phase's arrival-rate factor evolves over the
@@ -549,7 +548,7 @@ func (s *sim) phaseStart(i int) {
 	sc := s.scen
 	sc.cur = i
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "phase-start", Node: -1, Rack: -1, Req: -1, Phase: i, Name: sc.spec.Phases[i].Name})
+		s.rec.event(s, lifecycle{kind: kindPhaseStart, node: -1, rack: -1, req: -1, phase: i})
 	}
 	delta := sc.spec.Phases[i].AmbientDeltaC
 	if delta == sc.ambientC {
@@ -601,7 +600,7 @@ func (s *sim) nodeFail() {
 func (s *sim) failNode(n *node, downS float64) {
 	sc := s.scen
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "node-fail", Node: n.id, Rack: rackOf(s, n), Req: -1, Phase: sc.cur})
+		s.rec.event(s, lifecycle{kind: kindNodeFail, node: n.id, rack: rackOf(s, n), req: -1, phase: sc.cur})
 		// The node's realized future ends here: counterfactual probes
 		// watching its departures can never resolve.
 		s.rec.nodeDown(n)
@@ -667,7 +666,7 @@ func (s *sim) nodeRecover(n *node) {
 	n.gov.Idle(s.nowS) // advance the fresh clock to now; the budget is already full
 	s.m.NodeRecoveries++
 	if s.rec != nil {
-		s.rec.event(s, trace.Event{Kind: "node-recover", Node: n.id, Rack: rackOf(s, n), Req: -1, Phase: s.scen.cur})
+		s.rec.event(s, lifecycle{kind: kindNodeRecover, node: n.id, rack: rackOf(s, n), req: -1, phase: s.scen.cur})
 	}
 	if s.racks != nil {
 		r := &s.racks[n.rackID]

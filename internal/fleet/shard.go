@@ -125,26 +125,6 @@ func (s *sim) buildIndex() {
 	}
 }
 
-// altArgmin is the recorder's alternatives query: the present node first
-// under the candidate order (recorded key, rotation distance from rot)
-// that collectAlts' scan reproduces, or -1 when no node is present.
-// Sprint-aware records the selector's own score, so its argmin is the
-// selector's. Least-loaded records an idle node's −Inf drain key as now,
-// so the minimum's tie set is every node keyed at or before now: the idle
-// nodes plus any busy node whose backlog drains exactly now (a completion
-// due at the arrival's instant, which fires after it). No busy node keys
-// earlier — its completion would already have fired — so resolving the
-// rotation among keys ≤ now reproduces the scan exactly.
-func (s *sim) altArgmin(rot int, workS float64) int {
-	if s.cfg.Policy == SprintAware {
-		if n := s.sprintAwareMin(rot, workS); n != nil {
-			return n.id
-		}
-		return -1
-	}
-	return s.idx.firstLE(rot, math.Max(s.idx.d[1], s.nowS))
-}
-
 // start runs the event loop and assembles the metrics. A decoupled
 // configuration with Workers > 1 runs one goroutine per shard, each a
 // self-contained sim sharing the parent's node, rack, class, and request

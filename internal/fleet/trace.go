@@ -20,19 +20,21 @@
 //     (TestTraceShardedMatchesSequential).
 //
 //   - Observation only. Every hook reads simulation state and writes
-//     recorder state, never the reverse: the alternatives come from the
-//     dispatch index by repeated argmin over temporarily disabled
-//     leaves, every one restored to its exact key before the decision
-//     returns, and the rotation counter is never advanced; probes watch
-//     departures without touching queues, and timeline samples project
-//     rack buffers to the window boundary without accruing them — so a
-//     traced run's Metrics equal the untraced run's exactly
-//     (TestTracedMetricsUnchanged).
+//     recorder state, never the reverse: the alternatives come from a
+//     read-only best-first walk of the dispatch index that writes no
+//     tree (TestAltsReadOnly), and the rotation counter is never
+//     advanced; probes watch departures without touching queues, and
+//     timeline samples project rack buffers to the window boundary
+//     without accruing them — so a traced run's Metrics equal the
+//     untraced run's exactly (TestTracedMetricsUnchanged).
 //
-//   - O(k log N) per decision. The top-k alternatives are the selector's
-//     own next-best nodes under its (key, rotation) order, taken from
-//     the index rather than by scoring the whole fleet; the O(N) scan
-//     survives as the refAlts oracle (TestIndexedAltsMatchScan).
+//   - O(k log N) per decision while the tie sets last. The top-k
+//     alternatives are the selector's own next-best nodes under its
+//     (key, rotation) order: the walk (altWalk) lists a tree's tied
+//     nodes in rotation order, O(log N) each, and reaches past them by
+//     bounded best-first expansion on the sim's frontier queue, degrading
+//     toward a scan of the fleet only as the ties run out. The O(N) scan
+//     survives as the scanAlts oracle (TestIndexedAltsMatchScan).
 //
 //   - Streamed in seq order, holding only unsettled records. Every record
 //     waits in a ring until it and every record before it are final, then
@@ -45,7 +47,11 @@
 //     the oldest unsettled decision to the newest record, and resolved
 //     probe slots are reused, so the recorder's memory follows in-flight
 //     state, not run length (TestTraceHoldBounded). The head advances
-//     lazily from tick and finalize; the fate sites carry no hook.
+//     lazily from tick and finalize; the fate sites carry no hook. A
+//     ring slot is pointer-free — kind codes, int32 ids, and the
+//     alternatives' position in a queue of their own — so the garbage
+//     collector never scans the ring, and a trace.Record is built only
+//     as the record reaches the sink.
 //
 // The counterfactual model: for each recorded alternative the probe
 // counts the copies outstanding on that node at decision time. Service
@@ -64,7 +70,6 @@ package fleet
 import (
 	"io"
 	"math"
-	"sort"
 
 	"sprinting/internal/series"
 	"sprinting/internal/trace"
@@ -101,52 +106,137 @@ func (tc TraceConfig) withDefaults() TraceConfig {
 	return tc
 }
 
-// cfProbe is one pending counterfactual: alternative alt of the decision
-// with sequence number seq resolves once pending departures have left
-// the node whose watch list holds it.
+// cfProbe is one pending counterfactual: the alternative at position alt
+// of the recorder's alternatives queue, recorded by the decision with
+// sequence number seq, resolves once pending departures have left the
+// node whose watch list holds it.
 type cfProbe struct {
 	seq     uint64
-	alt     int32
+	alt     uint32
 	pending int32
 	workS   float64
 }
 
-// pendingRec is one ring slot: a record not yet handed to the sink — its
-// instant and its one payload — and, for a decision, how many of its
-// probes are still pending. The slot's position is the record's seq.
+// recKind is a record's type and kind in one byte: the decision kinds,
+// then the lifecycle event kinds, then the timeline sample.
+type recKind uint8
+
+const (
+	kindDispatch recKind = iota
+	kindHedge
+	kindRedispatch
+	kindRetry
+	kindHedgeWin // the first event kind
+	kindHedgeSuppress
+	kindPermitDeny
+	kindBreakerTrip
+	kindBreakerReset
+	kindNodeFail
+	kindNodeRecover
+	kindRackFail
+	kindGrayNode
+	kindSprintStart
+	kindSprintEnd
+	kindPhaseStart
+	kindServiceStart
+	kindComplete
+	kindStaleComplete
+	kindFault
+	kindReqTimeout
+	kindTimedOut
+	kindShed
+	kindSample
+)
+
+// kindNames spells each decision and event kind as the recording does.
+var kindNames = [...]string{
+	kindDispatch:      "dispatch",
+	kindHedge:         "hedge",
+	kindRedispatch:    "redispatch",
+	kindRetry:         "retry",
+	kindHedgeWin:      "hedge-win",
+	kindHedgeSuppress: "hedge-suppress",
+	kindPermitDeny:    "permit-deny",
+	kindBreakerTrip:   "breaker-trip",
+	kindBreakerReset:  "breaker-reset",
+	kindNodeFail:      "node-fail",
+	kindNodeRecover:   "node-recover",
+	kindRackFail:      "rack-fail",
+	kindGrayNode:      "gray-node",
+	kindSprintStart:   "sprint-start",
+	kindSprintEnd:     "sprint-end",
+	kindPhaseStart:    "phase-start",
+	kindServiceStart:  "service-start",
+	kindComplete:      "complete",
+	kindStaleComplete: "stale-complete",
+	kindFault:         "fault",
+	kindReqTimeout:    "req-timeout",
+	kindTimedOut:      "timed-out",
+	kindShed:          "shed",
+}
+
+// pendingRec is one ring slot: a record not yet handed to the sink, in
+// pointer-free fields, so the ring's chunks are memory the garbage
+// collector never scans. The slot's position is the record's seq, and
+// kind says which fields apply:
+//   - a decision: node (-1 on an unattributable drop), req, phase, the
+//     winning key, workS, enqueued, its nAlts alternatives from position
+//     alt of the recorder's alternatives queue, and how many of their
+//     probes are still pending;
+//   - an event: node, rack, req and phase (-1 where none applies) and
+//     durS;
+//   - a sample: nothing here; the sample waits in the recorder's sample
+//     queue.
 type pendingRec struct {
-	atS    float64
-	dec    *trace.Decision
-	ev     *trace.Event
-	sample *trace.Sample
-	probes int32
+	atS, key, workS, durS  float64
+	node, rack, req, phase int32
+	alt                    uint32
+	nAlts, probes          int32
+	kind                   recKind
+	enqueued               bool
 }
 
-// pool hands out payloads of one type: recycled ones first, then fresh
-// ones from a slab. A streamed recording recycles each payload once the
-// encoder has written it, so the payloads alive are the ring's; an
-// in-memory recording keeps every payload it hands out.
-type pool[T any] struct {
-	slab trace.Slab[T]
-	free []*T
+// lifecycle is a lifecycle event as its call site states it: the node,
+// rack, request and phase it concerns (-1 where none applies) and its
+// duration.
+type lifecycle struct {
+	kind                   recKind
+	node, rack, req, phase int
+	durS                   float64
 }
 
-// get returns a payload, a recycled one with its old contents.
-func (p *pool[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		x := p.free[n-1]
-		p.free = p.free[:n-1]
-		return x
+// fifo is a growable ring buffer. Values enter at the tail and leave at
+// the head in the same order, and each is addressed by its position in
+// entry order (mod 2³²), which stays valid while the ring grows.
+type fifo[T any] struct {
+	buf        []T // a power-of-two length
+	head, tail uint32
+}
+
+// push appends k values, each holding whatever an earlier value at its
+// place left there, and returns the first one's position.
+func (f *fifo[T]) push(k int) uint32 {
+	if n := int(f.tail-f.head) + k; n > len(f.buf) {
+		size := max(64, len(f.buf))
+		for size < n {
+			size *= 2
+		}
+		buf := make([]T, size)
+		for p := f.head; p != f.tail; p++ {
+			buf[p&uint32(size-1)] = *f.at(p)
+		}
+		f.buf = buf
 	}
-	return p.slab.New()
+	p := f.tail
+	f.tail += uint32(k)
+	return p
 }
 
-// put recycles a payload the sink has written; nil is ignored.
-func (p *pool[T]) put(x *T) {
-	if x != nil {
-		p.free = append(p.free, x)
-	}
-}
+// at returns the value at position p, which must be in the ring.
+func (f *fifo[T]) at(p uint32) *T { return &f.buf[p&uint32(len(f.buf)-1)] }
+
+// pop drops the k values at the head.
+func (f *fifo[T]) pop(k int) { f.head += uint32(k) }
 
 // recorder is the live flight-recorder state hanging off a sim. It is
 // nil when tracing is off; every hook in the simulator is guarded by
@@ -162,6 +252,7 @@ type recorder struct {
 	tr        *trace.Trace
 	collected [][]trace.Record
 	err       error
+	keyKind   string
 
 	// The ring holds records base..seq-1 in chunks of ringChunk slots,
 	// record q at chunks[q/ringChunk-base/ringChunk][q%ringChunk]; a chunk
@@ -170,6 +261,10 @@ type recorder struct {
 	seq, base uint64
 	chunks    []*[ringChunk]pendingRec
 	spare     []*[ringChunk]pendingRec
+	// The pending decisions' alternatives and the pending samples, each
+	// queued in seq order, which is the order the sink takes them in.
+	alts    fifo[trace.Alt]
+	samples fifo[trace.Sample]
 
 	// Counterfactual probes: probes is the arena, free its reusable slots,
 	// watch[node] the indices of probes waiting on that node's departures.
@@ -189,15 +284,19 @@ type recorder struct {
 	sprints   eventQueue
 
 	altScratch []altCand
-	hidden     []hiddenLeaf
+	walk       altWalk
 
-	// Record payloads come from pools over slabs: one allocation per
-	// chunk of decisions, events, samples or alternatives rather than one
-	// per record, and none once a streamed recording's pools are warm.
-	decs    pool[trace.Decision]
-	events  pool[trace.Event]
-	samples pool[trace.Sample]
-	alts    trace.Slab[trace.Alt]
+	// The payloads the sink is handed. The streamed sink reuses one of
+	// each for every line; the in-memory one keeps every payload, taking
+	// them from slabs: one allocation per chunk of decisions, events,
+	// samples or alternatives rather than one per record.
+	dec     trace.Decision
+	ev      trace.Event
+	altOut  []trace.Alt
+	decSlab trace.Slab[trace.Decision]
+	evSlab  trace.Slab[trace.Event]
+	smpSlab trace.Slab[trace.Sample]
+	altSlab trace.Slab[trace.Alt]
 }
 
 // altCand is one recorded alternative; rot is its rotation distance from
@@ -208,18 +307,16 @@ type altCand struct {
 	rot  int32
 }
 
-// hiddenLeaf is a dispatch-tree leaf indexAlts disabled, with the key it
-// restores.
-type hiddenLeaf struct {
-	t   *dispatchIndex
-	lid int32
-	d   float64
-}
-
 // refAlts, when set, routes the recorder's alternatives through the O(N)
 // scan instead of the dispatch index, as refDispatch does for selection;
 // TestIndexedAltsMatchScan proves both record identical traces.
 var refAlts bool
+
+// watchDecision, when set, runs around every traced decision: it is
+// called before the decision records anything, and the function it
+// returns once the decision has recorded its alternatives.
+// TestAltsReadOnly uses it to compare the dispatch trees.
+var watchDecision func(s *sim) func()
 
 // newRecorder builds the recorder from the Config's trace knobs. The
 // fleet-shaped state waits for begin — scenario mode finalizes the node
@@ -227,8 +324,9 @@ var refAlts bool
 func newRecorder(cfg Config) *recorder {
 	tc := cfg.Trace.withDefaults()
 	return &recorder{
-		cfg:   tc,
-		nextS: tc.WindowS,
+		cfg:     tc,
+		nextS:   tc.WindowS,
+		keyKind: keyKind(cfg.Policy),
 	}
 }
 
@@ -261,9 +359,9 @@ const (
 	recChunk  = 1 << 12
 )
 
-// emit appends one record, p's payload at instant atS, to the ring and
-// returns its sequence number.
-func (rec *recorder) emit(atS float64, p pendingRec) uint64 {
+// emit appends one record of the given kind at instant atS to the ring
+// and returns its slot, every other field zero, and its sequence number.
+func (rec *recorder) emit(atS float64, kind recKind) (*pendingRec, uint64) {
 	if rec.seq%ringChunk == 0 {
 		if n := len(rec.spare); n > 0 {
 			rec.chunks = append(rec.chunks, rec.spare[n-1])
@@ -272,10 +370,11 @@ func (rec *recorder) emit(atS float64, p pendingRec) uint64 {
 			rec.chunks = append(rec.chunks, new([ringChunk]pendingRec))
 		}
 	}
-	p.atS = atS
-	*rec.slot(rec.seq) = p
+	q := rec.seq
+	p := rec.slot(q)
+	*p = pendingRec{atS: atS, kind: kind}
 	rec.seq++
-	return rec.seq - 1
+	return p, q
 }
 
 // slot returns the ring slot of record q, which must be in the ring.
@@ -291,37 +390,96 @@ func (rec *recorder) slot(q uint64) *pendingRec {
 func (rec *recorder) flush(s *sim, all bool) {
 	for ; rec.base < rec.seq; rec.base++ {
 		p := rec.slot(rec.base)
-		r := trace.Record{T: "sample", AtS: p.atS, Seq: rec.base, Decision: p.dec, Event: p.ev, Sample: p.sample}
-		switch {
-		case p.dec != nil:
-			if !all && (p.probes > 0 || s.reqs[p.dec.Req].fate == live) {
-				return
-			}
-			settle(p.dec, &s.reqs[p.dec.Req])
-			r.T = "decision"
-		case p.ev != nil:
-			r.T = "event"
+		if p.kind < kindHedgeWin && !all && (p.probes > 0 || s.reqs[p.req].fate == live) {
+			return
 		}
-		if rec.enc == nil {
-			if rec.base%recChunk == 0 {
-				rec.collected = append(rec.collected, make([]trace.Record, 0, recChunk))
-			}
-			c := &rec.collected[len(rec.collected)-1]
-			*c = append(*c, r)
-		} else {
-			if err := rec.enc.Encode(&r); err != nil && rec.err == nil {
-				rec.err = err
-			}
-			rec.decs.put(p.dec)
-			rec.events.put(p.ev)
-			rec.samples.put(p.sample)
-		}
-		*p = pendingRec{}
+		rec.write(s, p)
 		if (rec.base+1)%ringChunk == 0 {
 			// The head leaves its chunk.
 			rec.spare = append(rec.spare, rec.chunks[0])
 			rec.chunks = rec.chunks[1:]
 		}
+	}
+}
+
+// write builds the settled ring record p, record rec.base, as a
+// trace.Record and hands it to the sink, releasing its queued
+// alternatives or sample. The streamed sink encodes it from the
+// recorder's reused payloads; the in-memory sink keeps it, so its
+// payloads come from the slabs and a sample's rack arrays move to the
+// kept copy.
+func (rec *recorder) write(s *sim, p *pendingRec) {
+	r := trace.Record{T: "event", AtS: p.atS, Seq: rec.base}
+	keep := rec.enc == nil
+	switch {
+	case p.kind == kindSample:
+		r.T = "sample"
+		sm := rec.samples.at(rec.samples.head)
+		r.Sample = sm
+		if keep {
+			r.Sample = rec.smpSlab.New()
+			*r.Sample = *sm
+			sm.RackDrawW, sm.RackBufferJ = nil, nil
+		}
+		rec.samples.pop(1)
+	case p.kind < kindHedgeWin:
+		r.T = "decision"
+		d := &rec.dec
+		var alts []trace.Alt
+		if p.nAlts > 0 {
+			if keep {
+				alts = rec.altSlab.Take(int(p.nAlts))[:0]
+			} else {
+				alts = rec.altOut[:0]
+			}
+			for i := uint32(0); i < uint32(p.nAlts); i++ {
+				alts = append(alts, *rec.alts.at(p.alt + i))
+			}
+			rec.alts.pop(int(p.nAlts))
+			if !keep {
+				rec.altOut = alts
+			}
+		}
+		if keep {
+			d = rec.decSlab.New()
+		}
+		*d = trace.Decision{
+			Kind:    kindNames[p.kind],
+			Req:     int(p.req),
+			Phase:   int(p.phase),
+			Node:    int(p.node),
+			Outcome: "dropped",
+			Key:     p.key,
+			KeyKind: rec.keyKind,
+			WorkS:   p.workS,
+			Alts:    alts,
+			DoneS:   -1,
+			BestAlt: -1,
+		}
+		if p.enqueued {
+			d.Outcome = "enqueued"
+		}
+		settle(d, &s.reqs[p.req])
+		r.Decision = d
+	default:
+		ev := &rec.ev
+		if keep {
+			ev = rec.evSlab.New()
+		}
+		*ev = trace.Event{Kind: kindNames[p.kind], Node: int(p.node), Rack: int(p.rack), Req: int(p.req), Phase: int(p.phase), DurS: p.durS}
+		if p.kind == kindPhaseStart {
+			ev.Name = s.scen.spec.Phases[p.phase].Name
+		}
+		r.Event = ev
+	}
+	if keep {
+		if rec.base%recChunk == 0 {
+			rec.collected = append(rec.collected, make([]trace.Record, 0, recChunk))
+		}
+		c := &rec.collected[len(rec.collected)-1]
+		*c = append(*c, r)
+	} else if err := rec.enc.Encode(&r); err != nil && rec.err == nil {
+		rec.err = err
 	}
 }
 
@@ -348,15 +506,15 @@ func settle(d *trace.Decision, r *request) {
 }
 
 // event appends a lifecycle event at the current instant.
-func (rec *recorder) event(s *sim, ev trace.Event) {
+func (rec *recorder) event(s *sim, ev lifecycle) {
 	rec.emitEvent(s.nowS, ev)
 }
 
 // emitEvent appends a lifecycle event at the given instant.
-func (rec *recorder) emitEvent(atS float64, ev trace.Event) {
-	e := rec.events.get()
-	*e = ev
-	rec.emit(atS, pendingRec{ev: e})
+func (rec *recorder) emitEvent(atS float64, ev lifecycle) {
+	p, _ := rec.emit(atS, ev.kind)
+	p.node, p.rack, p.req, p.phase = int32(ev.node), int32(ev.rack), int32(ev.req), int32(ev.phase)
+	p.durS = ev.durS
 }
 
 // keyKind names the routing key family the policy scores with.
@@ -371,10 +529,10 @@ func keyKind(p Policy) string {
 	}
 }
 
-// score is the canonical routing key of a node for the configured
+// altKey is the canonical routing key of a node for the configured
 // policy, with the idle drain key's −Inf sanitized to now (an idle
 // backlog drains immediately) so every recorded key is JSON-safe.
-func (rec *recorder) score(s *sim, n *node, workS float64) float64 {
+func altKey(s *sim, n *node, workS float64) float64 {
 	if s.cfg.Policy == SprintAware {
 		return s.estFinishAt(n, workS)
 	}
@@ -392,143 +550,250 @@ func (rec *recorder) score(s *sim, n *node, workS float64) float64 {
 // tie-break on distance from it, exactly like the selector); exclude
 // mirrors the selection's exclusion (hedging never duplicates onto the
 // original node).
-func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start, exclude int, enqueued bool) {
+func (rec *recorder) decision(s *sim, ri int32, kind recKind, chosen *node, start, exclude int, enqueued bool) {
+	if watchDecision != nil {
+		defer watchDecision(s)()
+	}
 	r := &s.reqs[ri]
-	d := rec.decs.get()
-	// A recycled decision keeps its alternatives' backing array.
-	alts := d.Alts[:0]
-	*d = trace.Decision{
-		Kind:    kind,
-		Req:     int(ri),
-		Phase:   int(r.phase),
-		Node:    -1,
-		Outcome: "dropped",
-		KeyKind: keyKind(s.cfg.Policy),
-		WorkS:   r.workS,
-		DoneS:   -1,
-		BestAlt: -1,
-		Alts:    alts,
-	}
+	p, q := rec.emit(s.nowS, kind)
+	p.node, p.req, p.phase = -1, ri, int32(r.phase)
+	p.workS, p.enqueued = r.workS, enqueued
 	if chosen != nil {
-		d.Node = chosen.id
+		p.node = int32(chosen.id)
 		if s.cfg.Policy == RoundRobin {
-			d.Key = float64(chosen.id)
+			p.key = float64(chosen.id)
 		} else {
-			d.Key = rec.score(s, chosen, r.workS)
+			p.key = altKey(s, chosen, r.workS)
 		}
 	}
-	if enqueued {
-		d.Outcome = "enqueued"
-		if kind == "dispatch" {
-			// A hedge or redispatch places a copy of a request that is
-			// already counted in flight.
-			rec.inflight++
-		}
+	if enqueued && kind == kindDispatch {
+		// A hedge or redispatch places a copy of a request that is
+		// already counted in flight.
+		rec.inflight++
 	}
-	q := rec.emit(s.nowS, pendingRec{dec: d})
 	if s.cfg.Policy != RoundRobin && chosen != nil {
-		rec.collectAlts(s, d, q, r.workS, chosen.id, exclude, start)
+		rec.collectAlts(s, p, q, r.workS, chosen.id, exclude, start)
 	}
 }
 
-// collectAlts records the top-k rejected alternatives under the candidate
-// order (key, rotation distance from start) — the same total order the
-// selector minimizes — and plants a counterfactual probe on each: pending
-// counts the copies outstanding on the alternative at decision time,
-// exactly the departures that FIFO service retires before a hypothetical
-// copy would have started.
-func (rec *recorder) collectAlts(s *sim, d *trace.Decision, q uint64, workS float64, chosen, exclude, start int) {
+// collectAlts records the top-k rejected alternatives of decision p,
+// record q, under the candidate order (key, rotation distance from start)
+// — the same total order the selector minimizes — and plants a
+// counterfactual probe on each: pending counts the copies outstanding on
+// the alternative at decision time, exactly the departures that FIFO
+// service retires before a hypothetical copy would have started.
+func (rec *recorder) collectAlts(s *sim, p *pendingRec, q uint64, workS float64, chosen, exclude, start int) {
 	var cands []altCand
 	if (s.idx == nil && s.segs == nil) || refAlts {
 		cands = rec.scanAlts(s, workS, chosen, exclude, start)
 	} else {
-		cands = rec.indexAlts(s, workS, chosen, exclude, start)
+		cands = rec.walk.run(s, rec.altScratch[:0], rec.cfg.TopK, workS, chosen, exclude, start)
 	}
-	k := len(cands)
-	if k == 0 {
-		return // Alts stays nil, as a recording reads back
+	rec.altScratch = cands
+	if len(cands) == 0 {
+		return // the decision records no alternatives, as a recording reads back
 	}
-	if cap(d.Alts) >= k {
-		d.Alts = d.Alts[:k]
-	} else {
-		d.Alts = rec.alts.Take(k)
-	}
-	for ai := 0; ai < k; ai++ {
-		c := cands[ai]
-		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
+	p.alt, p.nAlts = rec.alts.push(len(cands)), int32(len(cands))
+	for ai, c := range cands {
+		pos := p.alt + uint32(ai)
+		a := rec.alts.at(pos)
+		*a = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
 		n := &s.nodes[c.node]
 		pending := n.outstanding()
 		if pending == 0 {
 			// The alternative is idle: the hypothetical copy would have
 			// started service at the decision instant.
-			d.Alts[ai].HypoDoneS = s.estFinishAt(n, workS)
+			a.HypoDoneS = s.estFinishAt(n, workS)
 			continue
 		}
-		p := cfProbe{seq: q, alt: int32(ai), pending: int32(pending), workS: workS}
+		pr := cfProbe{seq: q, alt: pos, pending: int32(pending), workS: workS}
 		var pi int32
 		if nf := len(rec.free); nf > 0 {
 			pi, rec.free = rec.free[nf-1], rec.free[:nf-1]
-			rec.probes[pi] = p
+			rec.probes[pi] = pr
 		} else {
 			pi = int32(len(rec.probes))
-			rec.probes = append(rec.probes, p)
+			rec.probes = append(rec.probes, pr)
 		}
-		rec.slot(q).probes++
+		p.probes++
 		rec.watch[c.node] = append(rec.watch[c.node], pi)
 	}
 }
 
-// indexAlts takes the top-k alternatives from the dispatch index in
-// O(k log N), the way hedging excludes the original node: the chosen (and
-// excluded) node is disabled, then each round takes the argmin under the
-// recorder's order (altArgmin) and disables it too. Every disabled leaf
-// is restored to its exact key afterwards, so the index the next
-// selection reads is unchanged.
-func (rec *recorder) indexAlts(s *sim, workS float64, chosen, exclude, start int) []altCand {
-	rot := start % len(s.nodes)
-	rec.hidden = rec.hidden[:0]
-	rec.hide(s, chosen)
-	if exclude >= 0 {
-		rec.hide(s, exclude)
+// altWalk takes a decision's top-k alternatives from the dispatch index
+// without writing it: a best-first walk over its trees, popping nodes
+// off the sim's frontier queue in the recorder's candidate order
+// (recorded key, rotation distance). Each tree is an altTree. A tree
+// with a tie set — the least-loaded tree, or a sprint-aware segment's
+// idle tree — first yields the tie set's nodes one at a time in rotation
+// order, each pushed when the one before it pops; a tie-set node records
+// the same key as every other one, the lowest key in its tree. Then the
+// rest of the tree follows, and so does a sprint-aware busy tree from the
+// start: slots enter the frontier at a lower bound of every key beneath
+// them and open into their children when they pop, and leaves enter at
+// their exact key. At equal keys a slot pops before any node, and nodes
+// pop by rotation distance, so a node pops only once nothing beneath a
+// slot still queued can precede it. The chosen and excluded nodes never
+// enter the frontier, and the walk stops at the k-th node, so it costs
+// O(k log N) when the tie sets are large and degrades toward the O(N)
+// scan (recorder.scanAlts) only as they empty.
+type altWalk struct {
+	s               *sim
+	workS           float64
+	rot             int
+	chosen, exclude int
+	trees           []altTree
+	q               *eventQueue
+}
+
+// altTree is one dispatch tree the walk reads: leaf i is node lo+i and
+// rotation starts at leaf lrot. Keys at or below cover form the tie set:
+// under least-loaded the keys at or before now, which all record now (an
+// idle node's −Inf, and a backlog that drains exactly now); under
+// sprint-aware the idle budgets that cover the request at full width,
+// which all project the same finish (Governor.CoverKeyS). Past the tie
+// set a slot is bounded by the recorded key of its leftmost minimum,
+// since the recorded key never falls as the tree key rises. A
+// sprint-aware busy tree has no tie set (cover −Inf) and bounds a slot by
+// its backlog-drain key plus wow, work/width, as the selector does: no
+// node finishes before its backlog drains and a full-width service runs.
+type altTree struct {
+	t     *dispatchIndex
+	lo    int
+	lrot  int
+	cover float64
+	busy  bool
+	wow   float64
+}
+
+// The walk's frontier entries, told apart by event.kind; event.req
+// indexes altWalk.trees and event.node holds a tree slot or a node id.
+const (
+	walkSlot eventKind = iota // a tree slot, at its bound
+	walkNode                  // a node past its tree's tie set, at its key
+	walkTie                   // a tie-set node, at its key
+)
+
+// run walks the index for the first k alternatives of a selection that
+// started at rotation counter start, passing over the chosen and
+// excluded nodes, and appends them to cands. A tie-set node's successor
+// is sought only if the walk goes on.
+func (w *altWalk) run(s *sim, cands []altCand, k int, workS float64, chosen, exclude, start int) []altCand {
+	w.s, w.workS, w.rot, w.q = s, workS, start%len(s.nodes), &s.frontier
+	w.chosen, w.exclude = chosen, exclude
+	w.trees = w.trees[:0]
+	w.q.clear()
+	if s.idx != nil {
+		w.add(altTree{t: s.idx, lrot: w.rot, cover: s.nowS})
 	}
-	cands := rec.altScratch[:0]
-	for len(cands) < rec.cfg.TopK {
-		id := s.altArgmin(rot, workS)
-		if id < 0 {
-			break
+	for si := range s.segs {
+		sg := &s.segs[si]
+		cl := &s.classes[sg.class]
+		// The global rotation restricted to the segment: the cyclic walk
+		// from rot crosses a contiguous block either as one run
+		// (entering at lo) or as [rot, hi) then [lo, rot).
+		lrot := 0
+		if w.rot >= sg.lo && w.rot < sg.hi {
+			lrot = w.rot - sg.lo
 		}
-		cands = append(cands, altCand{node: int32(id), key: rec.score(s, &s.nodes[id], workS)})
-		rec.hide(s, id)
+		w.add(altTree{t: sg.idleIdx, lo: sg.lo, lrot: lrot, cover: cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW)})
+		w.add(altTree{t: sg.busyIdx, lo: sg.lo, cover: math.Inf(-1), busy: true, wow: workS / cl.width})
 	}
-	for _, h := range rec.hidden {
-		h.t.update(int(h.lid), h.d)
+	for len(cands) < k && w.q.len() > 0 {
+		key, e := w.q.pop()
+		id := int(e.node)
+		if e.kind == walkSlot {
+			w.pushSlot(e.req, 2*id)
+			w.pushSlot(e.req, 2*id+1)
+			continue
+		}
+		cands = append(cands, altCand{node: int32(id), key: key})
+		if e.kind == walkTie && len(cands) < k {
+			w.nextTie(e.req, id-w.trees[e.req].lo)
+		}
 	}
-	rec.altScratch = cands
 	return cands
 }
 
-// hide disables node id's leaf in the dispatch trees that hold it — the
-// fleet-wide tree, or its sprint-aware segment's pair — remembering the
-// key it held. An absent leaf — at queue capacity, dead, or already
-// hidden — is never selected, so it is left alone; that also makes
-// hiding a leaf twice a no-op.
-func (rec *recorder) hide(s *sim, id int) {
-	trees, lid := [...]*dispatchIndex{s.idx, nil}, id
-	if s.idx == nil {
-		sg := &s.segs[s.segIdx[id]]
-		trees, lid = [...]*dispatchIndex{sg.busyIdx, sg.idleIdx}, id-sg.lo
-	}
-	for _, t := range trees {
-		if t != nil && t.d[t.size+lid] < math.Inf(1) {
-			rec.hidden = append(rec.hidden, hiddenLeaf{t: t, lid: int32(lid), d: t.disable(lid)})
-		}
+// add registers a tree and seeds the frontier with it: a tree with a
+// tie set with that set's first node, a busy tree with its root.
+func (w *altWalk) add(tr altTree) {
+	w.trees = append(w.trees, tr)
+	ti := int32(len(w.trees) - 1)
+	if tr.busy {
+		w.pushSlot(ti, 1)
+	} else {
+		w.nextTie(ti, -1)
 	}
 }
 
-// scanAlts is the O(N) reference for indexAlts: a read-only pass over the
-// whole fleet keeping the k best candidates. It backs the recorder when
-// the dispatch index is off (refDispatch) or refAlts is set, and the
-// cross-implementation test proves the two record identical traces.
+// nextTie pushes the node of tree ti's tie set that follows leaf after in
+// rotation order (the first one for -1), passing over the chosen and
+// excluded nodes; past the last, it pushes the tree's root, so the rest
+// of the tree follows by bound.
+func (w *altWalk) nextTie(ti int32, after int) {
+	tr := &w.trees[ti]
+	for j := tr.t.nextLE(tr.lrot, after, tr.cover); j >= 0; j = tr.t.nextLE(tr.lrot, j, tr.cover) {
+		if id := tr.lo + j; id != w.chosen && id != w.exclude {
+			w.pushNode(walkTie, ti, id)
+			return
+		}
+	}
+	w.pushSlot(ti, 1)
+}
+
+// pushSlot puts slot c of tree ti on the frontier: a leaf as its node, an
+// interior slot at a lower bound of every node beneath it that the walk
+// has not yet taken. An absent slot, and a tie-set leaf (taken through
+// nextTie), are left out; a slot whose minimum lies in the tie set is
+// bounded by −Inf, opening at once, since the tie set is spent before any
+// slot of its tree enters the frontier.
+func (w *altWalk) pushSlot(ti int32, c int) {
+	tr := &w.trees[ti]
+	t := tr.t
+	d := t.d[c]
+	if d == math.Inf(1) || c >= t.size && d <= tr.cover {
+		return
+	}
+	if c >= t.size {
+		if id := tr.lo + c - t.size; id != w.chosen && id != w.exclude {
+			w.pushNode(walkNode, ti, id)
+		}
+		return
+	}
+	var bound float64
+	switch {
+	case d <= tr.cover:
+		bound = math.Inf(-1)
+	case tr.busy:
+		bound = d + tr.wow
+	default:
+		bound = altKey(w.s, &w.s.nodes[tr.lo+t.minLeaf(c)], w.workS)
+	}
+	w.q.push(bound, event{kind: walkSlot, req: ti, node: int32(c)}, 0)
+}
+
+// pushNode puts node id on the frontier at its recorded key, ordered
+// after every slot at that key and by rotation distance among nodes.
+// Recorded keys are finite and never −0, so the queue's key round-trips
+// them exactly.
+func (w *altWalk) pushNode(kind eventKind, ti int32, id int) {
+	w.q.push(altKey(w.s, &w.s.nodes[id], w.workS), event{kind: kind, req: ti, node: int32(id)}, uint64(1+w.dist(id)))
+}
+
+// dist is node id's rotation distance from the selection's start.
+func (w *altWalk) dist(id int) int {
+	if d := id - w.rot; d >= 0 {
+		return d
+	}
+	return id - w.rot + len(w.s.nodes)
+}
+
+// scanAlts is the O(N) reference for the index walk (altWalk): a
+// read-only pass over the whole fleet keeping the k best candidates. It
+// backs the recorder when the dispatch index is off (refDispatch) or
+// refAlts is set, and the cross-implementation test proves the two
+// record identical traces.
 func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, start int) []altCand {
 	nn := len(s.nodes)
 	rot := start % nn
@@ -553,7 +818,7 @@ func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, start int)
 		if rd < 0 {
 			rd += nn
 		}
-		c := altCand{node: int32(n.id), key: rec.score(s, n, workS), rot: int32(rd)}
+		c := altCand{node: int32(n.id), key: altKey(s, n, workS), rot: int32(rd)}
 		if len(cands) == rec.cfg.TopK && !less(c, cands[len(cands)-1]) {
 			continue
 		}
@@ -569,7 +834,6 @@ func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, start int)
 		}
 		cands[pos] = c
 	}
-	rec.altScratch = cands
 	return cands
 }
 
@@ -593,9 +857,8 @@ func (rec *recorder) departed(s *sim, n *node) {
 			continue
 		}
 		// The decision is still in the ring: its pending probe holds it.
-		d := rec.slot(p.seq)
-		d.dec.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
-		d.probes--
+		rec.alts.at(p.alt).HypoDoneS = s.estFinishAt(n, p.workS)
+		rec.slot(p.seq).probes--
 		rec.free = append(rec.free, pi)
 	}
 	rec.watch[n.id] = kept
@@ -632,7 +895,7 @@ func (rec *recorder) reqAbandoned() {
 // is the record count, which the sprint-start record just advanced, so
 // phases ending at one instant pop in start order.
 func (rec *recorder) sprintStart(s *sim, n *node, sprintS float64) {
-	rec.event(s, trace.Event{Kind: "sprint-start", Node: n.id, Rack: rackOf(s, n), Req: -1, Phase: -1, DurS: sprintS})
+	rec.event(s, lifecycle{kind: kindSprintStart, node: n.id, rack: rackOf(s, n), req: -1, phase: -1, durS: sprintS})
 	rec.sprints.push(s.nowS+sprintS, event{node: int32(n.id)}, rec.seq)
 }
 
@@ -642,7 +905,7 @@ func (rec *recorder) sprintStart(s *sim, n *node, sprintS float64) {
 func (rec *recorder) popSprintsThrough(atS float64) {
 	for rec.sprints.len() > 0 && rec.sprints.topAt() <= atS {
 		endS, ph := rec.sprints.pop()
-		rec.emitEvent(endS, trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1})
+		rec.emitEvent(endS, lifecycle{kind: kindSprintEnd, node: int(ph.node), rack: -1, req: -1, phase: -1})
 	}
 }
 
@@ -663,8 +926,9 @@ func (rec *recorder) tick(s *sim) {
 
 // sample emits the window ending at boundary b.
 func (rec *recorder) sample(s *sim, b float64) {
-	sm := rec.samples.get()
-	// A recycled sample keeps its rack arrays: the rack count is fixed.
+	sm := rec.samples.at(rec.samples.push(1))
+	// A reused queue place keeps its sample's rack arrays: the rack count
+	// is fixed.
 	draw, buf := sm.RackDrawW, sm.RackBufferJ
 	*sm = trace.Sample{
 		StartS:        rec.winStartS,
@@ -681,9 +945,9 @@ func (rec *recorder) sample(s *sim, b float64) {
 		sm.Phase = s.scen.cur
 	}
 	if len(rec.winLat) > 0 {
-		sort.Float64s(rec.winLat)
-		sm.P50S = series.Quantile(rec.winLat, 0.50)
-		sm.P99S = series.Quantile(rec.winLat, 0.99)
+		var q [2]float64
+		series.SelectQuantiles(rec.winLat, []float64{0.50, 0.99}, q[:])
+		sm.P50S, sm.P99S = q[0], q[1]
 	}
 	if len(s.racks) > 0 {
 		if draw == nil {
@@ -699,7 +963,7 @@ func (rec *recorder) sample(s *sim, b float64) {
 	}
 	rec.winDone = 0
 	rec.winLat = rec.winLat[:0]
-	rec.emit(b, pendingRec{sample: sm})
+	rec.emit(b, kindSample)
 }
 
 // finalize flushes the last partial window, retires the remaining sprint

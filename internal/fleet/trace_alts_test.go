@@ -10,22 +10,77 @@ import (
 )
 
 // TestIndexedAltsMatchScan is the recorder's cross-implementation oracle:
-// the alternatives taken from the dispatch index by repeated argmin must
-// record exactly the trace the retained O(N) scan records — same nodes,
-// same order, same keys, same probes — for every policy × coordination,
-// on a plain overloaded run (full queues), a flash crowd with failure
-// churn (dead nodes and redispatches), and a heterogeneous fleet (one
-// index segment per class), at several seeds and alternative counts —
-// plus a hand-built least-loaded stream that hits the one order the index
-// does not share with the recorder (testIdleBusyTie).
+// the alternatives the walk takes from the dispatch index must record
+// exactly the trace the retained O(N) scan records — same nodes, same
+// order, same keys, same probes — for every policy × coordination, on a
+// plain overloaded run (full queues), a flash crowd with failure churn
+// (dead nodes and redispatches), a heterogeneous fleet (one index
+// segment per class), and a 4-node fleet where k reaches past every
+// eligible node, at several seeds and alternative counts — plus a
+// hand-built least-loaded stream that hits the one order the index does
+// not share with the recorder (testIdleBusyTie), and a hedge whose
+// excluded node is the only idle one (testHedgeExcludesOnlyIdle).
 func TestIndexedAltsMatchScan(t *testing.T) {
 	if refAlts {
 		t.Fatal("refAlts already set")
 	}
 	t.Run("least-loaded/idle-busy-tie", testIdleBusyTie)
+	t.Run("hedged/exclude-only-idle", testHedgeExcludesOnlyIdle)
+	forAltShapes(func(name string, cfg Config, sc *Scenario) {
+		indexed := mustTraceShape(t, cfg, sc)
+		refAlts = true
+		scanned := mustTraceShape(t, cfg, sc)
+		refAlts = false
+		if !reflect.DeepEqual(indexed, scanned) {
+			t.Errorf("%s: index-driven alternatives diverged from the scan: %s", name, firstTraceDiff(indexed, scanned))
+		}
+	})
+}
+
+// TestAltsReadOnly pins the walk's read-only contract on the
+// TestIndexedAltsMatchScan shapes: every dispatch tree holds exactly the
+// same keys after a traced decision as before it.
+func TestAltsReadOnly(t *testing.T) {
+	var before [][]float64
+	decisions := 0
+	watchDecision = func(s *sim) func() {
+		before = treeKeys(s, before[:0])
+		return func() {
+			decisions++
+			after := treeKeys(s, nil)
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("decision %d at %g wrote the dispatch trees", decisions, s.nowS)
+			}
+		}
+	}
+	defer func() { watchDecision = nil }()
+	forAltShapes(func(name string, cfg Config, sc *Scenario) {
+		mustTraceShape(t, cfg, sc)
+	})
+	if decisions == 0 {
+		t.Fatal("no traced decision ran")
+	}
+}
+
+// treeKeys appends a copy of every dispatch tree's slots to dst.
+func treeKeys(s *sim, dst [][]float64) [][]float64 {
+	if s.idx != nil {
+		dst = append(dst, append([]float64(nil), s.idx.d...))
+	}
+	for _, sg := range s.segs {
+		dst = append(dst, append([]float64(nil), sg.idleIdx.d...), append([]float64(nil), sg.busyIdx.d...))
+	}
+	return dst
+}
+
+// forAltShapes calls f with every traced configuration the alternatives
+// tests run: each policy × coordination × shape × seed × alternative
+// count.
+func forAltShapes(f func(name string, cfg Config, sc *Scenario)) {
 	type shape struct {
-		name string
-		sc   *Scenario
+		name  string
+		nodes int // plain runs only
+		sc    *Scenario
 	}
 	_, crowd := flashCrowdChurn()
 	hetero := Scenario{
@@ -40,12 +95,15 @@ func TestIndexedAltsMatchScan(t *testing.T) {
 		},
 		Churn: Churn{MTBFS: 40, MeanDowntimeS: 5},
 	}
-	shapes := []shape{{"plain", nil}, {"flashcrowd", &crowd}, {"hetero", &hetero}}
+	shapes := []shape{{"plain", 24, nil}, {"tiny", 4, nil}, {"flashcrowd", 0, &crowd}, {"hetero", 0, &hetero}}
 	for _, p := range Policies() {
 		for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
 			for _, sh := range shapes {
 				for _, seed := range equivalenceSeeds {
 					for _, k := range []int{1, 3, 8} {
+						if sh.name == "tiny" && k != 8 {
+							continue
+						}
 						cfg := DefaultConfig(p)
 						cfg.Seed = seed
 						cfg.Coordination = c
@@ -53,20 +111,13 @@ func TestIndexedAltsMatchScan(t *testing.T) {
 							cfg.RackSize = 4
 						}
 						if sh.sc == nil {
-							cfg.Nodes = 24
+							cfg.Nodes = sh.nodes
 							cfg.Requests = 800
 							cfg.QueueCap = 4
 							cfg.ArrivalRatePerS = 1.4 * float64(cfg.Nodes) / cfg.MeanWorkS
 						}
 						cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: k}
-						name := fmt.Sprintf("%s/%s/%s/seed=%d/k=%d", sh.name, p, c, seed, k)
-						indexed := mustTraceShape(t, cfg, sh.sc)
-						refAlts = true
-						scanned := mustTraceShape(t, cfg, sh.sc)
-						refAlts = false
-						if !reflect.DeepEqual(indexed, scanned) {
-							t.Errorf("%s: index-driven alternatives diverged from the scan: %s", name, firstTraceDiff(indexed, scanned))
-						}
+						f(fmt.Sprintf("%s/%s/%s/seed=%d/k=%d", sh.name, p, c, seed, k), cfg, sh.sc)
 					}
 				}
 			}
@@ -123,6 +174,56 @@ func testIdleBusyTie(t *testing.T) {
 	}
 	if d.Alts[0].Key != doneT || d.Alts[1].Key != doneT {
 		t.Fatalf("tie alternatives keyed %g and %g, want both at now=%g", d.Alts[0].Key, d.Alts[1].Key, doneT)
+	}
+}
+
+// testHedgeExcludesOnlyIdle hand-builds a hedged fleet whose one idle
+// node is the hedge's excluded node: nodes 0, 1 and 3 are busy draining
+// at 3, 1 and 2 s, node 2 is idle and holds the original copy's place.
+// The selection excludes node 2 and picks node 1, so the walk finds the
+// least-loaded tie set (keys at or before now) holding only the excluded
+// node, must pass over it, and must then list the busy nodes by drain
+// key: node 3 before node 0, exactly as the scan does.
+func testHedgeExcludesOnlyIdle(t *testing.T) {
+	record := func() *trace.Trace {
+		cfg := DefaultConfig(Hedged)
+		cfg.Nodes = 4
+		cfg.Requests = 1
+		cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: 3}
+		cfg = cfg.withDefaults()
+		if err := (Spec{Config: cfg}).Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecorder(cfg)
+		s := newSim(cfg, nil, rec, nil)
+		s.reqs = []request{{workS: 1, doneS: -1, firstNode: 2}}
+		for id, drainS := range map[int]float64{0: 3, 1: 1, 3: 2} {
+			n := &s.nodes[id]
+			n.busy, n.busyUntilS = true, drainS
+			s.touch(n)
+		}
+		start := s.rr
+		n := s.selectNode(1, 2)
+		if n == nil || n.id != 1 {
+			t.Fatalf("hedge excluding node 2 picked %v, want node 1", n)
+		}
+		rec.decision(s, 0, kindHedge, n, start, 2, true)
+		rec.finalize(s)
+		return rec.tr
+	}
+	indexed := record()
+	refAlts = true
+	scanned := record()
+	refAlts = false
+	if !reflect.DeepEqual(indexed, scanned) {
+		t.Fatalf("index-driven alternatives diverged from the scan: %s", firstTraceDiff(indexed, scanned))
+	}
+	decs := indexed.Decisions()
+	if len(decs) != 1 {
+		t.Fatalf("got %d decisions, want 1", len(decs))
+	}
+	if alts := decs[0].Alts; len(alts) != 2 || alts[0].Node != 3 || alts[1].Node != 0 || alts[0].Key != 2 || alts[1].Key != 3 {
+		t.Fatalf("alternatives %+v, want node 3 at 2 then node 0 at 3", alts)
 	}
 }
 

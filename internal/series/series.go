@@ -132,14 +132,68 @@ func Quantile(sorted []float64, q float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
+	return sorted[rank(n, q)]
+}
+
+// rank is the index Quantile reads its nearest-rank q-quantile at in an
+// ascending-sorted sample of n ≥ 1 values: ⌈q·n⌉ − 1, clamped to the
+// sample.
+func rank(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+}
+
+// SelectQuantiles sets out[i] to Quantile of the sorted sample at qs[i],
+// for ascending qs, without sorting vals: it selects the highest rank
+// first, then each lower rank within the prefix the selection before it
+// left holding the smallest values, in expected linear time overall. It
+// reorders vals. vals must be non-empty and hold no NaN; the results are
+// bit-identical to sort + Quantile whenever vals holds no −0 (sort does
+// not order −0 against +0).
+func SelectQuantiles(vals, qs, out []float64) {
+	n := len(vals)
+	for i := len(qs) - 1; i >= 0; i-- {
+		k := rank(n, qs[i])
+		out[i] = selectKth(vals, k)
+		vals = vals[:k+1]
 	}
-	if i > n-1 {
-		i = n - 1
+}
+
+// selectKth returns the k-th smallest of vals (0-based), the value a sort
+// would leave at index k, reordering vals so that vals[:k+1] holds the
+// k+1 smallest values.
+func selectKth(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		// Hoare partition around the median of three, which splits runs of
+		// equal values evenly and keeps sorted input linear.
+		a, b, c := vals[lo], vals[lo+(hi-lo)/2], vals[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for vals[j] > pivot {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		// vals[lo:j+1] ≤ pivot ≤ vals[i:hi+1], and everything between
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return vals[k]
+		}
 	}
-	return sorted[i]
+	return vals[k]
 }
 
 // Mean returns the arithmetic mean; NaN for empty input.

@@ -2,6 +2,9 @@ package series
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,5 +179,41 @@ func TestQuantileMonotone(t *testing.T) {
 			t.Fatalf("quantile decreased: q=%.2f gave %g after %g", q, v, prev)
 		}
 		prev = v
+	}
+}
+
+// TestSelectQuantilesMatchesSort: SelectQuantiles returns, bit for bit,
+// what sort + Quantile returns, for the recorder's window pair (p50,
+// p99) and the run summary's four (p50, p95, p99, p999), on random
+// samples drawn from a few values (so ties are common) and from a
+// continuous range, at sizes 1, 2, 3 and 1000, and keeps every value.
+func TestSelectQuantilesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, qs := range [][]float64{{0.50, 0.99}, {0.50, 0.95, 0.99, 0.999}} {
+		for _, n := range []int{1, 2, 3, 1000} {
+			for trial := 0; trial < 200; trial++ {
+				vals := make([]float64, n)
+				for i := range vals {
+					if trial%2 == 0 {
+						vals[i] = float64(rng.Intn(4)) * 0.25
+					} else {
+						vals[i] = rng.ExpFloat64()
+					}
+				}
+				sorted := append([]float64(nil), vals...)
+				sort.Float64s(sorted)
+				got := make([]float64, len(qs))
+				SelectQuantiles(vals, qs, got)
+				for i, q := range qs {
+					if want := Quantile(sorted, q); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("n=%d trial %d: selected q%g = %v, sorted %v", n, trial, q, got[i], want)
+					}
+				}
+				sort.Float64s(vals)
+				if !slices.Equal(vals, sorted) {
+					t.Fatalf("n=%d trial %d: SelectQuantiles lost or changed values", n, trial)
+				}
+			}
+		}
 	}
 }

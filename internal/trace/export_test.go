@@ -20,3 +20,14 @@ func ReadJSONLGeneral(r io.Reader) (*Trace, error) {
 	defer func() { refParse = false }()
 	return ReadJSONL(r)
 }
+
+// IsSpelling reports whether s is one of the fixed spellings the line
+// fast path reads without the intern table.
+func IsSpelling(s string) bool {
+	for _, sp := range spellings {
+		if s == sp {
+			return true
+		}
+	}
+	return false
+}

@@ -608,13 +608,13 @@ func (p *parser) fastLine(r *Record) bool {
 
 // fastDecision reads a decision payload in Encoder.record's field order.
 func (p *parser) fastDecision(d *Decision) {
-	d.Kind = field(p, `,"decision":{"kind":`, (*parser).string)
+	d.Kind = field(p, `,"decision":{"kind":`, (*parser).word)
 	d.Req = field(p, `,"req":`, (*parser).int)
 	d.Phase = field(p, `,"phase":`, (*parser).int)
 	d.Node = field(p, `,"node":`, (*parser).int)
-	d.Outcome = field(p, `,"outcome":`, (*parser).string)
+	d.Outcome = field(p, `,"outcome":`, (*parser).word)
 	d.Key = field(p, `,"key":`, (*parser).float)
-	d.KeyKind = field(p, `,"key_kind":`, (*parser).string)
+	d.KeyKind = field(p, `,"key_kind":`, (*parser).word)
 	d.WorkS = field(p, `,"work_s":`, (*parser).float)
 	p.altTmp = p.altTmp[:0]
 	if p.opt(`,"alts":[`) {
@@ -638,7 +638,7 @@ func (p *parser) fastDecision(d *Decision) {
 
 // fastEvent reads an event payload in Encoder.record's field order.
 func (p *parser) fastEvent(ev *Event) {
-	ev.Kind = field(p, `,"event":{"kind":`, (*parser).string)
+	ev.Kind = field(p, `,"event":{"kind":`, (*parser).word)
 	ev.Node = field(p, `,"node":`, (*parser).int)
 	ev.Rack = field(p, `,"rack":`, (*parser).int)
 	ev.Req = field(p, `,"req":`, (*parser).int)
@@ -648,6 +648,39 @@ func (p *parser) fastEvent(ev *Event) {
 	}
 	ev.DurS = field(p, `,"dur_s":`, (*parser).float)
 	p.want("}")
+}
+
+// spellings are the fixed strings the fleet recorder writes for kinds,
+// outcomes and key kinds, the commonest first. A spelling missing here
+// costs only speed: word reads it through string like any other value.
+var spellings = [...]string{
+	"service-start", "complete", "sprint-start", "sprint-end",
+	"dispatch", "enqueued", "budget", "drain", "dropped", "rotation",
+	"hedge", "redispatch", "retry",
+	"hedge-win", "hedge-suppress", "permit-deny", "breaker-trip",
+	"breaker-reset", "node-fail", "node-recover", "rack-fail", "gray-node",
+	"phase-start", "stale-complete", "fault", "req-timeout", "timed-out",
+	"shed",
+}
+
+// word reads a string value that is usually one of the spellings: when
+// the bytes up to the next quote spell one, it returns that spelling
+// without the intern table's lookup. A spelling holds no escape, control
+// or non-ASCII byte, so those bytes are the whole value. Any other value
+// is read by string.
+func (p *parser) word() (string, error) {
+	if p.i < len(p.b) && p.b[p.i] == '"' {
+		rest := p.b[p.i+1:]
+		if j := bytes.IndexByte(rest, '"'); j >= 0 {
+			for _, s := range &spellings {
+				if string(rest[:j]) == s {
+					p.i += j + 2
+					return s, nil
+				}
+			}
+		}
+	}
+	return p.string()
 }
 
 // opt consumes lit if the line is still on the Encoder's layout and

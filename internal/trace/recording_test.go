@@ -17,7 +17,8 @@ import (
 // trace_replay benchmark run — sprint-aware token-permit dispatch over a
 // flash crowd with node churn, at full level — and feeds each line to the
 // fast path directly. The whole recording must also decode to the same
-// trace with and without it.
+// trace with and without it, and every kind, outcome and key kind in it
+// must be a fixed spelling the fast path reads without the intern table.
 func TestRecorderLinesTakeFastPath(t *testing.T) {
 	cfg := fleet.DefaultConfig(fleet.SprintAware)
 	cfg.Nodes = 100
@@ -74,5 +75,19 @@ func TestRecorderLinesTakeFastPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("the recording decodes differently through the general parser")
+	}
+	for _, r := range got.Records {
+		var words []string
+		switch {
+		case r.Decision != nil:
+			words = []string{r.Decision.Kind, r.Decision.Outcome, r.Decision.KeyKind}
+		case r.Event != nil:
+			words = []string{r.Event.Kind}
+		}
+		for _, w := range words {
+			if !trace.IsSpelling(w) {
+				t.Fatalf("record %d: %q is not a fixed spelling", r.Seq, w)
+			}
+		}
 	}
 }
