@@ -140,11 +140,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"sprinting"
+	"sprinting/internal/profiling"
 )
 
 // printScenarioReport renders the dynamic-scenario report: every policy ×
@@ -280,50 +279,6 @@ func readJSON(path string, v any, stderr io.Writer) int {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
-		return 1
-	}
-	return 0
-}
-
-// startCPUProfile starts a pprof CPU profile into path, unless path is
-// empty; stop ends it and closes the file. A file that cannot be created
-// or started is exit code 1.
-func startCPUProfile(path string, stderr io.Writer) (stop func(), code int) {
-	if path == "" {
-		return func() {}, 0
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		if err = pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
-		return nil, 1
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, 0
-}
-
-// writeHeapProfile writes a pprof heap profile, after a GC, to path,
-// unless path is empty; a failure is exit code 1.
-func writeHeapProfile(path string, stderr io.Writer) int {
-	if path == "" {
-		return 0
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		runtime.GC()
-		err = pprof.WriteHeapProfile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
 		return 1
 	}
 	return 0
@@ -565,14 +520,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -convert-trace (conversion runs no simulation)\n", conflict)
 			return 2
 		}
-		stop, code := startCPUProfile(*cpuProfile, stderr)
-		if code != 0 {
-			return code
+		stop, err := profiling.StartCPU(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(stderr, "fleetsim:", err)
+			return 1
 		}
-		code = convertRecording(*convertTrace, *replayOut, stdout, stderr)
+		code := convertRecording(*convertTrace, *replayOut, stdout, stderr)
 		stop()
 		if code == 0 {
-			code = writeHeapProfile(*memProfile, stderr)
+			if err := profiling.WriteHeap(*memProfile); err != nil {
+				fmt.Fprintln(stderr, "fleetsim:", err)
+				code = 1
+			}
 		}
 		return code
 	}
@@ -783,11 +742,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	stop, code := startCPUProfile(*cpuProfile, stderr)
-	if code != 0 {
-		return code
+	stopProfile, err := profiling.StartCPU(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
 	}
-	defer stop()
+	defer stopProfile()
 
 	switch {
 	case scen != nil:
@@ -822,8 +782,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if code := writeHeapProfile(*memProfile, stderr); code != 0 {
-		return code
+	if err := profiling.WriteHeap(*memProfile); err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
 	}
 	if scen != nil {
 		printScenarioReport(*scenarioPath, *scen, metrics, stdout)

@@ -9,6 +9,10 @@
 //	sprintbench -list
 //	sprintbench -exp all
 //	sprintbench -exp fig7,fig10 -scale 0.5 -workers 8
+//	sprintbench -exp fig9 -scale 0.12 -cpuprofile fig9.pprof
+//
+// -cpuprofile and -memprofile write pprof CPU and heap profiles of the
+// whole regeneration; a profile file that cannot be written is exit 1.
 //
 // A -scale that is not positive and finite, a -format other than table
 // or csv, and an unknown or empty experiment id are flag errors (exit 2),
@@ -30,6 +34,7 @@ import (
 	"time"
 
 	"sprinting"
+	"sprinting/internal/profiling"
 )
 
 func main() {
@@ -49,6 +54,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list experiment ids and exit")
 		format  = fs.String("format", "table", "output format: table | csv")
 		workers = fs.Int("workers", 0, "engine pool size (0 = GOMAXPROCS, 1 = serial)")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the regeneration to this file")
+		memProf = fs.String("memprofile", "", "write a pprof heap profile after the regeneration to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -86,6 +93,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	stopProfile, err := profiling.StartCPU(*cpuProf)
+	if err != nil {
+		fmt.Fprintln(stderr, "sprintbench:", err)
+		return 1
+	}
+	defer stopProfile()
 	for _, id := range selected {
 		//sprintvet:ignore nondeterminism wall-clock timing of the regeneration is the reported product, not sim state
 		start := time.Now()
@@ -98,6 +111,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			//sprintvet:ignore nondeterminism wall-clock timing of the regeneration is the reported product, not sim state
 			fmt.Fprintf(stdout, "(%s regenerated in %.1fs)\n\n", id, time.Since(start).Seconds())
 		}
+	}
+	if err := profiling.WriteHeap(*memProf); err != nil {
+		fmt.Fprintln(stderr, "sprintbench:", err)
+		return 1
 	}
 	return 0
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -97,5 +99,32 @@ func TestCancelledContext(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(ctx, []string{"-exp", "fig7", "-scale", "0.12"}, &out, &errb); code != 1 {
 		t.Errorf("cancelled run should exit 1, got %d", code)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof
+// files beside the normal output, and an unwritable profile path is exit 1.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	out, code := runOut(t, "-exp", "fig1", "-format", "csv", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || !strings.Contains(out, "Figure 1") {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("profile %s missing: %v", p, err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("profile %s is empty", p)
+		}
+	}
+	missing := filepath.Join(dir, "no", "such", "dir", "p.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if _, code := runOut(t, "-exp", "fig1", flag, missing); code != 1 {
+			t.Errorf("%s into a missing directory: exit %d, want 1", flag, code)
+		}
 	}
 }

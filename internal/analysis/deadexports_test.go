@@ -18,7 +18,6 @@ import (
 // reason.
 var deadExportsAllow = map[string]string{
 	"sprinting/internal/analysis/analysistest.Run": "the analyzer fixture harness: a helper package that only tests import",
-	"sprinting/internal/archsim.CmdNone":           "the zero CommandKind: a controller's Command{} continues unchanged, and the iota numbering of the real commands starts after it",
 	"sprinting/internal/engine.Cache.Stats":        "the cache's hit/miss counters exist to be read here; the engine and experiments tests assert memoization through it",
 	"sprinting/internal/isa.SliceStream":           "the fixed-instruction Stream that the isa, rt and archsim tests drive schedulers and machines with",
 	"sprinting/internal/trace.Trace.Decisions":     "public API: sprinting.RunFleet returns the *trace.Trace, and the facade's trace example reads its decisions",

@@ -13,11 +13,16 @@
 //     (§3), terminated on thermal exhaustion;
 //   - DVFSSprint: a single core boosted to ∛16 ≈ 2.5× frequency at 16×
 //     power (§8.4's idealized voltage-boost comparison).
+//
+// RunShared runs one machine under several controllers whose configs
+// differ only in the fields the controller alone reads (the thermal
+// design, trip margin, …); Run is its one-member case.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sprinting/internal/archsim"
 	"sprinting/internal/rt"
@@ -108,8 +113,22 @@ func DefaultConfig(policy Policy) Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Config's own float fields must
+// be finite: a NaN passes every ordering check, and reaches the thermal
+// stack (a NaN time scale), the memory channels (a NaN bandwidth hangs
+// the machine), or the trip test (a NaN margin never trips).
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"thermal time scale", c.ThermalTimeScale}, {"bandwidth multiplier", c.MemBandwidthMult},
+		{"trip margin", c.TripMarginC}, {"activation delay", c.ActivationDelayS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.SprintCores <= 0 || c.SprintCores > 64:
 		return fmt.Errorf("core: sprint cores must be in [1,64], got %d", c.SprintCores)
@@ -123,6 +142,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: activation delay must be non-negative")
 	}
 	return c.Thermal.Validate()
+}
+
+// Machine returns c with its controller-only fields zeroed: Thermal,
+// ThermalTimeScale, TripMarginC, HardwareThrottleOnly, RecordTrace and
+// ActivationDelayS. Only the §7 controller reads those — it steps the
+// thermal stack on each sample, checks the trip point, records traces
+// and adds the activation ramp to the elapsed time — so configs with
+// equal Machine() drive one machine through the same samples until a
+// controller steers it. RunShared runs such configs on one machine.
+func (c Config) Machine() Config {
+	c.Thermal = thermal.StackConfig{}
+	c.ThermalTimeScale = 0
+	c.TripMarginC = 0
+	c.HardwareThrottleOnly = false
+	c.RecordTrace = false
+	c.ActivationDelayS = 0
+	return c
 }
 
 // DVFSBoost returns the paper's idealized voltage-boost multiplier for a
@@ -185,11 +221,38 @@ func (r Result) NormalizedEnergy(baseline Result) float64 {
 
 // Run executes a freshly built program under the configured policy.
 // Programs are single-use (their streams advance as they execute), so
-// callers build a new rt.Program per run.
+// callers build a new rt.Program per run. Run is RunShared with one
+// member, which never drops out.
 func Run(prog rt.Program, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res, _, err := RunShared(prog, []Config{cfg})
+	if err != nil {
 		return Result{}, err
 	}
+	return res[0], nil
+}
+
+// RunShared executes prog once on one machine for every config in cfgs,
+// which must agree on Machine(). Each member's controller steps its own
+// thermal stack on every sample. Until a controller would steer the
+// machine, every member observes the same samples as it would alone. A
+// member whose controller would issue a command while another member is
+// still live drops out instead: its index is returned in dropped, its
+// Result is left zero, and the caller reruns it alone on a fresh
+// program. The last live member's command is applied, so its run, like
+// every member's that never steers, equals a standalone Run.
+func RunShared(prog rt.Program, cfgs []Config) (res []Result, dropped []int, err error) {
+	if len(cfgs) == 0 {
+		return nil, nil, fmt.Errorf("core: no configs to run")
+	}
+	for i, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			return nil, nil, err
+		}
+		if c.Machine() != cfgs[0].Machine() {
+			return nil, nil, fmt.Errorf("core: config %d drives a different machine than config 0", i)
+		}
+	}
+	cfg := cfgs[0]
 
 	machineCores := 1
 	if cfg.Policy == ParallelSprint {
@@ -213,19 +276,23 @@ func Run(prog rt.Program, cfg Config) (Result, error) {
 	sched := rt.NewScheduler(prog, machineCores)
 	m, err := archsim.New(arch, sched)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 
-	stack := cfg.Thermal.TimeScaled(cfg.ThermalTimeScale).Build()
-	ctl := &controller{
-		cfg:    cfg,
-		stack:  stack,
-		dtS:    float64(arch.SamplePeriodPs) * 1e-12,
-		result: Result{Policy: cfg.Policy},
-	}
-	if cfg.RecordTrace {
-		ctl.result.JunctionTrace = series.New("junction", "C")
-		ctl.result.PowerTrace = series.New("power", "W")
+	g := &group{live: len(cfgs)}
+	dtS := float64(arch.SamplePeriodPs) * 1e-12
+	for _, c := range cfgs {
+		ctl := &controller{
+			cfg:    c,
+			stack:  c.Thermal.TimeScaled(c.ThermalTimeScale).Build(),
+			dtS:    dtS,
+			result: Result{Policy: c.Policy},
+		}
+		if c.RecordTrace {
+			ctl.result.JunctionTrace = series.New("junction", "C")
+			ctl.result.PowerTrace = series.New("power", "W")
+		}
+		g.members = append(g.members, ctl)
 	}
 
 	switch cfg.Policy {
@@ -238,24 +305,66 @@ func Run(prog rt.Program, cfg Config) (Result, error) {
 		// All cores at nominal frequency; the width is the sprint.
 	}
 
-	mres, err := m.Run(ctl)
+	mres, err := m.Run(g)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-	res := ctl.result
-	res.Machine = mres
-	res.ElapsedS = mres.ElapsedSeconds()
-	if cfg.Policy != Sustained {
-		// The §5.3 activation ramp delays only sprint starts; the
-		// sustained core is already powered.
-		res.ElapsedS += cfg.ActivationDelayS
+	res = make([]Result, len(cfgs))
+	for i, ctl := range g.members {
+		if ctl.dropped {
+			dropped = append(dropped, i)
+			continue
+		}
+		r := ctl.result
+		r.Machine = mres
+		if i > 0 {
+			// Members never share mutable state.
+			r.Machine.PerCore = slices.Clone(mres.PerCore)
+		}
+		r.ElapsedS = mres.ElapsedSeconds()
+		if ctl.cfg.Policy != Sustained {
+			// The §5.3 activation ramp delays only sprint starts; the
+			// sustained core is already powered.
+			r.ElapsedS += ctl.cfg.ActivationDelayS
+		}
+		r.EnergyJ = mres.EnergyJ
+		r.Migrated = mres.Migrated
+		r.Throttled = mres.Throttled
+		r.PeakJunctionC = ctl.peakC
+		r.MeltFraction = ctl.stack.MeltFraction()
+		res[i] = r
 	}
-	res.EnergyJ = mres.EnergyJ
-	res.Migrated = mres.Migrated
-	res.Throttled = mres.Throttled
-	res.PeakJunctionC = ctl.peakC
-	res.MeltFraction = stack.MeltFraction()
-	return res, nil
+	return res, dropped, nil
+}
+
+// group fans each machine sample out to the live members' controllers and
+// lets only the last live member steer.
+type group struct {
+	members []*controller
+	live    int
+}
+
+// OnSample implements archsim.Controller.
+func (g *group) OnSample(m *archsim.Machine, s archsim.Sample) archsim.Command {
+	var steer archsim.Command
+	for _, c := range g.members {
+		if c.dropped {
+			continue
+		}
+		cmd := c.OnSample(m, s)
+		if cmd.Kind == archsim.CmdNone {
+			continue
+		}
+		if g.live > 1 {
+			// Steering would change the machine the other members
+			// observe: this member leaves the run and is rerun alone.
+			c.dropped = true
+			g.live--
+			continue
+		}
+		steer = cmd
+	}
+	return steer
 }
 
 // controller couples machine samples to the thermal stack and issues the
@@ -266,12 +375,14 @@ type controller struct {
 	dtS   float64
 
 	tripped bool
+	dropped bool
 	peakC   float64
 
 	result Result
 }
 
-// OnSample implements archsim.Controller.
+// OnSample steps the member's stack over one sample and returns the §7
+// command the member would issue.
 func (c *controller) OnSample(m *archsim.Machine, s archsim.Sample) archsim.Command {
 	powerW := s.IntervalJ / c.dtS
 	c.stack.Step(c.dtS, powerW)

@@ -20,7 +20,7 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	once sync.Once
+	done chan struct{} // closed once val and err are set
 	val  any
 	err  error
 }
@@ -31,22 +31,41 @@ func NewCache() *Cache { return &Cache{} }
 // do returns the memoized result for key, computing it with compute on
 // first use. compute must already be panic-safe (see callSafe).
 func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
-	e, loaded := c.m.LoadOrStore(key, &cacheEntry{})
+	e, owner := c.lookup(key)
+	if owner {
+		v, err := compute()
+		c.settle(key, e, v, err)
+	}
+	return e.wait()
+}
+
+// lookup returns key's entry, creating it when absent. The caller that
+// created it owns it and must settle it; every other caller waits.
+func (c *Cache) lookup(key string) (e *cacheEntry, owner bool) {
+	v, loaded := c.m.LoadOrStore(key, &cacheEntry{done: make(chan struct{})})
 	if loaded {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	ce := e.(*cacheEntry)
-	ce.once.Do(func() {
-		ce.val, ce.err = compute()
-		if ce.err != nil && (errors.Is(ce.err, context.Canceled) || errors.Is(ce.err, context.DeadlineExceeded)) {
-			// A canceled evaluation says nothing about the point; drop
-			// the entry so the next run recomputes it.
-			c.m.Delete(key)
-		}
-	})
-	return ce.val, ce.err
+	return v.(*cacheEntry), !loaded
+}
+
+// settle fills an owned entry and releases its waiters.
+func (c *Cache) settle(key string, e *cacheEntry, val any, err error) {
+	e.val, e.err = val, err
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// A canceled evaluation says nothing about the point; drop the
+		// entry so the next run recomputes it.
+		c.m.CompareAndDelete(key, e)
+	}
+	close(e.done)
+}
+
+// wait blocks until the entry is settled and returns its result.
+func (e *cacheEntry) wait() (any, error) {
+	<-e.done
+	return e.val, e.err
 }
 
 // Stats reports cumulative lookups: hits found an existing entry (its

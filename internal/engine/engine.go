@@ -21,7 +21,23 @@
 //   - Panic isolation: a panicking point is converted into a *PanicError
 //     carrying its stack; other points are unaffected.
 //   - Memoization: an optional Cache deduplicates points that share a
-//     config key, within one grid and across grids.
+//     config key, within one grid and across grids; RunGrid keeps one
+//     cache entry per point key.
+//   - Shared machines: RunGrid gives the points that agree on everything
+//     but the controller-only config fields — Thermal, ThermalTimeScale,
+//     TripMarginC, HardwareThrottleOnly, RecordTrace, ActivationDelayS,
+//     the fields core.Config.Machine zeroes — to one pool job, which
+//     simulates their machine once (core.RunShared). Until the §7
+//     controller trips, those fields only change what each member's
+//     thermal stack observes, so every member sees the samples it would
+//     see alone. A member whose controller would steer the machine while
+//     another is live would change what the others observe: it drops
+//     out and is rerun alone. The last live member's command is applied,
+//     since no one else observes the machine any more. Results equal
+//     per-point evaluation exactly; a one-member job is core.Run, and
+//     there is no switch to turn sharing off. A point whose config fails
+//     Validate runs alone and fails at its own index, and a shared run
+//     that fails or panics falls back to running each member alone.
 package engine
 
 import (

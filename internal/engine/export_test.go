@@ -6,3 +6,7 @@ func (c *Cache) Len() int {
 	c.m.Range(func(any, any) bool { n++; return true })
 	return n
 }
+
+// MachineRuns counts the machine simulations RunGrid has started in this
+// process: shared runs, reruns and singletons.
+func MachineRuns() int64 { return machineRuns.Load() }

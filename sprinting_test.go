@@ -189,3 +189,32 @@ func TestPublicFleetSweepDeterministic(t *testing.T) {
 		t.Errorf("ParseFleetPolicy: %v", err)
 	}
 }
+
+// TestRunKernelRejectsNonFinite: a non-finite float in the sprint config
+// is an error from RunKernel, never a panic, a hang or an infinite time.
+// RunKernel is reached only after Validate has refused the config, so a
+// regression fails here instead of hanging in a NaN-bandwidth machine.
+func TestRunKernelRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*sprinting.Config, float64)
+	}{
+		{"ThermalTimeScale", func(c *sprinting.Config, v float64) { c.ThermalTimeScale = v }},
+		{"MemBandwidthMult", func(c *sprinting.Config, v float64) { c.MemBandwidthMult = v }},
+		{"TripMarginC", func(c *sprinting.Config, v float64) { c.TripMarginC = v }},
+		{"ActivationDelayS", func(c *sprinting.Config, v float64) { c.ActivationDelayS = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := sprinting.DefaultConfig(sprinting.ParallelSprint)
+			f.set(&cfg, v)
+			if cfg.Validate() == nil {
+				t.Errorf("%s = %v passes Validate", f.name, v)
+				continue
+			}
+			if _, err := sprinting.RunKernel("sobel", sprinting.SizeA, cfg); err == nil {
+				t.Errorf("%s = %v: RunKernel returned no error", f.name, v)
+			}
+		}
+	}
+}
