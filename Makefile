@@ -6,9 +6,9 @@
 # every policy; `make trace` replays it with the flight recorder
 # attached, writing TRACE_flashcrowd.jsonl and printing the regret
 # summary; `make benchsmoke` runs every benchmark at the root, in
-# internal/fleet, in internal/governor and in internal/trace exactly once
-# (the CI guard that keeps the fleet, rack, governor and JSONL codec
-# layers exercised, bounded by -timeout
+# internal/fleet, in internal/governor, in internal/series and in
+# internal/trace exactly once (the CI guard that keeps the fleet, rack,
+# governor, latency-histogram and JSONL codec layers exercised, bounded by -timeout
 # so a hung scale bench fails loudly instead of stalling the job); `make bench-json` runs the
 # fleet-scale benchmarks with -benchmem and emits BENCH_fleet.json (ns/op,
 # B/op, allocs/op) so CI can archive the perf trajectory from every run;
@@ -124,7 +124,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ . ./internal/fleet ./internal/governor ./internal/trace
+	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ . ./internal/fleet ./internal/governor ./internal/series ./internal/trace
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SET)' \

@@ -113,10 +113,30 @@ func DefaultConfig(policy Policy) Config {
 	}
 }
 
+// maxSubstepsPerSample bounds the thermal substeps one machine sample
+// may take: the sample period (Arch.SamplePeriodPs) over the time-scaled
+// stack's stable step (thermal.Network.StableStep). Past it a transient
+// of the stack is shorter than a sample, so the junction overshoots TJmax
+// before the trip check at the sample's end sees it: the default stack
+// needs 7.2 substeps at time scale 1e4 and peaks at 69.7 °C, but 71.6 at
+// 1e5 and peaks at 74.5 °C. The substep count also grows with the scale
+// without bound (7e26 at 1e30, where it overflows and the stack never
+// steps). The most the repository uses is 28.9, the 1.5 mg stack at
+// 1500.
+const maxSubstepsPerSample = 64
+
+// minMemBandwidthMult is the smallest MemBandwidthMult a config may
+// take. A run's wall time grows as 1/MemBandwidthMult once memory bounds
+// it (0.72 s for sobel at size A and 1e-4), so a tiny multiplier hangs
+// the run rather than failing it.
+const minMemBandwidthMult = 1e-3
+
 // Validate reports configuration errors. Config's own float fields must
 // be finite: a NaN passes every ordering check, and reaches the thermal
 // stack (a NaN time scale), the memory channels (a NaN bandwidth hangs
-// the machine), or the trip test (a NaN margin never trips).
+// the machine), or the trip test (a NaN margin never trips). A finite
+// time scale must keep the scaled stack within maxSubstepsPerSample, and
+// the bandwidth multiplier must be at least minMemBandwidthMult.
 func (c Config) Validate() error {
 	for _, f := range [...]struct {
 		name string
@@ -134,14 +154,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: sprint cores must be in [1,64], got %d", c.SprintCores)
 	case c.ThermalTimeScale <= 0:
 		return fmt.Errorf("core: thermal time scale must be positive")
-	case c.MemBandwidthMult <= 0:
-		return fmt.Errorf("core: bandwidth multiplier must be positive")
+	case c.MemBandwidthMult < minMemBandwidthMult:
+		return fmt.Errorf("core: bandwidth multiplier must be at least %g, got %g", minMemBandwidthMult, c.MemBandwidthMult)
 	case c.TripMarginC < 0:
 		return fmt.Errorf("core: trip margin must be non-negative")
 	case c.ActivationDelayS < 0:
 		return fmt.Errorf("core: activation delay must be non-negative")
 	}
-	return c.Thermal.Validate()
+	if err := c.Thermal.Validate(); err != nil {
+		return err
+	}
+	scaled := c.Thermal.TimeScaled(c.ThermalTimeScale)
+	if err := scaled.Validate(); err != nil {
+		return fmt.Errorf("core: thermal time scale %g: %w", c.ThermalTimeScale, err)
+	}
+	if n := float64(c.Arch.SamplePeriodPs) * 1e-12 / scaled.Build().Net.StableStep(); n > maxSubstepsPerSample {
+		return fmt.Errorf("core: thermal time scale %g needs %.3g thermal substeps per machine sample, more than %d", c.ThermalTimeScale, n, maxSubstepsPerSample)
+	}
+	return nil
 }
 
 // Machine returns c with its controller-only fields zeroed: Thermal,

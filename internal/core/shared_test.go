@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -185,6 +186,80 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			if _, err := Run(buildKernel(t, "sobel", 0.05), cfg); err == nil {
 				t.Errorf("%s = %v: Run returned no error", f.name, v)
 			}
+		}
+	}
+}
+
+// unrunnable lists finite configs that Validate must refuse: time scales
+// whose scaled stack needs more than maxSubstepsPerSample thermal
+// substeps per machine sample (a run overshoots TJmax, runs for minutes,
+// or at 1e30 never steps its stack), and bandwidth multipliers below
+// minMemBandwidthMult (wall time grows as their inverse).
+func unrunnable() []struct {
+	name string
+	cfg  Config
+} {
+	var cases []struct {
+		name string
+		cfg  Config
+	}
+	add := func(name string, set func(*Config)) {
+		cfg := DefaultConfig(ParallelSprint)
+		set(&cfg)
+		cases = append(cases, struct {
+			name string
+			cfg  Config
+		}{name, cfg})
+	}
+	for _, s := range []float64{1e5, 1e6, 1e7, 1e8, 1e12, 1e30, 1e300} {
+		add(fmt.Sprintf("ThermalTimeScale=%g", s), func(c *Config) { c.ThermalTimeScale = s })
+	}
+	add("limited stack at ThermalTimeScale=1e4", func(c *Config) {
+		c.Thermal = thermal.LimitedStackConfig()
+		c.ThermalTimeScale = 1e4
+	})
+	for _, m := range []float64{9e-4, 1e-4, 1e-6, 1e-300, 5e-324} {
+		add(fmt.Sprintf("MemBandwidthMult=%g", m), func(c *Config) { c.MemBandwidthMult = m })
+	}
+	return cases
+}
+
+// TestValidateRejectsUnrunnable: every unrunnable config is an error from
+// Validate and from Run, which is reached only after Validate has
+// refused the config, so a regression fails here instead of hanging.
+func TestValidateRejectsUnrunnable(t *testing.T) {
+	for _, c := range unrunnable() {
+		if c.cfg.Validate() == nil {
+			t.Errorf("%s passes Validate", c.name)
+			continue
+		}
+		if _, err := Run(buildKernel(t, "sobel", 0.05), c.cfg); err == nil {
+			t.Errorf("%s: Run returned no error", c.name)
+		}
+	}
+}
+
+// TestValidateAcceptsRepoScales: the time scales the experiments and
+// tests run at, and 1e4, pass Validate on the stacks they use them with,
+// as do the bandwidth floor and Figure 10's 2×.
+func TestValidateAcceptsRepoScales(t *testing.T) {
+	for _, st := range []thermal.StackConfig{thermal.DefaultStackConfig(), thermal.LimitedStackConfig()} {
+		for _, s := range []float64{1, 70, 150, 1000, 1500, 1e4} {
+			if st.PCMMassG < 0.1 && s > 1500 {
+				continue // the 1.5 mg stack needs 192 substeps at 1e4
+			}
+			cfg := DefaultConfig(ParallelSprint)
+			cfg.Thermal, cfg.ThermalTimeScale = st, s
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("PCM %g g at time scale %g: %v", st.PCMMassG, s, err)
+			}
+		}
+	}
+	for _, m := range []float64{minMemBandwidthMult, 1, 2} {
+		cfg := DefaultConfig(DVFSSprint)
+		cfg.MemBandwidthMult = m
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("MemBandwidthMult %g: %v", m, err)
 		}
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"sprinting/internal/core"
 )
 
-// Cache memoizes point results by config key. It is safe for concurrent
-// use; concurrent requests for the same key evaluate the point once and
-// share the result. Deterministic failures are cached like results, but
-// context cancellation errors are evicted so a later run retries the
-// point.
+// Cache memoizes RunGrid's point results by config key. It is safe for
+// concurrent use; concurrent requests for the same key evaluate the point
+// once and share the result. Deterministic failures are cached like
+// results, but context cancellation errors are evicted so a later run
+// retries the point.
 type Cache struct {
 	m      sync.Map // key → *cacheEntry
 	hits   atomic.Int64
@@ -21,23 +23,12 @@ type Cache struct {
 
 type cacheEntry struct {
 	done chan struct{} // closed once val and err are set
-	val  any
+	val  core.Result
 	err  error
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache { return &Cache{} }
-
-// do returns the memoized result for key, computing it with compute on
-// first use. compute must already be panic-safe (see callSafe).
-func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
-	e, owner := c.lookup(key)
-	if owner {
-		v, err := compute()
-		c.settle(key, e, v, err)
-	}
-	return e.wait()
-}
 
 // lookup returns key's entry, creating it when absent. The caller that
 // created it owns it and must settle it; every other caller waits.
@@ -52,7 +43,7 @@ func (c *Cache) lookup(key string) (e *cacheEntry, owner bool) {
 }
 
 // settle fills an owned entry and releases its waiters.
-func (c *Cache) settle(key string, e *cacheEntry, val any, err error) {
+func (c *Cache) settle(key string, e *cacheEntry, val core.Result, err error) {
 	e.val, e.err = val, err
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// A canceled evaluation says nothing about the point; drop the
@@ -63,7 +54,7 @@ func (c *Cache) settle(key string, e *cacheEntry, val any, err error) {
 }
 
 // wait blocks until the entry is settled and returns its result.
-func (e *cacheEntry) wait() (any, error) {
+func (e *cacheEntry) wait() (core.Result, error) {
 	<-e.done
 	return e.val, e.err
 }

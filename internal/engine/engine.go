@@ -12,17 +12,19 @@
 //     never reorders output.
 //   - Determinism: point evaluations are pure functions of their inputs,
 //     so any worker count (including 1) produces identical results.
-//   - Bounded concurrency: at most Options.Workers points run at once
-//     (default GOMAXPROCS); Workers=1 runs inline on the calling
-//     goroutine, reproducing plain serial execution exactly.
+//   - Bounded concurrency: at most the worker count (Map's workers,
+//     RunGrid's Options.Workers) of points run at once (default
+//     GOMAXPROCS); a count of 1 runs inline on the calling goroutine,
+//     reproducing plain serial execution exactly.
 //   - Cancellation: a canceled context stops new points from starting;
 //     finished points keep their results and the context error is
 //     reported alongside any point errors.
 //   - Panic isolation: a panicking point is converted into a *PanicError
 //     carrying its stack; other points are unaffected.
-//   - Memoization: an optional Cache deduplicates points that share a
-//     config key, within one grid and across grids; RunGrid keeps one
-//     cache entry per point key.
+//   - Memoization: RunGrid takes an optional Cache (Options.Cache) that
+//     deduplicates points sharing a config key, within one grid and
+//     across grids, one entry per point key. Map is the plain pool and
+//     memoizes nothing.
 //   - Shared machines: RunGrid gives the points that agree on everything
 //     but the controller-only config fields — Thermal, ThermalTimeScale,
 //     TripMarginC, HardwareThrottleOnly, RecordTrace, ActivationDelayS,
@@ -48,22 +50,13 @@ import (
 	"runtime/debug"
 )
 
-// Options tune one fan-out.
+// Options tune one RunGrid call.
 type Options struct {
-	// Workers bounds concurrent point evaluations. Values <= 0 select
-	// runtime.GOMAXPROCS(0). Workers == 1 runs the grid inline on the
-	// calling goroutine in input order — exactly serial execution.
+	// Workers bounds concurrent point evaluations, as Map's workers does.
 	Workers int
-	// Cache, when non-nil, memoizes point results by key (see MapKeyed);
-	// points whose key is empty are never cached.
+	// Cache, when non-nil, memoizes point results by Point.Key, across
+	// every RunGrid call given the same Cache.
 	Cache *Cache
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // PanicError reports a panic recovered inside one point evaluation.
@@ -91,49 +84,23 @@ func (e *PointError) Error() string { return fmt.Sprintf("point %d: %v", e.Index
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *PointError) Unwrap() error { return e.Err }
 
-// Map evaluates fn over every item on a bounded worker pool and returns
-// the results in item order. On failure it still returns the full result
-// slice (failed slots hold the zero value) together with every per-point
-// error joined in index order; callers that need partial results can
-// inspect both.
-func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error), opt Options) ([]O, error) {
-	return MapKeyed(ctx, items, nil, fn, opt)
-}
-
-// MapKeyed is Map with memoization: when opt.Cache is non-nil and key is
-// non-nil, each item's key selects a cache slot, and items sharing a key —
-// within this call or any previous call using the same Cache — are
-// evaluated once. Evaluation stays deterministic because keys must only
-// equate items whose evaluations are interchangeable.
-func MapKeyed[I, O any](ctx context.Context, items []I, key func(I) string, fn func(context.Context, I) (O, error), opt Options) ([]O, error) {
+// Map evaluates fn over every item on a pool of at most workers
+// goroutines (workers <= 0 selects runtime.GOMAXPROCS(0), and 1 runs the
+// items inline on the calling goroutine in item order — exactly serial
+// execution) and returns the results in item order. On failure it still
+// returns the full result slice (failed slots hold the zero value)
+// together with every per-point error joined in index order; callers
+// that need partial results can inspect both.
+func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error), workers int) ([]O, error) {
 	out := make([]O, len(items))
 	if len(items) == 0 {
 		return out, ctx.Err()
 	}
 	errs := make([]error, len(items))
-
-	runOne := func(i int) (O, error) {
-		if key == nil || opt.Cache == nil {
-			return callSafe(ctx, items[i], fn)
-		}
-		k := key(items[i])
-		if k == "" {
-			return callSafe(ctx, items[i], fn)
-		}
-		v, err := opt.Cache.do(k, func() (any, error) {
-			return callSafe(ctx, items[i], fn)
-		})
-		if err != nil {
-			var zero O
-			return zero, err
-		}
-		return v.(O), nil
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
-	workers := opt.workers()
-	if workers > len(items) {
-		workers = len(items)
-	}
+	workers = min(workers, len(items))
 
 	if workers == 1 {
 		// Inline serial path: identical to a plain loop over the grid.
@@ -142,7 +109,7 @@ func MapKeyed[I, O any](ctx context.Context, items []I, key func(I) string, fn f
 				errs[i] = err
 				break
 			}
-			out[i], errs[i] = runOne(i)
+			out[i], errs[i] = callSafe(ctx, items[i], fn)
 		}
 		return out, joinPointErrors(errs)
 	}
@@ -153,7 +120,7 @@ func MapKeyed[I, O any](ctx context.Context, items []I, key func(I) string, fn f
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := range indices {
-				out[i], errs[i] = runOne(i)
+				out[i], errs[i] = callSafe(ctx, items[i], fn)
 			}
 		}()
 	}

@@ -20,7 +20,7 @@ func TestMapStableOrder(t *testing.T) {
 	out, err := Map(context.Background(), items, func(_ context.Context, i int) (int, error) {
 		time.Sleep(time.Duration(len(items)-i) * time.Millisecond)
 		return i * i, nil
-	}, Options{Workers: 4})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return v, nil
 	}
-	serial, err := Map(context.Background(), items, fn, Options{Workers: 1})
+	serial, err := Map(context.Background(), items, fn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16, 0} {
-		got, err := Map(context.Background(), items, fn, Options{Workers: workers})
+		got, err := Map(context.Background(), items, fn, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestCancellationMidGrid(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		return i + 1, nil
-	}, Options{Workers: 2})
+	}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -141,7 +141,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	_, err := Map(ctx, []int{1, 2, 3}, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		return i, nil
-	}, Options{Workers: 1})
+	}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -159,7 +159,7 @@ func TestPanicIsolation(t *testing.T) {
 			panic("boom")
 		}
 		return i * 10, nil
-	}, Options{Workers: 3})
+	}, 3)
 	if err == nil {
 		t.Fatal("want an error for the panicking point")
 	}
@@ -190,7 +190,7 @@ func TestErrorAggregation(t *testing.T) {
 			return 0, fmt.Errorf("point %d: %w", i, sentinel)
 		}
 		return i, nil
-	}, Options{Workers: 2})
+	}, 2)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("joined error lost the cause: %v", err)
 	}
@@ -200,25 +200,38 @@ func TestErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestCacheHits runs the same keyed grid twice and checks each unique key
-// is evaluated exactly once overall.
+// cachedGrid runs points through RunGrid's body with a cache and an
+// injected solo evaluation that counts its calls and gives each kernel
+// its own result; the points share no machine, so each job runs alone.
+func cachedGrid(ctx context.Context, cache *Cache, points []Point, workers int, evals *atomic.Int32) ([]core.Result, error) {
+	solo := func(_ context.Context, p Point) (core.Result, error) {
+		evals.Add(1)
+		return core.Result{ElapsedS: float64(len(p.Kernel))}, nil
+	}
+	g := grid{points: points, cache: cache, solo: solo, together: runShared}
+	return g.run(ctx, workers)
+}
+
+// TestCacheHits runs the same grid twice through one cache and checks
+// each unique point is evaluated exactly once overall, duplicates within
+// a grid and across grids included.
 func TestCacheHits(t *testing.T) {
 	cache := NewCache()
-	items := []int{0, 1, 2, 0, 1, 2, 0, 1, 2} // 3 unique keys, 9 points
-	var evals atomic.Int32
-	key := func(i int) string { return Key("item", i) }
-	fn := func(_ context.Context, i int) (int, error) {
-		evals.Add(1)
-		return i * 100, nil
+	var points []Point // 3 unique keys, 9 points
+	for range 3 {
+		for _, k := range []string{"a", "bb", "ccc"} {
+			points = append(points, Point{Kernel: k, Config: core.DefaultConfig(core.ParallelSprint)})
+		}
 	}
+	var evals atomic.Int32
 	for round := 0; round < 2; round++ {
-		out, err := MapKeyed(context.Background(), items, key, fn, Options{Workers: 4, Cache: cache})
+		out, err := cachedGrid(context.Background(), cache, points, 4, &evals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, item := range items {
-			if out[i] != item*100 {
-				t.Errorf("round %d: out[%d] = %d, want %d", round, i, out[i], item*100)
+		for i, p := range points {
+			if out[i].ElapsedS != float64(len(p.Kernel)) {
+				t.Errorf("round %d: out[%d] = %v, want %d", round, i, out[i].ElapsedS, len(p.Kernel))
 			}
 		}
 	}
@@ -236,7 +249,7 @@ func TestCacheHits(t *testing.T) {
 	if cache.Len() != 0 {
 		t.Errorf("cache holds %d entries after Clear, want 0", cache.Len())
 	}
-	if _, err := MapKeyed(context.Background(), items[:3], key, fn, Options{Workers: 1, Cache: cache}); err != nil {
+	if _, err := cachedGrid(context.Background(), cache, points[:3], 1, &evals); err != nil {
 		t.Fatal(err)
 	}
 	if n := evals.Load(); n != 6 {
@@ -244,22 +257,29 @@ func TestCacheHits(t *testing.T) {
 	}
 }
 
-// TestCacheDoesNotCacheCancellation: an evaluation that observed
-// cancellation must not poison the cache for later runs.
+// TestCacheDoesNotCacheCancellation: a grid cancelled while its point
+// evaluates leaves no cache entry, so the next grid recomputes the point
+// instead of reading the cancellation back.
 func TestCacheDoesNotCacheCancellation(t *testing.T) {
 	cache := NewCache()
-	key := func(i int) string { return Key(i) }
-	_, err := MapKeyed(context.Background(), []int{1}, key, func(_ context.Context, i int) (int, error) {
-		return 0, context.Canceled
-	}, Options{Workers: 1, Cache: cache})
-	if !errors.Is(err, context.Canceled) {
+	points := []Point{{Kernel: "sobel", Config: core.DefaultConfig(core.ParallelSprint)}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := grid{points: points, cache: cache, together: runShared,
+		solo: func(ctx context.Context, _ Point) (core.Result, error) {
+			cancel()
+			return core.Result{}, ctx.Err()
+		}}
+	if _, err := g.run(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	out, err := MapKeyed(context.Background(), []int{1}, key, func(_ context.Context, i int) (int, error) {
-		return 42, nil
-	}, Options{Workers: 1, Cache: cache})
-	if err != nil || out[0] != 42 {
-		t.Fatalf("poisoned cache: out = %v, err = %v", out, err)
+	if cache.Len() != 0 {
+		t.Fatalf("the cancelled grid left %d cache entries, want 0", cache.Len())
+	}
+	var evals atomic.Int32
+	out, err := cachedGrid(context.Background(), cache, points, 1, &evals)
+	if err != nil || out[0].ElapsedS != 5 || evals.Load() != 1 {
+		t.Fatalf("poisoned cache: out = %v, err = %v, %d evaluations", out[0].ElapsedS, err, evals.Load())
 	}
 }
 
@@ -304,7 +324,7 @@ func TestPointKeyDistinguishesConfigs(t *testing.T) {
 func TestEmptyGrid(t *testing.T) {
 	out, err := Map(context.Background(), nil, func(_ context.Context, i int) (int, error) {
 		return i, nil
-	}, Options{})
+	}, 0)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty grid: out = %v, err = %v", out, err)
 	}

@@ -9,42 +9,20 @@ import (
 	"sprinting/internal/workloads"
 )
 
-// ExampleMap fans a function out over a grid on the bounded worker pool;
+// ExampleMap fans a function out over a grid on a pool of four workers;
 // results always come back in input order.
 func ExampleMap() {
 	inputs := []int{1, 2, 3, 4, 5}
 	squares, err := engine.Map(context.Background(), inputs,
 		func(_ context.Context, n int) (int, error) {
 			return n * n, nil
-		}, engine.Options{Workers: 4})
+		}, 4)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(squares)
 	// Output:
 	// [1 4 9 16 25]
-}
-
-// ExampleMapKeyed memoizes duplicate points through a shared cache: the
-// three distinct keys are evaluated once each, however often they recur.
-func ExampleMapKeyed() {
-	cache := engine.NewCache()
-	inputs := []int{10, 20, 30, 10, 20, 30}
-	evaluations := 0
-	doubled, err := engine.MapKeyed(context.Background(), inputs,
-		func(n int) string { return engine.Key(n) },
-		func(_ context.Context, n int) (int, error) {
-			evaluations++ // safe: Workers 1 runs inline
-			return 2 * n, nil
-		}, engine.Options{Workers: 1, Cache: cache})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(doubled)
-	fmt.Println("evaluations:", evaluations)
-	// Output:
-	// [20 40 60 20 40 60]
-	// evaluations: 3
 }
 
 // ExampleRunGrid evaluates simulation points — the sustained baseline and

@@ -120,7 +120,7 @@ func (g *grid) run(ctx context.Context, workers int) ([]core.Result, error) {
 	ran, err := Map(ctx, jobs, func(ctx context.Context, job []int) (bool, error) {
 		g.runJob(ctx, job)
 		return true, nil
-	}, Options{Workers: workers})
+	}, workers)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		err = ctxErr
 	}
@@ -202,12 +202,7 @@ func (g *grid) runJob(ctx context.Context, job []int) {
 		}
 	}
 	for _, w := range waits {
-		v, err := w.e.wait()
-		if err != nil {
-			g.errs[w.i] = err
-			continue
-		}
-		g.out[w.i] = v.(core.Result)
+		g.out[w.i], g.errs[w.i] = w.e.wait()
 	}
 }
 

@@ -46,12 +46,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// engineOptions translates driver options into pool options, attaching
-// the process-wide memo cache.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.Workers, Cache: gridCache}
-}
-
 // gridCache memoizes simulation points across drivers: Figures 10 and 11
 // report the same scaling sweep, several figures share baselines, and
 // repeated regenerations (CSV + table runs) hit it outright. Keys include
@@ -78,11 +72,11 @@ func point(kernel string, size workloads.SizeClass, opt Options, cfg core.Config
 	}
 }
 
-// runGrid evaluates a driver's point grid on the engine pool, returning
-// results in grid order. Cancelling the context stops new points from
-// starting.
+// runGrid evaluates a driver's point grid on the engine pool through the
+// process-wide memo cache, returning results in grid order. Cancelling
+// the context stops new points from starting.
 func runGrid(ctx context.Context, opt Options, points []engine.Point) ([]core.Result, error) {
-	return engine.RunGrid(ctx, points, opt.engineOptions())
+	return engine.RunGrid(ctx, points, engine.Options{Workers: opt.Workers, Cache: gridCache})
 }
 
 // Driver regenerates one experiment.

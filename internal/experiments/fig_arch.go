@@ -83,7 +83,7 @@ func Fig8(ctx context.Context, opt Options) ([]*table.Table, error) {
 				return "", err
 			}
 			return inst.Detail, nil
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func simulateSchedules(ctx context.Context, opt Options, schedules []powergrid.S
 	return engine.Map(ctx, schedules,
 		func(_ context.Context, sched powergrid.Schedule) (*powergrid.Result, error) {
 			return powergrid.Simulate(cfg, sched, powergrid.DefaultSimOptions(sched))
-		}, opt.engineOptions())
+		}, opt.Workers)
 }
 
 // Fig6 regenerates Figure 6: supply-voltage integrity for the three

@@ -48,7 +48,7 @@ func Session(ctx context.Context, opt Options) ([]*table.Table, error) {
 			// Evaluate only reads the shared trace, so policies for one
 			// trace can score it concurrently.
 			return session.Evaluate(c.bursts, c.policy, cfg), nil
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func Fig1(ctx context.Context, opt Options) ([]*table.Table, error) {
 				return projection{}, err
 			}
 			return projection{densities: s.PowerDensity(), darks: s.DarkSiliconPct()}, nil
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

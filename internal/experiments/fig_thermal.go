@@ -83,7 +83,7 @@ func Fig2(ctx context.Context, opt Options) ([]*table.Table, error) {
 			}
 			out.done = tNow
 			return out, nil
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func FleetReliability(ctx context.Context, opt Options) ([]*table.Table, error) 
 	metrics, err := engine.Map(ctx, cfgs,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
 			return runFleet(ctx, fleet.Spec{Config: cfg, Scenario: &sc})
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

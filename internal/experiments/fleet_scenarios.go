@@ -70,7 +70,7 @@ func FleetScenarios(ctx context.Context, opt Options) ([]*table.Table, error) {
 	metrics, err := engine.Map(ctx, cells,
 		func(ctx context.Context, c cell) (fleet.Metrics, error) {
 			return runFleet(ctx, fleet.Spec{Config: c.cfg, Scenario: &c.sc})
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func FleetTenants(ctx context.Context, opt Options) ([]*table.Table, error) {
 		func(ctx context.Context, disc string) (fleet.Metrics, error) {
 			w := tenantMix(opt.Scale, disc)
 			return runFleet(ctx, fleet.Spec{Config: base(), Workload: &w})
-		}, opt.engineOptions())
+		}, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

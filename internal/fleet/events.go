@@ -165,7 +165,7 @@ func (a qkey) lessBit(b qkey) int {
 // event costs 40 bytes, key and payload. No interface boxing, no
 // per-event allocation: both arrays are reused for the whole run.
 //
-// Beside the heap sit FIFO lanes, one per distinct delay, for timers that
+// Beside the heap sit lanes, one fifo per distinct delay, for timers that
 // fire a fixed delay after they are scheduled (see pushLane). While the
 // clock passed to pushLane never decreases, now+d never decreases either
 // (float addition rounds monotonically) and seq only grows, so each lane
@@ -206,13 +206,80 @@ type timer struct {
 	ev event
 }
 
-// lane is a FIFO ring of timers that all fire d after their push: ring
-// has a power-of-two length, and its n pending timers run from head,
-// wrapping.
+// lane holds, in push order, the pending timers that all fire d after
+// their push.
 type lane struct {
-	d       uint64 // math.Float64bits of the delay
-	ring    []timer
-	head, n int
+	d uint64 // math.Float64bits of the delay
+	fifo[timer]
+}
+
+// fifoChunk is the value count of one fifo chunk, a power of two.
+const fifoChunk = 1 << 8
+
+// fifo is a growable FIFO queue: values leave at the head in the order
+// they entered at the tail, each addressed by its position in entry order
+// (mod 2³²). They live in chunks of fifoChunk, chunks[0] holding the
+// head's; a chunk the head leaves moves to the back for the tail to
+// reuse. So no value moves while queued (a pointer from at stays valid
+// until its value is popped), growth copies nothing, and the chunks count
+// the most positions the queue ever spanned.
+type fifo[T any] struct {
+	chunks     []*[fifoChunk]T
+	head, tail uint32
+}
+
+// len counts the values in the queue.
+//
+//sprint:hotpath
+func (f *fifo[T]) len() int { return int(f.tail - f.head) }
+
+// push appends k values, each holding whatever an earlier value at its
+// place left there, and returns the first one's position.
+//
+//sprint:hotpath
+func (f *fifo[T]) push(k int) uint32 {
+	p := f.tail
+	f.tail += uint32(k)
+	if n := int(f.tail - f.head&^(fifoChunk-1)); n > len(f.chunks)*fifoChunk {
+		f.grow(n)
+	}
+	return p
+}
+
+// grow appends chunks until they span n positions from the start of the
+// head's chunk.
+func (f *fifo[T]) grow(n int) {
+	for len(f.chunks)*fifoChunk < n {
+		f.chunks = append(f.chunks, new([fifoChunk]T))
+	}
+}
+
+// at returns the value at position p, which must be in the queue.
+//
+//sprint:hotpath
+func (f *fifo[T]) at(p uint32) *T {
+	return &f.chunks[(p-f.head&^(fifoChunk-1))/fifoChunk][p%fifoChunk]
+}
+
+// pop drops the k values at the head.
+//
+//sprint:hotpath
+func (f *fifo[T]) pop(k int) {
+	left := f.head &^ (fifoChunk - 1)
+	f.head += uint32(k)
+	if n := (f.head&^(fifoChunk-1) - left) / fifoChunk; n > 0 {
+		f.retire(int(n))
+	}
+}
+
+// retire moves the n chunks at the front, which the head has left, to
+// the back.
+func (f *fifo[T]) retire(n int) {
+	for ; n > 0; n-- {
+		c := f.chunks[0]
+		copy(f.chunks, f.chunks[1:])
+		f.chunks[len(f.chunks)-1] = c
+	}
 }
 
 // reserve sizes keys and payloads, which hold the free list, together for
@@ -238,7 +305,7 @@ func (q *eventQueue) len() int { return len(q.k) + q.timers }
 func (q *eventQueue) clear() {
 	q.k, q.p, q.free = q.k[:0], q.p[:0], 0
 	for i := range q.lanes {
-		q.lanes[i].head, q.lanes[i].n = 0, 0
+		q.lanes[i].pop(q.lanes[i].len())
 	}
 	q.timers, q.best = 0, 0
 }
@@ -299,9 +366,8 @@ func (q *eventQueue) push(atS float64, ev event, seq uint64) {
 func (q *eventQueue) pop() (float64, event) {
 	if q.best != 0 && (len(q.k) == 0 || q.headK.less(q.k[0])) {
 		l := &q.lanes[q.best-1]
-		h := l.ring[l.head]
-		l.head = (l.head + 1) & (len(l.ring) - 1)
-		l.n--
+		h := *l.at(l.head)
+		l.pop(1)
 		q.timers--
 		q.relane()
 		return keyTime(h.k.t), h.ev
@@ -370,25 +436,12 @@ func (q *eventQueue) pushLane(nowS, d float64, ev event, seq uint64) {
 		q.lanes = append(q.lanes, lane{d: db})
 	}
 	l := &q.lanes[i]
-	if l.n == len(l.ring) {
-		l.grow()
-	}
 	key := qkey{timeKey(nowS + d), seq << slotBits}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = timer{key, ev}
-	l.n++
+	*l.at(l.push(1)) = timer{key, ev}
 	q.timers++
-	if l.n == 1 && (q.best == 0 || key.less(q.headK)) {
+	if l.len() == 1 && (q.best == 0 || key.less(q.headK)) {
 		q.best, q.headK = i+1, key
 	}
-}
-
-// grow doubles a full lane's ring, 16 entries at first, unwrapping its
-// timers to start at 0.
-func (l *lane) grow() {
-	ring := make([]timer, max(2*len(l.ring), 16))
-	m := copy(ring, l.ring[l.head:])
-	copy(ring[m:], l.ring[:l.head])
-	l.ring, l.head = ring, 0
 }
 
 // relane points best at the lane whose head fires first, after a lane
@@ -399,10 +452,10 @@ func (q *eventQueue) relane() {
 	q.best = 0
 	for i := range q.lanes {
 		l := &q.lanes[i]
-		if l.n == 0 {
+		if l.len() == 0 {
 			continue
 		}
-		if h := l.ring[l.head].k; q.best == 0 || h.less(q.headK) {
+		if h := l.at(l.head).k; q.best == 0 || h.less(q.headK) {
 			q.best, q.headK = i+1, h
 		}
 	}

@@ -131,12 +131,13 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			timers, best := 0, 0
 			var head qkey
-			for j, l := range q.lanes {
-				timers += l.n
-				if l.n == 0 {
+			for j := range q.lanes {
+				l := &q.lanes[j]
+				timers += l.len()
+				if l.len() == 0 {
 					continue
 				}
-				if h := l.ring[l.head].k; best == 0 || h.less(head) {
+				if h := l.at(l.head).k; best == 0 || h.less(head) {
 					best, head = j+1, h
 				}
 			}
@@ -234,8 +235,9 @@ func TestTimersRideLanes(t *testing.T) {
 			}
 		}
 		var got [][2]float64
-		for _, l := range q.lanes {
-			got = append(got, [2]float64{math.Float64frombits(l.d), float64(l.n)})
+		for i := range q.lanes {
+			l := &q.lanes[i]
+			got = append(got, [2]float64{math.Float64frombits(l.d), float64(l.len())})
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("after dispatch %d the lanes (delay, timers) are %v, want %v", ri, got, want)
@@ -333,5 +335,56 @@ func BenchmarkEventQueueTimers(b *testing.B) {
 		for k := 0; k < steps; k++ {
 			step(k)
 		}
+	}
+}
+
+// TestFifo drives a fifo across chunk boundaries and the 2³² wrap of its
+// positions against a slice reference, growing it to a few thousand
+// values and draining it again: every queued value reads back at its
+// position, a pointer from at survives later pushes, and the chunks the
+// head leaves are reused, so they never outnumber the positions the queue
+// ever spanned.
+func TestFifo(t *testing.T) {
+	var f fifo[int]
+	f.head, f.tail = math.MaxUint32-300, math.MaxUint32-300
+	rng := rand.New(rand.NewSource(1))
+	var ref []int
+	next, spanned := 0, 0
+	for step := 0; step < 5000; step++ {
+		grow := step < 2000
+		if k := 1 + rng.Intn(24); len(ref) == 0 || (rng.Intn(3) == 0) != grow {
+			var head *int
+			if len(ref) > 0 {
+				head = f.at(f.head)
+			}
+			p := f.push(k)
+			for i := range k {
+				*f.at(p + uint32(i)) = next
+				ref = append(ref, next)
+				next++
+			}
+			if head != nil && (head != f.at(f.head) || *head != ref[0]) {
+				t.Fatalf("step %d: the push moved the head value", step)
+			}
+		} else {
+			k = min(k, len(ref))
+			f.pop(k)
+			ref = ref[k:]
+		}
+		spanned = max(spanned, int(f.tail-f.head&^(fifoChunk-1)))
+		if f.len() != len(ref) {
+			t.Fatalf("step %d: len %d, reference %d", step, f.len(), len(ref))
+		}
+		for i, v := range ref {
+			if got := *f.at(f.head + uint32(i)); got != v {
+				t.Fatalf("step %d: position head+%d holds %d, want %d", step, i, got, v)
+			}
+		}
+		if want := (spanned + fifoChunk - 1) / fifoChunk; len(f.chunks) != want {
+			t.Fatalf("step %d: %d chunks for %d positions spanned, want %d", step, len(f.chunks), spanned, want)
+		}
+	}
+	if spanned < 8*fifoChunk || f.len() > fifoChunk {
+		t.Fatalf("the run spanned %d positions and ends holding %d values; it must cross many chunks and drain", spanned, f.len())
 	}
 }

@@ -1387,22 +1387,9 @@ func (s *sim) dispatch(ri int32) {
 		r.fate = admShed
 		return
 	}
-	rr0 := s.rr
-	n := s.selectNode(r.workS, -1)
-	if n == nil || n.outstanding() >= s.cl(n).queueCap {
-		if s.rec != nil {
-			s.rec.decision(s, ri, kindDispatch, n, rr0, -1, false)
-		}
-		s.drop(ri, n)
+	if s.place(ri, kindDispatch) == nil {
 		return
 	}
-	if s.rec != nil {
-		// Recorded before enqueue so the winning key and the alternatives
-		// scan see the exact pre-placement state the selector scored.
-		s.rec.decision(s, ri, kindDispatch, n, rr0, -1, true)
-	}
-	r.firstNode = int32(n.id)
-	s.enqueue(n, reqCopy{req: ri})
 	if s.cfg.Policy == Hedged {
 		d := s.cfg.HedgeDelayS
 		if s.wl != nil {
@@ -1446,30 +1433,41 @@ func (s *sim) hedge(ri int32) {
 }
 
 // redispatch fails a request copy over to a fresh node after its original
-// node died: the standard policy selection, with a drop (attributed to the
-// would-be node) when nothing has queue space.
+// node died. The failover target is the request's first node now, so a
+// pending hedge check excludes it, not the dead original; the copy keeps
+// its attempt — the client's deadline keeps ticking across a failover.
 //
 //sprint:hotpath
 func (s *sim) redispatch(ri int32) {
+	if s.place(ri, kindRedispatch) != nil {
+		s.scen.phases[s.reqs[ri].phase].redispatches++
+	}
+}
+
+// place routes a copy of request ri, at its current attempt, through the
+// policy's selection and records the decision of the given kind. The
+// chosen node becomes the request's first node and is returned; a copy
+// that finds no queue space anywhere is instead a terminal drop,
+// attributed to the would-be node, and place returns nil. The decision
+// is recorded before enqueue, so the winning key and the alternatives
+// see the exact pre-placement state the selector scored.
+//
+//sprint:hotpath
+func (s *sim) place(ri int32, kind recKind) *node {
 	r := &s.reqs[ri]
 	rr0 := s.rr
 	n := s.selectNode(r.workS, -1)
-	if n == nil || n.outstanding() >= s.cl(n).queueCap {
-		if s.rec != nil {
-			s.rec.decision(s, ri, kindRedispatch, n, rr0, -1, false)
-		}
-		s.drop(ri, n)
-		return
-	}
+	ok := n != nil && n.outstanding() < s.cl(n).queueCap
 	if s.rec != nil {
-		s.rec.decision(s, ri, kindRedispatch, n, rr0, -1, true)
+		s.rec.decision(s, ri, kind, n, rr0, -1, ok)
 	}
-	s.scen.phases[r.phase].redispatches++
-	// The failover target is the request's first node now: a pending
-	// hedge check must exclude it, not the dead original. The copy keeps
-	// its attempt — the client's deadline keeps ticking across a failover.
+	if !ok {
+		s.drop(ri, n)
+		return nil
+	}
 	r.firstNode = int32(n.id)
 	s.enqueue(n, reqCopy{req: ri, attempt: r.attempt})
+	return n
 }
 
 // enqueue places a copy on the node, starting service if it is idle, and
@@ -1742,9 +1740,10 @@ func (n *node) drainKey() float64 {
 // selectNode picks the destination node for a request copy under the
 // configured policy. exclude (≥ 0) removes a node from consideration:
 // only hedge passes one, so only the Hedged policy's index implements it
-// (hedging never duplicates onto the original node). It returns nil when
-// no eligible node has queue space (round-robin instead returns its next
-// node regardless, modelling a state-blind dispatcher).
+// (hedging never duplicates onto the original node), with a read-only
+// query that passes over it (dispatchIndex.argminExcept). It returns nil
+// when no eligible node has queue space (round-robin instead returns its
+// next node regardless, modelling a state-blind dispatcher).
 //
 // The rotation counter advances once per selection and score ties break
 // to the first node in rotation order from it, so selection stays
@@ -1775,17 +1774,8 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 	var best *node
 	if s.cfg.Policy == SprintAware {
 		best = s.sprintAwareMin(rot, workS)
-	} else {
-		var exD float64
-		if exclude >= 0 {
-			exD = s.idx.disable(exclude)
-		}
-		if id := s.idx.argmin(rot); id >= 0 {
-			best = &s.nodes[id]
-		}
-		if exclude >= 0 {
-			s.idx.update(exclude, exD)
-		}
+	} else if id := s.idx.argminExcept(rot, exclude); id >= 0 {
+		best = &s.nodes[id]
 	}
 	if best == nil {
 		// Every eligible node is at queue capacity: fall back to the

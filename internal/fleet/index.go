@@ -4,11 +4,11 @@
 // linear scan's selection — including its rotating tie-break — exactly.
 //
 // Every key is a single float64. A present node's key is finite or −Inf;
-// +Inf means absent — tree padding, a node at queue capacity, a dead
-// node, or one disabled for a query — so an absent leaf loses to every
-// present one (the linear scan's best/bestFull split) and an interior
-// slot is a plain float minimum of its children. Config.Validate rejects
-// non-finite inputs, which keeps every present key below +Inf.
+// +Inf means absent — tree padding, a node at queue capacity, or a dead
+// node — so an absent leaf loses to every present one (the linear scan's
+// best/bestFull split) and an interior slot is a plain float minimum of
+// its children. Config.Validate rejects non-finite inputs, which keeps
+// every present key below +Inf.
 //
 // Least-loaded (and hedged) dispatch uses one tree whose leaf key is
 // drainAtS, the absolute instant the node's present backlog drains at
@@ -26,7 +26,8 @@
 // rotation order by two iterative firstFrom passes, the suffix from the
 // start and then the wrap-around from leaf 0, each climbing to the first
 // qualifying right sibling and descending to its leftmost qualifying
-// leaf.
+// leaf. Every query, hedged dispatch's argminExcept included, only reads
+// a tree: the sim's touch and buildIndex's reset write them.
 //
 // Sprint-aware dispatch scores a node as its backlog-drain instant plus
 // a governor-projected service time, which depends on the request's
@@ -110,17 +111,6 @@ func (t *dispatchIndex) update(id int, d float64) {
 	}
 }
 
-// disable temporarily removes node id from consideration (hedging never
-// duplicates onto the original copy's node); the caller restores the
-// returned key with update afterwards.
-//
-//sprint:hotpath
-func (t *dispatchIndex) disable(id int) float64 {
-	d := t.d[t.size+id]
-	t.update(id, math.Inf(1))
-	return d
-}
-
 // argmin returns the present node holding the minimum key that comes
 // first in rotation order from start, or -1 when no node is present. It
 // reproduces the linear scan exactly: the scan's strict less-than keeps
@@ -132,6 +122,31 @@ func (t *dispatchIndex) disable(id int) float64 {
 //sprint:hotpath
 func (t *dispatchIndex) argmin(start int) int {
 	return t.firstLE(start, t.d[1])
+}
+
+// argminExcept is argmin over every present node but ex (all of them when
+// ex < 0): hedging never duplicates onto the original copy's node. The
+// minimum of every leaf but ex is the minimum of the siblings on ex's
+// path to the root; firstLE at it finds the first node in rotation order
+// that holds it, and nextLE steps past ex, which may tie or beat it.
+//
+//sprint:hotpath
+func (t *dispatchIndex) argminExcept(start, ex int) int {
+	if ex < 0 {
+		return t.argmin(start)
+	}
+	m := math.Inf(1)
+	for i := t.size + ex; i > 1; i >>= 1 {
+		m = min(m, t.d[i^1])
+	}
+	if m == math.Inf(1) {
+		return -1 // no other node is present
+	}
+	i := t.firstLE(start, m)
+	if i == ex {
+		i = t.nextLE(start, i, m)
+	}
+	return i
 }
 
 // firstLE returns the present node with key ≤ thresh that comes first in

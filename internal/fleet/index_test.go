@@ -124,31 +124,49 @@ func TestIndexFirstLE(t *testing.T) {
 	}
 }
 
-func TestIndexDisableRestore(t *testing.T) {
-	idx := newDispatchIndex(3)
+// TestIndexArgminExcept: the exclusion query passes over the excluded
+// node, whether it holds the unique minimum, ties it, starts the
+// rotation or is the only present node, and writes no slot.
+func TestIndexArgminExcept(t *testing.T) {
+	idx := newDispatchIndex(5)
 	idx.reset(0)
-	for i, d := range []float64{2, 1, 3} {
+	for i, d := range []float64{2, 1, 3, 1, 5} {
 		idx.update(i, d)
 	}
-	d := idx.disable(1)
-	if d != 1 {
-		t.Fatalf("disable returned %g, want 1", d)
+	before := slices.Clone(idx.d)
+	for _, c := range []struct{ start, ex, want int }{
+		{0, 0, 1}, // ex is not the minimum
+		{0, 1, 3}, // ex ties the minimum and comes first
+		{1, 1, 3}, // ex is the rotation start
+		{4, 3, 1}, // ex ties the minimum from the other side of the wrap
+		{2, 3, 1},
+	} {
+		if got := idx.argminExcept(c.start, c.ex); got != c.want {
+			t.Errorf("argminExcept(start=%d, ex=%d) = %d, want %d", c.start, c.ex, got, c.want)
+		}
 	}
-	if got := idx.argmin(0); got != 0 {
-		t.Errorf("argmin with 1 disabled = %d, want 0", got)
+	idx.update(3, 4) // node 1 now holds the unique minimum
+	if got := idx.argminExcept(0, 1); got != 0 {
+		t.Errorf("argminExcept(0, 1) with 1 the unique minimum = %d, want 0", got)
 	}
-	idx.update(1, d)
-	if got := idx.argmin(0); got != 1 {
-		t.Errorf("argmin after restore = %d, want 1", got)
+	idx.update(3, 1)
+	if !slices.Equal(idx.d, before) {
+		t.Error("argminExcept wrote the tree")
+	}
+	for _, i := range []int{0, 2, 3, 4} {
+		idx.update(i, math.Inf(1))
+	}
+	if got := idx.argminExcept(0, 1); got != -1 {
+		t.Errorf("argminExcept with ex the only present node = %d, want -1", got)
 	}
 }
 
 // FuzzDispatchIndex drives a tree of 1–70 leaves through a bounded op
-// sequence — updates to finite, −Inf, or absent keys, disable/restore,
-// whole-tree resets, argmin, firstLE, nextLE and minLeaf queries from any
-// start — and after every op checks
-// each query against a brute-force rotation scan and every interior slot
-// against the minimum of its children. The first byte sizes the tree;
+// sequence — updates to finite, −Inf, or absent keys, whole-tree resets,
+// argmin, argminExcept, firstLE, nextLE and minLeaf queries from any
+// start — and after every op checks each query against a brute-force
+// rotation scan and every interior slot against the minimum of its
+// children. The first byte sizes the tree;
 // each op then takes up to three bytes. The seed corpus lives in
 // testdata/fuzz/FuzzDispatchIndex.
 func FuzzDispatchIndex(f *testing.F) {
@@ -189,14 +207,7 @@ func FuzzDispatchIndex(f *testing.F) {
 				idx.update(leaf, d)
 				want[leaf] = d
 			case 1:
-				d := idx.disable(leaf)
-				if d != want[leaf] {
-					t.Fatalf("disable(%d) returned %g, want %g", leaf, d, want[leaf])
-				}
-				want[leaf] = math.Inf(1)
-				checkIndex(t, idx, want, leaf, key(next()))
-				idx.update(leaf, d)
-				want[leaf] = d
+				checkExcept(t, idx, want, int(next())%n, leaf)
 			case 2:
 				d := key(next())
 				idx.reset(d)
@@ -209,6 +220,32 @@ func FuzzDispatchIndex(f *testing.F) {
 			checkIndex(t, idx, want, 0, 0)
 		}
 	})
+}
+
+// checkExcept compares argminExcept(start, ex) with a brute-force
+// rotation scan that skips ex, and checks the query wrote no slot.
+func checkExcept(t *testing.T, idx *dispatchIndex, want []float64, start, ex int) {
+	t.Helper()
+	m := math.Inf(1)
+	for i, d := range want {
+		if i != ex {
+			m = math.Min(m, d)
+		}
+	}
+	w := -1
+	for k := range want {
+		if j := (start + k) % len(want); j != ex && want[j] < math.Inf(1) && want[j] == m {
+			w = j
+			break
+		}
+	}
+	before := slices.Clone(idx.d)
+	if got := idx.argminExcept(start, ex); got != w {
+		t.Fatalf("argminExcept(%d, %d) = %d, want %d (keys %v)", start, ex, got, w, want)
+	}
+	if !slices.Equal(idx.d, before) {
+		t.Fatalf("argminExcept(%d, %d) wrote the tree (keys %v)", start, ex, want)
+	}
 }
 
 // checkIndex compares idx with the brute-force leaf keys want: the tree

@@ -207,19 +207,11 @@ func (s *sim) retry(ri int32, attempt uint8) {
 //
 //sprint:hotpath
 func (s *sim) retryDispatch(ri int32) {
-	r := &s.reqs[ri]
-	rr0 := s.rr
-	n := s.selectNode(r.workS, -1)
-	if n == nil || n.outstanding() >= s.cl(n).queueCap {
-		if s.rec != nil {
-			s.rec.decision(s, ri, kindRetry, n, rr0, -1, false)
-		}
-		s.drop(ri, n)
+	n := s.place(ri, kindRetry)
+	if n == nil {
 		return
 	}
-	if s.rec != nil {
-		s.rec.decision(s, ri, kindRetry, n, rr0, -1, true)
-	}
+	r := &s.reqs[ri]
 	n.stats.Retries++
 	if s.scen != nil {
 		s.scen.phases[r.phase].retries++
@@ -227,8 +219,6 @@ func (s *sim) retryDispatch(ri int32) {
 	if s.wl != nil {
 		s.wl.tallies[r.slo].retries++
 	}
-	r.firstNode = int32(n.id)
-	s.enqueue(n, reqCopy{req: ri, attempt: r.attempt})
 	if s.rel.timeoutS > 0 {
 		s.pushAfter(s.rel.timeoutS, event{kind: evTimeout, req: ri, gen: uint64(r.attempt)})
 	}

@@ -176,9 +176,9 @@ var kindNames = [...]string{
 }
 
 // pendingRec is one ring slot: a record not yet handed to the sink, in
-// pointer-free fields, so the ring's chunks are memory the garbage
-// collector never scans. The slot's position is the record's seq, and
-// kind says which fields apply:
+// pointer-free fields, so the ring is memory the garbage collector never
+// scans. The slot's position is the record's seq, and kind says which
+// fields apply:
 //   - a decision: node (-1 on an unattributable drop), req, phase, the
 //     winning key, workS, enqueued, its nAlts alternatives from position
 //     alt of the recorder's alternatives queue, and how many of their
@@ -205,39 +205,6 @@ type lifecycle struct {
 	durS                   float64
 }
 
-// fifo is a growable ring buffer. Values enter at the tail and leave at
-// the head in the same order, and each is addressed by its position in
-// entry order (mod 2³²), which stays valid while the ring grows.
-type fifo[T any] struct {
-	buf        []T // a power-of-two length
-	head, tail uint32
-}
-
-// push appends k values, each holding whatever an earlier value at its
-// place left there, and returns the first one's position.
-func (f *fifo[T]) push(k int) uint32 {
-	if n := int(f.tail-f.head) + k; n > len(f.buf) {
-		size := max(64, len(f.buf))
-		for size < n {
-			size *= 2
-		}
-		buf := make([]T, size)
-		for p := f.head; p != f.tail; p++ {
-			buf[p&uint32(size-1)] = *f.at(p)
-		}
-		f.buf = buf
-	}
-	p := f.tail
-	f.tail += uint32(k)
-	return p
-}
-
-// at returns the value at position p, which must be in the ring.
-func (f *fifo[T]) at(p uint32) *T { return &f.buf[p&uint32(len(f.buf)-1)] }
-
-// pop drops the k values at the head.
-func (f *fifo[T]) pop(k int) { f.head += uint32(k) }
-
 // recorder is the live flight-recorder state hanging off a sim. It is
 // nil when tracing is off; every hook in the simulator is guarded by
 // that nil check and nothing else.
@@ -254,13 +221,10 @@ type recorder struct {
 	err       error
 	keyKind   string
 
-	// The ring holds records base..seq-1 in chunks of ringChunk slots,
-	// record q at chunks[q/ringChunk-base/ringChunk][q%ringChunk]; a chunk
-	// the head leaves goes to spare for the tail to reuse, so chunks and
-	// spare together count the most chunks the ring ever spanned.
+	// The ring holds records base..seq-1, record q at position uint32(q);
+	// its chunks count the most records it ever spanned.
 	seq, base uint64
-	chunks    []*[ringChunk]pendingRec
-	spare     []*[ringChunk]pendingRec
+	ring      fifo[pendingRec]
 	// The pending decisions' alternatives and the pending samples, each
 	// queued in seq order, which is the order the sink takes them in.
 	alts    fifo[trace.Alt]
@@ -352,35 +316,24 @@ func (rec *recorder) begin(s *sim) {
 	}
 }
 
-// ringChunk is the slot count of one ring chunk, recChunk the record
-// count of one chunk the in-memory sink collects.
-const (
-	ringChunk = 1 << 10
-	recChunk  = 1 << 12
-)
+// recChunk is the record count of one chunk the in-memory sink collects.
+const recChunk = 1 << 12
 
 // emit appends one record of the given kind at instant atS to the ring
 // and returns its slot, every other field zero, and its sequence number.
+// Every caller fills the slot before it emits again (emitEvent and sample
+// at once, decision through collectAlts, which emits nothing), and a
+// later write to the record, a resolved probe's, goes through slot.
 func (rec *recorder) emit(atS float64, kind recKind) (*pendingRec, uint64) {
-	if rec.seq%ringChunk == 0 {
-		if n := len(rec.spare); n > 0 {
-			rec.chunks = append(rec.chunks, rec.spare[n-1])
-			rec.spare = rec.spare[:n-1]
-		} else {
-			rec.chunks = append(rec.chunks, new([ringChunk]pendingRec))
-		}
-	}
 	q := rec.seq
-	p := rec.slot(q)
+	p := rec.ring.at(rec.ring.push(1))
 	*p = pendingRec{atS: atS, kind: kind}
 	rec.seq++
 	return p, q
 }
 
 // slot returns the ring slot of record q, which must be in the ring.
-func (rec *recorder) slot(q uint64) *pendingRec {
-	return &rec.chunks[q/ringChunk-rec.base/ringChunk][q%ringChunk]
-}
+func (rec *recorder) slot(q uint64) *pendingRec { return rec.ring.at(uint32(q)) }
 
 // flush hands the ring's settled prefix to the sink in seq order. A
 // decision settles once its request's fate is no longer live and none of
@@ -394,11 +347,7 @@ func (rec *recorder) flush(s *sim, all bool) {
 			return
 		}
 		rec.write(s, p)
-		if (rec.base+1)%ringChunk == 0 {
-			// The head leaves its chunk.
-			rec.spare = append(rec.spare, rec.chunks[0])
-			rec.chunks = rec.chunks[1:]
-		}
+		rec.ring.pop(1)
 	}
 }
 

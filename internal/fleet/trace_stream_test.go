@@ -101,9 +101,9 @@ func TestTraceStreamMatchesCollected(t *testing.T) {
 
 // TestTraceHoldBounded pins the recorder's memory to in-flight state:
 // doubling the requests at a fixed arrival rate doubles the records a
-// streamed run emits but leaves the most ring chunks it ever spans within
-// 10%, since a record waits only for the decisions still in flight
-// before it.
+// streamed run emits but leaves the ring's chunks, the most records it
+// ever spanned, within 10%, since a record waits only for the decisions
+// still in flight before it.
 func TestTraceHoldBounded(t *testing.T) {
 	hold := func(requests int) (chunks int, emitted uint64) {
 		cfg := DefaultConfig(SprintAware)
@@ -116,7 +116,7 @@ func TestTraceHoldBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(rec.chunks) + len(rec.spare), rec.seq
+		return len(rec.ring.chunks), rec.seq
 	}
 	c1, n1 := hold(20000)
 	c2, n2 := hold(40000)
@@ -125,6 +125,6 @@ func TestTraceHoldBounded(t *testing.T) {
 		t.Fatalf("doubling the requests emitted %d then %d records; the test needs the recording to double", n1, n2)
 	}
 	if float64(c2) > 1.1*float64(c1) {
-		t.Errorf("ring high-water grew from %d to %d chunks of %d records when the run doubled; want within 10%%", c1, c2, ringChunk)
+		t.Errorf("ring high-water grew from %d to %d chunks of %d records when the run doubled; want within 10%%", c1, c2, fifoChunk)
 	}
 }

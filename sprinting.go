@@ -602,7 +602,8 @@ func RunGrid(ctx context.Context, points []GridPoint, workers int) ([]Result, er
 // completion order. A failing or panicking item is isolated and reported,
 // with its index, in the joined error while the others still complete.
 // Cancelling ctx stops new items from starting while finished items keep
-// their results. Pair it with a single-point operation to sweep it —
+// their results. It memoizes nothing: fn runs once per item, equal items
+// included. Pair it with a single-point operation to sweep it —
 // SimulateActivation, SimulateSprintThermals, SimulateCooldownThermals,
 // EvaluateSession or RunFleet, whose runs each validate their own spec:
 //
@@ -612,5 +613,5 @@ func RunGrid(ctx context.Context, points []GridPoint, workers int) ([]Result, er
 //			return m, err
 //		}, workers)
 func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error), workers int) ([]O, error) {
-	return engine.Map(ctx, items, fn, engine.Options{Workers: workers})
+	return engine.Map(ctx, items, fn, workers)
 }

@@ -190,6 +190,53 @@ func TestPublicFleetSweepDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunKernelRejectsUnrunnable: a finite config that would overshoot
+// TJmax between trip checks, never step its thermal stack, or run for
+// minutes is an error from RunKernel. RunKernel is reached only after
+// Validate has refused the config.
+func TestRunKernelRejectsUnrunnable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*sprinting.Config)
+	}{
+		{"ThermalTimeScale=1e5", func(c *sprinting.Config) { c.ThermalTimeScale = 1e5 }},
+		{"ThermalTimeScale=1e8", func(c *sprinting.Config) { c.ThermalTimeScale = 1e8 }},
+		{"ThermalTimeScale=1e30", func(c *sprinting.Config) { c.ThermalTimeScale = 1e30 }},
+		{"limited stack at ThermalTimeScale=1e4", func(c *sprinting.Config) {
+			*c = sprinting.LimitedConfig(sprinting.ParallelSprint)
+			c.ThermalTimeScale = 1e4
+		}},
+		{"MemBandwidthMult=1e-4", func(c *sprinting.Config) { c.MemBandwidthMult = 1e-4 }},
+		{"MemBandwidthMult=1e-300", func(c *sprinting.Config) { c.MemBandwidthMult = 1e-300 }},
+	} {
+		cfg := sprinting.DefaultConfig(sprinting.ParallelSprint)
+		c.set(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s passes Validate", c.name)
+			continue
+		}
+		if _, err := sprinting.RunKernel("sobel", sprinting.SizeA, cfg); err == nil {
+			t.Errorf("%s: RunKernel returned no error", c.name)
+		}
+	}
+}
+
+// TestRunKernelRunsRepoScales: the time scales the repository runs at,
+// and 1e4, still run, and the trip check holds the junction at TJmax.
+func TestRunKernelRunsRepoScales(t *testing.T) {
+	for _, s := range []float64{1, 70, 1000, 1500, 1e4} {
+		cfg := sprinting.DefaultConfig(sprinting.ParallelSprint)
+		cfg.ThermalTimeScale = s
+		res, err := sprinting.RunKernel("sobel", sprinting.SizeA, cfg)
+		if err != nil {
+			t.Fatalf("time scale %g: %v", s, err)
+		}
+		if res.PeakJunctionC > cfg.Thermal.TJMaxC {
+			t.Errorf("time scale %g: peak junction %.2f °C above TJmax %g °C", s, res.PeakJunctionC, cfg.Thermal.TJMaxC)
+		}
+	}
+}
+
 // TestRunKernelRejectsNonFinite: a non-finite float in the sprint config
 // is an error from RunKernel, never a panic, a hang or an infinite time.
 // RunKernel is reached only after Validate has refused the config, so a
