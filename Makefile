@@ -65,9 +65,10 @@ MAX_RATIO ?= BenchmarkFleetTrace/BenchmarkFleetTraceOff=5 BenchmarkFleetTraceDec
 # The benchmarks bench-json records: the fleet set at the module root, the
 # recorder's JSONL codec in internal/trace, and the dispatch index's and
 # event queue's per-layer benchmarks in internal/fleet. The trailing $
-# anchor keeps BenchmarkEventQueueTimers out until BENCH_baseline.json has
-# an entry for it.
-BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetTraceDecisions|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL|BenchmarkDispatchIndex|BenchmarkEventQueue$$
+# anchors keep BenchmarkDispatchIndexIdle and BenchmarkEventQueueTimers
+# out until BENCH_baseline.json has entries for them; benchsmoke runs
+# both.
+BENCH_SET = BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetTraceDecisions|BenchmarkFleetReliability|BenchmarkFleetTenants|BenchmarkTraceWriteJSONL|BenchmarkTraceReadJSONL|BenchmarkDispatchIndex$$|BenchmarkEventQueue$$
 
 .PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants replay replay-golden replay-run
 

@@ -21,13 +21,20 @@
 // spreads consecutive arrivals across them just as the scan did.
 //
 // An update stops at the first ancestor whose minimum did not change —
-// at once when the leaf's key is unchanged. argmin reads the minimum off
-// the root; firstLE finds the first leaf at or below a threshold in
-// rotation order by two iterative firstFrom passes, the suffix from the
-// start and then the wrap-around from leaf 0, each climbing to the first
-// qualifying right sibling and descending to its leftmost qualifying
-// leaf. Every query, hedged dispatch's argminExcept included, only reads
-// a tree: the sim's touch and buildIndex's reset write them.
+// at once when the leaf's key is unchanged. Beside the tree an idle
+// bitset holds one bit per leaf, set exactly when the leaf holds −Inf,
+// so the idle tie — the answer whenever the root reads −Inf — is an
+// O(N/64) bits.TrailingZeros64 scan of the words from the rotation
+// start, wrapping once (firstIdle); hedged dispatch's argminExcept masks
+// the original node's bit out of the same scan. Every −Inf query
+// (argmin, argminExcept, firstLE and nextLE) takes it, and the tree is
+// asked only when no node is idle or at a finite threshold: argmin reads
+// the minimum off the root, and firstLE finds the first leaf at or below
+// a threshold in rotation order by two iterative firstFrom passes, the
+// suffix from the start and then the wrap-around from leaf 0, each
+// climbing to the first qualifying right sibling and descending to its
+// leftmost qualifying leaf. Every query only reads the index: the sim's
+// touch (through update) and buildIndex's reset write it.
 //
 // Sprint-aware dispatch scores a node as its backlog-drain instant plus
 // a governor-projected service time, which depends on the request's
@@ -53,16 +60,26 @@
 //     it replaces.
 package fleet
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// negInf is the idle key, the one key the idle bitset tracks. It is a
+// variable rather than math.Inf(-1) at each use: the inlined call would
+// push update past the inliner's budget.
+var negInf = math.Inf(-1)
 
 // dispatchIndex is a 1-based implicit binary tournament tree over fleet
 // routing keys. Leaf i of the fleet lives at tree slot size+i, every
 // interior slot holds the minimum of its two children, and absent
-// leaves hold +Inf.
+// leaves hold +Inf. Beside the tree, bit i of idle is set exactly when
+// leaf i holds −Inf.
 type dispatchIndex struct {
 	n    int // real leaves (fleet size)
 	size int // power-of-two leaf span
 	d    []float64
+	idle []uint64
 }
 
 // newDispatchIndex builds an empty tree (every leaf absent); reset
@@ -72,7 +89,7 @@ func newDispatchIndex(n int) *dispatchIndex {
 	for size < n {
 		size <<= 1
 	}
-	t := &dispatchIndex{n: n, size: size, d: make([]float64, 2*size)}
+	t := &dispatchIndex{n: n, size: size, d: make([]float64, 2*size), idle: make([]uint64, (n+63)/64)}
 	for i := range t.d {
 		t.d[i] = math.Inf(1)
 	}
@@ -88,6 +105,12 @@ func (t *dispatchIndex) reset(d float64) {
 	for i := t.size - 1; i >= 1; i-- {
 		t.d[i] = min(t.d[2*i], t.d[2*i+1])
 	}
+	clear(t.idle)
+	if d == negInf {
+		for i := 0; i < t.n; i++ {
+			t.idle[i>>6] |= 1 << (i & 63)
+		}
+	}
 }
 
 // update replaces node id's key and refreshes the path to the root. An
@@ -101,9 +124,16 @@ func (t *dispatchIndex) update(id int, d float64) {
 	if t.d[i] == d {
 		return
 	}
+	if min(t.d[i], d) == negInf { // exactly one of them, as they differ
+		t.idle[id>>6] ^= 1 << (id & 63)
+	}
 	t.d[i] = d
-	for i >>= 1; i >= 1; i >>= 1 {
-		m := min(t.d[2*i], t.d[2*i+1])
+	// The walk reads each sibling as i^1, not as 2i and 2i+1 of the
+	// parent: that keeps update, bit flip included, within the inliner's
+	// budget, so touch pays no call for it.
+	for i > 1 {
+		m := min(t.d[i], t.d[i^1])
+		i >>= 1
 		if t.d[i] == m {
 			return
 		}
@@ -125,13 +155,20 @@ func (t *dispatchIndex) argmin(start int) int {
 }
 
 // argminExcept is argmin over every present node but ex (all of them when
-// ex < 0): hedging never duplicates onto the original copy's node. The
-// minimum of every leaf but ex is the minimum of the siblings on ex's
-// path to the root; firstLE at it finds the first node in rotation order
-// that holds it, and nextLE steps past ex, which may tie or beat it.
+// ex < 0): hedging never duplicates onto the original copy's node. While
+// another node is idle, the first of them in rotation order wins, read
+// off the idle bitset with ex's bit masked out. Otherwise the minimum of
+// every leaf but ex is the minimum of the siblings on ex's path to the
+// root; firstLE at it finds the first node in rotation order that holds
+// it, and nextLE steps past ex, which may tie or beat it.
 //
 //sprint:hotpath
 func (t *dispatchIndex) argminExcept(start, ex int) int {
+	if t.d[1] == negInf {
+		if i := t.firstIdle(start, ex); i >= 0 {
+			return i
+		}
+	}
 	if ex < 0 {
 		return t.argmin(start)
 	}
@@ -153,10 +190,14 @@ func (t *dispatchIndex) argminExcept(start, ex int) int {
 // rotation order from start, or -1. Sprint-aware dispatch uses it to
 // resolve the rotating tie among every idle node whose projected budget
 // covers the request at full width (at +Inf, the first present node);
-// argmin uses it with the root's own minimum as the threshold.
+// argmin uses it with the root's own minimum as the threshold. At −Inf
+// the tie set is the idle bitset's, and a word scan lists it.
 //
 //sprint:hotpath
 func (t *dispatchIndex) firstLE(start int, thresh float64) int {
+	if thresh == negInf {
+		return t.firstIdle(start, -1)
+	}
 	if i := t.firstFrom(start, thresh); i >= 0 {
 		return i
 	}
@@ -174,6 +215,15 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	if after < 0 {
 		return t.firstLE(start, thresh)
 	}
+	if thresh == negInf {
+		// Rotation distances from start: the next idle leaf counts only
+		// if the walk has not yet come back round to start.
+		i := t.firstIdle((after+1)%t.n, -1)
+		if i < 0 || (i-start+t.n)%t.n <= (after-start+t.n)%t.n {
+			return -1
+		}
+		return i
+	}
 	if after >= start {
 		if after+1 < t.n {
 			if i := t.firstFrom(after+1, thresh); i >= 0 {
@@ -184,6 +234,31 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	}
 	if i := t.firstFrom(after+1, thresh); i >= 0 && i < start {
 		return i
+	}
+	return -1
+}
+
+// firstIdle returns the first idle leaf other than ex in rotation order
+// from start, or -1: a bits.TrailingZeros64 scan of the idle words from
+// start's, wrapping once, that visits start's word twice — first its
+// bits from start on, last the rest. O(N/64) at worst. An ex of -1
+// masks nothing, since ex>>6 is then -1.
+//
+//sprint:hotpath
+func (t *dispatchIndex) firstIdle(start, ex int) int {
+	w := start >> 6
+	m := t.idle[w] &^ (1<<(start&63) - 1)
+	for range len(t.idle) + 1 {
+		if w == ex>>6 {
+			m &^= 1 << (ex & 63)
+		}
+		if m != 0 {
+			return w<<6 | bits.TrailingZeros64(m)
+		}
+		if w++; w == len(t.idle) {
+			w = 0
+		}
+		m = t.idle[w]
 	}
 	return -1
 }

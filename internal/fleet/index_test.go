@@ -165,8 +165,9 @@ func TestIndexArgminExcept(t *testing.T) {
 // sequence — updates to finite, −Inf, or absent keys, whole-tree resets,
 // argmin, argminExcept, firstLE, nextLE and minLeaf queries from any
 // start — and after every op checks each query against a brute-force
-// rotation scan and every interior slot against the minimum of its
-// children. The first byte sizes the tree;
+// rotation scan, every interior slot against the minimum of its
+// children and every idle bit against its leaf. The first byte sizes
+// the tree;
 // each op then takes up to three bytes. The seed corpus lives in
 // testdata/fuzz/FuzzDispatchIndex.
 func FuzzDispatchIndex(f *testing.F) {
@@ -239,17 +240,17 @@ func checkExcept(t *testing.T, idx *dispatchIndex, want []float64, start, ex int
 			break
 		}
 	}
-	before := slices.Clone(idx.d)
+	before, idle := slices.Clone(idx.d), slices.Clone(idx.idle)
 	if got := idx.argminExcept(start, ex); got != w {
 		t.Fatalf("argminExcept(%d, %d) = %d, want %d (keys %v)", start, ex, got, w, want)
 	}
-	if !slices.Equal(idx.d, before) {
+	if !slices.Equal(idx.d, before) || !slices.Equal(idx.idle, idle) {
 		t.Fatalf("argminExcept(%d, %d) wrote the tree (keys %v)", start, ex, want)
 	}
 }
 
 // checkIndex compares idx with the brute-force leaf keys want: the tree
-// invariant, argmin(start), and firstLE(start, thresh).
+// invariant, the idle bitset, argmin(start), and firstLE(start, thresh).
 func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thresh float64) {
 	t.Helper()
 	for i := 0; i < idx.size; i++ {
@@ -264,6 +265,14 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 	for i := 1; i < idx.size; i++ {
 		if m := math.Min(idx.d[2*i], idx.d[2*i+1]); idx.d[i] != m {
 			t.Fatalf("slot %d holds %g, want the children's minimum %g", i, idx.d[i], m)
+		}
+	}
+	// Bit i is set exactly when leaf i holds −Inf; the padding bits past
+	// the last leaf stay clear.
+	for i := 0; i < 64*len(idx.idle); i++ {
+		set := idx.idle[i>>6]&(1<<(i&63)) != 0
+		if idle := i < len(want) && want[i] == math.Inf(-1); set != idle {
+			t.Fatalf("idle bit %d is %t, want %t (keys %v)", i, set, idle, want)
 		}
 	}
 	// firstIn is the rotation scan: the first present leaf from start
@@ -350,6 +359,39 @@ func BenchmarkDispatchIndex(b *testing.B) {
 			j := rng.Intn(n)
 			busy.update(j, math.Inf(1))
 			idle.update(j, now-rng.Float64())
+		}
+	}
+}
+
+// BenchmarkDispatchIndexIdle is the idle-heavy churn of least-loaded
+// and hedged dispatch: 2,000 leaves, of which the 250 most recent picks
+// are busy and the rest idle (−Inf). Each step asks argminExcept from a
+// rotating start with ex the previous pick, as a hedge passes over its
+// original's node, marks the pick busy, and frees the pick made 250
+// steps earlier.
+func BenchmarkDispatchIndexIdle(b *testing.B) {
+	const n, inflight, steps = 2000, 250, 1 << 16
+	idx := newDispatchIndex(n)
+	ring := make([]int, inflight)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		idx.reset(math.Inf(-1))
+		for i := range ring {
+			ring[i] = -1
+		}
+		prev, now := -1, 0.0
+		for k := 0; k < steps; k++ {
+			now += 1e-3
+			id := idx.argminExcept(k%n, prev)
+			if done := ring[k%inflight]; done >= 0 {
+				idx.update(done, math.Inf(-1))
+			}
+			ring[k%inflight] = id
+			if id >= 0 {
+				idx.update(id, now+1)
+			}
+			prev = id
 		}
 	}
 }
