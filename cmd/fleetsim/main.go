@@ -151,10 +151,8 @@ import (
 // down per phase (counts attributed to the phase a request arrived in)
 // before the overall line.
 func printScenarioReport(path string, scen sprinting.FleetScenario, metrics []sprinting.FleetMetrics, stdout io.Writer) {
-	totalS := 0.0
-	for _, p := range scen.Phases {
-		totalS += p.DurationS
-	}
+	// The run derived the timeline; its last phase ends it.
+	totalS := metrics[0].Phases[len(metrics[0].Phases)-1].EndS
 	churn := ""
 	if scen.Churn.MTBFS > 0 {
 		churn = fmt.Sprintf(", churn mtbf %.0f s", scen.Churn.MTBFS)

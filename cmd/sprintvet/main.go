@@ -1,7 +1,8 @@
 // Command sprintvet is the multichecker for the sprinting module's
 // first-party static-analysis suite (internal/analysis): the
-// nondeterminism, floatorder, allocfree, and tracehook analyzers that
-// enforce the simulator's determinism and hot-path contracts.
+// nondeterminism (map-order float accumulation included), allocfree,
+// and tracehook analyzers that enforce the simulator's determinism and
+// hot-path contracts.
 //
 // It runs two ways:
 //

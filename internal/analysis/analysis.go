@@ -1,5 +1,5 @@
 // Package analysis is sprintvet's first-party static-analysis suite: a
-// minimal go/analysis-shaped framework plus the four analyzers that
+// minimal go/analysis-shaped framework plus the three analyzers that
 // enforce the simulator's determinism and hot-path contracts at compile
 // time. The runtime pins (TestShardedMatchesSequential,
 // TestTraceShardedMatchesSequential, TestSimulateSteadyStateAllocations)
@@ -92,7 +92,6 @@ func (a *Analyzer) applies(pkgPath string) bool {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
-		FloatOrderAnalyzer,
 		AllocFreeAnalyzer,
 		TraceHookAnalyzer,
 	}

@@ -19,8 +19,11 @@ func TestNondeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.NondeterminismAnalyzer, "nondet")
 }
 
+// TestFloatOrder runs the nondeterminism analyzer over the float
+// fixture: each map-order float accumulation is reported once, with the
+// accumulation diagnostic.
 func TestFloatOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.FloatOrderAnalyzer, "floatorder")
+	analysistest.Run(t, "testdata", analysis.NondeterminismAnalyzer, "floatorder")
 }
 
 func TestAllocFree(t *testing.T) {

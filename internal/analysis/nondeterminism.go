@@ -17,14 +17,17 @@
 //     idiom and is exempt, as are exactly-commutative updates (integer
 //     counters, keyed inserts into another map).
 //
+// Floating-point accumulation under map iteration (compound assignment,
+// x = x ± e self-reference, increment) gets its own diagnostic: float
+// addition is not associative, so the sum's last ulp follows the map
+// order, where the engine reduces every float in a canonical order (see
+// docs/ARCHITECTURE.md "Sharded execution"). The fix is mechanical:
+// extract the keys, sort them, and reduce over the sorted slice.
+//
 // Goroutine launches are confined to the blessed concurrency files
 // (shard.go's decoupled shard loops, engine.go's worker pool): any
 // other `go` statement is an unserialized event source until proven
 // otherwise.
-//
-// Floating-point accumulation under map iteration is deliberately left
-// to the floatorder analyzer, whose diagnostic explains the
-// non-associativity hazard; run the suite together (cmd/sprintvet does).
 package analysis
 
 import (
@@ -173,7 +176,12 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 				return false // the nested map range is checked on its own
 			}
 		case *ast.AssignStmt:
-			checkMapRangeAssign(pass, rng, n, lo, hi)
+			checkMapRangeAssign(pass, n, lo, hi)
+		case *ast.IncDecStmt: // integer counters commute exactly
+			root := rootIdent(n.X)
+			if root != nil && !declaredWithin(info, root, lo, hi) && isFloat(info.TypeOf(n.X)) {
+				pass.Reportf(n.Pos(), "floating-point %s of %s inside map iteration: rounding accumulates in map order", incDecName(n.Tok), root.Name)
+			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if mentionsLocal(info, res, lo, hi) {
@@ -217,16 +225,17 @@ func isOrderedKeyExtraction(pass *Pass, rng *ast.RangeStmt) bool {
 }
 
 // checkMapRangeAssign classifies one assignment inside a map-range
-// body. Exactly-commutative updates are exempt: integer/bool compound
-// assignment and increments (bit-exact in any order) and inserts into
-// another map keyed by an iteration-derived key (each iteration owns
-// its slot).
-func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, asg *ast.AssignStmt, lo, hi token.Pos) {
+// body. Float accumulation (compound or spelled out) is reported as
+// such, even into a keyed slot. Exactly-commutative updates are exempt:
+// integer/bool compound assignment and increments (bit-exact in any
+// order) and inserts into another map keyed by an iteration-derived key
+// (each iteration owns its slot).
+func checkMapRangeAssign(pass *Pass, asg *ast.AssignStmt, lo, hi token.Pos) {
 	info := pass.TypesInfo
 	if asg.Tok == token.DEFINE {
 		return // declares body-locals
 	}
-	for _, lhs := range asg.Lhs {
+	for i, lhs := range asg.Lhs {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
 			continue
 		}
@@ -234,24 +243,56 @@ func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, asg *ast.AssignStmt, lo
 		if root == nil || declaredWithin(info, root, lo, hi) {
 			continue // mutation of iteration-local state
 		}
+		t := info.TypeOf(lhs)
+		if isFloat(t) && (asg.Tok != token.ASSIGN || i < len(asg.Rhs) && selfReferencingArith(info, lhs, asg.Rhs[i])) {
+			pass.Reportf(asg.Pos(), "floating-point accumulation into %s inside map iteration: the sum depends on map order; reduce over sorted keys", root.Name)
+			continue
+		}
 		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && mentionsLocal(info, idx.Index, lo, hi) {
 			// m2[k] = v (or slice[f(k)] = v): each iteration owns its
 			// slot, so the write set is order-independent.
 			continue
 		}
-		t := info.TypeOf(lhs)
 		if asg.Tok != token.ASSIGN {
-			// Compound assignment: exact arithmetic commutes, floats are
-			// floatorder's finding, strings concatenate in map order.
-			if isFloat(t) {
-				continue
-			}
+			// Compound assignment: exact arithmetic commutes, strings
+			// concatenate in map order.
 			if isString(t) {
 				pass.Reportf(asg.Pos(), "string concatenation into %s inside map iteration: the result depends on map order", root.Name)
-				continue
 			}
 			continue
 		}
 		pass.Reportf(asg.Pos(), "assignment to %s inside map iteration: the surviving value depends on map order", root.Name)
 	}
+}
+
+// selfReferencingArith reports whether rhs is an arithmetic expression
+// that mentions lhs itself (sum = sum + x, sum = x + sum, p = p * w...),
+// the spelled-out form of a compound accumulation.
+func selfReferencingArith(info *types.Info, lhs, rhs ast.Expr) bool {
+	bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+	default:
+		return false
+	}
+	want := types.ExprString(ast.Unparen(lhs))
+	found := false
+	ast.Inspect(bin, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok && types.ExprString(ast.Unparen(e)) == want {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// incDecName names the ++/-- token for diagnostics.
+func incDecName(tok token.Token) string {
+	if tok == token.INC {
+		return "increment"
+	}
+	return "decrement"
 }

@@ -1,6 +1,6 @@
-// Package floatorder is the golden fixture for the floatorder
-// analyzer: non-associative accumulation under map iteration, next to
-// the exempt canonical-order reductions.
+// Package floatorder is the golden fixture for the nondeterminism
+// analyzer's float findings: non-associative accumulation under map
+// iteration, next to the exempt canonical-order reductions.
 package floatorder
 
 import "sort"
@@ -47,6 +47,18 @@ func nested(groups map[string][]float64) float64 {
 	return total
 }
 
+// nestedMaps is checked range by range: the inner map range reports
+// the accumulation once, and the outer one leaves it to the inner.
+func nestedMaps(groups map[string]map[string]float64) float64 {
+	total := 0.0
+	for _, g := range groups {
+		for _, v := range g {
+			total += v // want `floating-point accumulation into total inside map iteration`
+		}
+	}
+	return total
+}
+
 // sliceSum is exempt: a slice reduces in index order, every run.
 func sliceSum(xs []float64) float64 {
 	total := 0.0
@@ -84,7 +96,7 @@ func sortedSum(m map[string]float64) float64 {
 func waived(m map[string]float64) float64 {
 	total := 0.0
 	for _, v := range m {
-		//sprintvet:ignore floatorder fixture demonstrates a reasoned waiver
+		//sprintvet:ignore nondeterminism fixture demonstrates a reasoned waiver
 		total += v
 	}
 	return total
@@ -97,7 +109,7 @@ func bareIgnore(m map[string]float64) int {
 func noReason(m map[string]float64) float64 {
 	t := 0.0
 	for _, v := range m {
-		t += v /*sprintvet:ignore floatorder*/ // want `a reason is required` `floating-point accumulation into t inside map iteration`
+		t += v /*sprintvet:ignore nondeterminism*/ // want `a reason is required` `floating-point accumulation into t inside map iteration`
 	}
 	return t
 }

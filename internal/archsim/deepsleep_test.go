@@ -126,9 +126,9 @@ func TestSampleBoundaryChopping(t *testing.T) {
 	}
 }
 
-// TestThrottleRecoverablePower: after the emergency throttle the machine's
-// power (energy/time over the throttled region) is near the single-core
-// budget regardless of core count.
+// TestThrottleScalesWithCoreCount: after the emergency throttle the
+// machine's power (energy/time over the throttled region) is near the
+// single-core budget regardless of core count.
 func TestThrottleScalesWithCoreCount(t *testing.T) {
 	for _, n := range []int{2, 8} {
 		streams := make([]*isa.SliceStream, n)

@@ -1065,10 +1065,7 @@ func (s Spec) resolve() (resolvedSpec, error) {
 		// expected arrival span.
 		spanS := float64(r.cfg.Requests) / r.cfg.EffectiveRatePerS()
 		if r.sc != nil {
-			spanS = 0
-			for _, p := range r.sc.Phases {
-				spanS += p.DurationS
-			}
+			spanS = r.sc.endS()
 		}
 		windowS := r.cfg.Trace.withDefaults().WindowS
 		if !(spanS/windowS <= maxTraceWindows) {
@@ -1480,9 +1477,30 @@ func (s *sim) enqueue(n *node, c reqCopy) {
 		s.startService(n, c)
 	} else {
 		n.queue = append(n.queue, c)
-		n.queuedNaiveS += s.reqs[c.req].workS / s.cl(n).width
+		n.queuedNaiveS += s.backlogS(n, c)
 	}
 	s.touch(n)
+}
+
+// backlogS is a queued copy's term in the node's backlog, queuedNaiveS:
+// its work at the class's full sprint width.
+//
+//sprint:hotpath
+func (s *sim) backlogS(n *node, c reqCopy) float64 {
+	return s.reqs[c.req].workS / s.cl(n).width
+}
+
+// cancel drops a moot copy taken off the queue under any discipline: out
+// of the backlog and of flight, counted, and reported to the recorder.
+//
+//sprint:hotpath
+func (s *sim) cancel(n *node, c reqCopy) {
+	n.queuedNaiveS -= s.backlogS(n, c)
+	s.reqs[c.req].copies--
+	s.m.CancelledCopies++
+	if s.rec != nil {
+		s.rec.departed(s, n)
+	}
 }
 
 // touch refreshes the node's routing keys after any state change
@@ -1681,15 +1699,11 @@ func (s *sim) dequeueFIFO(n *node) {
 	for n.head < len(n.queue) {
 		next := n.queue[n.head]
 		n.head++
-		n.queuedNaiveS -= s.reqs[next.req].workS / s.cl(n).width
-		if s.moot(next) { // skipped instead of served
-			s.reqs[next.req].copies--
-			s.m.CancelledCopies++
-			if s.rec != nil {
-				s.rec.departed(s, n)
-			}
+		if s.moot(next) {
+			s.cancel(n, next)
 			continue
 		}
+		n.queuedNaiveS -= s.backlogS(n, next)
 		s.startService(n, next)
 		break
 	}

@@ -60,14 +60,102 @@ func responseStats(lat []float64) (mean, p99, maxS float64) {
 // poissonRows draws n Poisson arrivals at rate rho·k with exponential
 // work of mean 1 s, each 1 wide: load rho on k 1-wide nodes.
 func poissonRows(rho float64, k, n int) []TraceRequest {
-	rng := rand.New(rand.NewSource(int64(100 * rho)))
+	return poissonWorkRows(int64(100*rho), rho*float64(k), n, (*rand.Rand).ExpFloat64)
+}
+
+// poissonWorkRows draws n 1-wide Poisson arrivals at rate lambda from
+// the seed's stream, each arrival's gap followed by its work draw.
+func poissonWorkRows(seed int64, lambda float64, n int, work func(*rand.Rand) float64) []TraceRequest {
+	rng := rand.New(rand.NewSource(seed))
 	rows := make([]TraceRequest, n)
 	at := 0.0
 	for i := range rows {
-		at += rng.ExpFloat64() / (rho * float64(k))
-		rows[i] = TraceRequest{ArrivalS: at, WorkS: rng.ExpFloat64(), Width: 1}
+		at += rng.ExpFloat64() / lambda
+		rows[i] = TraceRequest{ArrivalS: at, WorkS: work(rng), Width: 1}
 	}
 	return rows
+}
+
+// erlangCMeanS is the M/M/k mean response time at arrival rate lambda
+// and unit service rate: the Erlang C probability of waiting over the
+// spare service rate k − lambda, plus the 1 s mean service.
+func erlangCMeanS(k int, lambda float64) float64 {
+	sum, term := 0.0, 1.0 // term is lambda^i / i!
+	for i := 0; i < k; i++ {
+		sum += term
+		term *= lambda / float64(i+1)
+	}
+	wait := term * float64(k) / (float64(k) - lambda)
+	return wait/(sum+wait)/(float64(k)-lambda) + 1
+}
+
+// pollaczekKhinchineMeanS is the M/G/1 mean response time at arrival
+// rate lambda for service moments E[S] = s1 and E[S²] = s2.
+func pollaczekKhinchineMeanS(lambda, s1, s2 float64) float64 {
+	return s1 + lambda*s2/(2*(1-lambda*s1))
+}
+
+// TestMeanResponseMatchesQueueingTheory checks the fleet's mean response
+// against closed forms the simulator computes nowhere: Erlang C for
+// M/M/k (least-loaded on k = 4 nodes, exponential work of mean 1 s) and
+// Pollaczek–Khinchine for M/G/1 (one node, work uniform on [0.5, 1.5) s,
+// so E[S] = 1 and E[S²] = 13/12), at ρ 0.5 and 0.8. Nodes and requests
+// are 1 wide, so a service takes its work whatever the thermal budget.
+//
+// Each case runs reps independent replications, each a fresh empty
+// fleet serving n Poisson arrivals from its own seed (fixed in advance:
+// replication r of a case uses seed 1000·(r+1) + 10·⌊100ρ⌋ + k). The
+// replications' average must lie within 4 standard errors of the
+// theory; with reps − 1 = 15 degrees of freedom a correct fleet misses
+// that by chance about once in a thousand cases. Each replication starts
+// empty and keeps its warm-up, which biases its mean slightly low. So
+// that a check too loose to fail cannot pass, the tolerance must also
+// stay under 5% of the theory.
+func TestMeanResponseMatchesQueueingTheory(t *testing.T) {
+	const reps, n = 16, 1 << 15
+	uniform := func(rng *rand.Rand) float64 { return 0.5 + rng.Float64() }
+	cases := []struct {
+		model  string
+		k      int
+		work   func(*rand.Rand) float64
+		theory func(lambda float64) float64
+	}{
+		{"M/M/4 Erlang C", 4, (*rand.Rand).ExpFloat64, func(l float64) float64 { return erlangCMeanS(4, l) }},
+		{"M/G/1 Pollaczek-Khinchine", 1, uniform, func(l float64) float64 { return pollaczekKhinchineMeanS(l, 1, 13.0/12) }},
+	}
+	for _, c := range cases {
+		for _, rho := range []float64{0.5, 0.8} {
+			lambda := rho * float64(c.k)
+			means := make([]float64, reps)
+			for r := range means {
+				seed := int64(1000*(r+1) + 10*int(100*rho) + c.k)
+				cfg := DefaultConfig(LeastLoaded)
+				cfg.Nodes, cfg.SprintWidth, cfg.QueueCap = c.k, 1, 1<<20
+				m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: poissonWorkRows(seed, lambda, n, c.work)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Completed != n {
+					t.Fatalf("%s rho %g rep %d: %d of %d requests completed", c.model, rho, r, m.Completed, n)
+				}
+				means[r] = m.MeanS
+			}
+			avg, ss := 0.0, 0.0
+			for _, m := range means {
+				avg += m / reps
+			}
+			for _, m := range means {
+				ss += (m - avg) * (m - avg)
+			}
+			se := math.Sqrt(ss / (reps - 1) / reps)
+			want := c.theory(lambda)
+			t.Logf("%s rho %g: fleet mean %.4f s ± %.4f (1 SE), theory %.4f s", c.model, rho, avg, se, want)
+			if tol := 4 * se; math.Abs(avg-want) > tol || tol > 0.05*want {
+				t.Errorf("%s rho %g: fleet mean %.4f s, theory %.4f s, tolerance 4 SE = %.4f s (must be under 5%% of theory)",
+					c.model, rho, avg, want, tol)
+			}
+		}
+	}
 }
 
 // TestLeastWorkLeftIsCentralFCFS checks the fleet against queueing theory

@@ -367,7 +367,7 @@ func (s *sim) breakerReset(ev event) {
 func (s *sim) rackFail() {
 	sc := s.scen
 	victim := sc.rackChurnRng.Intn(len(s.racks))
-	if next := s.nowS + sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMTBFS; next <= sc.endS {
+	if next := s.nowS + sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMTBFS; next <= sc.spec.endS() {
 		s.push(next, event{kind: evRackFail})
 	}
 	downS := math.Max(1e-3, sc.rackChurnRng.ExpFloat64()*sc.spec.Churn.RackMeanDowntimeS)

@@ -169,6 +169,9 @@ type Scenario struct {
 	// MaxRequests caps the generated trace as a safety rail against
 	// runaway rate × duration products (0 selects 4,194,304).
 	MaxRequests int `json:"max_requests,omitempty"`
+	// at is the timeline withDefaults derives: phase i spans [at[i],
+	// at[i+1]), at[0] = 0, each boundary summed left to right.
+	at []float64
 }
 
 // scenarioSeed, churnSeed, and rackChurnSeed decorrelate the scenario's
@@ -182,12 +185,14 @@ const (
 )
 
 // withDefaults returns a deep-enough copy with every optional field
-// resolved; the original is never mutated.
+// resolved and the timeline derived; the original is never mutated.
 func (sc Scenario) withDefaults() Scenario {
 	phases := make([]Phase, len(sc.Phases))
 	copy(phases, sc.Phases)
+	sc.at = make([]float64, len(phases)+1)
 	for i := range phases {
 		p := &phases[i]
+		sc.at[i+1] = sc.at[i] + p.DurationS
 		if p.Shape == "" {
 			p.Shape = ShapeFlat
 		}
@@ -230,6 +235,9 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	return sc
 }
+
+// endS is the timeline's end: no arrival or churn is scheduled past it.
+func (sc *Scenario) endS() float64 { return sc.at[len(sc.at)-1] }
 
 // Nodes returns the fleet size the scenario implies: the class-count sum
 // when classes are declared, 0 (caller's choice) otherwise.
@@ -423,7 +431,6 @@ type scenarioRun struct {
 	phases []tally // one outcome record per phase
 	cur    int     // current phase index (trip/failure attribution)
 
-	endS     float64 // scenario end: no churn is scheduled past it
 	ambientC float64 // currently applied ambient delta
 
 	churnRng     *rand.Rand
@@ -437,10 +444,9 @@ type scenarioRun struct {
 // arrived in.
 func (sc *scenarioRun) phaseMetrics() []PhaseMetrics {
 	out := make([]PhaseMetrics, len(sc.phases))
-	start := 0.0
 	for i := range out {
 		p, t, pm := sc.spec.Phases[i], &sc.phases[i], &out[i]
-		pm.Name, pm.StartS, pm.EndS = p.Name, start, start+p.DurationS
+		pm.Name, pm.StartS, pm.EndS = p.Name, sc.spec.at[i], sc.spec.at[i+1]
 		pm.Offered, pm.Completed, pm.Dropped, pm.TimedOut, pm.Shed = t.counts()
 		pm.Redispatches, pm.NodeFailures, pm.BreakerTrips = t.redispatches, t.failures, t.trips
 		pm.Retries, pm.TransientFaults = t.retries, t.faults
@@ -452,7 +458,6 @@ func (sc *scenarioRun) phaseMetrics() []PhaseMetrics {
 		if t.served > 0 {
 			pm.SprintDenialRate = float64(t.denials) / float64(t.served)
 		}
-		start = pm.EndS
 	}
 	return out
 }
@@ -477,11 +482,7 @@ func clampF(v, lo, hi float64) float64 {
 func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, truncated bool) {
 	reqs = getArena(0)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ scenarioSeed))
-	totalS := 0.0
-	for _, p := range sc.Phases {
-		totalS += p.DurationS
-	}
-	t, pi, pStart := 0.0, 0, 0.0
+	t, pi := 0.0, 0
 	for {
 		if len(reqs) >= sc.MaxRequests {
 			// Out of budget before the timeline ended: the caller turns
@@ -489,13 +490,12 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, trunc
 			// phases as mysteriously idle.
 			return reqs, true
 		}
-		mean := 1 / (baseRate * sc.Phases[pi].factor(t-pStart))
+		mean := 1 / (baseRate * sc.Phases[pi].factor(t-sc.at[pi]))
 		t += clampF(rng.ExpFloat64()*mean, math.Min(0.1, mean/8), mean*8)
-		for pi < len(sc.Phases)-1 && t >= pStart+sc.Phases[pi].DurationS {
-			pStart += sc.Phases[pi].DurationS
+		for pi < len(sc.Phases)-1 && t >= sc.at[pi+1] {
 			pi++
 		}
-		if t >= totalS {
+		if t >= sc.endS() {
 			return reqs, false
 		}
 		w := clampF(rng.ExpFloat64()*cfg.MeanWorkS, cfg.MeanWorkS/8, cfg.MeanWorkS*6)
@@ -506,12 +506,8 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, trunc
 // newScenarioRun builds the live scenario state for a defaulted,
 // validated scenario.
 func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
-	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
+	run := &scenarioRun{spec: sc, phases: make([]tally, len(sc.Phases)), ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc.Classes, sc.Phases[0].AmbientDeltaC)
-	run.phases = make([]tally, len(sc.Phases))
-	for _, p := range sc.Phases {
-		run.endS += p.DurationS
-	}
 	return run
 }
 
@@ -520,20 +516,18 @@ func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
 // event at a time from its dedicated stream.
 func (s *sim) scheduleScenario() {
 	run, sc := s.scen, &s.scen.spec
-	start := 0.0
-	for i := 0; i < len(sc.Phases)-1; i++ {
-		start += sc.Phases[i].DurationS
-		s.push(start, event{kind: evPhase, req: int32(i + 1)})
+	for i := 1; i < len(sc.Phases); i++ {
+		s.push(sc.at[i], event{kind: evPhase, req: int32(i)})
 	}
 	if sc.Churn.MTBFS > 0 {
 		run.churnRng = rand.New(rand.NewSource(s.cfg.Seed ^ churnSeed))
-		if at := run.churnRng.ExpFloat64() * sc.Churn.MTBFS; at <= run.endS {
+		if at := run.churnRng.ExpFloat64() * sc.Churn.MTBFS; at <= sc.endS() {
 			s.push(at, event{kind: evNodeFail})
 		}
 	}
 	if sc.Churn.RackMTBFS > 0 {
 		run.rackChurnRng = rand.New(rand.NewSource(s.cfg.Seed ^ rackChurnSeed))
-		if at := run.rackChurnRng.ExpFloat64() * sc.Churn.RackMTBFS; at <= run.endS {
+		if at := run.rackChurnRng.ExpFloat64() * sc.Churn.RackMTBFS; at <= sc.endS() {
 			s.push(at, event{kind: evRackFail})
 		}
 	}
@@ -577,7 +571,7 @@ func (s *sim) phaseStart(i int) {
 func (s *sim) nodeFail() {
 	sc := s.scen
 	victim := sc.churnRng.Intn(len(s.nodes))
-	if next := s.nowS + sc.churnRng.ExpFloat64()*sc.spec.Churn.MTBFS; next <= sc.endS {
+	if next := s.nowS + sc.churnRng.ExpFloat64()*sc.spec.Churn.MTBFS; next <= sc.spec.endS() {
 		s.push(next, event{kind: evNodeFail})
 	}
 	n := &s.nodes[victim]

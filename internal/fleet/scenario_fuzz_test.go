@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"sprinting/internal/trace"
 )
 
 // FuzzScenarioJSON fuzzes the declarative scenario surface end to end:
@@ -17,7 +19,9 @@ import (
 // the same Go value — the fuzzer found exactly that.) And when its
 // resource demands are bounded, actually running it must never panic:
 // invalid scenarios fail loudly through Validate or the trace cap,
-// never through a crash.
+// never through a crash. A run that succeeds must also keep to the
+// timeline (see checkTimeline), under the scenario generator and the
+// workload generator riding the same phases.
 func FuzzScenarioJSON(f *testing.F) {
 	_, flash := flashCrowdChurn()
 	if seed, err := json.Marshal(flash); err == nil {
@@ -60,16 +64,77 @@ func FuzzScenarioJSON(f *testing.F) {
 			return
 		}
 		sc.MaxRequests = 2000 // bound the arena; hitting the cap is a loud error, not a crash
+		at := make([]float64, len(sc.Phases)+1)
+		for i, p := range sc.Phases {
+			at[i+1] = at[i] + p.DurationS
+		}
+		cfg := DefaultConfig(SprintAware)
+		cfg.Coordination = TokenPermit
+		if n := sc.Nodes(); n > 0 {
+			cfg.Nodes = n
+		}
 		for _, workers := range []int{0, 3} {
-			cfg := DefaultConfig(SprintAware)
-			cfg.Coordination = TokenPermit
 			cfg.Workers = workers
-			if n := sc.Nodes(); n > 0 {
-				cfg.Nodes = n
+			m, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}) // errors fine; panics are findings
+			if err == nil {
+				checkTimeline(t, at, m.Phases, nil, nil)
 			}
-			_, _, _ = Run(context.Background(), Spec{Config: cfg, Scenario: &sc}) // errors fine; panics are findings
+		}
+		cfg.Workers = 0
+		r, err := Spec{Config: cfg, Scenario: &sc}.resolve()
+		if err != nil {
+			return
+		}
+		reqs, _ := r.sc.generate(r.cfg, max(r.sc.BaseRatePerS, 1))
+		checkTimeline(t, at, nil, reqs, nil)
+		putArena(reqs)
+		// Two tenants at a combined ~100 arrivals over the timeline.
+		w := WorkloadSpec{Classes: []SLOClass{{Name: "c"}}, Tenants: []TenantSpec{
+			{Name: "poisson", Class: "c", Arrival: ArrivalSpec{Process: "poisson", RatePerS: 50 / at[len(at)-1]}, Work: WorkSpec{Dist: "exp", MeanS: 1}},
+			{Name: "gamma", Class: "c", Arrival: ArrivalSpec{Process: "gamma", RatePerS: 50 / at[len(at)-1], Shape: 0.5}, Work: WorkSpec{Dist: "exp", MeanS: 1}},
+		}}
+		if r, err = (Spec{Config: cfg, Scenario: &sc, Workload: &w}).resolve(); err != nil {
+			t.Fatalf("the fixed workload over a valid scenario: %v", err)
+		}
+		reqs, _ = r.w.generate(r.cfg, *r.sc, r.cfg.Requests)
+		checkTimeline(t, at, nil, reqs, nil)
+		putArena(reqs)
+		cfg.Trace.Level = trace.LevelFull
+		if _, tr, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil {
+			checkTimeline(t, at, nil, nil, tr)
 		}
 	})
+}
+
+// checkTimeline holds a run to the phase boundaries at, summed by the
+// caller from the declared durations (phase i spans [at[i], at[i+1])):
+// every generated request lies in the span of the phase it is charged
+// to, PhaseMetrics i reports that span, and a full-level recording marks
+// each later phase's start at its boundary, in order.
+func checkTimeline(t *testing.T, at []float64, phases []PhaseMetrics, reqs []request, tr *trace.Trace) {
+	t.Helper()
+	for i, r := range reqs {
+		if p := r.phase; !(at[p] <= r.arrivalS && r.arrivalS < at[p+1]) {
+			t.Fatalf("request %d arrives at %v in phase %d, which spans [%v, %v)", i, r.arrivalS, p, at[p], at[p+1])
+		}
+	}
+	for i, pm := range phases {
+		if pm.StartS != at[i] || pm.EndS != at[i+1] {
+			t.Fatalf("phase %d metrics span [%v, %v), timeline [%v, %v)", i, pm.StartS, pm.EndS, at[i], at[i+1])
+		}
+	}
+	if tr == nil {
+		return
+	}
+	starts := tr.Events("phase-start")
+	if len(starts) != len(at)-2 {
+		t.Fatalf("%d phase-start events for %d phases", len(starts), len(at)-1)
+	}
+	for i, ev := range starts {
+		if ev.Phase != i+1 || ev.AtS != at[i+1] {
+			t.Fatalf("phase-start event %d: phase %d at %v, want phase %d at %v", i, ev.Phase, ev.AtS, i+1, at[i+1])
+		}
+	}
 }
 
 // runnableUnderFuzz bounds the execution half of the fuzz target to

@@ -686,13 +686,12 @@ func drawWidth(rng *rand.Rand, ws *WidthSpec) uint16 {
 // scenario's phase factors with the same gap-start convention as
 // Scenario.generate.
 type wlStream struct {
-	tn        *TenantSpec
-	rng       *rand.Rand
-	ti, slo   int16
-	t, pStart float64
-	pi        int
-	sc        *Scenario
-	endS      float64
+	tn      *TenantSpec
+	rng     *rand.Rand
+	ti, slo int16
+	t       float64
+	pi      int
+	sc      *Scenario
 	// The draws' per-tenant constants, computed once in stream: the
 	// Weibull divisor Γ(1+1/shape) and exponent 1/shape, the lognormal
 	// μ, and the Pareto scale x_m and exponent −1/α.
@@ -703,7 +702,7 @@ type wlStream struct {
 
 // stream starts tenant ti's arrival process at time 0; every call with
 // the same arguments replays the same arrivals.
-func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, slo int16) wlStream {
+func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, ti int, slo int16) wlStream {
 	// The golden-ratio multiply decorrelates tenant streams; the mix runs
 	// in uint64 (the constant overflows int64) and ti+1 keeps tenant 0 off
 	// the plain workloadSeed stream.
@@ -711,7 +710,7 @@ func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, sl
 	tn := &w.Tenants[ti]
 	a, wk := &tn.Arrival, &tn.Work
 	return wlStream{tn: tn, rng: rand.New(rand.NewSource(cfg.Seed ^ workloadSeed ^ mix)),
-		ti: int16(ti), slo: slo, sc: sc, endS: endS,
+		ti: int16(ti), slo: slo, sc: sc,
 		weibullG: math.Gamma(1 + 1/a.Shape), weibullK: 1 / a.Shape,
 		// Both mean-matched: E = exp(μ + σ²/2) and E = α·x_m/(α−1).
 		logMu:    math.Log(wk.MeanS) - wk.Sigma*wk.Sigma/2,
@@ -721,14 +720,13 @@ func (w *WorkloadSpec) stream(cfg Config, sc *Scenario, endS float64, ti int, sl
 // next draws the tenant's next arrival; ok is false once the stream has
 // passed the end of the timeline.
 func (st *wlStream) next() (r request, ok bool) {
-	tn, ph := st.tn, st.sc.Phases
-	mean := 1 / (tn.Arrival.RatePerS * ph[st.pi].factor(st.t-st.pStart))
+	tn, ph, at := st.tn, st.sc.Phases, st.sc.at
+	mean := 1 / (tn.Arrival.RatePerS * ph[st.pi].factor(st.t-at[st.pi]))
 	st.t += clampF(st.gap(mean), 1e-9, mean*64)
-	for st.pi < len(ph)-1 && st.t >= st.pStart+ph[st.pi].DurationS {
-		st.pStart += ph[st.pi].DurationS
+	for st.pi < len(ph)-1 && st.t >= at[st.pi+1] {
 		st.pi++
 	}
-	if st.t >= st.endS {
+	if st.t >= st.sc.endS() {
 		return request{}, false
 	}
 	work := clampF(st.work(), tn.Work.MeanS/64, tn.Work.MeanS*64)
@@ -748,10 +746,6 @@ func (st *wlStream) next() (r request, ok bool) {
 // rows behind, and its peak memory does not hinge on when the collector
 // runs.
 func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, truncated bool) {
-	endS := 0.0
-	for _, p := range sc.Phases {
-		endS += p.DurationS
-	}
 	classIdx := map[string]int16{}
 	for i, c := range w.Classes {
 		classIdx[c.Name] = int16(i)
@@ -761,7 +755,7 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 	live := make([]bool, len(w.Tenants))
 	restart := func() {
 		for ti := range streams {
-			streams[ti] = w.stream(cfg, &sc, endS, ti, classIdx[w.Tenants[ti].Class])
+			streams[ti] = w.stream(cfg, &sc, ti, classIdx[w.Tenants[ti].Class])
 		}
 	}
 	restart()
@@ -874,10 +868,7 @@ func (s *sim) dequeueDisciplined(n *node) {
 	for i := n.head; i < len(n.queue); i++ {
 		c := n.queue[i]
 		if s.moot(c) {
-			r := &s.reqs[c.req]
-			r.copies--
-			s.m.CancelledCopies++
-			n.queuedNaiveS -= r.workS / s.cl(n).width
+			s.cancel(n, c)
 			continue
 		}
 		n.queue[w] = c
@@ -896,7 +887,7 @@ func (s *sim) dequeueDisciplined(n *node) {
 	c := n.queue[best]
 	copy(n.queue[best:], n.queue[best+1:])
 	n.queue = n.queue[:len(n.queue)-1]
-	n.queuedNaiveS -= s.reqs[c.req].workS / s.cl(n).width
+	n.queuedNaiveS -= s.backlogS(n, c)
 	s.startService(n, c)
 }
 

@@ -12,7 +12,8 @@ import (
 // decodes (unknown fields rejected, as cmd/fleetsim decodes) must
 // re-marshal and strictly re-decode to the same canonical form, and when
 // its resource demands are bounded, actually running it must fail loudly
-// through Validate or succeed — never panic.
+// through Validate or succeed — never panic — and keep to its flat
+// timeline (see checkTimeline).
 func FuzzWorkloadSpecJSON(f *testing.F) {
 	_, w := tenantWorkload()
 	if seed, err := json.Marshal(w); err == nil {
@@ -55,12 +56,21 @@ func FuzzWorkloadSpecJSON(f *testing.F) {
 			return
 		}
 		w.MaxRequests = 2000 // bound the arena; hitting the cap is a loud error, not a crash
+		at := []float64{0, w.DurationS}
+		cfg := DefaultConfig(SprintAware)
+		cfg.Nodes = 8
+		cfg.Coordination = TokenPermit
 		for _, workers := range []int{0, 3} {
-			cfg := DefaultConfig(SprintAware)
-			cfg.Nodes = 8
-			cfg.Coordination = TokenPermit
 			cfg.Workers = workers
-			_, _, _ = Run(context.Background(), Spec{Config: cfg, Workload: &w}) // errors fine; panics are findings
+			m, _, err := Run(context.Background(), Spec{Config: cfg, Workload: &w}) // errors fine; panics are findings
+			if err == nil {
+				checkTimeline(t, at, m.Phases, nil, nil)
+			}
+		}
+		if r, err := (Spec{Config: cfg, Workload: &w}).resolve(); err == nil {
+			reqs, _ := r.w.generate(r.cfg, *r.sc, r.cfg.Requests)
+			checkTimeline(t, at, nil, reqs, nil)
+			putArena(reqs)
 		}
 	})
 }

@@ -84,10 +84,6 @@ func TestWorkloadGenerateMerge(t *testing.T) {
 	sc = sc.withDefaults()
 	cfg, w := tenantWorkload()
 	w = w.withDefaults()
-	endS := 0.0
-	for _, p := range sc.Phases {
-		endS += p.DurationS
-	}
 	reqs, truncated := w.generate(cfg, sc, requestCap)
 	if truncated || len(reqs) == 0 {
 		t.Fatalf("generate: %d arrivals, truncated %v", len(reqs), truncated)
@@ -100,7 +96,7 @@ func TestWorkloadGenerateMerge(t *testing.T) {
 	}
 	for ti := range w.Tenants {
 		slo := slices.IndexFunc(w.Classes, func(c SLOClass) bool { return c.Name == w.Tenants[ti].Class })
-		st := w.stream(cfg, &sc, endS, ti, int16(slo))
+		st := w.stream(cfg, &sc, ti, int16(slo))
 		var want []request
 		for r, ok := st.next(); ok; r, ok = st.next() {
 			want = append(want, r)
@@ -462,6 +458,56 @@ func TestSJFCutsMeanLatency(t *testing.T) {
 	sjf := mustWorkload(t, cfgS, wS)
 	if sjf.MeanS >= fifo.MeanS {
 		t.Errorf("sjf mean %.3f not below fifo mean %.3f", sjf.MeanS, fifo.MeanS)
+	}
+}
+
+// TestCancelPathIsShared drives one node's dequeue by hand under a FIFO
+// and a priority workload. Request 0 is in service; behind it wait a
+// moot copy of request 1 (its request finished elsewhere), then requests
+// 2 and 3. A recorder probe on the node waits for the four copies ahead
+// of a hypothetical fifth. complete must retire request 0, cancel the
+// moot copy and start request 2 the same way under both disciplines: the
+// same copies in flight, one cancelled copy, request 3's backlog left
+// (subtracted in the same order, so bit-equal), and the probe two
+// departures nearer — the completion's and the cancellation's.
+func TestCancelPathIsShared(t *testing.T) {
+	for _, disc := range []int{wlFIFO, wlPriority} {
+		cfg := DefaultConfig(LeastLoaded)
+		cfg.Nodes, cfg.Requests = 1, 4
+		cfg.Trace.Level = trace.LevelDecisions
+		cfg = cfg.withDefaults()
+		s := newSim(cfg, nil, newRecorder(cfg), &workloadRun{disc: disc, classes: []wlClass{{}}})
+		s.reqs = make([]request, cfg.Requests)
+		n := &s.nodes[0]
+		for ri, workS := range []float64{1, 2, 4, 8} {
+			s.reqs[ri] = request{workS: workS, doneS: -1, firstNode: -1}
+			s.enqueue(n, reqCopy{req: int32(ri)})
+		}
+		s.reqs[1].doneS = 0
+		s.rec.probes = append(s.rec.probes, cfProbe{pending: int32(n.outstanding()), workS: 1})
+		s.rec.watch[n.id] = append(s.rec.watch[n.id], 0)
+		s.nowS = n.busyUntilS
+		s.complete(n)
+
+		var copies []int16
+		for _, r := range s.reqs {
+			copies = append(copies, r.copies)
+		}
+		if want := []int16{0, 0, 1, 1}; !slices.Equal(copies, want) {
+			t.Errorf("discipline %d: copies %v, want %v", disc, copies, want)
+		}
+		if s.m.CancelledCopies != 1 {
+			t.Errorf("discipline %d: CancelledCopies %d, want 1", disc, s.m.CancelledCopies)
+		}
+		if want := 8 / s.cl(n).width; n.queuedNaiveS != want {
+			t.Errorf("discipline %d: backlog %v s, want request 3's %v s", disc, n.queuedNaiveS, want)
+		}
+		if got := s.rec.probes[0].pending; got != 2 {
+			t.Errorf("discipline %d: the probe waits on %d departures, want 2", disc, got)
+		}
+		if n.cur.req != 2 {
+			t.Errorf("discipline %d: serving request %d, want 2", disc, n.cur.req)
+		}
 	}
 }
 
