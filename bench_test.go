@@ -414,8 +414,8 @@ func BenchmarkFleetScenario(b *testing.B) {
 
 // BenchmarkFleetScenarioHetero measures sprint-aware dispatch over a
 // heterogeneous fleet — the configuration that once fell back to an
-// O(N) whole-fleet rescan per arrival and now runs on per-class index
-// segments. Run with -benchmem: the allocs/op column is the regression
+// O(N) whole-fleet rescan per arrival and now runs on each node class's
+// own busy/idle trees, entered at the class's block. Run with -benchmem: the allocs/op column is the regression
 // pin (steady state must not allocate per request, same contract as the
 // homogeneous path).
 func BenchmarkFleetScenarioHetero(b *testing.B) {

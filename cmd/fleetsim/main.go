@@ -266,7 +266,8 @@ func printWorkloadReport(stdout io.Writer, m sprinting.FleetMetrics) {
 }
 
 // readJSON strictly decodes the JSON file at path into v (unknown fields
-// are errors), reporting failures on stderr as exit 1.
+// are errors, and so is anything but white space after the one value),
+// reporting failures on stderr as exit 1.
 func readJSON(path string, v any, stderr io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -275,11 +276,16 @@ func readJSON(path string, v any, stderr io.Writer) int {
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
-		return 1
+	err = dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the JSON value")
+		} else if err == io.EOF {
+			return 0
+		}
 	}
-	return 0
+	fmt.Fprintf(stderr, "fleetsim: %s: %v\n", path, err)
+	return 1
 }
 
 // convertRecording reads a flight-recorder JSONL recording and writes

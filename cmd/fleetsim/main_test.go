@@ -329,6 +329,37 @@ func TestScenarioFlagErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingJSONRefused: a scenario or workload file holding anything
+// after its one JSON value — a second value, stray text, unmatched
+// brackets — exits 1 with one diagnostic naming the file and prints
+// nothing, rather than running on the first value.
+func TestTrailingJSONRefused(t *testing.T) {
+	scen := `{"phases": [{"duration_s": 10}]}`
+	work := strings.TrimSpace(tinyWorkload)
+	for _, c := range []struct{ flag, body string }{
+		{"-scenario", scen + "\n" + scen + "\ntrailing garbage\n"},
+		{"-scenario", scen + " ]]]"},
+		{"-workload", work + " ]]]"},
+		{"-workload", work + "\n" + work},
+	} {
+		p := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(p, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		code := run(context.Background(), []string{"-nodes", "4", "-policy", "sprint-aware", c.flag, p}, &out, &errb)
+		lines := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n")
+		if code != 1 || out.Len() != 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "fleetsim: "+p+": ") {
+			t.Errorf("%s %q: exit %d, stdout %q, stderr %q; want exit 1, no stdout, one \"fleetsim: %s: …\" line",
+				c.flag, c.body, code, out.String(), errb.String(), p)
+		}
+	}
+	// White space after the value is no trailing data.
+	if out, code := runOut(t, "-policy", "sprint-aware", "-scenario", writeScenario(t, scen+"\n\n\t ")); code != 0 {
+		t.Errorf("trailing white space: exit %d:\n%s", code, out)
+	}
+}
+
 // TestScenarioClassNodesConflict: an explicit -nodes that disagrees with
 // the scenario's class counts is rejected like the other scenario
 // conflicts, never silently overridden.

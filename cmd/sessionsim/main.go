@@ -5,7 +5,7 @@
 //
 // The three policies are evaluated concurrently on the engine worker pool;
 // output order is always policy order. -bursts must lie in [1, 1000000],
-// and -gap and -work must be positive and finite; anything else exits 2.
+// and -gap and -work in (0, 1e9] seconds; anything else exits 2.
 //
 // Usage:
 //
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,6 +31,11 @@ import (
 // fraction of a second, and the bound stops a mistyped count from
 // allocating without end.
 const maxBursts = 1_000_000
+
+// maxMeanS bounds -gap and -work at 1e9 s, about 32 years, the bound the
+// fleet simulator puts on every load source's mean work: past it a
+// session's sums overflow to Inf and its mean response reads Inf or NaN.
+const maxMeanS = 1e9
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -61,11 +65,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *n < 1 || *n > maxBursts:
 		fmt.Fprintf(stderr, "sessionsim: -bursts %d outside [1, %d]\n", *n, maxBursts)
 		return 2
-	case !(*gap > 0) || math.IsInf(*gap, 1):
-		fmt.Fprintf(stderr, "sessionsim: -gap %g s must be positive and finite\n", *gap)
+	case !(*gap > 0) || *gap > maxMeanS:
+		fmt.Fprintf(stderr, "sessionsim: -gap %g s outside (0, %g]\n", *gap, float64(maxMeanS))
 		return 2
-	case !(*work > 0) || math.IsInf(*work, 1):
-		fmt.Fprintf(stderr, "sessionsim: -work %g s must be positive and finite\n", *work)
+	case !(*work > 0) || *work > maxMeanS:
+		fmt.Fprintf(stderr, "sessionsim: -work %g s outside (0, %g]\n", *work, float64(maxMeanS))
 		return 2
 	}
 

@@ -51,10 +51,10 @@ func TestBadFlagFails(t *testing.T) {
 }
 
 // TestBadSessionFlagsFail: a burst count outside [1, maxBursts] or a gap
-// or work mean that is not positive and finite used to print a table (all
-// zeros, NaN, a negative response time, or a silent 0.1 s spacing) or,
-// for a huge count, allocate without end; each is now a flag error
-// (exit 2) with nothing on stdout.
+// or work mean outside (0, maxMeanS] used to print a table (all zeros,
+// NaN, Inf, a negative response time, or a silent 0.1 s spacing) or, for
+// a huge count, allocate without end; each is now a flag error (exit 2)
+// with nothing on stdout. The largest mean the cap admits still runs.
 func TestBadSessionFlagsFail(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bursts", "0"},
@@ -65,6 +65,9 @@ func TestBadSessionFlagsFail(t *testing.T) {
 		{"-gap", "NaN"},
 		{"-gap", "0"},
 		{"-gap", "-5"},
+		{"-gap", "1e308"},
+		{"-work", "1e308"},
+		{"-work", "1.000001e9"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var out, errb bytes.Buffer
@@ -75,5 +78,11 @@ func TestBadSessionFlagsFail(t *testing.T) {
 				t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
 			}
 		})
+	}
+	for _, flag := range []string{"-gap", "-work"} {
+		out, code := runOut(t, flag, "1e9")
+		if code != 0 || strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+			t.Errorf("%s 1e9: exit %d:\n%s", flag, code, out)
+		}
 	}
 }

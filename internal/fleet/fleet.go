@@ -441,6 +441,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: %d requests exceeds the %d-request cap", c.Requests, requestCap)
 	case c.MeanWorkS <= 0:
 		return fmt.Errorf("fleet: mean work must be positive")
+	case c.MeanWorkS > maxReplayS:
+		return fmt.Errorf("fleet: mean work must be at most %g s, got %g", float64(maxReplayS), c.MeanWorkS)
 	case c.QueueCap <= 0:
 		return fmt.Errorf("fleet: queue capacity must be positive")
 	case c.SprintWidth <= 0:
@@ -791,6 +793,13 @@ type nodeClass struct {
 	extraW   float64
 	queueCap int
 
+	// lo and hi bound the class's block of node ids, [lo, hi): classes
+	// take contiguous blocks in declaration order. busy and idle are
+	// sprint-aware's dispatch trees over the block (nil under every other
+	// policy). See index.go.
+	lo, hi     int
+	busy, idle *dispatchIndex
+
 	// gcfg is the class's governor configuration at design ambient; proto
 	// is the governor prototype nodes of this class are (re)born with,
 	// after the budget/drain scale factors are applied. Every live node's
@@ -836,14 +845,10 @@ type sim struct {
 	lastDoneS float64
 
 	// idx is the least-loaded/hedged dispatch index, one fleet-wide tree
-	// of drain keys. segs are sprint-aware's dispatch-index segments: one
-	// busy/idle tree pair per node-class block, merged at query time so
-	// the segmentation reproduces the single-tree selection exactly — see
-	// shard.go. segIdx maps a node to its segment. All are nil under
-	// RoundRobin, which never reads node state, and in refDispatch mode.
+	// of drain keys; sprint-aware's trees hang off its node classes. All
+	// are nil under RoundRobin, which never reads node state, and in
+	// refDispatch mode (useRef). See index.go.
 	idx    *dispatchIndex
-	segs   []dspSeg
-	segIdx []int32
 	useRef bool
 	// frontier is the best-first search queue of sprint-aware's busy-tree
 	// search and of the recorder's alternatives walk, cleared per search
@@ -877,6 +882,12 @@ type sim struct {
 // cl returns the node's class constants.
 func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 
+// full reports whether the node's queue is at its class's capacity: a
+// full node takes no copy and is absent from every dispatch tree.
+//
+//sprint:hotpath
+func (s *sim) full(n *node) bool { return n.outstanding() >= s.cl(n).queueCap }
+
 // newSim assembles the simulation state for Run; cfg must already be
 // defaulted and validated, and cfg.Requests must be the final trace
 // length (finish's quantile-mode selection reads it). A non-nil scen
@@ -896,17 +907,18 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 	s.m.Requests = cfg.Requests
 	s.m.Coordination = cfg.Coordination
 	// A plain fleet is one implicit default class.
-	var classIdx []int32
 	if scen != nil {
-		s.classes, classIdx = scen.classes, scen.classIdx
+		s.classes = scen.classes
 	} else {
-		s.classes, classIdx = buildClasses(cfg, nil, 0)
+		s.classes = buildClasses(cfg, nil, 0)
 	}
 	s.nodes = make([]node, cfg.Nodes)
 	s.events.reserve(queueReserve(cfg.Nodes))
-	for i := range s.nodes {
-		c := classIdx[i]
-		s.nodes[i] = node{id: i, class: c, gov: s.classes[c].proto, alive: true}
+	for ci := range s.classes {
+		cl := &s.classes[ci]
+		for i := cl.lo; i < cl.hi; i++ {
+			s.nodes[i] = node{id: i, class: int32(ci), gov: cl.proto, alive: true}
+		}
 	}
 	if cfg.Reliability.enabled() {
 		s.rel = newRelState(cfg, len(s.nodes))
@@ -938,8 +950,8 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		// loop, so draws replay identically at any worker count.
 		s.rackRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
 	}
-	// The dispatch index (see shard.go): one tree for least-loaded and
-	// hedged, one segment per class block for sprint-aware, since its idle
+	// The dispatch index (see index.go): one tree for least-loaded and
+	// hedged, a busy/idle pair per class for sprint-aware, since its idle
 	// keys are only comparable within one class — a heterogeneous fleet
 	// keeps O(log N) dispatch.
 	if !s.useRef && cfg.Policy != RoundRobin {
@@ -1415,7 +1427,7 @@ func (s *sim) hedge(ri int32) {
 	}
 	rr0 := s.rr
 	n := s.selectNode(r.workS, int(r.firstNode))
-	if n == nil || n.outstanding() >= s.cl(n).queueCap {
+	if n == nil || s.full(n) {
 		if s.rec != nil {
 			s.rec.event(s, lifecycle{kind: kindHedgeSuppress, node: -1, rack: -1, req: int(ri), phase: int(r.phase)})
 		}
@@ -1454,7 +1466,7 @@ func (s *sim) place(ri int32, kind recKind) *node {
 	r := &s.reqs[ri]
 	rr0 := s.rr
 	n := s.selectNode(r.workS, -1)
-	ok := n != nil && n.outstanding() < s.cl(n).queueCap
+	ok := n != nil && !s.full(n)
 	if s.rec != nil {
 		s.rec.decision(s, ri, kind, n, rr0, -1, ok)
 	}
@@ -1518,12 +1530,13 @@ func (s *sim) cancel(n *node, c reqCopy) {
 //
 //sprint:hotpath
 func (s *sim) touch(n *node) {
-	if s.idx == nil && s.segs == nil {
+	cl := s.cl(n)
+	if s.idx == nil && cl.busy == nil {
 		return
 	}
 	drain, idle := math.Inf(1), math.Inf(1) // +Inf: absent from the tree
 	switch {
-	case !n.alive || n.outstanding() >= s.cl(n).queueCap:
+	case !n.alive || s.full(n):
 	case s.idx != nil || n.busy:
 		drain = n.drainKey()
 	default:
@@ -1533,10 +1546,8 @@ func (s *sim) touch(n *node) {
 		s.idx.update(n.id, drain)
 		return
 	}
-	sg := &s.segs[s.segIdx[n.id]]
-	lid := n.id - sg.lo
-	sg.busyIdx.update(lid, drain)
-	sg.idleIdx.update(lid, idle)
+	cl.busy.update(n.id, drain)
+	cl.idle.update(n.id, idle)
 }
 
 // startService begins serving a copy now: the governor idles over the gap
@@ -1802,20 +1813,19 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 }
 
 // sprintAwareMin finds the node minimizing the governed finish estimate
-// in O(log N) typical time, merging the per-segment tree groups under
-// the total candidate order (score, rotation distance) — which is
-// exactly the linear scan's first-strict-minimum rotating tie-break, so
-// any segmentation (one tree, per-class trees, per-shard-per-class
-// trees) selects the same node.
+// in O(log N) typical time, merging the per-class tree pairs under the
+// total candidate order (score, rotation distance) — which is exactly
+// the linear scan's first-strict-minimum rotating tie-break, so class
+// visit order never matters.
 //
-// Within each segment the idle side is resolved first: firstLE names
-// the first node in local rotation order whose projected budget covers
-// the request at full width — the exact tie set of the linear scan
-// restricted to the segment, since every such node scores
+// Within each class the idle side is resolved first: firstLE names the
+// first of the class's nodes in rotation order whose projected budget
+// covers the request at full width — the exact tie set of the linear
+// scan restricted to the class, since every such node scores
 // startS + work/width with identical floats — and when no budget
 // suffices, the argmin of the budget instant is the unique best idle
-// candidate. (A segment spans one class, so its prototype's
-// Governor.CoverKeyS is the threshold for all of it.)
+// candidate. (The class's prototype's Governor.CoverKeyS is the
+// threshold for all of its nodes.)
 // Busy nodes are then enumerated best-first by backlog-drain key with
 // the admissible bound key + work/width: the enumeration stops as soon
 // as the bound exceeds the incumbent, which with healthy budgets is
@@ -1842,41 +1852,34 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 		}
 	}
 
-	// Idle champions, one per segment: the first node in rotation order
+	// Idle champions, one per class: the first node in rotation order
 	// whose budget covers the request at full width, else the most
-	// recovered budget. lrot is the global rotation restricted to the
-	// segment: the cyclic walk from rot crosses a contiguous block either
-	// as one run (entering at lo) or as [rot, hi) then [lo, rot).
-	for si := range s.segs {
-		sg := &s.segs[si]
-		cl := &s.classes[sg.class]
-		lrot := 0
-		if rot >= sg.lo && rot < sg.hi {
-			lrot = rot - sg.lo
-		}
-		idle := sg.idleIdx.firstLE(lrot, cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW))
+	// recovered budget.
+	for ci := range s.classes {
+		cl := &s.classes[ci]
+		from := cl.from(rot)
+		idle := cl.idle.firstLE(from, cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW))
 		if idle < 0 {
-			idle = sg.idleIdx.argmin(lrot)
+			idle = cl.idle.argmin(from)
 		}
 		if idle >= 0 {
-			take(sg.lo + idle)
+			take(idle)
 		}
 	}
 
-	// Busy enumeration per segment under the shared incumbent and the
-	// segment class's admissible bound. The strict > keeps bound ties in
-	// play, so a later segment can still win an exact score tie on
-	// rotation distance — segment visit order never matters. The root
-	// bounds the whole tree, so a segment with no busy node, or none that
-	// could beat the incumbent, is never seeded. The frontier pushes tree
-	// slot c at its subtree minimum with seq c: each slot is pushed at most
-	// once per search, so (time, seq) orders entries by (minimum, slot),
-	// and busy keys are finite, so the time round-trips exactly.
+	// Busy enumeration per class under the shared incumbent and the
+	// class's admissible bound. The strict > keeps bound ties in play, so
+	// a later class can still win an exact score tie on rotation
+	// distance. The root bounds the whole tree, so a class with no busy
+	// node, or none that could beat the incumbent, is never seeded. The
+	// frontier pushes tree slot c at its subtree minimum with seq c: each
+	// slot is pushed at most once per search, so (time, seq) orders
+	// entries by (minimum, slot), and busy keys are finite, so the time
+	// round-trips exactly.
 	q := &s.frontier
-	for si := range s.segs {
-		sg := &s.segs[si]
-		wow := workS / s.classes[sg.class].width
-		t := sg.busyIdx
+	for ci := range s.classes {
+		wow := workS / s.classes[ci].width
+		t := s.classes[ci].busy
 		if t.d[1] == math.Inf(1) || best != nil && t.d[1]+wow > bestScore {
 			continue
 		}
@@ -1888,7 +1891,7 @@ func (s *sim) sprintAwareMin(rot int, workS float64) *node {
 				break // everything still frontiered is bounded above the winner
 			}
 			if int(e.req) >= t.size { // leaf: evaluate the true score
-				take(sg.lo + int(e.req) - t.size)
+				take(t.node(int(e.req)))
 				continue
 			}
 			for c := 2 * e.req; c <= 2*e.req+1; c++ {
@@ -1922,7 +1925,7 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 		} else {
 			sc = n.drainKey()
 		}
-		if n.outstanding() >= s.cl(n).queueCap {
+		if s.full(n) {
 			if bestFull == nil || sc < bestFullScore {
 				bestFull, bestFullScore = n, sc
 			}

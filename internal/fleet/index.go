@@ -34,12 +34,17 @@
 // suffix from the start and then the wrap-around from leaf 0, each
 // climbing to the first qualifying right sibling and descending to its
 // leftmost qualifying leaf. Every query only reads the index: the sim's
-// touch (through update) and buildIndex's reset write it.
+// touch is the one writer of any key (through update), buildIndex
+// included, which builds all-absent trees and touches every node.
 //
 // Sprint-aware dispatch scores a node as its backlog-drain instant plus
 // a governor-projected service time, which depends on the request's
-// size — no single static key orders busy and idle nodes together. It
-// therefore splits the fleet across two trees:
+// size — no single static key orders busy and idle nodes together, and
+// idle keys are only comparable within one node class. Each class
+// therefore keeps two trees of its own over its block of node ids, and
+// a query enters them at nodeClass.from, the rotation start clamped
+// into the block. Every tree takes and returns node ids, so no caller
+// translates one:
 //
 //   - idle nodes are keyed by Governor.EmptyAtS, the instant the refill
 //     line extrapolates back to an empty budget, which orders a class's
@@ -58,6 +63,12 @@
 //     could still beat the idle champion — usually none — and with
 //     every budget depleted it degrades gracefully toward the full scan
 //     it replaces.
+//
+// The classes' candidates merge under the total order (score, rotation
+// distance) the linear scan defines, so a heterogeneous fleet keeps
+// O(log N) sprint-aware dispatch. Least-loaded and hedged dispatch key
+// on an absolute drain instant, comparable across classes, so they use
+// one fleet-wide tree.
 package fleet
 
 import (
@@ -70,47 +81,62 @@ import (
 // push update past the inliner's budget.
 var negInf = math.Inf(-1)
 
-// dispatchIndex is a 1-based implicit binary tournament tree over fleet
-// routing keys. Leaf i of the fleet lives at tree slot size+i, every
-// interior slot holds the minimum of its two children, and absent
-// leaves hold +Inf. Beside the tree, bit i of idle is set exactly when
-// leaf i holds −Inf.
+// dispatchIndex is a 1-based implicit binary tournament tree over the
+// routing keys of the n nodes with ids lo through lo+n-1. Every method
+// takes and returns node ids: node id lives at tree slot off+id, where
+// off is size−lo, every interior slot holds the minimum of its two
+// children, and absent leaves hold +Inf. Beside the tree, bit c of idle
+// is set exactly when slot c is a leaf holding −Inf; idle's words end
+// with the last leaf's.
 type dispatchIndex struct {
-	n    int // real leaves (fleet size)
+	lo   int // the first leaf's node id
+	n    int // real leaves
 	size int // power-of-two leaf span
+	off  int // size − lo
 	d    []float64
 	idle []uint64
 }
 
-// newDispatchIndex builds an empty tree (every leaf absent); reset
-// populates the real leaves.
-func newDispatchIndex(n int) *dispatchIndex {
+// newDispatchIndex builds an empty tree over node ids [lo, lo+n), every
+// leaf absent.
+func newDispatchIndex(lo, n int) *dispatchIndex {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	t := &dispatchIndex{n: n, size: size, d: make([]float64, 2*size), idle: make([]uint64, (n+63)/64)}
+	t := &dispatchIndex{lo: lo, n: n, size: size, off: size - lo, d: make([]float64, 2*size), idle: make([]uint64, (size+n+63)/64)}
 	for i := range t.d {
 		t.d[i] = math.Inf(1)
 	}
 	return t
 }
 
-// reset sets every real leaf present with the same key and rebuilds the
-// aggregates in O(n) — the all-idle initial state of a simulation.
-func (t *dispatchIndex) reset(d float64) {
-	for i := 0; i < t.n; i++ {
-		t.d[t.size+i] = d
-	}
-	for i := t.size - 1; i >= 1; i-- {
-		t.d[i] = min(t.d[2*i], t.d[2*i+1])
-	}
-	clear(t.idle)
-	if d == negInf {
-		for i := 0; i < t.n; i++ {
-			t.idle[i>>6] |= 1 << (i & 63)
+// buildIndex builds the dispatch trees the policy reads, every leaf
+// absent, and keys each node through touch: one fleet-wide tree for
+// least-loaded and hedged, a busy/idle pair per class for sprint-aware.
+func (s *sim) buildIndex() {
+	if s.cfg.Policy == SprintAware {
+		for ci := range s.classes {
+			cl := &s.classes[ci]
+			cl.busy, cl.idle = newDispatchIndex(cl.lo, cl.hi-cl.lo), newDispatchIndex(cl.lo, cl.hi-cl.lo)
 		}
+	} else {
+		s.idx = newDispatchIndex(0, len(s.nodes))
 	}
+	for i := range s.nodes {
+		s.touch(&s.nodes[i])
+	}
+}
+
+// from is where a query of the class's trees, which span only its
+// block, enters rotation order for a selection rotated to rot. The
+// cyclic walk from rot crosses the block as [rot, hi) then [lo, rot)
+// when rot lies inside it, and as one run from lo otherwise.
+func (cl *nodeClass) from(rot int) int {
+	if rot >= cl.lo && rot < cl.hi {
+		return rot
+	}
+	return cl.lo
 }
 
 // update replaces node id's key and refreshes the path to the root. An
@@ -120,12 +146,12 @@ func (t *dispatchIndex) reset(d float64) {
 //
 //sprint:hotpath
 func (t *dispatchIndex) update(id int, d float64) {
-	i := t.size + id
+	i := t.off + id
 	if t.d[i] == d {
 		return
 	}
 	if min(t.d[i], d) == negInf { // exactly one of them, as they differ
-		t.idle[id>>6] ^= 1 << (id & 63)
+		t.idle[i>>6] ^= 1 << (i & 63)
 	}
 	t.d[i] = d
 	// The walk reads each sibling as i^1, not as 2i and 2i+1 of the
@@ -173,7 +199,7 @@ func (t *dispatchIndex) argminExcept(start, ex int) int {
 		return t.argmin(start)
 	}
 	m := math.Inf(1)
-	for i := t.size + ex; i > 1; i >>= 1 {
+	for i := t.off + ex; i > 1; i >>= 1 {
 		m = min(m, t.d[i^1])
 	}
 	if m == math.Inf(1) {
@@ -201,7 +227,7 @@ func (t *dispatchIndex) firstLE(start int, thresh float64) int {
 	if i := t.firstFrom(start, thresh); i >= 0 {
 		return i
 	}
-	return t.firstFrom(0, thresh) // the suffix failed: any hit lies before start
+	return t.firstFrom(t.lo, thresh) // the suffix failed: any hit lies before start
 }
 
 // nextLE returns the present leaf with key ≤ thresh that follows leaf
@@ -218,19 +244,19 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	if thresh == negInf {
 		// Rotation distances from start: the next idle leaf counts only
 		// if the walk has not yet come back round to start.
-		i := t.firstIdle((after+1)%t.n, -1)
+		i := t.firstIdle(t.lo+(after+1-t.lo)%t.n, -1)
 		if i < 0 || (i-start+t.n)%t.n <= (after-start+t.n)%t.n {
 			return -1
 		}
 		return i
 	}
 	if after >= start {
-		if after+1 < t.n {
+		if after+1 < t.lo+t.n {
 			if i := t.firstFrom(after+1, thresh); i >= 0 {
 				return i
 			}
 		}
-		after = -1 // the suffix from start is done: wrap to leaf 0
+		after = t.lo - 1 // the suffix from start is done: wrap to the first leaf
 	}
 	if i := t.firstFrom(after+1, thresh); i >= 0 && i < start {
 		return i
@@ -238,33 +264,40 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	return -1
 }
 
-// firstIdle returns the first idle leaf other than ex in rotation order
-// from start, or -1: a bits.TrailingZeros64 scan of the idle words from
-// start's, wrapping once, that visits start's word twice — first its
-// bits from start on, last the rest. O(N/64) at worst. An ex of -1
-// masks nothing, since ex>>6 is then -1.
+// firstIdle returns the first idle node other than ex in rotation order
+// from start, or -1: a bits.TrailingZeros64 scan of the leaves' idle
+// words from start's, wrapping once, that visits start's word twice —
+// first its bits from start on, last the rest. O(N/64) at worst. An ex
+// of -1 masks nothing: its slot, off−1, is below size, an interior slot
+// whose bit is never set, or negative, in no word.
 //
 //sprint:hotpath
 func (t *dispatchIndex) firstIdle(start, ex int) int {
-	w := start >> 6
-	m := t.idle[w] &^ (1<<(start&63) - 1)
-	for range len(t.idle) + 1 {
-		if w == ex>>6 {
-			m &^= 1 << (ex & 63)
+	c, x := t.off+start, t.off+ex
+	w := c >> 6
+	m := t.idle[w] &^ (1<<(c&63) - 1)
+	for range len(t.idle) - t.size>>6 + 1 {
+		if w == x>>6 {
+			m &^= 1 << (x & 63)
 		}
 		if m != 0 {
-			return w<<6 | bits.TrailingZeros64(m)
+			return (w<<6 | bits.TrailingZeros64(m)) - t.off
 		}
 		if w++; w == len(t.idle) {
-			w = 0
+			w = t.size >> 6
 		}
 		m = t.idle[w]
 	}
 	return -1
 }
 
-// minLeaf returns the leftmost leaf under tree slot c that holds the
-// slot's key, the subtree's minimum.
+// node returns the node at leaf slot c.
+//
+//sprint:hotpath
+func (t *dispatchIndex) node(c int) int { return c - t.off }
+
+// minLeaf returns the node at the leftmost leaf under tree slot c that
+// holds the slot's key, the subtree's minimum.
 //
 //sprint:hotpath
 func (t *dispatchIndex) minLeaf(c int) int {
@@ -274,23 +307,23 @@ func (t *dispatchIndex) minLeaf(c int) int {
 			c++
 		}
 	}
-	return c - t.size
+	return c - t.off
 }
 
-// firstFrom returns the first present leaf at or after lo whose key is
-// ≤ thresh, or -1. It climbs from leaf lo to the first right sibling
-// whose subtree qualifies, then descends to that subtree's leftmost
-// qualifying leaf. The threshold is clamped to the largest finite key,
-// so no absent leaf qualifies and a +Inf threshold means "any present
-// leaf".
+// firstFrom returns the first present leaf at or after node from whose
+// key is ≤ thresh, or -1. It climbs from from's leaf to the first right
+// sibling whose subtree qualifies, then descends to that subtree's
+// leftmost qualifying leaf. The threshold is clamped to the largest
+// finite key, so no absent leaf qualifies and a +Inf threshold means
+// "any present leaf".
 //
 //sprint:hotpath
-func (t *dispatchIndex) firstFrom(lo int, thresh float64) int {
+func (t *dispatchIndex) firstFrom(from int, thresh float64) int {
 	thresh = min(thresh, math.MaxFloat64)
 	if t.d[1] > thresh {
 		return -1
 	}
-	i := t.size + lo
+	i := t.off + from
 	for t.d[i] > thresh {
 		for i&1 == 1 { // a right child ends its parent's span too: climb
 			i >>= 1
@@ -306,5 +339,5 @@ func (t *dispatchIndex) firstFrom(lo int, thresh float64) int {
 			i++
 		}
 	}
-	return i - t.size
+	return i - t.off
 }

@@ -63,8 +63,110 @@ func TestIndexedDispatchMatchesReferenceScan(t *testing.T) {
 	}
 }
 
+// reset sets every real leaf present with the same key and rebuilds the
+// aggregates in O(n), so a test can start a tree from one shared key.
+// The simulator never calls it: buildIndex keys every node through touch.
+func (t *dispatchIndex) reset(d float64) {
+	for i := 0; i < t.n; i++ {
+		t.d[t.size+i] = d
+	}
+	for i := t.size - 1; i >= 1; i-- {
+		t.d[i] = min(t.d[2*i], t.d[2*i+1])
+	}
+	clear(t.idle)
+	if d == negInf {
+		for c := t.size; c < t.size+t.n; c++ {
+			t.idle[c>>6] |= 1 << (c & 63)
+		}
+	}
+}
+
+// TestIndexKeysMatchNodes pins the index's incremental maintenance: at
+// every traced decision of the TestIndexedAltsMatchScan shapes, under
+// every policy that keeps an index, each dispatch tree must hold exactly
+// the keys a fresh recomputation from node state gives — touch's key
+// at every node's leaf, each class's trees spanning exactly its block,
+// and +Inf for padding — every interior slot the minimum of its
+// children, and every idle bit set exactly on a −Inf leaf. A state
+// change that forgot its touch shows here as a stale leaf.
+func TestIndexKeysMatchNodes(t *testing.T) {
+	decisions := 0
+	var drain, idle []float64
+	watchDecision = func(s *sim) func() {
+		decisions++
+		drain, idle = drain[:0], idle[:0]
+		for i := range s.nodes {
+			d, id := nodeKeys(s, &s.nodes[i])
+			drain, idle = append(drain, d), append(idle, id)
+		}
+		if s.idx != nil {
+			checkTreeKeys(t, s, s.idx, drain)
+		}
+		for _, cl := range s.classes {
+			if cl.idle != nil {
+				if cl.busy.lo != cl.lo || cl.busy.n != cl.hi-cl.lo || cl.idle.lo != cl.lo || cl.idle.n != cl.hi-cl.lo {
+					t.Fatalf("a class's trees do not span its block [%d, %d)", cl.lo, cl.hi)
+				}
+				checkTreeKeys(t, s, cl.busy, drain)
+				checkTreeKeys(t, s, cl.idle, idle)
+			}
+		}
+		return func() {}
+	}
+	defer func() { watchDecision = nil }()
+	forAltShapes(func(name string, cfg Config, sc *Scenario) {
+		if cfg.Policy != RoundRobin {
+			mustTraceShape(t, cfg, sc)
+		}
+	})
+	if decisions == 0 {
+		t.Fatal("no traced decision ran")
+	}
+}
+
+// nodeKeys recomputes from node state the keys touch writes for n: its
+// drain key and its sprint-aware idle key, +Inf where n is absent.
+func nodeKeys(s *sim, n *node) (drain, idle float64) {
+	drain, idle = math.Inf(1), math.Inf(1)
+	switch {
+	case !n.alive || s.full(n):
+	case s.cfg.Policy != SprintAware || n.busy:
+		drain = n.drainKey()
+	default:
+		idle = n.gov.EmptyAtS()
+	}
+	return drain, idle
+}
+
+// checkTreeKeys fails unless every leaf of idx holds its node's key
+// from keys, and the padding +Inf, every interior slot the minimum of
+// its children, and every idle bit the −Inf-ness of its leaf.
+func checkTreeKeys(t *testing.T, s *sim, idx *dispatchIndex, keys []float64) {
+	t.Helper()
+	for i := 0; i < idx.size; i++ {
+		w := math.Inf(1)
+		if i < idx.n {
+			w = keys[idx.lo+i]
+		}
+		if got := idx.d[idx.size+i]; got != w {
+			t.Fatalf("at %g s node %d's leaf holds %g, want %g", s.nowS, idx.lo+i, got, w)
+		}
+	}
+	for i := 1; i < idx.size; i++ {
+		if m := min(idx.d[2*i], idx.d[2*i+1]); idx.d[i] != m {
+			t.Fatalf("at %g s slot %d holds %g, want its children's minimum %g", s.nowS, i, idx.d[i], m)
+		}
+	}
+	for c := 0; c < 64*len(idx.idle); c++ {
+		set := idx.idle[c>>6]&(1<<(c&63)) != 0
+		if want := c >= idx.size && c-idx.size < idx.n && idx.d[c] == math.Inf(-1); set != want {
+			t.Fatalf("at %g s idle bit %d is %t, want %t", s.nowS, c, set, want)
+		}
+	}
+}
+
 func TestIndexArgminRotationTieBreak(t *testing.T) {
-	idx := newDispatchIndex(5)
+	idx := newDispatchIndex(0, 5)
 	idx.reset(math.Inf(-1)) // every node idle: a five-way exact tie
 	for start, want := range map[int]int{0: 0, 2: 2, 4: 4} {
 		if got := idx.argmin(start); got != want {
@@ -96,7 +198,7 @@ func TestIndexArgminRotationTieBreak(t *testing.T) {
 }
 
 func TestIndexFirstLE(t *testing.T) {
-	idx := newDispatchIndex(6)
+	idx := newDispatchIndex(0, 6)
 	idx.reset(0)
 	for i, d := range []float64{4, 1, 8, 2, 1, 9} {
 		idx.update(i, d)
@@ -128,7 +230,7 @@ func TestIndexFirstLE(t *testing.T) {
 // node, whether it holds the unique minimum, ties it, starts the
 // rotation or is the only present node, and writes no slot.
 func TestIndexArgminExcept(t *testing.T) {
-	idx := newDispatchIndex(5)
+	idx := newDispatchIndex(0, 5)
 	idx.reset(0)
 	for i, d := range []float64{2, 1, 3, 1, 5} {
 		idx.update(i, d)
@@ -167,17 +269,19 @@ func TestIndexArgminExcept(t *testing.T) {
 // start — and after every op checks each query against a brute-force
 // rotation scan, every interior slot against the minimum of its
 // children and every idle bit against its leaf. The first byte sizes
-// the tree;
-// each op then takes up to three bytes. The seed corpus lives in
-// testdata/fuzz/FuzzDispatchIndex.
+// the tree and picks the node id of its first leaf (0, 61, 122 or 183,
+// as a class tree starts at its block); each op then takes up to three
+// bytes. The seed corpus lives in testdata/fuzz/FuzzDispatchIndex.
 func FuzzDispatchIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := 1 + int(data[0])%70
+		// The tree spans node ids [lo, lo+n); the harness and its checks
+		// speak leaf numbers, lo less.
+		n, lo := 1+int(data[0])%70, int(data[0])/70*61
 		data = data[1:]
-		idx := newDispatchIndex(n)
+		idx := newDispatchIndex(lo, n)
 		want := make([]float64, n) // the leaf keys, maintained by brute force
 		for i := range want {
 			want[i] = math.Inf(1)
@@ -205,7 +309,7 @@ func FuzzDispatchIndex(f *testing.F) {
 			switch op, leaf := next()%5, int(next())%n; op {
 			case 0:
 				d := key(next())
-				idx.update(leaf, d)
+				idx.update(lo+leaf, d)
 				want[leaf] = d
 			case 1:
 				checkExcept(t, idx, want, int(next())%n, leaf)
@@ -221,6 +325,14 @@ func FuzzDispatchIndex(f *testing.F) {
 			checkIndex(t, idx, want, 0, 0)
 		}
 	})
+}
+
+// leafOf returns the leaf number of node id in idx, and -1 for -1.
+func leafOf(idx *dispatchIndex, id int) int {
+	if id < 0 {
+		return id
+	}
+	return id - idx.lo
 }
 
 // checkExcept compares argminExcept(start, ex) with a brute-force
@@ -241,7 +353,7 @@ func checkExcept(t *testing.T, idx *dispatchIndex, want []float64, start, ex int
 		}
 	}
 	before, idle := slices.Clone(idx.d), slices.Clone(idx.idle)
-	if got := idx.argminExcept(start, ex); got != w {
+	if got := leafOf(idx, idx.argminExcept(idx.lo+start, idx.lo+ex)); got != w {
 		t.Fatalf("argminExcept(%d, %d) = %d, want %d (keys %v)", start, ex, got, w, want)
 	}
 	if !slices.Equal(idx.d, before) || !slices.Equal(idx.idle, idle) {
@@ -267,12 +379,12 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 			t.Fatalf("slot %d holds %g, want the children's minimum %g", i, idx.d[i], m)
 		}
 	}
-	// Bit i is set exactly when leaf i holds −Inf; the padding bits past
-	// the last leaf stay clear.
-	for i := 0; i < 64*len(idx.idle); i++ {
-		set := idx.idle[i>>6]&(1<<(i&63)) != 0
-		if idle := i < len(want) && want[i] == math.Inf(-1); set != idle {
-			t.Fatalf("idle bit %d is %t, want %t (keys %v)", i, set, idle, want)
+	// Slot c's bit is set exactly when c is leaf c−size and holds −Inf;
+	// the interior and padding bits stay clear.
+	for c := 0; c < 64*len(idx.idle); c++ {
+		set := idx.idle[c>>6]&(1<<(c&63)) != 0
+		if idle := c >= idx.size && c-idx.size < len(want) && want[c-idx.size] == math.Inf(-1); set != idle {
+			t.Fatalf("idle bit %d is %t, want %t (keys %v)", c, set, idle, want)
 		}
 	}
 	// firstIn is the rotation scan: the first present leaf from start
@@ -289,20 +401,20 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 	for _, d := range want {
 		m = math.Min(m, d)
 	}
-	if got, w := idx.argmin(start), firstIn(m); got != w {
+	if got, w := leafOf(idx, idx.argmin(idx.lo+start)), firstIn(m); got != w {
 		t.Fatalf("argmin(%d) = %d, want %d (keys %v)", start, got, w, want)
 	}
-	if got, w := idx.firstLE(start, thresh), firstIn(thresh); got != w {
+	if got, w := leafOf(idx, idx.firstLE(idx.lo+start, thresh)), firstIn(thresh); got != w {
 		t.Fatalf("firstLE(%d, %g) = %d, want %d (keys %v)", start, thresh, got, w, want)
 	}
 	// nextLE, chained from -1, lists every present leaf ≤ thresh in
 	// rotation order from start, each once.
 	var walk, scan []int
-	for j := idx.nextLE(start, -1, thresh); j >= 0; j = idx.nextLE(start, j, thresh) {
+	for j := idx.nextLE(idx.lo+start, -1, thresh); j >= 0; j = idx.nextLE(idx.lo+start, j, thresh) {
 		if len(walk) > len(want) {
 			t.Fatalf("nextLE(%d, ·, %g) does not end (keys %v)", start, thresh, want)
 		}
-		walk = append(walk, j)
+		walk = append(walk, leafOf(idx, j))
 	}
 	for k := range want {
 		if j := (start + k) % len(want); want[j] < math.Inf(1) && want[j] <= thresh {
@@ -328,7 +440,7 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 				break
 			}
 		}
-		if got := idx.minLeaf(c); got != first {
+		if got := leafOf(idx, idx.minLeaf(c)); got != first {
 			t.Fatalf("minLeaf(%d) = %d, want %d (keys %v)", c, got, first, want)
 		}
 	}
@@ -342,7 +454,7 @@ func checkIndex(t *testing.T, idx *dispatchIndex, want []float64, start int, thr
 // service completed (idle again under a fresh budget key).
 func BenchmarkDispatchIndex(b *testing.B) {
 	const n, steps = 10000, 1 << 16
-	idle, busy := newDispatchIndex(n), newDispatchIndex(n)
+	idle, busy := newDispatchIndex(0, n), newDispatchIndex(0, n)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -371,7 +483,7 @@ func BenchmarkDispatchIndex(b *testing.B) {
 // steps earlier.
 func BenchmarkDispatchIndexIdle(b *testing.B) {
 	const n, inflight, steps = 2000, 250, 1 << 16
-	idx := newDispatchIndex(n)
+	idx := newDispatchIndex(0, n)
 	ring := make([]int, inflight)
 	b.ReportAllocs()
 	b.ResetTimer()

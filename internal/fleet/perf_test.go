@@ -74,7 +74,7 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 		}
 		// Coupled policies take the single loop at any worker count, so
 		// Workers 8 must allocate what the Workers 0 run does: no
-		// per-shard heaps, routing tables, or extra index segments.
+		// per-shard heaps, routing tables, or extra index trees.
 		sharded := testing.AllocsPerRun(3, func() {
 			cfg := cfgFor(10000)
 			cfg.Workers = 8

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 
 // TestRunSizeCaps pins the size caps: each bad size is a validation
 // error from Run, never a makeslice panic, an out-of-memory death in an
-// arrival generator, or a recorder emitting samples without end, and
+// arrival generator, a recorder emitting samples without end, or a mean
+// work so long that latencies and energy overflow to Inf, and
 // Spec.Validate reports the same error without running.
 func TestRunSizeCaps(t *testing.T) {
 	small := func() Config {
@@ -51,6 +53,14 @@ func TestRunSizeCaps(t *testing.T) {
 			w.DurationS, w.MaxRequests = 30, requestCap+1
 			return Spec{Config: small(), Workload: &w}
 		}, "request cap"},
+		{"mean work", func() Spec { c := small(); c.MeanWorkS = 1e308; return Spec{Config: c} }, "mean work must be at most"},
+		{"tenant mean work", func() Spec {
+			w := *tenants
+			w.DurationS = 30
+			w.Tenants = []TenantSpec{w.Tenants[0]}
+			w.Tenants[0].Work.MeanS = maxReplayS * (1 + 1e-9)
+			return Spec{Config: small(), Workload: &w}
+		}, "mean work must be at most"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,6 +80,16 @@ func TestRunSizeCaps(t *testing.T) {
 	}
 	if _, _, err := Run(context.Background(), spec); err != nil {
 		t.Fatalf("a %g s window was rejected: %v", minTraceWindowS, err)
+	}
+	// The longest mean work the cap admits runs to finite results.
+	cfg = small()
+	cfg.Requests, cfg.MeanWorkS = 10, maxReplayS
+	m, _, err := Run(context.Background(), Spec{Config: cfg})
+	if err != nil {
+		t.Fatalf("a %g s mean work was rejected: %v", float64(maxReplayS), err)
+	}
+	if math.IsInf(m.MaxS, 0) || math.IsInf(m.EnergyPerRequestJ, 0) || math.IsNaN(m.MeanS) {
+		t.Errorf("a %g s mean work overflowed: max %g s, %g J/req, mean %g s", float64(maxReplayS), m.MaxS, m.EnergyPerRequestJ, m.MeanS)
 	}
 }
 

@@ -337,11 +337,13 @@ func (cl *nodeClass) applyAmbient(deltaC float64) {
 }
 
 // buildClasses lowers the declared node classes (none: the implicit
-// default class) to the sim's nodeClass constants at the ambient shifted
-// by ambientC, and the per-node class assignment.
-func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeClass, []int32) {
+// default class, spanning the fleet) to the sim's nodeClass constants at
+// the ambient shifted by ambientC. Each class takes the next Count node
+// ids.
+func buildClasses(cfg Config, declared []NodeClass, ambientC float64) []nodeClass {
 	decls := effectiveClasses(declared)
 	classes := make([]nodeClass, len(decls))
+	lo := 0
 	for i, d := range decls {
 		gcfg := d.governorConfig(cfg.Node)
 		width := cfg.SprintWidth
@@ -352,7 +354,13 @@ func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeCla
 		if d.QueueCap > 0 {
 			qcap = d.QueueCap
 		}
+		hi := lo + d.Count
+		if len(declared) == 0 {
+			hi = cfg.Nodes
+		}
 		classes[i] = nodeClass{
+			lo:          lo,
+			hi:          hi,
 			width:       float64(width),
 			sprintW:     gcfg.SprintPowerW,
 			nominalW:    gcfg.NominalPowerW,
@@ -363,16 +371,9 @@ func buildClasses(cfg Config, declared []NodeClass, ambientC float64) ([]nodeCla
 			drainScale:  d.DrainScale,
 		}
 		classes[i].applyAmbient(ambientC)
+		lo = hi
 	}
-	idx := make([]int32, cfg.Nodes)
-	n := 0
-	for ci, d := range declared {
-		for k := 0; k < d.Count; k++ {
-			idx[n] = int32(ci)
-			n++
-		}
-	}
-	return classes, idx
+	return classes
 }
 
 // PhaseMetrics is one scenario phase's slice of the outcome. Counts are
@@ -424,9 +425,8 @@ type PhaseMetrics struct {
 
 // scenarioRun is the live scenario state hanging off the sim.
 type scenarioRun struct {
-	spec     Scenario
-	classes  []nodeClass
-	classIdx []int32
+	spec    Scenario
+	classes []nodeClass
 
 	phases []tally // one outcome record per phase
 	cur    int     // current phase index (trip/failure attribution)
@@ -507,7 +507,7 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, trunc
 // validated scenario.
 func newScenarioRun(cfg Config, sc Scenario) *scenarioRun {
 	run := &scenarioRun{spec: sc, phases: make([]tally, len(sc.Phases)), ambientC: sc.Phases[0].AmbientDeltaC}
-	run.classes, run.classIdx = buildClasses(cfg, sc.Classes, sc.Phases[0].AmbientDeltaC)
+	run.classes = buildClasses(cfg, sc.Classes, sc.Phases[0].AmbientDeltaC)
 	return run
 }
 

@@ -29,33 +29,12 @@
 // only replay the single loop's order, more slowly. A coupled run
 // therefore runs the one loop over the whole fleet whatever Workers says,
 // which is byte-identical by construction.
-//
-// Sprint-aware's dispatch index is segmented (dspSeg): one tournament
-// tree pair per contiguous node-class block, with queries merged under
-// the total candidate order the linear scan defines. That keeps
-// sprint-aware dispatch O(log N) on heterogeneous NodeClasses fleets
-// (sprint-aware idle keys are only comparable within one class); a
-// homogeneous fleet gets exactly one segment. Least-loaded and hedged
-// dispatch key on an absolute drain instant, comparable across classes,
-// so they use one fleet-wide tree.
 package fleet
 
 import (
 	"context"
-	"math"
 	"sync"
 )
-
-// dspSeg is one sprint-aware dispatch-index segment: the busy and idle
-// tournament trees over the contiguous node range [lo, hi), which spans
-// exactly one node class. Tree leaves are local ids (node id − lo).
-type dspSeg struct {
-	lo, hi int
-	class  int32
-
-	busyIdx *dispatchIndex
-	idleIdx *dispatchIndex
-}
 
 // arenaPool recycles request arenas across runs and sweep points: the
 // arena is the simulator's one large per-run allocation, and sweep
@@ -93,36 +72,6 @@ func putArena(reqs []request) {
 // dequeue disciplines are fleet-global too.
 func (s *sim) parallelOK() bool {
 	return s.scen == nil && s.cfg.Policy == RoundRobin && s.cfg.Coordination != Probabilistic && s.rec == nil && s.rel == nil && s.wl == nil
-}
-
-// buildIndex builds the dispatch index the policy reads. Least-loaded
-// and hedged get one fleet-wide drain-key tree. Sprint-aware gets one
-// segment per node-class block: classes are assigned in contiguous
-// blocks, so each segment is one maximal run of a single class, and a
-// homogeneous fleet yields one segment.
-func (s *sim) buildIndex() {
-	nn := len(s.nodes)
-	if s.cfg.Policy != SprintAware {
-		s.idx = newDispatchIndex(nn)
-		s.idx.reset(math.Inf(-1)) // every node idle
-		return
-	}
-	s.segIdx = make([]int32, nn)
-	lo := 0
-	for hi := 1; hi <= nn; hi++ {
-		if hi < nn && s.nodes[hi].class == s.nodes[lo].class {
-			continue
-		}
-		sg := dspSeg{lo: lo, hi: hi, class: s.nodes[lo].class}
-		sg.busyIdx = newDispatchIndex(hi - lo) // empty: no node busy
-		sg.idleIdx = newDispatchIndex(hi - lo)
-		sg.idleIdx.reset(s.nodes[lo].gov.EmptyAtS()) // full budgets: one shared key per class
-		for i := lo; i < hi; i++ {
-			s.segIdx[i] = int32(len(s.segs))
-		}
-		s.segs = append(s.segs, sg)
-		lo = hi
-	}
 }
 
 // start runs the event loop and assembles the metrics. A decoupled
@@ -191,7 +140,7 @@ func (s *sim) start(ctx context.Context) (Metrics, error) {
 // sequential rotation counter equals the arrival index, every node is
 // alive (no churn outside scenario mode), and round-robin never hedges.
 func (s *sim) dispatchTo(ri int32, n *node) {
-	if n.outstanding() >= s.cl(n).queueCap {
+	if s.full(n) {
 		s.drop(ri, n)
 		return
 	}

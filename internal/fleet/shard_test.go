@@ -86,13 +86,13 @@ func TestShardedScenarioMatchesSequential(t *testing.T) {
 }
 
 // TestShardedHeterogeneousMatchesReference pins the O(log N)
-// heterogeneous path: dispatch over mixed NodeClasses runs on per-class
-// index segments instead of falling back to the linear rescan, so every
-// policy must match the retained reference scan exactly, at every worker
-// count. Three classes make three sprint-aware segments, so its merged
-// per-segment queries cross more than one foreign segment, while
-// least-loaded and hedged compare drain keys across all three classes in
-// one fleet-wide tree.
+// heterogeneous path: sprint-aware dispatch over mixed NodeClasses runs
+// on each class's own busy/idle trees instead of falling back to the
+// linear rescan, so every policy must match the retained reference scan
+// exactly, at every worker count. Three classes make three sprint-aware
+// tree pairs, so a rotation start inside one block enters the other two
+// at their first node, while least-loaded and hedged compare drain keys
+// across all three classes in one fleet-wide tree.
 func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 	if refDispatch {
 		t.Fatal("refDispatch already set")
@@ -123,7 +123,7 @@ func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 			cfg.Workers = w
 			got := mustScenario(t, cfg, sc)
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s workers=%d heterogeneous run diverged from reference scan:\nsegmented: %+v\nreference: %+v",
+				t.Errorf("%s workers=%d heterogeneous run diverged from reference scan:\nindexed:   %+v\nreference: %+v",
 					p, w, got, ref)
 			}
 		}

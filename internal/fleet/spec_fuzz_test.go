@@ -76,7 +76,9 @@ func (f fuzzSpec) spec() Spec {
 // may panic. A spec Validate refuses, Run must refuse with the same error
 // text; a spec Validate accepts, Run may fail only on a load-generation
 // outcome; and an untraced run's Metrics must be identical at Workers 0
-// and 3.
+// and 3, and under the dispatch index and the linear-scan reference
+// selector (refDispatch) — the index oracle over fuzzed node classes,
+// churn, workloads and replays.
 func FuzzSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -131,6 +133,15 @@ func FuzzSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m0, m3) {
 			t.Fatalf("Metrics differ between Workers 0 and 3:\n%+v\n%+v", m0, m3)
+		}
+		refDispatch = true
+		mRef, _, err := Run(ctx, spec)
+		refDispatch = false
+		if err != nil {
+			t.Fatalf("the indexed run ran, the reference scan failed: %v", err)
+		}
+		if !reflect.DeepEqual(m0, mRef) {
+			t.Fatalf("Metrics differ between the dispatch index and the reference scan:\nindexed:   %+v\nreference: %+v", m0, mRef)
 		}
 	})
 }

@@ -279,7 +279,8 @@ var refAlts bool
 // watchDecision, when set, runs around every traced decision: it is
 // called before the decision records anything, and the function it
 // returns once the decision has recorded its alternatives.
-// TestAltsReadOnly uses it to compare the dispatch trees.
+// TestAltsReadOnly uses it to compare the dispatch trees, and
+// TestIndexKeysMatchNodes to recompute their keys.
 var watchDecision func(s *sim) func()
 
 // newRecorder builds the recorder from the Config's trace knobs. The
@@ -533,7 +534,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind recKind, chosen *node, star
 // service retires before a hypothetical copy would have started.
 func (rec *recorder) collectAlts(s *sim, p *pendingRec, q uint64, workS float64, chosen, exclude, start int) {
 	var cands []altCand
-	if (s.idx == nil && s.segs == nil) || refAlts {
+	if s.useRef || refAlts {
 		cands = rec.scanAlts(s, workS, chosen, exclude, start)
 	} else {
 		cands = rec.walk.run(s, rec.altScratch[:0], rec.cfg.TopK, workS, chosen, exclude, start)
@@ -573,7 +574,7 @@ func (rec *recorder) collectAlts(s *sim, p *pendingRec, q uint64, workS float64,
 // without writing it: a best-first walk over its trees, popping nodes
 // off the sim's frontier queue in the recorder's candidate order
 // (recorded key, rotation distance). Each tree is an altTree. A tree
-// with a tie set — the least-loaded tree, or a sprint-aware segment's
+// with a tie set — the least-loaded tree, or a sprint-aware class's
 // idle tree — first yields the tie set's nodes one at a time in rotation
 // order, each pushed when the one before it pops; a tie-set node records
 // the same key as every other one, the lowest key in its tree. Then the
@@ -595,8 +596,8 @@ type altWalk struct {
 	q               *eventQueue
 }
 
-// altTree is one dispatch tree the walk reads: leaf i is node lo+i and
-// rotation starts at leaf lrot. Keys at or below cover form the tie set:
+// altTree is one dispatch tree the walk reads (leaf i is node i), entered
+// in rotation order at leaf from. Keys at or below cover form the tie set:
 // under least-loaded the keys at or before now, which all record now (an
 // idle node's −Inf, and a backlog that drains exactly now); under
 // sprint-aware the idle budgets that cover the request at full width,
@@ -608,8 +609,7 @@ type altWalk struct {
 // node finishes before its backlog drains and a full-width service runs.
 type altTree struct {
 	t     *dispatchIndex
-	lo    int
-	lrot  int
+	from  int
 	cover float64
 	busy  bool
 	wow   float64
@@ -633,20 +633,13 @@ func (w *altWalk) run(s *sim, cands []altCand, k int, workS float64, chosen, exc
 	w.trees = w.trees[:0]
 	w.q.clear()
 	if s.idx != nil {
-		w.add(altTree{t: s.idx, lrot: w.rot, cover: s.nowS})
-	}
-	for si := range s.segs {
-		sg := &s.segs[si]
-		cl := &s.classes[sg.class]
-		// The global rotation restricted to the segment: the cyclic walk
-		// from rot crosses a contiguous block either as one run
-		// (entering at lo) or as [rot, hi) then [lo, rot).
-		lrot := 0
-		if w.rot >= sg.lo && w.rot < sg.hi {
-			lrot = w.rot - sg.lo
+		w.add(altTree{t: s.idx, from: w.rot, cover: s.nowS})
+	} else {
+		for ci := range s.classes {
+			cl := &s.classes[ci]
+			w.add(altTree{t: cl.idle, from: cl.from(w.rot), cover: cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW)})
+			w.add(altTree{t: cl.busy, cover: math.Inf(-1), busy: true, wow: workS / cl.width})
 		}
-		w.add(altTree{t: sg.idleIdx, lo: sg.lo, lrot: lrot, cover: cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW)})
-		w.add(altTree{t: sg.busyIdx, lo: sg.lo, cover: math.Inf(-1), busy: true, wow: workS / cl.width})
 	}
 	for len(cands) < k && w.q.len() > 0 {
 		key, e := w.q.pop()
@@ -658,7 +651,7 @@ func (w *altWalk) run(s *sim, cands []altCand, k int, workS float64, chosen, exc
 		}
 		cands = append(cands, altCand{node: int32(id), key: key})
 		if e.kind == walkTie && len(cands) < k {
-			w.nextTie(e.req, id-w.trees[e.req].lo)
+			w.nextTie(e.req, id)
 		}
 	}
 	return cands
@@ -682,8 +675,8 @@ func (w *altWalk) add(tr altTree) {
 // of the tree follows by bound.
 func (w *altWalk) nextTie(ti int32, after int) {
 	tr := &w.trees[ti]
-	for j := tr.t.nextLE(tr.lrot, after, tr.cover); j >= 0; j = tr.t.nextLE(tr.lrot, j, tr.cover) {
-		if id := tr.lo + j; id != w.chosen && id != w.exclude {
+	for id := tr.t.nextLE(tr.from, after, tr.cover); id >= 0; id = tr.t.nextLE(tr.from, id, tr.cover) {
+		if id != w.chosen && id != w.exclude {
 			w.pushNode(walkTie, ti, id)
 			return
 		}
@@ -705,7 +698,7 @@ func (w *altWalk) pushSlot(ti int32, c int) {
 		return
 	}
 	if c >= t.size {
-		if id := tr.lo + c - t.size; id != w.chosen && id != w.exclude {
+		if id := t.node(c); id != w.chosen && id != w.exclude {
 			w.pushNode(walkNode, ti, id)
 		}
 		return
@@ -717,7 +710,7 @@ func (w *altWalk) pushSlot(ti int32, c int) {
 	case tr.busy:
 		bound = d + tr.wow
 	default:
-		bound = altKey(w.s, &w.s.nodes[tr.lo+t.minLeaf(c)], w.workS)
+		bound = altKey(w.s, &w.s.nodes[t.minLeaf(c)], w.workS)
 	}
 	w.q.push(bound, event{kind: walkSlot, req: ti, node: int32(c)}, 0)
 }
@@ -760,7 +753,7 @@ func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, start int)
 	cands := rec.altScratch[:0]
 	for i := range s.nodes {
 		n := &s.nodes[i]
-		if n.id == chosen || n.id == exclude || !n.alive || n.outstanding() >= s.cl(n).queueCap {
+		if n.id == chosen || n.id == exclude || !n.alive || s.full(n) {
 			continue
 		}
 		rd := n.id - rot

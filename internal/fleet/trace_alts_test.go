@@ -14,8 +14,8 @@ import (
 // exactly the trace the retained O(N) scan records — same nodes, same
 // order, same keys, same probes — for every policy × coordination, on a
 // plain overloaded run (full queues), a flash crowd with failure churn
-// (dead nodes and redispatches), a heterogeneous fleet (one index
-// segment per class), and a 4-node fleet where k reaches past every
+// (dead nodes and redispatches), a heterogeneous fleet with an ambient
+// swing (a sprint-aware busy/idle tree pair per class), and a 4-node fleet where k reaches past every
 // eligible node, at several seeds and alternative counts — plus a
 // hand-built least-loaded stream that hits the one order the index does
 // not share with the recorder (testIdleBusyTie), and a hedge whose
@@ -67,8 +67,10 @@ func treeKeys(s *sim, dst [][]float64) [][]float64 {
 	if s.idx != nil {
 		dst = append(dst, append([]float64(nil), s.idx.d...))
 	}
-	for _, sg := range s.segs {
-		dst = append(dst, append([]float64(nil), sg.idleIdx.d...), append([]float64(nil), sg.busyIdx.d...))
+	for _, cl := range s.classes {
+		if cl.idle != nil {
+			dst = append(dst, append([]float64(nil), cl.idle.d...), append([]float64(nil), cl.busy.d...))
+		}
 	}
 	return dst
 }
@@ -87,7 +89,7 @@ func forAltShapes(f func(name string, cfg Config, sc *Scenario)) {
 		BaseRatePerS: 4,
 		Phases: []Phase{
 			{Name: "steady", DurationS: 80},
-			{Name: "surge", DurationS: 40, StartFactor: 1.8},
+			{Name: "surge", DurationS: 40, StartFactor: 1.8, AmbientDeltaC: 6},
 		},
 		Classes: []NodeClass{
 			{Name: "big", Count: 4, SprintWidth: 32, BudgetScale: 2, DrainScale: 2},

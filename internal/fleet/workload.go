@@ -234,10 +234,11 @@ func WriteRequestTraceCSV(w io.Writer, rows []TraceRequest) error {
 	return cw.Error()
 }
 
-// maxReplayS bounds a replay row's arrival_s and work_s, about 32 years
-// of simulated time: far past any recorded demand, and far enough below
-// the float64 limit that no completion time, summed over every row the
-// request cap admits, can overflow.
+// maxReplayS bounds a replay row's arrival_s and work_s, and the mean
+// work of every other load source (Config.MeanWorkS, WorkSpec.MeanS):
+// about 32 years of simulated time, far past any recorded demand, and
+// far enough below the float64 limit that no completion time, summed
+// over every request the request cap admits, can overflow.
 const maxReplayS = 1e9
 
 // validateRequestTrace reports the first defect that would make the rows
@@ -548,6 +549,8 @@ func (w WorkloadSpec) validate() error {
 			return fmt.Errorf("fleet: tenant %q: unknown work distribution %q (want exp|fixed|lognormal|pareto)", t.Name, wk.Dist)
 		case !(wk.MeanS > 0) || math.IsInf(wk.MeanS, 0) || math.IsNaN(wk.MeanS):
 			return fmt.Errorf("fleet: tenant %q: mean work must be positive and finite", t.Name)
+		case wk.MeanS > maxReplayS:
+			return fmt.Errorf("fleet: tenant %q: mean work must be at most %g s, got %g", t.Name, float64(maxReplayS), wk.MeanS)
 		case wk.Dist != "lognormal" && wk.Sigma != 0:
 			return fmt.Errorf("fleet: tenant %q: sigma applies only to lognormal work", t.Name)
 		case wk.Dist == "lognormal" && (!(wk.Sigma > 0) || wk.Sigma > 4 || math.IsNaN(wk.Sigma)):

@@ -349,10 +349,10 @@ type FleetSpec = fleet.Spec
 // context is checked periodically so very large runs can be cancelled.
 //
 // The simulator is built for warehouse scale: dispatch is O(log N) per
-// arrival over an incrementally maintained index (segmented per node
-// class, so heterogeneous fleets keep the bound), the event loop does
-// not allocate per request, and a 10,000-node fleet serves a million
-// requests in single-digit seconds (see BenchmarkFleetScale). Setting
+// arrival over an incrementally maintained index (with sprint-aware
+// trees per node class, so heterogeneous fleets keep the bound), the
+// event loop does not allocate per request, and a 10,000-node fleet
+// serves a million requests in single-digit seconds (see BenchmarkFleetScale). Setting
 // FleetConfig.Workers shards a decoupled (plain round-robin) run's loop
 // itself across goroutines — byte-identically at any worker count (see
 // BenchmarkFleetScaleDecoupledParallel); coupled runs ignore it.
