@@ -25,8 +25,8 @@
 // bitset holds one bit per leaf, set exactly when the leaf holds −Inf,
 // so the idle tie — the answer whenever the root reads −Inf — is an
 // O(N/64) bits.TrailingZeros64 scan of the words from the rotation
-// start, wrapping once (firstIdle); hedged dispatch's argminExcept masks
-// the original node's bit out of the same scan. Every −Inf query
+// start, wrapping once (firstIdle); hedged dispatch's argminExcept takes
+// the same scan unless it lands on the original node. Every −Inf query
 // (argmin, argminExcept, firstLE and nextLE) takes it, and the tree is
 // asked only when no node is idle or at a finite threshold: argmin reads
 // the minimum off the root, and firstLE finds the first leaf at or below
@@ -93,6 +93,7 @@ type dispatchIndex struct {
 	n    int // real leaves
 	size int // power-of-two leaf span
 	off  int // size − lo
+	w0   int // the first leaf's idle word, size>>6
 	d    []float64
 	idle []uint64
 }
@@ -104,7 +105,7 @@ func newDispatchIndex(lo, n int) *dispatchIndex {
 	for size < n {
 		size <<= 1
 	}
-	t := &dispatchIndex{lo: lo, n: n, size: size, off: size - lo, d: make([]float64, 2*size), idle: make([]uint64, (size+n+63)/64)}
+	t := &dispatchIndex{lo: lo, n: n, size: size, off: size - lo, w0: size >> 6, d: make([]float64, 2*size), idle: make([]uint64, (size+n+63)/64)}
 	for i := range t.d {
 		t.d[i] = math.Inf(1)
 	}
@@ -182,8 +183,8 @@ func (t *dispatchIndex) argmin(start int) int {
 
 // argminExcept is argmin over every present node but ex (all of them when
 // ex < 0): hedging never duplicates onto the original copy's node. While
-// another node is idle, the first of them in rotation order wins, read
-// off the idle bitset with ex's bit masked out. Otherwise the minimum of
+// a node is idle, the first of them in rotation order wins, read off the
+// idle bitset, unless it is ex itself. Otherwise the minimum of
 // every leaf but ex is the minimum of the siblings on ex's path to the
 // root; firstLE at it finds the first node in rotation order that holds
 // it, and nextLE steps past ex, which may tie or beat it.
@@ -191,7 +192,7 @@ func (t *dispatchIndex) argmin(start int) int {
 //sprint:hotpath
 func (t *dispatchIndex) argminExcept(start, ex int) int {
 	if t.d[1] == negInf {
-		if i := t.firstIdle(start, ex); i >= 0 {
+		if i := t.firstIdle(start); i != ex {
 			return i
 		}
 	}
@@ -222,7 +223,7 @@ func (t *dispatchIndex) argminExcept(start, ex int) int {
 //sprint:hotpath
 func (t *dispatchIndex) firstLE(start int, thresh float64) int {
 	if thresh == negInf {
-		return t.firstIdle(start, -1)
+		return t.firstIdle(start)
 	}
 	if i := t.firstFrom(start, thresh); i >= 0 {
 		return i
@@ -244,7 +245,7 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	if thresh == negInf {
 		// Rotation distances from start: the next idle leaf counts only
 		// if the walk has not yet come back round to start.
-		i := t.firstIdle(t.lo+(after+1-t.lo)%t.n, -1)
+		i := t.firstIdle(t.lo + (after+1-t.lo)%t.n)
 		if i < 0 || (i-start+t.n)%t.n <= (after-start+t.n)%t.n {
 			return -1
 		}
@@ -264,27 +265,22 @@ func (t *dispatchIndex) nextLE(start, after int, thresh float64) int {
 	return -1
 }
 
-// firstIdle returns the first idle node other than ex in rotation order
-// from start, or -1: a bits.TrailingZeros64 scan of the leaves' idle
-// words from start's, wrapping once, that visits start's word twice —
-// first its bits from start on, last the rest. O(N/64) at worst. An ex
-// of -1 masks nothing: its slot, off−1, is below size, an interior slot
-// whose bit is never set, or negative, in no word.
+// firstIdle returns the first idle node in rotation order from start,
+// or -1: a bits.TrailingZeros64 scan of the leaves' idle words from
+// start's, wrapping once, that visits start's word twice — first its
+// bits from start on, last the rest. O(N/64) at worst.
 //
 //sprint:hotpath
-func (t *dispatchIndex) firstIdle(start, ex int) int {
-	c, x := t.off+start, t.off+ex
+func (t *dispatchIndex) firstIdle(start int) int {
+	c := t.off + start
 	w := c >> 6
 	m := t.idle[w] &^ (1<<(c&63) - 1)
-	for range len(t.idle) - t.size>>6 + 1 {
-		if w == x>>6 {
-			m &^= 1 << (x & 63)
-		}
+	for range len(t.idle) - t.w0 + 1 {
 		if m != 0 {
 			return (w<<6 | bits.TrailingZeros64(m)) - t.off
 		}
 		if w++; w == len(t.idle) {
-			w = t.size >> 6
+			w = t.w0
 		}
 		m = t.idle[w]
 	}

@@ -596,8 +596,8 @@ type altWalk struct {
 	q               *eventQueue
 }
 
-// altTree is one dispatch tree the walk reads (leaf i is node i), entered
-// in rotation order at leaf from. Keys at or below cover form the tie set:
+// altTree is one dispatch tree the walk reads, entered in rotation order
+// at node from. Keys at or below cover form the tie set:
 // under least-loaded the keys at or before now, which all record now (an
 // idle node's −Inf, and a backlog that drains exactly now); under
 // sprint-aware the idle budgets that cover the request at full width,
@@ -638,7 +638,7 @@ func (w *altWalk) run(s *sim, cands []altCand, k int, workS float64, chosen, exc
 		for ci := range s.classes {
 			cl := &s.classes[ci]
 			w.add(altTree{t: cl.idle, from: cl.from(w.rot), cover: cl.proto.CoverKeyS(s.nowS, workS, cl.width, cl.sprintW)})
-			w.add(altTree{t: cl.busy, cover: math.Inf(-1), busy: true, wow: workS / cl.width})
+			w.add(altTree{t: cl.busy, from: cl.lo, cover: math.Inf(-1), busy: true, wow: workS / cl.width})
 		}
 	}
 	for len(cands) < k && w.q.len() > 0 {
